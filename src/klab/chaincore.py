@@ -1,4 +1,4 @@
-"""Exact graded chain-complex calculus over the integers.
+"""Exact graded chain-complex calculus over the integers or a group ring.
 
 Sign conventions (fixed once, tested everywhere):
 
@@ -21,6 +21,12 @@ Sign conventions (fixed once, tested everywhere):
 Complexes may carry positions (one label per basis vector and degree)
 and idempotents ``p`` with ``p^2 = p`` for objects of the idempotent
 completion; both are transported through every construction here.
+
+A complex's coefficient ring is the class or object that makes its zero
+and identity matrices and assembles block matrices: ``IntMatrix`` for
+``Z`` (the default), ``gring.GroupRing`` for ``Z[G]``.  Maps, homotopies,
+cones and ``cone_torsion`` work over either; duals and tensors are
+integral only.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ def _pair_positions(pa: Positions, pb: Positions) -> Positions:
 
 
 class ChainComplex:
-    """Finite complex of free (or idempotent-completed) Z-modules.
+    """Finite complex of free (or idempotent-completed) modules over ``ring``.
 
     ``diff[n]`` is the matrix of ``d_n: C_n -> C_{n-1}``; degrees outside
     ``[lo, hi]`` are zero.  ``positions[n]``, when present, labels the
@@ -50,7 +56,8 @@ class ChainComplex:
                  diff: Optional[Dict[int, IntMatrix]] = None,
                  idem: Optional[Dict[int, IntMatrix]] = None,
                  positions: Optional[Dict[int, Positions]] = None,
-                 check: bool = True):
+                 check: bool = True, ring=IntMatrix):
+        self.ring = ring
         self.ranks = {n: r for n, r in ranks.items() if r > 0}
         self.diff = {}
         if diff:
@@ -81,12 +88,12 @@ class ChainComplex:
     def d(self, n: int) -> IntMatrix:
         m = self.diff.get(n)
         if m is None:
-            return IntMatrix.zeros(self.rank(n - 1), self.rank(n))
+            return self.ring.zeros(self.rank(n - 1), self.rank(n))
         return m
 
     def p(self, n: int) -> IntMatrix:
         if self.idem is None or n not in self.idem:
-            return IntMatrix.identity(self.rank(n))
+            return self.ring.identity(self.rank(n))
         return self.idem[n]
 
     def pos(self, n: int) -> Optional[Positions]:
@@ -95,7 +102,7 @@ class ChainComplex:
         return self.positions.get(n)
 
     def is_free(self) -> bool:
-        return self.idem is None or all(self.p(n) == IntMatrix.identity(self.rank(n))
+        return self.idem is None or all(self.p(n) == self.ring.identity(self.rank(n))
                                         for n in self.ranks)
 
     def euler_characteristic(self) -> int:
@@ -158,12 +165,14 @@ class ChainMap:
     def mat(self, n: int) -> IntMatrix:
         m = self.mats.get(n)
         if m is None:
-            return IntMatrix.zeros(self.target.rank(n + self.degree), self.source.rank(n))
+            return self.target.ring.zeros(self.target.rank(n + self.degree),
+                                          self.source.rank(n))
         return m
 
     def validate(self) -> None:
         k = self.degree
         degs = set(self.source.ranks) | {n - k for n in self.target.ranks}
+        idem = self.source.idem is not None or self.target.idem is not None
         for n in degs:
             m = self.mat(n)
             if (m.rows, m.cols) != (self.target.rank(n + k), self.source.rank(n)):
@@ -172,12 +181,15 @@ class ChainMap:
             rhs = (self.mat(n - 1) @ self.source.d(n)).scale(sign(k))
             if lhs != rhs:
                 raise ValueError(f"not a chain map at degree {n}")
-            if not (self.target.p(n + k) @ m @ self.source.p(n) - m).is_zero():
+            if idem and not (self.target.p(n + k) @ m @ self.source.p(n) - m).is_zero():
                 raise ValueError(f"map not compatible with idempotents at degree {n}")
 
-    def graded_shapes_ok(self) -> bool:
-        return all(m.rows == self.target.rank(n + self.degree)
-                   and m.cols == self.source.rank(n) for n, m in self.mats.items())
+    def is_chain_map(self) -> bool:
+        try:
+            self.validate()
+        except ValueError:
+            return False
+        return True
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.mats.values())
@@ -213,6 +225,9 @@ class ChainMap:
         return ChainMap(other.source, self.target, self.degree + other.degree,
                         {n: self.mat(n + k) @ other.mat(n) for n in degs}, check=False)
 
+    def __matmul__(self, other: "ChainMap") -> "ChainMap":
+        return self.compose(other)
+
     @staticmethod
     def identity(c: ChainComplex) -> "ChainMap":
         # identity of an idempotent-completed object is the idempotent itself
@@ -237,9 +252,8 @@ class ChainHomotopy:
     def mat(self, n: int) -> IntMatrix:
         m = self.mats.get(n)
         if m is None:
-            k = self.source_map.degree
-            return IntMatrix.zeros(self.source_map.target.rank(n + k + 1),
-                                   self.source_map.source.rank(n))
+            f = self.source_map
+            return f.target.ring.zeros(f.target.rank(n + f.degree + 1), f.source.rank(n))
         return m
 
     def as_map(self) -> ChainMap:
@@ -456,7 +470,7 @@ def cone(f: ChainMap) -> ChainComplex:
     diff: Dict[int, IntMatrix] = {}
     for n in degs:
         # d(c, d) = (-d c, f c + d d)
-        m = IntMatrix.from_blocks(
+        m = C.ring.from_blocks(
             [[-C.d(n - 1), None], [f.mat(n - 1), D.d(n)]],
             [C.rank(n - 2), D.rank(n - 1)], [C.rank(n - 1), D.rank(n)])
         if not m.is_zero():
@@ -467,7 +481,7 @@ def cone(f: ChainMap) -> ChainComplex:
     positions = None
     if C.positions is not None and D.positions is not None:
         positions = {n: tuple(C.pos(n - 1) or ()) + tuple(D.pos(n) or ()) for n in degs}
-    return ChainComplex(ranks, diff, idem, positions, check=False)
+    return ChainComplex(ranks, diff, idem, positions, check=False, ring=C.ring)
 
 
 def shift(c: ChainComplex, k: int) -> ChainComplex:
@@ -523,62 +537,48 @@ def finiteness_obstruction(c: ChainComplex) -> K0Class:
     return out
 
 
-def _cone_contraction(f: ChainMap, g: ChainMap, h: ChainHomotopy,
-                      k: ChainHomotopy) -> Dict[int, IntMatrix]:
-    """Chain contraction of cone(f) from homotopy-equivalence witnesses.
+def cone_torsion(f: ChainMap, g: ChainMap, hm: ChainMap, km: ChainMap):
+    """``(d + Gamma)_odd`` on the (contractible) mapping cone of ``f: C -> D``.
 
+    ``g`` is a homotopy inverse and ``hm``, ``km`` (``h``, ``k`` below)
+    are the degree-1 maps of homotopies ``g f ~ id_C`` and ``f g ~ id_D``.
     With ``theta = f h - k f`` the graded map
     ``(c, d) -> (-h c + g d + g theta c, k d + k theta c)`` satisfies
     ``d Gamma + Gamma d = id`` on the cone (the naive candidate misses the
     identity by the square-zero error ``(c,d) -> (0, theta c)``, which the
-    ``g theta`` / ``k theta`` terms cancel).
+    ``g theta`` / ``k theta`` terms cancel).  Blocks are assembled over
+    the coefficient ring of ``C``.
     """
     C, D = f.source, f.target
-    hm, km = h.as_map(), k.as_map()
+    ring = C.ring
+    e = cone(f)
     theta = f.compose(hm) - km.compose(f)
-    top_left = (g.compose(theta) - hm)
+    top_left = g.compose(theta) - hm
     bottom_left = km.compose(theta)
-    gamma: Dict[int, IntMatrix] = {}
-    degs = set()
-    for n in C.ranks:
-        degs.add(n + 1)
-    degs.update(D.ranks)
-    for n in degs:
-        gamma[n] = IntMatrix.from_blocks(
-            [[top_left.mat(n - 1), g.mat(n)],
-             [bottom_left.mat(n - 1), km.mat(n)]],
-            [C.rank(n), D.rank(n + 1)], [C.rank(n - 1), D.rank(n)])
-    return gamma
-
-
-def _odd_even_matrix(ranks: Dict[int, int], blocks: Dict[Tuple[int, int], IntMatrix],
-                     from_odd: bool) -> IntMatrix:
-    degs = sorted(ranks)
-    odd = [n for n in degs if n % 2]
-    even = [n for n in degs if not n % 2]
-    src, tgt = (odd, even) if from_odd else (even, odd)
-    grid = [[blocks.get((t, s)) for s in src] for t in tgt]
-    return IntMatrix.from_blocks(grid, [ranks[t] for t in tgt], [ranks[s] for s in src])
-
-
-def torsion_of_contractible(cx: ChainComplex, gamma: Dict[int, IntMatrix]) -> IntMatrix:
-    """``(d + Gamma)_odd`` for a contractible complex with contraction Gamma."""
-    blocks: Dict[Tuple[int, int], IntMatrix] = {}
-    for n in cx.ranks:
-        if n - 1 in cx.ranks:
-            blocks[(n - 1, n)] = cx.d(n)
-        if n + 1 in cx.ranks and n in gamma:
-            blocks[(n + 1, n)] = gamma[n]
-    return _odd_even_matrix(cx.ranks, blocks, from_odd=True)
+    blocks = {}
+    for n in e.ranks:
+        if n - 1 in e.ranks:
+            blocks[(n - 1, n)] = e.d(n)
+        if n + 1 in e.ranks:
+            blocks[(n + 1, n)] = ring.from_blocks(
+                [[top_left.mat(n - 1), g.mat(n)], [bottom_left.mat(n - 1), km.mat(n)]],
+                [C.rank(n), D.rank(n + 1)], [C.rank(n - 1), D.rank(n)])
+    odd = [n for n in sorted(e.ranks) if n % 2]
+    even = [n for n in sorted(e.ranks) if not n % 2]
+    rep = ring.from_blocks([[blocks.get((t, s)) for s in odd] for t in even],
+                           [e.rank(t) for t in even], [e.rank(s) for s in odd])
+    if rep.rows != rep.cols:
+        raise NotAnEquivalence("cone has unequal odd/even ranks")
+    return rep
 
 
 def self_torsion(f: ChainMap, g: ChainMap, h: ChainHomotopy, k: ChainHomotopy) -> K1Class:
     """K_1 representative of a self chain homotopy equivalence.
 
     ``f: C -> D`` with inverse witness ``g, h: gf ~ id_C, k: fg ~ id_D``;
-    the representative is ``(d + Gamma)_odd`` on the (contractible)
-    mapping cone of ``f``.  For ``C = D`` and ``f`` a degree-0
-    automorphism ``v`` this reduces to the class of the matrix ``v``.
+    the representative is ``cone_torsion`` of the witnesses.  For
+    ``C = D`` and ``f`` a degree-0 automorphism ``v`` this reduces to the
+    class of the matrix ``v``.
     """
     if not h.holds() or not k.holds():
         raise NotAnEquivalence("homotopy witnesses do not certify an equivalence")
@@ -586,9 +586,4 @@ def self_torsion(f: ChainMap, g: ChainMap, h: ChainHomotopy, k: ChainHomotopy) -
         raise NotAnEquivalence("h must be a homotopy from g o f to id")
     if k.target_map != ChainMap.identity(f.target) or k.source_map != f.compose(g):
         raise NotAnEquivalence("k must be a homotopy from f o g to id")
-    e = cone(f)
-    gamma = _cone_contraction(f, g, h, k)
-    rep = torsion_of_contractible(e, gamma)
-    if rep.rows != rep.cols:
-        raise NotAnEquivalence("cone has unequal odd/even ranks")
-    return K1Class(rep)
+    return K1Class(cone_torsion(f, g, h.as_map(), k.as_map()))

@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -243,17 +242,10 @@ def _run_transfer_k(scenario: Scenario, name: str, spec: Dict[str, Any],
             f"{fraction_str(result.target_bound)}")
     if chain.backend.kind == "finite-table":
         tors = projected_torsion(result)
-        alpha_det = _morphism_det(alpha)
+        alpha_det = alpha.det()
         rep.add(f"transfer-k:{name}:projection-torsion",
                 tors.det() == alpha_det,
                 f"det {tors.det()} vs alpha det {alpha_det}")
-
-
-def _morphism_det(alpha) -> Dict[object, int]:
-    from .gring import GRMatrix
-    gm = GRMatrix(alpha.backend, alpha.target.rank, alpha.source.rank,
-                  dict(alpha.letters))
-    return gm.det()
 
 
 def _run_transfer_l(scenario: Scenario, name: str, spec: Dict[str, Any],
@@ -389,29 +381,18 @@ def cmd_suite(scenario: Scenario, args) -> Report:
     rep = Report("suite")
     jobs = _suite_jobs(scenario, args)
 
-    def run_job(item):
-        name, fn = item
+    for name, fn in jobs:
         try:
-            return fn()
+            rep.merge(fn())
         except KlabError as exc:
-            sub = Report(name)
-            sub.add(f"{name}:error", False, f"{exc.code}: {exc}")
-            return sub
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            for sub in pool.map(run_job, jobs):
-                rep.merge(sub)
-    else:
-        for item in jobs:
-            rep.merge(run_job(item))
+            rep.add(f"{name}:error", False, f"{exc.code}: {exc}")
     if args.golden:
         with open(args.golden, "r", encoding="utf-8") as fh:
             golden = json.load(fh)
-        got = {c.id: c.status for c in rep.cases}
-        want = {c["id"]: c["status"] for c in golden.get("cases", [])}
+        got = {c.id: (c.status, c.detail) for c in rep.cases}
+        want = {c["id"]: (c["status"], c.get("detail", "")) for c in golden.get("cases", [])}
         rep.add("suite:golden-match", got == want,
-                "" if got == want else "case statuses differ from the golden file")
+                "" if got == want else "case statuses or details differ from the golden file")
     return rep
 
 
@@ -490,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("suite", help="run every check in the scenario"))
     p.add_argument("--golden", help="golden report to compare against")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; checks run serially")
     p.add_argument("--family", default="virtually-cyclic")
 
     p = sub.add_parser("canonicalize", help="print the canonical serialization")

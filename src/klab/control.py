@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .errors import HorizonExceeded, InputError
+from .errors import InputError
+from .gring import GRMatrix, place_letters
 from .groups import FiniteSubset, GroupBackend
 from .intmat import IntMatrix
 
@@ -215,84 +216,46 @@ def pushforward(phi: ControlledMorphism, f: Dict[object, object]) -> ControlledM
                               phi.matrix.copy())
 
 
-@dataclass
-class EquivariantMorphism:
+class EquivariantMorphism(GRMatrix):
     """S-indexed convolution data for a ``G``-equivariant morphism.
 
+    A matrix over ``Z[G]`` that carries its fiber modules:
     ``letters[a]`` is the block of the morphism from the source fiber at
     coset ``g*a`` to the target fiber at ``g`` (independent of ``g``);
     reconstruction of the full morphism at ``(g, g')`` depends only on
     ``g^{-1} g'``.
     """
 
-    backend: GroupBackend
-    source: GeometricModule  # fiber over the identity coset, Z-positions
-    target: GeometricModule
-    letters: Dict[object, IntMatrix]
+    def __init__(self, backend: GroupBackend, source: GeometricModule,
+                 target: GeometricModule, letters: Dict[object, IntMatrix]):
+        self.source = source  # fiber over the identity coset, Z-positions
+        self.target = target
+        super().__init__(backend, target.rank, source.rank, letters)
 
-    def __post_init__(self):
-        clean = {}
-        for a, m in self.letters.items():
-            ca = self.backend.canonical(a)
-            if (m.rows, m.cols) != (self.target.rank, self.source.rank):
-                raise InputError(f"letter {a!r} block shape mismatch")
-            if not m.is_zero():
-                clean[ca] = m
-        self.letters = clean
+    def _like(self, letters: Dict[object, IntMatrix]) -> "EquivariantMorphism":
+        return EquivariantMorphism(self.backend, self.source, self.target, letters)
 
-    def letter_support(self) -> List[object]:
-        return sorted(self.letters, key=repr)
-
-    def block(self, a) -> IntMatrix:
-        return self.letters.get(self.backend.canonical(a),
-                                IntMatrix.zeros(self.target.rank, self.source.rank))
+    block = GRMatrix.letter
 
     def convolve(self, other: "EquivariantMorphism",
                  allowed: Optional[FiniteSubset] = None) -> "EquivariantMorphism":
         """Composite ``self o other``: ``(psi' o psi)_c = sum over ab=c``."""
         if other.target.positions != self.source.positions:
             raise InputError("convolution endpoint mismatch")
-        acc: Dict[object, IntMatrix] = {}
-        for a, ma in self.letters.items():
-            for b, mb in other.letters.items():
-                c = self.backend.mul(a, b)
-                if allowed is not None and c not in allowed:
-                    raise HorizonExceeded(f"product letter {c!r} escapes the allowed ball")
-                prod = ma @ mb
-                if c in acc:
-                    acc[c] = acc[c] + prod
-                else:
-                    acc[c] = prod
-        return EquivariantMorphism(self.backend, other.source, self.target, acc)
-
-    def __add__(self, other: "EquivariantMorphism") -> "EquivariantMorphism":
-        acc = dict(self.letters)
-        for a, m in other.letters.items():
-            acc[a] = acc[a] + m if a in acc else m
-        return EquivariantMorphism(self.backend, self.source, self.target, acc)
+        return EquivariantMorphism(self.backend, other.source, self.target,
+                                   self._convolve(other, allowed))
 
     def dual(self) -> "EquivariantMorphism":
         """Letterwise dual: ``(f^-*)_a = (f_{a^{-1}})^-*``."""
-        return EquivariantMorphism(
-            self.backend, self.target, self.source,
-            {self.backend.inv(a): m.transpose() for a, m in self.letters.items()})
+        return EquivariantMorphism(self.backend, self.target, self.source,
+                                   self._inverse_letters(IntMatrix.transpose))
 
     def expand(self, cosets: Iterable[object]) -> ControlledMorphism:
         """Explicit morphism over positions ``(g, z)`` for ``g`` in cosets."""
         gs = [self.backend.canonical(g) for g in cosets]
-        gset = set(gs)
         src_pos = tuple(GPos(g, z) for g in gs for z in self.source.positions)
         tgt_pos = tuple(GPos(g, z) for g in gs for z in self.target.positions)
-        m = IntMatrix.zeros(len(tgt_pos), len(src_pos))
-        sr, tr = self.source.rank, self.target.rank
-        for ti, g in enumerate(gs):
-            for a, blk in self.letters.items():
-                ga = self.backend.mul(g, a)
-                if ga not in gset:
-                    continue
-                si = gs.index(ga)
-                for (i, j), v in blk.entries.items():
-                    m.entries[(ti * tr + i, si * sr + j)] = v
+        m = place_letters(self.backend, self.letters, gs, self.rows, self.cols)
         return ControlledMorphism(GeometricModule(src_pos), GeometricModule(tgt_pos), m)
 
     @staticmethod

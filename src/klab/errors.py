@@ -52,16 +52,8 @@ class SupportEscape(KlabError):
     code = "support-escape"
 
 
-class ConventionMismatch(KlabError):
-    code = "convention-mismatch"
-
-
 class IdempotentFailure(KlabError):
     code = "idempotent-failure"
-
-
-class ControlViolation(KlabError):
-    code = "control-violation"
 
 
 class HypothesisViolation(KlabError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .actions import DominationData, HomotopySAction
 from .chaincore import ChainComplex, ChainHomotopy, ChainMap, cone
@@ -410,13 +410,3 @@ def path_point_domination(fine: int = 9, step: int = 4) -> DominationData:
         composite.append(p_map[vertex])
     track = (tuple(composite), tuple(X.points))
     return DominationData(X, K, 1, Fraction((step + 1) // 2), i_map, p_map, track)
-
-
-# -- sampling helpers -------------------------------------------------------------
-
-
-def sample_pairs(rng: random.Random, items: List, count: int) -> List[Tuple]:
-    out = []
-    for _ in range(count):
-        out.append((rng.choice(items), rng.choice(items)))
-    return out

@@ -1,19 +1,21 @@
-"""Matrices over group rings, stored letterwise, with a division-free
-determinant for commutative backends.
+"""Letter-indexed maps over a group, matrices over group rings, and the
+group ring as a coefficient ring for chain complexes.
 
-A matrix over ``Z[G]`` is a dict ``g -> IntMatrix`` of a fixed shape;
-multiplication is convolution over the group.  The determinant (the K_1
-reduction for commutative group rings) uses the Berkowitz algorithm,
-which needs no division and so works over any commutative ring.
+A map over ``G x Z`` is stored letterwise: a dict ``a -> block`` whose
+composite is convolution over the group.  A matrix over ``Z[G]`` is
+such a map with ``IntMatrix`` blocks of one shape.  The determinant
+(the K_1 reduction for commutative group rings) uses the Berkowitz
+algorithm, which needs no division and so works over any commutative
+ring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from .errors import InputError, NotAnEquivalence
-from .groups import GroupBackend
+from .chaincore import ChainComplex, ChainHomotopy, ChainMap, cone_torsion
+from .errors import HorizonExceeded, InputError, NotAnEquivalence
+from .groups import FiniteSubset, GroupBackend
 from .intmat import IntMatrix
 
 GRElem = Dict[object, int]  # group element -> integer coefficient
@@ -47,84 +49,131 @@ def gr_mul(backend: GroupBackend, a: GRElem, b: GRElem) -> GRElem:
     return out
 
 
-def gr_involution(backend: GroupBackend, a: GRElem) -> GRElem:
-    """Standard involution ``sum c_g g -> sum c_g g^{-1}``."""
-    return {backend.inv(g): c for g, c in a.items()}
+class LetterMap:
+    """Blocks indexed by group letters; zero blocks are dropped.
 
+    Blocks are ``IntMatrix`` or ``ChainMap`` values: anything with
+    ``+``, unary ``-``, ``@`` (composition), ``scale`` and ``is_zero``.
+    Subclasses supply ``_like`` (same shape, new letters) and
+    ``_zero_block``.
+    """
 
-class GRMatrix:
-    """Letterwise matrix over the group ring of a backend."""
-
-    def __init__(self, backend: GroupBackend, rows: int, cols: int,
-                 letters: Optional[Dict[object, IntMatrix]] = None):
+    def __init__(self, backend: GroupBackend, letters: Dict[object, object]):
         self.backend = backend
-        self.rows = rows
-        self.cols = cols
-        self.letters: Dict[object, IntMatrix] = {}
-        if letters:
-            for g, m in letters.items():
-                cg = backend.canonical(g)
-                if (m.rows, m.cols) != (rows, cols):
-                    raise InputError("letter block shape mismatch")
-                if not m.is_zero():
-                    self.letters[cg] = m
+        self.letters: Dict[object, object] = {}
+        for a, m in letters.items():
+            if not m.is_zero():
+                self.letters[backend.canonical(a)] = m
 
-    @staticmethod
-    def zeros(backend: GroupBackend, rows: int, cols: int) -> "GRMatrix":
-        return GRMatrix(backend, rows, cols)
+    def _like(self, letters: Dict[object, object]) -> "LetterMap":
+        raise NotImplementedError
 
-    @staticmethod
-    def identity(backend: GroupBackend, n: int) -> "GRMatrix":
-        return GRMatrix(backend, n, n, {backend.identity(): IntMatrix.identity(n)})
+    def _zero_block(self):
+        raise NotImplementedError
 
-    @staticmethod
-    def constant(backend: GroupBackend, m: IntMatrix) -> "GRMatrix":
-        return GRMatrix(backend, m.rows, m.cols, {backend.identity(): m})
+    def letter(self, a):
+        m = self.letters.get(self.backend.canonical(a))
+        return self._zero_block() if m is None else m
+
+    def letter_support(self) -> List[object]:
+        return sorted(self.letters, key=repr)
 
     def is_zero(self) -> bool:
         return not self.letters
 
     def __eq__(self, other: object) -> bool:
+        return isinstance(other, LetterMap) and self.letters == other.letters
+
+    def __add__(self, other: "LetterMap") -> "LetterMap":
+        acc = dict(self.letters)
+        for a, m in other.letters.items():
+            s = acc.get(a)
+            acc[a] = m if s is None else s + m
+        return self._like(acc)
+
+    def __neg__(self) -> "LetterMap":
+        return self._like({a: -m for a, m in self.letters.items()})
+
+    def __sub__(self, other: "LetterMap") -> "LetterMap":
+        return self + (-other)
+
+    def scale(self, c: int) -> "LetterMap":
+        return self._like({a: m.scale(c) for a, m in self.letters.items()})
+
+    def _convolve(self, other: "LetterMap",
+                  allowed: Optional[FiniteSubset] = None) -> Dict[object, object]:
+        """Letters of ``self o other``: ``(x y)_c = sum over ab = c of x_a y_b``.
+
+        A product letter outside ``allowed`` raises ``HorizonExceeded``.
+        """
+        acc: Dict[object, object] = {}
+        mul = self.backend.mul
+        for a, x in self.letters.items():
+            for b, y in other.letters.items():
+                c = mul(a, b)
+                if allowed is not None and c not in allowed:
+                    raise HorizonExceeded(f"product letter {c!r} escapes the allowed ball")
+                prod = x @ y
+                s = acc.get(c)
+                acc[c] = prod if s is None else s + prod
+        return acc
+
+    def _inverse_letters(self, block: Callable) -> Dict[object, object]:
+        """``{a^{-1}: block(x_a)}``, the letter part of every involution."""
+        return {self.backend.inv(a): block(m) for a, m in self.letters.items()}
+
+
+def place_letters(backend: GroupBackend, letters: Dict[object, IntMatrix],
+                  cosets: Sequence[object], rows: int, cols: int) -> IntMatrix:
+    """Explicit matrix over ``cosets`` with block ``letters[a]`` at
+    ``(g, g a)``; products ``g a`` outside the coset list are dropped."""
+    index = {g: i for i, g in enumerate(cosets)}
+    m = IntMatrix.zeros(len(cosets) * rows, len(cosets) * cols)
+    for ti, g in enumerate(cosets):
+        for a, blk in letters.items():
+            si = index.get(backend.mul(g, a))
+            if si is None:
+                continue
+            for (i, j), v in blk.entries.items():
+                m.entries[(ti * rows + i, si * cols + j)] = v
+    return m
+
+
+class GRMatrix(LetterMap):
+    """Letterwise matrix over the group ring of a backend."""
+
+    def __init__(self, backend: GroupBackend, rows: int, cols: int,
+                 letters: Optional[Dict[object, IntMatrix]] = None):
+        self.rows = rows
+        self.cols = cols
+        letters = letters or {}
+        if any((m.rows, m.cols) != (rows, cols) for m in letters.values()):
+            raise InputError("letter block shape mismatch")
+        super().__init__(backend, letters)
+
+    def _like(self, letters: Dict[object, IntMatrix]) -> "GRMatrix":
+        return GRMatrix(self.backend, self.rows, self.cols, letters)
+
+    def _zero_block(self) -> IntMatrix:
+        return IntMatrix.zeros(self.rows, self.cols)
+
+    @staticmethod
+    def constant(backend: GroupBackend, m: IntMatrix) -> "GRMatrix":
+        return GRMatrix(backend, m.rows, m.cols, {backend.identity(): m})
+
+    def __eq__(self, other: object) -> bool:
         return (isinstance(other, GRMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.letters == other.letters)
-
-    def __add__(self, other: "GRMatrix") -> "GRMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InputError("shape mismatch")
-        out = dict(self.letters)
-        for g, m in other.letters.items():
-            s = out.get(g)
-            out[g] = m if s is None else s + m
-        return GRMatrix(self.backend, self.rows, self.cols, out)
-
-    def __neg__(self) -> "GRMatrix":
-        return GRMatrix(self.backend, self.rows, self.cols,
-                        {g: -m for g, m in self.letters.items()})
-
-    def __sub__(self, other: "GRMatrix") -> "GRMatrix":
-        return self + (-other)
 
     def __matmul__(self, other: "GRMatrix") -> "GRMatrix":
         if self.cols != other.rows:
             raise InputError("shape mismatch in mul")
-        acc: Dict[object, IntMatrix] = {}
-        for g, m in self.letters.items():
-            for h, w in other.letters.items():
-                k = self.backend.mul(g, h)
-                prod = m @ w
-                s = acc.get(k)
-                acc[k] = prod if s is None else s + prod
-        return GRMatrix(self.backend, self.rows, other.cols, acc)
-
-    def scale(self, c: int) -> "GRMatrix":
-        return GRMatrix(self.backend, self.rows, self.cols,
-                        {g: m.scale(c) for g, m in self.letters.items()})
+        return GRMatrix(self.backend, self.rows, other.cols, self._convolve(other))
 
     def star(self) -> "GRMatrix":
         """Involution transpose: ``(A^*)_g = (A_{g^{-1}})^T``."""
         return GRMatrix(self.backend, self.cols, self.rows,
-                        {self.backend.inv(g): m.transpose()
-                         for g, m in self.letters.items()})
+                        self._inverse_letters(IntMatrix.transpose))
 
     def entry(self, i: int, j: int) -> GRElem:
         out: GRElem = {}
@@ -140,21 +189,6 @@ class GRMatrix:
             raise InputError("det of non-square matrix")
         return _berkowitz_det(self.backend, [[self.entry(i, j) for j in range(self.cols)]
                                              for i in range(self.rows)])
-
-    @staticmethod
-    def from_blocks(backend: GroupBackend, grid: List[List[Optional["GRMatrix"]]],
-                    row_sizes: List[int], col_sizes: List[int]) -> "GRMatrix":
-        letter_set = set()
-        for row in grid:
-            for blk in row:
-                if blk is not None:
-                    letter_set |= set(blk.letters)
-        out_letters: Dict[object, IntMatrix] = {}
-        for g in letter_set:
-            out_letters[g] = IntMatrix.from_blocks(
-                [[blk.letters.get(g) if blk is not None else None for blk in row]
-                 for row in grid], row_sizes, col_sizes)
-        return GRMatrix(backend, sum(row_sizes), sum(col_sizes), out_letters)
 
 
 def _berkowitz_det(backend: GroupBackend, a: List[List[GRElem]]) -> GRElem:
@@ -194,149 +228,61 @@ def _dot_row(backend: GroupBackend, row: List[GRElem], vec: List[GRElem]) -> GRE
     return out
 
 
-# -- graded complexes over the group ring (for torsion of projections) -----
+# -- the group ring as a coefficient ring for chain complexes ---------------
 
 
-@dataclass
-class GRComplex:
-    """Finite complex of free ``Z[G]``-modules; diff[n]: rank n -> n-1."""
+class GroupRing:
+    """``Z[G]`` as a coefficient ring: the ``zeros``, ``identity`` and
+    ``from_blocks`` that ``IntMatrix`` supplies for ``Z``."""
 
-    backend: GroupBackend
-    ranks: Dict[int, int]
-    diff: Dict[int, GRMatrix]
+    def __init__(self, backend: GroupBackend):
+        self.backend = backend
 
-    def rank(self, n: int) -> int:
-        return self.ranks.get(n, 0)
+    def zeros(self, rows: int, cols: int) -> GRMatrix:
+        return GRMatrix(self.backend, rows, cols)
 
-    def d(self, n: int) -> GRMatrix:
-        m = self.diff.get(n)
-        if m is None:
-            return GRMatrix.zeros(self.backend, self.rank(n - 1), self.rank(n))
-        return m
+    def identity(self, n: int) -> GRMatrix:
+        return GRMatrix.constant(self.backend, IntMatrix.identity(n))
 
-    def validate(self) -> None:
-        for n in self.ranks:
-            if not (self.d(n) @ self.d(n + 1)).is_zero():
-                raise InputError(f"d o d != 0 at degree {n + 1}")
-
-
-@dataclass
-class GRGradedMap:
-    """Degree-``k`` graded map between GR complexes."""
-
-    source: GRComplex
-    target: GRComplex
-    degree: int
-    mats: Dict[int, GRMatrix]
-
-    def mat(self, n: int) -> GRMatrix:
-        m = self.mats.get(n)
-        if m is None:
-            return GRMatrix.zeros(self.source.backend,
-                                  self.target.rank(n + self.degree), self.source.rank(n))
-        return m
-
-    def compose(self, other: "GRGradedMap") -> "GRGradedMap":
-        k = other.degree
-        degs = set(other.mats) | {n - k for n in self.mats}
-        return GRGradedMap(other.source, self.target, self.degree + other.degree,
-                           {n: self.mat(n + k) @ other.mat(n) for n in degs})
-
-    def __add__(self, other: "GRGradedMap") -> "GRGradedMap":
-        degs = set(self.mats) | set(other.mats)
-        return GRGradedMap(self.source, self.target, self.degree,
-                           {n: self.mat(n) + other.mat(n) for n in degs})
-
-    def __neg__(self) -> "GRGradedMap":
-        return GRGradedMap(self.source, self.target, self.degree,
-                           {n: -m for n, m in self.mats.items()})
-
-    def __sub__(self, other: "GRGradedMap") -> "GRGradedMap":
-        return self + (-other)
-
-    @staticmethod
-    def identity(c: GRComplex) -> "GRGradedMap":
-        return GRGradedMap(c, c, 0, {n: GRMatrix.identity(c.backend, c.rank(n))
-                                     for n in c.ranks})
-
-    def is_chain_map(self) -> bool:
-        k = self.degree
-        degs = set(self.source.ranks) | {n - k for n in self.target.ranks}
-        for n in degs:
-            lhs = self.target.d(n + k) @ self.mat(n)
-            rhs = (self.mat(n - 1) @ self.source.d(n)).scale(-1 if k % 2 else 1)
-            if lhs != rhs:
-                return False
-        return True
-
-    def homotopy_holds(self, h_mats: Dict[int, GRMatrix], target_map: "GRGradedMap") -> bool:
-        """``d h + h d = target - self`` for degree-0 maps."""
-        C, D = self.source, self.target
-        backend = C.backend
-
-        def hmat(n: int) -> GRMatrix:
-            m = h_mats.get(n)
-            if m is None:
-                return GRMatrix.zeros(backend, D.rank(n + 1), C.rank(n))
-            return m
-
-        degs = set(C.ranks) | set(D.ranks) | set(h_mats)
-        for n in degs:
-            lhs = D.d(n + 1) @ hmat(n) + hmat(n - 1) @ C.d(n)
-            if lhs != target_map.mat(n) - self.mat(n):
-                return False
-        return True
+    def from_blocks(self, grid: List[List[Optional[GRMatrix]]],
+                    row_sizes: List[int], col_sizes: List[int]) -> GRMatrix:
+        """Assemble a block matrix letter by letter; ``None`` blocks are zero."""
+        letters = {a for row in grid for blk in row if blk is not None for a in blk.letters}
+        return GRMatrix(self.backend, sum(row_sizes), sum(col_sizes), {
+            a: IntMatrix.from_blocks(
+                [[None if blk is None else blk.letters.get(a) for blk in row]
+                 for row in grid], row_sizes, col_sizes)
+            for a in letters})
 
 
-def gr_self_torsion(f: GRGradedMap, g: GRGradedMap, h: Dict[int, GRMatrix],
+class GRComplex(ChainComplex):
+    """Finite complex of free ``Z[G]``-modules; ``diff[n]``: rank n -> n-1."""
+
+    def __init__(self, backend: GroupBackend, ranks: Dict[int, int], diff: Dict[int, GRMatrix]):
+        super().__init__(ranks, diff, check=False, ring=GroupRing(backend))
+
+
+class GRGradedMap(ChainMap):
+    """Degree-``k`` graded map between complexes over ``Z[G]``, unchecked."""
+
+    def __init__(self, source: ChainComplex, target: ChainComplex, degree: int, mats: Dict):
+        super().__init__(source, target, degree, mats, check=False)
+
+
+def gr_self_torsion(f: ChainMap, g: ChainMap, h: Dict[int, GRMatrix],
                     k: Dict[int, GRMatrix]) -> GRMatrix:
     """``(d + Gamma)_odd`` on the cone of ``f``, over the group ring.
 
-    Same contraction as the integral case: with ``theta = f h - k f``,
-    ``Gamma = [[-h + g theta, g], [k theta, k]]``.
+    ``h`` and ``k`` are the matrices of homotopies ``g o f ~ id`` and
+    ``f o g ~ id``; see ``chaincore.cone_torsion``.
     """
     C, D = f.source, f.target
-    backend = C.backend
     if not f.is_chain_map() or not g.is_chain_map():
         raise NotAnEquivalence("torsion inputs must be chain maps")
-    if not g.compose(f).homotopy_holds(h, GRGradedMap.identity(C)):
+    hom_h = ChainHomotopy(g.compose(f), ChainMap.identity(C), h)
+    if not hom_h.holds():
         raise NotAnEquivalence("h must witness g o f ~ id")
-    if not f.compose(g).homotopy_holds(k, GRGradedMap.identity(D)):
+    hom_k = ChainHomotopy(f.compose(g), ChainMap.identity(D), k)
+    if not hom_k.holds():
         raise NotAnEquivalence("k must witness f o g ~ id")
-    hm = GRGradedMap(C, C, 1, dict(h))
-    km = GRGradedMap(D, D, 1, dict(k))
-    theta = f.compose(hm) - km.compose(f)
-    top_left = g.compose(theta) - hm
-    bottom_left = km.compose(theta)
-    degs = set()
-    for n in C.ranks:
-        degs.add(n + 1)
-    degs.update(D.ranks)
-    cone_ranks = {n: C.rank(n - 1) + D.rank(n) for n in degs}
-    cone_d: Dict[int, GRMatrix] = {}
-    gamma: Dict[int, GRMatrix] = {}
-    for n in degs:
-        cone_d[n] = GRMatrix.from_blocks(
-            backend,
-            [[-C.d(n - 1), None], [f.mat(n - 1), D.d(n)]],
-            [C.rank(n - 2), D.rank(n - 1)], [C.rank(n - 1), D.rank(n)])
-        gamma[n] = GRMatrix.from_blocks(
-            backend,
-            [[top_left.mat(n - 1), g.mat(n)],
-             [bottom_left.mat(n - 1), km.mat(n)]],
-            [C.rank(n), D.rank(n + 1)], [C.rank(n - 1), D.rank(n)])
-    odd = sorted(n for n in degs if n % 2)
-    even = sorted(n for n in degs if not n % 2)
-    blocks: Dict[Tuple[int, int], GRMatrix] = {}
-    for n in degs:
-        if n - 1 in cone_ranks:
-            blocks[(n - 1, n)] = cone_d[n]
-        if n + 1 in cone_ranks:
-            blocks[(n + 1, n)] = gamma[n]
-    grid = [[blocks.get((t, s)) for s in odd] for t in even]
-    rep = GRMatrix.from_blocks(backend, grid,
-                               [cone_ranks[t] for t in even],
-                               [cone_ranks[s] for s in odd])
-    if rep.rows != rep.cols:
-        raise NotAnEquivalence("cone has unequal odd/even ranks")
-    return rep
+    return cone_torsion(f, g, hom_h.as_map(), hom_k.as_map())

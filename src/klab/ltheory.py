@@ -32,9 +32,6 @@ class SymmetricForm:
         if not self.gram.is_symmetric():
             raise InputError("Gram matrix is not symmetric")
 
-    def is_nonsingular(self) -> bool:
-        return self.gram.det() in (1, -1)
-
     def direct_sum(self, other: "SymmetricForm") -> "SymmetricForm":
         return SymmetricForm(self.rank + other.rank, self.gram.direct_sum(other.gram))
 

@@ -50,16 +50,13 @@ def parse_matrix(obj) -> IntMatrix:
     if isinstance(obj, list):
         return IntMatrix.from_rows(obj)
     if isinstance(obj, dict):
-        m = IntMatrix.zeros(int(obj["rows"]), int(obj["cols"]))
-        for i, j, v in obj.get("entries", []):
-            m.entries[(int(i), int(j))] = int(v)
-        return m
+        entries = {(int(i), int(j)): int(v) for i, j, v in obj.get("entries", [])}
+        try:
+            # the constructor drops explicit zeros and rejects out-of-range entries
+            return IntMatrix(int(obj["rows"]), int(obj["cols"]), entries)
+        except ValueError as exc:
+            raise InputError(f"sparse matrix: {exc}") from None
     raise InputError(f"cannot parse matrix from {obj!r}")
-
-
-def matrix_json(m: IntMatrix) -> Dict[str, Any]:
-    return {"rows": m.rows, "cols": m.cols,
-            "entries": [[i, j, v] for (i, j), v in sorted(m.entries.items())]}
 
 
 def _element_from_json(backend: GroupBackend, v):
@@ -70,14 +67,6 @@ def _element_from_json(backend: GroupBackend, v):
     return backend.canonical(str(v))
 
 
-def element_json(backend: GroupBackend, g) -> Any:
-    if backend.kind == "finite-table":
-        return int(g)
-    if backend.kind == "free-abelian":
-        return list(g)
-    return str(g)
-
-
 def _element_key(backend: GroupBackend, key: str):
     """Group element parsed from a JSON object key."""
     if backend.kind == "finite-table":
@@ -85,14 +74,6 @@ def _element_key(backend: GroupBackend, key: str):
     if backend.kind == "free-abelian":
         return backend.canonical(tuple(int(t) for t in key.split(",")) if key else ())
     return backend.canonical(key)
-
-
-def element_key(backend: GroupBackend, g) -> str:
-    if backend.kind == "finite-table":
-        return str(int(g))
-    if backend.kind == "free-abelian":
-        return ",".join(str(t) for t in g)
-    return str(g)
 
 
 @dataclass
@@ -179,7 +160,7 @@ def _parse_action(sc: Scenario, spec: Dict[str, Any]) -> HomotopySAction:
     S = FiniteSubset.of(backend, [_element_from_json(backend, v) for v in spec["s"]],
                         require_identity=True)
     if "genuine" in spec:
-        action = {_element_key_obj(backend, k): dict(v)
+        action = {_element_key(backend, k): dict(v)
                   for k, v in spec["genuine"].items()}
         return HomotopySAction.from_genuine(backend, space, S, action)
     phi = {}
@@ -193,10 +174,6 @@ def _parse_action(sc: Scenario, spec: Dict[str, Any]) -> HomotopySAction:
         h = _element_key(backend, h_str)
         homotopies[(g, h)] = tuple(tuple(m[p] for p in space.points) for m in grids)
     return HomotopySAction(backend, space, S, phi, homotopies)
-
-
-def _element_key_obj(backend: GroupBackend, key: str):
-    return _element_key(backend, key)
 
 
 def _parse_complex(spec: Dict[str, Any]) -> ChainComplex:

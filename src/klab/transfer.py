@@ -14,15 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .actions import HomotopySAction
+from .actions import DSLambdaMetric, HomotopySAction
 from .chaincore import (ChainComplex, ChainHomotopy, ChainMap, dual_complex,
                         dual_map, tensor_complex, tensor_map)
 from .control import ControlSpace, EquivariantMorphism, GeometricModule, GPos
 from .errors import (HypothesisViolation, IdentityFailure,
                      IdempotentFailure, InputError, SupportEscape)
-from .gring import GRComplex, GRGradedMap, GRMatrix, gr_self_torsion
+from .gring import (GRComplex, GRGradedMap, GRMatrix, LetterMap, gr_self_torsion,
+                    place_letters)
 from .groups import FiniteSubset, GroupBackend
-from .intmat import IntMatrix, sign
+from .intmat import IntMatrix, idempotent_splitting, sign
 from .ltheory import (PoincareWitness, UltraQuadraticComplex,
                       mult_hyperbolic_complex, symmetrized_dual)
 from .p2 import p2_action, p2_metric, unordered_pair
@@ -173,76 +174,36 @@ class HomotopySChainComplex:
 # -- equivariant chain maps ----------------------------------------------------
 
 
-class EquivariantChainMap:
+class EquivariantChainMap(LetterMap):
     """Letter-indexed chain maps between fiber complexes over ``Z``."""
 
     def __init__(self, backend: GroupBackend, source: ChainComplex,
                  target: ChainComplex, degree: int,
                  letters: Dict[object, ChainMap]):
-        self.backend = backend
+        if any(m.degree != degree for m in letters.values()):
+            raise InputError("letter degree mismatch")
         self.source = source
         self.target = target
         self.degree = degree
-        self.letters = {}
-        for a, m in letters.items():
-            ca = backend.canonical(a)
-            if m.degree != degree:
-                raise InputError("letter degree mismatch")
-            if not m.is_zero():
-                self.letters[ca] = m
+        super().__init__(backend, letters)
 
-    def letter(self, a) -> ChainMap:
-        m = self.letters.get(self.backend.canonical(a))
-        if m is None:
-            return ChainMap.zero(self.source, self.target, self.degree)
-        return m
+    def _like(self, letters: Dict[object, ChainMap]) -> "EquivariantChainMap":
+        return EquivariantChainMap(self.backend, self.source, self.target,
+                                   self.degree, letters)
 
-    def letter_support(self) -> List[object]:
-        return sorted(self.letters, key=repr)
+    def _zero_block(self) -> ChainMap:
+        return ChainMap.zero(self.source, self.target, self.degree)
 
     def convolve(self, other: "EquivariantChainMap",
                  allowed: Optional[FiniteSubset] = None) -> "EquivariantChainMap":
-        acc: Dict[object, ChainMap] = {}
-        for a, ma in self.letters.items():
-            for b, mb in other.letters.items():
-                c = self.backend.mul(a, b)
-                if allowed is not None and c not in allowed:
-                    raise SupportEscape(f"letter {c!r} escapes the allowed set")
-                prod = ma.compose(mb)
-                acc[c] = acc[c] + prod if c in acc else prod
         return EquivariantChainMap(self.backend, other.source, self.target,
-                                   self.degree + other.degree, acc)
-
-    def __add__(self, other: "EquivariantChainMap") -> "EquivariantChainMap":
-        acc = dict(self.letters)
-        for a, m in other.letters.items():
-            acc[a] = acc[a] + m if a in acc else m
-        return EquivariantChainMap(self.backend, self.source, self.target,
-                                   self.degree, acc)
-
-    def __sub__(self, other: "EquivariantChainMap") -> "EquivariantChainMap":
-        acc = dict(self.letters)
-        for a, m in other.letters.items():
-            acc[a] = acc[a] - m if a in acc else -m
-        return EquivariantChainMap(self.backend, self.source, self.target,
-                                   self.degree, acc)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EquivariantChainMap):
-            return False
-        keys = set(self.letters) | set(other.letters)
-        return all(self.letter(a) == other.letter(a) for a in keys)
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.letters.values())
+                                   self.degree + other.degree,
+                                   self._convolve(other, allowed))
 
     def symdual(self) -> "EquivariantChainMap":
         """Ultra-quadratic dual of equivariant ``psi: C^-* -> C`` data:
         letters invert, each block takes the iota-twisted transpose."""
-        out = {self.backend.inv(a): symmetrized_dual(m)
-               for a, m in self.letters.items()}
-        return EquivariantChainMap(self.backend, self.source, self.target,
-                                   self.degree, out)
+        return self._like(self._inverse_letters(symmetrized_dual))
 
     @staticmethod
     def identity(backend: GroupBackend, c: ChainComplex) -> "EquivariantChainMap":
@@ -254,34 +215,19 @@ class EquivariantChainMap:
         """Letterwise ``d K + K d = target - source`` (the differential has
         letter e, so the identity splits over letters)."""
         keys = set(self.letters) | set(source_map.letters) | set(target_map.letters)
-        C, D = self.source, self.target
-        for a in keys:
-            K = self.letter(a)
-            for n in set(C.ranks) | set(D.ranks) | set(K.mats):
-                lhs = D.d(n + 1) @ K.mat(n) + K.mat(n - 1) @ C.d(n)
-                if lhs != target_map.letter(a).mat(n) - source_map.letter(a).mat(n):
-                    return False
-        return True
+        return all(ChainHomotopy(source_map.letter(a), target_map.letter(a),
+                                 self.letter(a).mats).holds() for a in keys)
 
     def expand(self, cosets: Sequence[object]) -> ChainMap:
         """Explicit chain map over positions ``(g, z)`` for a finite ball."""
         gs = [self.backend.canonical(g) for g in cosets]
-        gset = {g: i for i, g in enumerate(gs)}
         src = expand_complex(self.backend, self.source, gs)
         tgt = expand_complex(self.backend, self.target, gs)
         mats: Dict[int, IntMatrix] = {}
-        for n in set(self.source.ranks):
-            rt = self.target.rank(n + self.degree)
-            rs = self.source.rank(n)
-            m = IntMatrix.zeros(len(gs) * rt, len(gs) * rs)
-            for ti, g in enumerate(gs):
-                for a, blk in self.letters.items():
-                    ga = self.backend.mul(g, a)
-                    if ga not in gset:
-                        continue
-                    si = gset[ga]
-                    for (i, j), v in blk.mat(n).entries.items():
-                        m.entries[(ti * rt + i, si * rs + j)] = v
+        for n in self.source.ranks:
+            m = place_letters(self.backend,
+                              {a: blk.mat(n) for a, blk in self.letters.items()}, gs,
+                              self.target.rank(n + self.degree), self.source.rank(n))
             if m.entries:
                 mats[n] = m
         return ChainMap(src, tgt, self.degree, mats, check=False)
@@ -475,12 +421,10 @@ def project_to_point(eq: EquivariantChainMap) -> GRGradedMap:
                     {n: GRMatrix.constant(backend, m) for n, m in eq.source.diff.items()})
     tgt = GRComplex(backend, dict(eq.target.ranks),
                     {n: GRMatrix.constant(backend, m) for n, m in eq.target.diff.items()})
-    mats: Dict[int, GRMatrix] = {}
-    for a, cmap in eq.letters.items():
-        for n, m in cmap.mats.items():
-            blk = GRMatrix(backend, eq.target.rank(n + eq.degree),
-                           eq.source.rank(n), {a: m})
-            mats[n] = mats[n] + blk if n in mats else blk
+    degs = {n for cmap in eq.letters.values() for n in cmap.mats}
+    mats = {n: GRMatrix(backend, eq.target.rank(n + eq.degree), eq.source.rank(n),
+                        {a: cmap.mat(n) for a, cmap in eq.letters.items()})
+            for n in degs}
     return GRGradedMap(src, tgt, eq.degree, mats)
 
 
@@ -497,7 +441,6 @@ def projected_torsion(result: KTransferResult) -> GRMatrix:
     k = dict(project_to_point(result.k).mats)
     cx = result.complex
     if cx.idem is not None and not cx.is_free():
-        from .intmat import idempotent_splitting
         backend = result.map.backend
         bases = {}
         for n in cx.ranks:
@@ -631,8 +574,8 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
         gp_mats[m] = IntMatrix.from_blocks([gp_blocks], [C.rank(m)], cols)
     fprime = ChainMap(C, staircase, 0, fp_mats, check=False)
     gprime = ChainMap(staircase, C, 0, gp_mats, check=False)
-    checks.append(("f-prime-chain-map", _is_chain_map(fprime)))
-    checks.append(("g-prime-chain-map", _is_chain_map(gprime)))
+    checks.append(("f-prime-chain-map", fprime.is_chain_map()))
+    checks.append(("g-prime-chain-map", gprime.is_chain_map()))
     checks.append(("gf-equals-ri", gprime.compose(fprime) == r.compose(i)))
 
     # k': f' o g' ~ id_{C'} via the inclusion C'_m -> C'_{m+1}
@@ -674,8 +617,8 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
     v_mats = {m: (pN if m == N else IntMatrix.identity(ranks[m])) for m in range(N + 1)}
     u = ChainMap(P, staircase, 0, u_mats, check=False)
     v = ChainMap(staircase, P, 0, v_mats, check=False)
-    checks.append(("u-chain-map", _is_chain_map(u)))
-    checks.append(("v-chain-map", _is_chain_map(v)))
+    checks.append(("u-chain-map", u.is_chain_map()))
+    checks.append(("v-chain-map", v.is_chain_map()))
     checks.append(("vu-identity", v.compose(u) == ChainMap.identity(P)))
 
     # l': id_{C'} ~ u o v; the alternating tail enters negated under the
@@ -700,14 +643,6 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
                       {n: m for n, m in l_map.mats.items()})
     checks.append(("l-homotopy", l.holds()))
     return FiniteReplacementResult(P, f, g, k, l, staircase, checks)
-
-
-def _is_chain_map(m: ChainMap) -> bool:
-    try:
-        m.validate()
-        return True
-    except ValueError:
-        return False
 
 
 def _homotopy_holds_below(hom: ChainHomotopy, top: int) -> bool:
@@ -945,37 +880,16 @@ def invert_equivariant(sigma: EquivariantMorphism) -> EquivariantMorphism:
     if backend.kind != "finite-table":
         raise InputError("equivariant inversion needs a finite-table backend")
     elements = backend.elements()
-    idx = {g: i for i, g in enumerate(elements)}
     m = sigma.source.rank
-    n = len(elements)
-    big = IntMatrix.zeros(n * m, n * m)
-    for a, blk in sigma.letters.items():
-        for gi, g in enumerate(elements):
-            hi = idx[backend.mul(g, a)]
-            for (i, j), v in blk.entries.items():
-                big.entries[(gi * m + i, hi * m + j)] = v
-    inv = big.integer_inverse()
+    inv = place_letters(backend, sigma.letters, elements, m, m).integer_inverse()
     if inv is None:
         raise InputError("equivariant matrix is not invertible over Z[G]")
-    e_row = idx[backend.identity()]
-    letters: Dict[object, IntMatrix] = {}
-    for g in elements:
-        blk = IntMatrix.zeros(m, m)
-        col = idx[g]
-        for i in range(m):
-            for j in range(m):
-                v = inv.get(e_row * m + i, col * m + j)
-                if v:
-                    blk.entries[(i, j)] = v
-        if not blk.is_zero():
-            letters[g] = blk
+    # the row block of the identity coset holds letter g in column block g
+    e_row = elements.index(backend.identity())
+    letters = {g: IntMatrix(m, m, {(i, j): inv.get(e_row * m + i, col * m + j)
+                                   for i in range(m) for j in range(m)})
+               for col, g in enumerate(elements)}
     return EquivariantMorphism(backend, sigma.target, sigma.source, letters)
-
-
-def star_letters(backend: GroupBackend, letters: Dict[object, IntMatrix]
-                 ) -> Dict[object, IntMatrix]:
-    """Involution on module morphisms: ``(alpha^*)_a = (alpha_{a^-1})^T``."""
-    return {backend.inv(a): m.transpose() for a, m in letters.items()}
 
 
 def l_transfer(alpha: EquivariantMorphism, P: HomotopySChainComplex,
@@ -997,10 +911,6 @@ def l_transfer(alpha: EquivariantMorphism, P: HomotopySChainComplex,
     S = S if S is not None else P.S
     checks: List[Tuple[str, bool]] = []
     t_letters = set(alpha.letters)
-    if any(backend.inv(a) not in set(alpha.letters) | {backend.identity()}
-           for a in t_letters):
-        # T only needs to be symmetric as a set; tolerate missing e
-        pass
     for a in t_letters:
         for b in t_letters:
             if backend.mul(a, b) not in S:
@@ -1009,10 +919,7 @@ def l_transfer(alpha: EquivariantMorphism, P: HomotopySChainComplex,
     D = data.D
     m_rank = alpha.source.rank
 
-    sigma_letters = dict(alpha.letters)
-    for a, m in star_letters(backend, alpha.letters).items():
-        sigma_letters[a] = sigma_letters[a] + m if a in sigma_letters else m
-    sigma_mod = EquivariantMorphism(backend, alpha.source, alpha.target, sigma_letters)
+    sigma_mod = alpha + alpha.dual()
     t_sym = set(sigma_mod.letters)
     if any(backend.inv(a) not in t_sym for a in t_sym):
         raise HypothesisViolation("T = T^{-1} fails for the symmetrization")
@@ -1118,9 +1025,6 @@ def expanded_ultraquadratic(result: LTransferResult, lam: Fraction,
     ``G x P2(X)`` so that ``ltheory.verify_ultraquadratic`` can replay
     every identity and certificate independently.
     """
-    from .actions import DSLambdaMetric
-    from .control import ControlSpace as CS
-
     backend = result.psi.backend
     if backend.kind != "finite-table":
         raise InputError("expansion needs a finite-table backend")
@@ -1137,7 +1041,7 @@ def expanded_ultraquadratic(result: LTransferResult, lam: Fraction,
             if v is None:
                 raise InputError("d_{S,Lambda} is not a metric on the carrier")
             dist[(p, q)] = v
-    space = CS(carrier, dist, check=False)
+    space = ControlSpace(carrier, dist, check=False)
 
     def relabel(cx: ChainComplex) -> ChainComplex:
         positions = {n: tuple(GPos(p.g, (p.g, p.z)) for p in cx.pos(n))
@@ -1155,14 +1059,13 @@ def expanded_ultraquadratic(result: LTransferResult, lam: Fraction,
         return ChainMap(src, tgt, eq.degree, dict(raw.mats), check=False)
 
     psi = as_map(result.psi, cd_exp, c_exp)
-    from .ltheory import PoincareWitness as PW, UltraQuadraticComplex as UQ
     inverse = as_map(result.inverse, c_exp, cd_exp)
     sigma_full = as_map(result.sigma, cd_exp, c_exp)
     h = ChainHomotopy(inverse.compose(sigma_full), ChainMap.identity(cd_exp),
                       dict(as_map(result.h, cd_exp, cd_exp).mats))
     k = ChainHomotopy(sigma_full.compose(inverse), ChainMap.identity(c_exp),
                       dict(as_map(result.k, c_exp, c_exp).mats))
-    uq = UQ(c_exp, psi, PW(inverse, h, k))
+    uq = UltraQuadraticComplex(c_exp, psi, PoincareWitness(inverse, h, k))
     return uq, space
 
 
@@ -1182,14 +1085,12 @@ def whitehead_transfer(a_letters: Dict[object, IntMatrix], backend: GroupBackend
     if len(shapes) != 1:
         raise InputError("matrix letters must share one shape")
     rows, cols = next(iter(shapes))
-    src = GRComplex(backend, dict(C.ranks),
+    src = GRComplex(backend, {n: cols * r for n, r in C.ranks.items()},
                     {n: GRMatrix.constant(backend, IntMatrix.identity(cols).kron(m))
                      for n, m in C.diff.items()})
-    tgt = GRComplex(backend, dict(C.ranks),
+    tgt = GRComplex(backend, {n: rows * r for n, r in C.ranks.items()},
                     {n: GRMatrix.constant(backend, IntMatrix.identity(rows).kron(m))
                      for n, m in C.diff.items()})
-    src.ranks = {n: cols * r for n, r in C.ranks.items()}
-    tgt.ranks = {n: rows * r for n, r in C.ranks.items()}
     mats: Dict[int, GRMatrix] = {}
     for g, block in a_letters.items():
         rg = r_action[backend.canonical(g)]

@@ -3,8 +3,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from klab.cli import main
-from klab.scenario import canonical_dumps, canonicalize_file
+from klab.errors import InputError
+from klab.intmat import IntMatrix
+from klab.scenario import canonical_dumps, canonicalize_file, parse_matrix
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SCENARIOS = os.path.join(HERE, "..", "src", "klab", "scenarios")
@@ -91,6 +95,28 @@ def test_signature_and_finobstr(capsys):
 
 def test_suite_with_golden(capsys):
     assert run_cli("suite", Z2, "--golden", GOLDEN_Z2) == 0
+
+
+def test_suite_golden_compares_details(tmp_path, capsys):
+    golden = json.loads(open(GOLDEN_Z2, encoding="utf-8").read())
+    case = next(c for c in golden["cases"] if c["detail"] == "dim 0")
+    case["detail"] = "dim 7"  # same status, changed value
+    edited = tmp_path / "golden.json"
+    edited.write_text(canonical_dumps(golden))
+    assert run_cli("suite", Z2, "--golden", str(edited)) == 1
+    assert "FAIL suite:golden-match" in capsys.readouterr().out
+
+
+def test_parse_matrix_rejects_entry_outside_shape():
+    with pytest.raises(InputError):
+        parse_matrix({"rows": 2, "cols": 2, "entries": [[5, 5, 1]]})
+
+
+def test_parse_matrix_drops_explicit_zeros():
+    m = parse_matrix({"rows": 2, "cols": 2, "entries": [[0, 0, 0], [1, 0, 3]]})
+    assert m.entries == {(1, 0): 3}
+    assert parse_matrix({"rows": 2, "cols": 2, "entries": [[0, 0, 0]]}).is_zero()
+    assert parse_matrix({"rows": 2, "cols": 2, "entries": [[0, 0, 0]]}) == IntMatrix.zeros(2, 2)
 
 
 def test_dihedral_cover_suite(capsys):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from klab.chaincore import self_torsion
 from klab.errors import NotAnEquivalence
-from klab.fixtures import rand_matrix
+from klab.fixtures import junk_equivalence, rand_matrix
 from klab.gring import (GRComplex, GRGradedMap, GRMatrix, gr_mul,
                         gr_self_torsion)
 from klab.groups import FiniteTableGroup
@@ -98,3 +99,22 @@ def test_shifted_unit_gives_inverse_class():
     g1 = GRGradedMap(c1, c1, 0, {1: unit_inv})
     rep1 = gr_self_torsion(f1, g1, {}, {})
     assert rep1.det() == {(-1,): 1}
+
+
+def test_cone_torsion_agrees_over_z_and_trivial_group_ring():
+    # the same junk equivalences, once over Z and once lifted to Z[1]
+    triv = FiniteTableGroup.cyclic(1)
+
+    def lift(mats):
+        return {n: GRMatrix.constant(triv, m) for n, m in mats.items()}
+
+    rng = random.Random(64)
+    for _ in range(25):
+        C, D, f, g, h, k = junk_equivalence(rng)
+        over_z = self_torsion(f, g, h, k).det_sign()
+        C1 = GRComplex(triv, C.ranks, lift(C.diff))
+        D1 = GRComplex(triv, D.ranks, lift(D.diff))
+        f1 = GRGradedMap(C1, D1, 0, lift(f.mats))
+        g1 = GRGradedMap(D1, C1, 0, lift(g.mats))
+        rep = gr_self_torsion(f1, g1, lift(h.mats), lift(k.mats))
+        assert rep.det() == {triv.identity(): over_z}
