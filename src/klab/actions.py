@@ -10,6 +10,7 @@ truncation flag instead of claiming completeness.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -46,6 +47,7 @@ class HomotopySAction:
         self.phi = {backend.canonical(g): tuple(m) for g, m in phi.items()}
         self.H = {(backend.canonical(g), backend.canonical(h)): tuple(tuple(m) for m in grid)
                   for (g, h), grid in homotopies.items()}
+        self._moves = None  # built on first use by move_table()
         if check:
             self.validate()
 
@@ -144,6 +146,27 @@ class HomotopySAction:
                     out.add((z, x))
         return out
 
+    def move_table(self) -> Tuple[List[object], Dict[object, Tuple[Tuple[object, object], ...]]]:
+        """Move letters and move edges, built once per action.
+
+        The letters are every ``a^{-1} b`` over ``a, b in S``, sorted by
+        repr.  The edges map each point ``z`` to the moves
+        ``(a^{-1} b, x')`` with ``(z, x')`` in ``move_relation(a, b)``.
+        """
+        if self._moves is None:
+            mul, inv = self.backend.mul, self.backend.inv
+            letters = set()
+            edges: Dict[object, Set[Tuple[object, object]]] = {z: set() for z in self.space.points}
+            for a in self.S:
+                for b in self.S:
+                    step = mul(inv(a), b)
+                    letters.add(step)
+                    for (z, xp) in self.move_relation(a, b):
+                        edges[z].add((step, xp))
+            self._moves = (sorted(letters, key=repr),
+                           {z: tuple(out) for z, out in edges.items()})
+        return self._moves
+
     def s_orbit(self, n: int, gx: Tuple[object, object],
                 horizon: int = 12, cap: int = 100_000) -> Set[Tuple[object, object]]:
         """Exact enumeration of ``S^n(g, x)`` by depth-``n`` search."""
@@ -152,20 +175,13 @@ class HomotopySAction:
         if n > horizon:
             raise HorizonExceeded(f"orbit depth {n} exceeds horizon {horizon}")
         g, x = self.backend.canonical(gx[0]), gx[1]
-        relations = {}
-        for a in self.S:
-            for b in self.S:
-                relations[(a, b)] = self.move_relation(a, b)
+        if x not in self.index:
+            raise InputError(f"unknown point {x!r}")
+        _, edges = self.move_table()
+        mul = self.backend.mul
         current: Set[Tuple[object, object]] = {(g, x)}
         for _ in range(n):
-            nxt: Set[Tuple[object, object]] = set()
-            for (h, y) in current:
-                for (a, b), rel in relations.items():
-                    step = self.backend.mul(self.backend.inv(a), b)
-                    for (z, xp) in rel:
-                        if z == y:
-                            nxt.add((self.backend.mul(h, step), xp))
-            current = nxt
+            current = {(mul(h, step), xp) for (h, y) in current for step, xp in edges[y]}
             if len(current) > cap:
                 raise HorizonExceeded("orbit enumeration exceeded cap")
         return current
@@ -191,6 +207,13 @@ class DSLambdaMetric:
     ``f in F_a``, ``f' in F_b`` satisfy ``f(z) = f'(x')``.  Values found
     at total cost at most ``n_max + 1`` are exact; otherwise the result
     is flagged as a truncated lower bound.
+
+    By G-invariance a search depends only on its source point, so the
+    metric keeps one search result per source point and every query
+    from that point reuses it.  Searches run on integer costs: every
+    weight and the move cost 1 are multiplied by ``scale``, a common
+    denominator of the ``Lambda * d_X`` values, and results are exact
+    rationals again at the boundary.
     """
 
     def __init__(self, action: HomotopySAction, lam: Fraction,
@@ -203,56 +226,69 @@ class DSLambdaMetric:
         self.n_max = n_max
         self.state_cap = state_cap
         self.backend = action.backend
-        # move steps: letter a^{-1} b with its point relation
-        self.steps: List[Tuple[object, Set[Tuple[object, object]]]] = []
-        merged: Dict[object, Set[Tuple[object, object]]] = {}
-        for a in action.S:
-            for b in action.S:
-                step = self.backend.mul(self.backend.inv(a), b)
-                merged.setdefault(step, set()).update(action.move_relation(a, b))
-        self.steps = sorted(merged.items(), key=lambda kv: repr(kv[0]))
+        self.letters, self.moves = action.move_table()
+        points, d = action.space.points, action.space.d
+        rows = {x: [(z, d(x, z)) for z in points if z != x] for x in points}
+        den = math.lcm(1, *(v.denominator for row in rows.values() for _, v in row))
+        # a common denominator of 1 and every Lambda * d(x, z)
+        self.scale = den * self.lam.denominator
+        num = self.lam.numerator * den
+        # fiber edges (z, Lambda * d(x, z) * scale) by source point x
+        self.fiber = {x: tuple((z, num * v.numerator // v.denominator) for z, v in row)
+                      for x, row in rows.items()}
+        self._searches: Dict[object, Dict[Tuple[object, object], int]] = {}
 
-    def _dijkstra(self, x0) -> Dict[Tuple[object, object], Fraction]:
-        """Best cost from ``(e, x0)`` to every ``(g, x)`` within the move
-        horizon (min over layers)."""
-        points = self.action.space.points
-        dist: Dict[Tuple[object, object, int], Fraction] = {}
-        best: Dict[Tuple[object, object], Fraction] = {}
+    def _search(self, x0) -> Dict[Tuple[object, object], int]:
+        """The search from ``(e, x0)``, run on the first query from ``x0``."""
+        best = self._searches.get(x0)
+        if best is None:
+            if x0 not in self.fiber:
+                raise InputError(f"unknown point {x0!r}")
+            best = self._searches[x0] = self._dijkstra(x0)
+        return best
+
+    def _dijkstra(self, x0) -> Dict[Tuple[object, object], int]:
+        """Best scaled cost from ``(e, x0)`` to every ``(g, x)`` within the
+        move horizon (min over layers)."""
+        mul, fiber, moves = self.backend.mul, self.fiber, self.moves
+        n_max, cap, unit = self.n_max, self.state_cap, self.scale
+        push, pop = heapq.heappush, heapq.heappop
         start = (self.backend.identity(), x0, 0)
-        heap: List[Tuple[Fraction, int, Tuple[object, object, int]]] = []
+        dist: Dict[Tuple[object, object, int], int] = {start: 0}
+        best: Dict[Tuple[object, object], int] = {}
+        heap: List[Tuple[int, int, Tuple[object, object, int]]] = [(0, 0, start)]
         counter = 0
-        dist[start] = Fraction(0)
-        heapq.heappush(heap, (Fraction(0), counter, start))
         while heap:
-            cost, _, state = heapq.heappop(heap)
-            if dist.get(state) != cost:
+            cost, _, state = pop(heap)
+            if dist[state] != cost:
                 continue
             g, x, k = state
             key = (g, x)
             if key not in best or cost < best[key]:
                 best[key] = cost
-            relax = []
-            for z in points:
-                if z != x:
-                    relax.append(((g, z, k), cost + self.lam * self.action.space.d(x, z)))
-            if k < self.n_max:
-                for step, rel in self.steps:
-                    gs = self.backend.mul(g, step)
-                    for (z, xp) in rel:
-                        if z == x:
-                            relax.append(((gs, xp, k + 1), cost + 1))
-            for nstate, ncost in relax:
-                if nstate not in dist or ncost < dist[nstate]:
+            for z, w in fiber[x]:
+                nstate, ncost = (g, z, k), cost + w
+                old = dist.get(nstate)
+                if old is None or ncost < old:
                     dist[nstate] = ncost
                     counter += 1
-                    heapq.heappush(heap, (ncost, counter, nstate))
-            if len(dist) > self.state_cap:
+                    push(heap, (ncost, counter, nstate))
+            if k < n_max:
+                ncost = cost + unit
+                for step, xp in moves[x]:
+                    nstate = (mul(g, step), xp, k + 1)
+                    old = dist.get(nstate)
+                    if old is None or ncost < old:
+                        dist[nstate] = ncost
+                        counter += 1
+                        push(heap, (ncost, counter, nstate))
+            if len(dist) > cap:
                 raise HorizonExceeded("d_{S,Lambda} state cap exceeded")
         return best
 
     def _certified_unreachable(self, displacement) -> bool:
         """True when no chain of move letters can realize the displacement."""
-        letters = [step for step, _ in self.steps]
+        letters = self.letters
         if self.backend.kind == "finite-table":
             sub = SubgroupDescription.of(self.backend, letters or [self.backend.identity()])
             return displacement not in sub.closure()
@@ -263,42 +299,36 @@ class DSLambdaMetric:
             return displacement != e
         return False
 
+    def _result(self, best: Dict[Tuple[object, object], int], disp, y) -> DSLambdaResult:
+        """Value of ``(e, x0) -> (disp, y)`` from the search ``best`` of ``x0``."""
+        found = best.get((disp, y))
+        if found is None:
+            return DSLambdaResult(None, not self._certified_unreachable(disp),
+                                  Fraction(self.n_max + 1))
+        value = Fraction(found, self.scale)
+        if found <= (self.n_max + 1) * self.scale:
+            return DSLambdaResult(value, False, value)
+        return DSLambdaResult(value, True, Fraction(self.n_max + 1))
+
     def distance(self, src: Tuple[object, object], dst: Tuple[object, object]) -> DSLambdaResult:
         g, x = self.backend.canonical(src[0]), src[1]
         h, y = self.backend.canonical(dst[0]), dst[1]
         # G-invariance: translate the source to the identity
         disp = self.backend.mul(self.backend.inv(g), h)
-        best = self._dijkstra(x)
-        found = best.get((disp, y))
-        cutoff = Fraction(self.n_max + 1)
-        if found is not None and found <= cutoff:
-            return DSLambdaResult(found, False, found)
-        if found is not None:
-            return DSLambdaResult(found, True, cutoff)
-        if self._certified_unreachable(disp):
-            return DSLambdaResult(None, False, cutoff)
-        return DSLambdaResult(None, True, cutoff)
+        return self._result(self._search(x), disp, y)
 
     def table(self, carrier: Sequence[Tuple[object, object]]) -> "MetricTable":
-        """Pairwise values on a finite carrier (one search per source)."""
+        """Pairwise values on a finite carrier (one search per source point)."""
         values: Dict[Tuple[int, int], Optional[Fraction]] = {}
         truncated = False
-        cutoff = Fraction(self.n_max + 1)
         canon = [(self.backend.canonical(g), x) for (g, x) in carrier]
+        mul, inv = self.backend.mul, self.backend.inv
         for i, (g, x) in enumerate(canon):
-            best = self._dijkstra(x)
+            best = self._search(x)
             for j, (h, y) in enumerate(canon):
-                disp = self.backend.mul(self.backend.inv(g), h)
-                found = best.get((disp, y))
-                if found is not None and found <= cutoff:
-                    values[(i, j)] = found
-                elif found is not None:
-                    values[(i, j)] = found
-                    truncated = True
-                else:
-                    values[(i, j)] = None
-                    if not self._certified_unreachable(disp):
-                        truncated = True
+                res = self._result(best, mul(inv(g), h), y)
+                values[(i, j)] = res.value
+                truncated = truncated or res.truncated
         return MetricTable(tuple(canon), values, truncated)
 
 

@@ -92,8 +92,13 @@ class Report:
 
 def _parse_point(scenario: Scenario, action_name: str, text: str):
     action = scenario.actions[action_name]
+    if ":" not in text:
+        raise InputError(f"point {text!r} is not of the form g:x")
     g_str, x = text.split(":", 1)
-    g = _element_key(action.backend, g_str)
+    try:
+        g = _element_key(action.backend, g_str)
+    except ValueError:
+        raise InputError(f"cannot parse group element {g_str!r}") from None
     if x not in set(action.space.points):
         raise InputError(f"unknown point {x!r}")
     return (g, x)
@@ -384,6 +389,9 @@ def cmd_suite(scenario: Scenario, args) -> Report:
     for name, fn in jobs:
         try:
             rep.merge(fn())
+        except HorizonExceeded as exc:
+            rep.skip(f"{name}:truncated", f"{exc.code}: {exc}")
+            rep.truncated = True
         except KlabError as exc:
             rep.add(f"{name}:error", False, f"{exc.code}: {exc}")
     if args.golden:

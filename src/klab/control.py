@@ -8,6 +8,8 @@ factor) are stored on a fundamental domain as letter-indexed blocks.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -39,9 +41,7 @@ class ControlSpace:
         self.points = tuple(points)
         if len(set(self.points)) != len(self.points):
             raise InputError("duplicate points in control space")
-        self.dist = {}
-        for (a, b), v in dist.items():
-            self.dist[(a, b)] = Fraction(v)
+        self.dist = {key: v if type(v) is Fraction else Fraction(v) for key, v in dist.items()}
         for p in self.points:
             self.dist.setdefault((p, p), Fraction(0))
         if check:
@@ -58,20 +58,41 @@ class ControlSpace:
         return v
 
     def validate(self) -> None:
-        for a in self.points:
-            if self.d(a, a) != 0:
+        """Zero diagonal, symmetry and positivity, then the triangle
+        inequality, checked on the dense distance matrix scaled to
+        integers by the common denominator of its entries."""
+        pts, dist = self.points, self.dist
+        rows = []
+        for a in pts:
+            row = []
+            for b in pts:
+                v = dist.get((a, b))
+                row.append(dist.get((b, a)) if v is None else v)
+            rows.append(row)
+        scale = math.lcm(1, *(v.denominator for row in rows for v in row if v is not None))
+        ints = [[None if v is None else v.numerator * (scale // v.denominator) for v in row]
+                for row in rows]
+        for i, a in enumerate(pts):
+            if ints[i][i] != 0:
                 raise InputError(f"d({a},{a}) != 0")
-        for a in self.points:
-            for b in self.points:
-                if self.d(a, b) != self.d(b, a):
+        for i, a in enumerate(pts):
+            row_a = ints[i]
+            for j, b in enumerate(pts):
+                v = row_a[j]
+                if v is None:
+                    raise InputError(f"distance undefined for ({a!r},{b!r})")
+                if v != ints[j][i]:
                     raise InputError(f"asymmetric distance at ({a},{b})")
-                if a != b and self.d(a, b) <= 0:
+                if i != j and v <= 0:
                     raise InputError(f"non-positive distance at ({a},{b})")
-        for a in self.points:
-            for b in self.points:
-                for c in self.points:
-                    if self.d(a, c) > self.d(a, b) + self.d(b, c):
-                        raise InputError(f"triangle inequality fails at ({a},{b},{c})")
+        for i, a in enumerate(pts):
+            row_a = ints[i]
+            for j, b in enumerate(pts):
+                # d(a,c) > d(a,b) + d(b,c) for some c
+                row_b, d_ab = ints[j], row_a[j]
+                if max(map(operator.sub, row_a, row_b)) > d_ab:
+                    k = next(k for k in range(len(pts)) if row_a[k] > d_ab + row_b[k])
+                    raise InputError(f"triangle inequality fails at ({a},{b},{pts[k]})")
 
     @staticmethod
     def from_matrix(points: Sequence[object], rows: Sequence[Sequence[Fraction]],

@@ -3,6 +3,7 @@ the comparison audits feeding the L-theory transfer."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -29,14 +30,22 @@ def p2_points(space: ControlSpace) -> List[Tuple[object, object]]:
 
 
 def p2_metric(space: ControlSpace) -> ControlSpace:
-    """min of the two matchings: ``min{d(x,x')+d(y,y'), d(x,y')+d(y,x')}``."""
+    """min of the two matchings: ``min{d(x,x')+d(y,y'), d(x,y')+d(y,x')}``,
+    summed on integers scaled by the common denominator of ``d``."""
     pairs = p2_points(space)
+    index = {p: i for i, p in enumerate(space.points)}
+    rows = [[space.d(a, b) for b in space.points] for a in space.points]
+    scale = math.lcm(1, *(v.denominator for row in rows for v in row))
+    ints = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    ends = [(ints[index[x]], ints[index[y]], index[x], index[y]) for x, y in pairs]
+    values: Dict[int, Fraction] = {}  # one Fraction per distinct scaled value
     dist: Dict[Tuple[object, object], Fraction] = {}
-    for a in pairs:
-        for b in pairs:
-            (x, y), (xp, yp) = a, b
-            dist[(a, b)] = min(space.d(x, xp) + space.d(y, yp),
-                               space.d(x, yp) + space.d(y, xp))
+    for a, (dx, dy, _, _) in zip(pairs, ends):
+        for b, (_, _, i, j) in zip(pairs, ends):
+            v = min(dx[i] + dy[j], dx[j] + dy[i])
+            if v not in values:
+                values[v] = Fraction(v, scale)
+            dist[(a, b)] = values[v]
     return ControlSpace(pairs, dist)
 
 

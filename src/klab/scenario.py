@@ -32,10 +32,13 @@ SCHEMA_VERSION = 1
 def parse_fraction(v) -> Fraction:
     if isinstance(v, bool):
         raise InputError("booleans are not numbers")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
+    if isinstance(v, (int, str)):
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise InputError(f"zero denominator in {v!r}") from None
+        except ValueError:
+            raise InputError(f"cannot parse rational from {v!r}") from None
     raise InputError(f"cannot parse rational from {v!r}")
 
 
@@ -103,6 +106,8 @@ def load_scenario(path: str) -> Scenario:
 
 
 def parse_scenario(raw: Dict[str, Any]) -> Scenario:
+    if not isinstance(raw, dict):
+        raise InputError("a scenario must be a JSON object")
     version = int(raw.get("version", 0))
     if version != SCHEMA_VERSION:
         raise InputError(f"unsupported scenario version {version}")

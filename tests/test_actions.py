@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from klab.actions import (CoverSpec, DSLambdaMetric, DominationData,
                           HomotopySAction, audit_nerve_contraction,
@@ -10,8 +11,8 @@ from klab.actions import (CoverSpec, DSLambdaMetric, DominationData,
                           lebesgue_number, moduli, nerve_map,
                           validate_domination)
 from klab.control import ControlSpace
-from klab.errors import EmptyCover
-from klab.fixtures import (dihedral_cover, path_point_domination,
+from klab.errors import EmptyCover, HorizonExceeded
+from klab.fixtures import (dihedral_action, dihedral_cover, path_point_domination,
                            z2_swap_action)
 from klab.groups import FamilyPredicate, FiniteSubset, FiniteTableGroup
 
@@ -172,6 +173,90 @@ def test_dslambda_matches_bruteforce():
         for dst in [(0, "p"), (0, "q"), (1, "p"), (1, "q")]:
             got = metric.distance(src, dst)
             assert got.value == brute_dslambda(act, lam, src, dst)
+
+
+@st.composite
+def small_actions(draw):
+    """A cyclic group acting on 2-3 points through a permutation of
+    matching order, with one grid homotopy given a wandering middle map
+    and distances in [1, 2] (so the triangle inequality holds) drawn
+    with mixed denominators."""
+    order = draw(st.integers(1, 3))
+    n_pts = draw(st.integers(2, 3))
+    pts = [f"x{i}" for i in range(n_pts)]
+
+    def power(perm, k):
+        image = tuple(range(n_pts))
+        for _ in range(k):
+            image = tuple(perm[i] for i in image)
+        return image
+
+    identity = tuple(range(n_pts))
+    perm = draw(st.sampled_from([p for p in itertools.permutations(range(n_pts))
+                                 if power(p, order) == identity]))
+
+    group = FiniteTableGroup.cyclic(order)
+    s_elems = [0] + ([draw(st.integers(1, order - 1))] if order > 1 else [])
+    rational = st.builds(lambda q, p: 1 + Fraction(p % (q + 1), q),
+                         st.sampled_from([1, 2, 3, 5, 7]), st.integers(0, 7))
+    dist = {}
+    for i in range(n_pts):
+        for j in range(i + 1, n_pts):
+            dist[(pts[i], pts[j])] = draw(rational)
+    space = ControlSpace(pts, dist)
+    phi = {g: tuple(pts[i] for i in power(perm, g)) for g in s_elems}
+    homotopies = {(g, h): (phi[(g + h) % order],) for g in s_elems for h in s_elems
+                  if (g + h) % order in s_elems}
+    if len(s_elems) > 1:  # H[e,e] must stay constant
+        wander = tuple(draw(st.sampled_from(pts)) for _ in pts)
+        homotopies[(0, s_elems[1])] = (phi[s_elems[1]], wander, phi[s_elems[1]])
+    act = HomotopySAction(group, space, FiniteSubset.of(group, s_elems), phi, homotopies)
+    lam = Fraction(draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 3, 4, 7])))
+    src = (draw(st.integers(0, order - 1)), draw(st.sampled_from(pts)))
+    return act, lam, src
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(small_actions())
+def test_dslambda_matches_bruteforce_generated(case):
+    act, lam, src = case
+    metric = DSLambdaMetric(act, lam, n_max=2)
+    for h in act.backend.elements():
+        for y in act.space.points:
+            got = metric.distance(src, (h, y))
+            assert got.value == brute_dslambda(act, lam, src, (h, y))
+
+
+def test_dslambda_one_search_per_source(monkeypatch):
+    act = dihedral_action(3)
+    carrier = [(g, x) for g in act.backend.elements() for x in act.space.points]
+    metric = DSLambdaMetric(act, Fraction(1, 2), n_max=3)
+    searched = []
+    search = metric._dijkstra
+    monkeypatch.setattr(metric, "_dijkstra", lambda x0: searched.append(x0) or search(x0))
+    # every query from a point x runs the one search from (e, x)
+    values = {(p, q): metric.distance(p, q) for p in carrier if p[1] == "x0" for q in carrier}
+    assert searched == ["x0"]
+    table = metric.table(carrier)
+    assert sorted(searched) == ["x0", "x1", "x2"]
+    fresh = DSLambdaMetric(act, Fraction(1, 2), n_max=3).table(carrier)
+    assert table == fresh
+    for (p, q), res in values.items():
+        assert res.value == fresh.d(p, q)
+
+
+def test_dslambda_state_cap_reraises(monkeypatch):
+    act = z2_swap_action()
+    metric = DSLambdaMetric(act, Fraction(1, 2), n_max=4, state_cap=3)
+    searched = []
+    search = metric._dijkstra
+    monkeypatch.setattr(metric, "_dijkstra", lambda x0: searched.append(x0) or search(x0))
+    for _ in range(2):
+        with pytest.raises(HorizonExceeded):
+            metric.distance((0, "p"), (1, "q"))
+    with pytest.raises(HorizonExceeded):
+        metric.table([(0, "p")])
+    assert searched == ["p", "p", "p"]  # a capped search is never kept
 
 
 def random_invariant_action(rng, n_pts=3, order=3):

@@ -8,7 +8,8 @@ import pytest
 from klab.cli import main
 from klab.errors import InputError
 from klab.intmat import IntMatrix
-from klab.scenario import canonical_dumps, canonicalize_file, parse_matrix
+from klab.scenario import (canonical_dumps, canonicalize_file, parse_fraction,
+                            parse_matrix, parse_scenario)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SCENARIOS = os.path.join(HERE, "..", "src", "klab", "scenarios")
@@ -206,3 +207,59 @@ def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "klab.cli", "validate", Z2],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_parse_fraction_rejects_zero_denominator_and_junk():
+    for text in ("1/0", "0/0", "abc", "1/", ""):
+        with pytest.raises(InputError):
+            parse_fraction(text)
+
+
+def test_zero_denominator_distance_exit_two(tmp_path, capsys):
+    doc = {"version": 1,
+           "spaces": {"X": {"points": ["p", "q"], "distance": [[0, "1/0"], ["1/0", 0]]}}}
+    path = tmp_path / "zero.json"
+    path.write_text(canonical_dumps(doc))
+    assert run_cli("validate", str(path)) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_dslambda_zero_denominator_lambda_exit_two(capsys):
+    assert run_cli("dslambda", Z2, "--action", "swap", "--lam", "1/0",
+                   "--src", "0:p", "--dst", "1:p") == 2
+
+
+def test_scenario_not_an_object_exit_two(tmp_path, capsys):
+    with pytest.raises(InputError):
+        parse_scenario([1, 2])
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert run_cli("validate", str(path)) == 2
+
+
+def test_point_without_colon_exit_two(capsys):
+    assert run_cli("dslambda", Z2, "--action", "swap", "--lam", "1/2",
+                   "--src", "0p", "--dst", "1:p") == 2
+    assert "g:x" in capsys.readouterr().err
+
+
+def test_suite_reports_horizon_as_truncated_skip(tmp_path, capsys):
+    # |S| = 13 asks for S^13 orbits, past the orbit horizon of 12
+    doc = {
+        "version": 1,
+        "groups": {"C": {"kind": "finite-table", "preset": "cyclic", "n": 13}},
+        "spaces": {"X": {"points": ["a"], "distance": [[0]]}},
+        "actions": {"all": {"group": "C", "space": "X", "s": list(range(13)),
+                            "genuine": {str(k): {"a": "a"} for k in range(13)}}},
+        "covers": {"U": {"action": "all", "group_window": [0],
+                         "sets": {"U0": [[0, "a"]]}}},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(canonical_dumps(doc))
+    report = tmp_path / "report.json"
+    assert run_cli("suite", str(path), "--json-out", str(report)) == 3
+    got = json.loads(report.read_text())
+    assert got["truncated"] is True
+    case = next(c for c in got["cases"] if c["id"] == "cover:U:truncated")
+    assert case["status"] == "skip" and "horizon-exceeded" in case["detail"]
+    assert got["counts"]["fail"] == 0

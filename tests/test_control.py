@@ -25,6 +25,33 @@ def test_metric_validation():
                                  [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 1], [1, 0]], r"d\(a,a\) != 0"),
+    ([[0, 1], [2, 0]], r"asymmetric distance at \(a,b\)"),
+    ([[0, 0], [0, 0]], r"non-positive distance at \(a,b\)"),
+    ([[0, Fraction(1, 2), Fraction(6, 5)], [Fraction(1, 2), 0, Fraction(2, 3)],
+      [Fraction(6, 5), Fraction(2, 3), 0]], r"triangle inequality fails at \(a,b,c\)"),
+])
+def test_metric_validation_messages(rows, message):
+    pts = ["a", "b", "c"][:len(rows)]
+    with pytest.raises(InputError, match=message):
+        ControlSpace.from_matrix(pts, rows)
+
+
+def test_metric_validation_exact_at_equality():
+    # d(a,c) = 7/6 = d(a,b) + d(b,c): the scaled integer check must accept it
+    third = Fraction(7, 6)
+    space = ControlSpace.from_matrix(["a", "b", "c"],
+                                     [[0, Fraction(1, 2), third], [Fraction(1, 2), 0, Fraction(2, 3)],
+                                      [third, Fraction(2, 3), 0]])
+    assert space.d("c", "a") == third
+
+
+def test_metric_validation_undefined_distance():
+    with pytest.raises(InputError, match=r"distance undefined for \('a','c'\)"):
+        ControlSpace(["a", "b", "c"], {("a", "b"): 1, ("c", "b"): 1})
+
+
 def test_identity_control():
     z2 = FiniteTableGroup.cyclic(2)
     space = three_point_space()
