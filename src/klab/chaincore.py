@@ -339,37 +339,48 @@ class TensorLayout:
         return self.c.rank(p) * self.d.rank(q)
 
 
-def tensor_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:
-    layout = TensorLayout(c, d)
+def tensor_complex(c: ChainComplex, d: ChainComplex,
+                   layout: Optional[TensorLayout] = None) -> ChainComplex:
+    """``C ox D`` with ``d = d_C ox 1 + (-1)^p 1 ox d_D`` on ``C_p ox D_q``.
+
+    ``layout`` is ``TensorLayout(c, d)`` when the caller has built it.
+    """
+    if layout is None:
+        layout = TensorLayout(c, d)
+    offsets = layout.offsets
     diff: Dict[int, IntMatrix] = {}
     for n, pairs in layout.blocks.items():
-        target = layout.ranks.get(n - 1, 0)
-        m = IntMatrix.zeros(target, layout.ranks[n])
+        ent: Dict[Tuple[int, int], int] = {}
         for (p, q) in pairs:
-            src_off = layout.offsets[(p, q)]
-            blk = c.d(p).kron(IntMatrix.identity(d.rank(q)))
-            if not blk.is_zero() and (p - 1, q) in layout.offsets:
-                toff = layout.offsets[(p - 1, q)]
-                for (i, j), v in blk.entries.items():
-                    m.entries[(toff + i, src_off + j)] = v
-            blk2 = IntMatrix.identity(c.rank(p)).kron(d.d(q)).scale(sign(p))
-            if not blk2.is_zero() and (p, q - 1) in layout.offsets:
-                toff = layout.offsets[(p, q - 1)]
-                for (i, j), v in blk2.entries.items():
-                    m.entries[(toff + i, src_off + j)] = m.entries.get((toff + i, src_off + j), 0) + v
-        if not m.is_zero():
-            diff[n] = m
+            soff = offsets[(p, q)]
+            rc, rd = c.rank(p), d.rank(q)
+            # d_C ox 1: (e_j ox f_t) -> sum_i v e_i ox f_t, v = d_C[i, j]
+            toff = offsets.get((p - 1, q))
+            if toff is not None:
+                for (i, j), v in c.d(p).entries.items():
+                    for t in range(rd):
+                        ent[(toff + i * rd + t, soff + j * rd + t)] = v
+            # (-1)^p 1 ox d_D: (e_s ox f_j) -> sum_i (-1)^p v e_s ox f_i
+            toff = offsets.get((p, q - 1))
+            if toff is not None:
+                dd = d.d(q)
+                rt = dd.rows
+                for (i, j), v in dd.entries.items():
+                    v = sign(p) * v
+                    for t in range(rc):
+                        ent[(toff + t * rt + i, soff + t * rd + j)] = v
+        if ent:
+            diff[n] = IntMatrix._trusted(layout.ranks.get(n - 1, 0), layout.ranks[n], ent)
     idem = None
     if c.idem is not None or d.idem is not None:
         idem = {}
         for n, pairs in layout.blocks.items():
-            m = IntMatrix.zeros(layout.ranks[n], layout.ranks[n])
+            ent = {}
             for (p, q) in pairs:
-                off = layout.offsets[(p, q)]
-                blk = c.p(p).kron(d.p(q))
-                for (i, j), v in blk.entries.items():
-                    m.entries[(off + i, off + j)] = v
-            idem[n] = m
+                off = offsets[(p, q)]
+                for (i, j), v in c.p(p).kron(d.p(q)).entries.items():
+                    ent[(off + i, off + j)] = v
+            idem[n] = IntMatrix._trusted(layout.ranks[n], layout.ranks[n], ent)
     positions = None
     if c.positions is not None and d.positions is not None:
         positions = {}
@@ -383,30 +394,25 @@ def tensor_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     """``(f ox g)|_{A_p ox B_q} = (-1)^{|g| p} f_p ox g_q``."""
-    A, B = f.source, g.source
-    C, D = f.target, g.target
-    src = TensorLayout(A, B)
-    tgt = TensorLayout(C, D)
+    src = TensorLayout(f.source, g.source)
+    tgt = TensorLayout(f.target, g.target)
     k = f.degree + g.degree
-    src_cx = tensor_complex(A, B)
-    tgt_cx = tensor_complex(C, D)
     mats: Dict[int, IntMatrix] = {}
     for n, pairs in src.blocks.items():
-        m = IntMatrix.zeros(tgt.ranks.get(n + k, 0), src.ranks[n])
-        nonzero = False
+        ent: Dict[Tuple[int, int], int] = {}
         for (p, q) in pairs:
-            blk = f.mat(p).kron(g.mat(q)).scale(sign(g.degree * p))
-            tp, tq = p + f.degree, q + g.degree
-            if blk.is_zero() or (tp, tq) not in tgt.offsets:
+            toff = tgt.offsets.get((p + f.degree, q + g.degree))
+            if toff is None:
                 continue
             soff = src.offsets[(p, q)]
-            toff = tgt.offsets[(tp, tq)]
+            blk = f.mat(p).kron(g.mat(q))
+            s = sign(g.degree * p)
             for (i, j), v in blk.entries.items():
-                m.entries[(toff + i, soff + j)] = v
-            nonzero = True
-        if nonzero:
-            mats[n] = m
-    return ChainMap(src_cx, tgt_cx, k, mats, check=False)
+                ent[(toff + i, soff + j)] = s * v
+        if ent:
+            mats[n] = IntMatrix._trusted(tgt.ranks.get(n + k, 0), src.ranks[n], ent)
+    return ChainMap(tensor_complex(f.source, g.source, src),
+                    tensor_complex(f.target, g.target, tgt), k, mats, check=False)
 
 
 def flip_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
@@ -415,7 +421,7 @@ def flip_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
     tgt = TensorLayout(d, c)
     mats: Dict[int, IntMatrix] = {}
     for n, pairs in src.blocks.items():
-        m = IntMatrix.zeros(tgt.ranks.get(n, 0), src.ranks[n])
+        ent: Dict[Tuple[int, int], int] = {}
         for (p, q) in pairs:
             soff = src.offsets[(p, q)]
             toff = tgt.offsets[(q, p)]
@@ -424,9 +430,10 @@ def flip_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
             for i in range(rc):
                 for j in range(rd):
                     # basis e_i ox f_j at index i*rd+j maps to f_j ox e_i
-                    m.entries[(toff + j * rc + i, soff + i * rd + j)] = sgn
-        mats[n] = m
-    return ChainMap(tensor_complex(c, d), tensor_complex(d, c), 0, mats, check=False)
+                    ent[(toff + j * rc + i, soff + i * rd + j)] = sgn
+        mats[n] = IntMatrix._trusted(tgt.ranks.get(n, 0), src.ranks[n], ent)
+    return ChainMap(tensor_complex(c, d, src), tensor_complex(d, c, tgt), 0, mats,
+                    check=False)
 
 
 def mu_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
@@ -438,11 +445,11 @@ def mu_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
     """
     cd, dd = dual_complex(c), dual_complex(d)
     src = TensorLayout(cd, dd)
-    tgt_cx = dual_complex(tensor_complex(c, d))
     tgt = TensorLayout(c, d)  # blocks of (C ox D)_{-n} index the dual basis
+    tgt_cx = dual_complex(tensor_complex(c, d, tgt))
     mats: Dict[int, IntMatrix] = {}
     for n, pairs in src.blocks.items():
-        m = IntMatrix.zeros(tgt_cx.rank(n), src.ranks[n])
+        ent: Dict[Tuple[int, int], int] = {}
         for (p, q) in pairs:
             soff = src.offsets[(p, q)]
             toff = tgt.offsets.get((-p, -q))
@@ -450,9 +457,9 @@ def mu_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
                 continue
             sgn = sign(p * q)
             for t in range(src.block_rank(p, q)):
-                m.entries[(toff + t, soff + t)] = sgn
-        mats[n] = m
-    return ChainMap(tensor_complex(cd, dd), tgt_cx, 0, mats, check=False)
+                ent[(toff + t, soff + t)] = sgn
+        mats[n] = IntMatrix._trusted(tgt_cx.rank(n), src.ranks[n], ent)
+    return ChainMap(tensor_complex(cd, dd, src), tgt_cx, 0, mats, check=False)
 
 
 def cone(f: ChainMap) -> ChainComplex:
@@ -490,7 +497,7 @@ def shift(c: ChainComplex, k: int) -> ChainComplex:
     diff = {n + k: m.scale(sign(k)) for n, m in c.diff.items()}
     idem = {n + k: m for n, m in c.idem.items()} if c.idem is not None else None
     positions = ({n + k: c.pos(n) for n in c.ranks} if c.positions is not None else None)
-    return ChainComplex(ranks, diff, idem, positions, check=False)
+    return ChainComplex(ranks, diff, idem, positions, check=False, ring=c.ring)
 
 
 # -- K-theory classes -----------------------------------------------------

@@ -1,9 +1,9 @@
 """Exact sparse matrices over the integers and the rationals.
 
-Matrices are maps ``(row, col) -> value`` storing nonzero entries only;
-positions in the control module make blocks naturally sparse.  Values are
-``int`` unless an operation needs rationals, in which case ``Fraction``
-entries are allowed (rank, inverse, symmetric diagonalization).
+Matrices are maps ``(row, col) -> value`` storing nonzero ``int``
+entries only; positions in the control module make blocks naturally
+sparse.  Rank, determinant and inverse eliminate over the integers;
+only the congruence diagonal of a symmetric form is rational.
 """
 
 from __future__ import annotations
@@ -37,6 +37,16 @@ class IntMatrix:
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
                 self.entries[(i, j)] = v
+
+    @staticmethod
+    def _trusted(rows: int, cols: int, entries: Dict[Entry, int]) -> "IntMatrix":
+        """Wrap ``entries`` without copying or checking them: callers pass
+        only nonzero entries inside ``rows x cols``, by construction."""
+        m = object.__new__(IntMatrix)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
 
     # -- constructors -------------------------------------------------
 
@@ -108,10 +118,10 @@ class IntMatrix:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return IntMatrix(self.rows, self.cols, out)
+        return IntMatrix._trusted(self.rows, self.cols, out)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, {k: -v for k, v in self.entries.items()})
+        return IntMatrix._trusted(self.rows, self.cols, {k: -v for k, v in self.entries.items()})
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
@@ -119,7 +129,7 @@ class IntMatrix:
     def scale(self, c: int) -> "IntMatrix":
         if c == 0:
             return IntMatrix.zeros(self.rows, self.cols)
-        return IntMatrix(self.rows, self.cols, {k: c * v for k, v in self.entries.items()})
+        return IntMatrix._trusted(self.rows, self.cols, {k: c * v for k, v in self.entries.items()})
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -136,18 +146,18 @@ class IntMatrix:
                     acc[key] = s
                 else:
                     acc.pop(key, None)
-        return IntMatrix(self.rows, other.cols, acc)
+        return IntMatrix._trusted(self.rows, other.cols, acc)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
+        return IntMatrix._trusted(self.cols, self.rows,
+                                  {(j, i): v for (i, j), v in self.entries.items()})
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product; index order is (self index, other index)."""
-        out = IntMatrix(self.rows * other.rows, self.cols * other.cols)
-        for (i, j), v in self.entries.items():
-            for (k, l), w in other.entries.items():
-                out.entries[(i * other.rows + k, j * other.cols + l)] = v * w
-        return out
+        r, c = other.rows, other.cols
+        return IntMatrix._trusted(self.rows * r, self.cols * c, {
+            (i * r + k, j * c + l): v * w
+            for (i, j), v in self.entries.items() for (k, l), w in other.entries.items()})
 
     def direct_sum(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix.from_blocks([[self, None], [None, other]],
@@ -174,23 +184,25 @@ class IntMatrix:
     # -- exact linear algebra ------------------------------------------
 
     def rank(self) -> int:
-        """Rank over the rationals by fraction-free Gaussian elimination."""
-        dense = [[Fraction(v) for v in row] for row in self.to_dense()]
+        """Rank over the rationals by fraction-free (Bareiss) elimination.
+
+        Every entry below the pivots is a minor of the original matrix,
+        so each division by the previous pivot is exact.
+        """
+        a = self.to_dense()
         r = 0
+        prev = 1
         for col in range(self.cols):
-            pivot = None
-            for i in range(r, self.rows):
-                if dense[i][col] != 0:
-                    pivot = i
-                    break
+            pivot = next((i for i in range(r, self.rows) if a[i][col]), None)
             if pivot is None:
                 continue
-            dense[r], dense[pivot] = dense[pivot], dense[r]
-            pv = dense[r][col]
+            a[r], a[pivot] = a[pivot], a[r]
+            top = a[r]
+            pv = top[col]
             for i in range(r + 1, self.rows):
-                if dense[i][col] != 0:
-                    factor = dense[i][col] / pv
-                    dense[i] = [a - factor * b for a, b in zip(dense[i], dense[r])]
+                f = a[i][col]
+                a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], top)]
+            prev = pv
             r += 1
             if r == self.rows:
                 break
@@ -220,42 +232,42 @@ class IntMatrix:
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
 
-    def inverse_rational(self) -> List[List[Fraction]]:
-        """Inverse over Q by Gauss-Jordan; raises if singular."""
-        if self.rows != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        n = self.rows
-        aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-               for i, row in enumerate(self.to_dense())]
-        for col in range(n):
-            pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-            if pivot is None:
-                raise ValueError("singular matrix")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
-            for i in range(n):
-                if i != col and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-        return [row[n:] for row in aug]
-
     def integer_inverse(self) -> Optional["IntMatrix"]:
-        """Inverse if it exists over Z (determinant a unit), else None."""
-        if self.rows != self.cols:
+        """Inverse if it exists over Z (determinant a unit), else None.
+
+        A signed permutation is inverted by its transpose.  Otherwise the
+        Bareiss determinant must be +-1, and Gauss-Jordan with integer
+        row operations (Euclid on each pivot column) reduces ``[A | I]``
+        to ``[I | A^-1]``; every pivot is then +-1.
+        """
+        n = self.rows
+        if self.cols != n:
             return None
-        try:
-            inv = self.inverse_rational()
-        except ValueError:
+        ents = self.entries
+        if (len(ents) == n and len({i for i, _ in ents}) == n and len({j for _, j in ents}) == n
+                and all(v == 1 or v == -1 for v in ents.values())):
+            return self.transpose()
+        if self.det() not in (1, -1):
             return None
-        out = IntMatrix(self.rows, self.cols)
-        for i, row in enumerate(inv):
-            for j, v in enumerate(row):
-                if v.denominator != 1:
-                    return None
-                if v.numerator:
-                    out.entries[(i, j)] = v.numerator
-        return out
+        a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.to_dense())]
+        for k in range(n):
+            # Euclid: the entry of least size moves up and reduces the rest
+            while any(a[i][k] for i in range(k + 1, n)):
+                p = min((i for i in range(k, n) if a[i][k]), key=lambda i: abs(a[i][k]))
+                a[k], a[p] = a[p], a[k]
+                for i in range(k + 1, n):
+                    q = a[i][k] // a[k][k]
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+            top = a[k]
+            if top[k] < 0:
+                a[k] = top = [-x for x in top]
+            for i in range(n):
+                if i != k and a[i][k]:
+                    q = a[i][k]
+                    a[i] = [x - q * y for x, y in zip(a[i], top)]
+        return IntMatrix._trusted(n, n, {(i, j): v for i, row in enumerate(a)
+                                         for j, v in enumerate(row[n:]) if v})
 
 
 def column_lattice_basis(m: IntMatrix) -> IntMatrix:
@@ -359,35 +371,49 @@ def symmetric_diagonalize(gram: IntMatrix) -> List[Fraction]:
     remaining diagonal vanishes but some off-diagonal entry survives, mix
     the two rows first (x -> x+y trick).  Returns the list of diagonal
     entries (zeros included for a degenerate form).
+
+    The form is kept as sparse symmetric rows over the indices not yet
+    pivoted; a pivot updates only the pairs of its row's nonzero columns
+    (the Schur complement), and the lowest eligible index is taken at
+    each step.
     """
     if not gram.is_symmetric():
         raise ValueError("symmetric_diagonalize needs a symmetric matrix")
-    n = gram.rows
-    a = [[Fraction(v) for v in row] for row in gram.to_dense()]
+    rows: Dict[int, Dict[int, Fraction]] = {i: {} for i in range(gram.rows)}
+    for (i, j), v in gram.entries.items():
+        rows[i][j] = Fraction(v)
+
+    def put(i: int, j: int, v: Fraction) -> None:
+        if v:
+            rows[i][j] = v
+        else:
+            rows[i].pop(j, None)
+
     diag: List[Fraction] = []
-    idx = list(range(n))
-    while idx:
-        pivot = next((i for i in idx if a[i][i] != 0), None)
+    while rows:
+        pivot = min((i for i, r in rows.items() if i in r), default=None)
         if pivot is None:
-            pair = next(((i, j) for i in idx for j in idx if i != j and a[i][j] != 0), None)
-            if pair is None:
-                diag.extend(Fraction(0) for _ in idx)
+            i = min((i for i, r in rows.items() if r), default=None)
+            if i is None:
+                diag.extend(Fraction(0) for _ in rows)
                 break
-            i, j = pair
-            # row/col replacement x_i -> x_i + x_j makes the (i,i) entry 2*a[i][j]
-            for k in range(n):
-                a[i][k] = a[i][k] + a[j][k]
-            for k in range(n):
-                a[k][i] = a[k][i] + a[k][j]
+            ri = rows[i]
+            j = min(ri)
+            # x_i -> x_i + x_j; the diagonal is zero, so a_ii becomes 2 a_ij
+            for k, v in rows[j].items():
+                if k != i:
+                    s = ri.get(k, 0) + v
+                    put(i, k, s)
+                    put(k, i, s)
+            ri[i] = 2 * ri[j]
             pivot = i
-        pv = a[pivot][pivot]
+        prow = rows.pop(pivot)
+        pv = prow.pop(pivot)
         diag.append(pv)
-        idx.remove(pivot)
-        for i in idx:
-            if a[i][pivot] != 0:
-                f = a[i][pivot] / pv
-                for k in range(n):
-                    a[i][k] = a[i][k] - f * a[pivot][k]
-                for k in range(n):
-                    a[k][i] = a[k][i] - f * a[k][pivot]
+        for k in prow:
+            del rows[k][pivot]
+        for j, ajp in prow.items():
+            f = ajp / pv
+            for k, apk in prow.items():
+                put(j, k, rows[j].get(k, 0) - f * apk)
     return diag

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .chaincore import (ChainComplex, ChainHomotopy, ChainMap, dual_complex,
-                        flip_map, iota, mu_map, tensor_complex)
+                        flip_map, iota, mu_map, tensor_complex, tensor_map)
 from .control import ControlSpace, ControlledMorphism, GeometricModule
 from .errors import DegenerateForm, IdentityFailure, InputError
 from .intmat import IntMatrix, sign, symmetric_diagonalize
@@ -151,8 +151,6 @@ def mult_hyperbolic_complex(c: ChainComplex) -> Tuple[ChainComplex, ChainMap]:
     D = tensor_complex(cd, c)
     # mu_C : C ox C^-* -> (C^-* ox C)^-*  via  iota ox id then mu
     mu = mu_map(cd, c)
-    i_tensor = None
-    from .chaincore import tensor_map  # local import to keep module tree flat
     i_tensor = tensor_map(iota(c), ChainMap.identity(cd))
     mu_c = mu.compose(i_tensor)  # C ox C^-* -> (C^-* ox C)^-*
     # invert mu_c degreewise (signed permutation blocks)

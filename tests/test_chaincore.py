@@ -1,14 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from klab.chaincore import (ChainComplex, ChainHomotopy, ChainMap, cone,
                             dual_complex, dual_map, finiteness_obstruction,
                             flip_map, iota, mu_map, self_torsion, shift,
-                            tensor_complex, tensor_map)
+                            tensor_complex, tensor_map, TensorLayout)
 from klab.errors import NotAnEquivalence
 from klab.fixtures import junk_equivalence, rand_chain_map, rand_complex
-from klab.intmat import IntMatrix
+from klab.intmat import IntMatrix, sign
 
 
 def test_dual_two_term():
@@ -78,6 +79,39 @@ def test_tensor_squared_boundary():
     t = tensor_complex(a, b)
     t.validate()  # forced by the Koszul sign
     assert t.ranks == {0: 1, 1: 2, 2: 1}
+
+
+def kron_tensor_differentials(c, d):
+    """``d ox 1 + (-1)^p 1 ox d`` assembled from Kronecker blocks."""
+    layout = TensorLayout(c, d)
+    out = {}
+    for n, pairs in layout.blocks.items():
+        m = IntMatrix.zeros(layout.ranks.get(n - 1, 0), layout.ranks[n])
+        for (p, q) in pairs:
+            soff = layout.offsets[(p, q)]
+            parts = [((p - 1, q), c.d(p).kron(IntMatrix.identity(d.rank(q)))),
+                     ((p, q - 1), IntMatrix.identity(c.rank(p)).kron(d.d(q)).scale(sign(p)))]
+            for target, blk in parts:
+                if target in layout.offsets:
+                    toff = layout.offsets[target]
+                    for (i, j), v in blk.entries.items():
+                        key = (toff + i, soff + j)
+                        m.entries[key] = m.entries.get(key, 0) + v
+        out[n] = m
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32), st.integers(-2, 1), st.integers(-2, 1))
+def test_tensor_complex_matches_kron_reference(seed, lo_c, lo_d):
+    rng = random.Random(seed)
+    c = rand_complex(rng, min_deg=lo_c, max_len=4, max_rank=3)
+    d = rand_complex(rng, min_deg=lo_d, max_len=4, max_rank=3)
+    t = tensor_complex(c, d)
+    expected = kron_tensor_differentials(c, d)
+    assert t.ranks == TensorLayout(c, d).ranks
+    assert {n: t.d(n) for n in expected} == expected
+    t.validate()
 
 
 def test_flip_naturality_randomized():

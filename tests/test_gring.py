@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from klab.chaincore import self_torsion
+from klab.chaincore import self_torsion, shift
 from klab.errors import NotAnEquivalence
 from klab.fixtures import junk_equivalence, rand_matrix
 from klab.gring import (GRComplex, GRGradedMap, GRMatrix, gr_mul,
@@ -118,3 +118,15 @@ def test_cone_torsion_agrees_over_z_and_trivial_group_ring():
         g1 = GRGradedMap(D1, C1, 0, lift(g.mats))
         rep = gr_self_torsion(f1, g1, lift(h.mats), lift(k.mats))
         assert rep.det() == {triv.identity(): over_z}
+
+
+def test_shift_keeps_group_ring():
+    z2 = FiniteTableGroup.cyclic(2)
+    norm = GRMatrix(z2, 1, 1, {0: IntMatrix.identity(1), 1: IntMatrix.identity(1)})
+    c = GRComplex(z2, {0: 1, 1: 1}, {1: norm})
+    s = shift(c, 1)
+    assert s.ring is c.ring
+    s.validate()
+    assert s.ranks == {1: 1, 2: 1}
+    assert s.d(2) == norm.scale(-1)
+    assert s.d(1) == GRMatrix(z2, 0, 1)  # a filled-in zero is over Z[C2] too

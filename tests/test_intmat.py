@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from klab.fixtures import rand_matrix
 from klab.intmat import (IntMatrix, column_lattice_basis, idempotent_splitting,
@@ -145,3 +146,167 @@ def test_kron_and_blocks():
     assert a.kron(b) == IntMatrix.from_rows([[3, 6], [0, 3]])
     blocks = IntMatrix.from_blocks([[a, None], [None, b]], [2, 1], [2, 1])
     assert blocks.get(2, 2) == 3 and blocks.get(0, 1) == 2
+
+
+# -- the fast paths against the Fraction algorithms they replaced ----------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def fraction_integer_inverse(m):
+    """Gauss-Jordan over Q, then integrality of every entry."""
+    n = m.rows
+    if m.cols != n:
+        return None
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m.to_dense())]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    if any(v.denominator != 1 for row in aug for v in row[n:]):
+        return None
+    return IntMatrix.from_rows([[int(v) for v in row[n:]] for row in aug])
+
+
+def fraction_rank(m):
+    dense = [[Fraction(v) for v in row] for row in m.to_dense()]
+    r = 0
+    for col in range(m.cols):
+        pivot = next((i for i in range(r, m.rows) if dense[i][col] != 0), None)
+        if pivot is None:
+            continue
+        dense[r], dense[pivot] = dense[pivot], dense[r]
+        for i in range(r + 1, m.rows):
+            factor = dense[i][col] / dense[r][col]
+            dense[i] = [a - factor * b for a, b in zip(dense[i], dense[r])]
+        r += 1
+    return r
+
+
+def dense_lagrange(gram):
+    """Lagrange's algorithm on the dense Fraction matrix, pivots as in
+    ``symmetric_diagonalize``."""
+    n = gram.rows
+    a = [[Fraction(v) for v in row] for row in gram.to_dense()]
+    diag = []
+    idx = list(range(n))
+    while idx:
+        pivot = next((i for i in idx if a[i][i] != 0), None)
+        if pivot is None:
+            pair = next(((i, j) for i in idx for j in idx if i != j and a[i][j] != 0), None)
+            if pair is None:
+                diag.extend(Fraction(0) for _ in idx)
+                break
+            i, j = pair
+            for k in range(n):
+                a[i][k] = a[i][k] + a[j][k]
+            for k in range(n):
+                a[k][i] = a[k][i] + a[k][j]
+            pivot = i
+        pv = a[pivot][pivot]
+        diag.append(pv)
+        idx.remove(pivot)
+        for i in idx:
+            if a[i][pivot] != 0:
+                f = a[i][pivot] / pv
+                for k in range(n):
+                    a[i][k] = a[i][k] - f * a[pivot][k]
+                for k in range(n):
+                    a[k][i] = a[k][i] - f * a[k][pivot]
+    return diag
+
+
+@st.composite
+def signed_permutations(draw, max_n=7):
+    n = draw(st.integers(0, max_n))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    return IntMatrix(n, n, {(i, perm[i]): signs[i] for i in range(n)})
+
+
+@st.composite
+def near_signed_permutations(draw):
+    """A signed permutation with one defect: a repeated column, an entry
+    of 2 or a missing row."""
+    m = draw(signed_permutations(max_n=6).filter(lambda m: m.rows >= 2))
+    entries = dict(m.entries)
+    (i, j), v = sorted(entries.items())[draw(st.integers(0, m.rows - 1))]
+    defect = draw(st.sampled_from(["repeat", "two", "missing"]))
+    if defect == "repeat":
+        other = next(c for (r, c) in sorted(entries) if r != i)
+        del entries[(i, j)]
+        entries[(i, other)] = v
+    elif defect == "two":
+        entries[(i, j)] = 2 * v
+    else:
+        del entries[(i, j)]
+    return IntMatrix(m.rows, m.cols, entries)
+
+
+@st.composite
+def square_matrices(draw):
+    """Unimodular, singular, Q-only-invertible or plain random squares."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["unimodular", "singular", "q-only", "random"]))
+    if kind == "unimodular":
+        return random_unimodular(rng, n, steps=rng.randint(1, 20))
+    if kind == "singular":
+        m = rand_matrix(rng, n, n, 0.7, -3, 3)
+        dup = rng.randrange(n)
+        for j in range(n):  # row dup repeats row 0 (or is zero when dup == 0)
+            m.entries.pop((dup, j), None)
+            if dup and m.get(0, j):
+                m.entries[(dup, j)] = m.get(0, j)
+        return m
+    if kind == "q-only":
+        scale = IntMatrix.identity(n)
+        scale.entries[(0, 0)] = rng.choice([2, -3])
+        return random_unimodular(rng, n) @ scale @ random_unimodular(rng, n)
+    return rand_matrix(rng, n, n, rng.random(), -2, 2)
+
+
+@PROPERTY
+@given(signed_permutations())
+def test_integer_inverse_of_signed_permutation_is_transpose(m):
+    assert m.integer_inverse() == m.transpose()
+
+
+@PROPERTY
+@given(st.one_of(near_signed_permutations(), square_matrices()))
+def test_integer_inverse_matches_fraction_reference(m):
+    assert m.integer_inverse() == fraction_integer_inverse(m)
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32), st.integers(0, 5), st.integers(0, 5))
+def test_rank_matches_fraction_reference(seed, rows, cols):
+    rng = random.Random(seed)
+    m = rand_matrix(rng, rows, cols, rng.random(), -3, 3)
+    if rows > 1 and rng.random() < 0.5:  # force a dependent row
+        for j in range(cols):
+            m.entries.pop((rows - 1, j), None)
+            if m.get(0, j) - m.get(1, j):
+                m.entries[(rows - 1, j)] = m.get(0, j) - m.get(1, j)
+    assert m.rank() == fraction_rank(m)
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32), st.integers(0, 7), st.booleans())
+def test_symmetric_diagonalize_matches_dense_lagrange(seed, n, hollow):
+    rng = random.Random(seed)
+    g = rand_matrix(rng, n, n, rng.random(), -2, 2)
+    gram = g + g.transpose()
+    if hollow:  # zero diagonal: every pivot goes through the x -> x+y mix
+        gram = IntMatrix(n, n, {(i, j): v for (i, j), v in gram.entries.items() if i != j})
+    diag = symmetric_diagonalize(gram)
+    assert diag == dense_lagrange(gram)
+    assert all(type(v) is Fraction for v in diag)
