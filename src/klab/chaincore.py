@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .errors import NotAnEquivalence
+from .errors import InputError, NotAnEquivalence
 from .intmat import IntMatrix, sign
 
 Positions = Tuple[object, ...]
@@ -104,6 +104,14 @@ class ChainComplex:
     def is_free(self) -> bool:
         return self.idem is None or all(self.p(n) == self.ring.identity(self.rank(n))
                                         for n in self.ranks)
+
+    def relabel(self, f) -> "ChainComplex":
+        """The same complex with every position ``p`` moved to ``f(p)``."""
+        if self.positions is None:
+            raise InputError("relabeling needs positions")
+        return ChainComplex(self.ranks, self.diff, self.idem,
+                            {n: tuple(f(p) for p in ps) for n, ps in self.positions.items()},
+                            check=False, ring=self.ring)
 
     def euler_characteristic(self) -> int:
         return sum(sign(n) * r for n, r in self.ranks.items())
@@ -193,6 +201,31 @@ class ChainMap:
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.mats.values())
+
+    def retarget(self, source: ChainComplex, target: ChainComplex) -> "ChainMap":
+        """The same matrices between other endpoints of the same ranks."""
+        return ChainMap(source, target, self.degree, self.mats, check=False)
+
+    def support_pairs(self):
+        """``(target position, source position)`` for every nonzero entry."""
+        for n, mat in self.mats.items():
+            src = self.source.pos(n)
+            tgt = self.target.pos(n + self.degree)
+            if src is None or tgt is None:
+                raise InputError("support pairs need positioned complexes")
+            for (i, j) in mat.entries:
+                yield tgt[i], src[j]
+
+    def integer_inverse(self) -> Optional["ChainMap"]:
+        """Degreewise inverse over Z, or None when some degree is not unimodular."""
+        k = self.degree
+        mats = {}
+        for n in set(self.source.ranks) | {n - k for n in self.target.ranks}:
+            inv = self.mat(n).integer_inverse()
+            if inv is None:
+                return None
+            mats[n + k] = inv
+        return ChainMap(self.target, self.source, -k, mats, check=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChainMap) or self.degree != other.degree:

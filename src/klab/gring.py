@@ -261,6 +261,12 @@ class GRComplex(ChainComplex):
     def __init__(self, backend: GroupBackend, ranks: Dict[int, int], diff: Dict[int, GRMatrix]):
         super().__init__(ranks, diff, check=False, ring=GroupRing(backend))
 
+    @staticmethod
+    def constant(backend: GroupBackend, cx: ChainComplex) -> "GRComplex":
+        """An integral complex read over ``Z[G]`` (every block at letter e)."""
+        return GRComplex(backend, dict(cx.ranks),
+                         {n: GRMatrix.constant(backend, m) for n, m in cx.diff.items()})
+
 
 class GRGradedMap(ChainMap):
     """Degree-``k`` graded map between complexes over ``Z[G]``, unchecked."""

@@ -342,18 +342,7 @@ def _index2_subgroups(backend: FiniteTableGroup, elements: FrozenSet[int]) -> Li
     so index-2 subgroups are preimages of hyperplanes in the F_2-vector
     space H / <squares>.
     """
-    sq_gens = [backend.mul(h, h) for h in elements]
-    # closure of squares inside the subgroup
-    closure = {backend.identity()}
-    frontier = [backend.identity()]
-    gens = sq_gens + [backend.inv(g) for g in sq_gens]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = backend.mul(x, g)
-            if y not in closure:
-                closure.add(y)
-                frontier.append(y)
+    closure = SubgroupDescription.of(backend, [backend.mul(h, h) for h in elements]).closure()
     # cosets of the square subgroup inside H form an F_2 vector space
     cosets: List[FrozenSet[int]] = []
     remaining = set(elements)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .chaincore import (ChainComplex, ChainHomotopy, ChainMap, dual_complex,
                         flip_map, iota, mu_map, tensor_complex, tensor_map)
-from .control import ControlSpace, ControlledMorphism, GeometricModule
+from .control import (ControlSpace, ControlledMorphism, GeometricModule,
+                      check_control)
 from .errors import DegenerateForm, IdentityFailure, InputError
 from .intmat import IntMatrix, sign, symmetric_diagonalize
 
@@ -153,15 +154,9 @@ def mult_hyperbolic_complex(c: ChainComplex) -> Tuple[ChainComplex, ChainMap]:
     mu = mu_map(cd, c)
     i_tensor = tensor_map(iota(c), ChainMap.identity(cd))
     mu_c = mu.compose(i_tensor)  # C ox C^-* -> (C^-* ox C)^-*
-    # invert mu_c degreewise (signed permutation blocks)
-    inv_mats: Dict[int, IntMatrix] = {}
-    for n in set(mu_c.mats):
-        m = mu_c.mat(n)
-        inv = m.integer_inverse()
-        if inv is None:
-            raise IdentityFailure("mu_C is not invertible over Z")
-        inv_mats[n] = inv
-    mu_c_inv = ChainMap(mu_c.target, mu_c.source, 0, inv_mats, check=False)
+    mu_c_inv = mu_c.integer_inverse()  # signed permutation blocks
+    if mu_c_inv is None:
+        raise IdentityFailure("mu_C is not invertible over Z")
     flip = flip_map(c, cd)  # C ox C^-* -> C^-* ox C
     psi = flip.compose(mu_c_inv)  # (C^-* ox C)^-* -> C^-* ox C
     psi.validate()
@@ -202,8 +197,7 @@ def lemmaA_check(c: ChainComplex) -> LemmaAReport:
     D, psi = mult_hyperbolic_complex(c)
     sym = symmetrized_dual(psi)
     psi_symmetric = sym == psi
-    invertible = all(psi.mat(n).integer_inverse() is not None
-                     for n in D.ranks)
+    invertible = psi.integer_inverse() is not None
     form = degree_zero_form(D, psi)
     sig = signature(form)
     return LemmaAReport(sig, c.euler_characteristic(), psi_symmetric, invertible)
@@ -264,7 +258,6 @@ def verify_ultraquadratic(u: UltraQuadraticComplex, eps: Optional[Fraction] = No
         if space is None or u.C.positions is None:
             record("control", False, "control requested but no positions/space")
         else:
-            from .control import check_control
             pieces = [("psi", u.psi, dual_complex(u.C), u.C)]
             if u.witness is not None:
                 pieces.append(("inverse", u.witness.inverse, u.C, dual_complex(u.C)))

@@ -49,14 +49,24 @@ def fraction_str(v: Fraction) -> Any:
     return f"{v.numerator}/{v.denominator}"
 
 
+def _integer(v) -> int:
+    # bool is a subclass of int but not a matrix entry
+    if type(v) is not int:
+        raise InputError(f"matrix entries and shapes must be integers, not {v!r}")
+    return v
+
+
 def parse_matrix(obj) -> IntMatrix:
     if isinstance(obj, list):
-        return IntMatrix.from_rows(obj)
+        if not all(isinstance(row, list) for row in obj):
+            raise InputError("a dense matrix is a list of rows")
+        return IntMatrix.from_rows([[_integer(v) for v in row] for row in obj])
     if isinstance(obj, dict):
-        entries = {(int(i), int(j)): int(v) for i, j, v in obj.get("entries", [])}
+        entries = {(_integer(i), _integer(j)): _integer(v)
+                   for i, j, v in obj.get("entries", [])}
         try:
             # the constructor drops explicit zeros and rejects out-of-range entries
-            return IntMatrix(int(obj["rows"]), int(obj["cols"]), entries)
+            return IntMatrix(_integer(obj["rows"]), _integer(obj["cols"]), entries)
         except ValueError as exc:
             raise InputError(f"sparse matrix: {exc}") from None
     raise InputError(f"cannot parse matrix from {obj!r}")

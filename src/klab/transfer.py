@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .actions import DSLambdaMetric, HomotopySAction
 from .chaincore import (ChainComplex, ChainHomotopy, ChainMap, dual_complex,
@@ -51,6 +51,18 @@ def module_tensor_map(block: IntMatrix, f: ChainMap,
                       src: ChainComplex, tgt: ChainComplex) -> ChainMap:
     return ChainMap(src, tgt, f.degree,
                     {n: block.kron(m) for n, m in f.mats.items()}, check=False)
+
+
+def _structure_maps(cx: ChainComplex) -> List[ChainMap]:
+    """The differential and the idempotents as degree -1 and degree 0 maps."""
+    return [ChainMap(cx, cx, -1, cx.diff, check=False),
+            ChainMap(cx, cx, 0, cx.idem, check=False)]
+
+
+def _max_displacement(maps: Iterable[ChainMap], space: ControlSpace) -> Fraction:
+    """Largest ``d(x, y)`` over the support pairs ``(x, y)`` of ``maps``."""
+    return max((space.d(x, y) for m in maps for x, y in m.support_pairs()),
+               default=Fraction(0))
 
 
 # -- chain homotopy S-actions -------------------------------------------------
@@ -124,51 +136,26 @@ class HomotopySChainComplex:
     # -- control certificates against the underlying point action -------
 
     def achieved_complex_control(self) -> Fraction:
-        worst = Fraction(0)
-        for n in self.P.ranks:
-            for mat, shift in ((self.P.d(n), -1), (self.P.p(n), 0)):
-                tgt = self.P.pos(n + shift) if shift else self.P.pos(n)
-                src = self.P.pos(n)
-                for (i, j) in mat.entries:
-                    d = self.space.d(tgt[i], src[j])
-                    if d > worst:
-                        worst = d
-        return worst
+        return _max_displacement(_structure_maps(self.P), self.space)
 
     def achieved_phi_control(self) -> Fraction:
         """max over ``g`` and support pairs of ``d(x, phi_g(y))``."""
         if self.point_action is None:
             raise InputError("certificates need the underlying point action")
-        worst = Fraction(0)
-        act = self.point_action
-        for g in self.S:
-            pm = act.phi[g]
-            for n, mat in self.phi[g].mats.items():
-                tgt = self.P.pos(n)
-                src = self.P.pos(n)
-                for (i, j) in mat.entries:
-                    d = self.space.d(tgt[i], act.apply(pm, src[j]))
-                    if d > worst:
-                        worst = d
-        return worst
+        act, d = self.point_action, self.space.d
+        return max((d(x, act.apply(act.phi[g], y))
+                    for g in self.S for x, y in self.phi[g].support_pairs()),
+                   default=Fraction(0))
 
     def achieved_homotopy_control(self) -> Fraction:
         """max over pairs and support of min over grid times of
         ``d(x, H_{g,h}(y, t))``."""
         if self.point_action is None:
             raise InputError("certificates need the underlying point action")
-        worst = Fraction(0)
-        act = self.point_action
-        for (g, h), hom in self.H.items():
-            grid = act.H[(g, h)]
-            for n, mat in hom.mats.items():
-                tgt = self.P.pos(n + 1)
-                src = self.P.pos(n)
-                for (i, j) in mat.entries:
-                    best = min(self.space.d(tgt[i], act.apply(m, src[j])) for m in grid)
-                    if best > worst:
-                        worst = best
-        return worst
+        act, d = self.point_action, self.space.d
+        return max((min(d(x, act.apply(m, y)) for m in act.H[gh])
+                    for gh, hom in self.H.items() for x, y in hom.as_map().support_pairs()),
+                   default=Fraction(0))
 
 
 # -- equivariant chain maps ----------------------------------------------------
@@ -237,21 +224,11 @@ def expand_complex(backend: GroupBackend, fiber: ChainComplex,
                    cosets: Sequence[object]) -> ChainComplex:
     """Direct sum of translated fibers over an explicit coset list."""
     gs = [backend.canonical(g) for g in cosets]
-    k = len(gs)
-    ranks = {n: k * r for n, r in fiber.ranks.items()}
-    diff = {n: _block_diag(k, m) for n, m in fiber.diff.items()}
-    idem = None
-    if fiber.idem is not None:
-        idem = {n: _block_diag(k, fiber.p(n)) for n in fiber.ranks}
-    positions = None
+    cx = module_tensor(len(gs), fiber)
     if fiber.positions is not None:
-        positions = {n: tuple(GPos(g, z) for g in gs for z in fiber.pos(n))
-                     for n in fiber.ranks}
-    return ChainComplex(ranks, diff, idem, positions, check=False)
-
-
-def _block_diag(k: int, m: IntMatrix) -> IntMatrix:
-    return IntMatrix.identity(k).kron(m)
+        cx.positions = {n: tuple(GPos(g, z) for g in gs for z in fiber.pos(n))
+                        for n in fiber.ranks}
+    return cx
 
 
 # -- the transfer --------------------------------------------------------------
@@ -274,22 +251,33 @@ def tr(psi: EquivariantMorphism, P: HomotopySChainComplex) -> EquivariantChainMa
     return EquivariantChainMap(P.backend, src, tgt, 0, letters)
 
 
+def _letter_pair_witness(x: EquivariantMorphism, y: EquivariantMorphism,
+                         P: HomotopySChainComplex, src: ChainComplex, tgt: ChainComplex,
+                         through=None) -> EquivariantChainMap:
+    """``sum over a, b of (x_a @ y_b) ox H_{a,b}``, each homotopy first
+    passed through ``through`` when given; a product ``ab`` outside S
+    raises support-escape."""
+    s_set = set(P.S.elements)
+    acc: Dict[object, ChainMap] = {}
+    for a, ma in x.letters.items():
+        for b, mb in y.letters.items():
+            ab = P.backend.mul(a, b)
+            if ab not in s_set:
+                raise SupportEscape(f"product letter {ab!r} leaves S")
+            hom = P.H[(a, b)].as_map()
+            if through is not None:
+                hom = through(hom)
+            piece = module_tensor_map(ma @ mb, hom, src, tgt)
+            acc[ab] = acc[ab] + piece if ab in acc else piece
+    return EquivariantChainMap(P.backend, src, tgt, 1, acc)
+
+
 def functoriality_witness(psi2: EquivariantMorphism, psi: EquivariantMorphism,
                           P: HomotopySChainComplex) -> EquivariantChainMap:
     """Exact homotopy ``sum (psi2_a o psi_b) ox H_{a,b}`` from
     ``tr(psi2) o tr(psi)`` to ``tr(psi2 o psi)``."""
-    s_set = set(P.S.elements)
-    src = module_tensor(psi.source.rank, P.P)
-    tgt = module_tensor(psi2.target.rank, P.P)
-    acc: Dict[object, ChainMap] = {}
-    for a, ma in psi2.letters.items():
-        for b, mb in psi.letters.items():
-            ab = P.backend.mul(a, b)
-            if ab not in s_set:
-                raise SupportEscape(f"product letter {ab!r} leaves S")
-            piece = module_tensor_map(ma @ mb, P.H[(a, b)].as_map(), src, tgt)
-            acc[ab] = acc[ab] + piece if ab in acc else piece
-    witness = EquivariantChainMap(P.backend, src, tgt, 1, acc)
+    witness = _letter_pair_witness(psi2, psi, P, module_tensor(psi.source.rank, P.P),
+                                   module_tensor(psi2.target.rank, P.P))
     lhs = tr(psi2, P).convolve(tr(psi, P))
     rhs = tr(psi2.convolve(psi), P)
     if not witness.is_homotopy_from_to(lhs, rhs):
@@ -342,21 +330,9 @@ def certify_dslambda(action: HomotopySAction, lam: Fraction,
     ``1 + Lambda * d(x, f(y))``.
     """
     lam = Fraction(lam)
-    per_piece: Dict[str, Fraction] = {}
-    for name, eq in pieces.items():
-        worst = Fraction(0)
-        for a, cmap in eq.letters.items():
-            pairs: Set[Tuple[object, object]] = set()
-            for n, mat in cmap.mats.items():
-                tgt = eq.target.pos(n + eq.degree)
-                src = eq.source.pos(n)
-                if tgt is None or src is None:
-                    raise InputError("certificates need positioned complexes")
-                for (i, j) in mat.entries:
-                    pairs.add((tgt[i], src[j]))
-            if pairs:
-                worst = max(worst, _letter_bound(action, lam, a, pairs))
-        per_piece[name] = worst
+    per_piece = {name: max((_letter_bound(action, lam, a, set(cmap.support_pairs()))
+                            for a, cmap in eq.letters.items()), default=Fraction(0))
+                 for name, eq in pieces.items()}
     bound = max(per_piece.values(), default=Fraction(0))
     return DSLambdaCertificate(lam, bound, per_piece)
 
@@ -417,15 +393,12 @@ def project_to_point(eq: EquivariantChainMap) -> GRGradedMap:
     """Collapse the fiber positions; the result is a graded map of free
     ``Z[G]``-complexes."""
     backend = eq.backend
-    src = GRComplex(backend, dict(eq.source.ranks),
-                    {n: GRMatrix.constant(backend, m) for n, m in eq.source.diff.items()})
-    tgt = GRComplex(backend, dict(eq.target.ranks),
-                    {n: GRMatrix.constant(backend, m) for n, m in eq.target.diff.items()})
     degs = {n for cmap in eq.letters.values() for n in cmap.mats}
     mats = {n: GRMatrix(backend, eq.target.rank(n + eq.degree), eq.source.rank(n),
                         {a: cmap.mat(n) for a, cmap in eq.letters.items()})
             for n in degs}
-    return GRGradedMap(src, tgt, eq.degree, mats)
+    return GRGradedMap(GRComplex.constant(backend, eq.source),
+                       GRComplex.constant(backend, eq.target), eq.degree, mats)
 
 
 def projected_torsion(result: KTransferResult) -> GRMatrix:
@@ -660,32 +633,9 @@ def _homotopy_holds_below(hom: ChainHomotopy, top: int) -> bool:
 def replacement_control_growth(result: FiniteReplacementResult,
                                space: ControlSpace) -> Fraction:
     """Largest displacement among P, f, g, k, l over the control space."""
-    worst = Fraction(0)
-
-    def scan(mats: Dict[int, IntMatrix], src: ChainComplex, tgt: ChainComplex,
-             degree: int) -> None:
-        nonlocal worst
-        for n, mat in mats.items():
-            if not mat.entries:
-                continue
-            sp = src.pos(n)
-            tp = tgt.pos(n + degree)
-            if sp is None or tp is None:
-                raise InputError("control growth needs positioned complexes")
-            for (a, b) in mat.entries:
-                d = space.d(tp[a], sp[b])
-                if d > worst:
-                    worst = d
-
-    P = result.P
-    scan(P.diff, P, P, -1)
-    if P.idem:
-        scan(P.idem, P, P, 0)
-    scan(result.f.mats, result.f.source, result.f.target, 0)
-    scan(result.g.mats, result.g.source, result.g.target, 0)
-    scan(result.k.mats, result.k.source_map.source, result.k.source_map.target, 1)
-    scan(result.l.mats, result.l.source_map.source, result.l.source_map.target, 1)
-    return worst
+    maps = _structure_maps(result.P) + [result.f, result.g, result.k.as_map(),
+                                        result.l.as_map()]
+    return _max_displacement(maps, space)
 
 
 # -- chain action induced on a finite replacement ------------------------------
@@ -741,20 +691,6 @@ def induce_chain_action(repl: FiniteReplacementResult, backend: GroupBackend,
 # -- L-theory transfer ----------------------------------------------------------
 
 
-def reposition_complex(cx: ChainComplex, f) -> ChainComplex:
-    """Pushforward of a positioned complex along a map of control spaces."""
-    if cx.positions is None:
-        raise InputError("repositioning needs positions")
-    positions = {n: tuple(f(p) for p in cx.pos(n)) for n in cx.ranks}
-    return ChainComplex(dict(cx.ranks), dict(cx.diff),
-                        dict(cx.idem) if cx.idem is not None else None,
-                        positions, check=False)
-
-
-def _retarget(m: ChainMap, src: ChainComplex, tgt: ChainComplex) -> ChainMap:
-    return ChainMap(src, tgt, m.degree, dict(m.mats), check=False)
-
-
 @dataclass
 class LSymmetricData:
     """The multiplicative hyperbolic chain action on unordered pairs."""
@@ -785,13 +721,13 @@ def l_symmetric_complex(P: HomotopySChainComplex) -> LSymmetricData:
     checks: List[Tuple[str, bool]] = []
     pd = dual_complex(P.P)
     d_xx = tensor_complex(pd, P.P)  # positions are ordered pairs (x, y)
-    D = reposition_complex(d_xx, lambda p: unordered_pair(p[0], p[1]))
+    D = d_xx.relabel(lambda p: unordered_pair(p[0], p[1]))
     pair_space = p2_metric(P.space)
     phi: Dict[object, ChainMap] = {}
     for g in P.S:
         ginv = backend.inv(g)
         m = tensor_map(dual_map(P.phi[ginv]), P.phi[g])
-        phi[g] = _retarget(m, D, D)
+        phi[g] = m.retarget(D, D)
     H: Dict[Tuple[object, object], ChainHomotopy] = {}
     hom_ok = True
     s_set = set(P.S.elements)
@@ -815,15 +751,8 @@ def l_symmetric_complex(P: HomotopySChainComplex) -> LSymmetricData:
     checks.append(("H-D-homotopies", hom_ok))
 
     _, psi = mult_hyperbolic_complex(P.P)
-    mu = _retarget(psi, dual_complex(D), D)
-    diag_ok = True
-    for n, mat in mu.mats.items():
-        tgt = D.pos(n)
-        src = dual_complex(D).pos(n)
-        for (i, j) in mat.entries:
-            if tgt[i] != src[j]:
-                diag_ok = False
-    checks.append(("mu-diagonal-support", diag_ok))
+    mu = psi.retarget(dual_complex(D), D)
+    checks.append(("mu-diagonal-support", all(x == y for x, y in mu.support_pairs())))
     checks.append(("mu-symmetric", symmetrized_dual(mu) == mu))
     equi_ok = True
     for g in P.S:
@@ -842,10 +771,8 @@ def l_symmetric_complex(P: HomotopySChainComplex) -> LSymmetricData:
         f0bar = P.point_equivalence.from_point
         base = unordered_pair(P.point_equivalence.basepoint,
                               P.point_equivalence.basepoint)
-        e_map = _retarget(tensor_map(dual_map(f0bar), f0), D,
-                          ChainComplex.point(base))
-        ebar = _retarget(tensor_map(dual_map(f0), f0bar),
-                         ChainComplex.point(base), D)
+        e_map = tensor_map(dual_map(f0bar), f0).retarget(D, ChainComplex.point(base))
+        ebar = tensor_map(dual_map(f0), f0bar).retarget(ChainComplex.point(base), D)
         pe = PointEquivalence(e_map, ebar, base)
     chain = HomotopySChainComplex(backend, pair_space, P.S, D, phi, H,
                                   point_action=pair_action,
@@ -925,6 +852,11 @@ def l_transfer(alpha: EquivariantMorphism, P: HomotopySChainComplex,
         raise HypothesisViolation("T = T^{-1} fails for the symmetrization")
     if sigma_inverse is None:
         sigma_inverse = invert_equivariant(sigma_mod)
+    # phi^D and H^D exist only over the S of the chain action
+    outside = (set(alpha.letters) | set(sigma_inverse.letters)) - set(P.S.elements)
+    if outside:
+        raise SupportEscape(f"letters {sorted(outside, key=repr)!r} of the form "
+                            "or its inverse are outside S")
 
     mdd = module_tensor(m_rank, D)
     mdd_dual = module_tensor(m_rank, dual_complex(D))  # = dual fiber of M ox D
@@ -944,13 +876,9 @@ def l_transfer(alpha: EquivariantMorphism, P: HomotopySChainComplex,
     checks.append(("symmetrization-identity", sigma_eq == expected))
 
     # witness: (id ox mu^{-1}) tr(sigma^{-1}) with the Lemma-6.3 homotopies
-    mu_inv_mats = {}
-    for n in set(data.mu.mats):
-        inv = data.mu.mat(n).integer_inverse()
-        if inv is None:
-            raise IdentityFailure("mu is not invertible")
-        mu_inv_mats[n] = inv
-    mu_inv = ChainMap(D, dual_complex(D), 0, mu_inv_mats, check=False)
+    mu_inv = data.mu.integer_inverse()
+    if mu_inv is None:
+        raise IdentityFailure("mu is not invertible")
     tau_letters = {}
     for b, blk in sigma_inverse.letters.items():
         tau_letters[b] = module_tensor_map(blk, mu_inv.compose(data.phi[b]),
@@ -958,25 +886,13 @@ def l_transfer(alpha: EquivariantMorphism, P: HomotopySChainComplex,
     tau = EquivariantChainMap(backend, mdd, mdd_dual, 0, tau_letters)
 
     # k: sigma_eq o tau ~ id_{M ox D}  via sum (sigma_a sigma^{-1}_b) ox H^D_{a,b}
-    k_letters: Dict[object, ChainMap] = {}
-    for a, ma in sigma_mod.letters.items():
-        for b, mb in sigma_inverse.letters.items():
-            ab = backend.mul(a, b)
-            piece = module_tensor_map(ma @ mb, data.H[(a, b)].as_map(), mdd, mdd)
-            k_letters[ab] = k_letters[ab] + piece if ab in k_letters else piece
-    k_eq = EquivariantChainMap(backend, mdd, mdd, 1, k_letters)
+    k_eq = _letter_pair_witness(sigma_mod, sigma_inverse, data.chain, mdd, mdd)
     checks.append(("witness-k",
                    k_eq.is_homotopy_from_to(sigma_eq.convolve(tau),
                                             EquivariantChainMap.identity(backend, mdd))))
     # h: tau o sigma_eq ~ id of the dual, conjugated through mu
-    h_letters: Dict[object, ChainMap] = {}
-    for a, ma in sigma_inverse.letters.items():
-        for b, mb in sigma_mod.letters.items():
-            ab = backend.mul(a, b)
-            hom = mu_inv.compose(data.H[(a, b)].as_map()).compose(data.mu)
-            piece = module_tensor_map(ma @ mb, hom, mdd_dual, mdd_dual)
-            h_letters[ab] = h_letters[ab] + piece if ab in h_letters else piece
-    h_eq = EquivariantChainMap(backend, mdd_dual, mdd_dual, 1, h_letters)
+    h_eq = _letter_pair_witness(sigma_inverse, sigma_mod, data.chain, mdd_dual, mdd_dual,
+                                lambda hom: mu_inv.compose(hom).compose(data.mu))
     checks.append(("witness-h",
                    h_eq.is_homotopy_from_to(tau.convolve(sigma_eq),
                                             EquivariantChainMap.identity(backend, mdd_dual))))
@@ -1043,28 +959,16 @@ def expanded_ultraquadratic(result: LTransferResult, lam: Fraction,
             dist[(p, q)] = v
     space = ControlSpace(carrier, dist, check=False)
 
-    def relabel(cx: ChainComplex) -> ChainComplex:
-        positions = {n: tuple(GPos(p.g, (p.g, p.z)) for p in cx.pos(n))
-                     for n in cx.ranks}
-        return ChainComplex(dict(cx.ranks), dict(cx.diff),
-                            dict(cx.idem) if cx.idem is not None else None,
-                            positions, check=False)
-
-    c_exp = relabel(expand_complex(backend, result.complex, cosets))
+    c_exp = expand_complex(backend, result.complex, cosets).relabel(
+        lambda p: GPos(p.g, (p.g, p.z)))
     cd_exp = dual_complex(c_exp)
-
-    def as_map(eq: EquivariantChainMap, src: ChainComplex,
-               tgt: ChainComplex) -> ChainMap:
-        raw = eq.expand(cosets)
-        return ChainMap(src, tgt, eq.degree, dict(raw.mats), check=False)
-
-    psi = as_map(result.psi, cd_exp, c_exp)
-    inverse = as_map(result.inverse, c_exp, cd_exp)
-    sigma_full = as_map(result.sigma, cd_exp, c_exp)
+    psi = result.psi.expand(cosets).retarget(cd_exp, c_exp)
+    inverse = result.inverse.expand(cosets).retarget(c_exp, cd_exp)
+    sigma_full = result.sigma.expand(cosets).retarget(cd_exp, c_exp)
     h = ChainHomotopy(inverse.compose(sigma_full), ChainMap.identity(cd_exp),
-                      dict(as_map(result.h, cd_exp, cd_exp).mats))
+                      dict(result.h.expand(cosets).mats))
     k = ChainHomotopy(sigma_full.compose(inverse), ChainMap.identity(c_exp),
-                      dict(as_map(result.k, c_exp, c_exp).mats))
+                      dict(result.k.expand(cosets).mats))
     uq = UltraQuadraticComplex(c_exp, psi, PoincareWitness(inverse, h, k))
     return uq, space
 
@@ -1085,12 +989,8 @@ def whitehead_transfer(a_letters: Dict[object, IntMatrix], backend: GroupBackend
     if len(shapes) != 1:
         raise InputError("matrix letters must share one shape")
     rows, cols = next(iter(shapes))
-    src = GRComplex(backend, {n: cols * r for n, r in C.ranks.items()},
-                    {n: GRMatrix.constant(backend, IntMatrix.identity(cols).kron(m))
-                     for n, m in C.diff.items()})
-    tgt = GRComplex(backend, {n: rows * r for n, r in C.ranks.items()},
-                    {n: GRMatrix.constant(backend, IntMatrix.identity(rows).kron(m))
-                     for n, m in C.diff.items()})
+    src = GRComplex.constant(backend, module_tensor(cols, C))
+    tgt = GRComplex.constant(backend, module_tensor(rows, C))
     mats: Dict[int, GRMatrix] = {}
     for g, block in a_letters.items():
         rg = r_action[backend.canonical(g)]
@@ -1108,12 +1008,7 @@ def classical_l_transfer(psi_letters: Dict[object, IntMatrix], backend: GroupBac
     the twisted transfer composed with ``id ox phi``."""
     base = whitehead_transfer(psi_letters, backend, C, r_action)
     cols = next(iter(psi_letters.values())).cols
-    dual_src = GRComplex(backend,
-                         {n: cols * dual_complex(C).rank(n)
-                          for n in dual_complex(C).ranks},
-                         {n: GRMatrix.constant(
-                             backend, IntMatrix.identity(cols).kron(m))
-                          for n, m in dual_complex(C).diff.items()})
+    dual_src = GRComplex.constant(backend, module_tensor(cols, dual_complex(C)))
     id_phi_mats = {n: GRMatrix.constant(backend,
                                         IntMatrix.identity(cols).kron(phi_form.mat(n)))
                    for n in phi_form.mats}

@@ -164,8 +164,7 @@ def test_cone_and_shift_structure():
 
 def _auto_witness(c, mat):
     v = ChainMap(c, c, 0, {n: mat for n in c.ranks})
-    inv = IntMatrix.from_rows([[r for r in row] for row in mat.to_dense()])
-    vin = ChainMap(c, c, 0, {n: mat.integer_inverse() for n in c.ranks})
+    vin = v.integer_inverse()
     h = ChainHomotopy(vin.compose(v), ChainMap.identity(c), {})
     k = ChainHomotopy(v.compose(vin), ChainMap.identity(c), {})
     return v, vin, h, k
@@ -185,6 +184,17 @@ def test_self_torsion_degree_zero_unit():
     t = self_torsion(v, vin, h, k)
     assert t.matrix == IntMatrix.from_rows([[-1]])
     assert t.det_sign() == -1
+
+
+def test_chain_map_integer_inverse_is_degreewise():
+    c = ChainComplex({0: 1, 1: 1})
+    v = ChainMap(c, c, 0, {0: IntMatrix.from_rows([[-1]]), 1: IntMatrix.from_rows([[1]])})
+    assert v.integer_inverse() == v
+    # unimodular in degree 0 but determinant 2 in degree 1
+    w = ChainMap(c, c, 0, {0: IntMatrix.from_rows([[-1]]), 1: IntMatrix.from_rows([[2]])})
+    assert w.integer_inverse() is None
+    # a degree where the map is zero is not invertible either
+    assert ChainMap(c, c, 0, {0: IntMatrix.from_rows([[1]])}).integer_inverse() is None
 
 
 def test_self_torsion_shifted_inverse_class():

@@ -113,6 +113,25 @@ def test_parse_matrix_rejects_entry_outside_shape():
         parse_matrix({"rows": 2, "cols": 2, "entries": [[5, 5, 1]]})
 
 
+@pytest.mark.parametrize("obj", [
+    {"rows": 1, "cols": 1, "entries": [[0, 0, 1.5]]},
+    [[1.5, 0], [0, -1]],
+    [[True]],
+    [["a"]],
+], ids=["sparse-float", "dense-float", "dense-bool", "dense-string"])
+def test_parse_matrix_rejects_non_integer_entries(obj):
+    with pytest.raises(InputError):
+        parse_matrix(obj)
+
+
+def test_non_integer_gram_exit_two(tmp_path, capsys):
+    doc = {"version": 1, "forms": {"f": {"rank": 2, "gram": [[1.5, 0], [0, -1]]}}}
+    path = tmp_path / "float.json"
+    path.write_text(canonical_dumps(doc))
+    assert run_cli("signature", str(path)) == 2
+    assert "integers" in capsys.readouterr().err
+
+
 def test_parse_matrix_drops_explicit_zeros():
     m = parse_matrix({"rows": 2, "cols": 2, "entries": [[0, 0, 0], [1, 0, 3]]})
     assert m.entries == {(1, 0): 3}

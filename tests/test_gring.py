@@ -112,8 +112,8 @@ def test_cone_torsion_agrees_over_z_and_trivial_group_ring():
     for _ in range(25):
         C, D, f, g, h, k = junk_equivalence(rng)
         over_z = self_torsion(f, g, h, k).det_sign()
-        C1 = GRComplex(triv, C.ranks, lift(C.diff))
-        D1 = GRComplex(triv, D.ranks, lift(D.diff))
+        C1 = GRComplex.constant(triv, C)
+        D1 = GRComplex.constant(triv, D)
         f1 = GRGradedMap(C1, D1, 0, lift(f.mats))
         g1 = GRGradedMap(D1, C1, 0, lift(g.mats))
         rep = gr_self_torsion(f1, g1, lift(h.mats), lift(k.mats))

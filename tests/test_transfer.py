@@ -16,7 +16,8 @@ from klab.gring import GRMatrix
 from klab.groups import FiniteSubset, FiniteTableGroup
 from klab.intmat import IntMatrix
 from klab.ltheory import verify_ultraquadratic
-from klab.transfer import (expanded_ultraquadratic,
+from klab.transfer import (EquivariantChainMap, certify_dslambda,
+                           expanded_ultraquadratic,
                            finite_replacement, functoriality_witness,
                            group_module, induce_chain_action, k_transfer,
                            l_symmetric_complex, l_transfer,
@@ -137,6 +138,10 @@ def test_finite_replacement_iso_case():
     assert res.ok()
     # P is isomorphic to D up to the stabilization bookkeeping
     assert res.P.rank(0) == D.rank(0)
+    # D carries no positions, so there is no displacement to measure
+    from klab.control import ControlSpace
+    with pytest.raises(InputError):
+        replacement_control_growth(res, ControlSpace.from_matrix(["z"], [[0]]))
 
 
 def test_finite_replacement_path_fixture_control():
@@ -314,6 +319,13 @@ def test_k_transfer_dslambda_cross_check():
                 assert d.value <= result.certificate.bound
 
 
+def test_certificate_needs_positions():
+    bare = ChainComplex({0: 1, 1: 1}, {1: IntMatrix.from_rows([[2]])})
+    eq = EquivariantChainMap.identity(z2(), bare)
+    with pytest.raises(InputError):
+        certify_dslambda(z2_swap_action(), Fraction(1), {"id": eq})
+
+
 # -- L-theory transfer ---------------------------------------------------------------
 
 
@@ -415,6 +427,30 @@ def test_l_transfer_trivial_instance():
     assert result.data.D.ranks == {0: 1}
     assert result.data.mu.mat(0) == IntMatrix.from_rows([[1]])
     assert result.psi.letter(0).mat(0) == alpha.block(0)
+
+
+def test_l_transfer_inverse_letters_outside_s():
+    # over C7, sigma = [[0, u], [u, 0]] with the unit u = t + t^-1 - 1; the
+    # inverse of u has letters {0, 1, 3, 4, 6}, and 3, 4 are outside S
+    from klab.actions import HomotopySAction
+    from klab.control import ControlSpace
+    from klab.transfer import HomotopySChainComplex, PointEquivalence
+    c7 = FiniteTableGroup.cyclic(7)
+    s = FiniteSubset.of(c7, [0, 1, 2, 5, 6])
+    space = ControlSpace.from_matrix(["z"], [[0]])
+    P = ChainComplex.point("z")
+    ident = ChainMap.identity(P)
+    homs = {(g, h): ChainHomotopy(ident, ident, {})
+            for g in s for h in s if c7.mul(g, h) in s}
+    act = HomotopySAction.from_genuine(c7, space, s, {g: {"z": "z"} for g in s})
+    pcx = HomotopySChainComplex(c7, space, s, P, {g: ident for g in s}, homs,
+                                point_action=act,
+                                point_equivalence=PointEquivalence(ident, ident, "z"))
+    up = IntMatrix.from_rows([[0, 1], [0, 0]])
+    alpha = EquivariantMorphism(c7, group_module(2), group_module(2),
+                                {0: IntMatrix.from_rows([[0, -1], [0, 0]]), 1: up, 6: up})
+    with pytest.raises(SupportEscape):
+        l_transfer(alpha, pcx, Fraction(1, 2))
 
 
 def test_z3_transfers_exercise_noninvolutive_letters():
