@@ -9,10 +9,11 @@ truncation flag instead of claiming completeness.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import add, sub
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .control import INF, ControlSpace
@@ -200,20 +201,45 @@ class DSLambdaResult:
 
 
 class DSLambdaMetric:
-    """Shortest-path evaluator for ``d_{S,Lambda}`` on ``G x X``.
+    """Exact evaluator for ``d_{S,Lambda}`` on ``G x X``.
 
-    Nodes are ``(group element, point, moves used)``; fiber edges cost
-    ``Lambda * d_X``, move edges cost 1 and are available whenever some
-    ``f in F_a``, ``f' in F_b`` satisfy ``f(z) = f'(x')``.  Values found
-    at total cost at most ``n_max + 1`` are exact; otherwise the result
-    is flagged as a truncated lower bound.
+    A path runs through states ``(g, x, k)``, ``k`` the moves used.  Fiber
+    edges ``(g, x, k) -> (g, z, k)`` cost ``Lambda * d_X(x, z)``; move edges
+    ``(g, z, k) -> (g a^{-1} b, x', k + 1)`` cost 1, exist for ``k < n_max``
+    and whenever some ``f in F_a``, ``f' in F_b`` satisfy ``f(z) = f'(x')``.
+    Values found at total cost at most ``n_max + 1`` are exact; otherwise
+    the result is flagged as a truncated lower bound.
+
+    Costs are integers: every weight and the move cost 1 are multiplied by
+    ``scale``, a common denominator of the ``Lambda * d_X`` values, and
+    results are exact rationals again at the boundary.  Once per metric:
+
+    - ``closure[x][z]`` is the least scaled cost of a fiber path from
+      point ``x`` to point ``z`` (Floyd--Warshall on the scaled weights).
+      It is the direct weight only under the triangle inequality, which
+      spaces built with ``check=False`` never test.
+    - ``moves`` pairs each move letter with its edges ``x -> (x', ...)``
+      on point indices.
+    - The layers are counted on the first search.  Every distance of a
+      ``ControlSpace`` is defined, so the fiber graph is complete and a
+      layer reaches every point of each group element it reaches: layer
+      0 is ``{e}`` and layer ``k + 1`` is every ``g * letter`` over ``g``
+      in layer ``k``, whatever the source point.  There are ``n_points``
+      reachable states per element of each layer; when their total
+      exceeds ``state_cap`` every search raises ``HorizonExceeded``.
+
+    The search from ``x0`` is a DP over the layers ``k = 0..n_max``, with
+    one row per group element of least costs using at most ``k`` moves.
+    Layer 0 is ``{e: closure[x0]}``.  Each step moves the rows the last
+    step improved by every letter (``+ scale``) into candidate rows keyed
+    by ``g * letter``, closes each candidate as
+    ``row[z] = min_x cand[x] + closure[x][z]`` over its improved entries,
+    and folds it into that element's row by elementwise ``min``.  A row
+    the last step left alone has moved already at the same costs.
 
     By G-invariance a search depends only on its source point, so the
     metric keeps one search result per source point and every query
-    from that point reuses it.  Searches run on integer costs: every
-    weight and the move cost 1 are multiplied by ``scale``, a common
-    denominator of the ``Lambda * d_X`` values, and results are exact
-    rationals again at the boundary.
+    from that point reuses it.
     """
 
     def __init__(self, action: HomotopySAction, lam: Fraction,
@@ -226,65 +252,108 @@ class DSLambdaMetric:
         self.n_max = n_max
         self.state_cap = state_cap
         self.backend = action.backend
-        self.letters, self.moves = action.move_table()
-        points, d = action.space.points, action.space.d
-        rows = {x: [(z, d(x, z)) for z in points if z != x] for x in points}
-        den = math.lcm(1, *(v.denominator for row in rows.values() for _, v in row))
+        self.letters, moves = action.move_table()
+        self.points, self.index = action.space.points, action.index
+        d = action.space.d
+        rows = [[d(x, z) for z in self.points] for x in self.points]
+        den = math.lcm(1, *(v.denominator for row in rows for v in row))
         # a common denominator of 1 and every Lambda * d(x, z)
         self.scale = den * self.lam.denominator
         num = self.lam.numerator * den
-        # fiber edges (z, Lambda * d(x, z) * scale) by source point x
-        self.fiber = {x: tuple((z, num * v.numerator // v.denominator) for z, v in row)
-                      for x, row in rows.items()}
+        closure = [[num * v.numerator // v.denominator for v in row] for row in rows]
+        if any(v < 0 for row in closure for v in row):
+            raise InputError("negative distance in the control space")
+        for k, via in enumerate(closure):
+            for i, row in enumerate(closure):
+                if max(map(sub, row, via)) > row[k]:  # some row[z] > row[k] + via[z]
+                    closure[i] = list(map(min, row, map(add, via, repeat(row[k]))))
+        self.closure = closure
+        edges: Dict[object, Dict[int, List[int]]] = {}
+        for z, out in moves.items():
+            for step, xp in out:
+                edges.setdefault(step, {}).setdefault(self.index[z], []).append(self.index[xp])
+        self.moves = [(step, tuple((x, tuple(xps)) for x, xps in edges[step].items()))
+                      for step in self.letters if step in edges]
+        self._layers = None  # (elements, successors, capped), built by _reach()
         self._searches: Dict[object, Dict[Tuple[object, object], int]] = {}
 
     def _search(self, x0) -> Dict[Tuple[object, object], int]:
         """The search from ``(e, x0)``, run on the first query from ``x0``."""
         best = self._searches.get(x0)
         if best is None:
-            if x0 not in self.fiber:
+            if x0 not in self.index:
                 raise InputError(f"unknown point {x0!r}")
-            best = self._searches[x0] = self._dijkstra(x0)
+            best = self._searches[x0] = self._layered(x0)
         return best
 
-    def _dijkstra(self, x0) -> Dict[Tuple[object, object], int]:
+    def _reach(self) -> Tuple[List[object], Dict[int, List[int]]]:
+        """Group elements by id (the identity is 0) and each one's
+        successor ids, one per letter of ``moves``; raises once the reachable
+        states outnumber ``state_cap``."""
+        if self._layers is None:
+            mul, n = self.backend.mul, len(self.points)
+            elements = [self.backend.identity()]
+            ids = {elements[0]: 0}
+            successors: Dict[int, List[int]] = {}
+            layer, states = [0], n
+            for _ in range(self.n_max):
+                if states > self.state_cap or not layer:
+                    break
+                reached = set()
+                for g in layer:
+                    out = successors.get(g)
+                    if out is None:
+                        out = successors[g] = []
+                        for step, _ in self.moves:
+                            h = mul(elements[g], step)
+                            i = ids.get(h)
+                            if i is None:
+                                i = ids[h] = len(elements)
+                                elements.append(h)
+                            out.append(i)
+                    reached.update(out)
+                layer = reached
+                states += n * len(layer)
+            self._layers = (elements, successors, states > self.state_cap)
+        elements, successors, capped = self._layers
+        if capped:
+            raise HorizonExceeded("d_{S,Lambda} state cap exceeded")
+        return elements, successors
+
+    def _layered(self, x0) -> Dict[Tuple[object, object], int]:
         """Best scaled cost from ``(e, x0)`` to every ``(g, x)`` within the
         move horizon (min over layers)."""
-        mul, fiber, moves = self.backend.mul, self.fiber, self.moves
-        n_max, cap, unit = self.n_max, self.state_cap, self.scale
-        push, pop = heapq.heappush, heapq.heappop
-        start = (self.backend.identity(), x0, 0)
-        dist: Dict[Tuple[object, object, int], int] = {start: 0}
-        best: Dict[Tuple[object, object], int] = {}
-        heap: List[Tuple[int, int, Tuple[object, object, int]]] = [(0, 0, start)]
-        counter = 0
-        while heap:
-            cost, _, state = pop(heap)
-            if dist[state] != cost:
-                continue
-            g, x, k = state
-            key = (g, x)
-            if key not in best or cost < best[key]:
-                best[key] = cost
-            for z, w in fiber[x]:
-                nstate, ncost = (g, z, k), cost + w
-                old = dist.get(nstate)
-                if old is None or ncost < old:
-                    dist[nstate] = ncost
-                    counter += 1
-                    push(heap, (ncost, counter, nstate))
-            if k < n_max:
-                ncost = cost + unit
-                for step, xp in moves[x]:
-                    nstate = (mul(g, step), xp, k + 1)
-                    old = dist.get(nstate)
-                    if old is None or ncost < old:
-                        dist[nstate] = ncost
-                        counter += 1
-                        push(heap, (ncost, counter, nstate))
-            if len(dist) > cap:
-                raise HorizonExceeded("d_{S,Lambda} state cap exceeded")
-        return best
+        elements, successors = self._reach()
+        closure, moves, unit, points = self.closure, self.moves, self.scale, self.points
+        n = len(points)
+        # exceeds every path cost: n_max moves and n_max + 1 fiber paths
+        blank = [(self.n_max + 1) * (unit + max(map(max, closure))) + 1] * n
+        best = {0: closure[self.index[x0]]}
+        frontier = [0]
+        for _ in range(self.n_max):
+            cand: Dict[int, List[int]] = {}
+            for g in frontier:
+                row = best[g]
+                for h, (_, step_edges) in zip(successors[g], moves):
+                    c = cand.get(h)
+                    if c is None:
+                        c = cand[h] = list(best.get(h, blank))
+                    for x, xps in step_edges:
+                        v = row[x] + unit
+                        for xp in xps:
+                            if v < c[xp]:
+                                c[xp] = v
+            frontier = []
+            for h, c in cand.items():
+                old = best.get(h, blank)
+                shifted = [map(add, closure[x], repeat(v))
+                           for x, (v, o) in enumerate(zip(c, old)) if v < o]
+                if shifted:
+                    best[h] = list(map(min, old, *shifted))
+                    frontier.append(h)
+            if not frontier:
+                break
+        return {(elements[g], points[i]): v for g, row in best.items() for i, v in enumerate(row)}
 
     def _certified_unreachable(self, displacement) -> bool:
         """True when no chain of move letters can realize the displacement."""
@@ -339,11 +408,16 @@ class MetricTable:
     carrier: Tuple[Tuple[object, object], ...]
     values: Dict[Tuple[int, int], Optional[Fraction]]
     truncated: bool
+    # first index of each carrier point (a carrier may repeat points)
+    position: Dict[Tuple[object, object], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.position = {}
+        for i, p in enumerate(self.carrier):
+            self.position.setdefault(p, i)
 
     def d(self, p, q) -> Optional[Fraction]:
-        i = self.carrier.index(p)
-        j = self.carrier.index(q)
-        return self.values[(i, j)]
+        return self.values[(self.position[p], self.position[q])]
 
     def d_by_index(self, i: int, j: int) -> Optional[Fraction]:
         return self.values[(i, j)]
@@ -507,7 +581,7 @@ def distance_to_complement(cover: CoverSpec, table: MetricTable, name: str,
     """min distance from ``p`` to carrier points outside the named set."""
     members = cover.sets[name]
     best: Optional[Fraction] = None
-    pi = table.carrier.index(p)
+    pi = table.position[p]
     for j, q in enumerate(table.carrier):
         if q in members:
             continue
@@ -516,8 +590,7 @@ def distance_to_complement(cover: CoverSpec, table: MetricTable, name: str,
             continue  # unreachable complement point imposes no constraint
         if best is None or d < best:
             best = d
-    if not (set(table.carrier) - set(members)):
-        return INF  # empty complement
+    # an empty or unreachable complement bounds nothing
     return best if best is not None else INF
 
 

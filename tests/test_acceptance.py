@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line
 with its measured statistics after asserting every stated tolerance."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -119,14 +120,18 @@ def test_criterion_3_dslambda_suite():
         carrier = [(g, x) for g in range(order) for x in act.space.points]
         table = metric.table(carrier)
         n = len(carrier)
-        for i in range(n):
-            assert table.values[(i, i)] == 0
-            for j in range(n):
-                assert table.values[(i, j)] == table.values[(j, i)]
-                for k in range(n):
-                    a, b, c = (table.values[(i, j)], table.values[(j, k)],
-                               table.values[(i, k)])
-                    if a is not None and b is not None:
+        # the values on integers scaled by their common denominator, None kept
+        scale = math.lcm(1, *(v.denominator for v in table.values.values() if v is not None))
+        ints = [[None if v is None else v.numerator * (scale // v.denominator)
+                 for v in (table.values[(i, j)] for j in range(n))] for i in range(n)]
+        for i, row_i in enumerate(ints):
+            assert row_i[i] == 0
+            for j, a in enumerate(row_i):
+                assert a == ints[j][i]
+                if a is None:
+                    continue
+                for b, c in zip(ints[j], row_i):  # b = d(j, k), c = d(i, k)
+                    if b is not None:
                         assert c is not None and c <= a + b
         # G-invariance on a sampled translate
         k = rng.randrange(order)

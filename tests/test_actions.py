@@ -1,20 +1,22 @@
+import heapq
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klab.actions import (CoverSpec, DSLambdaMetric, DominationData,
+from klab.actions import (DEFAULT_STATE_CAP, CoverSpec, DSLambdaMetric, DominationData,
                           HomotopySAction, audit_nerve_contraction,
                           check_f_cover, lebesgue_lambda_search,
-                          lebesgue_number, moduli, nerve_map,
+                          lebesgue_number, MetricTable, moduli, nerve_map,
                           validate_domination)
 from klab.control import ControlSpace
-from klab.errors import EmptyCover, HorizonExceeded
+from klab.errors import EmptyCover, HorizonExceeded, InputError
 from klab.fixtures import (dihedral_action, dihedral_cover, path_point_domination,
                            z2_swap_action)
-from klab.groups import FamilyPredicate, FiniteSubset, FiniteTableGroup
+from klab.groups import FamilyPredicate, FiniteSubset, FiniteTableGroup, FreeAbelianGroup
 
 
 def trivial_action_on_path(n=4):
@@ -232,8 +234,8 @@ def test_dslambda_one_search_per_source(monkeypatch):
     carrier = [(g, x) for g in act.backend.elements() for x in act.space.points]
     metric = DSLambdaMetric(act, Fraction(1, 2), n_max=3)
     searched = []
-    search = metric._dijkstra
-    monkeypatch.setattr(metric, "_dijkstra", lambda x0: searched.append(x0) or search(x0))
+    search = metric._layered
+    monkeypatch.setattr(metric, "_layered", lambda x0: searched.append(x0) or search(x0))
     # every query from a point x runs the one search from (e, x)
     values = {(p, q): metric.distance(p, q) for p in carrier if p[1] == "x0" for q in carrier}
     assert searched == ["x0"]
@@ -249,14 +251,138 @@ def test_dslambda_state_cap_reraises(monkeypatch):
     act = z2_swap_action()
     metric = DSLambdaMetric(act, Fraction(1, 2), n_max=4, state_cap=3)
     searched = []
-    search = metric._dijkstra
-    monkeypatch.setattr(metric, "_dijkstra", lambda x0: searched.append(x0) or search(x0))
+    search = metric._layered
+    monkeypatch.setattr(metric, "_layered", lambda x0: searched.append(x0) or search(x0))
     for _ in range(2):
         with pytest.raises(HorizonExceeded):
             metric.distance((0, "p"), (1, "q"))
     with pytest.raises(HorizonExceeded):
         metric.table([(0, "p")])
     assert searched == ["p", "p", "p"]  # a capped search is never kept
+
+
+def heap_dijkstra(act, lam, n_max, state_cap, x0):
+    """The heap Dijkstra that ``DSLambdaMetric`` ran before its layered
+    search, kept as a reference: ``(best, scale, states)`` with ``best``
+    the least scaled cost from ``(e, x0)`` to every reached ``(g, x)`` and
+    ``states`` the number of reachable ``(g, x, k)``."""
+    points, d = act.space.points, act.space.d
+    rows = {x: [(z, d(x, z)) for z in points if z != x] for x in points}
+    den = math.lcm(1, *(v.denominator for row in rows.values() for _, v in row))
+    scale = den * lam.denominator
+    num = lam.numerator * den
+    fiber = {x: tuple((z, num * v.numerator // v.denominator) for z, v in row)
+             for x, row in rows.items()}
+    _, moves = act.move_table()
+    mul, unit, cap = act.backend.mul, scale, state_cap
+    push, pop = heapq.heappush, heapq.heappop
+    start = (act.backend.identity(), x0, 0)
+    dist = {start: 0}
+    best = {}
+    heap = [(0, 0, start)]
+    counter = 0
+    while heap:
+        cost, _, state = pop(heap)
+        if dist[state] != cost:
+            continue
+        g, x, k = state
+        key = (g, x)
+        if key not in best or cost < best[key]:
+            best[key] = cost
+        for z, w in fiber[x]:
+            nstate, ncost = (g, z, k), cost + w
+            old = dist.get(nstate)
+            if old is None or ncost < old:
+                dist[nstate] = ncost
+                counter += 1
+                push(heap, (ncost, counter, nstate))
+        if k < n_max:
+            ncost = cost + unit
+            for step, xp in moves[x]:
+                nstate = (mul(g, step), xp, k + 1)
+                old = dist.get(nstate)
+                if old is None or ncost < old:
+                    dist[nstate] = ncost
+                    counter += 1
+                    push(heap, (ncost, counter, nstate))
+        if len(dist) > cap:
+            raise HorizonExceeded("d_{S,Lambda} state cap exceeded")
+    return best, scale, len(dist)
+
+
+@st.composite
+def unchecked_actions(draw):
+    """Arbitrary maps and grid homotopies, built unchecked so the move
+    edges vary freely, over a cyclic group or over Z (where the layers
+    keep growing), on 1-4 points whose distances, built unchecked too,
+    often break the triangle inequality; with a horizon of 0-3 moves and
+    either the default state cap or one of 1-40 states."""
+    if draw(st.booleans()):
+        group = FiniteTableGroup.cyclic(draw(st.integers(1, 4)))
+        others = group.elements()[1:]
+    else:
+        group = FreeAbelianGroup(1)
+        others = [(-2,), (-1,), (1,), (3,)]
+    e = group.identity()
+    s_elems = [e] + draw(st.lists(st.sampled_from(others), max_size=2, unique=True)
+                         if others else st.just([]))
+    n_pts = draw(st.integers(1, 4))
+    pts = [f"x{i}" for i in range(n_pts)]
+    weight = st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3),
+                              Fraction(5)])
+    dist = {(pts[i], pts[j]): draw(weight) for i in range(n_pts) for j in range(i + 1, n_pts)}
+    space = ControlSpace(pts, dist, check=False)
+    point_map = st.lists(st.sampled_from(pts), min_size=n_pts, max_size=n_pts).map(tuple)
+    phi = {g: draw(point_map) for g in s_elems}
+    phi[e] = tuple(pts)
+    homotopies = {(g, h): tuple(draw(st.lists(point_map, min_size=1, max_size=2)))
+                  for g in s_elems for h in s_elems if group.mul(g, h) in s_elems}
+    act = HomotopySAction(group, space, FiniteSubset.of(group, s_elems), phi, homotopies,
+                          check=False)
+    lam = Fraction(draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 3])))
+    state_cap = draw(st.one_of(st.just(DEFAULT_STATE_CAP), st.integers(1, 40)))
+    return act, lam, draw(st.integers(0, 3)), state_cap
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(unchecked_actions())
+def test_layered_search_matches_heap_dijkstra(case):
+    act, lam, n_max, state_cap = case
+    metric = DSLambdaMetric(act, lam, n_max=n_max, state_cap=state_cap)
+    for x0 in act.space.points:
+        try:
+            want, scale, states = heap_dijkstra(act, lam, n_max, state_cap, x0)
+        except HorizonExceeded:
+            with pytest.raises(HorizonExceeded):
+                metric._layered(x0)
+            continue
+        assert metric.scale == scale
+        assert metric._layered(x0) == want
+    # the cap admits exactly the reachable states
+    x0 = act.space.points[-1]
+    _, _, states = heap_dijkstra(act, lam, n_max, DEFAULT_STATE_CAP, x0)
+    assert DSLambdaMetric(act, lam, n_max=n_max, state_cap=states)._layered(x0)
+    with pytest.raises(HorizonExceeded):
+        DSLambdaMetric(act, lam, n_max=n_max, state_cap=states - 1)._layered(x0)
+
+
+def test_dslambda_rejects_negative_distance():
+    # the heap search never ended on a negative fiber edge
+    triv = FiniteTableGroup.cyclic(1)
+    space = ControlSpace(["a", "b"], {("a", "b"): Fraction(-1)}, check=False)
+    act = HomotopySAction.from_genuine(triv, space, FiniteSubset.of(triv, [0]),
+                                       {0: {"a": "a", "b": "b"}})
+    with pytest.raises(InputError):
+        DSLambdaMetric(act, Fraction(1))
+
+
+def test_metric_table_positions_first_occurrence():
+    values = {(i, j): Fraction(10 * i + j) for i in range(3) for j in range(3)}
+    table = MetricTable(((0, "p"), (1, "q"), (0, "p")), values, False)
+    assert table.d((0, "p"), (1, "q")) == 1
+    assert table.d((1, "q"), (0, "p")) == 10
+    assert table == MetricTable(table.carrier, dict(values), False)
+    assert "position" not in repr(table)
 
 
 def random_invariant_action(rng, n_pts=3, order=3):
