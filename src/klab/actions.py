@@ -17,7 +17,7 @@ from operator import add, sub
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .control import INF, ControlSpace
-from .errors import (EmptyCover, HorizonExceeded, InputError, ZeroDenominator)
+from .errors import (EmptyCover, HorizonExceeded, InputError, KlabError, ZeroDenominator)
 from .groups import (FamilyPredicate, FiniteSubset, GroupBackend,
                      SubgroupDescription, family_member)
 from .intmat import lattice_member
@@ -65,7 +65,7 @@ class HomotopySAction:
 
     def validate(self) -> None:
         e = self.backend.identity()
-        if not self.S.contains_identity():
+        if e not in self.S:
             raise InputError("S must contain the identity")
         pts = set(self.space.points)
         for g in self.S:
@@ -76,23 +76,18 @@ class HomotopySAction:
                 raise InputError(f"phi[{g!r}] is not a total point map")
         if self.phi[e] != self.identity_map():
             raise InputError("phi_e must be the identity")
-        s_set = set(self.S.elements)
-        for g in self.S:
-            for h in self.S:
-                gh = self.backend.mul(g, h)
-                if gh not in s_set:
-                    continue
-                grid = self.H.get((g, h))
-                if not grid:
-                    raise InputError(f"homotopy missing for pair ({g!r},{h!r})")
-                comp = self.compose_maps(self.phi[g], self.phi[h])
-                if grid[0] != comp:
-                    raise InputError(f"H[{g!r},{h!r}] does not start at phi_g o phi_h")
-                if grid[-1] != self.phi[gh]:
-                    raise InputError(f"H[{g!r},{h!r}] does not end at phi_gh")
-                for m in grid:
-                    if len(m) != len(self.space.points) or any(y not in pts for y in m):
-                        raise InputError(f"H[{g!r},{h!r}] has a non-total grid map")
+        for g, h, gh in self.S.products:
+            grid = self.H.get((g, h))
+            if not grid:
+                raise InputError(f"homotopy missing for pair ({g!r},{h!r})")
+            comp = self.compose_maps(self.phi[g], self.phi[h])
+            if grid[0] != comp:
+                raise InputError(f"H[{g!r},{h!r}] does not start at phi_g o phi_h")
+            if grid[-1] != self.phi[gh]:
+                raise InputError(f"H[{g!r},{h!r}] does not end at phi_gh")
+            for m in grid:
+                if len(m) != len(self.space.points) or any(y not in pts for y in m):
+                    raise InputError(f"H[{g!r},{h!r}] has a non-total grid map")
         ident = self.identity_map()
         for m in self.H[(e, e)]:
             if m != ident:
@@ -106,13 +101,7 @@ class HomotopySAction:
         for g in S:
             amap = action[backend.canonical(g)]
             phi[backend.canonical(g)] = tuple(amap[p] for p in space.points)
-        homotopies = {}
-        s_set = set(S.elements)
-        for g in S:
-            for h in S:
-                gh = backend.mul(g, h)
-                if gh in s_set:
-                    homotopies[(g, h)] = (phi[gh],)
+        homotopies = {(g, h): (phi[gh],) for g, h, gh in S.products}
         return HomotopySAction(backend, space, S, phi, homotopies)
 
     # -- Definition-level sets -------------------------------------------
@@ -120,15 +109,10 @@ class HomotopySAction:
     def f_set(self, g) -> List[PointMap]:
         """All maps ``x -> H_{r,s}(x, t)`` over grid times with ``rs = g``."""
         g = self.backend.canonical(g)
-        if g not in set(self.S.elements):
+        if g not in self.S:
             raise InputError(f"{g!r} is not in S")
-        out: Set[PointMap] = set()
-        for r in self.S:
-            for s in self.S:
-                if self.backend.mul(r, s) == g:
-                    for m in self.H.get((r, s), ()):
-                        out.add(m)
-        return sorted(out)
+        return sorted({m for r, s, rs in self.S.products if rs == g
+                       for m in self.H.get((r, s), ())})
 
     def move_relation(self, a, b) -> Set[Tuple[object, object]]:
         """Pairs ``(z, x')`` with ``f(z) = f'(x')`` for some maps in
@@ -247,6 +231,8 @@ class DSLambdaMetric:
                  state_cap: int = DEFAULT_STATE_CAP):
         if lam <= 0:
             raise InputError("Lambda must be positive")
+        if n_max < 0:
+            raise InputError("the move horizon must not be negative")
         self.action = action
         self.lam = Fraction(lam)
         self.n_max = n_max
@@ -547,14 +533,14 @@ def check_f_cover(cover: CoverSpec, family: FamilyPredicate,
 
     isotropy: Dict[str, List[object]] = {}
     for name in cover.sets:
-        stab = [g for g, perm in cover.name_action.items() if perm[name] == name]
+        stab = [g for g, perm in cover.name_action.items() if perm.get(name) == name]
         isotropy[name] = stab
         if cover.name_action:
             sub = SubgroupDescription.of(backend, stab or [backend.identity()])
             try:
                 if not family_member(family, sub):
                     violations.append(f"isotropy of {name} is not in the family")
-            except Exception as exc:  # undecidable backends reported, not guessed
+            except KlabError as exc:  # undecidable backends reported, not guessed
                 skipped.append(f"isotropy membership for {name}: {exc}")
 
     dim = cover.dimension()

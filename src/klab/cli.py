@@ -1,31 +1,32 @@
-"""Command-line interface: scenario loading, per-operation subcommands,
-suite orchestration with golden-file comparison, and reporting.
+"""Command-line interface: per-operation subcommands over a loaded
+scenario, suite orchestration with golden-file comparison, and reporting.
 
-Exit codes: 0 success, 1 property violation, 2 input error, 3 horizon
-truncation.  Reports are emitted as human text on stdout and, with
-``--json-out``, as machine JSON with cases sorted by id.
+Exit codes, mapped in ``main`` alone: 0 success, 1 property violation or
+another diagnosed error, 2 input error, 3 horizon truncation.  Reports
+are emitted as human text on stdout and, with ``--json-out``, as machine
+JSON with cases sorted by id.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import __version__
 from .actions import (DSLambdaMetric, audit_nerve_contraction, check_f_cover,
                       lebesgue_number, lebesgue_lambda_search, nerve_map)
-from .chaincore import ChainHomotopy, ChainMap, self_torsion
+from .chaincore import finiteness_obstruction, self_torsion
 from .errors import HorizonExceeded, InputError, KlabError
 from .groups import FamilyPredicate
 from .ltheory import signature
 from .p2 import omega_audit, p2_action, p2_metric
-from .scenario import (Scenario, canonical_dumps, fraction_str, load_scenario,
-                       parse_fraction, _element_key)
+from .scenario import (SECTIONS, Scenario, canonical_dumps, canonicalize_file,
+                       fraction_str, load_scenario, parse_fraction, parse_point,
+                       read_report_cases)
 from .transfer import (finite_replacement, k_transfer, l_transfer,
                        l_transfer_recovers_form, projected_torsion)
 
@@ -90,20 +91,6 @@ class Report:
         return self.exit_code()
 
 
-def _parse_point(scenario: Scenario, action_name: str, text: str):
-    action = scenario.actions[action_name]
-    if ":" not in text:
-        raise InputError(f"point {text!r} is not of the form g:x")
-    g_str, x = text.split(":", 1)
-    try:
-        g = _element_key(action.backend, g_str)
-    except ValueError:
-        raise InputError(f"cannot parse group element {g_str!r}") from None
-    if x not in set(action.space.points):
-        raise InputError(f"unknown point {x!r}")
-    return (g, x)
-
-
 def _family_from_name(name: str) -> FamilyPredicate:
     f2 = name.endswith("-2")
     base = name[:-2] if f2 else name
@@ -114,12 +101,10 @@ def _family_from_name(name: str) -> FamilyPredicate:
 
 
 def cmd_validate(scenario: Scenario, args) -> Report:
-    # parsing already ran every structural validator; reaching here means
-    # the sections are well-formed and cross-references resolve
+    # loading ran every structural validator and resolved every reference;
+    # pipelines are reported by their own runs
     rep = Report("validate")
-    for section in ("groups", "spaces", "actions", "complexes", "forms",
-                    "covers", "morphisms", "chain_actions", "dominations",
-                    "simplicial"):
+    for section in SECTIONS.keys() - {"pipelines"}:
         for name in getattr(scenario, section):
             rep.add(f"{section}:{name}:well-formed", True)
     return rep
@@ -127,11 +112,11 @@ def cmd_validate(scenario: Scenario, args) -> Report:
 
 def cmd_dslambda(scenario: Scenario, args) -> Report:
     rep = Report("dslambda")
-    action = scenario.actions[args.action]
+    action = scenario.get("actions", args.action)
     lam = parse_fraction(args.lam)
     metric = DSLambdaMetric(action, lam, n_max=args.horizon)
-    src = _parse_point(scenario, args.action, args.src)
-    dst = _parse_point(scenario, args.action, args.dst)
+    src = parse_point(action, args.src)
+    dst = parse_point(action, args.dst)
     res = metric.distance(src, dst)
     rep.truncated = res.truncated
     value = "inf" if res.is_infinite() else fraction_str(res.value)
@@ -143,8 +128,8 @@ def cmd_dslambda(scenario: Scenario, args) -> Report:
 
 def cmd_orbit(scenario: Scenario, args) -> Report:
     rep = Report("orbit")
-    action = scenario.actions[args.action]
-    at = _parse_point(scenario, args.action, args.at)
+    action = scenario.get("actions", args.action)
+    at = parse_point(action, args.at)
     orbit = action.s_orbit(args.depth, at)
     listing = sorted(f"{g}:{x}" for (g, x) in orbit)
     rep.add(f"orbit:{args.action}", True,
@@ -154,8 +139,7 @@ def cmd_orbit(scenario: Scenario, args) -> Report:
 
 def cmd_lebesgue(scenario: Scenario, args) -> Report:
     rep = Report("lebesgue")
-    cover, action_name = scenario.covers[args.cover]
-    action = scenario.actions[action_name]
+    cover, action = scenario.get("covers", args.cover)
     if args.lambda_grid:
         grid = [parse_fraction(v) for v in args.lambda_grid.split(",")]
         m = parse_fraction(args.m) if args.m else Fraction(len(action.S))
@@ -178,8 +162,7 @@ def cmd_lebesgue(scenario: Scenario, args) -> Report:
 
 def cmd_nerve(scenario: Scenario, args) -> Report:
     rep = Report("nerve")
-    cover, action_name = scenario.covers[args.cover]
-    action = scenario.actions[action_name]
+    cover, action = scenario.get("covers", args.cover)
     family = _family_from_name(args.family)
     fc = check_f_cover(cover, family, action.backend, action, N=args.n)
     rep.add(f"nerve:{args.cover}:f-cover", fc.ok(),
@@ -204,12 +187,12 @@ def cmd_nerve(scenario: Scenario, args) -> Report:
 
 def cmd_p2(scenario: Scenario, args) -> Report:
     rep = Report("p2")
-    space = scenario.spaces[args.space]
+    space = scenario.get("spaces", args.space)
     pair_space = p2_metric(space)
     rep.add(f"p2:{args.space}:metric", True,
             f"{len(pair_space.points)} unordered pairs, axioms verified")
     if args.action:
-        action = scenario.actions[args.action]
+        action = scenario.get("actions", args.action)
         induced = p2_action(action)
         rep.add(f"p2:{args.action}:induced-action", True,
                 f"induced action on {len(induced.space.points)} pairs validated")
@@ -228,36 +211,27 @@ def cmd_p2(scenario: Scenario, args) -> Report:
 
 def cmd_replace(scenario: Scenario, args) -> Report:
     rep = Report("replace")
-    C, D, i, r, h = scenario.dominations[args.domination]
-    result = finite_replacement(C, D, i, r, h)
-    for name, ok in result.checks:
-        rep.add(f"replace:{args.domination}:{name}", ok)
+    _run_replace(rep, args.domination, *scenario.get("dominations", args.domination))
     return rep
 
 
-def _run_transfer_k(scenario: Scenario, name: str, spec: Dict[str, Any],
-                    rep: Report) -> None:
-    chain = scenario.chain_actions[spec["chain_action"]]
-    alpha = scenario.morphisms[spec["alpha"]]
-    alpha_inv = scenario.morphisms[spec["alpha_inv"]]
-    lam = parse_fraction(spec["lambda"])
+def _run_replace(rep: Report, name: str, C, D, i, r, h) -> None:
+    for cname, ok in finite_replacement(C, D, i, r, h).checks:
+        rep.add(f"replace:{name}:{cname}", ok)
+
+
+def _run_transfer_k(rep: Report, name: str, chain, alpha, alpha_inv, lam) -> None:
     result = k_transfer(alpha, alpha_inv, chain, lam)
     rep.add(f"transfer-k:{name}:certified", result.certified(),
             f"bound {fraction_str(result.certificate.bound)} <= "
             f"{fraction_str(result.target_bound)}")
     if chain.backend.kind == "finite-table":
-        tors = projected_torsion(result)
-        alpha_det = alpha.det()
-        rep.add(f"transfer-k:{name}:projection-torsion",
-                tors.det() == alpha_det,
-                f"det {tors.det()} vs alpha det {alpha_det}")
+        tors_det, alpha_det = projected_torsion(result).det(), alpha.det()
+        rep.add(f"transfer-k:{name}:projection-torsion", tors_det == alpha_det,
+                f"det {tors_det} vs alpha det {alpha_det}")
 
 
-def _run_transfer_l(scenario: Scenario, name: str, spec: Dict[str, Any],
-                    rep: Report) -> None:
-    chain = scenario.chain_actions[spec["chain_action"]]
-    alpha = scenario.morphisms[spec["alpha"]]
-    lam = parse_fraction(spec["lambda"])
+def _run_transfer_l(rep: Report, name: str, chain, alpha, lam) -> None:
     result = l_transfer(alpha, chain, lam)
     for cname, ok in result.data.checks + result.checks:
         rep.add(f"transfer-l:{name}:{cname}", ok)
@@ -269,117 +243,90 @@ def _run_transfer_l(scenario: Scenario, name: str, spec: Dict[str, Any],
                 l_transfer_recovers_form(result, alpha))
 
 
-def _run_torsion(scenario: Scenario, name: str, spec: Dict[str, Any],
-                 rep: Report) -> None:
-    from .scenario import _parse_chain_map, parse_matrix
-    C = scenario.complexes[spec["complex"]]
-    D = scenario.complexes[spec.get("target", spec["complex"])]
-    f = _parse_chain_map(spec["f"], C, D)
-    g = _parse_chain_map(spec["g"], D, C)
-    h = ChainHomotopy(g.compose(f), ChainMap.identity(C),
-                      {int(k): parse_matrix(v)
-                       for k, v in spec["h"].get("mats", {}).items()})
-    k = ChainHomotopy(f.compose(g), ChainMap.identity(D),
-                      {int(kk): parse_matrix(v)
-                       for kk, v in spec["k"].get("mats", {}).items()})
-    cls = self_torsion(f, g, h, k)
-    rep.add(f"torsion:{name}", True, f"det sign {cls.det_sign()}")
+def _run_torsion(rep: Report, name: str, f, g, h, k) -> None:
+    rep.add(f"torsion:{name}", True, f"det sign {self_torsion(f, g, h, k).det_sign()}")
 
 
-def cmd_pipeline(kind: str):
-    def run(scenario: Scenario, args) -> Report:
-        rep = Report(kind)
-        names = [args.pipeline] if args.pipeline else [
-            n for n, spec in scenario.pipelines.items() if spec.get("kind") == kind]
-        if not names:
-            raise InputError(f"no {kind} pipelines in the scenario")
-        for name in names:
-            spec = scenario.pipelines[name]
-            if spec.get("kind") != kind:
-                raise InputError(f"pipeline {name!r} has kind {spec.get('kind')!r}")
-            if kind == "transfer-k":
-                _run_transfer_k(scenario, name, spec, rep)
-            elif kind == "transfer-l":
-                _run_transfer_l(scenario, name, spec, rep)
-            elif kind == "torsion":
-                _run_torsion(scenario, name, spec, rep)
-            elif kind == "replace":
-                C, D, i, r, h = scenario.dominations[spec["domination"]]
-                result = finite_replacement(C, D, i, r, h)
-                for cname, ok in result.checks:
-                    rep.add(f"replace:{name}:{cname}", ok)
-        return rep
-    return run
+# pipeline kind -> runner over the parts ``klab.scenario.PIPELINES`` resolves
+RUNNERS = {
+    "transfer-k": _run_transfer_k,
+    "transfer-l": _run_transfer_l,
+    "torsion": _run_torsion,
+    "replace": _run_replace,
+}
+
+
+def cmd_pipeline(scenario: Scenario, args) -> Report:
+    kind = args.command
+    rep = Report(kind)
+    names = [args.pipeline] if args.pipeline else [
+        n for n, (k, _) in scenario.pipelines.items() if k == kind]
+    if not names:
+        raise InputError(f"no {kind} pipelines in the scenario")
+    for name in names:
+        k, parts = scenario.get("pipelines", name)
+        if k != kind:
+            raise InputError(f"pipeline {name!r} has kind {k!r}")
+        RUNNERS[kind](rep, name, *parts)
+    return rep
 
 
 def cmd_signature(scenario: Scenario, args) -> Report:
     rep = Report("signature")
     names = [args.form] if args.form else sorted(scenario.forms)
     for name in names:
-        form = scenario.forms[name]
-        try:
-            sig = signature(form)
-            rep.add(f"signature:{name}", True, f"signature = {sig}")
-        except KlabError as exc:
-            rep.add(f"signature:{name}", False, str(exc))
+        _run_signature(rep, name, scenario.get("forms", name))
     return rep
+
+
+def _run_signature(rep: Report, name: str, form) -> None:
+    try:
+        rep.add(f"signature:{name}", True, f"signature = {signature(form)}")
+    except KlabError as exc:
+        rep.add(f"signature:{name}", False, str(exc))
 
 
 def cmd_finobstr(scenario: Scenario, args) -> Report:
-    from .chaincore import finiteness_obstruction
     rep = Report("finobstr")
     names = [args.complex] if args.complex else sorted(scenario.complexes)
     for name in names:
-        c = scenario.complexes[name]
-        cls = finiteness_obstruction(c)
-        rep.add(f"finobstr:{name}", True, f"reduced rank = {cls.reduced_rank()}")
+        _run_finobstr(rep, name, scenario.get("complexes", name))
     return rep
+
+
+def _run_finobstr(rep: Report, name: str, c) -> None:
+    rank = finiteness_obstruction(c).reduced_rank()
+    rep.add(f"finobstr:{name}", True, f"reduced rank = {rank}")
+
+
+def _run_cover(rep: Report, name: str, family: str, cover, action) -> None:
+    fc = check_f_cover(cover, _family_from_name(family), action.backend, action)
+    rep.add(f"cover:{name}:axioms", fc.ok(),
+            "; ".join(fc.violations + fc.s_long_failures) or f"dim {fc.dimension}")
 
 
 # -- suite ------------------------------------------------------------------------
 
 
-def _suite_jobs(scenario: Scenario, args) -> List[Tuple[str, Callable[[], Report]]]:
-    jobs: List[Tuple[str, Callable[[], Report]]] = []
+def _job(runner, *parts) -> Callable[[], Report]:
+    def job() -> Report:
+        rep = Report("suite")
+        runner(rep, *parts)
+        return rep
+    return job
 
-    def job_validate() -> Report:
-        return cmd_validate(scenario, args)
 
-    jobs.append(("validate", job_validate))
-    for name in sorted(scenario.forms):
-        def job_form(n=name) -> Report:
-            ns = argparse.Namespace(form=n, json_out=None)
-            return cmd_signature(scenario, ns)
-        jobs.append((f"form:{name}", job_form))
-    for name in sorted(scenario.complexes):
-        def job_complex(n=name) -> Report:
-            ns = argparse.Namespace(complex=n, json_out=None)
-            return cmd_finobstr(scenario, ns)
-        jobs.append((f"complex:{name}", job_complex))
-    for name in sorted(scenario.dominations):
-        def job_dom(n=name) -> Report:
-            ns = argparse.Namespace(domination=n)
-            return cmd_replace(scenario, ns)
-        jobs.append((f"domination:{name}", job_dom))
-    for name in sorted(scenario.covers):
-        def job_cover(n=name) -> Report:
-            rep = Report("cover")
-            cover, action_name = scenario.covers[n]
-            action = scenario.actions[action_name]
-            fam = _family_from_name(args.family)
-            fc = check_f_cover(cover, fam, action.backend, action)
-            rep.add(f"cover:{n}:axioms", fc.ok(),
-                    "; ".join(fc.violations + fc.s_long_failures)
-                    or f"dim {fc.dimension}")
-            return rep
-        jobs.append((f"cover:{name}", job_cover))
-    for name in sorted(scenario.pipelines):
-        kind = scenario.pipelines[name].get("kind")
-        def job_pipe(n=name, k=kind) -> Report:
-            ns = argparse.Namespace(pipeline=n, json_out=None)
-            return cmd_pipeline(k)(scenario, ns)
-        jobs.append((f"pipeline:{name}", job_pipe))
-    return jobs
+def _suite_jobs(sc: Scenario, args) -> List[Tuple[str, Callable[[], Report]]]:
+    return ([("validate", lambda: cmd_validate(sc, args))]
+            + [(f"form:{n}", _job(_run_signature, n, f)) for n, f in sorted(sc.forms.items())]
+            + [(f"complex:{n}", _job(_run_finobstr, n, c))
+               for n, c in sorted(sc.complexes.items())]
+            + [(f"domination:{n}", _job(_run_replace, n, *d))
+               for n, d in sorted(sc.dominations.items())]
+            + [(f"cover:{n}", _job(_run_cover, n, args.family, *c))
+               for n, c in sorted(sc.covers.items())]
+            + [(f"pipeline:{n}", _job(RUNNERS[k], n, *p))
+               for n, (k, p) in sorted(sc.pipelines.items())])
 
 
 def cmd_suite(scenario: Scenario, args) -> Report:
@@ -395,19 +342,11 @@ def cmd_suite(scenario: Scenario, args) -> Report:
         except KlabError as exc:
             rep.add(f"{name}:error", False, f"{exc.code}: {exc}")
     if args.golden:
-        with open(args.golden, "r", encoding="utf-8") as fh:
-            golden = json.load(fh)
         got = {c.id: (c.status, c.detail) for c in rep.cases}
-        want = {c["id"]: (c["status"], c.get("detail", "")) for c in golden.get("cases", [])}
+        want = read_report_cases(args.golden)
         rep.add("suite:golden-match", got == want,
                 "" if got == want else "case statuses or details differ from the golden file")
     return rep
-
-
-def cmd_canonicalize(args) -> int:
-    from .scenario import canonicalize_file
-    sys.stdout.write(canonicalize_file(args.scenario))
-    return EXIT_OK
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -496,9 +435,9 @@ COMMANDS = {
     "nerve": cmd_nerve,
     "p2": cmd_p2,
     "replace": cmd_replace,
-    "transfer-k": cmd_pipeline("transfer-k"),
-    "transfer-l": cmd_pipeline("transfer-l"),
-    "torsion": cmd_pipeline("torsion"),
+    "transfer-k": cmd_pipeline,
+    "transfer-l": cmd_pipeline,
+    "torsion": cmd_pipeline,
     "signature": cmd_signature,
     "finobstr": cmd_finobstr,
     "suite": cmd_suite,
@@ -506,24 +445,21 @@ COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "canonicalize":
-        return cmd_canonicalize(args)
+    args = build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.scenario)
-    except (InputError, OSError, ValueError, KeyError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        report = COMMANDS[args.command](scenario, args)
+        if args.command == "canonicalize":
+            sys.stdout.write(canonicalize_file(args.scenario))
+            return EXIT_OK
+        return COMMANDS[args.command](load_scenario(args.scenario), args).finish(args)
     except HorizonExceeded as exc:
         print(f"horizon truncation: {exc}", file=sys.stderr)
         return EXIT_TRUNCATED
-    except (InputError, KeyError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return report.finish(args)
+    except KlabError as exc:
+        print(f"{exc.code}: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

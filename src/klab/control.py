@@ -190,16 +190,15 @@ def check_control(phi: ControlledMorphism, eps: Optional[Fraction],
     ``eps=None`` checks S-control only; ``S=None`` checks eps-control
     only (the (eps,G) degeneration).
     """
-    s_set = set(S.elements) if S is not None else None
     for (tp, sp) in phi.support():
         tg, tz = _split_position(tp)
         sg, sz = _split_position(sp)
         if eps is not None and space.d(tz, sz) > eps:
             return False
-        if s_set is not None:
+        if S is not None:
             if tg is None or sg is None or backend is None:
                 raise InputError("group control needs group-labeled positions and a backend")
-            if backend.mul(backend.inv(tg), sg) not in s_set:
+            if backend.mul(backend.inv(tg), sg) not in S:
                 return False
     return True
 

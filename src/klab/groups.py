@@ -8,6 +8,7 @@ after construction and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import HorizonExceeded, InputError, UndecidableBackend
@@ -226,19 +227,26 @@ class FiniteSubset:
             raise InputError("subset must contain the identity")
         return FiniteSubset(backend, tuple(sorted(canon, key=repr)))
 
-    def contains_identity(self) -> bool:
-        return self.backend.identity() in set(self.elements)
+    @cached_property
+    def members(self) -> FrozenSet[object]:
+        return frozenset(self.elements)
+
+    @cached_property
+    def products(self) -> Tuple[Tuple[object, object, object], ...]:
+        """``(g, h, gh)`` for every ``g, h`` with ``gh`` in the subset, ``g`` outer."""
+        mul, members = self.backend.mul, self.members
+        return tuple((g, h, gh) for g in self.elements for h in self.elements
+                     if (gh := mul(g, h)) in members)
 
     def is_symmetric(self) -> bool:
-        s = set(self.elements)
-        return all(self.backend.inv(x) in s for x in s)
+        return all(self.backend.inv(x) in self.members for x in self.elements)
 
     def symmetrized(self) -> "FiniteSubset":
         inv = [self.backend.inv(x) for x in self.elements]
         return FiniteSubset.of(self.backend, list(self.elements) + inv)
 
     def __contains__(self, x) -> bool:
-        return x in set(self.elements)
+        return x in self.members
 
     def __iter__(self):
         return iter(self.elements)

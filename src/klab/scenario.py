@@ -5,7 +5,9 @@ named sections (groups, spaces, actions, covers, complexes, forms,
 morphisms, chain actions, dominations, pipelines).  Rationals are
 encoded as ints or ``"p/q"`` strings; matrices as dense row lists or
 ``{"rows": r, "cols": c, "entries": [[i, j, v], ...]}``.  Reparsing a
-canonically serialized scenario is byte-identical.
+canonically serialized scenario is byte-identical.  This module is the
+only reader of the format: malformed data in an entry is an
+``InputError`` naming ``section.name``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,14 @@ from .simplicial import SimplicialComplex
 from .transfer import HomotopySChainComplex, PointEquivalence, group_module
 
 SCHEMA_VERSION = 1
+
+
+def read_json(path: str) -> Any:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise InputError(f"{path} is not a JSON file: {exc}") from None
 
 
 def parse_fraction(v) -> Fraction:
@@ -72,6 +82,11 @@ def parse_matrix(obj) -> IntMatrix:
     raise InputError(f"cannot parse matrix from {obj!r}")
 
 
+def _matrices(obj) -> Dict[int, IntMatrix]:
+    """Matrices keyed by degree."""
+    return {int(k): parse_matrix(v) for k, v in obj.items()}
+
+
 def _element_from_json(backend: GroupBackend, v):
     if backend.kind == "finite-table":
         return backend.canonical(int(v))
@@ -81,77 +96,88 @@ def _element_from_json(backend: GroupBackend, v):
 
 
 def _element_key(backend: GroupBackend, key: str):
-    """Group element parsed from a JSON object key."""
-    if backend.kind == "finite-table":
-        return backend.canonical(int(key))
+    """Group element parsed from a JSON object key (free abelian: ``"1,-2"``)."""
     if backend.kind == "free-abelian":
-        return backend.canonical(tuple(int(t) for t in key.split(",")) if key else ())
-    return backend.canonical(key)
+        key = [int(t) for t in key.split(",")] if key else []
+    return _element_from_json(backend, key)
+
+
+def _pair_key(backend: GroupBackend, key: str):
+    """The ``(g, h)`` of a ``"g;h"`` homotopy key."""
+    g, h = key.split(";")
+    return _element_key(backend, g), _element_key(backend, h)
+
+
+def _subset(backend: GroupBackend, items) -> FiniteSubset:
+    return FiniteSubset.of(backend, [_element_from_json(backend, v) for v in items],
+                           require_identity=True)
+
+
+def parse_point(action: HomotopySAction, text: str):
+    """The point ``(g, x)`` of ``G x X`` written ``g:x``, ``g`` as an object key."""
+    if ":" not in text:
+        raise InputError(f"point {text!r} is not of the form g:x")
+    g_str, x = text.split(":", 1)
+    try:
+        g = _element_key(action.backend, g_str)
+    except ValueError:
+        raise InputError(f"cannot parse group element {g_str!r}") from None
+    if x not in action.index:
+        raise InputError(f"unknown point {x!r}")
+    return (g, x)
 
 
 @dataclass
 class Scenario:
-    """Parsed scenario with resolved cross-references."""
+    """One dict of resolved entries per section; see ``SECTIONS``."""
 
-    version: int
-    raw: Dict[str, Any]
     groups: Dict[str, GroupBackend] = field(default_factory=dict)
     spaces: Dict[str, ControlSpace] = field(default_factory=dict)
     actions: Dict[str, HomotopySAction] = field(default_factory=dict)
-    covers: Dict[str, Tuple[CoverSpec, str]] = field(default_factory=dict)
     complexes: Dict[str, ChainComplex] = field(default_factory=dict)
     forms: Dict[str, SymmetricForm] = field(default_factory=dict)
+    covers: Dict[str, Tuple[CoverSpec, HomotopySAction]] = field(default_factory=dict)
     morphisms: Dict[str, EquivariantMorphism] = field(default_factory=dict)
     chain_actions: Dict[str, HomotopySChainComplex] = field(default_factory=dict)
     dominations: Dict[str, Tuple[ChainComplex, ChainComplex, ChainMap, ChainMap,
                                  ChainHomotopy]] = field(default_factory=dict)
     simplicial: Dict[str, SimplicialComplex] = field(default_factory=dict)
-    pipelines: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    pipelines: Dict[str, Tuple[str, tuple]] = field(default_factory=dict)
+
+    def get(self, section: str, name: str):
+        """The named entry of a section; an unknown name is an input error."""
+        entries = getattr(self, section)
+        if name not in entries:
+            raise InputError(f"no {section} entry named {name!r}")
+        return entries[name]
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return parse_scenario(raw)
+    return parse_scenario(read_json(path))
 
 
 def parse_scenario(raw: Dict[str, Any]) -> Scenario:
     if not isinstance(raw, dict):
         raise InputError("a scenario must be a JSON object")
-    version = int(raw.get("version", 0))
-    if version != SCHEMA_VERSION:
-        raise InputError(f"unsupported scenario version {version}")
-    sc = Scenario(version, raw)
-    for name, spec in raw.get("groups", {}).items():
-        sc.groups[name] = _parse_group(spec)
-    for name, spec in raw.get("spaces", {}).items():
-        points = list(spec["points"])
-        rows = [[parse_fraction(v) for v in row] for row in spec["distance"]]
-        sc.spaces[name] = ControlSpace.from_matrix(points, rows)
-    for name, spec in raw.get("actions", {}).items():
-        sc.actions[name] = _parse_action(sc, spec)
-    for name, spec in raw.get("complexes", {}).items():
-        sc.complexes[name] = _parse_complex(spec)
-    for name, spec in raw.get("forms", {}).items():
-        gram = parse_matrix(spec["gram"])
-        sc.forms[name] = SymmetricForm(int(spec["rank"]), gram)
-    for name, spec in raw.get("covers", {}).items():
-        sc.covers[name] = (_parse_cover(sc, spec), spec["action"])
-    for name, spec in raw.get("morphisms", {}).items():
-        sc.morphisms[name] = _parse_morphism(sc, spec)
-    for name, spec in raw.get("chain_actions", {}).items():
-        sc.chain_actions[name] = _parse_chain_action(sc, spec)
-    for name, spec in raw.get("dominations", {}).items():
-        sc.dominations[name] = _parse_domination(sc, spec)
-    for name, spec in raw.get("simplicial", {}).items():
-        maximal = [frozenset(s) for s in spec["maximal"]]
-        vertices = sorted({v for s in maximal for v in s})
-        sc.simplicial[name] = SimplicialComplex.from_maximal(vertices, maximal)
-    sc.pipelines = dict(raw.get("pipelines", {}))
+    if raw.get("version") != SCHEMA_VERSION:
+        raise InputError(f"unsupported scenario version {raw.get('version')!r}")
+    sc = Scenario()
+    for section, parse in SECTIONS.items():
+        specs = raw.get(section, {})
+        if not isinstance(specs, dict):
+            raise InputError(f"{section}: a section maps names to entries")
+        entries = getattr(sc, section)
+        for name, spec in specs.items():
+            try:
+                entries[name] = parse(sc, spec)
+            except (InputError, TypeError, ValueError, KeyError, AttributeError,
+                    IndexError) as exc:  # what malformed data in an entry raises
+                what = f"missing {exc}" if isinstance(exc, KeyError) else exc
+                raise InputError(f"{section}.{name}: {what}") from None
     return sc
 
 
-def _parse_group(spec: Dict[str, Any]) -> GroupBackend:
+def _parse_group(sc: Scenario, spec: Dict[str, Any]) -> GroupBackend:
     kind = spec["kind"]
     if kind == "finite-table":
         preset = spec.get("preset")
@@ -169,63 +195,73 @@ def _parse_group(spec: Dict[str, Any]) -> GroupBackend:
     raise InputError(f"unknown group kind {kind!r}")
 
 
+def _parse_space(sc: Scenario, spec: Dict[str, Any]) -> ControlSpace:
+    points = list(spec["points"])
+    rows = [[parse_fraction(v) for v in row] for row in spec["distance"]]
+    if len(rows) != len(points) or any(len(row) != len(points) for row in rows):
+        raise InputError("the distance matrix needs one row and one column per point")
+    return ControlSpace.from_matrix(points, rows)
+
+
 def _parse_action(sc: Scenario, spec: Dict[str, Any]) -> HomotopySAction:
-    backend = sc.groups[spec["group"]]
-    space = sc.spaces[spec["space"]]
-    S = FiniteSubset.of(backend, [_element_from_json(backend, v) for v in spec["s"]],
-                        require_identity=True)
+    backend = sc.get("groups", spec["group"])
+    space = sc.get("spaces", spec["space"])
+    S = _subset(backend, spec["s"])
     if "genuine" in spec:
         action = {_element_key(backend, k): dict(v)
                   for k, v in spec["genuine"].items()}
         return HomotopySAction.from_genuine(backend, space, S, action)
-    phi = {}
-    for k, v in spec["phi"].items():
-        g = _element_key(backend, k)
-        phi[g] = tuple(v[p] for p in space.points)
-    homotopies = {}
-    for k, grids in spec["homotopies"].items():
-        g_str, h_str = k.split(";")
-        g = _element_key(backend, g_str)
-        h = _element_key(backend, h_str)
-        homotopies[(g, h)] = tuple(tuple(m[p] for p in space.points) for m in grids)
+    phi = {_element_key(backend, k): tuple(v[p] for p in space.points)
+           for k, v in spec["phi"].items()}
+    homotopies = {_pair_key(backend, k): tuple(tuple(m[p] for p in space.points)
+                                               for m in grids)
+                  for k, grids in spec["homotopies"].items()}
     return HomotopySAction(backend, space, S, phi, homotopies)
 
 
-def _parse_complex(spec: Dict[str, Any]) -> ChainComplex:
+def _parse_complex(sc: Scenario, spec: Dict[str, Any]) -> ChainComplex:
     ranks = {int(k): int(v) for k, v in spec["ranks"].items()}
-    diff = {int(k): parse_matrix(v) for k, v in spec.get("differentials", {}).items()}
-    idem = None
-    if "idempotents" in spec:
-        idem = {int(k): parse_matrix(v) for k, v in spec["idempotents"].items()}
+    diff = _matrices(spec.get("differentials", {}))
+    idem = _matrices(spec["idempotents"]) if "idempotents" in spec else None
     positions = None
     if "positions" in spec:
         positions = {int(k): tuple(v) for k, v in spec["positions"].items()}
     return ChainComplex(ranks, diff, idem, positions)
 
 
-def _parse_chain_map(spec: Dict[str, Any], source: ChainComplex,
-                     target: ChainComplex, check: bool = True) -> ChainMap:
-    mats = {int(k): parse_matrix(v) for k, v in spec.get("mats", {}).items()}
-    return ChainMap(source, target, int(spec.get("degree", 0)), mats, check=check)
+def _parse_form(sc: Scenario, spec: Dict[str, Any]) -> SymmetricForm:
+    return SymmetricForm(int(spec["rank"]), parse_matrix(spec["gram"]))
 
 
-def _parse_cover(sc: Scenario, spec: Dict[str, Any]) -> CoverSpec:
-    action = sc.actions[spec["action"]]
+def _chain_map(spec: Dict[str, Any], source: ChainComplex,
+               target: ChainComplex) -> ChainMap:
+    return ChainMap(source, target, int(spec.get("degree", 0)),
+                    _matrices(spec.get("mats", {})))
+
+
+def _homotopy(spec: Dict[str, Any], source: ChainMap, target: ChainMap) -> ChainHomotopy:
+    return ChainHomotopy(source, target, _matrices(spec.get("mats", {})))
+
+
+def _parse_cover(sc: Scenario, spec: Dict[str, Any]) -> Tuple[CoverSpec, HomotopySAction]:
+    action = sc.get("actions", spec["action"])
     backend = action.backend
     window = [_element_from_json(backend, v) for v in spec["group_window"]]
     carrier = tuple((g, x) for g in window for x in action.space.points)
-    sets = {}
-    for name, members in spec["sets"].items():
-        sets[name] = frozenset((_element_from_json(backend, g), x)
-                               for (g, x) in members)
-    name_action = {}
-    for k, perm in spec.get("name_action", {}).items():
-        name_action[_element_key(backend, k)] = dict(perm)
-    return CoverSpec(carrier, sets, name_action)
+    sets = {name: frozenset((_element_from_json(backend, g), x) for (g, x) in members)
+            for name, members in spec["sets"].items()}
+    if any(x not in action.index for members in sets.values() for _, x in members):
+        raise InputError("cover members must be points of the action's space")
+    name_action = {_element_key(backend, k): dict(perm)
+                   for k, perm in spec.get("name_action", {}).items()}
+    if any(not set(perm) | set(perm.values()) <= set(sets)
+           for perm in name_action.values()):
+        raise InputError("name_action must map set names to set names")
+    return CoverSpec(carrier, sets, name_action), action
 
 
 def _parse_morphism(sc: Scenario, spec: Dict[str, Any]) -> EquivariantMorphism:
-    backend = sc.groups[spec["group"]]
+    backend = sc.get("groups", spec["group"])
     rank_s = int(spec.get("rank_source", spec.get("rank")))
     rank_t = int(spec.get("rank_target", spec.get("rank")))
     letters = {_element_key(backend, k): parse_matrix(v)
@@ -235,44 +271,97 @@ def _parse_morphism(sc: Scenario, spec: Dict[str, Any]) -> EquivariantMorphism:
 
 
 def _parse_chain_action(sc: Scenario, spec: Dict[str, Any]) -> HomotopySChainComplex:
-    backend = sc.groups[spec["group"]]
-    space = sc.spaces[spec["space"]]
-    P = sc.complexes[spec["complex"]]
-    S = FiniteSubset.of(backend, [_element_from_json(backend, v) for v in spec["s"]],
-                        require_identity=True)
-    phi = {}
-    for k, v in spec["phi"].items():
-        g = _element_key(backend, k)
-        phi[g] = _parse_chain_map(v, P, P)
+    backend = sc.get("groups", spec["group"])
+    space = sc.get("spaces", spec["space"])
+    P = sc.get("complexes", spec["complex"])
+    if P.positions is not None and not {p for ps in P.positions.values()
+                                        for p in ps} <= set(space.points):
+        raise InputError("complex positions must be points of the space")
+    S = _subset(backend, spec["s"])
+    phi = {_element_key(backend, k): _chain_map(v, P, P) for k, v in spec["phi"].items()}
     homotopies = {}
     for k, v in spec["homotopies"].items():
-        g_str, h_str = k.split(";")
-        g = _element_key(backend, g_str)
-        h = _element_key(backend, h_str)
-        gh = backend.mul(g, h)
-        mats = {int(kk): parse_matrix(vv) for kk, vv in v.get("mats", {}).items()}
-        homotopies[(g, h)] = ChainHomotopy(phi[g].compose(phi[h]), phi[gh], mats)
-    point_action = sc.actions[spec["action"]] if "action" in spec else None
+        g, h = _pair_key(backend, k)
+        homotopies[(g, h)] = _homotopy(v, phi[g].compose(phi[h]), phi[backend.mul(g, h)])
+    point_action = sc.get("actions", spec["action"]) if "action" in spec else None
     pe = None
     if "equivalence" in spec:
         eq = spec["equivalence"]
         base = eq["basepoint"]
         T = ChainComplex.point(base)
-        f = _parse_chain_map(eq["to_point"], P, T)
-        fbar = _parse_chain_map(eq["from_point"], T, P)
-        pe = PointEquivalence(f, fbar, base)
+        pe = PointEquivalence(_chain_map(eq["to_point"], P, T),
+                              _chain_map(eq["from_point"], T, P), base)
     return HomotopySChainComplex(backend, space, S, P, phi, homotopies,
                                  point_action=point_action, point_equivalence=pe)
 
 
 def _parse_domination(sc: Scenario, spec: Dict[str, Any]):
-    C = sc.complexes[spec["big"]]
-    D = sc.complexes[spec["small"]]
-    i = _parse_chain_map(spec["into"], C, D)
-    r = _parse_chain_map(spec["retract"], D, C)
-    hmats = {int(k): parse_matrix(v) for k, v in spec["homotopy"].get("mats", {}).items()}
-    h = ChainHomotopy(r.compose(i), ChainMap.identity(C), hmats)
-    return C, D, i, r, h
+    C = sc.get("complexes", spec["big"])
+    D = sc.get("complexes", spec["small"])
+    i = _chain_map(spec["into"], C, D)
+    r = _chain_map(spec["retract"], D, C)
+    return C, D, i, r, _homotopy(spec["homotopy"], r.compose(i), ChainMap.identity(C))
+
+
+def _parse_simplicial(sc: Scenario, spec: Dict[str, Any]) -> SimplicialComplex:
+    maximal = [frozenset(s) for s in spec["maximal"]]
+    vertices = sorted({v for s in maximal for v in s})
+    return SimplicialComplex.from_maximal(vertices, maximal)
+
+
+def _torsion_parts(sc: Scenario, spec: Dict[str, Any]):
+    C = sc.get("complexes", spec["complex"])
+    D = sc.get("complexes", spec.get("target", spec["complex"]))
+    f = _chain_map(spec["f"], C, D)
+    g = _chain_map(spec["g"], D, C)
+    return (f, g, _homotopy(spec["h"], g.compose(f), ChainMap.identity(C)),
+            _homotopy(spec["k"], f.compose(g), ChainMap.identity(D)))
+
+
+# pipeline kind -> its parts, in the order the runner takes them
+PIPELINES = {
+    "transfer-k": lambda sc, spec: (sc.get("chain_actions", spec["chain_action"]),
+                                    sc.get("morphisms", spec["alpha"]),
+                                    sc.get("morphisms", spec["alpha_inv"]),
+                                    parse_fraction(spec["lambda"])),
+    "transfer-l": lambda sc, spec: (sc.get("chain_actions", spec["chain_action"]),
+                                    sc.get("morphisms", spec["alpha"]),
+                                    parse_fraction(spec["lambda"])),
+    "torsion": _torsion_parts,
+    "replace": lambda sc, spec: sc.get("dominations", spec["domination"]),
+}
+
+
+def _parse_pipeline(sc: Scenario, spec: Dict[str, Any]) -> Tuple[str, tuple]:
+    kind = spec["kind"]
+    if kind not in PIPELINES:
+        raise InputError(f"unknown pipeline kind {kind!r}")
+    return kind, PIPELINES[kind](sc, spec)
+
+
+# parsed in this order, so an entry can refer to the sections above it
+SECTIONS = {
+    "groups": _parse_group,
+    "spaces": _parse_space,
+    "actions": _parse_action,
+    "complexes": _parse_complex,
+    "forms": _parse_form,
+    "covers": _parse_cover,
+    "morphisms": _parse_morphism,
+    "chain_actions": _parse_chain_action,
+    "dominations": _parse_domination,
+    "simplicial": _parse_simplicial,
+    "pipelines": _parse_pipeline,
+}
+
+
+def read_report_cases(path: str) -> Dict[str, Tuple[str, str]]:
+    """``{id: (status, detail)}`` of a report written with ``--json-out``."""
+    try:
+        return {c["id"]: (c["status"], c.get("detail", ""))
+                for c in read_json(path).get("cases", [])}
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise InputError(f"{path} is not a klab report: {exc!r}") from None
 
 
 def canonical_dumps(obj: Dict[str, Any]) -> str:
@@ -280,5 +369,4 @@ def canonical_dumps(obj: Dict[str, Any]) -> str:
 
 
 def canonicalize_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return canonical_dumps(json.load(fh))
+    return canonical_dumps(read_json(path))

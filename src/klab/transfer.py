@@ -101,28 +101,23 @@ class HomotopySChainComplex:
 
     def validate(self) -> None:
         e = self.backend.identity()
-        if not self.S.contains_identity():
+        if e not in self.S:
             raise InputError("S must contain the identity")
-        s_set = set(self.S.elements)
         for g in self.S:
             if g not in self.phi:
                 raise InputError(f"phi missing for {g!r}")
             self.phi[g].validate()
         if self.phi[e] != ChainMap.identity(self.P):
             raise InputError("phi_e must be the identity")
-        for g in self.S:
-            for h in self.S:
-                gh = self.backend.mul(g, h)
-                if gh not in s_set:
-                    continue
-                hom = self.H.get((g, h))
-                if hom is None:
-                    raise InputError(f"homotopy missing for pair ({g!r},{h!r})")
-                if (hom.source_map != self.phi[g].compose(self.phi[h])
-                        or hom.target_map != self.phi[gh]):
-                    raise InputError(f"H[{g!r},{h!r}] endpoints are wrong")
-                if not hom.holds():
-                    raise InputError(f"H[{g!r},{h!r}] homotopy identity fails")
+        for g, h, gh in self.S.products:
+            hom = self.H.get((g, h))
+            if hom is None:
+                raise InputError(f"homotopy missing for pair ({g!r},{h!r})")
+            if (hom.source_map != self.phi[g].compose(self.phi[h])
+                    or hom.target_map != self.phi[gh]):
+                raise InputError(f"H[{g!r},{h!r}] endpoints are wrong")
+            if not hom.holds():
+                raise InputError(f"H[{g!r},{h!r}] homotopy identity fails")
         if any(not m.is_zero() for m in self.H[(e, e)].mats.values()):
             raise InputError("H[e,e] must be zero")
         if self.point_equivalence is not None:
@@ -240,12 +235,11 @@ def tr(psi: EquivariantMorphism, P: HomotopySChainComplex) -> EquivariantChainMa
     Source and target are module tensors ``M ox P``; letters outside the
     S of the chain action raise support-escape.
     """
-    s_set = set(P.S.elements)
     src = module_tensor(psi.source.rank, P.P)
     tgt = module_tensor(psi.target.rank, P.P)
     letters: Dict[object, ChainMap] = {}
     for a, block in psi.letters.items():
-        if a not in s_set:
+        if a not in P.S:
             raise SupportEscape(f"letter {a!r} is outside S")
         letters[a] = module_tensor_map(block, P.phi[a], src, tgt)
     return EquivariantChainMap(P.backend, src, tgt, 0, letters)
@@ -257,12 +251,11 @@ def _letter_pair_witness(x: EquivariantMorphism, y: EquivariantMorphism,
     """``sum over a, b of (x_a @ y_b) ox H_{a,b}``, each homotopy first
     passed through ``through`` when given; a product ``ab`` outside S
     raises support-escape."""
-    s_set = set(P.S.elements)
     acc: Dict[object, ChainMap] = {}
     for a, ma in x.letters.items():
         for b, mb in y.letters.items():
             ab = P.backend.mul(a, b)
-            if ab not in s_set:
+            if ab not in P.S:
                 raise SupportEscape(f"product letter {ab!r} leaves S")
             hom = P.H[(a, b)].as_map()
             if through is not None:
@@ -340,6 +333,12 @@ def certify_dslambda(action: HomotopySAction, lam: Fraction,
 # -- K-theory transfer ----------------------------------------------------------
 
 
+def _check_square_inside(backend: GroupBackend, letters, S: FiniteSubset) -> None:
+    """Support-escape unless every product of two letters lies in ``S``."""
+    if any(backend.mul(a, b) not in S for a in letters for b in letters):
+        raise SupportEscape("T.T does not stay inside S")
+
+
 @dataclass
 class KTransferResult:
     complex: ChainComplex          # fiber of M ox P
@@ -371,10 +370,7 @@ def k_transfer(alpha: EquivariantMorphism, alpha_inv: EquivariantMorphism,
     if alpha_inv.convolve(alpha).letters != ident.letters \
             or alpha.convolve(alpha_inv).letters != ident.letters:
         raise InputError("alpha_inv does not invert alpha")
-    for a in list(alpha.letters) + list(alpha_inv.letters):
-        for b in list(alpha.letters) + list(alpha_inv.letters):
-            if alpha.backend.mul(a, b) not in S:
-                raise SupportEscape("T.T does not stay inside S")
+    _check_square_inside(alpha.backend, list(alpha.letters) + list(alpha_inv.letters), S)
     tra = tr(alpha, P)
     trinv = tr(alpha_inv, P)
     h = functoriality_witness(alpha_inv, alpha, P)
@@ -664,26 +660,21 @@ def induce_chain_action(repl: FiniteReplacementResult, backend: GroupBackend,
             phi[a] = f.compose(phi_c[a]).compose(g_map)
     lm = l.as_map()
     homotopies: Dict[Tuple[object, object], ChainHomotopy] = {}
-    s_set = set(S.elements)
-    for a in S:
-        for b in S:
-            ab = backend.mul(a, b)
-            if ab not in s_set:
-                continue
-            if a == e or b == e:
-                homotopies[(a, b)] = ChainHomotopy(
-                    phi[a].compose(phi[b]), phi[ab], {})
-                continue
-            # f phi_a (dl + ld = id - g f) phi_b g  collapses the middle
-            defect = f.compose(phi_c[a]).compose(lm).compose(phi_c[b]).compose(g_map)
-            inner = f.compose(H_c[(a, b)].as_map()).compose(g_map)
-            total = defect + inner
-            if ab == e:
-                # the conjugated chain ends at f o g, not at phi_e = id;
-                # k closes the gap exactly
-                total = total + repl.k.as_map()
-            homotopies[(a, b)] = ChainHomotopy(phi[a].compose(phi[b]), phi[ab],
-                                               dict(total.mats))
+    for a, b, ab in S.products:
+        if a == e or b == e:
+            homotopies[(a, b)] = ChainHomotopy(
+                phi[a].compose(phi[b]), phi[ab], {})
+            continue
+        # f phi_a (dl + ld = id - g f) phi_b g  collapses the middle
+        defect = f.compose(phi_c[a]).compose(lm).compose(phi_c[b]).compose(g_map)
+        inner = f.compose(H_c[(a, b)].as_map()).compose(g_map)
+        total = defect + inner
+        if ab == e:
+            # the conjugated chain ends at f o g, not at phi_e = id;
+            # k closes the gap exactly
+            total = total + repl.k.as_map()
+        homotopies[(a, b)] = ChainHomotopy(phi[a].compose(phi[b]), phi[ab],
+                                           dict(total.mats))
     return HomotopySChainComplex(backend, space, S, P, phi, homotopies,
                                  point_action=point_action)
 
@@ -730,24 +721,19 @@ def l_symmetric_complex(P: HomotopySChainComplex) -> LSymmetricData:
         phi[g] = m.retarget(D, D)
     H: Dict[Tuple[object, object], ChainHomotopy] = {}
     hom_ok = True
-    s_set = set(P.S.elements)
-    for g in P.S:
-        for h in P.S:
-            gh = backend.mul(g, h)
-            if gh not in s_set:
-                continue
-            # the dualized homotopy enters negated: under the convention
-            # dH + Hd = target - source, dualizing a degree-1 map flips
-            # the sign of its Hom-differential
-            first = tensor_map(dual_map(P.H[(backend.inv(h), backend.inv(g))].as_map()),
-                               P.phi[g].compose(P.phi[h])).scale(-1)
-            second = tensor_map(dual_map(P.phi[backend.inv(gh)]),
-                                P.H[(g, h)].as_map())
-            mats = (first + second).mats
-            hom = ChainHomotopy(phi[g].compose(phi[h]), phi[gh], dict(mats))
-            if not hom.holds():
-                hom_ok = False
-            H[(g, h)] = hom
+    for g, h, gh in P.S.products:
+        # the dualized homotopy enters negated: under the convention
+        # dH + Hd = target - source, dualizing a degree-1 map flips
+        # the sign of its Hom-differential
+        first = tensor_map(dual_map(P.H[(backend.inv(h), backend.inv(g))].as_map()),
+                           P.phi[g].compose(P.phi[h])).scale(-1)
+        second = tensor_map(dual_map(P.phi[backend.inv(gh)]),
+                            P.H[(g, h)].as_map())
+        mats = (first + second).mats
+        hom = ChainHomotopy(phi[g].compose(phi[h]), phi[gh], dict(mats))
+        if not hom.holds():
+            hom_ok = False
+        H[(g, h)] = hom
     checks.append(("H-D-homotopies", hom_ok))
 
     _, psi = mult_hyperbolic_complex(P.P)
@@ -837,11 +823,7 @@ def l_transfer(alpha: EquivariantMorphism, P: HomotopySChainComplex,
     backend = alpha.backend
     S = S if S is not None else P.S
     checks: List[Tuple[str, bool]] = []
-    t_letters = set(alpha.letters)
-    for a in t_letters:
-        for b in t_letters:
-            if backend.mul(a, b) not in S:
-                raise SupportEscape("T.T does not stay inside S")
+    _check_square_inside(backend, alpha.letters, S)
     data = l_symmetric_complex(P)
     D = data.D
     m_rank = alpha.source.rank
@@ -853,7 +835,7 @@ def l_transfer(alpha: EquivariantMorphism, P: HomotopySChainComplex,
     if sigma_inverse is None:
         sigma_inverse = invert_equivariant(sigma_mod)
     # phi^D and H^D exist only over the S of the chain action
-    outside = (set(alpha.letters) | set(sigma_inverse.letters)) - set(P.S.elements)
+    outside = (set(alpha.letters) | set(sigma_inverse.letters)) - P.S.members
     if outside:
         raise SupportEscape(f"letters {sorted(outside, key=repr)!r} of the form "
                             "or its inverse are outside S")

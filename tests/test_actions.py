@@ -16,7 +16,8 @@ from klab.control import ControlSpace
 from klab.errors import EmptyCover, HorizonExceeded, InputError
 from klab.fixtures import (dihedral_action, dihedral_cover, path_point_domination,
                            z2_swap_action)
-from klab.groups import FamilyPredicate, FiniteSubset, FiniteTableGroup, FreeAbelianGroup
+from klab.groups import (FamilyPredicate, FiniteSubset, FiniteTableGroup, FreeAbelianGroup,
+                         FreeGroup)
 
 
 def trivial_action_on_path(n=4):
@@ -675,3 +676,47 @@ def test_validate_domination_flags_violations():
     rep = validate_domination(bad)
     assert not rep.ok()
     assert any("track diameter" in v for v in rep.violations)
+
+
+def _free_cover():
+    # one point, the free group on one letter, and a name action by ``a``:
+    # its isotropy <a> is infinite cyclic, which is not decided for free groups
+    free = FreeGroup(1)
+    carrier = (("", "x"), ("a", "x"))
+    return free, CoverSpec(carrier, {"U": frozenset(carrier)}, {"a": {"U": "U"}})
+
+
+def test_check_f_cover_reports_undecidable_isotropy_as_skip():
+    free, cover = _free_cover()
+    rep = check_f_cover(cover, FamilyPredicate("virtually-cyclic"), free)
+    assert rep.ok()
+    assert any("isotropy membership for U" in s and "not decided" in s
+               for s in rep.skipped)
+
+
+def test_check_f_cover_lets_internal_errors_through(monkeypatch):
+    import klab.actions
+
+    def broken(family, sub):
+        raise RuntimeError("bug in family_member")
+
+    monkeypatch.setattr(klab.actions, "family_member", broken)
+    free, cover = _free_cover()
+    with pytest.raises(RuntimeError, match="bug in family_member"):
+        check_f_cover(cover, FamilyPredicate("virtually-cyclic"), free)
+
+
+def test_check_f_cover_partial_name_action_is_a_violation():
+    act = z2_swap_action()
+    carrier = tuple((g, x) for g in [0, 1] for x in act.space.points)
+    sets = {"U": frozenset(carrier[:2]), "V": frozenset(carrier[2:])}
+    rep = check_f_cover(CoverSpec(carrier, sets, {1: {"U": "V"}}),
+                        FamilyPredicate("finite"), act.backend)
+    assert any("not a permutation" in v for v in rep.violations)
+    assert rep.isotropy == {"U": [], "V": []}
+
+
+def test_dslambda_rejects_negative_horizon():
+    with pytest.raises(InputError, match="move horizon"):
+        DSLambdaMetric(z2_swap_action(), Fraction(1), n_max=-1)
+    DSLambdaMetric(z2_swap_action(), Fraction(1), n_max=0)  # zero moves is a horizon

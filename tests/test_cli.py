@@ -1,9 +1,13 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from klab.cli import main
 from klab.errors import InputError
@@ -282,3 +286,162 @@ def test_suite_reports_horizon_as_truncated_skip(tmp_path, capsys):
     case = next(c for c in got["cases"] if c["id"] == "cover:U:truncated")
     assert case["status"] == "skip" and "horizon-exceeded" in case["detail"]
     assert got["counts"]["fail"] == 0
+
+
+# -- one load boundary, one exit-code map ----------------------------------------
+
+
+def _mutated(tmp_path, edit, source=Z2):
+    doc = json.loads(open(source, encoding="utf-8").read())
+    edit(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(canonical_dumps(doc))
+    return str(path)
+
+
+def test_scenario_errors_name_section_and_entry(tmp_path, capsys):
+    def ragged(doc):
+        doc["spaces"]["X"]["distance"] = [[0, 1]]
+    assert run_cli("validate", _mutated(tmp_path, ragged)) == 2
+    assert "spaces.X: " in capsys.readouterr().err
+
+    def missing(doc):
+        del doc["actions"]["swap"]["s"]
+    assert run_cli("validate", _mutated(tmp_path, missing)) == 2
+    assert "actions.swap: missing 's'" in capsys.readouterr().err
+
+
+def test_unknown_name_is_an_input_error(capsys):
+    assert run_cli("dslambda", Z2, "--action", "nope", "--lam", "1",
+                   "--src", "0:p", "--dst", "1:p") == 2
+    assert "no actions entry named 'nope'" in capsys.readouterr().err
+    assert run_cli("transfer-k", Z2, "--pipeline", "nope") == 2
+    assert run_cli("transfer-k", Z2, "--pipeline", "lpipe") == 2
+
+
+def test_every_pipeline_kind_has_a_runner():
+    import klab.cli
+    import klab.scenario
+    assert set(klab.cli.RUNNERS) == set(klab.scenario.PIPELINES)
+
+
+def test_malformed_pipeline_is_exit_two_for_every_command(tmp_path, capsys):
+    def zero(doc):
+        doc["pipelines"]["kpipe"]["lambda"] = "1/0"
+    path = _mutated(tmp_path, zero)
+    for command in ("validate", "suite", "transfer-l", "signature"):
+        assert run_cli(command, path) == 2
+        assert "pipelines.kpipe: zero denominator" in capsys.readouterr().err
+
+    def unknown(doc):
+        doc["pipelines"]["kpipe"]["kind"] = "transfer-x"
+    assert run_cli("suite", _mutated(tmp_path, unknown)) == 2
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["complexes"]["P"]["positions"].update({"1": [None]}),
+     "chain_actions.involution: complex positions must be points of the space"),
+    (lambda doc: doc["covers"]["slab"]["sets"]["U"].append([0, "z"]),
+     "covers.slab: cover members must be points"),
+    (lambda doc: doc["covers"]["slab"]["name_action"].update({"1": {"U": "W"}}),
+     "covers.slab: name_action must map set names to set names"),
+    (lambda doc: doc["covers"]["longcover"]["name_action"].update({"1": {"W": "U1"}}),
+     "covers.longcover: name_action must map set names to set names"),
+], ids=["position-not-a-point", "member-not-a-point", "unknown-image", "unknown-source"])
+def test_reference_checks_at_load(tmp_path, capsys, edit, message):
+    path = _mutated(tmp_path, edit)
+    assert run_cli("suite", path) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_dslambda_negative_horizon_exit_two(capsys):
+    assert run_cli("dslambda", Z2, "--action", "swap", "--lam", "1/2",
+                   "--src", "0:p", "--dst", "1:p", "--horizon", "-1") == 2
+    assert "move horizon" in capsys.readouterr().err
+
+
+def test_canonicalize_missing_or_bad_file_exit_two(tmp_path, capsys):
+    assert run_cli("canonicalize", str(tmp_path / "nope.json")) == 2
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert run_cli("canonicalize", str(bad)) == 2
+    assert "is not a JSON file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", '{"cases": [{"id": 1}]}'],
+                         ids=["missing", "not-json", "not-an-object", "case-without-status"])
+def test_suite_bad_golden_exit_two(tmp_path, capsys, content):
+    golden = tmp_path / "golden.json"
+    if content is not None:
+        golden.write_text(content)
+    assert run_cli("suite", Z2, "--golden", str(golden)) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_unwritable_json_out_exit_two(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "report.json"
+    assert run_cli("validate", Z2, "--json-out", str(target)) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_diagnosed_error_outside_suite_exit_one(monkeypatch, capsys):
+    import klab.cli
+    from klab.errors import NotAnEquivalence
+
+    def refuse(*parts):
+        raise NotAnEquivalence("the retraction does not split")
+
+    monkeypatch.setattr(klab.cli, "finite_replacement", refuse)
+    assert run_cli("replace", PATH, "--domination", "coarsen") == 1
+    assert "not-an-equivalence: the retraction does not split" in capsys.readouterr().err
+
+
+def test_internal_error_is_not_an_input_error(monkeypatch):
+    import klab.cli
+
+    def bug(*parts):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(klab.cli, "finite_replacement", bug)
+    with pytest.raises(KeyError):
+        run_cli("replace", PATH, "--domination", "coarsen")
+
+
+# the mutation fuzzer: drop a key or list item, or put a junk value at a
+# random JSON path of a shipped scenario, then run one command in-process
+_SHIPPED = {name: json.loads(open(os.path.join(SCENARIOS, name + ".json"),
+                                  encoding="utf-8").read())
+            for name in ("z2", "z3", "path", "dihedral")}
+_JUNK = [None, "x", -1, 1.5, True, [], {}, "1/0"]
+
+
+def _json_paths(obj, prefix=()):
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+_PATHS = {name: list(_json_paths(doc)) for name, doc in _SHIPPED.items()}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(_SHIPPED)), st.integers(0, 10 ** 6),
+       st.sampled_from(["drop"] + _JUNK),
+       st.sampled_from(["validate", "suite", "transfer-k", "transfer-l", "torsion"]))
+def test_mutated_scenarios_never_raise(tmp_path, name, pick, junk, command):
+    doc = copy.deepcopy(_SHIPPED[name])
+    path = _PATHS[name][pick % len(_PATHS[name])]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if junk == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(junk)
+    target = tmp_path / "mutated.json"
+    target.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run_cli(command, str(target)) in (0, 1, 2, 3)

@@ -143,3 +143,18 @@ def test_free_group_reduction():
     assert f.mul("aB", "ba") == "aa"
     assert f.mul("ab", "BA") == ""
     assert f.inv("aB") == "bA"
+
+
+@pytest.mark.parametrize("backend, items", [
+    (FiniteTableGroup.dihedral(3), [0, 1, 3, 4]),
+    (FreeAbelianGroup(1), [(0,), (1,), (-1,), (2,)]),
+    (FreeGroup(2), ["", "a", "A", "ab"]),
+], ids=["dihedral", "free-abelian", "free"])
+def test_finite_subset_products_match_the_double_loop(backend, items):
+    s = FiniteSubset.of(backend, items)
+    assert s.members == frozenset(s.elements)
+    expected = [(g, h, backend.mul(g, h)) for g in s.elements for h in s.elements
+                if backend.mul(g, h) in set(s.elements)]
+    assert list(s.products) == expected
+    assert all(gh in s for _, _, gh in s.products)
+    assert s.products is s.products  # built once per subset
