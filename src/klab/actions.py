@@ -9,11 +9,10 @@ truncation flag instead of claiming completeness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from operator import add, sub
+from operator import add
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .control import INF, ControlSpace
@@ -44,7 +43,7 @@ class HomotopySAction:
         self.backend = backend
         self.space = space
         self.S = S
-        self.index = {p: i for i, p in enumerate(space.points)}
+        self.index = space.index
         self.phi = {backend.canonical(g): tuple(m) for g, m in phi.items()}
         self.H = {(backend.canonical(g), backend.canonical(h)): tuple(tuple(m) for m in grid)
                   for (g, h), grid in homotopies.items()}
@@ -67,12 +66,11 @@ class HomotopySAction:
         e = self.backend.identity()
         if e not in self.S:
             raise InputError("S must contain the identity")
-        pts = set(self.space.points)
         for g in self.S:
             if g not in self.phi:
                 raise InputError(f"phi missing for {g!r}")
             m = self.phi[g]
-            if len(m) != len(self.space.points) or any(y not in pts for y in m):
+            if len(m) != len(self.space.points) or any(y not in self.index for y in m):
                 raise InputError(f"phi[{g!r}] is not a total point map")
         if self.phi[e] != self.identity_map():
             raise InputError("phi_e must be the identity")
@@ -86,7 +84,7 @@ class HomotopySAction:
             if grid[-1] != self.phi[gh]:
                 raise InputError(f"H[{g!r},{h!r}] does not end at phi_gh")
             for m in grid:
-                if len(m) != len(self.space.points) or any(y not in pts for y in m):
+                if len(m) != len(self.space.points) or any(y not in self.index for y in m):
                     raise InputError(f"H[{g!r},{h!r}] has a non-total grid map")
         ident = self.identity_map()
         for m in self.H[(e, e)]:
@@ -114,40 +112,33 @@ class HomotopySAction:
         return sorted({m for r, s, rs in self.S.products if rs == g
                        for m in self.H.get((r, s), ())})
 
-    def move_relation(self, a, b) -> Set[Tuple[object, object]]:
-        """Pairs ``(z, x')`` with ``f(z) = f'(x')`` for some maps in
-        ``F_a`` and ``F_b``."""
-        fa = self.f_set(a)
-        fb = self.f_set(b)
-        out: Set[Tuple[object, object]] = set()
-        targets: Dict[object, List[object]] = {}
-        for fm in fb:
-            for x in self.space.points:
-                targets.setdefault(self.apply(fm, x), []).append(x)
-        for fm in fa:
-            for z in self.space.points:
-                img = self.apply(fm, z)
-                for x in targets.get(img, ()):
-                    out.add((z, x))
-        return out
-
     def move_table(self) -> Tuple[List[object], Dict[object, Tuple[Tuple[object, object], ...]]]:
         """Move letters and move edges, built once per action.
 
         The letters are every ``a^{-1} b`` over ``a, b in S``, sorted by
         repr.  The edges map each point ``z`` to the moves
-        ``(a^{-1} b, x')`` with ``(z, x')`` in ``move_relation(a, b)``.
+        ``(a^{-1} b, x')`` with ``f(z) = f'(x')`` for some ``f in F_a``,
+        ``f' in F_b``: the images of ``z`` under ``F_a`` joined with the
+        preimages under ``F_b``, each set built once per letter.
         """
         if self._moves is None:
-            mul, inv = self.backend.mul, self.backend.inv
+            mul, inv, pts = self.backend.mul, self.backend.inv, self.space.points
+            images, preimages = {}, {}
+            for a in self.S:
+                fa = self.f_set(a)
+                images[a] = [{m[i] for m in fa} for i in range(len(pts))]
+                pre = preimages[a] = {}
+                for m in fa:
+                    for x, y in zip(pts, m):
+                        pre.setdefault(y, set()).add(x)
             letters = set()
-            edges: Dict[object, Set[Tuple[object, object]]] = {z: set() for z in self.space.points}
+            edges: Dict[object, Set[Tuple[object, object]]] = {z: set() for z in pts}
             for a in self.S:
                 for b in self.S:
-                    step = mul(inv(a), b)
+                    step, pre = mul(inv(a), b), preimages[b]
                     letters.add(step)
-                    for (z, xp) in self.move_relation(a, b):
-                        edges[z].add((step, xp))
+                    for z, ys in zip(pts, images[a]):
+                        edges[z].update((step, xp) for y in ys for xp in pre.get(y, ()))
             self._moves = (sorted(letters, key=repr),
                            {z: tuple(out) for z, out in edges.items()})
         return self._moves
@@ -199,9 +190,10 @@ class DSLambdaMetric:
     results are exact rationals again at the boundary.  Once per metric:
 
     - ``closure[x][z]`` is the least scaled cost of a fiber path from
-      point ``x`` to point ``z`` (Floyd--Warshall on the scaled weights).
-      It is the direct weight only under the triangle inequality, which
-      spaces built with ``check=False`` never test.
+      point ``x`` to point ``z``: ``Lambda``'s numerator times the space's
+      ``closure()``, which is built once per space.  It is the direct
+      weight only under the triangle inequality, which spaces built with
+      ``check=False`` never test.
     - ``moves`` pairs each move letter with its edges ``x -> (x', ...)``
       on point indices.
     - The layers are counted on the first search.  Every distance of a
@@ -239,21 +231,17 @@ class DSLambdaMetric:
         self.state_cap = state_cap
         self.backend = action.backend
         self.letters, moves = action.move_table()
-        self.points, self.index = action.space.points, action.index
-        d = action.space.d
-        rows = [[d(x, z) for z in self.points] for x in self.points]
-        den = math.lcm(1, *(v.denominator for row in rows for v in row))
-        # a common denominator of 1 and every Lambda * d(x, z)
-        self.scale = den * self.lam.denominator
-        num = self.lam.numerator * den
-        closure = [[num * v.numerator // v.denominator for v in row] for row in rows]
-        if any(v < 0 for row in closure for v in row):
+        space = action.space
+        self.points, self.index = space.points, space.index
+        scale, rows = space.scaled()
+        if min(map(min, rows), default=0) < 0:
             raise InputError("negative distance in the control space")
-        for k, via in enumerate(closure):
-            for i, row in enumerate(closure):
-                if max(map(sub, row, via)) > row[k]:  # some row[z] > row[k] + via[z]
-                    closure[i] = list(map(min, row, map(add, via, repeat(row[k]))))
-        self.closure = closure
+        # a common denominator of 1 and every Lambda * d(x, z)
+        self.scale = scale * self.lam.denominator
+        # the space's closure is read-only here, shared as is when num is 1
+        num, self.closure = self.lam.numerator, space.closure()
+        if num != 1:
+            self.closure = [[num * v for v in row] for row in self.closure]
         edges: Dict[object, Dict[int, List[int]]] = {}
         for z, out in moves.items():
             for step, xp in out:
@@ -262,6 +250,7 @@ class DSLambdaMetric:
                       for step in self.letters if step in edges]
         self._layers = None  # (elements, successors, capped), built by _reach()
         self._searches: Dict[object, Dict[Tuple[object, object], int]] = {}
+        self._values: Dict[int, Fraction] = {}  # one Fraction per scaled value
 
     def _search(self, x0) -> Dict[Tuple[object, object], int]:
         """The search from ``(e, x0)``, run on the first query from ``x0``."""
@@ -360,7 +349,9 @@ class DSLambdaMetric:
         if found is None:
             return DSLambdaResult(None, not self._certified_unreachable(disp),
                                   Fraction(self.n_max + 1))
-        value = Fraction(found, self.scale)
+        value = self._values.get(found)
+        if value is None:
+            value = self._values[found] = Fraction(found, self.scale)
         if found <= (self.n_max + 1) * self.scale:
             return DSLambdaResult(value, False, value)
         return DSLambdaResult(value, True, Fraction(self.n_max + 1))
@@ -750,7 +741,7 @@ def validate_domination(data: DominationData) -> DominationReport:
         if x not in data.i_map:
             violations.append(f"i undefined at {x!r}")
     for v in data.complex.vertices:
-        if v not in data.p_map or data.p_map[v] not in set(pts):
+        if v not in data.p_map or data.p_map[v] not in data.space:
             violations.append(f"p undefined or out of space at vertex {v!r}")
     if violations:
         return DominationReport(violations, Fraction(0))
@@ -762,9 +753,8 @@ def validate_domination(data: DominationData) -> DominationReport:
     if data.track[-1] != tuple(pts):
         violations.append("track does not end at the identity")
     worst = Fraction(0)
-    index = {p: i for i, p in enumerate(pts)}
-    for x in pts:
-        values = [m[index[x]] for m in data.track]
+    for i in range(len(pts)):
+        values = [m[i] for m in data.track]
         for a in values:
             for b in values:
                 d = data.space.d(a, b)

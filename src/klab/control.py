@@ -12,6 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import InputError
@@ -34,16 +35,20 @@ class GPos(NamedTuple):
 
 
 class ControlSpace:
-    """Finite metric space with exact rational distances."""
+    """Finite metric space with exact rational distances.  Its exact integer
+    view, ``scaled()`` and ``closure()``, is built once on first use and
+    shared by ``validate``, ``p2_metric`` and every ``DSLambdaMetric``."""
 
     def __init__(self, points: Sequence[object], dist: Dict[Tuple[object, object], Fraction],
                  check: bool = True):
         self.points = tuple(points)
-        if len(set(self.points)) != len(self.points):
+        self.index = {p: i for i, p in enumerate(self.points)}  # point -> position
+        if len(self.index) != len(self.points):
             raise InputError("duplicate points in control space")
         self.dist = {key: v if type(v) is Fraction else Fraction(v) for key, v in dist.items()}
         for p in self.points:
             self.dist.setdefault((p, p), Fraction(0))
+        self._scaled = self._closure = None  # built on first use
         if check:
             self.validate()
 
@@ -57,42 +62,66 @@ class ControlSpace:
             raise InputError(f"distance undefined for ({a!r},{b!r})")
         return v
 
+    def scaled(self) -> Tuple[int, List[List[int]]]:
+        """``(scale, rows)`` with ``rows[i][j] = scale * d(p_i, p_j)`` in
+        point order and ``scale`` the common denominator of the distances."""
+        if self._scaled is None:
+            d, pts = self.d, self.points
+            rows = [[d(a, b) for b in pts] for a in pts]
+            scale = math.lcm(1, *(v.denominator for row in rows for v in row))
+            self._scaled = (scale, [[v.numerator * (scale // v.denominator) for v in row]
+                                    for row in rows])
+        return self._scaled
+
+    def closure(self) -> List[List[int]]:
+        """Least scaled cost of a path between every two points
+        (Floyd--Warshall on ``scaled()``); it equals ``scaled()`` exactly
+        when the triangle inequality holds."""
+        if self._closure is None:
+            closure = list(self.scaled()[1])
+            for k, via in enumerate(closure):
+                for i, row in enumerate(closure):
+                    if max(map(operator.sub, row, via)) > row[k]:  # row[z] > row[k] + via[z]
+                        closure[i] = list(map(min, row, map(operator.add, via, repeat(row[k]))))
+            self._closure = closure
+        return self._closure
+
     def validate(self) -> None:
-        """Zero diagonal, symmetry and positivity, then the triangle
-        inequality, checked on the dense distance matrix scaled to
-        integers by the common denominator of its entries."""
-        pts, dist = self.points, self.dist
-        rows = []
+        """Zero diagonal on the stored entries, then symmetry, positivity and
+        the triangle inequality on ``scaled()``."""
+        pts = self.points
         for a in pts:
-            row = []
-            for b in pts:
-                v = dist.get((a, b))
-                row.append(dist.get((b, a)) if v is None else v)
-            rows.append(row)
-        scale = math.lcm(1, *(v.denominator for row in rows for v in row if v is not None))
-        ints = [[None if v is None else v.numerator * (scale // v.denominator) for v in row]
-                for row in rows]
-        for i, a in enumerate(pts):
-            if ints[i][i] != 0:
+            if self.dist[(a, a)] != 0:
                 raise InputError(f"d({a},{a}) != 0")
-        for i, a in enumerate(pts):
-            row_a = ints[i]
-            for j, b in enumerate(pts):
-                v = row_a[j]
-                if v is None:
-                    raise InputError(f"distance undefined for ({a!r},{b!r})")
-                if v != ints[j][i]:
+        _, rows = self.scaled()
+        for i, (a, row_a) in enumerate(zip(pts, rows)):
+            for j, (b, v) in enumerate(zip(pts, row_a)):
+                if v != rows[j][i]:
                     raise InputError(f"asymmetric distance at ({a},{b})")
                 if i != j and v <= 0:
                     raise InputError(f"non-positive distance at ({a},{b})")
-        for i, a in enumerate(pts):
-            row_a = ints[i]
-            for j, b in enumerate(pts):
-                # d(a,c) > d(a,b) + d(b,c) for some c
-                row_b, d_ab = ints[j], row_a[j]
+        if self.closure() == rows:
+            return
+        for a, row_a in zip(pts, rows):  # name the first failing triple
+            for b, row_b, d_ab in zip(pts, rows, row_a):
                 if max(map(operator.sub, row_a, row_b)) > d_ab:
                     k = next(k for k in range(len(pts)) if row_a[k] > d_ab + row_b[k])
                     raise InputError(f"triangle inequality fails at ({a},{b},{pts[k]})")
+
+    @staticmethod
+    def from_scaled(points: Sequence[object], scale: int, rows: List[List[int]],
+                    check: bool = True) -> "ControlSpace":
+        """The space with ``d(p_i, p_j) = rows[i][j] / scale``, whose
+        ``scaled()`` is ``(scale, rows)``: ``scale`` must be the common
+        denominator of those values and the diagonal of ``rows`` zero."""
+        pts = tuple(points)
+        values = {v: Fraction(v, scale) for v in set().union(*rows)}  # one per value
+        space = ControlSpace(pts, {(a, b): values[v] for a, row in zip(pts, rows)
+                                   for b, v in zip(pts, row)}, check=False)
+        space._scaled = (scale, rows)
+        if check:
+            space.validate()
+        return space
 
     @staticmethod
     def from_matrix(points: Sequence[object], rows: Sequence[Sequence[Fraction]],
@@ -113,7 +142,7 @@ class ControlSpace:
         return ControlSpace(pts, dist, check=False)
 
     def __contains__(self, p) -> bool:
-        return p in set(self.points)
+        return p in self.index
 
     def __repr__(self):  # pragma: no cover
         return f"ControlSpace({len(self.points)} points)"

@@ -3,7 +3,6 @@ the comparison audits feeding the L-theory transfer."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -31,31 +30,22 @@ def p2_points(space: ControlSpace) -> List[Tuple[object, object]]:
 
 def p2_metric(space: ControlSpace) -> ControlSpace:
     """min of the two matchings: ``min{d(x,x')+d(y,y'), d(x,y')+d(y,x')}``,
-    summed on integers scaled by the common denominator of ``d``."""
+    summed on the base space's ``scaled()`` integers.  The pair space has
+    the base scale: ``d((x:x), (x:y)) = d(x, y)``, so its values include
+    every base value and share no factor with the scale."""
     pairs = p2_points(space)
-    index = {p: i for i, p in enumerate(space.points)}
-    rows = [[space.d(a, b) for b in space.points] for a in space.points]
-    scale = math.lcm(1, *(v.denominator for row in rows for v in row))
-    ints = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    scale, ints = space.scaled()
+    index = space.index
     ends = [(ints[index[x]], ints[index[y]], index[x], index[y]) for x, y in pairs]
-    values: Dict[int, Fraction] = {}  # one Fraction per distinct scaled value
-    dist: Dict[Tuple[object, object], Fraction] = {}
-    for a, (dx, dy, _, _) in zip(pairs, ends):
-        for b, (_, _, i, j) in zip(pairs, ends):
-            v = min(dx[i] + dy[j], dx[j] + dy[i])
-            if v not in values:
-                values[v] = Fraction(v, scale)
-            dist[(a, b)] = values[v]
-    return ControlSpace(pairs, dist)
+    rows = [[min(dx[i] + dy[j], dx[j] + dy[i]) for (_, _, i, j) in ends]
+            for (dx, dy, _, _) in ends]
+    return ControlSpace.from_scaled(pairs, scale, rows)
 
 
 def p2_point_map(space: ControlSpace, pair_space: ControlSpace, m: PointMap) -> PointMap:
     """Induced map on unordered pairs of a point map on the space."""
-    index = {p: i for i, p in enumerate(space.points)}
-    out = []
-    for (x, y) in pair_space.points:
-        out.append(unordered_pair(m[index[x]], m[index[y]]))
-    return tuple(out)
+    index = space.index
+    return tuple(unordered_pair(m[index[x]], m[index[y]]) for (x, y) in pair_space.points)
 
 
 def p2_action(action: HomotopySAction) -> HomotopySAction:
@@ -133,7 +123,7 @@ def lipschitz_transfer_audit(space_x: ControlSpace, space_y: ControlSpace,
     pairs; a counterexample signals an implementation bug)."""
     delta, eps = Fraction(delta), Fraction(eps)
     for x in space_x.points:
-        if x not in f or f[x] not in set(space_y.points):
+        if x not in f or f[x] not in space_y:
             raise InputError(f"map undefined at {x!r}")
     # hypothesis
     for x in space_x.points:

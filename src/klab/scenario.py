@@ -59,11 +59,19 @@ def fraction_str(v: Fraction) -> Any:
     return f"{v.numerator}/{v.denominator}"
 
 
-def _integer(v) -> int:
-    # bool is a subclass of int but not a matrix entry
-    if type(v) is not int:
-        raise InputError(f"matrix entries and shapes must be integers, not {v!r}")
+_JSON_TYPES = {int: "integers", str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(v, kind: type):
+    """``v`` itself when its JSON type is ``kind``; nothing is coerced, and
+    a bool is not an integer."""
+    if type(v) is not kind:
+        raise InputError(f"expected {_JSON_TYPES[kind]}, not {v!r}")
     return v
+
+
+def _integer(v) -> int:
+    return _typed(v, int)
 
 
 def parse_matrix(obj) -> IntMatrix:
@@ -88,17 +96,21 @@ def _matrices(obj) -> Dict[int, IntMatrix]:
 
 
 def _element_from_json(backend: GroupBackend, v):
+    """An integer (finite table), a list of integers or one integer (free
+    abelian), or a word (free group)."""
     if backend.kind == "finite-table":
-        return backend.canonical(int(v))
+        return backend.canonical(_integer(v))
     if backend.kind == "free-abelian":
-        return backend.canonical(tuple(v) if isinstance(v, list) else (int(v),))
-    return backend.canonical(str(v))
+        return backend.canonical([_integer(t) for t in v] if type(v) is list else [_integer(v)])
+    return backend.canonical(_typed(v, str))
 
 
 def _element_key(backend: GroupBackend, key: str):
     """Group element parsed from a JSON object key (free abelian: ``"1,-2"``)."""
+    if backend.kind == "finite-table":
+        return _element_from_json(backend, int(key))
     if backend.kind == "free-abelian":
-        key = [int(t) for t in key.split(",")] if key else []
+        return _element_from_json(backend, [int(t) for t in key.split(",")] if key else [])
     return _element_from_json(backend, key)
 
 
@@ -109,7 +121,7 @@ def _pair_key(backend: GroupBackend, key: str):
 
 
 def _subset(backend: GroupBackend, items) -> FiniteSubset:
-    return FiniteSubset.of(backend, [_element_from_json(backend, v) for v in items],
+    return FiniteSubset.of(backend, [_element_from_json(backend, v) for v in _typed(items, list)],
                            require_identity=True)
 
 
@@ -182,22 +194,24 @@ def _parse_group(sc: Scenario, spec: Dict[str, Any]) -> GroupBackend:
     if kind == "finite-table":
         preset = spec.get("preset")
         if preset == "cyclic":
-            return FiniteTableGroup.cyclic(int(spec["n"]))
+            return FiniteTableGroup.cyclic(_integer(spec["n"]))
         if preset == "dihedral":
-            return FiniteTableGroup.dihedral(int(spec["n"]))
+            return FiniteTableGroup.dihedral(_integer(spec["n"]))
         if preset == "trivial":
             return FiniteTableGroup.cyclic(1)
-        return FiniteTableGroup(spec["table"], name=spec.get("name", "G"))
+        table = [[_integer(v) for v in _typed(row, list)] for row in _typed(spec["table"], list)]
+        return FiniteTableGroup(table, name=spec.get("name", "G"))
     if kind == "free-abelian":
-        return FreeAbelianGroup(int(spec["rank"]))
+        return FreeAbelianGroup(_integer(spec["rank"]))
     if kind == "free":
-        return FreeGroup(int(spec["rank"]))
+        return FreeGroup(_integer(spec["rank"]))
     raise InputError(f"unknown group kind {kind!r}")
 
 
 def _parse_space(sc: Scenario, spec: Dict[str, Any]) -> ControlSpace:
-    points = list(spec["points"])
-    rows = [[parse_fraction(v) for v in row] for row in spec["distance"]]
+    points = _typed(spec["points"], list)
+    rows = [[parse_fraction(v) for v in _typed(row, list)]
+            for row in _typed(spec["distance"], list)]
     if len(rows) != len(points) or any(len(row) != len(points) for row in rows):
         raise InputError("the distance matrix needs one row and one column per point")
     return ControlSpace.from_matrix(points, rows)
@@ -208,34 +222,34 @@ def _parse_action(sc: Scenario, spec: Dict[str, Any]) -> HomotopySAction:
     space = sc.get("spaces", spec["space"])
     S = _subset(backend, spec["s"])
     if "genuine" in spec:
-        action = {_element_key(backend, k): dict(v)
+        action = {_element_key(backend, k): _typed(v, dict)
                   for k, v in spec["genuine"].items()}
         return HomotopySAction.from_genuine(backend, space, S, action)
-    phi = {_element_key(backend, k): tuple(v[p] for p in space.points)
+    phi = {_element_key(backend, k): tuple(_typed(v, dict)[p] for p in space.points)
            for k, v in spec["phi"].items()}
-    homotopies = {_pair_key(backend, k): tuple(tuple(m[p] for p in space.points)
-                                               for m in grids)
+    homotopies = {_pair_key(backend, k): tuple(tuple(_typed(m, dict)[p] for p in space.points)
+                                               for m in _typed(grids, list))
                   for k, grids in spec["homotopies"].items()}
     return HomotopySAction(backend, space, S, phi, homotopies)
 
 
 def _parse_complex(sc: Scenario, spec: Dict[str, Any]) -> ChainComplex:
-    ranks = {int(k): int(v) for k, v in spec["ranks"].items()}
+    ranks = {int(k): _integer(v) for k, v in spec["ranks"].items()}
     diff = _matrices(spec.get("differentials", {}))
     idem = _matrices(spec["idempotents"]) if "idempotents" in spec else None
     positions = None
     if "positions" in spec:
-        positions = {int(k): tuple(v) for k, v in spec["positions"].items()}
+        positions = {int(k): tuple(_typed(v, list)) for k, v in spec["positions"].items()}
     return ChainComplex(ranks, diff, idem, positions)
 
 
 def _parse_form(sc: Scenario, spec: Dict[str, Any]) -> SymmetricForm:
-    return SymmetricForm(int(spec["rank"]), parse_matrix(spec["gram"]))
+    return SymmetricForm(_integer(spec["rank"]), parse_matrix(spec["gram"]))
 
 
 def _chain_map(spec: Dict[str, Any], source: ChainComplex,
                target: ChainComplex) -> ChainMap:
-    return ChainMap(source, target, int(spec.get("degree", 0)),
+    return ChainMap(source, target, _integer(spec.get("degree", 0)),
                     _matrices(spec.get("mats", {})))
 
 
@@ -246,13 +260,15 @@ def _homotopy(spec: Dict[str, Any], source: ChainMap, target: ChainMap) -> Chain
 def _parse_cover(sc: Scenario, spec: Dict[str, Any]) -> Tuple[CoverSpec, HomotopySAction]:
     action = sc.get("actions", spec["action"])
     backend = action.backend
-    window = [_element_from_json(backend, v) for v in spec["group_window"]]
+    window = [_element_from_json(backend, v) for v in _typed(spec["group_window"], list)]
     carrier = tuple((g, x) for g in window for x in action.space.points)
-    sets = {name: frozenset((_element_from_json(backend, g), x) for (g, x) in members)
-            for name, members in spec["sets"].items()}
-    if any(x not in action.index for members in sets.values() for _, x in members):
+    sets = {}
+    for name, members in spec["sets"].items():
+        pairs = [_typed(v, list) for v in _typed(members, list)]  # [g, x] each
+        sets[name] = frozenset((_element_from_json(backend, g), x) for g, x in pairs)
+    if any(x not in action.space for members in sets.values() for _, x in members):
         raise InputError("cover members must be points of the action's space")
-    name_action = {_element_key(backend, k): dict(perm)
+    name_action = {_element_key(backend, k): _typed(perm, dict)
                    for k, perm in spec.get("name_action", {}).items()}
     if any(not set(perm) | set(perm.values()) <= set(sets)
            for perm in name_action.values()):
@@ -262,8 +278,8 @@ def _parse_cover(sc: Scenario, spec: Dict[str, Any]) -> Tuple[CoverSpec, Homotop
 
 def _parse_morphism(sc: Scenario, spec: Dict[str, Any]) -> EquivariantMorphism:
     backend = sc.get("groups", spec["group"])
-    rank_s = int(spec.get("rank_source", spec.get("rank")))
-    rank_t = int(spec.get("rank_target", spec.get("rank")))
+    rank_s = _integer(spec.get("rank_source", spec.get("rank")))
+    rank_t = _integer(spec.get("rank_target", spec.get("rank")))
     letters = {_element_key(backend, k): parse_matrix(v)
                for k, v in spec["letters"].items()}
     return EquivariantMorphism(backend, group_module(rank_s),
@@ -275,7 +291,7 @@ def _parse_chain_action(sc: Scenario, spec: Dict[str, Any]) -> HomotopySChainCom
     space = sc.get("spaces", spec["space"])
     P = sc.get("complexes", spec["complex"])
     if P.positions is not None and not {p for ps in P.positions.values()
-                                        for p in ps} <= set(space.points):
+                                        for p in ps} <= space.index.keys():
         raise InputError("complex positions must be points of the space")
     S = _subset(backend, spec["s"])
     phi = {_element_key(backend, k): _chain_map(v, P, P) for k, v in spec["phi"].items()}
@@ -304,7 +320,7 @@ def _parse_domination(sc: Scenario, spec: Dict[str, Any]):
 
 
 def _parse_simplicial(sc: Scenario, spec: Dict[str, Any]) -> SimplicialComplex:
-    maximal = [frozenset(s) for s in spec["maximal"]]
+    maximal = [frozenset(_typed(s, list)) for s in _typed(spec["maximal"], list)]
     vertices = sorted({v for s in maximal for v in s})
     return SimplicialComplex.from_maximal(vertices, maximal)
 

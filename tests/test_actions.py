@@ -367,6 +367,99 @@ def test_layered_search_matches_heap_dijkstra(case):
         DSLambdaMetric(act, lam, n_max=n_max, state_cap=states - 1)._layered(x0)
 
 
+def move_table_by_relation(act):
+    """``move_table`` as it was built before it joined the images under
+    ``F_a`` with the preimages under ``F_b``: one ``move_relation(a, b)``
+    per pair of letters, kept as a reference.  Edges are sets here."""
+    def move_relation(a, b):
+        fa, fb = act.f_set(a), act.f_set(b)
+        out, targets = set(), {}
+        for fm in fb:
+            for x in act.space.points:
+                targets.setdefault(act.apply(fm, x), []).append(x)
+        for fm in fa:
+            for z in act.space.points:
+                for x in targets.get(act.apply(fm, z), ()):
+                    out.add((z, x))
+        return out
+
+    mul, inv = act.backend.mul, act.backend.inv
+    letters, edges = set(), {z: set() for z in act.space.points}
+    for a in act.S:
+        for b in act.S:
+            step = mul(inv(a), b)
+            letters.add(step)
+            for z, xp in move_relation(a, b):
+                edges[z].add((step, xp))
+    return sorted(letters, key=repr), edges
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(unchecked_actions())
+def test_move_table_matches_move_relation(case):
+    act = case[0]
+    letters, edges = act.move_table()
+    want_letters, want_edges = move_table_by_relation(act)
+    assert letters == want_letters
+    assert {z: set(out) for z, out in edges.items()} == want_edges
+    assert all(len(out) == len(set(out)) for out in edges.values())
+
+
+def unchecked_swap_action():
+    """Z/2 swapping the ends of ``a, b, c``, on a space built unchecked that
+    stores ``d(a,a) = 1`` and breaks the triangle inequality:
+    ``d(a,c) = 5 > d(a,b) + d(b,c) = 3/2``."""
+    z2 = FiniteTableGroup.cyclic(2)
+    space = ControlSpace(["a", "b", "c"], {("a", "a"): 1, ("a", "b"): 1, ("b", "c"): Fraction(1, 2),
+                                           ("a", "c"): 5}, check=False)
+    return HomotopySAction.from_genuine(z2, space, FiniteSubset.of(z2, [0, 1]),
+                                        {0: {"a": "a", "b": "b", "c": "c"},
+                                         1: {"a": "c", "b": "b", "c": "a"}})
+
+
+def on_fresh_space(act):
+    """The same action on a new copy of its space (nothing built yet)."""
+    space = ControlSpace(act.space.points, act.space.dist, check=False)
+    return HomotopySAction(act.backend, space, act.S, act.phi, act.H, check=False)
+
+
+@pytest.mark.parametrize("build", [unchecked_swap_action, lambda: dihedral_action(3)],
+                         ids=["unchecked", "dihedral3"])
+def test_metrics_share_the_space_closure(build, monkeypatch):
+    act = build()
+    lams = (Fraction(1, 2), Fraction(3, 2), Fraction(2))
+    metrics = [DSLambdaMetric(act, lams[0], n_max=3)]
+    # later metrics read the space's integer view, not its distances
+    monkeypatch.setattr(act.space, "d", None)
+    metrics += [DSLambdaMetric(act, lam, n_max=3) for lam in lams[1:]]
+    assert metrics[0].closure is act.space.closure()
+    monkeypatch.undo()
+    for metric in reversed(metrics):
+        fresh = DSLambdaMetric(on_fresh_space(act), metric.lam, n_max=3)
+        assert metric.scale == fresh.scale
+        for x0 in act.space.points:
+            assert metric._layered(x0) == fresh._layered(x0)
+    assert act.space.closure() == on_fresh_space(act).space.closure()
+    assert act.index is act.space.index
+
+
+def test_unchecked_space_distances_unchanged():
+    # the metric reads d(a,a) as 0, as ControlSpace.d does, and measures
+    # fiber paths: d(a,c) = 3/2 through b
+    act = unchecked_swap_action()
+    with pytest.raises(InputError, match=r"d\(a,a\) != 0"):
+        act.space.validate()
+    metric = DSLambdaMetric(act, Fraction(1), n_max=2)
+    assert metric.distance((0, "a"), (0, "a")).value == 0
+    assert metric.distance((0, "a"), (0, "c")).value == Fraction(3, 2)
+    assert metric.distance((0, "a"), (1, "c")).value == 1
+    assert metric.distance((0, "c"), (1, "b")).value == Fraction(3, 2)
+    for x0 in act.space.points:
+        want, scale, _ = heap_dijkstra(act, Fraction(1), 2, DEFAULT_STATE_CAP, x0)
+        assert metric.scale == scale == 2
+        assert metric._layered(x0) == want
+
+
 def test_dslambda_rejects_negative_distance():
     # the heap search never ended on a negative fiber edge
     triv = FiniteTableGroup.cyclic(1)

@@ -354,6 +354,27 @@ def test_reference_checks_at_load(tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["groups"]["Z2"].update({"n": 2.7}),
+     "groups.Z2: expected integers, not 2.7"),
+    (lambda doc: doc["spaces"]["X"].update({"points": "pq"}),
+     "spaces.X: expected a list, not 'pq'"),
+    (lambda doc: doc["actions"]["swap"].update({"s": [0, 1.5]}),
+     "actions.swap: expected integers, not 1.5"),
+    (lambda doc: doc["actions"]["swap"].update({"s": [0, True]}),
+     "actions.swap: expected integers, not True"),
+    (lambda doc: doc["covers"]["slab"]["sets"]["U"].__setitem__(0, "0p"),
+     "covers.slab: expected a list, not '0p'"),
+    (lambda doc: doc["complexes"]["P"]["positions"].update({"0": "pq"}),
+     "complexes.P: expected a list, not 'pq'"),
+], ids=["n-float", "points-string", "s-float", "s-bool", "member-string", "positions-string"])
+def test_wrong_json_types_exit_two(tmp_path, capsys, edit, message):
+    # int(), list() and tuple() used to coerce each of these into a scenario
+    # that still matched the golden
+    assert run_cli("suite", _mutated(tmp_path, edit), "--golden", GOLDEN_Z2) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_dslambda_negative_horizon_exit_two(capsys):
     assert run_cli("dslambda", Z2, "--action", "swap", "--lam", "1/2",
                    "--src", "0:p", "--dst", "1:p", "--horizon", "-1") == 2

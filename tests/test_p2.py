@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -25,6 +26,27 @@ def test_p2_metric_formula():
     pair = p2_metric(space)
     assert pair.d(unordered_pair("x", "y"), unordered_pair("x2", "y2")) == 3
     assert pair.d(unordered_pair("x", "y"), unordered_pair("x", "y")) == 0
+
+
+def test_pair_space_scale_is_the_common_denominator():
+    # points of the plane with rational coordinates under the l1 metric
+    rng = random.Random(8)
+    for _ in range(30):
+        coords = set()
+        while len(coords) < rng.randint(1, 5):
+            coords.add(tuple(Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 6]))
+                             for _ in range(2)))
+        pts = [f"x{i}" for i in range(len(coords))]
+        dist = {(a, b): abs(u[0] - v[0]) + abs(u[1] - v[1])
+                for a, u in zip(pts, coords) for b, v in zip(pts, coords)}
+        space = ControlSpace(pts, dist)
+        pair = p2_metric(space)
+        scale, rows = pair.scaled()
+        assert scale == math.lcm(1, *(v.denominator for v in pair.dist.values()))
+        assert scale == space.scaled()[0]
+        fresh = ControlSpace(pair.points, pair.dist)
+        assert fresh.scaled() == (scale, rows)
+        assert fresh.closure() == pair.closure() == rows
 
 
 def test_p2_metric_axioms_random():
