@@ -238,7 +238,7 @@ class DSLambdaMetric:
             raise InputError("negative distance in the control space")
         # a common denominator of 1 and every Lambda * d(x, z)
         self.scale = scale * self.lam.denominator
-        # the space's closure is read-only here, shared as is when num is 1
+        # the space's closure rows are tuples, shared as they are when num is 1
         num, self.closure = self.lam.numerator, space.closure()
         if num != 1:
             self.closure = [[num * v for v in row] for row in self.closure]
@@ -250,7 +250,6 @@ class DSLambdaMetric:
                       for step in self.letters if step in edges]
         self._layers = None  # (elements, successors, capped), built by _reach()
         self._searches: Dict[object, Dict[Tuple[object, object], int]] = {}
-        self._values: Dict[int, Fraction] = {}  # one Fraction per scaled value
 
     def _search(self, x0) -> Dict[Tuple[object, object], int]:
         """The search from ``(e, x0)``, run on the first query from ``x0``."""
@@ -349,9 +348,7 @@ class DSLambdaMetric:
         if found is None:
             return DSLambdaResult(None, not self._certified_unreachable(disp),
                                   Fraction(self.n_max + 1))
-        value = self._values.get(found)
-        if value is None:
-            value = self._values[found] = Fraction(found, self.scale)
+        value = Fraction(found, self.scale)
         if found <= (self.n_max + 1) * self.scale:
             return DSLambdaResult(value, False, value)
         return DSLambdaResult(value, True, Fraction(self.n_max + 1))

@@ -62,18 +62,19 @@ class ControlSpace:
             raise InputError(f"distance undefined for ({a!r},{b!r})")
         return v
 
-    def scaled(self) -> Tuple[int, List[List[int]]]:
+    def scaled(self) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
         """``(scale, rows)`` with ``rows[i][j] = scale * d(p_i, p_j)`` in
-        point order and ``scale`` the common denominator of the distances."""
+        point order and ``scale`` the common denominator of the distances.
+        The rows are tuples: every reader shares them."""
         if self._scaled is None:
             d, pts = self.d, self.points
             rows = [[d(a, b) for b in pts] for a in pts]
             scale = math.lcm(1, *(v.denominator for row in rows for v in row))
-            self._scaled = (scale, [[v.numerator * (scale // v.denominator) for v in row]
-                                    for row in rows])
+            self._scaled = (scale, tuple(tuple(v.numerator * (scale // v.denominator) for v in row)
+                                         for row in rows))
         return self._scaled
 
-    def closure(self) -> List[List[int]]:
+    def closure(self) -> Tuple[Tuple[int, ...], ...]:
         """Least scaled cost of a path between every two points
         (Floyd--Warshall on ``scaled()``); it equals ``scaled()`` exactly
         when the triangle inequality holds."""
@@ -82,8 +83,8 @@ class ControlSpace:
             for k, via in enumerate(closure):
                 for i, row in enumerate(closure):
                     if max(map(operator.sub, row, via)) > row[k]:  # row[z] > row[k] + via[z]
-                        closure[i] = list(map(min, row, map(operator.add, via, repeat(row[k]))))
-            self._closure = closure
+                        closure[i] = tuple(map(min, row, map(operator.add, via, repeat(row[k]))))
+            self._closure = tuple(closure)
         return self._closure
 
     def validate(self) -> None:
@@ -109,18 +110,17 @@ class ControlSpace:
                     raise InputError(f"triangle inequality fails at ({a},{b},{pts[k]})")
 
     @staticmethod
-    def from_scaled(points: Sequence[object], scale: int, rows: List[List[int]],
-                    check: bool = True) -> "ControlSpace":
-        """The space with ``d(p_i, p_j) = rows[i][j] / scale``, whose
+    def from_scaled(points: Sequence[object], scale: int,
+                    rows: Sequence[Sequence[int]]) -> "ControlSpace":
+        """The checked space with ``d(p_i, p_j) = rows[i][j] / scale``, whose
         ``scaled()`` is ``(scale, rows)``: ``scale`` must be the common
         denominator of those values and the diagonal of ``rows`` zero."""
-        pts = tuple(points)
+        pts, rows = tuple(points), tuple(map(tuple, rows))
         values = {v: Fraction(v, scale) for v in set().union(*rows)}  # one per value
         space = ControlSpace(pts, {(a, b): values[v] for a, row in zip(pts, rows)
                                    for b, v in zip(pts, row)}, check=False)
         space._scaled = (scale, rows)
-        if check:
-            space.validate()
+        space.validate()
         return space
 
     @staticmethod

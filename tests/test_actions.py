@@ -433,6 +433,8 @@ def test_metrics_share_the_space_closure(build, monkeypatch):
     monkeypatch.setattr(act.space, "d", None)
     metrics += [DSLambdaMetric(act, lam, n_max=3) for lam in lams[1:]]
     assert metrics[0].closure is act.space.closure()
+    # the shared rows cannot be written in place
+    assert all(type(row) is tuple for row in act.space.closure() + act.space.scaled()[1])
     monkeypatch.undo()
     for metric in reversed(metrics):
         fresh = DSLambdaMetric(on_fresh_space(act), metric.lam, n_max=3)
