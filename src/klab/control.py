@@ -117,8 +117,8 @@ class ControlSpace:
         denominator of those values and the diagonal of ``rows`` zero."""
         pts, rows = tuple(points), tuple(map(tuple, rows))
         values = {v: Fraction(v, scale) for v in set().union(*rows)}  # one per value
-        space = ControlSpace(pts, {(a, b): values[v] for a, row in zip(pts, rows)
-                                   for b, v in zip(pts, row)}, check=False)
+        space = ControlSpace(pts, {}, check=False)  # the dict below is handed over, not copied
+        space.dist = {(a, b): values[v] for a, row in zip(pts, rows) for b, v in zip(pts, row)}
         space._scaled = (scale, rows)
         space.validate()
         return space
@@ -261,8 +261,7 @@ def pushforward(phi: ControlledMorphism, f: Dict[object, object]) -> ControlledM
     that image; the matrix itself is unchanged.
     """
     return ControlledMorphism(pushforward_module(phi.source, f),
-                              pushforward_module(phi.target, f),
-                              phi.matrix.copy())
+                              pushforward_module(phi.target, f), phi.matrix)
 
 
 class EquivariantMorphism(GRMatrix):

@@ -18,14 +18,9 @@ from .transfer import (HomotopySChainComplex, PointEquivalence, group_module)
 
 def rand_matrix(rng: random.Random, rows: int, cols: int,
                 density: float = 0.5, lo: int = -2, hi: int = 2) -> IntMatrix:
-    m = IntMatrix.zeros(rows, cols)
-    for i in range(rows):
-        for j in range(cols):
-            if rng.random() < density:
-                v = rng.randint(lo, hi)
-                if v:
-                    m.entries[(i, j)] = v
-    return m
+    # row-major, one density draw per position and a value draw for each kept one
+    return IntMatrix(rows, cols, {(i, j): rng.randint(lo, hi) for i in range(rows)
+                                  for j in range(cols) if rng.random() < density})
 
 
 def rand_complex(rng: random.Random, min_deg: int = 0, max_len: int = 4,
@@ -208,20 +203,13 @@ def z3_rotation_fixture() -> HomotopySChainComplex:
     act = HomotopySAction.from_genuine(z3, X, S, action)
     # vertices x_i, edges e_i = [x_i -> x_{i+1}] placed at their sources,
     # one 2-cell with boundary e_0 + e_1 + e_2 placed at x0
-    d1 = IntMatrix.zeros(3, 3)
-    for i in range(3):
-        d1.entries[(i, i)] = -1
-        d1.entries[((i + 1) % 3, i)] = 1
+    d1 = _edge_boundary(3, 3)
     d2 = IntMatrix.from_rows([[1], [1], [1]])
     P = ChainComplex({0: 3, 1: 3, 2: 1}, {1: d1, 2: d2},
                      positions={0: ("x0", "x1", "x2"),
                                 1: ("x0", "x1", "x2"), 2: ("x0",)})
-    rot_v = IntMatrix.zeros(3, 3)
-    rot_e = IntMatrix.zeros(3, 3)
-    for i in range(3):
-        rot_v.entries[((i + 1) % 3, i)] = 1
-        rot_e.entries[((i + 1) % 3, i)] = 1
-    phi_t = ChainMap(P, P, 0, {0: rot_v, 1: rot_e, 2: IntMatrix.identity(1)})
+    rot = IntMatrix(3, 3, {((i + 1) % 3, i): 1 for i in range(3)})
+    phi_t = ChainMap(P, P, 0, {0: rot, 1: rot, 2: IntMatrix.identity(1)})
     phi = {0: ChainMap.identity(P), 1: phi_t, 2: phi_t.compose(phi_t)}
     homotopies = {}
     for g in range(3):
@@ -325,13 +313,17 @@ def path_space_with_faces(n: int) -> Tuple[ControlSpace, Dict[object, object]]:
     return ControlSpace(pts, dist, check=False), coords
 
 
+def _edge_boundary(vertices: int, edges: int) -> IntMatrix:
+    """``d`` of edges ``t -> t + 1 (mod vertices)``: a path, or a cycle when
+    the counts agree."""
+    return IntMatrix(vertices, edges, {key: v for t in range(edges)
+                                       for key, v in (((t, t), -1), (((t + 1) % vertices, t), 1))})
+
+
 def path_chain_complex(n: int, offset: int = 0, prefix: str = "p",
                        eprefix: str = "e") -> ChainComplex:
     """Simplicial chains of the n-vertex path, positioned on the interval."""
-    d1 = IntMatrix.zeros(n, n - 1)
-    for t in range(n - 1):
-        d1.entries[(t, t)] = -1
-        d1.entries[(t + 1, t)] = 1
+    d1 = _edge_boundary(n, n - 1)
     positions = {0: tuple(f"{prefix}{offset + t}" for t in range(n)),
                  1: tuple(f"{eprefix}{offset + t}" for t in range(n - 1))}
     return ChainComplex({0: n, 1: n - 1}, {1: d1}, positions=positions)
@@ -344,10 +336,7 @@ def path_chain_domination(fine: int = 9, step: int = 4):
     space, coords = path_space_with_faces(fine)
     C = path_chain_complex(fine)
     # coarse complex positioned at its realization inside the same interval
-    d1 = IntMatrix.zeros(coarse, coarse - 1)
-    for j in range(coarse - 1):
-        d1.entries[(j, j)] = -1
-        d1.entries[(j + 1, j)] = 1
+    d1 = _edge_boundary(coarse, coarse - 1)
     dpos = {0: tuple(f"p{step * j}" for j in range(coarse)),
             1: tuple(f"p{step * j + step // 2}" for j in range(coarse - 1))}
     D = ChainComplex({0: coarse, 1: coarse - 1}, {1: d1}, positions=dpos)
@@ -355,33 +344,20 @@ def path_chain_domination(fine: int = 9, step: int = 4):
     def nearest(t: int) -> int:
         return min(range(coarse), key=lambda j: (abs(step * j - t), j))
 
-    i0 = IntMatrix.zeros(coarse, fine)
-    for t in range(fine):
-        i0.entries[(nearest(t), t)] = 1
-    i1 = IntMatrix.zeros(coarse - 1, fine - 1)
-    for t in range(fine - 1):
-        a, b = nearest(t), nearest(t + 1)
-        if b == a + 1:
-            i1.entries[(a, t)] = 1
-        elif a == b + 1:
-            i1.entries[(b, t)] = -1
+    near = [nearest(t) for t in range(fine)]
+    i0 = IntMatrix(coarse, fine, {(a, t): 1 for t, a in enumerate(near)})
+    # an edge whose ends round to neighbouring coarse vertices maps onto that edge
+    i1 = IntMatrix(coarse - 1, fine - 1, {(min(a, b), t): b - a
+                                          for t, (a, b) in enumerate(zip(near, near[1:]))
+                                          if abs(b - a) == 1})
     i = ChainMap(C, D, 0, {0: i0, 1: i1})
-    r0 = IntMatrix.zeros(fine, coarse)
-    for j in range(coarse):
-        r0.entries[(step * j, j)] = 1
-    r1 = IntMatrix.zeros(fine - 1, coarse - 1)
-    for j in range(coarse - 1):
-        for t in range(step * j, step * (j + 1)):
-            r1.entries[(t, j)] = 1
+    r0 = IntMatrix(fine, coarse, {(step * j, j): 1 for j in range(coarse)})
+    r1 = IntMatrix(fine - 1, coarse - 1, {(t, j): 1 for j in range(coarse - 1)
+                                          for t in range(step * j, step * (j + 1))})
     r = ChainMap(D, C, 0, {0: r0, 1: r1})
     # h(p_t) = signed edge chain from r i (p_t) to p_t; h(edges) = 0
-    h0 = IntMatrix.zeros(fine - 1, fine)
-    for t in range(fine):
-        target = step * nearest(t)
-        lo, hi = min(t, target), max(t, target)
-        orient = 1 if target <= t else -1
-        for u in range(lo, hi):
-            h0.entries[(u, t)] = orient
+    h0 = IntMatrix(fine - 1, fine, {(u, t): 1 if step * a <= t else -1 for t, a in enumerate(near)
+                                    for u in range(min(t, step * a), max(t, step * a))})
     h = ChainHomotopy(r.compose(i), ChainMap.identity(C), {0: h0})
     if not h.holds():
         raise AssertionError("path domination homotopy failed")

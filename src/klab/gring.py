@@ -128,15 +128,13 @@ def place_letters(backend: GroupBackend, letters: Dict[object, IntMatrix],
     """Explicit matrix over ``cosets`` with block ``letters[a]`` at
     ``(g, g a)``; products ``g a`` outside the coset list are dropped."""
     index = {g: i for i, g in enumerate(cosets)}
-    m = IntMatrix.zeros(len(cosets) * rows, len(cosets) * cols)
-    for ti, g in enumerate(cosets):
+    grid: List[List[Optional[IntMatrix]]] = [[None] * len(cosets) for _ in cosets]
+    for g, grid_row in zip(cosets, grid):
         for a, blk in letters.items():
             si = index.get(backend.mul(g, a))
-            if si is None:
-                continue
-            for (i, j), v in blk.entries.items():
-                m.entries[(ti * rows + i, si * cols + j)] = v
-    return m
+            if si is not None:
+                grid_row[si] = blk
+    return IntMatrix.from_blocks(grid, [rows] * len(cosets), [cols] * len(cosets))
 
 
 class GRMatrix(LetterMap):

@@ -9,6 +9,7 @@ only the congruence diagonal of a symmetric form is rational.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Tuple
 
 Entry = Tuple[int, int]
@@ -61,37 +62,32 @@ class IntMatrix:
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
         data = [list(r) for r in rows]
-        nrows = len(data)
         ncols = len(data[0]) if data else 0
-        m = IntMatrix(nrows, ncols)
+        entries: Dict[Entry, int] = {}
         for i, row in enumerate(data):
             if len(row) != ncols:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
                 if v != 0:
-                    m.entries[(i, j)] = v
-        return m
+                    entries[(i, j)] = v
+        return IntMatrix._trusted(len(data), ncols, entries)
 
     @staticmethod
     def from_blocks(grid: List[List[Optional["IntMatrix"]]],
                     row_sizes: List[int], col_sizes: List[int]) -> "IntMatrix":
         """Assemble a block matrix; ``None`` blocks are zero."""
-        m = IntMatrix(sum(row_sizes), sum(col_sizes))
-        roff = [0]
-        for r in row_sizes:
-            roff.append(roff[-1] + r)
-        coff = [0]
-        for c in col_sizes:
-            coff.append(coff[-1] + c)
+        roff, coff = [0, *accumulate(row_sizes)], [0, *accumulate(col_sizes)]
+        entries: Dict[Entry, int] = {}
         for bi, row in enumerate(grid):
             for bj, block in enumerate(row):
                 if block is None:
                     continue
-                if block.rows != row_sizes[bi] or block.cols != col_sizes[bj]:
+                if (block.rows, block.cols) != (row_sizes[bi], col_sizes[bj]):
                     raise ValueError("block shape mismatch")
+                r, c = roff[bi], coff[bj]
                 for (i, j), v in block.entries.items():
-                    m.entries[(roff[bi] + i, coff[bj] + j)] = v
-        return m
+                    entries[(r + i, c + j)] = v
+        return IntMatrix._trusted(roff[-1], coff[-1], entries)
 
     # -- basic algebra -------------------------------------------------
 
@@ -270,37 +266,38 @@ class IntMatrix:
                                          for j, v in enumerate(row[n:]) if v})
 
 
-def column_lattice_basis(m: IntMatrix) -> IntMatrix:
-    """Basis of the lattice spanned by the columns, as basis columns.
+def _hermite_pivots(vectors: List[List[int]], length: int) -> List[List[int]]:
+    """Echelon generators of the lattice spanned by ``vectors``.
 
-    Hermite-style gcd elimination over the columns; for an idempotent
-    matrix the column lattice is its image, a free direct summand.
+    Hermite-style gcd elimination: at each coordinate in turn, the vectors
+    nonzero there are gcd-combined into one pivot and the remainders go on.
     """
-    cols = [[m.get(i, j) for i in range(m.rows)] for j in range(m.cols)]
-    cols = [c for c in cols if any(c)]
-    basis: List[List[int]] = []
-    for row in range(m.rows):
-        active = [c for c in cols if c[row] != 0]
-        rest = [c for c in cols if c[row] == 0]
+    vecs = [v for v in vectors if any(v)]
+    pivots: List[List[int]] = []
+    for k in range(length):
+        active = [v for v in vecs if v[k] != 0]
         if not active:
-            cols = rest
             continue
+        vecs = [v for v in vecs if v[k] == 0]
         pivot = active[0]
         for other in active[1:]:
-            while other[row] != 0:
-                if abs(pivot[row]) > abs(other[row]):
+            while other[k] != 0:
+                if abs(pivot[k]) > abs(other[k]):
                     pivot, other = other, pivot
-                q = other[row] // pivot[row]
+                q = other[k] // pivot[k]
                 other = [o - q * p for o, p in zip(other, pivot)]
-            rest.append(other)
-        basis.append(pivot)
-        cols = rest
-    out = IntMatrix.zeros(m.rows, len(basis))
-    for j, col in enumerate(basis):
-        for i, v in enumerate(col):
-            if v:
-                out.entries[(i, j)] = v
-    return out
+            vecs.append(other)
+        pivots.append(pivot)
+    return pivots
+
+
+def column_lattice_basis(m: IntMatrix) -> IntMatrix:
+    """Basis of the lattice spanned by the columns, as basis columns; for
+    an idempotent matrix the column lattice is its image, a free direct
+    summand."""
+    basis = _hermite_pivots([[m.get(i, j) for i in range(m.rows)] for j in range(m.cols)], m.rows)
+    return IntMatrix(m.rows, len(basis), {(i, j): v for j, col in enumerate(basis)
+                                          for i, v in enumerate(col)})
 
 
 def idempotent_splitting(p: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
@@ -327,35 +324,13 @@ def idempotent_splitting(p: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
 
 
 def lattice_member(gens: List[List[int]], target: List[int]) -> bool:
-    """Membership of an integer vector in the lattice spanned by ``gens``.
-
-    Column-by-column gcd elimination (Hermite-style): reduce the basis to
-    echelon pivots, then divide the target through them exactly.
-    """
-    basis = [list(g) for g in gens if any(g)]
+    """Membership of an integer vector in the lattice spanned by ``gens``:
+    reduce the generators to echelon pivots, then divide the target
+    through them exactly."""
     vec = list(target)
-    n = len(vec)
-    if any(len(g) != n for g in basis):
+    if any(len(g) != len(vec) for g in gens if any(g)):
         raise ValueError("generator length mismatch")
-    pivots: List[List[int]] = []
-    for col in range(n):
-        active = [b for b in basis if b[col] != 0]
-        rest = [b for b in basis if b[col] == 0]
-        if not active:
-            basis = rest
-            continue
-        # gcd-combine the active vectors into a single pivot at this column
-        pivot = active[0]
-        for other in active[1:]:
-            while other[col] != 0:
-                if abs(pivot[col]) > abs(other[col]):
-                    pivot, other = other, pivot
-                q = other[col] // pivot[col]
-                other = [o - q * p for o, p in zip(other, pivot)]
-            rest.append(other)
-        pivots.append(pivot)
-        basis = rest
-    for pivot in pivots:
+    for pivot in _hermite_pivots(gens, len(vec)):
         col = next(i for i, v in enumerate(pivot) if v != 0)
         if vec[col] % pivot[col] != 0:
             return False

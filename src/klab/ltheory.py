@@ -47,11 +47,9 @@ def signature(form: SymmetricForm) -> int:
 
 def hyperbolic_form(rank: int) -> SymmetricForm:
     """Standard hyperbolic form ``H(Z^rank)`` with Gram ``[[0, I], [I, 0]]``."""
-    gram = IntMatrix.zeros(2 * rank, 2 * rank)
-    for i in range(rank):
-        gram.entries[(i, rank + i)] = 1
-        gram.entries[(rank + i, i)] = 1
-    return SymmetricForm(2 * rank, gram)
+    one = IntMatrix.identity(rank)
+    return SymmetricForm(2 * rank, IntMatrix.from_blocks([[None, one], [one, None]],
+                                                         [rank, rank], [rank, rank]))
 
 
 def mult_hyperbolic_form(n: int) -> SymmetricForm:
@@ -63,11 +61,8 @@ def mult_hyperbolic_form(n: int) -> SymmetricForm:
     """
     if n < 0:
         raise InputError("negative rank")
-    gram = IntMatrix.zeros(n * n, n * n)
-    for i in range(n):
-        for j in range(n):
-            gram.entries[(i * n + j, j * n + i)] = 1
-    return SymmetricForm(n * n, gram)
+    return SymmetricForm(n * n, IntMatrix(n * n, n * n, {(i * n + j, j * n + i): 1
+                                                        for i in range(n) for j in range(n)}))
 
 
 def sum_decomposition_witness(p: int, q: int) -> Tuple[IntMatrix, SymmetricForm]:
@@ -86,9 +81,7 @@ def sum_decomposition_witness(p: int, q: int) -> Tuple[IntMatrix, SymmetricForm]
     mixed = [(i, j) for i in range(p, n) for j in range(p)]
     order += mixed
     order += [(j, i) for (i, j) in mixed]
-    basis = IntMatrix.zeros(n * n, n * n)
-    for col, (i, j) in enumerate(order):
-        basis.entries[(i * n + j, col)] = 1
+    basis = IntMatrix(n * n, n * n, {(i * n + j, col): 1 for col, (i, j) in enumerate(order)})
     target = mult_hyperbolic_form(p).direct_sum(mult_hyperbolic_form(q))
     target = target.direct_sum(hyperbolic_form(p * q))
     got = basis.transpose() @ source.gram @ basis

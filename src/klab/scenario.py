@@ -74,6 +74,15 @@ def _integer(v) -> int:
     return _typed(v, int)
 
 
+def _int_key(key: str) -> int:
+    """The integer an object key names, written as ``str`` writes it:
+    ``"-1"``, not ``" 1"``, ``"+1"`` or ``"0_0"``."""
+    n = int(key)
+    if str(n) != key:
+        raise ValueError(f"integer key {key!r} is not written canonically")
+    return n
+
+
 def parse_matrix(obj) -> IntMatrix:
     if isinstance(obj, list):
         if not all(isinstance(row, list) for row in obj):
@@ -92,7 +101,7 @@ def parse_matrix(obj) -> IntMatrix:
 
 def _matrices(obj) -> Dict[int, IntMatrix]:
     """Matrices keyed by degree."""
-    return {int(k): parse_matrix(v) for k, v in obj.items()}
+    return {_int_key(k): parse_matrix(v) for k, v in obj.items()}
 
 
 def _element_from_json(backend: GroupBackend, v):
@@ -108,9 +117,9 @@ def _element_from_json(backend: GroupBackend, v):
 def _element_key(backend: GroupBackend, key: str):
     """Group element parsed from a JSON object key (free abelian: ``"1,-2"``)."""
     if backend.kind == "finite-table":
-        return _element_from_json(backend, int(key))
+        return _element_from_json(backend, _int_key(key))
     if backend.kind == "free-abelian":
-        return _element_from_json(backend, [int(t) for t in key.split(",")] if key else [])
+        return _element_from_json(backend, [_int_key(t) for t in key.split(",")] if key else [])
     return _element_from_json(backend, key)
 
 
@@ -234,12 +243,12 @@ def _parse_action(sc: Scenario, spec: Dict[str, Any]) -> HomotopySAction:
 
 
 def _parse_complex(sc: Scenario, spec: Dict[str, Any]) -> ChainComplex:
-    ranks = {int(k): _integer(v) for k, v in spec["ranks"].items()}
+    ranks = {_int_key(k): _integer(v) for k, v in spec["ranks"].items()}
     diff = _matrices(spec.get("differentials", {}))
     idem = _matrices(spec["idempotents"]) if "idempotents" in spec else None
     positions = None
     if "positions" in spec:
-        positions = {int(k): tuple(_typed(v, list)) for k, v in spec["positions"].items()}
+        positions = {_int_key(k): tuple(_typed(v, list)) for k, v in spec["positions"].items()}
     return ChainComplex(ranks, diff, idem, positions)
 
 

@@ -382,12 +382,9 @@ def chain_complex_of(sc: SimplicialComplex,
     diff: Dict[int, IntMatrix] = {}
     for k in range(1, sc.dimension() + 1):
         rows = {s: i for i, s in enumerate(by_dim[k - 1])}
-        m = IntMatrix.zeros(len(by_dim[k - 1]), len(by_dim[k]))
-        for j, s in enumerate(by_dim[k]):
-            for i, v in enumerate(s):
-                face = tuple(x for x in s if x != v)
-                m.entries[(rows[face], j)] = sign(i)
-        diff[k] = m
+        diff[k] = IntMatrix(len(by_dim[k - 1]), len(by_dim[k]), {
+            (rows[s[:i] + s[i + 1:]], j): sign(i)
+            for j, s in enumerate(by_dim[k]) for i in range(len(s))})
     positions = None
     if placement is not None:
         positions = {}

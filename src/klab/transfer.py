@@ -220,10 +220,11 @@ def expand_complex(backend: GroupBackend, fiber: ChainComplex,
     """Direct sum of translated fibers over an explicit coset list."""
     gs = [backend.canonical(g) for g in cosets]
     cx = module_tensor(len(gs), fiber)
-    if fiber.positions is not None:
-        cx.positions = {n: tuple(GPos(g, z) for g in gs for z in fiber.pos(n))
-                        for n in fiber.ranks}
-    return cx
+    if fiber.positions is None:
+        return cx
+    return ChainComplex(cx.ranks, cx.diff, cx.idem,
+                        {n: tuple(GPos(g, z) for g in gs for z in fiber.pos(n)) for n in fiber.ranks},
+                        check=False)
 
 
 # -- the transfer --------------------------------------------------------------
@@ -548,12 +549,8 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
     checks.append(("gf-equals-ri", gprime.compose(fprime) == r.compose(i)))
 
     # k': f' o g' ~ id_{C'} via the inclusion C'_m -> C'_{m+1}
-    kp_mats: Dict[int, IntMatrix] = {}
-    for m in range(cap):
-        inc = IntMatrix.zeros(ranks[m + 1], ranks[m])
-        for t in range(ranks[m]):
-            inc.entries[(t, t)] = 1
-        kp_mats[m] = inc
+    kp_mats = {m: IntMatrix(ranks[m + 1], ranks[m], {(t, t): 1 for t in range(ranks[m])})
+               for m in range(cap)}
     kprime = ChainHomotopy(fprime.compose(gprime), ChainMap.identity(staircase), kp_mats)
     checks.append(("k-prime-homotopy", _homotopy_holds_below(kprime, cap - 1)))
 

@@ -375,6 +375,54 @@ def test_wrong_json_types_exit_two(tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+# where z2.json keys an entry by an integer, and the key it uses there
+INTEGER_KEYS = {
+    "ranks": (("complexes", "P", "ranks"), "0"),
+    "positions": (("complexes", "P", "positions"), "0"),
+    "differentials": (("complexes", "P", "differentials"), "1"),
+    "genuine": (("actions", "swap", "genuine"), "1"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_KEYS))
+@pytest.mark.parametrize("spell", [" {}".format, "+{}".format, "0_{}".format],
+                         ids=["space", "plus", "underscore"])
+def test_noncanonical_integer_keys_exit_two(tmp_path, capsys, site, spell):
+    # int() reads " 0", "+1" and "0_0" as integers, so each of these used to
+    # load and still match the golden
+    path, key = INTEGER_KEYS[site]
+
+    def respell(doc):
+        keyed = doc
+        for part in path:
+            keyed = keyed[part]
+        keyed[spell(key)] = keyed.pop(key)
+
+    assert run_cli("suite", _mutated(tmp_path, respell), "--golden", GOLDEN_Z2) == 2
+    assert f"integer key {spell(key)!r} is not written canonically" in capsys.readouterr().err
+
+
+def test_canonical_integer_keys_load():
+    doc = {
+        "version": 1,
+        "groups": {"Z2": {"kind": "free-abelian", "rank": 2}},
+        "spaces": {"X": {"points": ["a"], "distance": [[0]]}},
+        "actions": {"triv": {"group": "Z2", "space": "X", "s": [[0, 0], [1, -2], [-1, 2]],
+                             "genuine": {"0,0": {"a": "a"}, "1,-2": {"a": "a"},
+                                         "-1,2": {"a": "a"}}}},
+        "complexes": {"C": {"ranks": {"-1": 1, "0": 1},
+                            "differentials": {"0": [[2]]}}},
+    }
+    sc = parse_scenario(doc)
+    assert sc.complexes["C"].ranks == {-1: 1, 0: 1}
+    assert sc.complexes["C"].d(0) == IntMatrix.from_rows([[2]])
+    for bad in ("1, -2", "1,-02", "+1,-2"):
+        doc["actions"]["triv"]["genuine"][bad] = doc["actions"]["triv"]["genuine"].pop("1,-2")
+        with pytest.raises(InputError, match="is not written canonically"):
+            parse_scenario(doc)
+        doc["actions"]["triv"]["genuine"]["1,-2"] = doc["actions"]["triv"]["genuine"].pop(bad)
+
+
 def test_dslambda_negative_horizon_exit_two(capsys):
     assert run_cli("dslambda", Z2, "--action", "swap", "--lam", "1/2",
                    "--src", "0:p", "--dst", "1:p", "--horizon", "-1") == 2

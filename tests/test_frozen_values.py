@@ -1,0 +1,93 @@
+"""Matrices and complexes are values.
+
+Outside ``klab.intmat`` a matrix is built by a constructor (``IntMatrix``,
+``identity``, ``zeros``, ``from_rows``, ``from_blocks`` or the algebra
+operators) and never written afterwards, so the sparse-entry invariant
+(only nonzero entries, all inside the shape) is kept in one module and a
+stored matrix can be shared.  The same holds for the matrices and
+positions a ``ChainComplex`` or ``ChainMap`` holds: only its own methods
+set them.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "klab"
+DICT_WRITES = {"pop", "update", "setdefault", "clear", "popitem"}
+HELD = {"entries", "diff", "mats", "idem", "positions"}
+
+
+def _targets(node):
+    """Assignment and ``del`` targets of ``node``, tuples unpacked."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        todo = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        todo = [node.target]
+    else:
+        return
+    while todo:
+        t = todo.pop()
+        if isinstance(t, (ast.Tuple, ast.List)):
+            todo.extend(t.elts)
+        elif isinstance(t, ast.Starred):
+            todo.append(t.value)
+        else:
+            yield t
+
+
+def _is_entries(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "entries"
+
+
+def value_writes(tree):
+    """Line numbers of every write into ``.entries`` and every rebinding
+    of a held matrix dict or positions on anything but ``self``."""
+    for node in ast.walk(tree):
+        for t in _targets(node):
+            if isinstance(t, ast.Subscript) and _is_entries(t.value):
+                yield t.lineno
+            elif (isinstance(t, ast.Attribute) and t.attr in HELD
+                  and not (isinstance(t.value, ast.Name) and t.value.id == "self")):
+                yield t.lineno
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in DICT_WRITES and _is_entries(node.func.value)):
+            yield node.lineno
+
+
+def test_no_matrix_is_written_outside_intmat():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py")) if path.name != "intmat.py"
+             for line in sorted(value_writes(ast.parse(path.read_text(encoding="utf-8"))))]
+    assert found == []
+
+
+def test_guard_flags_every_kind_of_write():
+    writes = [
+        "m.entries[(0, 0)] = 1",
+        "m.entries[k] += 1",
+        "del m.entries[k]",
+        "a, m.entries[k] = 1, 2",
+        "m.entries.pop(k)",
+        "m.entries.update(other)",
+        "m.entries.setdefault(k, 1)",
+        "m.entries.clear()",
+        "m.entries.popitem()",
+        "m.entries = {}",
+        "cx.diff = {}",
+        "f.mats = {}",
+        "cx.idem = None",
+        "cx.positions = {0: ()}",
+        "other.positions: dict = {}",
+        "del cx.positions",
+    ]
+    for src in writes:
+        assert list(value_writes(ast.parse(src))) == [1], src
+    reads = [
+        "self.diff = {}",
+        "self.positions = dict(positions)",
+        "v = m.entries.get(k, 0)",
+        "entries[k] = v",
+        "out = dict(m.entries)",
+        "cx.ranks = {}",
+    ]
+    for src in reads:
+        assert list(value_writes(ast.parse(src))) == [], src
