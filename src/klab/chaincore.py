@@ -22,6 +22,13 @@ Complexes may carry positions (one label per basis vector and degree)
 and idempotents ``p`` with ``p^2 = p`` for objects of the idempotent
 completion; both are transported through every construction here.
 
+A complex is a value: its ranks, matrices, idempotents and positions
+are set by its constructor and never written afterwards.  That is what
+makes sharing safe: ``dual_complex(c)`` and ``tensor_complex(c, d)``
+are memoised on ``c`` and hand back the same object for as long as some
+caller holds it.  The memo holds them weakly, so a complex never keeps
+its derived complexes alive.
+
 A complex's coefficient ring is the class or object that makes its zero
 and identity matrices and assembles block matrices: ``IntMatrix`` for
 ``Z`` (the default), ``gring.GroupRing`` for ``Z[G]``.  Maps, homotopies,
@@ -31,6 +38,7 @@ integral only.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -66,6 +74,8 @@ class ChainComplex:
                     self.diff[n] = m
         self.idem = dict(idem) if idem else None
         self.positions = dict(positions) if positions else None
+        self._dual = None  # weak reference to dual_complex(self)
+        self._tensors = {}  # id(d) -> (weak d, TensorLayout, weak self ox d)
         if check:
             self.validate()
 
@@ -313,7 +323,13 @@ class ChainHomotopy:
 
 
 def dual_complex(c: ChainComplex) -> ChainComplex:
-    """``(C^-*)_n = (C_{-n})^*`` with differential ``(-1)^n (d_{-n+1})^T``."""
+    """``(C^-*)_n = (C_{-n})^*`` with differential ``(-1)^n (d_{-n+1})^T``.
+
+    Shared: while the dual is held, every call on ``c`` returns it.
+    """
+    held = c._dual() if c._dual is not None else None
+    if held is not None:
+        return held
     ranks = {-n: r for n, r in c.ranks.items()}
     diff = {}
     for n in ranks:
@@ -326,7 +342,9 @@ def dual_complex(c: ChainComplex) -> ChainComplex:
     positions = None
     if c.positions is not None:
         positions = {-n: c.pos(n) for n in c.ranks}
-    return ChainComplex(ranks, diff, idem, positions, check=False)
+    out = ChainComplex(ranks, diff, idem, positions, check=False)
+    c._dual = weakref.ref(out)
+    return out
 
 
 def dual_map(f: ChainMap) -> ChainMap:
@@ -348,11 +366,15 @@ def iota(c: ChainComplex) -> ChainMap:
 
 
 class TensorLayout:
-    """Index bookkeeping for ``(C ox D)_n = sum over p+q=n of C_p ox D_q``."""
+    """Index bookkeeping for ``(C ox D)_n = sum over p+q=n of C_p ox D_q``.
+
+    Keeps the two rank dicts, not the complexes, so a layout held in a
+    complex's memo refers to no complex.
+    """
 
     def __init__(self, c: ChainComplex, d: ChainComplex):
-        self.c = c
-        self.d = d
+        self.c_ranks = c.ranks
+        self.d_ranks = d.ranks
         self.blocks: Dict[int, List[Tuple[int, int]]] = {}
         for p in c.degrees():
             for q in d.degrees():
@@ -365,21 +387,33 @@ class TensorLayout:
             off = 0
             for (p, q) in pairs:
                 self.offsets[(p, q)] = off
-                off += c.rank(p) * d.rank(q)
+                off += self.block_rank(p, q)
             self.ranks[n] = off
 
     def block_rank(self, p: int, q: int) -> int:
-        return self.c.rank(p) * self.d.rank(q)
+        return self.c_ranks.get(p, 0) * self.d_ranks.get(q, 0)
 
 
-def tensor_complex(c: ChainComplex, d: ChainComplex,
-                   layout: Optional[TensorLayout] = None) -> ChainComplex:
+def tensor_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:
     """``C ox D`` with ``d = d_C ox 1 + (-1)^p 1 ox d_D`` on ``C_p ox D_q``.
 
-    ``layout`` is ``TensorLayout(c, d)`` when the caller has built it.
+    Shared: while the tensor is held, every call on ``(c, d)`` returns it.
     """
-    if layout is None:
-        layout = TensorLayout(c, d)
+    return _tensor(c, d)[1]
+
+
+def _tensor(c: ChainComplex, d: ChainComplex) -> Tuple[TensorLayout, ChainComplex]:
+    """``(TensorLayout(c, d), C ox D)``, shared while ``C ox D`` is held.
+
+    The memo on ``c`` is keyed by ``id(d)``; a weak reference to ``d``
+    tells a live key from the id of a dead complex.
+    """
+    entry = c._tensors.get(id(d))
+    if entry is not None and entry[0]() is d:
+        held = entry[2]()
+        if held is not None:
+            return entry[1], held
+    layout = TensorLayout(c, d)
     offsets = layout.offsets
     diff: Dict[int, IntMatrix] = {}
     for n, pairs in layout.blocks.items():
@@ -422,13 +456,17 @@ def tensor_complex(c: ChainComplex, d: ChainComplex,
             for (p, q) in pairs:
                 ps.extend(_pair_positions(c.pos(p), d.pos(q)))
             positions[n] = tuple(ps)
-    return ChainComplex(layout.ranks, diff, idem, positions, check=False)
+    out = ChainComplex(layout.ranks, diff, idem, positions, check=False)
+    c._tensors = {key: e for key, e in c._tensors.items()
+                  if e[0]() is not None and e[2]() is not None}
+    c._tensors[id(d)] = (weakref.ref(d), layout, weakref.ref(out))
+    return layout, out
 
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     """``(f ox g)|_{A_p ox B_q} = (-1)^{|g| p} f_p ox g_q``."""
-    src = TensorLayout(f.source, g.source)
-    tgt = TensorLayout(f.target, g.target)
+    src, src_cx = _tensor(f.source, g.source)
+    tgt, tgt_cx = _tensor(f.target, g.target)
     k = f.degree + g.degree
     mats: Dict[int, IntMatrix] = {}
     for n, pairs in src.blocks.items():
@@ -444,14 +482,13 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
                 ent[(toff + i, soff + j)] = s * v
         if ent:
             mats[n] = IntMatrix._trusted(tgt.ranks.get(n + k, 0), src.ranks[n], ent)
-    return ChainMap(tensor_complex(f.source, g.source, src),
-                    tensor_complex(f.target, g.target, tgt), k, mats, check=False)
+    return ChainMap(src_cx, tgt_cx, k, mats, check=False)
 
 
 def flip_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
     """Chain isomorphism ``C ox D -> D ox C`` with ``(-1)^{pq}`` signs."""
-    src = TensorLayout(c, d)
-    tgt = TensorLayout(d, c)
+    src, src_cx = _tensor(c, d)
+    tgt, tgt_cx = _tensor(d, c)
     mats: Dict[int, IntMatrix] = {}
     for n, pairs in src.blocks.items():
         ent: Dict[Tuple[int, int], int] = {}
@@ -465,8 +502,7 @@ def flip_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
                     # basis e_i ox f_j at index i*rd+j maps to f_j ox e_i
                     ent[(toff + j * rc + i, soff + i * rd + j)] = sgn
         mats[n] = IntMatrix._trusted(tgt.ranks.get(n, 0), src.ranks[n], ent)
-    return ChainMap(tensor_complex(c, d, src), tensor_complex(d, c, tgt), 0, mats,
-                    check=False)
+    return ChainMap(src_cx, tgt_cx, 0, mats, check=False)
 
 
 def mu_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
@@ -476,10 +512,9 @@ def mu_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
     ``(C_{-p})^* ox (D_{-q})^* = (C_{-p} ox D_{-q})^*``; it is a chain
     isomorphism for finite complexes.
     """
-    cd, dd = dual_complex(c), dual_complex(d)
-    src = TensorLayout(cd, dd)
-    tgt = TensorLayout(c, d)  # blocks of (C ox D)_{-n} index the dual basis
-    tgt_cx = dual_complex(tensor_complex(c, d, tgt))
+    src, src_cx = _tensor(dual_complex(c), dual_complex(d))
+    tgt, cd_cx = _tensor(c, d)  # blocks of (C ox D)_{-n} index the dual basis
+    tgt_cx = dual_complex(cd_cx)
     mats: Dict[int, IntMatrix] = {}
     for n, pairs in src.blocks.items():
         ent: Dict[Tuple[int, int], int] = {}
@@ -492,7 +527,7 @@ def mu_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
             for t in range(src.block_rank(p, q)):
                 ent[(toff + t, soff + t)] = sgn
         mats[n] = IntMatrix._trusted(tgt_cx.rank(n), src.ranks[n], ent)
-    return ChainMap(tensor_complex(cd, dd, src), tgt_cx, 0, mats, check=False)
+    return ChainMap(src_cx, tgt_cx, 0, mats, check=False)
 
 
 def cone(f: ChainMap) -> ChainComplex:

@@ -352,6 +352,17 @@ def cmd_suite(scenario: Scenario, args) -> Report:
 # -- argument parsing ---------------------------------------------------------------
 
 
+def _nonnegative(what: str):
+    """argparse type for a count: an int, and a negative one is a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{what} must not be negative")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="klab",
@@ -364,9 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--json-out", help="write the machine report here")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled audits")
-        p.add_argument("--horizon", type=int, default=6,
+        p.add_argument("--horizon", type=_nonnegative("the move horizon"), default=6,
                        help="move horizon for d_{S,Lambda}")
-        p.add_argument("--samples", type=int, default=200,
+        p.add_argument("--samples", type=_nonnegative("the sample count"), default=200,
                        help="sample count for randomized audits")
         return p
 
@@ -445,7 +456,10 @@ COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error, help or version
+        return exc.code
     try:
         if args.command == "canonicalize":
             sys.stdout.write(canonicalize_file(args.scenario))

@@ -429,6 +429,18 @@ def test_dslambda_negative_horizon_exit_two(capsys):
     assert "move horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("p2", Z2, "--space", "X", "--action", "swap", "--samples", "-5"), "sample count"),
+    (("orbit", Z2, "--action", "swap", "--depth", "1", "--at", "0:p", "--horizon", "-3"),
+     "move horizon"),
+    (("suite", Z2, "--horizon", "-1"), "move horizon"),
+])
+def test_negative_counts_are_usage_errors(argv, message, capsys):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_canonicalize_missing_or_bad_file_exit_two(tmp_path, capsys):
     assert run_cli("canonicalize", str(tmp_path / "nope.json")) == 2
     bad = tmp_path / "bad.json"

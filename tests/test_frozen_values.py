@@ -4,9 +4,10 @@ Outside ``klab.intmat`` a matrix is built by a constructor (``IntMatrix``,
 ``identity``, ``zeros``, ``from_rows``, ``from_blocks`` or the algebra
 operators) and never written afterwards, so the sparse-entry invariant
 (only nonzero entries, all inside the shape) is kept in one module and a
-stored matrix can be shared.  The same holds for the matrices and
-positions a ``ChainComplex`` or ``ChainMap`` holds: only its own methods
-set them.
+stored matrix can be shared.  The same holds for the ranks, matrices,
+idempotents and positions a ``ChainComplex`` or ``ChainMap`` holds: only
+its own methods set or fill them.  ``klab.chaincore`` relies on this when
+it hands one memoised dual or tensor to every caller.
 """
 
 import ast
@@ -14,7 +15,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "klab"
 DICT_WRITES = {"pop", "update", "setdefault", "clear", "popitem"}
-HELD = {"entries", "diff", "mats", "idem", "positions"}
+HELD = {"diff", "mats", "idem", "positions", "ranks"}
 
 
 def _targets(node):
@@ -35,22 +36,28 @@ def _targets(node):
             yield t
 
 
-def _is_entries(node) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr == "entries"
+def _is_value(node) -> bool:
+    """``node`` reads a matrix's ``.entries``, or a held dict of anything
+    but ``self``: only a value's own constructor writes into those."""
+    if not isinstance(node, ast.Attribute):
+        return False
+    if node.attr == "entries":
+        return True
+    return node.attr in HELD and not (isinstance(node.value, ast.Name)
+                                      and node.value.id == "self")
 
 
 def value_writes(tree):
-    """Line numbers of every write into ``.entries`` and every rebinding
-    of a held matrix dict or positions on anything but ``self``."""
+    """Line numbers of every write into ``.entries``, and of every write
+    into or rebinding of a held dict on anything but ``self``."""
     for node in ast.walk(tree):
         for t in _targets(node):
-            if isinstance(t, ast.Subscript) and _is_entries(t.value):
-                yield t.lineno
-            elif (isinstance(t, ast.Attribute) and t.attr in HELD
-                  and not (isinstance(t.value, ast.Name) and t.value.id == "self")):
+            if isinstance(t, ast.Subscript):
+                t = t.value
+            if _is_value(t):
                 yield t.lineno
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in DICT_WRITES and _is_entries(node.func.value)):
+                and node.func.attr in DICT_WRITES and _is_value(node.func.value)):
             yield node.lineno
 
 
@@ -78,6 +85,17 @@ def test_guard_flags_every_kind_of_write():
         "cx.positions = {0: ()}",
         "other.positions: dict = {}",
         "del cx.positions",
+        "cx.ranks = {}",
+        "cx.diff[1] = m",
+        "f.mats[0] += m",
+        "del cx.idem[0]",
+        "a, cx.positions[0] = 1, ()",
+        "cx.ranks[2] = 1",
+        "cx.diff.pop(1)",
+        "f.mats.update(other)",
+        "cx.idem.setdefault(0, m)",
+        "cx.positions.clear()",
+        "cx.ranks.popitem()",
     ]
     for src in writes:
         assert list(value_writes(ast.parse(src))) == [1], src
@@ -87,7 +105,10 @@ def test_guard_flags_every_kind_of_write():
         "v = m.entries.get(k, 0)",
         "entries[k] = v",
         "out = dict(m.entries)",
-        "cx.ranks = {}",
+        "self.ranks[n] = off",
+        "self.mats.update(other)",
+        "m = cx.diff.get(1)",
+        "layout.blocks[n].sort()",
     ]
     for src in reads:
         assert list(value_writes(ast.parse(src))) == [], src
