@@ -250,6 +250,7 @@ class DSLambdaMetric:
                       for step in self.letters if step in edges]
         self._layers = None  # (elements, successors, capped), built by _reach()
         self._searches: Dict[object, Dict[Tuple[object, object], int]] = {}
+        self._reachable = None  # finite-table displacements the letters reach
 
     def _search(self, x0) -> Dict[Tuple[object, object], int]:
         """The search from ``(e, x0)``, run on the first query from ``x0``."""
@@ -333,8 +334,15 @@ class DSLambdaMetric:
         """True when no chain of move letters can realize the displacement."""
         letters = self.letters
         if self.backend.kind == "finite-table":
-            sub = SubgroupDescription.of(self.backend, letters or [self.backend.identity()])
-            return displacement not in sub.closure()
+            if self._reachable is None:  # the closure, or the HorizonExceeded it raised
+                try:
+                    self._reachable = SubgroupDescription.of(
+                        self.backend, letters or [self.backend.identity()]).closure()
+                except HorizonExceeded as exc:
+                    self._reachable = exc
+            if isinstance(self._reachable, HorizonExceeded):
+                raise self._reachable.with_traceback(None)
+            return displacement not in self._reachable
         if self.backend.kind == "free-abelian":
             return not lattice_member([list(l) for l in letters], list(displacement))
         e = self.backend.identity()

@@ -22,6 +22,11 @@ Complexes may carry positions (one label per basis vector and degree)
 and idempotents ``p`` with ``p^2 = p`` for objects of the idempotent
 completion; both are transported through every construction here.
 
+A block absent from ``diff`` or ``mats`` is zero, one absent from ``idem``
+the identity: the algebra and the checks never materialise it, and check
+each present block they read against its ranks.  ``mat()``, ``d()`` and
+``p()`` return explicit zero and identity matrices for outside callers.
+
 A complex is a value: its ranks, matrices, idempotents and positions
 are set by its constructor and never written afterwards.  That is what
 makes sharing safe: ``dual_complex(c)`` and ``tensor_complex(c, d)``
@@ -50,6 +55,32 @@ Positions = Tuple[object, ...]
 
 def _pair_positions(pa: Positions, pb: Positions) -> Positions:
     return tuple((a, b) for a in pa for b in pb)
+
+
+def _block(blocks: Dict[int, IntMatrix], n: int, rows: int, cols: int, what: str):
+    """The block at degree ``n``, or None when it is absent (zero, or an
+    implicit identity); a present block must be ``rows x cols``."""
+    m = blocks.get(n)
+    if m is not None and (m.rows != rows or m.cols != cols):
+        raise ValueError(f"{what} shape mismatch at degree {n}")
+    return m
+
+
+def _mul(a, b, k: int = 0):
+    """``(-1)^k a @ b``, or None when a factor is absent."""
+    return None if a is None or b is None else -(a @ b) if k % 2 else a @ b
+
+
+def _plus(a, b):
+    """``a + b`` with None as the zero term."""
+    return b if a is None else a if b is None else a + b
+
+
+def _same(a, b) -> bool:
+    """``a == b`` for blocks of one shape, None reading as zero."""
+    if a is None:
+        return b is None or b.is_zero()
+    return a.is_zero() if b is None else a == b
 
 
 class ChainComplex:
@@ -127,22 +158,26 @@ class ChainComplex:
         return sum(sign(n) * r for n, r in self.ranks.items())
 
     def validate(self) -> None:
+        diff, idem, rank = self.diff, self.idem, self.rank
         for n in self.ranks:
-            dn = self.d(n)
-            if (dn.rows, dn.cols) != (self.rank(n - 1), self.rank(n)):
-                raise ValueError(f"differential shape mismatch at degree {n}")
-            if not (dn @ self.d(n + 1)).is_zero():
+            dn = _block(diff, n, rank(n - 1), rank(n), "differential")
+            up = diff.get(n + 1)  # d_n, present or zero, fixes the rows of d_{n+1}
+            if up is not None and up.rows != rank(n):
+                raise ValueError(f"differential shape mismatch at degree {n + 1}")
+            if dn is not None and up is not None and not (dn @ up).is_zero():
                 raise ValueError(f"d o d != 0 at degree {n + 1}")
             if self.positions is not None:
                 ps = self.pos(n)
-                if ps is None or len(ps) != self.rank(n):
+                if ps is None or len(ps) != rank(n):
                     raise ValueError(f"positions missing at degree {n}")
-            if self.idem is not None:
-                pn = self.p(n)
-                if not (pn @ pn - pn).is_zero():
+            if idem is not None:
+                pn = _block(idem, n, rank(n), rank(n), "idempotent")
+                below = _block(idem, n - 1, rank(n - 1), rank(n - 1), "idempotent")
+                if pn is not None and pn @ pn != pn:
                     raise ValueError(f"idempotent fails p^2 = p at degree {n}")
                 # d is a morphism (C_n,p_n) -> (C_{n-1},p_{n-1}) in Idem
-                if not (self.p(n - 1) @ dn @ pn - dn).is_zero():
+                x = dn if dn is None or below is None else below @ dn
+                if dn is not None and (x if pn is None else x @ pn) != dn:
                     raise ValueError(f"differential not compatible with idempotents at {n}")
 
     def __eq__(self, other: object) -> bool:
@@ -188,19 +223,21 @@ class ChainMap:
         return m
 
     def validate(self) -> None:
-        k = self.degree
-        degs = set(self.source.ranks) | {n - k for n in self.target.ranks}
-        idem = self.source.idem is not None or self.target.idem is not None
-        for n in degs:
-            m = self.mat(n)
-            if (m.rows, m.cols) != (self.target.rank(n + k), self.source.rank(n)):
-                raise ValueError(f"chain map shape mismatch at degree {n}")
-            lhs = self.target.d(n + k) @ m
-            rhs = (self.mat(n - 1) @ self.source.d(n)).scale(sign(k))
-            if lhs != rhs:
+        k, S, T, mats = self.degree, self.source, self.target, self.mats
+        s_idem, t_idem = S.idem or {}, T.idem or {}
+        for n in set(S.ranks) | {n - k for n in T.ranks}:
+            m = _block(mats, n, T.rank(n + k), S.rank(n), "chain map")
+            below = _block(mats, n - 1, T.rank(n + k - 1), S.rank(n - 1), "chain map")
+            dt = _block(T.diff, n + k, T.rank(n + k - 1), T.rank(n + k), "differential")
+            ds = _block(S.diff, n, S.rank(n - 1), S.rank(n), "differential")
+            if not _same(_mul(dt, m), _mul(below, ds, k)):
                 raise ValueError(f"not a chain map at degree {n}")
-            if idem and not (self.target.p(n + k) @ m @ self.source.p(n) - m).is_zero():
-                raise ValueError(f"map not compatible with idempotents at degree {n}")
+            if s_idem or t_idem:
+                pt = _block(t_idem, n + k, T.rank(n + k), T.rank(n + k), "idempotent")
+                ps = _block(s_idem, n, S.rank(n), S.rank(n), "idempotent")
+                x = m if m is None or pt is None else pt @ m
+                if m is not None and (x if ps is None else x @ ps) != m:
+                    raise ValueError(f"map not compatible with idempotents at degree {n}")
 
     def is_chain_map(self) -> bool:
         try:
@@ -238,17 +275,21 @@ class ChainMap:
         return ChainMap(self.target, self.source, -k, mats, check=False)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChainMap) or self.degree != other.degree:
-            return False
-        degs = set(self.mats) | set(other.mats)
-        return all(self.mat(n) == other.mat(n) for n in degs)
+        # present blocks are nonzero, so a block present on one side only differs
+        return (isinstance(other, ChainMap) and self.degree == other.degree
+                and self.mats == other.mats)
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
         if self.degree != other.degree:
             raise ValueError("degree mismatch in sum")
-        degs = set(self.mats) | set(other.mats)
-        return ChainMap(self.source, self.target, self.degree,
-                        {n: self.mat(n) + other.mat(n) for n in degs}, check=False)
+        mats = {}
+        for n in set(self.mats) | set(other.mats):
+            a, b = self.mats.get(n), other.mats.get(n)
+            if a is None or b is None:  # the present term must fit the absent zero block
+                z, present = (self, other) if a is None else (other, self)
+                _block(present.mats, n, z.target.rank(n + z.degree), z.source.rank(n), "sum")
+            mats[n] = _plus(a, b)
+        return ChainMap(self.source, self.target, self.degree, mats, check=False)
 
     def __neg__(self) -> "ChainMap":
         return ChainMap(self.source, self.target, self.degree,
@@ -264,9 +305,15 @@ class ChainMap:
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self o other (apply ``other`` first)."""
         k = other.degree
-        degs = set(other.mats) | {n - k for n in self.mats}
-        return ChainMap(other.source, self.target, self.degree + other.degree,
-                        {n: self.mat(n + k) @ other.mat(n) for n in degs}, check=False)
+        mats = {}
+        for n in set(other.mats) | {n - k for n in self.mats}:
+            a, b = self.mats.get(n + k), other.mats.get(n)
+            if a is not None and b is not None:
+                mats[n] = a @ b
+            elif ((self.source.rank(n + k) if a is None else a.cols)
+                  != (other.target.rank(n + k) if b is None else b.rows)):
+                raise ValueError(f"shape mismatch in composite at degree {n}")
+        return ChainMap(other.source, self.target, self.degree + other.degree, mats, check=False)
 
     def __matmul__(self, other: "ChainMap") -> "ChainMap":
         return self.compose(other)
@@ -304,15 +351,21 @@ class ChainHomotopy:
                         self.source_map.degree + 1, dict(self.mats), check=False)
 
     def holds(self) -> bool:
+        f = self.source_map
+        return all(map(self.holds_at, set(f.source.ranks) | set(self.mats)
+                       | {n - f.degree for n in f.target.ranks}))
+
+    def holds_at(self, n: int) -> bool:
+        """The identity in degree ``n``: ``d H_n + (-1)^k H_{n-1} d + f_n = g_n``."""
         f, g = self.source_map, self.target_map
-        k = f.degree
-        C, D = f.source, f.target
-        degs = set(C.ranks) | set(self.mats) | {n - k for n in D.ranks}
-        for n in degs:
-            lhs = D.d(n + k + 1) @ self.mat(n) + (self.mat(n - 1) @ C.d(n)).scale(sign(k))
-            if lhs != g.mat(n) - f.mat(n):
-                return False
-        return True
+        k, C, D, mats = f.degree, f.source, f.target, self.mats
+        h = _block(mats, n, D.rank(n + k + 1), C.rank(n), "homotopy")
+        below = _block(mats, n - 1, D.rank(n + k), C.rank(n - 1), "homotopy")
+        dd = _block(D.diff, n + k + 1, D.rank(n + k), D.rank(n + k + 1), "differential")
+        dc = _block(C.diff, n, C.rank(n - 1), C.rank(n), "differential")
+        fn = _block(f.mats, n, D.rank(n + k), C.rank(n), "chain map")
+        gn = _block(g.mats, n, D.rank(n + k), C.rank(n), "chain map")
+        return _same(_plus(_plus(_mul(dd, h), _mul(below, dc, k)), fn), gn)
 
     def validate(self) -> None:
         if not self.holds():
@@ -473,12 +526,12 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
         ent: Dict[Tuple[int, int], int] = {}
         for (p, q) in pairs:
             toff = tgt.offsets.get((p + f.degree, q + g.degree))
-            if toff is None:
+            a, b = f.mats.get(p), g.mats.get(q)
+            if toff is None or a is None or b is None:
                 continue
             soff = src.offsets[(p, q)]
-            blk = f.mat(p).kron(g.mat(q))
             s = sign(g.degree * p)
-            for (i, j), v in blk.entries.items():
+            for (i, j), v in a.kron(b).entries.items():
                 ent[(toff + i, soff + j)] = s * v
         if ent:
             mats[n] = IntMatrix._trusted(tgt.ranks.get(n + k, 0), src.ranks[n], ent)

@@ -298,20 +298,18 @@ class DSLambdaCertificate:
 
 def _letter_bound(action: HomotopySAction, lam: Fraction, letter,
                   pairs: Set[Tuple[object, object]]) -> Fraction:
-    """Best exhibited ``d_{S,Lambda}`` bound for support pairs of one letter."""
-    worst = Fraction(0)
+    """Best exhibited ``d_{S,Lambda}`` bound for support pairs of one letter,
+    in integers on the ``scaled()`` rows over ``den = q * scale``, ``Lambda = p / q``."""
+    scale, rows = action.space.scaled()
+    index, p, den = action.index, lam.numerator, lam.denominator * scale
+    maps = [tuple(index[z] for z in fm) for fm in action.f_set(letter)]
     e = action.backend.identity()
-    fset = action.f_set(letter)
+    worst = 0
     for (x, y) in pairs:
-        options = []
-        if letter == e:
-            options.append(lam * action.space.d(x, y))
-        for fm in fset:
-            options.append(1 + lam * action.space.d(x, action.apply(fm, y)))
-        best = min(options)
-        if best > worst:
-            worst = best
-    return worst
+        row, j = rows[index[x]], index[y]
+        options = [den + p * row[fm[j]] for fm in maps]  # den * (1 + Lambda * d(x, f(y)))
+        worst = max(worst, min(options + [p * row[j]] if letter == e else options))
+    return Fraction(worst, den)
 
 
 def certify_dslambda(action: HomotopySAction, lam: Fraction,
@@ -475,9 +473,18 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
     checks: List[Tuple[str, bool]] = []
 
     hm = h.as_map()
-    ir = {j: (i.mat(j) @ r.mat(j)) for j in range(N + 1)}
+    ir = {j: i.mats[j] @ r.mats[j] for j in range(N + 1) if j in i.mats and j in r.mats}
 
-    def djk(m: int, j: int, k_: int) -> IntMatrix:
+    def h_chain(j: int, m: int) -> Optional[IntMatrix]:
+        """``h_{m-1} ... h_j r_j``, or None when a factor is absent (zero)."""
+        comp = r.mats.get(j)
+        for t in range(j, m):
+            if comp is None or t not in hm.mats:
+                return None
+            comp = hm.mats[t] @ comp
+        return comp
+
+    def djk(m: int, j: int, k_: int) -> Optional[IntMatrix]:
         """Block ``D_j -> D_k`` of the staircase differential out of degree m.
 
         The degree entering the signs and the diagonal parity is the
@@ -487,18 +494,17 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
         """
         mm = m - 1
         if j >= k_ + 2:
-            return IntMatrix.zeros(D.rank(k_), D.rank(j))
+            return None
         if j == k_ + 1:
             return D.d(j).scale(sign(mm + k_))
         if j == k_:
-            if (j - mm) % 2 == 0:
-                return IntMatrix.identity(D.rank(j)) - ir[j]
-            return ir[j]
+            if (j - mm) % 2:
+                return ir.get(j)
+            ident = IntMatrix.identity(D.rank(j))
+            return ident - ir[j] if j in ir else ident
         # j <= k_ - 1: i_k h_{k-1} ... h_j r_j with the alternating sign
-        comp = r.mat(j)
-        for t in range(j, k_):
-            comp = hm.mat(t) @ comp
-        return (i.mat(k_) @ comp).scale(sign(mm + k_ + 1))
+        comp, ik = h_chain(j, k_), i.mats.get(k_)
+        return None if comp is None or ik is None else (ik @ comp).scale(sign(mm + k_ + 1))
 
     ranks = {}
     for m in range(cap + 1):
@@ -535,13 +541,7 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
         fp_mats[m] = IntMatrix.from_blocks(
             [[(i.mat(m) if (j == m and m <= N) else None)] for j in js],
             cols, [C.rank(m)])
-        gp_blocks = []
-        for j in js:
-            comp = r.mat(j)
-            for t in range(j, m):
-                comp = hm.mat(t) @ comp
-            gp_blocks.append(comp)
-        gp_mats[m] = IntMatrix.from_blocks([gp_blocks], [C.rank(m)], cols)
+        gp_mats[m] = IntMatrix.from_blocks([[h_chain(j, m) for j in js]], [C.rank(m)], cols)
     fprime = ChainMap(C, staircase, 0, fp_mats, check=False)
     gprime = ChainMap(staircase, C, 0, gp_mats, check=False)
     checks.append(("f-prime-chain-map", fprime.is_chain_map()))
@@ -552,7 +552,7 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
     kp_mats = {m: IntMatrix(ranks[m + 1], ranks[m], {(t, t): 1 for t in range(ranks[m])})
                for m in range(cap)}
     kprime = ChainHomotopy(fprime.compose(gprime), ChainMap.identity(staircase), kp_mats)
-    checks.append(("k-prime-homotopy", _homotopy_holds_below(kprime, cap - 1)))
+    checks.append(("k-prime-homotopy", all(map(kprime.holds_at, range(cap)))))
 
     # tail: c'_m idempotent for m >= N+1 and c'_{m+1} = id - c'_m
     tail_ok = True
@@ -596,7 +596,7 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
         else:
             lp_mats[m] = c_top - IntMatrix.identity(ranks[N])
     lprime = ChainHomotopy(ChainMap.identity(staircase), u.compose(v), lp_mats)
-    checks.append(("l-prime-homotopy", _homotopy_holds_below(lprime, cap - 1)))
+    checks.append(("l-prime-homotopy", all(map(lprime.holds_at, range(cap)))))
 
     f = v.compose(fprime)
     g = gprime.compose(u)
@@ -609,18 +609,6 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
                       {n: m for n, m in l_map.mats.items()})
     checks.append(("l-homotopy", l.holds()))
     return FiniteReplacementResult(P, f, g, k, l, staircase, checks)
-
-
-def _homotopy_holds_below(hom: ChainHomotopy, top: int) -> bool:
-    """Homotopy identity checked only in degrees <= top (the staircase is
-    truncated above its verified tail)."""
-    f, g = hom.source_map, hom.target_map
-    C, D = f.source, f.target
-    for n in range(0, top + 1):
-        lhs = D.d(n + 1) @ hom.mat(n) + hom.mat(n - 1) @ C.d(n)
-        if lhs != g.mat(n) - f.mat(n):
-            return False
-    return True
 
 
 def replacement_control_growth(result: FiniteReplacementResult,
