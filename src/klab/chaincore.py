@@ -16,7 +16,11 @@ Sign conventions (fixed once, tested everywhere):
 * tensor of maps ``(f ox g)|_{A_p ox B_q} = (-1)^{|g| p} f ox g``;
 * flip ``C ox D -> D ox C`` carries ``(-1)^{pq}`` on ``C_p ox D_q``;
 * ``mu_{C,D}: C^-* ox D^-* -> (C ox D)^-*`` carries ``(-1)^{pq}`` on
-  ``(C^-*)_p ox (D^-*)_q`` under the dual-basis identification.
+  ``(C^-*)_p ox (D^-*)_q`` under the dual-basis identification;
+* together these give ``psi_C = flip o (mu o (iota ox id))^-1: D^-* -> D``
+  on ``D = C^-* ox C`` (``ltheory.mult_hyperbolic_complex``): block
+  ``(p, q)`` of ``(D^-*)_n``, basis ``(i, t)``, goes to block ``(-q, -p)``
+  of ``D_n``, basis ``(t, i)``, with sign ``(-1)^p``.
 
 Complexes may carry positions (one label per basis vector and degree)
 and idempotents ``p`` with ``p^2 = p`` for objects of the idempotent
@@ -386,8 +390,8 @@ def dual_complex(c: ChainComplex) -> ChainComplex:
     ranks = {-n: r for n, r in c.ranks.items()}
     diff = {}
     for n in ranks:
-        d = c.d(-n + 1)  # C_{-n+1} -> C_{-n}
-        if not d.is_zero():
+        d = _block(c.diff, -n + 1, c.rank(-n), c.rank(-n + 1), "differential")
+        if d is not None:
             diff[n] = d.transpose().scale(sign(n))
     idem = None
     if c.idem is not None:
@@ -476,14 +480,15 @@ def _tensor(c: ChainComplex, d: ChainComplex) -> Tuple[TensorLayout, ChainComple
             rc, rd = c.rank(p), d.rank(q)
             # d_C ox 1: (e_j ox f_t) -> sum_i v e_i ox f_t, v = d_C[i, j]
             toff = offsets.get((p - 1, q))
-            if toff is not None:
-                for (i, j), v in c.d(p).entries.items():
+            dc = _block(c.diff, p, c.rank(p - 1), rc, "differential")
+            if toff is not None and dc is not None:
+                for (i, j), v in dc.entries.items():
                     for t in range(rd):
                         ent[(toff + i * rd + t, soff + j * rd + t)] = v
             # (-1)^p 1 ox d_D: (e_s ox f_j) -> sum_i (-1)^p v e_s ox f_i
             toff = offsets.get((p, q - 1))
-            if toff is not None:
-                dd = d.d(q)
+            dd = _block(d.diff, q, d.rank(q - 1), rd, "differential")
+            if toff is not None and dd is not None:
                 rt = dd.rows
                 for (i, j), v in dd.entries.items():
                     v = sign(p) * v
@@ -597,15 +602,17 @@ def cone(f: ChainMap) -> ChainComplex:
         ranks[n] = C.rank(n - 1) + D.rank(n)
     diff: Dict[int, IntMatrix] = {}
     for n in degs:
-        # d(c, d) = (-d c, f c + d d)
-        m = C.ring.from_blocks(
-            [[-C.d(n - 1), None], [f.mat(n - 1), D.d(n)]],
-            [C.rank(n - 2), D.rank(n - 1)], [C.rank(n - 1), D.rank(n)])
-        if not m.is_zero():
-            diff[n] = m
+        # d(c, d) = (-d c, f c + d d); from_blocks checks each present block
+        dc, fc, dd = C.diff.get(n - 1), f.mats.get(n - 1), D.diff.get(n)
+        if dc is not None or fc is not None or dd is not None:
+            diff[n] = C.ring.from_blocks(
+                [[None if dc is None else -dc, None], [fc, dd]],
+                [C.rank(n - 2), D.rank(n - 1)], [C.rank(n - 1), D.rank(n)])
     idem = None
     if C.idem is not None or D.idem is not None:
-        idem = {n: C.p(n - 1).direct_sum(D.p(n)) for n in degs}
+        idem = {n: C.ring.from_blocks([[C.p(n - 1), None], [None, D.p(n)]],
+                                      [C.rank(n - 1), D.rank(n)], [C.rank(n - 1), D.rank(n)])
+                for n in degs}
     positions = None
     if C.positions is not None and D.positions is not None:
         positions = {n: tuple(C.pos(n - 1) or ()) + tuple(D.pos(n) or ()) for n in degs}
@@ -686,11 +693,12 @@ def cone_torsion(f: ChainMap, g: ChainMap, hm: ChainMap, km: ChainMap):
     blocks = {}
     for n in e.ranks:
         if n - 1 in e.ranks:
-            blocks[(n - 1, n)] = e.d(n)
-        if n + 1 in e.ranks:
+            blocks[(n - 1, n)] = e.diff.get(n)
+        grid = [[top_left.mats.get(n - 1), g.mats.get(n)],
+                [bottom_left.mats.get(n - 1), km.mats.get(n)]]
+        if n + 1 in e.ranks and any(b is not None for row in grid for b in row):
             blocks[(n + 1, n)] = ring.from_blocks(
-                [[top_left.mat(n - 1), g.mat(n)], [bottom_left.mat(n - 1), km.mat(n)]],
-                [C.rank(n), D.rank(n + 1)], [C.rank(n - 1), D.rank(n)])
+                grid, [C.rank(n), D.rank(n + 1)], [C.rank(n - 1), D.rank(n)])
     odd = [n for n in sorted(e.ranks) if n % 2]
     even = [n for n in sorted(e.ranks) if not n % 2]
     rep = ring.from_blocks([[blocks.get((t, s)) for s in odd] for t in even],

@@ -163,6 +163,12 @@ class GRMatrix(LetterMap):
         return (isinstance(other, GRMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.letters == other.letters)
 
+    def __add__(self, other: "GRMatrix") -> "GRMatrix":
+        # a letterless operand has no block to carry its shape into the sum
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise InputError("shape mismatch in sum")
+        return super().__add__(other)
+
     def __matmul__(self, other: "GRMatrix") -> "GRMatrix":
         if self.cols != other.rows:
             raise InputError("shape mismatch in mul")

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .chaincore import (ChainComplex, ChainHomotopy, ChainMap, dual_complex,
-                        flip_map, iota, mu_map, tensor_complex, tensor_map)
+from .chaincore import ChainComplex, ChainHomotopy, ChainMap, _tensor, dual_complex
 from .control import (ControlSpace, ControlledMorphism, GeometricModule,
                       check_control)
 from .errors import DegenerateForm, IdentityFailure, InputError
@@ -137,21 +136,31 @@ class UltraQuadraticComplex:
 def mult_hyperbolic_complex(c: ChainComplex) -> Tuple[ChainComplex, ChainMap]:
     """``D = C^-* ox C`` with the flip-induced symmetric structure.
 
-    ``psi_C = flip o mu_C^{-1}: D^-* -> D`` where ``mu_C`` composes the
-    double-dual identification with ``mu_{C^-*, C}``; all blocks are
-    signed permutations, so the inverse is exact.
+    ``psi_C = flip o mu_C^{-1}: D^-* -> D``, where ``mu_C`` composes the
+    double-dual identification with ``mu_{C^-*, C}`` (sign conventions
+    in ``chaincore``).  Written out, it is the signed permutation that
+    takes block ``(p, q)`` of ``(D^-*)_n = (D_{-n})^*`` (``p + q = -n``,
+    ``C^-*_p ox C_q``), basis ``(i, t)``, to block ``(-q, -p)`` of
+    ``D_n``, basis ``(t, i)``, with sign ``(-1)^p``.  ``mu_C`` is
+    invertible over ``Z`` only on a free complex: an idempotent other
+    than the identity is singular.
     """
-    cd = dual_complex(c)
-    D = tensor_complex(cd, c)
-    # mu_C : C ox C^-* -> (C^-* ox C)^-*  via  iota ox id then mu
-    mu = mu_map(cd, c)
-    i_tensor = tensor_map(iota(c), ChainMap.identity(cd))
-    mu_c = mu.compose(i_tensor)  # C ox C^-* -> (C^-* ox C)^-*
-    mu_c_inv = mu_c.integer_inverse()  # signed permutation blocks
-    if mu_c_inv is None:
+    if not c.is_free():
         raise IdentityFailure("mu_C is not invertible over Z")
-    flip = flip_map(c, cd)  # C ox C^-* -> C^-* ox C
-    psi = flip.compose(mu_c_inv)  # (C^-* ox C)^-* -> C^-* ox C
+    layout, D = _tensor(dual_complex(c), c)
+    offsets, rank = layout.offsets, c.rank
+    mats = {}
+    for n in layout.blocks:
+        ent = {}
+        for (p, q) in layout.blocks[-n]:  # (D^-*)_n has the blocks of D_{-n}
+            soff, toff = offsets[(p, q)], offsets[(-q, -p)]
+            ri, rt = rank(-p), rank(q)
+            sgn = sign(p)
+            for i in range(ri):
+                for t in range(rt):
+                    ent[(toff + t * ri + i, soff + i * rt + t)] = sgn
+        mats[n] = IntMatrix._trusted(layout.ranks[n], layout.ranks[-n], ent)
+    psi = ChainMap(dual_complex(D), D, 0, mats, check=False)
     psi.validate()
     return D, psi
 

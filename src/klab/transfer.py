@@ -699,11 +699,10 @@ def l_symmetric_complex(P: HomotopySChainComplex) -> LSymmetricData:
     d_xx = tensor_complex(pd, P.P)  # positions are ordered pairs (x, y)
     D = d_xx.relabel(lambda p: unordered_pair(p[0], p[1]))
     pair_space = p2_metric(P.space)
+    phi_dual = {g: dual_map(P.phi[g]) for g in P.S}  # S = S^{-1} holds every g^{-1}
     phi: Dict[object, ChainMap] = {}
     for g in P.S:
-        ginv = backend.inv(g)
-        m = tensor_map(dual_map(P.phi[ginv]), P.phi[g])
-        phi[g] = m.retarget(D, D)
+        phi[g] = tensor_map(phi_dual[backend.inv(g)], P.phi[g]).retarget(D, D)
     H: Dict[Tuple[object, object], ChainHomotopy] = {}
     hom_ok = True
     for g, h, gh in P.S.products:
@@ -712,8 +711,7 @@ def l_symmetric_complex(P: HomotopySChainComplex) -> LSymmetricData:
         # the sign of its Hom-differential
         first = tensor_map(dual_map(P.H[(backend.inv(h), backend.inv(g))].as_map()),
                            P.phi[g].compose(P.phi[h])).scale(-1)
-        second = tensor_map(dual_map(P.phi[backend.inv(gh)]),
-                            P.H[(g, h)].as_map())
+        second = tensor_map(phi_dual[backend.inv(gh)], P.H[(g, h)].as_map())
         mats = (first + second).mats
         hom = ChainHomotopy(phi[g].compose(phi[h]), phi[gh], dict(mats))
         if not hom.holds():
@@ -827,18 +825,18 @@ def l_transfer(alpha: EquivariantMorphism, P: HomotopySChainComplex,
 
     mdd = module_tensor(m_rank, D)
     mdd_dual = module_tensor(m_rank, dual_complex(D))  # = dual fiber of M ox D
+    phi_mu = {a: data.phi[a].compose(data.mu)
+              for a in set(alpha.letters) | set(sigma_mod.letters)}
     psi_letters: Dict[object, ChainMap] = {}
     for a, blk in alpha.letters.items():
-        psi_letters[a] = module_tensor_map(blk, data.phi[a].compose(data.mu),
-                                           mdd_dual, mdd)
+        psi_letters[a] = module_tensor_map(blk, phi_mu[a], mdd_dual, mdd)
     psi = EquivariantChainMap(backend, mdd_dual, mdd, 0, psi_letters)
 
     # exact symmetrization identity (the displayed five-line computation)
     sigma_eq = psi + psi.symdual()
     expected_letters = {}
     for a, blk in sigma_mod.letters.items():
-        expected_letters[a] = module_tensor_map(blk, data.phi[a].compose(data.mu),
-                                                mdd_dual, mdd)
+        expected_letters[a] = module_tensor_map(blk, phi_mu[a], mdd_dual, mdd)
     expected = EquivariantChainMap(backend, mdd_dual, mdd, 0, expected_letters)
     checks.append(("symmetrization-identity", sigma_eq == expected))
 

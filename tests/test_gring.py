@@ -3,7 +3,7 @@ import random
 import pytest
 
 from klab.chaincore import self_torsion, shift
-from klab.errors import NotAnEquivalence
+from klab.errors import InputError, NotAnEquivalence
 from klab.fixtures import junk_equivalence, rand_matrix
 from klab.gring import (GRComplex, GRGradedMap, GRMatrix, gr_mul,
                         gr_self_torsion)
@@ -44,6 +44,19 @@ def test_star_involution():
     assert star.rows == 3 and star.cols == 2
     assert star.letters == {3: IntMatrix.from_rows([[1, 0], [2, 0], [0, 3]])}
     assert a.star().star() == a
+
+
+def test_sum_checks_shapes_with_a_letterless_operand():
+    z3 = FiniteTableGroup.cyclic(3)
+    a = GRMatrix(z3, 2, 2, {1: IntMatrix.identity(2)})
+    for other in (GRMatrix(z3, 3, 3), GRMatrix(z3, 2, 3),
+                  GRMatrix(z3, 3, 3, {2: IntMatrix.identity(3)})):
+        for op in (lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(InputError):
+                op(a, other)
+            with pytest.raises(InputError):
+                op(other, a)
+    assert a + GRMatrix(z3, 2, 2) == a and GRMatrix(z3, 2, 2) - a == -a
 
 
 def test_gr_self_torsion_degree_zero_unit():

@@ -1,12 +1,13 @@
 """Absent blocks in ``klab.chaincore`` are zero and are never built.
 
 ``ChainComplex.validate``, ``ChainMap.validate``, ``ChainHomotopy.holds``,
-``ChainMap.compose``, ``+`` and ``==`` read ``diff``, ``mats`` and
-``idem`` directly: a missing degree is the zero block (the identity for
-``idem``).  The reference functions below are the explicit-zero versions
-those replaced; over generated complexes, maps and homotopies over ``Z``
-and ``Z[G]`` the new code must give equal results, the same bool or the
-same exception class, with and without planted faults.
+``ChainMap.compose``, ``+``, ``==``, ``dual_complex`` and ``cone`` read
+``diff``, ``mats`` and ``idem`` directly: a missing degree is the zero
+block (the identity for ``idem``).  The reference functions below are the
+explicit-zero versions those replaced; over generated complexes, maps and
+homotopies over ``Z`` and ``Z[G]`` the new code must give equal results,
+the same bool or the same exception class, with and without planted
+faults.
 """
 
 import random
@@ -14,8 +15,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klab.chaincore import ChainComplex, ChainHomotopy, ChainMap, tensor_complex, tensor_map
-from klab.fixtures import rand_complex, rand_matrix
+from klab.chaincore import (ChainComplex, ChainHomotopy, ChainMap, cone, cone_torsion,
+                            dual_complex, tensor_complex, tensor_map)
+from klab.fixtures import junk_equivalence, rand_complex, rand_matrix
 from klab.gring import GRMatrix, GroupRing
 from klab.groups import FiniteTableGroup
 from klab.intmat import IntMatrix, sign
@@ -95,6 +97,34 @@ def ref_compose(f, g):
     degs = set(g.mats) | {n - k for n in f.mats}
     return ChainMap(g.source, f.target, f.degree + g.degree,
                     {n: f.mat(n + k) @ g.mat(n) for n in degs}, check=False)
+
+
+def ref_dual(c):
+    ranks = {-n: r for n, r in c.ranks.items()}
+    diff = {n: c.d(-n + 1).transpose().scale(sign(n)) for n in ranks}
+    idem = None if c.idem is None else {-n: c.p(n).transpose() for n in c.ranks}
+    positions = None if c.positions is None else {-n: c.pos(n) for n in c.ranks}
+    return ChainComplex(ranks, diff, idem, positions, check=False)
+
+
+def ref_cone(f):
+    if f.degree != 0:
+        raise ValueError("cone needs a degree-0 chain map")
+    C, D = f.source, f.target
+    degs = {n + 1 for n in C.ranks} | set(D.ranks)
+    diff = {n: C.ring.from_blocks([[-C.d(n - 1), None], [f.mat(n - 1), D.d(n)]],
+                                  [C.rank(n - 2), D.rank(n - 1)], [C.rank(n - 1), D.rank(n)])
+            for n in degs}
+    idem = None
+    if C.idem is not None or D.idem is not None:
+        idem = {n: C.ring.from_blocks([[C.p(n - 1), None], [None, D.p(n)]],
+                                      [C.rank(n - 1), D.rank(n)], [C.rank(n - 1), D.rank(n)])
+                for n in degs}
+    positions = None
+    if C.positions is not None and D.positions is not None:
+        positions = {n: tuple(C.pos(n - 1) or ()) + tuple(D.pos(n) or ()) for n in degs}
+    return ChainComplex({n: C.rank(n - 1) + D.rank(n) for n in degs}, diff, idem, positions,
+                        check=False, ring=C.ring)
 
 
 # -- generated inputs ------------------------------------------------------------
@@ -246,13 +276,16 @@ def outcome(fn):
         return type(exc)
     if isinstance(value, ChainMap):
         return ("map", value.degree, value.mats, id(value.source), id(value.target))
+    if isinstance(value, ChainComplex):  # an absent idempotent block is the identity
+        idem = None if value.idem is None else [value.p(n) for n in sorted(value.ranks)]
+        return ("complex", value.ranks, value.diff, idem, value.positions)
     return value
 
 
 def differential_pairs(C, D, f, g, hom, x, y):
     """(name, new, reference) for every check and operation on one case."""
     twin = ChainMap(f.source, f.target, f.degree, dict(f.mats), check=False)
-    return [
+    pairs = [
         ("validate C", C.validate, lambda: ref_complex_validate(C)),
         ("validate D", D.validate, lambda: ref_complex_validate(D)),
         ("validate f", f.validate, lambda: ref_map_validate(f)),
@@ -268,6 +301,11 @@ def differential_pairs(C, D, f, g, hom, x, y):
         ("y o g o x", lambda: y.compose(g).compose(x),
          lambda: ref_compose(ref_compose(y, g), x)),
     ]
+    if f.degree == 0:
+        pairs.append(("cone f", lambda: cone(f), lambda: ref_cone(f)))
+    if D.ring is IntMatrix:  # duals are integral only
+        pairs.append(("dual D", lambda: dual_complex(D), lambda: ref_dual(D)))
+    return pairs
 
 
 def assert_matches_reference(built, group_ring, fault):
@@ -279,6 +317,9 @@ def assert_matches_reference(built, group_ring, fault):
             # from a comparison of shapes, or nothing from a sum with a zero
             # operand.  Now it is the ValueError of the shape check, as over Z.
             assert got in (ValueError, False), (name, got, want)
+        elif name == "dual D" and fault == "shape" and got != want:
+            # the explicit-zero dual transposed a mis-shaped block as it found it
+            assert got is ValueError and not isinstance(want, type), want
         else:
             assert got == want, (name, fault)
 
@@ -327,14 +368,15 @@ def test_planted_faults_are_caught():
     assert {"validate f", "holds"} <= seen["chain"]
     assert "holds" in seen["homotopy"]
     assert "validate D" in seen["idempotent"]
-    assert {"validate C", "validate D", "validate f", "holds", "f + g"} <= seen["shape"]
+    assert {"validate C", "validate D", "validate f", "holds", "f + g", "cone f"} <= seen["shape"]
 
 
 def test_identity_idempotent_and_zero_blocks_are_not_built(monkeypatch):
     """On a sound case no check, sum, composite or tensor of maps builds a
-    zero or an identity matrix."""
+    zero or an identity matrix, and no dual, cone or cone torsion a zero."""
     C, D, f, g, hom, x, y = case(5, False, 0, 0, True, True, "none")
     held = tensor_complex(D, C), tensor_complex(C, C)  # the endpoints, built first
+    JC, JD, proj, incl, jh, jk = junk_equivalence(random.Random(5))
     built = []
     for name in ("zeros", "identity"):
         real = getattr(IntMatrix, name)
@@ -346,6 +388,9 @@ def test_identity_idempotent_and_zero_blocks_are_not_built(monkeypatch):
     assert (f - f).mats == {} and y.compose(f).compose(x) is not None
     assert tensor_map(f, x).source is held[1] and tensor_map(g, x).target is held[0]
     assert built == []
+    assert dual_complex(C).ranks and dual_complex(D).diff and cone(f).idem
+    assert cone_torsion(proj, incl, jh.as_map(), jk.as_map()).det() in (1, -1)
+    assert "zeros" not in built  # a cone's idempotents are sums of p() blocks
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -354,3 +399,11 @@ def test_holds_at_is_the_per_degree_identity(k):
         C, D, f, g, hom, x, y = case(seed, seed % 2 == 0, 0, k, False, False, "homotopy")
         degs = set(C.ranks) | set(hom.mats) | {n - k for n in D.ranks}
         assert hom.holds() == all(hom.holds_at(n) for n in degs) == ref_holds(hom)
+
+
+def test_mis_shaped_differential_is_refused_by_dual_and_tensor():
+    bad = ChainComplex({0: 1, 1: 1}, {1: IntMatrix.from_rows([[1], [1]])}, check=False)
+    for build in (dual_complex, lambda c: tensor_complex(c, ChainComplex.point()),
+                  lambda c: tensor_complex(ChainComplex.point(), c)):
+        with pytest.raises(ValueError, match="differential shape mismatch"):
+            build(bad)
