@@ -40,9 +40,9 @@ its derived complexes alive.
 
 A complex's coefficient ring is the class or object that makes its zero
 and identity matrices and assembles block matrices: ``IntMatrix`` for
-``Z`` (the default), ``gring.GroupRing`` for ``Z[G]``.  Maps, homotopies,
-cones and ``cone_torsion`` work over either; duals and tensors are
-integral only.
+``Z`` (the default), ``gring.GroupRing`` for ``Z[G]``, whose transpose
+is the involution transpose.  Maps, homotopies, cones, ``cone_torsion``
+and duals work over either ring; tensors are integral only.
 """
 
 from __future__ import annotations
@@ -322,10 +322,10 @@ class ChainMap:
     def __matmul__(self, other: "ChainMap") -> "ChainMap":
         return self.compose(other)
 
-    @staticmethod
-    def identity(c: ChainComplex) -> "ChainMap":
+    @classmethod
+    def identity(cls, c: ChainComplex) -> "ChainMap":
         # identity of an idempotent-completed object is the idempotent itself
-        return ChainMap(c, c, 0, {n: c.p(n) for n in c.ranks}, check=False)
+        return cls(c, c, 0, {n: c.p(n) for n in c.ranks}, check=False)
 
     @staticmethod
     def zero(source: ChainComplex, target: ChainComplex, degree: int = 0) -> "ChainMap":
@@ -399,7 +399,7 @@ def dual_complex(c: ChainComplex) -> ChainComplex:
     positions = None
     if c.positions is not None:
         positions = {-n: c.pos(n) for n in c.ranks}
-    out = ChainComplex(ranks, diff, idem, positions, check=False)
+    out = ChainComplex(ranks, diff, idem, positions, check=False, ring=c.ring)
     c._dual = weakref.ref(out)
     return out
 

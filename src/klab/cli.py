@@ -429,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("suite", help="run every check in the scenario"))
     p.add_argument("--golden", help="golden report to compare against")
-    p.add_argument("--workers", type=int, default=1,
-                   help="deprecated and ignored (checks run serially); due for removal")
     p.add_argument("--family", default="virtually-cyclic")
 
     p = sub.add_parser("canonicalize", help="print the canonical serialization")

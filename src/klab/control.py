@@ -296,7 +296,7 @@ class EquivariantMorphism(GRMatrix):
     def dual(self) -> "EquivariantMorphism":
         """Letterwise dual: ``(f^-*)_a = (f_{a^{-1}})^-*``."""
         return EquivariantMorphism(self.backend, self.target, self.source,
-                                   self._inverse_letters(IntMatrix.transpose))
+                                   self.transpose().letters)
 
     def expand(self, cosets: Iterable[object]) -> ControlledMorphism:
         """Explicit morphism over positions ``(g, z)`` for ``g`` in cosets."""

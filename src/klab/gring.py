@@ -1,9 +1,10 @@
-"""Letter-indexed maps over a group, matrices over group rings, and the
-group ring as a coefficient ring for chain complexes.
+"""Matrices over group rings, and the group ring as a coefficient ring
+for chain complexes.
 
-A map over ``G x Z`` is stored letterwise: a dict ``a -> block`` whose
-composite is convolution over the group.  A matrix over ``Z[G]`` is
-such a map with ``IntMatrix`` blocks of one shape.  The determinant
+A matrix over ``Z[G]`` is stored letterwise: a dict ``a -> IntMatrix``
+of one shape whose product is convolution over the group and whose
+transpose is the involution transpose.  A map over ``G x Z`` is a chain
+map between complexes over ``Z[G]`` with such matrices.  The determinant
 (the K_1 reduction for commutative group rings) uses the Berkowitz
 algorithm, which needs no division and so works over any commutative
 ring.
@@ -11,7 +12,7 @@ ring.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .chaincore import ChainComplex, ChainHomotopy, ChainMap, cone_torsion
 from .errors import HorizonExceeded, InputError, NotAnEquivalence
@@ -49,80 +50,6 @@ def gr_mul(backend: GroupBackend, a: GRElem, b: GRElem) -> GRElem:
     return out
 
 
-class LetterMap:
-    """Blocks indexed by group letters; zero blocks are dropped.
-
-    Blocks are ``IntMatrix`` or ``ChainMap`` values: anything with
-    ``+``, unary ``-``, ``@`` (composition), ``scale`` and ``is_zero``.
-    Subclasses supply ``_like`` (same shape, new letters) and
-    ``_zero_block``.
-    """
-
-    def __init__(self, backend: GroupBackend, letters: Dict[object, object]):
-        self.backend = backend
-        self.letters: Dict[object, object] = {}
-        for a, m in letters.items():
-            if not m.is_zero():
-                self.letters[backend.canonical(a)] = m
-
-    def _like(self, letters: Dict[object, object]) -> "LetterMap":
-        raise NotImplementedError
-
-    def _zero_block(self):
-        raise NotImplementedError
-
-    def letter(self, a):
-        m = self.letters.get(self.backend.canonical(a))
-        return self._zero_block() if m is None else m
-
-    def letter_support(self) -> List[object]:
-        return sorted(self.letters, key=repr)
-
-    def is_zero(self) -> bool:
-        return not self.letters
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LetterMap) and self.letters == other.letters
-
-    def __add__(self, other: "LetterMap") -> "LetterMap":
-        acc = dict(self.letters)
-        for a, m in other.letters.items():
-            s = acc.get(a)
-            acc[a] = m if s is None else s + m
-        return self._like(acc)
-
-    def __neg__(self) -> "LetterMap":
-        return self._like({a: -m for a, m in self.letters.items()})
-
-    def __sub__(self, other: "LetterMap") -> "LetterMap":
-        return self + (-other)
-
-    def scale(self, c: int) -> "LetterMap":
-        return self._like({a: m.scale(c) for a, m in self.letters.items()})
-
-    def _convolve(self, other: "LetterMap",
-                  allowed: Optional[FiniteSubset] = None) -> Dict[object, object]:
-        """Letters of ``self o other``: ``(x y)_c = sum over ab = c of x_a y_b``.
-
-        A product letter outside ``allowed`` raises ``HorizonExceeded``.
-        """
-        acc: Dict[object, object] = {}
-        mul = self.backend.mul
-        for a, x in self.letters.items():
-            for b, y in other.letters.items():
-                c = mul(a, b)
-                if allowed is not None and c not in allowed:
-                    raise HorizonExceeded(f"product letter {c!r} escapes the allowed ball")
-                prod = x @ y
-                s = acc.get(c)
-                acc[c] = prod if s is None else s + prod
-        return acc
-
-    def _inverse_letters(self, block: Callable) -> Dict[object, object]:
-        """``{a^{-1}: block(x_a)}``, the letter part of every involution."""
-        return {self.backend.inv(a): block(m) for a, m in self.letters.items()}
-
-
 def place_letters(backend: GroupBackend, letters: Dict[object, IntMatrix],
                   cosets: Sequence[object], rows: int, cols: int) -> IntMatrix:
     """Explicit matrix over ``cosets`` with block ``letters[a]`` at
@@ -137,27 +64,40 @@ def place_letters(backend: GroupBackend, letters: Dict[object, IntMatrix],
     return IntMatrix.from_blocks(grid, [rows] * len(cosets), [cols] * len(cosets))
 
 
-class GRMatrix(LetterMap):
-    """Letterwise matrix over the group ring of a backend."""
+class GRMatrix:
+    """Matrix over the group ring of a backend, stored letterwise: a dict
+    ``a -> IntMatrix`` of one shape, zero blocks dropped.  Letters are a
+    value like a matrix's entries: only the constructor writes them."""
 
     def __init__(self, backend: GroupBackend, rows: int, cols: int,
                  letters: Optional[Dict[object, IntMatrix]] = None):
+        self.backend = backend
         self.rows = rows
         self.cols = cols
-        letters = letters or {}
-        if any((m.rows, m.cols) != (rows, cols) for m in letters.values()):
-            raise InputError("letter block shape mismatch")
-        super().__init__(backend, letters)
+        self.letters: Dict[object, IntMatrix] = {}
+        for a, m in (letters or {}).items():
+            if (m.rows, m.cols) != (rows, cols):
+                raise InputError("letter block shape mismatch")
+            if not m.is_zero():
+                self.letters[backend.canonical(a)] = m
 
     def _like(self, letters: Dict[object, IntMatrix]) -> "GRMatrix":
+        """A matrix of the same shape (and subclass data) with other letters."""
         return GRMatrix(self.backend, self.rows, self.cols, letters)
-
-    def _zero_block(self) -> IntMatrix:
-        return IntMatrix.zeros(self.rows, self.cols)
 
     @staticmethod
     def constant(backend: GroupBackend, m: IntMatrix) -> "GRMatrix":
         return GRMatrix(backend, m.rows, m.cols, {backend.identity(): m})
+
+    def letter(self, a) -> IntMatrix:
+        m = self.letters.get(self.backend.canonical(a))
+        return IntMatrix.zeros(self.rows, self.cols) if m is None else m
+
+    def letter_support(self) -> List[object]:
+        return sorted(self.letters, key=repr)
+
+    def is_zero(self) -> bool:
+        return not self.letters
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GRMatrix) and self.rows == other.rows
@@ -167,17 +107,49 @@ class GRMatrix(LetterMap):
         # a letterless operand has no block to carry its shape into the sum
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("shape mismatch in sum")
-        return super().__add__(other)
+        acc = dict(self.letters)
+        for a, m in other.letters.items():
+            s = acc.get(a)
+            acc[a] = m if s is None else s + m
+        return self._like(acc)
 
-    def __matmul__(self, other: "GRMatrix") -> "GRMatrix":
+    def __neg__(self) -> "GRMatrix":
+        return self._like({a: -m for a, m in self.letters.items()})
+
+    def __sub__(self, other: "GRMatrix") -> "GRMatrix":
+        return self + (-other)
+
+    def scale(self, c: int) -> "GRMatrix":
+        return self._like({a: m.scale(c) for a, m in self.letters.items()})
+
+    def _convolve(self, other: "GRMatrix",
+                  allowed: Optional[FiniteSubset] = None) -> Dict[object, IntMatrix]:
+        """Letters of ``self o other``: ``(x y)_c = sum over ab = c of x_a y_b``.
+
+        A product letter outside ``allowed`` raises ``HorizonExceeded``.
+        """
         if self.cols != other.rows:
             raise InputError("shape mismatch in mul")
+        acc: Dict[object, IntMatrix] = {}
+        mul = self.backend.mul
+        for a, x in self.letters.items():
+            for b, y in other.letters.items():
+                c = mul(a, b)
+                if allowed is not None and c not in allowed:
+                    raise HorizonExceeded(f"product letter {c!r} escapes the allowed ball")
+                prod = x @ y
+                s = acc.get(c)
+                acc[c] = prod if s is None else s + prod
+        return acc
+
+    def __matmul__(self, other: "GRMatrix") -> "GRMatrix":
         return GRMatrix(self.backend, self.rows, other.cols, self._convolve(other))
 
-    def star(self) -> "GRMatrix":
-        """Involution transpose: ``(A^*)_g = (A_{g^{-1}})^T``."""
+    def transpose(self) -> "GRMatrix":
+        """Involution transpose: ``(A^T)_g = (A_{g^{-1}})^T``."""
+        inv = self.backend.inv
         return GRMatrix(self.backend, self.cols, self.rows,
-                        self._inverse_letters(IntMatrix.transpose))
+                        {inv(a): m.transpose() for a, m in self.letters.items()})
 
     def entry(self, i: int, j: int) -> GRElem:
         out: GRElem = {}
@@ -209,10 +181,7 @@ def _berkowitz_det(backend: GroupBackend, a: List[List[GRElem]]) -> GRElem:
         t: List[GRElem] = [one, gr_neg(diag)]
         vec = col
         for _ in range(r - 1):
-            dot: GRElem = {}
-            for x, y in zip(row, vec):
-                dot = gr_add(dot, gr_mul(backend, x, y))
-            t.append(gr_neg(dot))
+            t.append(gr_neg(_dot_row(backend, row, vec)))
             vec = [_dot_row(backend, sub[i], vec) for i in range(r - 1)]
         new: List[GRElem] = [{} for _ in range(r + 1)]
         for i in range(r + 1):
@@ -260,23 +229,22 @@ class GroupRing:
 
 
 class GRComplex(ChainComplex):
-    """Finite complex of free ``Z[G]``-modules; ``diff[n]``: rank n -> n-1."""
+    """Finite complex of free (or idempotent-completed) ``Z[G]``-modules;
+    ``diff[n]``: rank n -> n-1."""
 
-    def __init__(self, backend: GroupBackend, ranks: Dict[int, int], diff: Dict[int, GRMatrix]):
-        super().__init__(ranks, diff, check=False, ring=GroupRing(backend))
+    def __init__(self, backend: GroupBackend, ranks: Dict[int, int], diff: Dict[int, GRMatrix],
+                 idem: Optional[Dict[int, GRMatrix]] = None,
+                 positions: Optional[Dict[int, tuple]] = None):
+        super().__init__(ranks, diff, idem, positions, check=False, ring=GroupRing(backend))
 
     @staticmethod
     def constant(backend: GroupBackend, cx: ChainComplex) -> "GRComplex":
-        """An integral complex read over ``Z[G]`` (every block at letter e)."""
-        return GRComplex(backend, dict(cx.ranks),
-                         {n: GRMatrix.constant(backend, m) for n, m in cx.diff.items()})
-
-
-class GRGradedMap(ChainMap):
-    """Degree-``k`` graded map between complexes over ``Z[G]``, unchecked."""
-
-    def __init__(self, source: ChainComplex, target: ChainComplex, degree: int, mats: Dict):
-        super().__init__(source, target, degree, mats, check=False)
+        """An integral complex read over ``Z[G]``: every block, differential
+        and idempotent, at letter e; the positions are the fiber's."""
+        def lift(blocks):
+            return {n: GRMatrix.constant(backend, m) for n, m in blocks.items()}
+        return GRComplex(backend, cx.ranks, lift(cx.diff),
+                         None if cx.idem is None else lift(cx.idem), cx.positions)
 
 
 def gr_self_torsion(f: ChainMap, g: ChainMap, h: Dict[int, GRMatrix],

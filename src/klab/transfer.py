@@ -2,10 +2,11 @@
 replacement of dominated complexes, and the K- and L-transfer pipelines.
 
 Everything here is equivariant data on a fundamental domain: a morphism
-over ``G x Z`` is a letter-indexed family of blocks over ``Z``, and the
-transferred objects carry exact control certificates in the
-``d_{S,Lambda}`` sense (an explicit one-move chain witnesses each
-support pair, giving the ``1 + Lambda * eps`` bound).
+over ``G x Z`` is a chain map between fibers read over ``Z[G]``, whose
+matrices hold one integral block per group letter, and the transferred
+objects carry exact control certificates in the ``d_{S,Lambda}`` sense
+(an explicit one-move chain witnesses each support pair, giving the
+``1 + Lambda * eps`` bound).
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from .chaincore import (ChainComplex, ChainHomotopy, ChainMap, dual_complex,
 from .control import ControlSpace, EquivariantMorphism, GeometricModule, GPos
 from .errors import (HypothesisViolation, IdentityFailure,
                      IdempotentFailure, InputError, SupportEscape)
-from .gring import (GRComplex, GRGradedMap, GRMatrix, LetterMap, gr_self_torsion,
-                    place_letters)
+from .gring import GRComplex, GRMatrix, gr_self_torsion, place_letters
 from .groups import FiniteSubset, GroupBackend
 from .intmat import IntMatrix, idempotent_splitting, sign
 from .ltheory import (PoincareWitness, UltraQuadraticComplex,
@@ -36,21 +36,12 @@ def group_module(rank: int) -> GeometricModule:
 
 def module_tensor(rank: int, p: ChainComplex) -> ChainComplex:
     """``Z^rank ox P`` with kron index order (module, fiber)."""
-    ranks = {n: rank * r for n, r in p.ranks.items()}
-    diff = {n: IntMatrix.identity(rank).kron(m) for n, m in p.diff.items()}
-    idem = None
-    if p.idem is not None:
-        idem = {n: IntMatrix.identity(rank).kron(p.p(n)) for n in p.ranks}
-    positions = None
-    if p.positions is not None:
-        positions = {n: tuple(p.pos(n)) * rank for n in p.ranks}
-    return ChainComplex(ranks, diff, idem, positions, check=False)
-
-
-def module_tensor_map(block: IntMatrix, f: ChainMap,
-                      src: ChainComplex, tgt: ChainComplex) -> ChainMap:
-    return ChainMap(src, tgt, f.degree,
-                    {n: block.kron(m) for n, m in f.mats.items()}, check=False)
+    ident = IntMatrix.identity(rank)
+    return ChainComplex(
+        {n: rank * r for n, r in p.ranks.items()}, {n: ident.kron(m) for n, m in p.diff.items()},
+        None if p.idem is None else {n: ident.kron(p.p(n)) for n in p.ranks},
+        None if p.positions is None else {n: tuple(p.pos(n)) * rank for n in p.ranks},
+        check=False)
 
 
 def _structure_maps(cx: ChainComplex) -> List[ChainMap]:
@@ -125,9 +116,6 @@ class HomotopySChainComplex:
             if pe.to_point.compose(pe.from_point) != ChainMap.identity(pe.to_point.target):
                 raise InputError("point equivalence must satisfy f o fbar = id_T")
 
-    def degrees(self) -> Tuple[int, int]:
-        return self.P.lo, self.P.hi
-
     # -- control certificates against the underlying point action -------
 
     def achieved_complex_control(self) -> Fraction:
@@ -156,63 +144,53 @@ class HomotopySChainComplex:
 # -- equivariant chain maps ----------------------------------------------------
 
 
-class EquivariantChainMap(LetterMap):
-    """Letter-indexed chain maps between fiber complexes over ``Z``."""
+class EquivariantChainMap(ChainMap):
+    """Chain map between constant complexes over ``Z[G]`` (``GRComplex.constant``
+    fibers): the letter-``a`` block of ``mats[n]`` maps the source fiber at
+    coset ``g a`` to the target fiber at ``g``."""
 
-    def __init__(self, backend: GroupBackend, source: ChainComplex,
-                 target: ChainComplex, degree: int,
-                 letters: Dict[object, ChainMap]):
-        if any(m.degree != degree for m in letters.values()):
-            raise InputError("letter degree mismatch")
-        self.source = source
-        self.target = target
-        self.degree = degree
-        super().__init__(backend, letters)
+    @property
+    def letters(self) -> Dict[object, ChainMap]:
+        """``{a: the letter-a blocks}`` as maps between the integral fibers;
+        a letter with no block in any degree is absent."""
+        per: Dict[object, Dict[int, IntMatrix]] = {}
+        for n, m in self.mats.items():
+            for a, blk in m.letters.items():
+                per.setdefault(a, {})[n] = blk
+        src, tgt = _fiber(self.source), _fiber(self.target)
+        return {a: ChainMap(src, tgt, self.degree, mats, check=False) for a, mats in per.items()}
 
-    def _like(self, letters: Dict[object, ChainMap]) -> "EquivariantChainMap":
-        return EquivariantChainMap(self.backend, self.source, self.target,
-                                   self.degree, letters)
 
-    def _zero_block(self) -> ChainMap:
-        return ChainMap.zero(self.source, self.target, self.degree)
+def _fiber(cx: ChainComplex) -> ChainComplex:
+    """The integral complex that a constant complex over ``Z[G]`` holds at letter e."""
+    e = cx.ring.backend.identity()
 
-    def convolve(self, other: "EquivariantChainMap",
-                 allowed: Optional[FiniteSubset] = None) -> "EquivariantChainMap":
-        return EquivariantChainMap(self.backend, other.source, self.target,
-                                   self.degree + other.degree,
-                                   self._convolve(other, allowed))
+    def at_e(blocks):
+        return {n: m.letter(e) for n, m in blocks.items()}
+    return ChainComplex(cx.ranks, at_e(cx.diff), None if cx.idem is None else at_e(cx.idem),
+                        cx.positions, check=False)
 
-    def symdual(self) -> "EquivariantChainMap":
-        """Ultra-quadratic dual of equivariant ``psi: C^-* -> C`` data:
-        letters invert, each block takes the iota-twisted transpose."""
-        return self._like(self._inverse_letters(symmetrized_dual))
 
-    @staticmethod
-    def identity(backend: GroupBackend, c: ChainComplex) -> "EquivariantChainMap":
-        return EquivariantChainMap(backend, c, c, 0,
-                                   {backend.identity(): ChainMap.identity(c)})
+def _module_map(source: ChainComplex, target: ChainComplex, degree: int,
+                terms: Iterable[Tuple[object, IntMatrix, ChainMap]]) -> EquivariantChainMap:
+    """The sum of ``block ox f`` at letter ``a`` over the terms ``(a, block, f)``,
+    between module tensors ``Z^m ox P`` read over ``Z[G]``."""
+    acc: Dict[int, Dict[object, IntMatrix]] = {}
+    for a, block, f in terms:
+        for n, m in f.mats.items():
+            at = acc.setdefault(n, {})
+            piece = block.kron(m)
+            at[a] = at[a] + piece if a in at else piece
+    backend = source.ring.backend
+    return EquivariantChainMap(source, target, degree, {
+        n: GRMatrix(backend, target.rank(n + degree), source.rank(n), letters)
+        for n, letters in acc.items()}, check=False)
 
-    def is_homotopy_from_to(self, source_map: "EquivariantChainMap",
-                            target_map: "EquivariantChainMap") -> bool:
-        """Letterwise ``d K + K d = target - source`` (the differential has
-        letter e, so the identity splits over letters)."""
-        keys = set(self.letters) | set(source_map.letters) | set(target_map.letters)
-        return all(ChainHomotopy(source_map.letter(a), target_map.letter(a),
-                                 self.letter(a).mats).holds() for a in keys)
 
-    def expand(self, cosets: Sequence[object]) -> ChainMap:
-        """Explicit chain map over positions ``(g, z)`` for a finite ball."""
-        gs = [self.backend.canonical(g) for g in cosets]
-        src = expand_complex(self.backend, self.source, gs)
-        tgt = expand_complex(self.backend, self.target, gs)
-        mats: Dict[int, IntMatrix] = {}
-        for n in self.source.ranks:
-            m = place_letters(self.backend,
-                              {a: blk.mat(n) for a, blk in self.letters.items()}, gs,
-                              self.target.rank(n + self.degree), self.source.rank(n))
-            if m.entries:
-                mats[n] = m
-        return ChainMap(src, tgt, self.degree, mats, check=False)
+def _lifts(P: HomotopySChainComplex, *ranks: int) -> Dict[int, ChainComplex]:
+    """``Z^m ox P`` read over ``Z[G]`` for each rank ``m``: one transfer call
+    builds them once and every map it makes runs between them."""
+    return {m: GRComplex.constant(P.backend, module_tensor(m, P.P)) for m in set(ranks)}
 
 
 def expand_complex(backend: GroupBackend, fiber: ChainComplex,
@@ -233,17 +211,19 @@ def expand_complex(backend: GroupBackend, fiber: ChainComplex,
 def tr(psi: EquivariantMorphism, P: HomotopySChainComplex) -> EquivariantChainMap:
     """``tr psi = sum over a of psi_a ox phi^P_a``.
 
-    Source and target are module tensors ``M ox P``; letters outside the
-    S of the chain action raise support-escape.
+    Source and target are module tensors ``M ox P`` read over ``Z[G]``;
+    letters outside the S of the chain action raise support-escape.
     """
-    src = module_tensor(psi.source.rank, P.P)
-    tgt = module_tensor(psi.target.rank, P.P)
-    letters: Dict[object, ChainMap] = {}
-    for a, block in psi.letters.items():
+    return _tr(psi, P, _lifts(P, psi.source.rank, psi.target.rank))
+
+
+def _tr(psi: EquivariantMorphism, P: HomotopySChainComplex,
+        lifts: Dict[int, ChainComplex]) -> EquivariantChainMap:
+    for a in psi.letters:
         if a not in P.S:
             raise SupportEscape(f"letter {a!r} is outside S")
-        letters[a] = module_tensor_map(block, P.phi[a], src, tgt)
-    return EquivariantChainMap(P.backend, src, tgt, 0, letters)
+    return _module_map(lifts[psi.source.rank], lifts[psi.target.rank], 0,
+                       ((a, block, P.phi[a]) for a, block in psi.letters.items()))
 
 
 def _letter_pair_witness(x: EquivariantMorphism, y: EquivariantMorphism,
@@ -252,29 +232,33 @@ def _letter_pair_witness(x: EquivariantMorphism, y: EquivariantMorphism,
     """``sum over a, b of (x_a @ y_b) ox H_{a,b}``, each homotopy first
     passed through ``through`` when given; a product ``ab`` outside S
     raises support-escape."""
-    acc: Dict[object, ChainMap] = {}
-    for a, ma in x.letters.items():
-        for b, mb in y.letters.items():
-            ab = P.backend.mul(a, b)
-            if ab not in P.S:
-                raise SupportEscape(f"product letter {ab!r} leaves S")
-            hom = P.H[(a, b)].as_map()
-            if through is not None:
-                hom = through(hom)
-            piece = module_tensor_map(ma @ mb, hom, src, tgt)
-            acc[ab] = acc[ab] + piece if ab in acc else piece
-    return EquivariantChainMap(P.backend, src, tgt, 1, acc)
+    def terms():
+        for a, ma in x.letters.items():
+            for b, mb in y.letters.items():
+                ab = P.backend.mul(a, b)
+                if ab not in P.S:
+                    raise SupportEscape(f"product letter {ab!r} leaves S")
+                hom = P.H[(a, b)].as_map()
+                yield ab, ma @ mb, hom if through is None else through(hom)
+    return _module_map(src, tgt, 1, terms())
 
 
 def functoriality_witness(psi2: EquivariantMorphism, psi: EquivariantMorphism,
                           P: HomotopySChainComplex) -> EquivariantChainMap:
     """Exact homotopy ``sum (psi2_a o psi_b) ox H_{a,b}`` from
     ``tr(psi2) o tr(psi)`` to ``tr(psi2 o psi)``."""
-    witness = _letter_pair_witness(psi2, psi, P, module_tensor(psi.source.rank, P.P),
-                                   module_tensor(psi2.target.rank, P.P))
-    lhs = tr(psi2, P).convolve(tr(psi, P))
-    rhs = tr(psi2.convolve(psi), P)
-    if not witness.is_homotopy_from_to(lhs, rhs):
+    return _functoriality_witness(
+        psi2, psi, P, _lifts(P, psi.source.rank, psi.target.rank, psi2.target.rank))
+
+
+def _functoriality_witness(psi2: EquivariantMorphism, psi: EquivariantMorphism,
+                           P: HomotopySChainComplex,
+                           lifts: Dict[int, ChainComplex]) -> EquivariantChainMap:
+    witness = _letter_pair_witness(psi2, psi, P, lifts[psi.source.rank],
+                                   lifts[psi2.target.rank])
+    lhs = _tr(psi2, P, lifts).compose(_tr(psi, P, lifts))
+    rhs = _tr(psi2.convolve(psi), P, lifts)
+    if not ChainHomotopy(lhs, rhs, witness.mats).holds():
         raise IdentityFailure("functoriality homotopy identity fails "
                               "(convention mismatch)")
     return witness
@@ -370,10 +354,11 @@ def k_transfer(alpha: EquivariantMorphism, alpha_inv: EquivariantMorphism,
             or alpha.convolve(alpha_inv).letters != ident.letters:
         raise InputError("alpha_inv does not invert alpha")
     _check_square_inside(alpha.backend, list(alpha.letters) + list(alpha_inv.letters), S)
-    tra = tr(alpha, P)
-    trinv = tr(alpha_inv, P)
-    h = functoriality_witness(alpha_inv, alpha, P)
-    k = functoriality_witness(alpha, alpha_inv, P)
+    lifts = _lifts(P, alpha.source.rank, alpha.target.rank)
+    tra = _tr(alpha, P, lifts)
+    trinv = _tr(alpha_inv, P, lifts)
+    h = _functoriality_witness(alpha_inv, alpha, P, lifts)
+    k = _functoriality_witness(alpha, alpha_inv, P, lifts)
     # h: tr(inv) tr(a) ~ tr(id) = id; same for k with the roles swapped
     if P.point_action is None:
         raise InputError("k_transfer needs the underlying point action")
@@ -381,38 +366,23 @@ def k_transfer(alpha: EquivariantMorphism, alpha_inv: EquivariantMorphism,
                             {"map": tra, "inverse": trinv, "h": h, "k": k})
     eps = max(P.achieved_phi_control(), P.achieved_homotopy_control(),
               P.achieved_complex_control())
-    return KTransferResult(tra.source, tra, trinv, h, k, cert, 1 + lam * eps)
-
-
-def project_to_point(eq: EquivariantChainMap) -> GRGradedMap:
-    """Collapse the fiber positions; the result is a graded map of free
-    ``Z[G]``-complexes."""
-    backend = eq.backend
-    degs = {n for cmap in eq.letters.values() for n in cmap.mats}
-    mats = {n: GRMatrix(backend, eq.target.rank(n + eq.degree), eq.source.rank(n),
-                        {a: cmap.mat(n) for a, cmap in eq.letters.items()})
-            for n in degs}
-    return GRGradedMap(GRComplex.constant(backend, eq.source),
-                       GRComplex.constant(backend, eq.target), eq.degree, mats)
+    return KTransferResult(_fiber(tra.source), tra, trinv, h, k, cert, 1 + lam * eps)
 
 
 def projected_torsion(result: KTransferResult) -> GRMatrix:
-    """K_1 representative of the point-projection of the transfer.
+    """K_1 representative of the transfer, a self-equivalence of free
+    ``Z[G]``-complexes.
 
     Idempotent-completed fibers are first conjugated onto free summands:
     the fiber idempotents are integer matrices, so their images split
     off unimodularly and all identities transport through ``x -> R x B``.
     """
-    f = project_to_point(result.map)
-    g = project_to_point(result.inverse)
-    h = dict(project_to_point(result.h).mats)
-    k = dict(project_to_point(result.k).mats)
+    f, g = result.map, result.inverse
+    h, k = dict(result.h.mats), dict(result.k.mats)
     cx = result.complex
     if cx.idem is not None and not cx.is_free():
-        backend = result.map.backend
-        bases = {}
-        for n in cx.ranks:
-            bases[n] = idempotent_splitting(cx.p(n))
+        backend = f.source.ring.backend
+        bases = {n: idempotent_splitting(cx.p(n)) for n in cx.ranks}
 
         def conj(mats: Dict[int, GRMatrix], degree: int) -> Dict[int, GRMatrix]:
             out = {}
@@ -426,8 +396,8 @@ def projected_torsion(result: KTransferResult) -> GRMatrix:
 
         ranks = {n: bases[n][0].cols for n in cx.ranks}
         free_src = GRComplex(backend, ranks, conj(f.source.diff, -1))
-        f = GRGradedMap(free_src, free_src, 0, conj(f.mats, 0))
-        g = GRGradedMap(free_src, free_src, 0, conj(g.mats, 0))
+        f = ChainMap(free_src, free_src, 0, conj(f.mats, 0), check=False)
+        g = ChainMap(free_src, free_src, 0, conj(g.mats, 0), check=False)
         h = conj(h, 1)
         k = conj(k, 1)
     return gr_self_torsion(f, g, h, k)
@@ -496,7 +466,8 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
         if j >= k_ + 2:
             return None
         if j == k_ + 1:
-            return D.d(j).scale(sign(mm + k_))
+            dj = D.diff.get(j)
+            return None if dj is None else dj.scale(sign(mm + k_))
         if j == k_:
             if (j - mm) % 2:
                 return ir.get(j)
@@ -506,9 +477,7 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
         comp, ik = h_chain(j, k_), i.mats.get(k_)
         return None if comp is None or ik is None else (ik @ comp).scale(sign(mm + k_ + 1))
 
-    ranks = {}
-    for m in range(cap + 1):
-        ranks[m] = sum(D.rank(j) for j in range(0, min(m, N) + 1))
+    ranks = {m: sum(D.rank(j) for j in range(min(m, N) + 1)) for m in range(cap + 1)}
     diff: Dict[int, IntMatrix] = {}
     for m in range(1, cap + 1):
         js = list(range(0, min(m, N) + 1))
@@ -516,14 +485,8 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
         diff[m] = IntMatrix.from_blocks(
             [[djk(m, j, k_) for j in js] for k_ in ks],
             [D.rank(k_) for k_ in ks], [D.rank(j) for j in js])
-    positions = None
-    if D.positions is not None:
-        positions = {}
-        for m in range(cap + 1):
-            ps: List[object] = []
-            for j in range(0, min(m, N) + 1):
-                ps.extend(D.pos(j))
-            positions[m] = tuple(ps)
+    positions = None if D.positions is None else {
+        m: tuple(p for j in range(min(m, N) + 1) for p in D.pos(j)) for m in range(cap + 1)}
     try:
         staircase = ChainComplex(ranks, diff, positions=positions)
         checks.append(("staircase-d-squared", True))
@@ -539,7 +502,7 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
         cols = [D.rank(j) for j in js]
         # f'_m = (0, ..., 0, i_m) stacked into the direct sum
         fp_mats[m] = IntMatrix.from_blocks(
-            [[(i.mat(m) if (j == m and m <= N) else None)] for j in js],
+            [[(i.mats.get(m) if (j == m and m <= N) else None)] for j in js],
             cols, [C.rank(m)])
         gp_mats[m] = IntMatrix.from_blocks([[h_chain(j, m) for j in js]], [C.rank(m)], cols)
     fprime = ChainMap(C, staircase, 0, fp_mats, check=False)
@@ -555,19 +518,14 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
     checks.append(("k-prime-homotopy", all(map(kprime.holds_at, range(cap)))))
 
     # tail: c'_m idempotent for m >= N+1 and c'_{m+1} = id - c'_m
-    tail_ok = True
-    for m in range(N + 1, cap + 1):
-        cm = diff[m]
-        if not (cm @ cm - cm).is_zero():
-            tail_ok = False
-    for m in range(N + 1, cap):
-        if diff[m + 1] != IntMatrix.identity(ranks[N]) - diff[m]:
-            tail_ok = False
+    ident_n = IntMatrix.identity(ranks[N])
+    tail_ok = (all(diff[m] @ diff[m] == diff[m] for m in range(N + 1, cap + 1))
+               and all(diff[m + 1] == ident_n - diff[m] for m in range(N + 1, cap)))
     checks.append(("tail-idempotency", tail_ok))
     if not tail_ok:
         raise IdempotentFailure("stabilized tail is not idempotent")
     c_top = diff[N + 1]
-    pN = IntMatrix.identity(ranks[N]) - c_top
+    pN = ident_n - c_top
 
     # P = D': degrees 0..N with the idempotent at the top
     p_ranks = {m: ranks[m] for m in range(N + 1)}
@@ -578,35 +536,29 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
     p_positions = {m: positions[m] for m in range(N + 1)} if positions else None
     P = ChainComplex(p_ranks, p_diff, p_idem, p_positions)
 
-    # u: P -> C'; v: C' -> P
-    u_mats = {m: (pN if m == N else IntMatrix.identity(ranks[m])) for m in range(N + 1)}
-    v_mats = {m: (pN if m == N else IntMatrix.identity(ranks[m])) for m in range(N + 1)}
-    u = ChainMap(P, staircase, 0, u_mats, check=False)
-    v = ChainMap(staircase, P, 0, v_mats, check=False)
+    # u: P -> C' and v: C' -> P, both the idempotents of P
+    u = ChainMap(P, staircase, 0, p_idem, check=False)
+    v = ChainMap(staircase, P, 0, p_idem, check=False)
     checks.append(("u-chain-map", u.is_chain_map()))
     checks.append(("v-chain-map", v.is_chain_map()))
     checks.append(("vu-identity", v.compose(u) == ChainMap.identity(P)))
 
     # l': id_{C'} ~ u o v; the alternating tail enters negated under the
     # homotopy convention dH + Hd = target - source
-    lp_mats: Dict[int, IntMatrix] = {}
-    for m in range(N, cap):
-        if (m - N) % 2 == 0:
-            lp_mats[m] = -c_top
-        else:
-            lp_mats[m] = c_top - IntMatrix.identity(ranks[N])
+    lp_mats = {m: c_top - ident_n if (m - N) % 2 else -c_top for m in range(N, cap)}
     lprime = ChainHomotopy(ChainMap.identity(staircase), u.compose(v), lp_mats)
     checks.append(("l-prime-homotopy", all(map(lprime.holds_at, range(cap)))))
 
     f = v.compose(fprime)
     g = gprime.compose(u)
-    k_mats = {m: (v.mat(m + 1) @ kprime.mat(m) @ u.mat(m)) for m in range(N + 1)}
+    # from present blocks only: v has no degree N + 1, so k_N is zero
+    k_mats = {m: v.mats[m + 1] @ kprime.mats[m] @ u.mats[m] for m in range(N + 1)
+              if m + 1 in v.mats and m in kprime.mats and m in u.mats}
     k = ChainHomotopy(f.compose(g), ChainMap.identity(P), k_mats)
     checks.append(("k-homotopy", k.holds()))
-    lpm = ChainMap(staircase, staircase, 1, dict(lp_mats), check=False)
+    lpm = ChainMap(staircase, staircase, 1, lp_mats, check=False)
     l_map = hm - gprime.compose(lpm).compose(fprime)
-    l = ChainHomotopy(g.compose(f), ChainMap.identity(C),
-                      {n: m for n, m in l_map.mats.items()})
+    l = ChainHomotopy(g.compose(f), ChainMap.identity(C), dict(l_map.mats))
     checks.append(("l-homotopy", l.holds()))
     return FiniteReplacementResult(P, f, g, k, l, staircase, checks)
 
@@ -637,12 +589,7 @@ def induce_chain_action(repl: FiniteReplacementResult, backend: GroupBackend,
     e = backend.identity()
     f, g_map, l = repl.f, repl.g, repl.l
     P = repl.P
-    phi: Dict[object, ChainMap] = {}
-    for a in S:
-        if a == e:
-            phi[a] = ChainMap.identity(P)
-        else:
-            phi[a] = f.compose(phi_c[a]).compose(g_map)
+    phi = {a: ChainMap.identity(P) if a == e else f.compose(phi_c[a]).compose(g_map) for a in S}
     lm = l.as_map()
     homotopies: Dict[Tuple[object, object], ChainHomotopy] = {}
     for a, b, ab in S.products:
@@ -700,11 +647,8 @@ def l_symmetric_complex(P: HomotopySChainComplex) -> LSymmetricData:
     D = d_xx.relabel(lambda p: unordered_pair(p[0], p[1]))
     pair_space = p2_metric(P.space)
     phi_dual = {g: dual_map(P.phi[g]) for g in P.S}  # S = S^{-1} holds every g^{-1}
-    phi: Dict[object, ChainMap] = {}
-    for g in P.S:
-        phi[g] = tensor_map(phi_dual[backend.inv(g)], P.phi[g]).retarget(D, D)
+    phi = {g: tensor_map(phi_dual[backend.inv(g)], P.phi[g]).retarget(D, D) for g in P.S}
     H: Dict[Tuple[object, object], ChainHomotopy] = {}
-    hom_ok = True
     for g, h, gh in P.S.products:
         # the dualized homotopy enters negated: under the convention
         # dH + Hd = target - source, dualizing a degree-1 map flips
@@ -712,24 +656,15 @@ def l_symmetric_complex(P: HomotopySChainComplex) -> LSymmetricData:
         first = tensor_map(dual_map(P.H[(backend.inv(h), backend.inv(g))].as_map()),
                            P.phi[g].compose(P.phi[h])).scale(-1)
         second = tensor_map(phi_dual[backend.inv(gh)], P.H[(g, h)].as_map())
-        mats = (first + second).mats
-        hom = ChainHomotopy(phi[g].compose(phi[h]), phi[gh], dict(mats))
-        if not hom.holds():
-            hom_ok = False
-        H[(g, h)] = hom
-    checks.append(("H-D-homotopies", hom_ok))
+        H[(g, h)] = ChainHomotopy(phi[g].compose(phi[h]), phi[gh], dict((first + second).mats))
+    checks.append(("H-D-homotopies", all(hom.holds() for hom in H.values())))
 
     _, psi = mult_hyperbolic_complex(P.P)
     mu = psi.retarget(dual_complex(D), D)
     checks.append(("mu-diagonal-support", all(x == y for x, y in mu.support_pairs())))
     checks.append(("mu-symmetric", symmetrized_dual(mu) == mu))
-    equi_ok = True
-    for g in P.S:
-        lhs = mu.compose(dual_map(phi[backend.inv(g)]))
-        rhs = phi[g].compose(mu)
-        if not all(lhs.mat(n) == rhs.mat(n) for n in set(lhs.mats) | set(rhs.mats)):
-            equi_ok = False
-    checks.append(("mu-equivariance", equi_ok))
+    checks.append(("mu-equivariance", all(mu.compose(dual_map(phi[backend.inv(g)]))
+                                          == phi[g].compose(mu) for g in P.S)))
     lo, hi = P.P.lo, P.P.hi
     checks.append(("degree-window", D.lo >= -hi and D.hi <= hi and lo >= 0))
 
@@ -754,7 +689,7 @@ class LTransferResult:
     data: LSymmetricData
     complex: ChainComplex                 # fiber of M ox D
     psi: EquivariantChainMap              # the ultra-quadratic structure
-    sigma: EquivariantChainMap            # psi + psi^symdual
+    sigma: EquivariantChainMap            # psi + its symmetrized dual
     inverse: EquivariantChainMap          # homotopy inverse of sigma
     h: EquivariantChainMap                # inverse o sigma ~ id
     k: EquivariantChainMap                # sigma o inverse ~ id
@@ -824,43 +759,36 @@ def l_transfer(alpha: EquivariantMorphism, P: HomotopySChainComplex,
                             "or its inverse are outside S")
 
     mdd = module_tensor(m_rank, D)
-    mdd_dual = module_tensor(m_rank, dual_complex(D))  # = dual fiber of M ox D
+    lift = GRComplex.constant(backend, mdd)
+    lift_dual = dual_complex(lift)  # = M ox D^-* read over Z[G]
     phi_mu = {a: data.phi[a].compose(data.mu)
               for a in set(alpha.letters) | set(sigma_mod.letters)}
-    psi_letters: Dict[object, ChainMap] = {}
-    for a, blk in alpha.letters.items():
-        psi_letters[a] = module_tensor_map(blk, phi_mu[a], mdd_dual, mdd)
-    psi = EquivariantChainMap(backend, mdd_dual, mdd, 0, psi_letters)
+    psi = _module_map(lift_dual, lift, 0,
+                      ((a, blk, phi_mu[a]) for a, blk in alpha.letters.items()))
 
     # exact symmetrization identity (the displayed five-line computation)
-    sigma_eq = psi + psi.symdual()
-    expected_letters = {}
-    for a, blk in sigma_mod.letters.items():
-        expected_letters[a] = module_tensor_map(blk, phi_mu[a], mdd_dual, mdd)
-    expected = EquivariantChainMap(backend, mdd_dual, mdd, 0, expected_letters)
+    sigma_eq = EquivariantChainMap(lift_dual, lift, 0,
+                                   (psi + symmetrized_dual(psi)).mats, check=False)
+    expected = _module_map(lift_dual, lift, 0,
+                           ((a, blk, phi_mu[a]) for a, blk in sigma_mod.letters.items()))
     checks.append(("symmetrization-identity", sigma_eq == expected))
 
     # witness: (id ox mu^{-1}) tr(sigma^{-1}) with the Lemma-6.3 homotopies
     mu_inv = data.mu.integer_inverse()
     if mu_inv is None:
         raise IdentityFailure("mu is not invertible")
-    tau_letters = {}
-    for b, blk in sigma_inverse.letters.items():
-        tau_letters[b] = module_tensor_map(blk, mu_inv.compose(data.phi[b]),
-                                           mdd, mdd_dual)
-    tau = EquivariantChainMap(backend, mdd, mdd_dual, 0, tau_letters)
+    tau = _module_map(lift, lift_dual, 0, ((b, blk, mu_inv.compose(data.phi[b]))
+                                           for b, blk in sigma_inverse.letters.items()))
 
     # k: sigma_eq o tau ~ id_{M ox D}  via sum (sigma_a sigma^{-1}_b) ox H^D_{a,b}
-    k_eq = _letter_pair_witness(sigma_mod, sigma_inverse, data.chain, mdd, mdd)
-    checks.append(("witness-k",
-                   k_eq.is_homotopy_from_to(sigma_eq.convolve(tau),
-                                            EquivariantChainMap.identity(backend, mdd))))
+    k_eq = _letter_pair_witness(sigma_mod, sigma_inverse, data.chain, lift, lift)
+    checks.append(("witness-k", ChainHomotopy(sigma_eq.compose(tau), ChainMap.identity(lift),
+                                              k_eq.mats).holds()))
     # h: tau o sigma_eq ~ id of the dual, conjugated through mu
-    h_eq = _letter_pair_witness(sigma_inverse, sigma_mod, data.chain, mdd_dual, mdd_dual,
+    h_eq = _letter_pair_witness(sigma_inverse, sigma_mod, data.chain, lift_dual, lift_dual,
                                 lambda hom: mu_inv.compose(hom).compose(data.mu))
-    checks.append(("witness-h",
-                   h_eq.is_homotopy_from_to(tau.convolve(sigma_eq),
-                                            EquivariantChainMap.identity(backend, mdd_dual))))
+    checks.append(("witness-h", ChainHomotopy(tau.compose(sigma_eq),
+                                              ChainMap.identity(lift_dual), h_eq.mats).holds()))
     for name, eq in (("psi-letters", psi), ("inverse-letters", tau),
                      ("h-letters", h_eq), ("k-letters", k_eq)):
         checks.append((name + "-in-S", all(a in S for a in eq.letters)))
@@ -886,7 +814,6 @@ def l_transfer_recovers_form(result: LTransferResult,
     pe = result.data.chain.point_equivalence
     if pe is None:
         raise InputError("recovery check needs a point equivalence on P")
-    backend = alpha.backend
     for a in alpha.letters:
         q_a = pe.to_point.compose(result.data.phi[a]).compose(result.data.mu) \
                          .compose(dual_map(pe.to_point))
@@ -906,7 +833,7 @@ def expanded_ultraquadratic(result: LTransferResult, lam: Fraction,
     ``G x P2(X)`` so that ``ltheory.verify_ultraquadratic`` can replay
     every identity and certificate independently.
     """
-    backend = result.psi.backend
+    backend = result.data.chain.backend
     if backend.kind != "finite-table":
         raise InputError("expansion needs a finite-table backend")
     cosets = backend.elements()
@@ -927,13 +854,20 @@ def expanded_ultraquadratic(result: LTransferResult, lam: Fraction,
     c_exp = expand_complex(backend, result.complex, cosets).relabel(
         lambda p: GPos(p.g, (p.g, p.z)))
     cd_exp = dual_complex(c_exp)
-    psi = result.psi.expand(cosets).retarget(cd_exp, c_exp)
-    inverse = result.inverse.expand(cosets).retarget(c_exp, cd_exp)
-    sigma_full = result.sigma.expand(cosets).retarget(cd_exp, c_exp)
+
+    def explicit(f: ChainMap, source: ChainComplex, target: ChainComplex) -> ChainMap:
+        """``f`` over positions ``(g, z)``: its letters placed per degree."""
+        return ChainMap(source, target, f.degree, {
+            n: place_letters(backend, m.letters, cosets, m.rows, m.cols)
+            for n, m in f.mats.items()}, check=False)
+
+    psi = explicit(result.psi, cd_exp, c_exp)
+    inverse = explicit(result.inverse, c_exp, cd_exp)
+    sigma_full = explicit(result.sigma, cd_exp, c_exp)
     h = ChainHomotopy(inverse.compose(sigma_full), ChainMap.identity(cd_exp),
-                      dict(result.h.expand(cosets).mats))
+                      explicit(result.h, cd_exp, cd_exp).mats)
     k = ChainHomotopy(sigma_full.compose(inverse), ChainMap.identity(c_exp),
-                      dict(result.k.expand(cosets).mats))
+                      explicit(result.k, c_exp, c_exp).mats)
     uq = UltraQuadraticComplex(c_exp, psi, PoincareWitness(inverse, h, k))
     return uq, space
 
@@ -943,7 +877,7 @@ def expanded_ultraquadratic(result: LTransferResult, lam: Fraction,
 
 def whitehead_transfer(a_letters: Dict[object, IntMatrix], backend: GroupBackend,
                        C: ChainComplex, r_action: Dict[object, ChainMap]
-                       ) -> GRGradedMap:
+                       ) -> EquivariantChainMap:
     """Twisted transfer ``A ox_t C`` of a group-ring matrix.
 
     ``A = sum A_g g`` acts on ``Z[G]^m ox C`` by
@@ -954,28 +888,21 @@ def whitehead_transfer(a_letters: Dict[object, IntMatrix], backend: GroupBackend
     if len(shapes) != 1:
         raise InputError("matrix letters must share one shape")
     rows, cols = next(iter(shapes))
-    src = GRComplex.constant(backend, module_tensor(cols, C))
-    tgt = GRComplex.constant(backend, module_tensor(rows, C))
-    mats: Dict[int, GRMatrix] = {}
-    for g, block in a_letters.items():
-        rg = r_action[backend.canonical(g)]
-        for n, m in rg.mats.items():
-            piece = GRMatrix(backend, rows * C.rank(n), cols * C.rank(n),
-                             {g: block.kron(m)})
-            mats[n] = mats[n] + piece if n in mats else piece
-    return GRGradedMap(src, tgt, 0, mats)
+    canonical = backend.canonical
+    return _module_map(GRComplex.constant(backend, module_tensor(cols, C)),
+                       GRComplex.constant(backend, module_tensor(rows, C)), 0,
+                       ((canonical(g), block, r_action[canonical(g)])
+                        for g, block in a_letters.items()))
 
 
 def classical_l_transfer(psi_letters: Dict[object, IntMatrix], backend: GroupBackend,
                          C: ChainComplex, phi_form: ChainMap,
-                         r_action: Dict[object, ChainMap]) -> GRGradedMap:
+                         r_action: Dict[object, ChainMap]) -> ChainMap:
     """Ultra-quadratic form ``psi ox_t (C, phi)`` on ``M ox C``:
     the twisted transfer composed with ``id ox phi``."""
     base = whitehead_transfer(psi_letters, backend, C, r_action)
     cols = next(iter(psi_letters.values())).cols
     dual_src = GRComplex.constant(backend, module_tensor(cols, dual_complex(C)))
-    id_phi_mats = {n: GRMatrix.constant(backend,
-                                        IntMatrix.identity(cols).kron(phi_form.mat(n)))
-                   for n in phi_form.mats}
-    id_phi = GRGradedMap(dual_src, base.source, 0, id_phi_mats)
+    id_phi = _module_map(dual_src, base.source, 0,
+                         [(backend.identity(), IntMatrix.identity(cols), phi_form)])
     return base.compose(id_phi)

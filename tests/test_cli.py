@@ -158,12 +158,13 @@ def test_z3_pipelines_suite(capsys):
     assert "transfer-k:kpipe:projection-torsion" in out
 
 
-def test_suite_workers_deterministic(tmp_path):
+def test_suite_deterministic_and_workers_removed(tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
     assert run_cli("suite", Z2, "--json-out", str(out1)) == 0
-    assert run_cli("suite", Z2, "--workers", "4", "--json-out", str(out2)) == 0
+    assert run_cli("suite", Z2, "--json-out", str(out2)) == 0
     assert out1.read_text() == out2.read_text()
+    assert run_cli("suite", Z2, "--workers", "4") == 2
 
 
 def test_reports_deterministic_given_seed(tmp_path):

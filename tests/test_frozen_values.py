@@ -5,9 +5,10 @@ Outside ``klab.intmat`` a matrix is built by a constructor (``IntMatrix``,
 operators) and never written afterwards, so the sparse-entry invariant
 (only nonzero entries, all inside the shape) is kept in one module and a
 stored matrix can be shared.  The same holds for the ranks, matrices,
-idempotents and positions a ``ChainComplex`` or ``ChainMap`` holds: only
-its own methods set or fill them.  ``klab.chaincore`` relies on this when
-it hands one memoised dual or tensor to every caller.
+idempotents and positions a ``ChainComplex`` or ``ChainMap`` holds, and
+for the letters of a ``GRMatrix``: only its own methods set or fill
+them.  ``klab.chaincore`` relies on this when it hands one memoised dual
+or tensor to every caller.
 """
 
 import ast
@@ -15,7 +16,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "klab"
 DICT_WRITES = {"pop", "update", "setdefault", "clear", "popitem"}
-HELD = {"diff", "mats", "idem", "positions", "ranks"}
+HELD = {"diff", "mats", "idem", "positions", "ranks", "letters"}
 
 
 def _targets(node):
@@ -96,6 +97,9 @@ def test_guard_flags_every_kind_of_write():
         "cx.idem.setdefault(0, m)",
         "cx.positions.clear()",
         "cx.ranks.popitem()",
+        "m.letters[a] = x",
+        "m.letters.pop(a)",
+        "m.letters = {}",
     ]
     for src in writes:
         assert list(value_writes(ast.parse(src))) == [1], src

@@ -12,7 +12,7 @@ from klab.fixtures import (domination_instance, path_chain_domination,
                            rand_matrix, z2_chain_fixture,
                            z2_nontrivial_chain_fixture, z2_quadratic_alpha,
                            z2_swap_action, z2_unit_alpha)
-from klab.gring import GRMatrix
+from klab.gring import GRComplex, GRMatrix
 from klab.groups import FiniteSubset, FiniteTableGroup
 from klab.intmat import IntMatrix
 from klab.ltheory import verify_ultraquadratic
@@ -39,7 +39,7 @@ def test_tr_identity_is_identity():
     out = tr(ident, pcx)
     src = module_tensor(2, pcx.P)
     for n in src.ranks:
-        assert out.letter(0).mat(n) == IntMatrix.identity(src.rank(n))
+        assert out.letters[0].mat(n) == IntMatrix.identity(src.rank(n))
 
 
 def test_tr_trivial_complex_recovers_psi():
@@ -58,7 +58,7 @@ def test_tr_trivial_complex_recovers_psi():
                               {g: rand_matrix(rng, 2, 2) for g in [0, 1]})
     out = tr(psi, trivial)
     for g in [0, 1]:
-        assert out.letter(g).mat(0) == psi.block(g)
+        assert out.letters[g].mat(0) == psi.block(g)
 
 
 def test_tr_blocks_match_hand_expansion():
@@ -69,7 +69,7 @@ def test_tr_blocks_match_hand_expansion():
     out = tr(psi, pcx)
     for g in [0, 1]:
         for n in pcx.P.ranks:
-            assert out.letter(g).mat(n) == psi.block(g).kron(pcx.phi[g].mat(n))
+            assert out.letters[g].mat(n) == psi.block(g).kron(pcx.phi[g].mat(n))
 
 
 def test_tr_support_escape():
@@ -93,7 +93,7 @@ def test_functoriality_strict_for_genuine_actions():
                                {g: rand_matrix(rng, 2, 2) for g in [0, 1]})
     witness = functoriality_witness(psi2, psi, pcx)
     assert witness.is_zero()
-    assert tr(psi2, pcx).convolve(tr(psi, pcx)) == tr(psi2.convolve(psi), pcx)
+    assert tr(psi2, pcx).compose(tr(psi, pcx)) == tr(psi2.convolve(psi), pcx)
 
 
 def test_functoriality_nontrivial_homotopy_exact():
@@ -321,7 +321,7 @@ def test_k_transfer_dslambda_cross_check():
 
 def test_certificate_needs_positions():
     bare = ChainComplex({0: 1, 1: 1}, {1: IntMatrix.from_rows([[2]])})
-    eq = EquivariantChainMap.identity(z2(), bare)
+    eq = EquivariantChainMap.identity(GRComplex.constant(z2(), bare))
     with pytest.raises(InputError):
         certify_dslambda(z2_swap_action(), Fraction(1), {"id": eq})
 
@@ -426,7 +426,7 @@ def test_l_transfer_trivial_instance():
     # structure map is alpha itself
     assert result.data.D.ranks == {0: 1}
     assert result.data.mu.mat(0) == IntMatrix.from_rows([[1]])
-    assert result.psi.letter(0).mat(0) == alpha.block(0)
+    assert result.psi.letters[0].mat(0) == alpha.block(0)
 
 
 def test_l_transfer_inverse_letters_outside_s():

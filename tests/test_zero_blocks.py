@@ -17,10 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from klab.chaincore import (ChainComplex, ChainHomotopy, ChainMap, cone, cone_torsion,
                             dual_complex, tensor_complex, tensor_map)
-from klab.fixtures import junk_equivalence, rand_complex, rand_matrix
+from klab.fixtures import domination_instance, junk_equivalence, rand_complex, rand_matrix
 from klab.gring import GRMatrix, GroupRing
 from klab.groups import FiniteTableGroup
 from klab.intmat import IntMatrix, sign
+from klab.transfer import finite_replacement
 
 # -- reference: the explicit-zero checks and algebra ---------------------------
 
@@ -373,10 +374,12 @@ def test_planted_faults_are_caught():
 
 def test_identity_idempotent_and_zero_blocks_are_not_built(monkeypatch):
     """On a sound case no check, sum, composite or tensor of maps builds a
-    zero or an identity matrix, and no dual, cone or cone torsion a zero."""
+    zero or an identity matrix, and no dual, cone, cone torsion or finite
+    replacement a zero."""
     C, D, f, g, hom, x, y = case(5, False, 0, 0, True, True, "none")
     held = tensor_complex(D, C), tensor_complex(C, C)  # the endpoints, built first
     JC, JD, proj, incl, jh, jk = junk_equivalence(random.Random(5))
+    dominations = [domination_instance(random.Random(seed), seed % 3) for seed in range(6)]
     built = []
     for name in ("zeros", "identity"):
         real = getattr(IntMatrix, name)
@@ -390,6 +393,7 @@ def test_identity_idempotent_and_zero_blocks_are_not_built(monkeypatch):
     assert built == []
     assert dual_complex(C).ranks and dual_complex(D).diff and cone(f).idem
     assert cone_torsion(proj, incl, jh.as_map(), jk.as_map()).det() in (1, -1)
+    assert all(finite_replacement(*dom).ok() for dom in dominations)
     assert "zeros" not in built  # a cone's idempotents are sums of p() blocks
 
 
