@@ -258,17 +258,31 @@ class ChainMap:
         return ChainMap(source, target, self.degree, self.mats, check=False)
 
     def support_pairs(self):
-        """``(target position, source position)`` for every nonzero entry."""
+        """``(target position, source position)`` for every nonzero entry.
+
+        Over ``Z[G]`` the entry ``(i, j)`` of the letter-``a`` block maps
+        the source fiber at coset ``a`` to the target fiber at ``e``, so
+        it yields ``((e, x), (a, y))`` for the fiber positions ``x, y``.
+        """
+        integral = self.source.ring is IntMatrix
+        e = None if integral else self.source.ring.backend.identity()
         for n, mat in self.mats.items():
             src = self.source.pos(n)
             tgt = self.target.pos(n + self.degree)
             if src is None or tgt is None:
                 raise InputError("support pairs need positioned complexes")
-            for (i, j) in mat.entries:
-                yield tgt[i], src[j]
+            if integral:
+                for (i, j) in mat.entries:
+                    yield tgt[i], src[j]
+                continue
+            for a, blk in mat.letters.items():
+                for (i, j) in blk.entries:
+                    yield (e, tgt[i]), (a, src[j])
 
     def integer_inverse(self) -> Optional["ChainMap"]:
         """Degreewise inverse over Z, or None when some degree is not unimodular."""
+        if self.source.ring is not IntMatrix:
+            raise InputError("integer_inverse needs a map over Z, not over Z[G]")
         k = self.degree
         mats = {}
         for n in set(self.source.ranks) | {n - k for n in self.target.ranks}:

@@ -405,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover", required=True)
     p.add_argument("--lam", required=True)
     p.add_argument("--family", default="virtually-cyclic")
-    p.add_argument("--n", type=int, default=2, help="dimension bound N")
+    p.add_argument("--n", type=_nonnegative("the dimension bound"), default=2,
+                   help="dimension bound N")
     p.add_argument("--audit-d", dest="audit_d",
                    help="Lebesgue D for the 16N^2/D contraction audit")
 

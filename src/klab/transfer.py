@@ -152,7 +152,9 @@ class EquivariantChainMap(ChainMap):
     @property
     def letters(self) -> Dict[object, ChainMap]:
         """``{a: the letter-a blocks}`` as maps between the integral fibers;
-        a letter with no block in any degree is absent."""
+        a letter with no block in any degree is absent.  A view for outside
+        readers, rebuilt on every read: the library reads the blocks (and
+        ``support_pairs``) directly."""
         per: Dict[object, Dict[int, IntMatrix]] = {}
         for n, m in self.mats.items():
             for a, blk in m.letters.items():
@@ -247,16 +249,20 @@ def functoriality_witness(psi2: EquivariantMorphism, psi: EquivariantMorphism,
                           P: HomotopySChainComplex) -> EquivariantChainMap:
     """Exact homotopy ``sum (psi2_a o psi_b) ox H_{a,b}`` from
     ``tr(psi2) o tr(psi)`` to ``tr(psi2 o psi)``."""
-    return _functoriality_witness(
-        psi2, psi, P, _lifts(P, psi.source.rank, psi.target.rank, psi2.target.rank))
+    lifts = _lifts(P, psi.source.rank, psi.target.rank, psi2.target.rank)
+    return _functoriality_witness(psi2, psi, P, lifts,
+                                  _tr(psi2, P, lifts), _tr(psi, P, lifts))
 
 
 def _functoriality_witness(psi2: EquivariantMorphism, psi: EquivariantMorphism,
-                           P: HomotopySChainComplex,
-                           lifts: Dict[int, ChainComplex]) -> EquivariantChainMap:
+                           P: HomotopySChainComplex, lifts: Dict[int, ChainComplex],
+                           tr_psi2: EquivariantChainMap,
+                           tr_psi: EquivariantChainMap) -> EquivariantChainMap:
+    """The witness for ``tr_psi2 = tr(psi2)`` and ``tr_psi = tr(psi)``,
+    which the caller already holds."""
     witness = _letter_pair_witness(psi2, psi, P, lifts[psi.source.rank],
                                    lifts[psi2.target.rank])
-    lhs = _tr(psi2, P, lifts).compose(_tr(psi, P, lifts))
+    lhs = tr_psi2.compose(tr_psi)
     rhs = _tr(psi2.convolve(psi), P, lifts)
     if not ChainHomotopy(lhs, rhs, witness.mats).holds():
         raise IdentityFailure("functoriality homotopy identity fails "
@@ -301,14 +307,18 @@ def certify_dslambda(action: HomotopySAction, lam: Fraction,
     """Certificate for transferred data relabeled over ``G x X``.
 
     A support pair ``(x, y)`` of the letter-``c`` block sits at
-    ``((e, x), (c, y))`` after the relabeling; the exhibited chain through
-    ``f in F_c`` bounds its ``d_{S,Lambda}`` distance by
-    ``1 + Lambda * d(x, f(y))``.
+    ``((e, x), (c, y))``, as ``ChainMap.support_pairs`` yields it over
+    ``Z[G]``; the exhibited chain through ``f in F_c`` bounds its
+    ``d_{S,Lambda}`` distance by ``1 + Lambda * d(x, f(y))``.
     """
     lam = Fraction(lam)
-    per_piece = {name: max((_letter_bound(action, lam, a, set(cmap.support_pairs()))
-                            for a, cmap in eq.letters.items()), default=Fraction(0))
-                 for name, eq in pieces.items()}
+    per_piece = {}
+    for name, eq in pieces.items():
+        pairs: Dict[object, Set[Tuple[object, object]]] = {}
+        for (_, x), (a, y) in eq.support_pairs():
+            pairs.setdefault(a, set()).add((x, y))
+        per_piece[name] = max((_letter_bound(action, lam, a, ps) for a, ps in pairs.items()),
+                              default=Fraction(0))
     bound = max(per_piece.values(), default=Fraction(0))
     return DSLambdaCertificate(lam, bound, per_piece)
 
@@ -349,6 +359,8 @@ def k_transfer(alpha: EquivariantMorphism, alpha_inv: EquivariantMorphism,
     """
     lam = Fraction(lam)
     S = S if S is not None else P.S
+    if P.point_action is None:
+        raise InputError("k_transfer needs the underlying point action")
     ident = EquivariantMorphism.identity(alpha.backend, alpha.source)
     if alpha_inv.convolve(alpha).letters != ident.letters \
             or alpha.convolve(alpha_inv).letters != ident.letters:
@@ -357,11 +369,9 @@ def k_transfer(alpha: EquivariantMorphism, alpha_inv: EquivariantMorphism,
     lifts = _lifts(P, alpha.source.rank, alpha.target.rank)
     tra = _tr(alpha, P, lifts)
     trinv = _tr(alpha_inv, P, lifts)
-    h = _functoriality_witness(alpha_inv, alpha, P, lifts)
-    k = _functoriality_witness(alpha, alpha_inv, P, lifts)
     # h: tr(inv) tr(a) ~ tr(id) = id; same for k with the roles swapped
-    if P.point_action is None:
-        raise InputError("k_transfer needs the underlying point action")
+    h = _functoriality_witness(alpha_inv, alpha, P, lifts, trinv, tra)
+    k = _functoriality_witness(alpha, alpha_inv, P, lifts, tra, trinv)
     cert = certify_dslambda(P.point_action, lam,
                             {"map": tra, "inverse": trinv, "h": h, "k": k})
     eps = max(P.achieved_phi_control(), P.achieved_homotopy_control(),
@@ -738,6 +748,8 @@ def l_transfer(alpha: EquivariantMorphism, P: HomotopySChainComplex,
     ``(S, 1 + Lambda*eps)``-controlled complex over ``G x P2(X)``.
     """
     lam = Fraction(lam)
+    if P.point_action is None:
+        raise InputError("l_transfer needs the underlying point action")
     backend = alpha.backend
     S = S if S is not None else P.S
     checks: List[Tuple[str, bool]] = []
@@ -791,7 +803,7 @@ def l_transfer(alpha: EquivariantMorphism, P: HomotopySChainComplex,
                                               ChainMap.identity(lift_dual), h_eq.mats).holds()))
     for name, eq in (("psi-letters", psi), ("inverse-letters", tau),
                      ("h-letters", h_eq), ("k-letters", k_eq)):
-        checks.append((name + "-in-S", all(a in S for a in eq.letters)))
+        checks.append((name + "-in-S", all(a in S for m in eq.mats.values() for a in m.letters)))
 
     cert = certify_dslambda(data.pair_action, lam,
                             {"psi": psi, "sigma": sigma_eq, "inverse": tau,

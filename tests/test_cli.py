@@ -339,6 +339,20 @@ def test_malformed_pipeline_is_exit_two_for_every_command(tmp_path, capsys):
     assert run_cli("suite", _mutated(tmp_path, unknown)) == 2
 
 
+def test_transfers_without_a_point_action_are_input_errors(tmp_path, capsys):
+    # the schema allows a chain action with no underlying point action
+    def drop(doc):
+        del doc["chain_actions"]["involution"]["action"]
+    path = _mutated(tmp_path, drop)
+    for command, name in (("transfer-l", "l_transfer"), ("transfer-k", "k_transfer")):
+        assert run_cli(command, path) == 2
+        assert f"input error: {name} needs the underlying point action" \
+            in capsys.readouterr().err
+    assert run_cli("suite", path) == 1
+    out = capsys.readouterr().out
+    assert "FAIL pipeline:kpipe:error" in out and "FAIL pipeline:lpipe:error" in out
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc["complexes"]["P"]["positions"].update({"1": [None]}),
      "chain_actions.involution: complex positions must be points of the space"),
@@ -435,6 +449,7 @@ def test_dslambda_negative_horizon_exit_two(capsys):
     (("orbit", Z2, "--action", "swap", "--depth", "1", "--at", "0:p", "--horizon", "-3"),
      "move horizon"),
     (("suite", Z2, "--horizon", "-1"), "move horizon"),
+    (("nerve", Z2, "--cover", "longcover", "--lam", "1/2", "--n", "-1"), "dimension bound"),
 ])
 def test_negative_counts_are_usage_errors(argv, message, capsys):
     assert run_cli(*argv) == 2

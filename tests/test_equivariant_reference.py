@@ -326,6 +326,16 @@ def per_letter(eq) -> Dict[object, Dict[int, IntMatrix]]:
     return {a: dict(cmap.mats) for a, cmap in eq.letters.items()}
 
 
+def letter_support(eq, e):
+    """``((e, x), (a, y))`` for every entry of the per-letter view."""
+    out = set()
+    for a, cmap in eq.letters.items():
+        for n, m in cmap.mats.items():
+            tgt, src = cmap.target.pos(n + cmap.degree), cmap.source.pos(n)
+            out |= {((e, tgt[i]), (a, src[j])) for (i, j) in m.entries}
+    return out
+
+
 def same_certificate(a: DSLambdaCertificate, b: DSLambdaCertificate) -> bool:
     return (a.lam, a.bound, a.pieces) == (b.lam, b.bound, b.pieces)
 
@@ -349,8 +359,11 @@ def test_transfers_match_the_letterwise_reference(seed):
 
         kres = transfer.k_transfer(alpha, alpha_inv, pcx, half)
         kref = ref_k_transfer(alpha, alpha_inv, pcx, half)
+        e = pcx.backend.identity()
         for name in ("map", "inverse", "h", "k"):
             assert per_letter(getattr(kres, name)) == per_letter(getattr(kref, name)), where
+            piece = getattr(kres, name)
+            assert set(piece.support_pairs()) == letter_support(piece, e), where
         assert same_certificate(kres.certificate, kref.certificate), where
         assert kres.target_bound == kref.target_bound, where
         assert transfer.projected_torsion(kres).det() == ref_projected_torsion(kref).det(), where
@@ -360,6 +373,8 @@ def test_transfers_match_the_letterwise_reference(seed):
         assert lres.checks == lref.checks, where
         for name in ("psi", "sigma", "inverse", "h", "k"):
             assert per_letter(getattr(lres, name)) == per_letter(getattr(lref, name)), where
+            piece = getattr(lres, name)
+            assert set(piece.support_pairs()) == letter_support(piece, e), where
         assert same_certificate(lres.certificate, lref.certificate), where
         assert lres.target_bound == lref.target_bound, where
 

@@ -326,6 +326,38 @@ def test_certificate_needs_positions():
         certify_dslambda(z2_swap_action(), Fraction(1), {"id": eq})
 
 
+def test_integer_inverse_over_the_group_ring_is_an_input_error():
+    alpha, _ = z2_unit_alpha()
+    tra = tr(alpha, z2_chain_fixture())
+    with pytest.raises(InputError, match=r"over Z\[G\]"):
+        tra.integer_inverse()
+
+
+def test_transfers_build_each_piece_once(monkeypatch):
+    """One ``k_transfer`` builds ``tr`` four times: ``tr(alpha)``,
+    ``tr(alpha^-1)`` and the ``tr(id)`` of each witness.  No transfer
+    reads the per-letter view ``EquivariantChainMap.letters``."""
+    from klab import transfer
+    calls = []
+    real_tr = transfer._tr
+
+    def counted(*args):
+        calls.append(args[0])
+        return real_tr(*args)
+
+    def refuse(self):
+        raise AssertionError("the per-letter view was read")
+
+    monkeypatch.setattr(transfer, "_tr", counted)
+    monkeypatch.setattr(EquivariantChainMap, "letters", property(refuse))
+    pcx = z2_chain_fixture()
+    alpha, alpha_inv = z2_unit_alpha()
+    assert k_transfer(alpha, alpha_inv, pcx, Fraction(1, 2)).certified()
+    assert len(calls) == 4
+    assert l_transfer(z2_quadratic_alpha(), pcx, Fraction(1, 2)).ok()
+    functoriality_witness(alpha, alpha_inv, pcx)
+
+
 # -- L-theory transfer ---------------------------------------------------------------
 
 
