@@ -1,7 +1,9 @@
-"""Geometric modules over labeled metric spaces and controlled morphisms.
+"""Labeled metric spaces, geometric modules and control certificates.
 
-Positions follow the support convention of block matrices: the first
-entry of a support pair is the target position, the second the source.
+A controlled morphism is a positioned ``ChainMap`` (a degree-0 map
+between one-degree complexes for a single module map); the control
+walk reads its ``support_pairs``, whose first entry is the target
+position and the second the source.
 Group-equivariant morphisms over ``G x Z`` (free action on the group
 factor) are stored on a fundamental domain as letter-indexed blocks.
 """
@@ -13,10 +15,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
+from .chaincore import ChainMap
 from .errors import InputError
-from .gring import GRMatrix, place_letters
+from .gring import GRMatrix
 from .groups import FiniteSubset, GroupBackend
 from .intmat import IntMatrix
 
@@ -163,45 +166,6 @@ class GeometricModule:
     def rank(self) -> int:
         return len(self.positions)
 
-    def rank_at(self, pos) -> int:
-        return sum(1 for p in self.positions if p == pos)
-
-    def support(self) -> List[object]:
-        seen = []
-        for p in self.positions:
-            if p not in seen:
-                seen.append(p)
-        return seen
-
-
-@dataclass
-class ControlledMorphism:
-    """Matrix between positioned modules, with derived support."""
-
-    source: GeometricModule
-    target: GeometricModule
-    matrix: IntMatrix
-
-    def __post_init__(self):
-        if (self.matrix.rows, self.matrix.cols) != (self.target.rank, self.source.rank):
-            raise InputError("controlled morphism shape mismatch")
-
-    def support(self) -> Set[Tuple[object, object]]:
-        return {(self.target.positions[i], self.source.positions[j])
-                for (i, j) in self.matrix.entries}
-
-    def compose(self, other: "ControlledMorphism") -> "ControlledMorphism":
-        if other.target.positions != self.source.positions:
-            raise InputError("composition endpoint mismatch")
-        return ControlledMorphism(other.source, self.target, self.matrix @ other.matrix)
-
-    def dual(self) -> "ControlledMorphism":
-        return ControlledMorphism(self.target, self.source, self.matrix.transpose())
-
-    @staticmethod
-    def identity(module: GeometricModule) -> "ControlledMorphism":
-        return ControlledMorphism(module, module, IntMatrix.identity(module.rank))
-
 
 def _split_position(pos) -> Tuple[Optional[object], object]:
     """Split a position into (group part or None, space part)."""
@@ -210,16 +174,16 @@ def _split_position(pos) -> Tuple[Optional[object], object]:
     return None, pos
 
 
-def check_control(phi: ControlledMorphism, eps: Optional[Fraction],
+def check_control(f: ChainMap, eps: Optional[Fraction],
                   S: Optional[FiniteSubset], space: ControlSpace,
                   backend: Optional[GroupBackend] = None) -> bool:
-    """(eps, S)-control: every support pair moves at most ``eps`` in the
-    space and by a letter of ``S`` in the group.
+    """(eps, S)-control of a positioned map: every support pair moves at
+    most ``eps`` in the space and by a letter of ``S`` in the group.
 
     ``eps=None`` checks S-control only; ``S=None`` checks eps-control
     only (the (eps,G) degeneration).
     """
-    for (tp, sp) in phi.support():
+    for (tp, sp) in f.support_pairs():
         tg, tz = _split_position(tp)
         sg, sz = _split_position(sp)
         if eps is not None and space.d(tz, sz) > eps:
@@ -232,36 +196,11 @@ def check_control(phi: ControlledMorphism, eps: Optional[Fraction],
     return True
 
 
-def max_displacement(phi: ControlledMorphism, space: ControlSpace) -> Fraction:
-    """Smallest eps such that the morphism is eps-controlled over the space."""
-    out = Fraction(0)
-    for (tp, sp) in phi.support():
-        _, tz = _split_position(tp)
-        _, sz = _split_position(sp)
-        d = space.d(tz, sz)
-        if d > out:
-            out = d
-    return out
-
-
-def pushforward_module(module: GeometricModule, f: Dict[object, object]) -> GeometricModule:
-    positions = []
-    for p in module.positions:
-        g, z = _split_position(p)
-        if z not in f:
-            raise InputError(f"pushforward map undefined at {z!r}")
-        positions.append(f[z] if g is None else (g, f[z]))
-    return GeometricModule(tuple(positions))
-
-
-def pushforward(phi: ControlledMorphism, f: Dict[object, object]) -> ControlledMorphism:
-    """Relabel positions along a map of control spaces.
-
-    Blocks of positions with a common image become direct summands at
-    that image; the matrix itself is unchanged.
-    """
-    return ControlledMorphism(pushforward_module(phi.source, f),
-                              pushforward_module(phi.target, f), phi.matrix)
+def max_displacement(maps: Iterable[ChainMap], space: ControlSpace) -> Fraction:
+    """Smallest eps such that every one of the positioned maps is
+    eps-controlled over the space."""
+    return max((space.d(_split_position(tp)[1], _split_position(sp)[1])
+                for f in maps for tp, sp in f.support_pairs()), default=Fraction(0))
 
 
 class EquivariantMorphism(GRMatrix):
@@ -297,14 +236,6 @@ class EquivariantMorphism(GRMatrix):
         """Letterwise dual: ``(f^-*)_a = (f_{a^{-1}})^-*``."""
         return EquivariantMorphism(self.backend, self.target, self.source,
                                    self.transpose().letters)
-
-    def expand(self, cosets: Iterable[object]) -> ControlledMorphism:
-        """Explicit morphism over positions ``(g, z)`` for ``g`` in cosets."""
-        gs = [self.backend.canonical(g) for g in cosets]
-        src_pos = tuple(GPos(g, z) for g in gs for z in self.source.positions)
-        tgt_pos = tuple(GPos(g, z) for g in gs for z in self.target.positions)
-        m = place_letters(self.backend, self.letters, gs, self.rows, self.cols)
-        return ControlledMorphism(GeometricModule(src_pos), GeometricModule(tgt_pos), m)
 
     @staticmethod
     def identity(backend: GroupBackend, module: GeometricModule) -> "EquivariantMorphism":

@@ -13,8 +13,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .chaincore import ChainComplex, ChainHomotopy, ChainMap, _tensor, dual_complex
-from .control import (ControlSpace, ControlledMorphism, GeometricModule,
-                      check_control)
+from .control import ControlSpace, check_control
 from .errors import DegenerateForm, IdentityFailure, InputError
 from .intmat import IntMatrix, sign, symmetric_diagonalize
 
@@ -267,18 +266,9 @@ def verify_ultraquadratic(u: UltraQuadraticComplex, eps: Optional[Fraction] = No
                                dual_complex(u.C), dual_complex(u.C)))
                 pieces.append(("k", u.witness.k.as_map(), u.C, u.C))
             for name, mp, src, tgt in pieces:
-                ok = True
-                for n, mat in mp.mats.items():
-                    sp = src.pos(n)
-                    tp = tgt.pos(n + mp.degree)
-                    if sp is None or tp is None:
-                        ok = False
-                        break
-                    cm = ControlledMorphism(GeometricModule(tuple(sp)),
-                                            GeometricModule(tuple(tp)), mat)
-                    if not check_control(cm, eps, S, space, backend):
-                        ok = False
-                        break
+                ok = (all(src.pos(n) is not None and tgt.pos(n + mp.degree) is not None
+                          for n in mp.mats)
+                      and check_control(mp.retarget(src, tgt), eps, S, space, backend))
                 record(f"control-{name}", ok,
                        "" if ok else "support escapes the (eps,S) bound")
     return UQReport(items)

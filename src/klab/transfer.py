@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from .actions import DSLambdaMetric, HomotopySAction
 from .chaincore import (ChainComplex, ChainHomotopy, ChainMap, dual_complex,
                         dual_map, tensor_complex, tensor_map)
-from .control import ControlSpace, EquivariantMorphism, GeometricModule, GPos
+from .control import ControlSpace, EquivariantMorphism, GeometricModule, GPos, max_displacement
 from .errors import (HypothesisViolation, IdentityFailure,
                      IdempotentFailure, InputError, SupportEscape)
 from .gring import GRComplex, GRMatrix, gr_self_torsion, place_letters
@@ -48,12 +48,6 @@ def _structure_maps(cx: ChainComplex) -> List[ChainMap]:
     """The differential and the idempotents as degree -1 and degree 0 maps."""
     return [ChainMap(cx, cx, -1, cx.diff, check=False),
             ChainMap(cx, cx, 0, cx.idem, check=False)]
-
-
-def _max_displacement(maps: Iterable[ChainMap], space: ControlSpace) -> Fraction:
-    """Largest ``d(x, y)`` over the support pairs ``(x, y)`` of ``maps``."""
-    return max((space.d(x, y) for m in maps for x, y in m.support_pairs()),
-               default=Fraction(0))
 
 
 # -- chain homotopy S-actions -------------------------------------------------
@@ -111,6 +105,13 @@ class HomotopySChainComplex:
                 raise InputError(f"H[{g!r},{h!r}] homotopy identity fails")
         if any(not m.is_zero() for m in self.H[(e, e)].mats.values()):
             raise InputError("H[e,e] must be zero")
+        act = self.point_action
+        if act is not None:
+            if act.space is not self.space:
+                raise InputError("the point action must act on the chain action's space")
+            if not set(self.S.products) <= set(act.S.products):
+                raise InputError("the point action must have every product (g, h, gh) "
+                                 "of the chain action's S")
         if self.point_equivalence is not None:
             pe = self.point_equivalence
             if pe.to_point.compose(pe.from_point) != ChainMap.identity(pe.to_point.target):
@@ -119,7 +120,7 @@ class HomotopySChainComplex:
     # -- control certificates against the underlying point action -------
 
     def achieved_complex_control(self) -> Fraction:
-        return _max_displacement(_structure_maps(self.P), self.space)
+        return max_displacement(_structure_maps(self.P), self.space)
 
     def achieved_phi_control(self) -> Fraction:
         """max over ``g`` and support pairs of ``d(x, phi_g(y))``."""
@@ -250,21 +251,19 @@ def functoriality_witness(psi2: EquivariantMorphism, psi: EquivariantMorphism,
     """Exact homotopy ``sum (psi2_a o psi_b) ox H_{a,b}`` from
     ``tr(psi2) o tr(psi)`` to ``tr(psi2 o psi)``."""
     lifts = _lifts(P, psi.source.rank, psi.target.rank, psi2.target.rank)
-    return _functoriality_witness(psi2, psi, P, lifts,
-                                  _tr(psi2, P, lifts), _tr(psi, P, lifts))
+    return _functoriality_witness(psi2, psi, P, lifts, _tr(psi2, P, lifts), _tr(psi, P, lifts),
+                                  _tr(psi2.convolve(psi), P, lifts))
 
 
 def _functoriality_witness(psi2: EquivariantMorphism, psi: EquivariantMorphism,
                            P: HomotopySChainComplex, lifts: Dict[int, ChainComplex],
-                           tr_psi2: EquivariantChainMap,
-                           tr_psi: EquivariantChainMap) -> EquivariantChainMap:
-    """The witness for ``tr_psi2 = tr(psi2)`` and ``tr_psi = tr(psi)``,
-    which the caller already holds."""
+                           tr_psi2: EquivariantChainMap, tr_psi: EquivariantChainMap,
+                           rhs: ChainMap) -> EquivariantChainMap:
+    """The witness for ``tr_psi2 = tr(psi2)``, ``tr_psi = tr(psi)`` and
+    ``rhs = tr(psi2 o psi)``, which the caller already holds."""
     witness = _letter_pair_witness(psi2, psi, P, lifts[psi.source.rank],
                                    lifts[psi2.target.rank])
-    lhs = tr_psi2.compose(tr_psi)
-    rhs = _tr(psi2.convolve(psi), P, lifts)
-    if not ChainHomotopy(lhs, rhs, witness.mats).holds():
+    if not ChainHomotopy(tr_psi2.compose(tr_psi), rhs, witness.mats).holds():
         raise IdentityFailure("functoriality homotopy identity fails "
                               "(convention mismatch)")
     return witness
@@ -369,9 +368,11 @@ def k_transfer(alpha: EquivariantMorphism, alpha_inv: EquivariantMorphism,
     lifts = _lifts(P, alpha.source.rank, alpha.target.rank)
     tra = _tr(alpha, P, lifts)
     trinv = _tr(alpha_inv, P, lifts)
-    # h: tr(inv) tr(a) ~ tr(id) = id; same for k with the roles swapped
-    h = _functoriality_witness(alpha_inv, alpha, P, lifts, trinv, tra)
-    k = _functoriality_witness(alpha, alpha_inv, P, lifts, tra, trinv)
+    # h: tr(inv) tr(a) ~ tr(id) = id, as phi_e = id; same for k with the roles swapped
+    h = _functoriality_witness(alpha_inv, alpha, P, lifts, trinv, tra,
+                               ChainMap.identity(tra.source))
+    k = _functoriality_witness(alpha, alpha_inv, P, lifts, tra, trinv,
+                               ChainMap.identity(trinv.source))
     cert = certify_dslambda(P.point_action, lam,
                             {"map": tra, "inverse": trinv, "h": h, "k": k})
     eps = max(P.achieved_phi_control(), P.achieved_homotopy_control(),
@@ -578,7 +579,7 @@ def replacement_control_growth(result: FiniteReplacementResult,
     """Largest displacement among P, f, g, k, l over the control space."""
     maps = _structure_maps(result.P) + [result.f, result.g, result.k.as_map(),
                                         result.l.as_map()]
-    return _max_displacement(maps, space)
+    return max_displacement(maps, space)
 
 
 # -- chain action induced on a finite replacement ------------------------------
@@ -655,7 +656,8 @@ def l_symmetric_complex(P: HomotopySChainComplex) -> LSymmetricData:
     pd = dual_complex(P.P)
     d_xx = tensor_complex(pd, P.P)  # positions are ordered pairs (x, y)
     D = d_xx.relabel(lambda p: unordered_pair(p[0], p[1]))
-    pair_space = p2_metric(P.space)
+    pair_action = p2_action(P.point_action) if P.point_action is not None else None
+    pair_space = p2_metric(P.space) if pair_action is None else pair_action.space
     phi_dual = {g: dual_map(P.phi[g]) for g in P.S}  # S = S^{-1} holds every g^{-1}
     phi = {g: tensor_map(phi_dual[backend.inv(g)], P.phi[g]).retarget(D, D) for g in P.S}
     H: Dict[Tuple[object, object], ChainHomotopy] = {}
@@ -678,7 +680,6 @@ def l_symmetric_complex(P: HomotopySChainComplex) -> LSymmetricData:
     lo, hi = P.P.lo, P.P.hi
     checks.append(("degree-window", D.lo >= -hi and D.hi <= hi and lo >= 0))
 
-    pair_action = p2_action(P.point_action) if P.point_action is not None else None
     pe = None
     if P.point_equivalence is not None and pair_action is not None:
         f0 = P.point_equivalence.to_point

@@ -12,8 +12,7 @@ from klab.actions import (CoverSpec, DSLambdaMetric, HomotopySAction,
 from klab.chaincore import (ChainComplex, ChainHomotopy, ChainMap, cone,
                             dual_complex, dual_map, flip_map, iota, mu_map,
                             self_torsion, tensor_complex, tensor_map)
-from klab.control import (ControlSpace, ControlledMorphism, EquivariantMorphism,
-                          GeometricModule, GPos, check_control,
+from klab.control import (ControlSpace, EquivariantMorphism, GPos, check_control,
                           max_displacement)
 from klab.fixtures import (dihedral_action, domination_instance,
                            junk_equivalence, path_chain_domination,
@@ -83,13 +82,14 @@ def test_criterion_2_control_additivity():
     space = ControlSpace.from_matrix(pts, [[0, 3, 4], [3, 0, 2], [4, 2, 0]])
     count = 500
     for _ in range(count):
-        modules = [GeometricModule(tuple(GPos(rng.randrange(4), rng.choice(pts))
-                                         for _ in range(3))) for _ in range(3)]
-        f = ControlledMorphism(modules[0], modules[1], rand_matrix(rng, 3, 3, 0.6))
-        g = ControlledMorphism(modules[1], modules[2], rand_matrix(rng, 3, 3, 0.6))
-        eps_f, eps_g = max_displacement(f, space), max_displacement(g, space)
-        letters_f = {z4.mul(z4.inv(t.g), s.g) for (t, s) in f.support()}
-        letters_g = {z4.mul(z4.inv(t.g), s.g) for (t, s) in g.support()}
+        # positioned modules are complexes concentrated in degree 0
+        modules = [ChainComplex({0: 3}, positions={0: tuple(
+            GPos(rng.randrange(4), rng.choice(pts)) for _ in range(3))}) for _ in range(3)]
+        f = ChainMap(modules[0], modules[1], 0, {0: rand_matrix(rng, 3, 3, 0.6)})
+        g = ChainMap(modules[1], modules[2], 0, {0: rand_matrix(rng, 3, 3, 0.6)})
+        eps_f, eps_g = max_displacement([f], space), max_displacement([g], space)
+        letters_f = {z4.mul(z4.inv(t.g), s.g) for (t, s) in f.support_pairs()}
+        letters_g = {z4.mul(z4.inv(t.g), s.g) for (t, s) in g.support_pairs()}
         product = FiniteSubset.of(z4, [z4.mul(a, b) for a in letters_g
                                        for b in letters_f] or [0])
         assert check_control(g.compose(f), eps_f + eps_g, product, space, z4)

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -31,6 +32,20 @@ def test_validate_exit_zero(capsys):
     assert run_cli("validate", Z2) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_readme_cli_example_exits_zero(monkeypatch, capsys):
+    # every klab line of the README's CLI block, run from the repo root
+    root = os.path.join(HERE, "..")
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## The CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    scen = next(line.split("=", 1)[1] for line in lines if line.startswith("SCEN="))
+    commands = [line.replace("$SCEN", scen) for line in lines if line.startswith("klab ")]
+    assert commands
+    monkeypatch.chdir(root)
+    failed = [line for line in commands if run_cli(*shlex.split(line)[1:]) != 0]
+    assert not failed, capsys.readouterr().err
 
 
 def test_missing_scenario_exit_two(capsys):
@@ -353,16 +368,37 @@ def test_transfers_without_a_point_action_are_input_errors(tmp_path, capsys):
     assert "FAIL pipeline:kpipe:error" in out and "FAIL pipeline:lpipe:error" in out
 
 
+def _swap_on_another_space(doc):
+    # the same swap, on a copy Y of the space X
+    doc["spaces"]["Y"] = {"points": ["u", "v"], "distance": [[0, 1], [1, 0]]}
+    doc["actions"]["swapY"] = {"group": "Z2", "space": "Y", "s": [0, 1], "genuine": {
+        "0": {"u": "u", "v": "v"}, "1": {"u": "v", "v": "u"}}}
+    doc["chain_actions"]["involution"]["action"] = "swapY"
+
+
+def _action_of_another_group(doc):
+    # Z3 with S = {0, 1} lacks the product (1, 1, 0) of the chain action's S
+    doc["groups"]["Z3"] = {"kind": "finite-table", "preset": "cyclic", "n": 3}
+    doc["actions"]["rot"] = {"group": "Z3", "space": "X", "s": [0, 1], "genuine": {
+        "0": {"p": "p", "q": "q"}, "1": {"p": "q", "q": "p"}}}
+    doc["chain_actions"]["involution"]["action"] = "rot"
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc["complexes"]["P"]["positions"].update({"1": [None]}),
      "chain_actions.involution: complex positions must be points of the space"),
+    (_swap_on_another_space,
+     "chain_actions.involution: the point action must act on the chain action's space"),
+    (_action_of_another_group,
+     "chain_actions.involution: the point action must have every product"),
     (lambda doc: doc["covers"]["slab"]["sets"]["U"].append([0, "z"]),
      "covers.slab: cover members must be points"),
     (lambda doc: doc["covers"]["slab"]["name_action"].update({"1": {"U": "W"}}),
      "covers.slab: name_action must map set names to set names"),
     (lambda doc: doc["covers"]["longcover"]["name_action"].update({"1": {"W": "U1"}}),
      "covers.longcover: name_action must map set names to set names"),
-], ids=["position-not-a-point", "member-not-a-point", "unknown-image", "unknown-source"])
+], ids=["position-not-a-point", "action-on-another-space", "action-of-another-group",
+        "member-not-a-point", "unknown-image", "unknown-source"])
 def test_reference_checks_at_load(tmp_path, capsys, edit, message):
     path = _mutated(tmp_path, edit)
     assert run_cli("suite", path) == 2

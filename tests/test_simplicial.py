@@ -175,7 +175,8 @@ def test_chain_complex_single_vertex():
 
 
 def test_positioned_chain_complex_mesh_control():
-    from klab.control import ControlledMorphism, GeometricModule, max_displacement
+    from klab.chaincore import ChainMap
+    from klab.control import max_displacement
     circle = SimplicialComplex.circle(4)
     space, names = barycentric_control_space(circle)
     placement = {s: names[s] for s in circle.simplices}
@@ -183,6 +184,5 @@ def test_positioned_chain_complex_mesh_control():
     # differential support pairs are barycenters of incident simplices
     mesh = max(space.d(names[s], names[frozenset([v])])
                for s in circle.simplices if len(s) == 2 for v in s)
-    phi = ControlledMorphism(GeometricModule(cx.pos(1)),
-                             GeometricModule(cx.pos(0)), cx.d(1))
-    assert max_displacement(phi, space) <= mesh
+    phi = ChainMap(cx, cx, -1, {1: cx.d(1)})
+    assert max_displacement([phi], space) <= mesh
