@@ -26,6 +26,8 @@ PointMap = Tuple[object, ...]  # images listed in space point order
 
 DEFAULT_DSLAMBDA_HORIZON = 8
 DEFAULT_STATE_CAP = 200_000
+ORBIT_HORIZON = 12  # deepest S^n(g, x) that s_orbit enumerates
+ORBIT_CAP = 100_000  # most points s_orbit holds in one layer
 
 
 class HomotopySAction:
@@ -143,13 +145,12 @@ class HomotopySAction:
                            {z: tuple(out) for z, out in edges.items()})
         return self._moves
 
-    def s_orbit(self, n: int, gx: Tuple[object, object],
-                horizon: int = 12, cap: int = 100_000) -> Set[Tuple[object, object]]:
+    def s_orbit(self, n: int, gx: Tuple[object, object]) -> Set[Tuple[object, object]]:
         """Exact enumeration of ``S^n(g, x)`` by depth-``n`` search."""
         if n < 0:
             raise InputError("negative depth")
-        if n > horizon:
-            raise HorizonExceeded(f"orbit depth {n} exceeds horizon {horizon}")
+        if n > ORBIT_HORIZON:
+            raise HorizonExceeded(f"orbit depth {n} exceeds horizon {ORBIT_HORIZON}")
         g, x = self.backend.canonical(gx[0]), gx[1]
         if x not in self.index:
             raise InputError(f"unknown point {x!r}")
@@ -158,7 +159,7 @@ class HomotopySAction:
         current: Set[Tuple[object, object]] = {(g, x)}
         for _ in range(n):
             current = {(mul(h, step), xp) for (h, y) in current for step, xp in edges[y]}
-            if len(current) > cap:
+            if len(current) > ORBIT_CAP:
                 raise HorizonExceeded("orbit enumeration exceeded cap")
         return current
 
@@ -608,10 +609,16 @@ def lebesgue_lambda_search(action: HomotopySAction, cover: CoverSpec,
                            m: Fraction, lambda_grid: Sequence[Fraction],
                            n_max: int = DEFAULT_DSLAMBDA_HORIZON
                            ) -> Tuple[Optional[Fraction], Dict[Fraction, Optional[Fraction]]]:
-    """Least grid Lambda whose Lebesgue number reaches ``m/2``."""
+    """Least grid Lambda whose Lebesgue number reaches ``m/2``.
+
+    A truncated table raises ``HorizonExceeded``: its Lebesgue number is
+    no certified bound, so the search cannot go on past it.
+    """
     results: Dict[Fraction, Optional[Fraction]] = {}
     for lam in sorted(Fraction(l) for l in lambda_grid):
         table = DSLambdaMetric(action, lam, n_max).table(list(cover.carrier))
+        if table.truncated:
+            raise HorizonExceeded(f"the Lambda = {lam} table is truncated at horizon {n_max}")
         number = lebesgue_number(cover, table)
         results[lam] = number
         if number is INF or number >= Fraction(m) / 2:

@@ -140,9 +140,11 @@ def cmd_orbit(scenario: Scenario, args) -> Report:
 def cmd_lebesgue(scenario: Scenario, args) -> Report:
     rep = Report("lebesgue")
     cover, action = scenario.get("covers", args.cover)
-    if args.lambda_grid:
+    if args.lambda_grid is None and args.m is not None:
+        raise InputError("--m sets the target of the --lambda-grid search")
+    if args.lambda_grid is not None:
         grid = [parse_fraction(v) for v in args.lambda_grid.split(",")]
-        m = parse_fraction(args.m) if args.m else Fraction(len(action.S))
+        m = parse_fraction(args.m) if args.m is not None else Fraction(len(action.S))
         lam, results = lebesgue_lambda_search(action, cover, m, grid, args.horizon)
         detail = ", ".join(f"L({fraction_str(k)})="
                            + ("inf" if v is None else str(fraction_str(v)))
@@ -193,6 +195,8 @@ def cmd_p2(scenario: Scenario, args) -> Report:
             f"{len(pair_space.points)} unordered pairs, axioms verified")
     if args.action:
         action = scenario.get("actions", args.action)
+        if action.space is not space:
+            raise InputError(f"action {args.action!r} does not act on space {args.space!r}")
         induced = p2_action(action)
         rep.add(f"p2:{args.action}:induced-action", True,
                 f"induced action on {len(induced.space.points)} pairs validated")
@@ -374,16 +378,22 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--json-out", help="write the machine report here")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled audits")
+        return p
+
+    def horizon(p):
         p.add_argument("--horizon", type=_nonnegative("the move horizon"), default=6,
                        help="move horizon for d_{S,Lambda}")
+        return p
+
+    def sampled(p):
+        p.add_argument("--seed", type=int, default=0, help="seed for sampled audits")
         p.add_argument("--samples", type=_nonnegative("the sample count"), default=200,
                        help="sample count for randomized audits")
-        return p
+        return horizon(p)
 
     common(sub.add_parser("validate", help="parse and validate every section"))
 
-    p = common(sub.add_parser("dslambda", help="evaluate the quasi-metric"))
+    p = horizon(common(sub.add_parser("dslambda", help="evaluate the quasi-metric")))
     p.add_argument("--action", required=True)
     p.add_argument("--lam", required=True)
     p.add_argument("--src", required=True, metavar="g:x")
@@ -394,14 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--at", required=True, metavar="g:x")
 
-    p = common(sub.add_parser("lebesgue", help="Lebesgue number of a cover"))
+    p = horizon(common(sub.add_parser("lebesgue", help="Lebesgue number of a cover")))
     p.add_argument("--cover", required=True)
-    p.add_argument("--lam")
-    p.add_argument("--lambda-grid", dest="lambda_grid",
-                   help="comma-separated Lambda grid for the search variant")
-    p.add_argument("--m", help="target 2*Lebesgue bound (default |S|)")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--lam")
+    which.add_argument("--lambda-grid", dest="lambda_grid",
+                       help="comma-separated Lambda grid for the search variant")
+    p.add_argument("--m", help="target 2*Lebesgue bound of the grid search (default |S|)")
 
-    p = common(sub.add_parser("nerve", help="nerve map and contraction audit"))
+    p = sampled(common(sub.add_parser("nerve", help="nerve map and contraction audit")))
     p.add_argument("--cover", required=True)
     p.add_argument("--lam", required=True)
     p.add_argument("--family", default="virtually-cyclic")
@@ -410,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--audit-d", dest="audit_d",
                    help="Lebesgue D for the 16N^2/D contraction audit")
 
-    p = common(sub.add_parser("p2", help="unordered pairs: metric, action, omega"))
+    p = sampled(common(sub.add_parser("p2", help="unordered pairs: metric, action, omega")))
     p.add_argument("--space", required=True)
     p.add_argument("--action")
     p.add_argument("--lam", default="1")

@@ -224,13 +224,12 @@ class EquivariantMorphism(GRMatrix):
 
     block = GRMatrix.letter
 
-    def convolve(self, other: "EquivariantMorphism",
-                 allowed: Optional[FiniteSubset] = None) -> "EquivariantMorphism":
+    def convolve(self, other: "EquivariantMorphism") -> "EquivariantMorphism":
         """Composite ``self o other``: ``(psi' o psi)_c = sum over ab=c``."""
         if other.target.positions != self.source.positions:
             raise InputError("convolution endpoint mismatch")
         return EquivariantMorphism(self.backend, other.source, self.target,
-                                   self._convolve(other, allowed))
+                                   self._convolve(other))
 
     def dual(self) -> "EquivariantMorphism":
         """Letterwise dual: ``(f^-*)_a = (f_{a^{-1}})^-*``."""

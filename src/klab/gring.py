@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from .chaincore import ChainComplex, ChainHomotopy, ChainMap, cone_torsion
-from .errors import HorizonExceeded, InputError, NotAnEquivalence
-from .groups import FiniteSubset, GroupBackend
+from .chaincore import ChainComplex
+from .errors import InputError
+from .groups import GroupBackend
 from .intmat import IntMatrix
 
 GRElem = Dict[object, int]  # group element -> integer coefficient
@@ -122,12 +122,8 @@ class GRMatrix:
     def scale(self, c: int) -> "GRMatrix":
         return self._like({a: m.scale(c) for a, m in self.letters.items()})
 
-    def _convolve(self, other: "GRMatrix",
-                  allowed: Optional[FiniteSubset] = None) -> Dict[object, IntMatrix]:
-        """Letters of ``self o other``: ``(x y)_c = sum over ab = c of x_a y_b``.
-
-        A product letter outside ``allowed`` raises ``HorizonExceeded``.
-        """
+    def _convolve(self, other: "GRMatrix") -> Dict[object, IntMatrix]:
+        """Letters of ``self o other``: ``(x y)_c = sum over ab = c of x_a y_b``."""
         if self.cols != other.rows:
             raise InputError("shape mismatch in mul")
         acc: Dict[object, IntMatrix] = {}
@@ -135,8 +131,6 @@ class GRMatrix:
         for a, x in self.letters.items():
             for b, y in other.letters.items():
                 c = mul(a, b)
-                if allowed is not None and c not in allowed:
-                    raise HorizonExceeded(f"product letter {c!r} escapes the allowed ball")
                 prod = x @ y
                 s = acc.get(c)
                 acc[c] = prod if s is None else s + prod
@@ -245,22 +239,3 @@ class GRComplex(ChainComplex):
             return {n: GRMatrix.constant(backend, m) for n, m in blocks.items()}
         return GRComplex(backend, cx.ranks, lift(cx.diff),
                          None if cx.idem is None else lift(cx.idem), cx.positions)
-
-
-def gr_self_torsion(f: ChainMap, g: ChainMap, h: Dict[int, GRMatrix],
-                    k: Dict[int, GRMatrix]) -> GRMatrix:
-    """``(d + Gamma)_odd`` on the cone of ``f``, over the group ring.
-
-    ``h`` and ``k`` are the matrices of homotopies ``g o f ~ id`` and
-    ``f o g ~ id``; see ``chaincore.cone_torsion``.
-    """
-    C, D = f.source, f.target
-    if not f.is_chain_map() or not g.is_chain_map():
-        raise NotAnEquivalence("torsion inputs must be chain maps")
-    hom_h = ChainHomotopy(g.compose(f), ChainMap.identity(C), h)
-    if not hom_h.holds():
-        raise NotAnEquivalence("h must witness g o f ~ id")
-    hom_k = ChainHomotopy(f.compose(g), ChainMap.identity(D), k)
-    if not hom_k.holds():
-        raise NotAnEquivalence("k must witness f o g ~ id")
-    return cone_torsion(f, g, hom_h.as_map(), hom_k.as_map())

@@ -305,10 +305,12 @@ def induced_p2_automorphism(sc: SimplicialComplex, vertex_map: Dict[object, obje
 # -- numerical search for the Lemma about d_{P2(Sigma,d1)} vs d1 -------------
 
 
-def random_point(sc: SimplicialComplex, rng: random.Random,
-                 max_denominator: int = 8) -> PointInComplex:
+RANDOM_WEIGHT_MAX = 8  # random_point draws each barycentric weight from 0..RANDOM_WEIGHT_MAX
+
+
+def random_point(sc: SimplicialComplex, rng: random.Random) -> PointInComplex:
     simplex = sorted(rng.choice(sorted(sc.maximal_simplices(), key=_face_name)), key=repr)
-    weights = [Fraction(rng.randint(0, max_denominator)) for _ in simplex]
+    weights = [Fraction(rng.randint(0, RANDOM_WEIGHT_MAX)) for _ in simplex]
     total = sum(weights, Fraction(0))
     if total == 0:
         return PointInComplex.vertex(sc, simplex[0])

@@ -17,11 +17,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .actions import DSLambdaMetric, HomotopySAction
 from .chaincore import (ChainComplex, ChainHomotopy, ChainMap, dual_complex,
-                        dual_map, tensor_complex, tensor_map)
+                        dual_map, self_torsion, tensor_complex, tensor_map)
 from .control import ControlSpace, EquivariantMorphism, GeometricModule, GPos, max_displacement
-from .errors import (HypothesisViolation, IdentityFailure,
-                     IdempotentFailure, InputError, SupportEscape)
-from .gring import GRComplex, GRMatrix, gr_self_torsion, place_letters
+from .errors import (HypothesisViolation, IdentityFailure, IdempotentFailure,
+                     InputError, NotAnEquivalence, SupportEscape)
+from .gring import GRComplex, GRMatrix, place_letters
 from .groups import FiniteSubset, GroupBackend
 from .intmat import IntMatrix, idempotent_splitting, sign
 from .ltheory import (PoincareWitness, UltraQuadraticComplex,
@@ -346,8 +346,7 @@ class KTransferResult:
 
 
 def k_transfer(alpha: EquivariantMorphism, alpha_inv: EquivariantMorphism,
-               P: HomotopySChainComplex, lam: Fraction,
-               S: Optional[FiniteSubset] = None) -> KTransferResult:
+               P: HomotopySChainComplex, lam: Fraction) -> KTransferResult:
     """Lift of a T-automorphism to an ``(S, 1 + Lambda*eps)``-controlled
     self-equivalence of ``M ox P``.
 
@@ -357,14 +356,13 @@ def k_transfer(alpha: EquivariantMorphism, alpha_inv: EquivariantMorphism,
     piece in the ``d_{S,Lambda}`` sense.
     """
     lam = Fraction(lam)
-    S = S if S is not None else P.S
     if P.point_action is None:
         raise InputError("k_transfer needs the underlying point action")
     ident = EquivariantMorphism.identity(alpha.backend, alpha.source)
     if alpha_inv.convolve(alpha).letters != ident.letters \
             or alpha.convolve(alpha_inv).letters != ident.letters:
         raise InputError("alpha_inv does not invert alpha")
-    _check_square_inside(alpha.backend, list(alpha.letters) + list(alpha_inv.letters), S)
+    _check_square_inside(alpha.backend, list(alpha.letters) + list(alpha_inv.letters), P.S)
     lifts = _lifts(P, alpha.source.rank, alpha.target.rank)
     tra = _tr(alpha, P, lifts)
     trinv = _tr(alpha_inv, P, lifts)
@@ -411,7 +409,10 @@ def projected_torsion(result: KTransferResult) -> GRMatrix:
         g = ChainMap(free_src, free_src, 0, conj(g.mats, 0), check=False)
         h = conj(h, 1)
         k = conj(k, 1)
-    return gr_self_torsion(f, g, h, k)
+    if not f.is_chain_map() or not g.is_chain_map():
+        raise NotAnEquivalence("torsion inputs must be chain maps")
+    return self_torsion(f, g, ChainHomotopy(g.compose(f), ChainMap.identity(f.source), h),
+                        ChainHomotopy(f.compose(g), ChainMap.identity(f.target), k)).matrix
 
 
 # -- finite replacement (the staircase construction) ---------------------------
@@ -735,9 +736,7 @@ def invert_equivariant(sigma: EquivariantMorphism) -> EquivariantMorphism:
 
 
 def l_transfer(alpha: EquivariantMorphism, P: HomotopySChainComplex,
-               lam: Fraction, S: Optional[FiniteSubset] = None,
-               sigma_inverse: Optional[EquivariantMorphism] = None
-               ) -> LTransferResult:
+               lam: Fraction) -> LTransferResult:
     """Ultra-quadratic transfer of a quadratic form along the pair
     construction.
 
@@ -752,7 +751,7 @@ def l_transfer(alpha: EquivariantMorphism, P: HomotopySChainComplex,
     if P.point_action is None:
         raise InputError("l_transfer needs the underlying point action")
     backend = alpha.backend
-    S = S if S is not None else P.S
+    S = P.S
     checks: List[Tuple[str, bool]] = []
     _check_square_inside(backend, alpha.letters, S)
     data = l_symmetric_complex(P)
@@ -763,10 +762,9 @@ def l_transfer(alpha: EquivariantMorphism, P: HomotopySChainComplex,
     t_sym = set(sigma_mod.letters)
     if any(backend.inv(a) not in t_sym for a in t_sym):
         raise HypothesisViolation("T = T^{-1} fails for the symmetrization")
-    if sigma_inverse is None:
-        sigma_inverse = invert_equivariant(sigma_mod)
+    sigma_inverse = invert_equivariant(sigma_mod)
     # phi^D and H^D exist only over the S of the chain action
-    outside = (set(alpha.letters) | set(sigma_inverse.letters)) - P.S.members
+    outside = (set(alpha.letters) | set(sigma_inverse.letters)) - S.members
     if outside:
         raise SupportEscape(f"letters {sorted(outside, key=repr)!r} of the form "
                             "or its inverse are outside S")

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import contextlib
 import copy
 import io
@@ -10,7 +12,8 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from klab.cli import main
+import klab.cli
+from klab.cli import COMMANDS, build_parser, main
 from klab.errors import InputError
 from klab.intmat import IntMatrix
 from klab.scenario import (canonical_dumps, canonicalize_file, parse_fraction,
@@ -483,14 +486,139 @@ def test_dslambda_negative_horizon_exit_two(capsys):
 @pytest.mark.parametrize("argv, message", [
     (("p2", Z2, "--space", "X", "--action", "swap", "--samples", "-5"), "sample count"),
     (("orbit", Z2, "--action", "swap", "--depth", "1", "--at", "0:p", "--horizon", "-3"),
-     "move horizon"),
-    (("suite", Z2, "--horizon", "-1"), "move horizon"),
+     "unrecognized arguments: --horizon"),
+    (("suite", Z2, "--horizon", "-1"), "unrecognized arguments: --horizon"),
     (("nerve", Z2, "--cover", "longcover", "--lam", "1/2", "--n", "-1"), "dimension bound"),
 ])
 def test_negative_counts_are_usage_errors(argv, message, capsys):
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+# the smallest valid call of each subcommand that reads none of --horizon,
+# --seed and --samples, or (dslambda, lebesgue) reads --horizon alone
+_BASE_CALLS = {
+    "validate": (Z2,),
+    "dslambda": (Z2, "--action", "swap", "--lam", "1/2", "--src", "0:p", "--dst", "1:p"),
+    "orbit": (Z2, "--action", "swap", "--depth", "1", "--at", "0:p"),
+    "lebesgue": (Z2, "--cover", "slab", "--lam", "1/2"),
+    "replace": (PATH, "--domination", "coarsen"),
+    "transfer-k": (Z2,),
+    "transfer-l": (Z2,),
+    "torsion": (Z2,),
+    "signature": (Z2,),
+    "finobstr": (Z2,),
+    "suite": (Z2,),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_BASE_CALLS))
+def test_unread_options_are_not_declared(command, capsys):
+    base = _BASE_CALLS[command]
+    assert run_cli(command, *base) == 0
+    removed = ("--seed", "--samples") if command in ("dslambda", "lebesgue") \
+        else ("--seed", "--samples", "--horizon")
+    capsys.readouterr()
+    for option in removed:
+        assert run_cli(command, *base, option, "1") == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {option}" in captured.err and captured.out == ""
+
+
+def _cli_functions():
+    with open(klab.cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def _args_reads(name, functions, seen):
+    """The ``args.<dest>`` reads of a cli function and of every cli function
+    it passes ``args`` to."""
+    if name in seen or name not in functions:
+        return set()
+    seen.add(name)
+    reads = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "args":
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and any(
+                isinstance(a, ast.Name) and a.id == "args" for a in node.args):
+            reads |= _args_reads(node.func.id, functions, seen)
+    return reads
+
+
+def test_every_declared_option_is_read():
+    functions = _cli_functions()
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    unread, slots = {}, 0
+    for command, parser in sub.choices.items():
+        dests = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        slots += len(dests)
+        reads = _args_reads(COMMANDS[command].__name__, functions, set()) \
+            if command in COMMANDS else set()
+        missing = dests - {"scenario", "json_out"} - reads
+        if missing:
+            unread[command] = sorted(missing)
+    assert not unread
+    assert slots == 62
+
+
+def test_lebesgue_takes_lam_or_grid(capsys):
+    base = ("lebesgue", Z2, "--cover", "slab")
+    assert run_cli(*base, "--lambda-grid", "1/2,1", "--m", "1") == 0
+    capsys.readouterr()
+    for extra, message in (((), "one of the arguments --lam --lambda-grid is required"),
+                           (("--lam", "1/2", "--lambda-grid", "1/2"), "not allowed with"),
+                           (("--lam", "1/2", "--m", "1"), "--m sets the target")):
+        assert run_cli(*base, *extra) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+
+def test_lebesgue_grid_search_reports_truncation(tmp_path, capsys):
+    # Z acts on p, q at distance 1, the odd elements swapping them; the
+    # horizon 1 table of every grid Lambda is truncated
+    window = range(-2, 3)
+    doc = {
+        "version": 1,
+        "groups": {"Z": {"kind": "free-abelian", "rank": 1}},
+        "spaces": {"X": {"points": ["p", "q"], "distance": [[0, 1], [1, 0]]}},
+        "actions": {"alt": {"group": "Z", "space": "X", "s": [[0], [1], [-1]],
+                            "genuine": {"0": {"p": "p", "q": "q"}, "1": {"p": "q", "q": "p"},
+                                        "-1": {"p": "q", "q": "p"}}}},
+        "covers": {"c": {"action": "alt", "group_window": [[g] for g in window],
+                         "sets": {"A": [[[g], "p"] for g in window],
+                                  "B": [[[g], "q"] for g in window]},
+                         "name_action": {str(g): {"A": "B", "B": "A"} if g % 2
+                                         else {"A": "A", "B": "B"} for g in window}}},
+    }
+    path = tmp_path / "alternating.json"
+    path.write_text(canonical_dumps(doc))
+    assert run_cli("lebesgue", str(path), "--cover", "c", "--lam", "1/2", "--horizon", "1") == 3
+    capsys.readouterr()
+    assert run_cli("lebesgue", str(path), "--cover", "c", "--lambda-grid", "1/4,1/2",
+                   "--m", "1", "--horizon", "1") == 3
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "table is truncated at horizon 1" in captured.err
+
+
+def test_p2_action_on_another_space_is_an_input_error(tmp_path, capsys):
+    def swap_on_y(doc):
+        doc["spaces"]["Y"] = {"points": ["u", "v"], "distance": [[0, 1], [1, 0]]}
+        doc["actions"]["swapY"] = {"group": "Z2", "space": "Y", "s": [0, 1], "genuine": {
+            "0": {"u": "u", "v": "v"}, "1": {"u": "v", "v": "u"}}}
+    path = _mutated(tmp_path, swap_on_y)
+    assert run_cli("p2", path, "--space", "Y", "--action", "swapY", "--lam", "1/2",
+                   "--samples", "20") == 0
+    capsys.readouterr()
+    assert run_cli("p2", path, "--space", "X", "--action", "swapY", "--lam", "1/2",
+                   "--samples", "20") == 2
+    captured = capsys.readouterr()
+    assert "'swapY'" in captured.err and "'X'" in captured.err and captured.out == ""
 
 
 def test_canonicalize_missing_or_bad_file_exit_two(tmp_path, capsys):

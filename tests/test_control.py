@@ -6,7 +6,7 @@ import pytest
 from klab.chaincore import ChainComplex, ChainMap, dual_map
 from klab.control import (ControlSpace, EquivariantMorphism, GeometricModule, GPos,
                           check_control, max_displacement)
-from klab.errors import HorizonExceeded, InputError
+from klab.errors import InputError
 from klab.fixtures import rand_matrix
 from klab.gring import place_letters
 from klab.groups import FiniteSubset, FiniteTableGroup, FreeGroup
@@ -143,8 +143,8 @@ def test_convolution_identity_and_horizon():
     ident = EquivariantMorphism.identity(f, fiber)
     psi = EquivariantMorphism(f, fiber, fiber, {"a": IntMatrix.from_rows([[1]])})
     assert psi.convolve(ident).letters == psi.letters
-    with pytest.raises(HorizonExceeded):
-        psi.convolve(psi, allowed=FiniteSubset.of(f, ["", "a"]))
+    # the product letter leaves the ball of radius 1 and is kept
+    assert psi.convolve(psi).letters == {"aa": IntMatrix.from_rows([[1]])}
 
 
 def test_pushforward_functorial_and_direct_sum():

@@ -18,10 +18,11 @@ from typing import Callable, Dict, Optional, Sequence
 import pytest
 
 from klab import transfer
-from klab.chaincore import (ChainComplex, ChainHomotopy, ChainMap, dual_complex)
+from klab.chaincore import (ChainComplex, ChainHomotopy, ChainMap, dual_complex,
+                            self_torsion)
 from klab.control import EquivariantMorphism, GPos
 from klab.errors import HorizonExceeded, IdentityFailure, InputError, SupportEscape
-from klab.gring import GRComplex, GRMatrix, gr_self_torsion, place_letters
+from klab.gring import GRComplex, GRMatrix, place_letters
 from klab.groups import FiniteSubset, GroupBackend
 from klab.intmat import IntMatrix, idempotent_splitting
 from klab.ltheory import (PoincareWitness, UltraQuadraticComplex, symmetrized_dual,
@@ -243,7 +244,8 @@ def ref_projected_torsion(result: KTransferResult) -> GRMatrix:
         g = GRGradedMap(free_src, free_src, 0, conj(g.mats, 0))
         h = conj(h, 1)
         k = conj(k, 1)
-    return gr_self_torsion(f, g, h, k)
+    return self_torsion(f, g, ChainHomotopy(g.compose(f), ChainMap.identity(f.source), h),
+                        ChainHomotopy(f.compose(g), ChainMap.identity(f.target), k)).matrix
 
 
 def ref_l_transfer(alpha, P, lam) -> LTransferResult:

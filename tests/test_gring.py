@@ -2,12 +2,18 @@ import random
 
 import pytest
 
-from klab.chaincore import ChainMap, self_torsion, shift
+from klab.chaincore import ChainHomotopy, ChainMap, self_torsion, shift
 from klab.errors import InputError, NotAnEquivalence
 from klab.fixtures import junk_equivalence, rand_matrix
-from klab.gring import GRComplex, GRMatrix, gr_mul, gr_self_torsion
+from klab.gring import GRComplex, GRMatrix, gr_mul
 from klab.groups import FiniteTableGroup
 from klab.intmat import IntMatrix
+
+
+def gr_self_torsion(f, g, h, k):
+    """``self_torsion`` over Z[G] from the matrices of ``g f ~ id`` and ``f g ~ id``."""
+    return self_torsion(f, g, ChainHomotopy(g.compose(f), ChainMap.identity(f.source), h),
+                        ChainHomotopy(f.compose(g), ChainMap.identity(f.target), k)).matrix
 
 
 def test_berkowitz_matches_integer_det_trivial_group():
