@@ -9,7 +9,6 @@ truncation flag instead of claiming completeness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import add
@@ -164,13 +163,13 @@ class HomotopySAction:
         return current
 
 
-@dataclass
 class DSLambdaResult:
     """Value of the quasi-metric with its truncation certificate."""
 
-    value: Optional[Fraction]  # None encodes the infinity marker
-    truncated: bool
-    lower_bound: Fraction
+    def __init__(self, value: Optional[Fraction], truncated: bool, lower_bound: Fraction):
+        self.value = value  # None encodes the infinity marker
+        self.truncated = truncated
+        self.lower_bound = lower_bound
 
     def is_infinite(self) -> bool:
         return self.value is None
@@ -384,20 +383,28 @@ class DSLambdaMetric:
         return MetricTable(tuple(canon), values, truncated)
 
 
-@dataclass
 class MetricTable:
     """Evaluated quasi-metric on a finite carrier of ``(g, x)`` points."""
 
-    carrier: Tuple[Tuple[object, object], ...]
-    values: Dict[Tuple[int, int], Optional[Fraction]]
-    truncated: bool
-    # first index of each carrier point (a carrier may repeat points)
-    position: Dict[Tuple[object, object], int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.position = {}
-        for i, p in enumerate(self.carrier):
+    def __init__(self, carrier: Tuple[Tuple[object, object], ...],
+                 values: Dict[Tuple[int, int], Optional[Fraction]], truncated: bool):
+        self.carrier = carrier
+        self.values = values
+        self.truncated = truncated
+        # first index of each carrier point (a carrier may repeat points)
+        self.position: Dict[Tuple[object, object], int] = {}
+        for i, p in enumerate(carrier):
             self.position.setdefault(p, i)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.carrier, self.values, self.truncated)
+                == (other.carrier, other.values, other.truncated))
+
+    def __repr__(self):
+        return (f"MetricTable(carrier={self.carrier!r}, values={self.values!r}, "
+                f"truncated={self.truncated!r})")
 
     def d(self, p, q) -> Optional[Fraction]:
         return self.values[(self.position[p], self.position[q])]
@@ -444,7 +451,6 @@ def moduli(action: HomotopySAction, eps_grid: Sequence[Fraction]
 # -- covers -----------------------------------------------------------------
 
 
-@dataclass
 class CoverSpec:
     """Named subsets of a finite ``(ball in G) x X`` carrier.
 
@@ -453,9 +459,12 @@ class CoverSpec:
     are simply not checked.
     """
 
-    carrier: Tuple[Tuple[object, object], ...]
-    sets: Dict[str, FrozenSet[Tuple[object, object]]]
-    name_action: Dict[object, Dict[str, str]] = field(default_factory=dict)
+    def __init__(self, carrier: Tuple[Tuple[object, object], ...],
+                 sets: Dict[str, FrozenSet[Tuple[object, object]]],
+                 name_action: Optional[Dict[object, Dict[str, str]]] = None):
+        self.carrier = carrier
+        self.sets = sets
+        self.name_action = {} if name_action is None else name_action
 
     def members(self, name: str) -> FrozenSet[Tuple[object, object]]:
         return self.sets[name]
@@ -481,14 +490,16 @@ class CoverSpec:
         return self.multiplicity() - 1
 
 
-@dataclass
 class CoverReport:
-    violations: List[str]
-    skipped: List[str]
-    dimension: int
-    isotropy: Dict[str, List[object]]
-    s_long_checked: int
-    s_long_failures: List[str]
+    def __init__(self, violations: List[str], skipped: List[str], dimension: int,
+                 isotropy: Dict[str, List[object]], s_long_checked: int,
+                 s_long_failures: List[str]):
+        self.violations = violations
+        self.skipped = skipped
+        self.dimension = dimension
+        self.isotropy = isotropy
+        self.s_long_checked = s_long_checked
+        self.s_long_failures = s_long_failures
 
     def ok(self) -> bool:
         return not self.violations and not self.s_long_failures
@@ -659,12 +670,13 @@ def nerve_map(cover: CoverSpec, table: MetricTable
     return nerve, out
 
 
-@dataclass
 class ContractionAudit:
-    checked: int
-    shared_simplex: int
-    disjoint_support: int
-    violations: List[str]
+    def __init__(self, checked: int, shared_simplex: int, disjoint_support: int,
+                 violations: List[str]):
+        self.checked = checked
+        self.shared_simplex = shared_simplex
+        self.disjoint_support = disjoint_support
+        self.violations = violations
 
     def ok(self) -> bool:
         return not self.violations
@@ -705,7 +717,6 @@ def audit_nerve_contraction(cover: CoverSpec, table: MetricTable, N: int,
 # -- domination data ---------------------------------------------------------
 
 
-@dataclass
 class DominationData:
     """Discrete controlled-domination witness of a space by a complex.
 
@@ -716,13 +727,16 @@ class DominationData:
     max-coordinate vertex of ``i_map[x]`` (ties by smallest repr).
     """
 
-    space: ControlSpace
-    complex: SimplicialComplex
-    N: int
-    eps: Fraction
-    i_map: Dict[object, PointInComplex]
-    p_map: Dict[object, object]
-    track: Tuple[PointMap, ...]
+    def __init__(self, space: ControlSpace, complex: SimplicialComplex, N: int, eps: Fraction,
+                 i_map: Dict[object, PointInComplex], p_map: Dict[object, object],
+                 track: Tuple[PointMap, ...]):
+        self.space = space
+        self.complex = complex
+        self.N = N
+        self.eps = eps
+        self.i_map = i_map
+        self.p_map = p_map
+        self.track = track
 
     def composite(self) -> PointMap:
         out = []
@@ -734,10 +748,10 @@ class DominationData:
         return tuple(out)
 
 
-@dataclass
 class DominationReport:
-    violations: List[str]
-    track_diameter: Fraction
+    def __init__(self, violations: List[str], track_diameter: Fraction):
+        self.violations = violations
+        self.track_diameter = track_diameter
 
     def ok(self) -> bool:
         return not self.violations

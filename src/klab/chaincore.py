@@ -48,7 +48,6 @@ and duals work over either ring; tensors are integral only.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, NotAnEquivalence
@@ -349,13 +348,14 @@ class ChainMap:
         return f"ChainMap(degree={self.degree}, degs={sorted(self.mats)})"
 
 
-@dataclass
 class ChainHomotopy:
     """Witness ``H`` with ``d H + (-1)^k H d = target_map - source_map``."""
 
-    source_map: ChainMap
-    target_map: ChainMap
-    mats: Dict[int, IntMatrix] = field(default_factory=dict)
+    def __init__(self, source_map: ChainMap, target_map: ChainMap,
+                 mats: Optional[Dict[int, IntMatrix]] = None):
+        self.source_map = source_map
+        self.target_map = target_map
+        self.mats = {} if mats is None else mats
 
     def mat(self, n: int) -> IntMatrix:
         m = self.mats.get(n)
@@ -645,11 +645,11 @@ def shift(c: ChainComplex, k: int) -> ChainComplex:
 # -- K-theory classes -----------------------------------------------------
 
 
-@dataclass
 class K0Class:
     """Formal integer combination of idempotent classes."""
 
-    terms: List[Tuple[int, IntMatrix]] = field(default_factory=list)
+    def __init__(self, terms: Optional[List[Tuple[int, IntMatrix]]] = None):
+        self.terms = [] if terms is None else terms
 
     def add(self, coeff: int, idempotent: IntMatrix) -> None:
         if coeff:
@@ -660,7 +660,6 @@ class K0Class:
         return sum(c * p.rank() for c, p in self.terms)
 
 
-@dataclass
 class K1Class:
     """Invertible-matrix representative plus reduced invariants.
 
@@ -669,7 +668,8 @@ class K1Class:
     caller); no normal form is attempted otherwise.
     """
 
-    matrix: IntMatrix
+    def __init__(self, matrix: IntMatrix):
+        self.matrix = matrix
 
     def det_sign(self) -> int:
         d = self.matrix.det()

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
@@ -36,18 +35,18 @@ EXIT_INPUT = 2
 EXIT_TRUNCATED = 3
 
 
-@dataclass
 class Case:
-    id: str
-    status: str  # pass / fail / skip
-    detail: str = ""
+    def __init__(self, id: str, status: str, detail: str = ""):
+        self.id = id
+        self.status = status  # pass / fail / skip
+        self.detail = detail
 
 
-@dataclass
 class Report:
-    command: str
-    cases: List[Case] = field(default_factory=list)
-    truncated: bool = False
+    def __init__(self, command: str, cases: Optional[List[Case]] = None, truncated: bool = False):
+        self.command = command
+        self.cases = [] if cases is None else cases
+        self.truncated = truncated
 
     def add(self, case_id: str, ok: bool, detail: str = "") -> None:
         self.cases.append(Case(case_id, "pass" if ok else "fail", detail))
@@ -465,9 +464,24 @@ COMMANDS = {
 }
 
 
+def _join_dashed_values(argv: List[str]) -> List[str]:
+    """``--lam -1/2`` as ``--lam=-1/2``: argparse reads a value that starts
+    with ``-`` as an option unless it is a plain number, and no klab option
+    starts with ``-`` and a digit, so klab's own parsing judges the value."""
+    out: List[str] = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and len(out[-1]) > 2 and "=" not in out[-1]
+                and arg[:1] == "-" and arg[1:2].isdigit()):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_dashed_values(argv))
     except SystemExit as exc:  # argparse has printed the usage error, help or version
         return exc.code
     try:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
@@ -151,7 +150,6 @@ class ControlSpace:
         return f"ControlSpace({len(self.points)} points)"
 
 
-@dataclass(frozen=True)
 class GeometricModule:
     """Finitely generated free module spread over positions.
 
@@ -160,7 +158,19 @@ class GeometricModule:
     support and local finiteness are automatic for finite data.
     """
 
-    positions: Tuple[object, ...]
+    def __init__(self, positions: Tuple[object, ...]):
+        object.__setattr__(self, "positions", positions)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GeometricModule is frozen: cannot assign {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.positions == other.positions
+
+    def __hash__(self):
+        return hash((self.positions,))
 
     @property
     def rank(self) -> int:

@@ -7,7 +7,6 @@ after construction and all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -206,12 +205,23 @@ class FreeGroup(GroupBackend):
         return w
 
 
-@dataclass(frozen=True)
 class FiniteSubset:
     """Deduplicated finite subset of a group; ``S`` sets carry the identity."""
 
-    backend: GroupBackend
-    elements: Tuple[object, ...]
+    def __init__(self, backend: GroupBackend, elements: Tuple[object, ...]):
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "elements", elements)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FiniteSubset is frozen: cannot assign {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.backend, self.elements) == (other.backend, other.elements)
+
+    def __hash__(self):
+        return hash((self.backend, self.elements))
 
     @staticmethod
     def of(backend: GroupBackend, elements: Iterable[object],
@@ -278,12 +288,23 @@ def ball(backend: GroupBackend, S: FiniteSubset, n: int,
     return FiniteSubset.of(backend, out)
 
 
-@dataclass(frozen=True)
 class SubgroupDescription:
     """Subgroup given by generators over a backend."""
 
-    backend: GroupBackend
-    generators: Tuple[object, ...]
+    def __init__(self, backend: GroupBackend, generators: Tuple[object, ...]):
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "generators", generators)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SubgroupDescription is frozen: cannot assign {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.backend, self.generators) == (other.backend, other.generators)
+
+    def __hash__(self):
+        return hash((self.backend, self.generators))
 
     @staticmethod
     def of(backend: GroupBackend, generators: Iterable[object]) -> "SubgroupDescription":
@@ -324,7 +345,6 @@ class SubgroupDescription:
         return all(g == e for g in self.generators)
 
 
-@dataclass(frozen=True)
 class FamilyPredicate:
     """Family of subgroups: trivial, finite, virtually-cyclic or custom-list.
 
@@ -334,13 +354,23 @@ class FamilyPredicate:
     of elements of a finite-table backend.
     """
 
-    kind: str
-    f2: bool = False
-    custom: Tuple[FrozenSet[object], ...] = ()
+    def __init__(self, kind: str, f2: bool = False, custom: Tuple[FrozenSet[object], ...] = ()):
+        if kind not in ("trivial", "finite", "virtually-cyclic", "custom-list"):
+            raise InputError(f"unknown family kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "f2", f2)
+        object.__setattr__(self, "custom", custom)
 
-    def __post_init__(self):
-        if self.kind not in ("trivial", "finite", "virtually-cyclic", "custom-list"):
-            raise InputError(f"unknown family kind {self.kind!r}")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FamilyPredicate is frozen: cannot assign {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.f2, self.custom) == (other.kind, other.f2, other.custom)
+
+    def __hash__(self):
+        return hash((self.kind, self.f2, self.custom))
 
 
 def _index2_subgroups(backend: FiniteTableGroup, elements: FrozenSet[int]) -> List[FrozenSet[int]]:

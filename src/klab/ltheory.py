@@ -8,7 +8,6 @@ verified at the level of their exact proof identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -18,18 +17,16 @@ from .errors import DegenerateForm, IdentityFailure, InputError
 from .intmat import IntMatrix, sign, symmetric_diagonalize
 
 
-@dataclass
 class SymmetricForm:
     """Gram matrix ``phi = phi^T`` on a free module of the given rank."""
 
-    rank: int
-    gram: IntMatrix
-
-    def __post_init__(self):
-        if (self.gram.rows, self.gram.cols) != (self.rank, self.rank):
+    def __init__(self, rank: int, gram: IntMatrix):
+        if (gram.rows, gram.cols) != (rank, rank):
             raise InputError("Gram matrix shape mismatch")
-        if not self.gram.is_symmetric():
+        if not gram.is_symmetric():
             raise InputError("Gram matrix is not symmetric")
+        self.rank = rank
+        self.gram = gram
 
     def direct_sum(self, other: "SymmetricForm") -> "SymmetricForm":
         return SymmetricForm(self.rank + other.rank, self.gram.direct_sum(other.gram))
@@ -109,24 +106,24 @@ def symmetrized_dual(psi: ChainMap) -> ChainMap:
     return ChainMap(src, C, 0, mats, check=False)
 
 
-@dataclass
 class PoincareWitness:
     """Homotopy-inverse data for the symmetrization of an ultra-quadratic
     complex: ``inverse``, ``h: inverse o sigma ~ id``, ``k: sigma o
     inverse ~ id``."""
 
-    inverse: ChainMap
-    h: ChainHomotopy
-    k: ChainHomotopy
+    def __init__(self, inverse: ChainMap, h: ChainHomotopy, k: ChainHomotopy):
+        self.inverse = inverse
+        self.h = h
+        self.k = k
 
 
-@dataclass
 class UltraQuadraticComplex:
     """``psi: C^-* -> C`` whose symmetrization is an equivalence."""
 
-    C: ChainComplex
-    psi: ChainMap
-    witness: Optional[PoincareWitness] = None
+    def __init__(self, C: ChainComplex, psi: ChainMap, witness: Optional[PoincareWitness] = None):
+        self.C = C
+        self.psi = psi
+        self.witness = witness
 
     def symmetrization(self) -> ChainMap:
         return self.psi + symmetrized_dual(self.psi)
@@ -174,12 +171,12 @@ def degree_zero_form(D: ChainComplex, psi: ChainMap) -> SymmetricForm:
     return SymmetricForm(mat.rows, mat)
 
 
-@dataclass
 class LemmaAReport:
-    signature: int
-    euler: int
-    psi_symmetric: bool
-    psi_invertible: bool
+    def __init__(self, signature: int, euler: int, psi_symmetric: bool, psi_invertible: bool):
+        self.signature = signature
+        self.euler = euler
+        self.psi_symmetric = psi_symmetric
+        self.psi_invertible = psi_invertible
 
     def ok(self) -> bool:
         return (self.signature == self.euler and self.psi_symmetric
@@ -204,9 +201,9 @@ def lemmaA_check(c: ChainComplex) -> LemmaAReport:
     return LemmaAReport(sig, c.euler_characteristic(), psi_symmetric, invertible)
 
 
-@dataclass
 class UQReport:
-    items: List[Tuple[str, bool, str]]
+    def __init__(self, items: List[Tuple[str, bool, str]]):
+        self.items = items
 
     def ok(self) -> bool:
         return all(okay for _, okay, _ in self.items)

@@ -3,7 +3,6 @@ the comparison audits feeding the L-theory transfer."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,13 +57,14 @@ def p2_action(action: HomotopySAction) -> HomotopySAction:
     return HomotopySAction(action.backend, pair_space, action.S, phi, homotopies)
 
 
-@dataclass
 class StabilizerReport:
-    pair: Tuple[object, object]
-    stabilizer: List[object]
-    intersection: List[object]
-    index: int
-    in_family2: Optional[bool]
+    def __init__(self, pair: Tuple[object, object], stabilizer: List[object],
+                 intersection: List[object], index: int, in_family2: Optional[bool]):
+        self.pair = pair
+        self.stabilizer = stabilizer
+        self.intersection = intersection
+        self.index = index
+        self.in_family2 = in_family2
 
     def ok(self) -> bool:
         return self.index in (1, 2) and self.in_family2 is not False
@@ -105,11 +105,11 @@ def p2_stabilizer_check(backend: GroupBackend, action: Dict[object, Dict[object,
     return StabilizerReport(unordered_pair(x, y), stab, inter, index, in_family2)
 
 
-@dataclass
 class AuditReport:
-    checked: int
-    skipped: int
-    counterexamples: List[str]
+    def __init__(self, checked: int, skipped: int, counterexamples: List[str]):
+        self.checked = checked
+        self.skipped = skipped
+        self.counterexamples = counterexamples
 
     def ok(self) -> bool:
         return not self.counterexamples

@@ -13,7 +13,6 @@ only reader of the format: malformed data in an entry is an
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, Tuple
 
@@ -148,22 +147,26 @@ def parse_point(action: HomotopySAction, text: str):
     return (g, x)
 
 
-@dataclass
 class Scenario:
     """One dict of resolved entries per section; see ``SECTIONS``."""
 
-    groups: Dict[str, GroupBackend] = field(default_factory=dict)
-    spaces: Dict[str, ControlSpace] = field(default_factory=dict)
-    actions: Dict[str, HomotopySAction] = field(default_factory=dict)
-    complexes: Dict[str, ChainComplex] = field(default_factory=dict)
-    forms: Dict[str, SymmetricForm] = field(default_factory=dict)
-    covers: Dict[str, Tuple[CoverSpec, HomotopySAction]] = field(default_factory=dict)
-    morphisms: Dict[str, EquivariantMorphism] = field(default_factory=dict)
-    chain_actions: Dict[str, HomotopySChainComplex] = field(default_factory=dict)
-    dominations: Dict[str, Tuple[ChainComplex, ChainComplex, ChainMap, ChainMap,
-                                 ChainHomotopy]] = field(default_factory=dict)
-    simplicial: Dict[str, SimplicialComplex] = field(default_factory=dict)
-    pipelines: Dict[str, Tuple[str, tuple]] = field(default_factory=dict)
+    def __init__(self, groups=None, spaces=None, actions=None, complexes=None, forms=None,
+                 covers=None, morphisms=None, chain_actions=None, dominations=None,
+                 simplicial=None, pipelines=None):
+        self.groups: Dict[str, GroupBackend] = {} if groups is None else groups
+        self.spaces: Dict[str, ControlSpace] = {} if spaces is None else spaces
+        self.actions: Dict[str, HomotopySAction] = {} if actions is None else actions
+        self.complexes: Dict[str, ChainComplex] = {} if complexes is None else complexes
+        self.forms: Dict[str, SymmetricForm] = {} if forms is None else forms
+        self.covers: Dict[str, Tuple[CoverSpec, HomotopySAction]] = {} if covers is None else covers
+        self.morphisms: Dict[str, EquivariantMorphism] = {} if morphisms is None else morphisms
+        self.chain_actions: Dict[str, HomotopySChainComplex] = (
+            {} if chain_actions is None else chain_actions)
+        self.dominations: Dict[str, Tuple[ChainComplex, ChainComplex, ChainMap, ChainMap,
+                                          ChainHomotopy]] = (
+            {} if dominations is None else dominations)
+        self.simplicial: Dict[str, SimplicialComplex] = {} if simplicial is None else simplicial
+        self.pipelines: Dict[str, Tuple[str, tuple]] = {} if pipelines is None else pipelines
 
     def get(self, section: str, name: str):
         """The named entry of a section; an unknown name is an input error."""

@@ -15,7 +15,6 @@ exact regime and report cross-simplex samples instead.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -95,26 +94,23 @@ class SimplicialComplex:
         return SimplicialComplex.from_maximal(verts, edges)
 
 
-@dataclass
 class PointInComplex:
     """Rational barycentric coordinates supported on one simplex."""
 
-    complex: SimplicialComplex
-    coords: Dict[object, Fraction]
-
-    def __post_init__(self):
+    def __init__(self, complex: SimplicialComplex, coords: Dict[object, Fraction]):
         clean = {}
-        for v, c in self.coords.items():
+        for v, c in coords.items():
             c = Fraction(c)
             if c < 0:
                 raise InputError("negative barycentric coordinate")
             if c > 0:
                 clean[v] = c
-        self.coords = clean
-        if sum(self.coords.values(), Fraction(0)) != 1:
+        if sum(clean.values(), Fraction(0)) != 1:
             raise InputError("barycentric coordinates must sum to 1")
-        if not self.complex.has_simplex(frozenset(self.coords)):
+        if not complex.has_simplex(frozenset(clean)):
             raise InputError("support is not a simplex of the complex")
+        self.complex = complex
+        self.coords = clean
 
     def support(self) -> Simplex:
         return frozenset(self.coords)
@@ -323,11 +319,12 @@ def pair_metric_value(p: PointInComplex, q: PointInComplex,
     return min(p.l1_to(p2) + q.l1_to(q2), p.l1_to(q2) + q.l1_to(p2))
 
 
-@dataclass
 class DeltaSearchResult:
-    delta: Optional[Fraction]
-    samples: int
-    certificate: List[Tuple[Fraction, Fraction]]  # (pair metric, quotient d1)
+    def __init__(self, delta: Optional[Fraction], samples: int,
+                 certificate: List[Tuple[Fraction, Fraction]]):
+        self.delta = delta
+        self.samples = samples
+        self.certificate = certificate  # (pair metric, quotient d1)
 
 
 def delta_search(sc: SimplicialComplex, eps: Fraction, samples: int = 200,

@@ -11,7 +11,6 @@ objects carry exact control certificates in the ``d_{S,Lambda}`` sense
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -53,13 +52,13 @@ def _structure_maps(cx: ChainComplex) -> List[ChainMap]:
 # -- chain homotopy S-actions -------------------------------------------------
 
 
-@dataclass
 class PointEquivalence:
     """Equivalence of a homotopy S-chain complex with the trivial complex."""
 
-    to_point: ChainMap     # P -> T
-    from_point: ChainMap   # T -> P
-    basepoint: object
+    def __init__(self, to_point: ChainMap, from_point: ChainMap, basepoint: object):
+        self.to_point = to_point      # P -> T
+        self.from_point = from_point  # T -> P
+        self.basepoint = basepoint
 
 
 class HomotopySChainComplex:
@@ -272,14 +271,14 @@ def _functoriality_witness(psi2: EquivariantMorphism, psi: EquivariantMorphism,
 # -- d_{S,Lambda} control certificates ----------------------------------------
 
 
-@dataclass
 class DSLambdaCertificate:
     """Achieved bound ``max(1 + Lambda * d(x, f(y)))`` over support pairs,
     each witnessed by a one-move chain in the metric's defining graph."""
 
-    lam: Fraction
-    bound: Fraction
-    pieces: Dict[str, Fraction]
+    def __init__(self, lam: Fraction, bound: Fraction, pieces: Dict[str, Fraction]):
+        self.lam = lam
+        self.bound = bound
+        self.pieces = pieces
 
     def within(self, target: Fraction) -> bool:
         return self.bound <= target
@@ -331,15 +330,17 @@ def _check_square_inside(backend: GroupBackend, letters, S: FiniteSubset) -> Non
         raise SupportEscape("T.T does not stay inside S")
 
 
-@dataclass
 class KTransferResult:
-    complex: ChainComplex          # fiber of M ox P
-    map: EquivariantChainMap       # tr(alpha)
-    inverse: EquivariantChainMap   # tr(alpha^{-1})
-    h: EquivariantChainMap         # homotopy tr(a^-1) tr(a) ~ id
-    k: EquivariantChainMap         # homotopy tr(a) tr(a^-1) ~ id
-    certificate: DSLambdaCertificate
-    target_bound: Fraction
+    def __init__(self, complex: ChainComplex, map: EquivariantChainMap,
+                 inverse: EquivariantChainMap, h: EquivariantChainMap, k: EquivariantChainMap,
+                 certificate: DSLambdaCertificate, target_bound: Fraction):
+        self.complex = complex  # fiber of M ox P
+        self.map = map          # tr(alpha)
+        self.inverse = inverse  # tr(alpha^{-1})
+        self.h = h              # homotopy tr(a^-1) tr(a) ~ id
+        self.k = k              # homotopy tr(a) tr(a^-1) ~ id
+        self.certificate = certificate
+        self.target_bound = target_bound
 
     def certified(self) -> bool:
         return self.certificate.within(self.target_bound)
@@ -418,15 +419,16 @@ def projected_torsion(result: KTransferResult) -> GRMatrix:
 # -- finite replacement (the staircase construction) ---------------------------
 
 
-@dataclass
 class FiniteReplacementResult:
-    P: ChainComplex
-    f: ChainMap               # C -> P
-    g: ChainMap               # P -> C
-    k: ChainHomotopy          # f o g ~ id_P
-    l: ChainHomotopy          # g o f ~ id_C
-    staircase: ChainComplex   # C' up to the checked tail degrees
-    checks: List[Tuple[str, bool]]
+    def __init__(self, P: ChainComplex, f: ChainMap, g: ChainMap, k: ChainHomotopy,
+                 l: ChainHomotopy, staircase: ChainComplex, checks: List[Tuple[str, bool]]):
+        self.P = P
+        self.f = f                  # C -> P
+        self.g = g                  # P -> C
+        self.k = k                  # f o g ~ id_P
+        self.l = l                  # g o f ~ id_C
+        self.staircase = staircase  # C' up to the checked tail degrees
+        self.checks = checks
 
     def ok(self) -> bool:
         return all(okay for _, okay in self.checks)
@@ -626,18 +628,20 @@ def induce_chain_action(repl: FiniteReplacementResult, backend: GroupBackend,
 # -- L-theory transfer ----------------------------------------------------------
 
 
-@dataclass
 class LSymmetricData:
     """The multiplicative hyperbolic chain action on unordered pairs."""
 
-    pair_space: ControlSpace
-    pair_action: HomotopySAction
-    D: ChainComplex                    # fiber over the pair space
-    phi: Dict[object, ChainMap]
-    H: Dict[Tuple[object, object], ChainHomotopy]
-    mu: ChainMap                       # D^-* -> D, diagonal support
-    chain: HomotopySChainComplex
-    checks: List[Tuple[str, bool]]
+    def __init__(self, pair_space: ControlSpace, pair_action: HomotopySAction, D: ChainComplex,
+                 phi: Dict[object, ChainMap], H: Dict[Tuple[object, object], ChainHomotopy],
+                 mu: ChainMap, chain: HomotopySChainComplex, checks: List[Tuple[str, bool]]):
+        self.pair_space = pair_space
+        self.pair_action = pair_action
+        self.D = D    # fiber over the pair space
+        self.phi = phi
+        self.H = H
+        self.mu = mu  # D^-* -> D, diagonal support
+        self.chain = chain
+        self.checks = checks
 
     def ok(self) -> bool:
         return all(okay for _, okay in self.checks)
@@ -696,18 +700,21 @@ def l_symmetric_complex(P: HomotopySChainComplex) -> LSymmetricData:
     return LSymmetricData(pair_space, pair_action, D, phi, H, mu, chain, checks)
 
 
-@dataclass
 class LTransferResult:
-    data: LSymmetricData
-    complex: ChainComplex                 # fiber of M ox D
-    psi: EquivariantChainMap              # the ultra-quadratic structure
-    sigma: EquivariantChainMap            # psi + its symmetrized dual
-    inverse: EquivariantChainMap          # homotopy inverse of sigma
-    h: EquivariantChainMap                # inverse o sigma ~ id
-    k: EquivariantChainMap                # sigma o inverse ~ id
-    certificate: DSLambdaCertificate
-    target_bound: Fraction
-    checks: List[Tuple[str, bool]]
+    def __init__(self, data: LSymmetricData, complex: ChainComplex, psi: EquivariantChainMap,
+                 sigma: EquivariantChainMap, inverse: EquivariantChainMap, h: EquivariantChainMap,
+                 k: EquivariantChainMap, certificate: DSLambdaCertificate, target_bound: Fraction,
+                 checks: List[Tuple[str, bool]]):
+        self.data = data
+        self.complex = complex  # fiber of M ox D
+        self.psi = psi          # the ultra-quadratic structure
+        self.sigma = sigma      # psi + its symmetrized dual
+        self.inverse = inverse  # homotopy inverse of sigma
+        self.h = h              # inverse o sigma ~ id
+        self.k = k              # sigma o inverse ~ id
+        self.certificate = certificate
+        self.target_bound = target_bound
+        self.checks = checks
 
     def ok(self) -> bool:
         return all(okay for _, okay in self.checks)

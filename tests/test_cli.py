@@ -217,7 +217,8 @@ def test_property_violation_exit_one(tmp_path, capsys):
     assert run_cli("suite", str(bad)) == 1
 
 
-def test_truncation_exit_three(tmp_path, capsys):
+def _walk(tmp_path):
+    """A scenario file: Z (free abelian, rank 1) walking on one point."""
     doc = {
         "version": 1,
         "groups": {"Z": {"kind": "free-abelian", "rank": 1}},
@@ -228,12 +229,31 @@ def test_truncation_exit_three(tmp_path, capsys):
     }
     path = tmp_path / "walk.json"
     path.write_text(canonical_dumps(doc))
+    return str(path)
+
+
+def test_truncation_exit_three(tmp_path, capsys):
     # the target needs 5 moves but the horizon allows 2: truncated lower bound
-    code = run_cli("dslambda", str(path), "--action", "walk", "--lam", "1",
+    code = run_cli("dslambda", _walk(tmp_path), "--action", "walk", "--lam", "1",
                    "--src", "0:a", "--dst", "5:a", "--horizon", "2")
     out = capsys.readouterr().out
     assert code == 3
     assert "truncated" in out
+
+
+# scenario None is the walk scenario above
+@pytest.mark.parametrize("argv, code, message", [
+    (("dslambda", Z2, "--action", "swap", "--lam", "-1/2", "--src", "0:p", "--dst", "1:p"),
+     2, "Lambda must be positive"),
+    (("lebesgue", Z2, "--cover", "slab", "--lambda-grid", "-1/2,1"), 2, "Lambda must be positive"),
+    (("dslambda", None, "--action", "walk", "--lam", "1", "--src", "-1:a", "--dst", "1:a"),
+     0, "d(-1:a,1:a) = 1"),
+])
+def test_option_values_may_start_with_a_dash(argv, code, message, tmp_path, capsys):
+    command, scenario, *rest = argv
+    assert run_cli(command, scenario or _walk(tmp_path), *rest) == code
+    captured = capsys.readouterr()
+    assert message in (captured.err if code else captured.out)
 
 
 def test_roundtrip_byte_identical():
