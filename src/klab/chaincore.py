@@ -34,15 +34,14 @@ each present block they read against its ranks.  ``mat()``, ``d()`` and
 A complex is a value: its ranks, matrices, idempotents and positions
 are set by its constructor and never written afterwards.  That is what
 makes sharing safe: ``dual_complex(c)`` and ``tensor_complex(c, d)``
-are memoised on ``c`` and hand back the same object for as long as some
-caller holds it.  The memo holds them weakly, so a complex never keeps
-its derived complexes alive.
+are memoised on ``c`` and built once.  A derived complex lives as long
+as its first factor and holds no factor, so no reference cycle forms.
 
 A complex's coefficient ring is the class or object that makes its zero
 and identity matrices and assembles block matrices: ``IntMatrix`` for
 ``Z`` (the default), ``gring.GroupRing`` for ``Z[G]``, whose transpose
 is the involution transpose.  Maps, homotopies, cones, ``cone_torsion``
-and duals work over either ring; tensors are integral only.
+and duals work over either ring; a tensor over ``Z[G]`` is an input error.
 """
 
 from __future__ import annotations
@@ -108,8 +107,8 @@ class ChainComplex:
                     self.diff[n] = m
         self.idem = dict(idem) if idem else None
         self.positions = dict(positions) if positions else None
-        self._dual = None  # weak reference to dual_complex(self)
-        self._tensors = {}  # id(d) -> (weak d, TensorLayout, weak self ox d)
+        self._dual = None  # dual_complex(self), once built
+        self._tensors = {}  # id(d) -> (weak d, TensorLayout, self ox d)
         if check:
             self.validate()
 
@@ -396,11 +395,10 @@ class ChainHomotopy:
 def dual_complex(c: ChainComplex) -> ChainComplex:
     """``(C^-*)_n = (C_{-n})^*`` with differential ``(-1)^n (d_{-n+1})^T``.
 
-    Shared: while the dual is held, every call on ``c`` returns it.
+    Shared: built once and held by ``c``.
     """
-    held = c._dual() if c._dual is not None else None
-    if held is not None:
-        return held
+    if c._dual is not None:
+        return c._dual
     ranks = {-n: r for n, r in c.ranks.items()}
     diff = {}
     for n in ranks:
@@ -414,7 +412,7 @@ def dual_complex(c: ChainComplex) -> ChainComplex:
     if c.positions is not None:
         positions = {-n: c.pos(n) for n in c.ranks}
     out = ChainComplex(ranks, diff, idem, positions, check=False, ring=c.ring)
-    c._dual = weakref.ref(out)
+    c._dual = out
     return out
 
 
@@ -468,22 +466,23 @@ class TensorLayout:
 def tensor_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:
     """``C ox D`` with ``d = d_C ox 1 + (-1)^p 1 ox d_D`` on ``C_p ox D_q``.
 
-    Shared: while the tensor is held, every call on ``(c, d)`` returns it.
+    Shared: built once, held by ``c`` while ``d`` lives; over Z only.
     """
     return _tensor(c, d)[1]
 
 
 def _tensor(c: ChainComplex, d: ChainComplex) -> Tuple[TensorLayout, ChainComplex]:
-    """``(TensorLayout(c, d), C ox D)``, shared while ``C ox D`` is held.
+    """``(TensorLayout(c, d), C ox D)``, memoised on ``c``.
 
-    The memo on ``c`` is keyed by ``id(d)``; a weak reference to ``d``
-    tells a live key from the id of a dead complex.
+    The memo is keyed by ``id(d)``; a weak reference to ``d`` tells a
+    live key from the id of a dead complex, and the next insert drops the
+    entries of dead ``d``.  An input error for a complex over ``Z[G]``.
     """
     entry = c._tensors.get(id(d))
     if entry is not None and entry[0]() is d:
-        held = entry[2]()
-        if held is not None:
-            return entry[1], held
+        return entry[1], entry[2]
+    if c.ring is not IntMatrix or d.ring is not IntMatrix:
+        raise InputError("tensors need complexes over Z, not over Z[G]")
     layout = TensorLayout(c, d)
     offsets = layout.offsets
     diff: Dict[int, IntMatrix] = {}
@@ -529,9 +528,8 @@ def _tensor(c: ChainComplex, d: ChainComplex) -> Tuple[TensorLayout, ChainComple
                 ps.extend(_pair_positions(c.pos(p), d.pos(q)))
             positions[n] = tuple(ps)
     out = ChainComplex(layout.ranks, diff, idem, positions, check=False)
-    c._tensors = {key: e for key, e in c._tensors.items()
-                  if e[0]() is not None and e[2]() is not None}
-    c._tensors[id(d)] = (weakref.ref(d), layout, weakref.ref(out))
+    c._tensors = {key: e for key, e in c._tensors.items() if e[0]() is not None}
+    c._tensors[id(d)] = (weakref.ref(d), layout, out)
     return layout, out
 
 

@@ -1,20 +1,22 @@
 """The dual and tensor memo of ``klab.chaincore``.
 
-``dual_complex(c)`` and ``tensor_complex(c, d)`` are memoised on ``c``
-and held weakly.  The reference constructions below build every
-endpoint afresh on each call, as ``chaincore`` did before the memo; the
-memoised constructions must agree with them exactly, hand back one
-object while it is held, and keep nothing alive once it is dropped.
+``dual_complex(c)`` and ``tensor_complex(c, d)`` are memoised on ``c``,
+built once and held by ``c``.  The reference constructions below build
+every endpoint afresh on each call, as ``chaincore`` did before the
+memo; the memoised constructions must agree with them exactly and hand
+back one object on every call.  A derived complex lives as long as its
+first factor, holds no factor and forms no reference cycle, so
+reference counting alone frees it with that factor.
 """
 
-import gc
 import random
 import weakref
 
 from hypothesis import given, settings, strategies as st
 
-from klab.chaincore import (ChainComplex, ChainMap, dual_complex, dual_map, flip_map,
-                            iota, mu_map, tensor_complex, tensor_map)
+from klab import chaincore
+from klab.chaincore import (ChainComplex, ChainMap, TensorLayout, dual_complex, dual_map,
+                            flip_map, iota, mu_map, tensor_complex, tensor_map)
 from klab.fixtures import rand_complex, rand_matrix
 from klab.intmat import IntMatrix, sign
 
@@ -249,16 +251,18 @@ def test_one_object_while_held(seed, lo_c, lo_d, positions, idempotents):
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(*INPUTS)
-def test_derived_complexes_are_held_weakly(seed, lo_c, lo_d, positions, idempotents):
+def test_derived_complexes_live_with_their_factors(seed, lo_c, lo_d, positions, idempotents):
     rng, c, d = pair(seed, lo_c, lo_d, positions, idempotents)
-    cd, t = dual_complex(c), tensor_complex(c, d)
     m = tensor_map(graded_map(rng, c, d, 0), graded_map(rng, d, c, 0))
-    derived = [weakref.ref(x) for x in (cd, t, dual_complex(t), m.target)]
-    del cd, t, m
-    gc.collect()
+    derived = [weakref.ref(x) for x in (dual_complex(c), tensor_complex(c, d),
+                                        dual_complex(tensor_complex(c, d)), m.target)]
+    del m
+    assert all(r() is not None for r in derived)
+    # no cycle forms: reference counting alone frees them with the factors
+    del c, d
     assert [r() for r in derived] == [None] * len(derived)
-    # a derived complex holds no factor either, and no cycle forms:
-    # reference counting alone frees the factors
+    # a derived complex holds no factor either
+    rng, c, d = pair(seed, lo_c, lo_d, positions, idempotents)
     kept = [dual_complex(c), tensor_complex(c, d), tensor_complex(d, c)]
     factors = [weakref.ref(c), weakref.ref(d)]
     del c, d
@@ -278,3 +282,58 @@ def test_tensor_memo_tells_a_dead_factor_from_a_new_one():
         assert tensor_complex(c, d).ranks == {n: r * rank for n, r in c.ranks.items()}
         if id(d) == dead:
             break
+
+
+def test_chain_check_builds_each_dual_and_tensor_once(monkeypatch):
+    """The calls of one check of perfbench's ``chain`` workload build the
+    duals of ``C``, ``D``, ``C^-*``, ``D^-*``, ``C ox D`` and ``D ox C``
+    and the tensors ``C ox D``, ``D ox C``, ``C^-* ox D^-*`` and
+    ``D^-* ox C^-*``, each exactly once."""
+    rng, C, D = pair(11, -1, 0, True, False)
+    f, g = graded_map(rng, C, D, 0), graded_map(rng, D, C, 1)
+    inits, duals, tensors = [0], [], []
+    real_init, real_dual, real_layout = (ChainComplex.__init__, chaincore.dual_complex,
+                                         TensorLayout.__init__)
+
+    def init(self, *args, **kwargs):
+        inits[0] += 1
+        real_init(self, *args, **kwargs)
+
+    def dual(c):  # a call that constructs a complex builds a dual
+        before = inits[0]
+        out = real_dual(c)
+        if inits[0] > before:
+            duals.append(weakref.ref(c))
+        return out
+
+    def layout(self, c, d):
+        tensors.append((weakref.ref(c), weakref.ref(d)))
+        real_layout(self, c, d)
+
+    monkeypatch.setattr(ChainComplex, "__init__", init)
+    monkeypatch.setattr(chaincore, "dual_complex", dual)
+    monkeypatch.setattr(TensorLayout, "__init__", layout)
+    dual(C).validate()
+    tensor_complex(C, D).validate()
+    flip_map(C, D).validate()
+    assert dual_map(dual_map(f)).compose(iota(C)) == iota(D).compose(f)
+    lhs = mu_map(C, D).compose(tensor_map(dual_map(f), dual_map(g)))
+    assert lhs == dual_map(tensor_map(f, g)).compose(mu_map(D, C))
+    cd, dd = dual(C), dual(D)
+    built = sorted(id(r()) for r in duals)
+    assert built == sorted(map(id, [C, D, cd, dd, tensor_complex(C, D), tensor_complex(D, C)]))
+    built = sorted((id(a()), id(b())) for a, b in tensors)
+    assert built == sorted((id(a), id(b)) for a, b in [(C, D), (D, C), (cd, dd), (dd, cd)])
+
+
+def test_a_long_lived_complex_keeps_no_tensor_of_a_dead_factor():
+    c = rand_complex(random.Random(5), max_len=3, max_rank=3)
+    tensors = []
+    for rank in range(200):
+        d = ChainComplex({0: rank % 4 + 1})
+        tensors.append(weakref.ref(tensor_complex(c, d)))
+        del d
+    # the last entry is stale until the next insert drops it
+    assert [r for r in tensors if r() is not None] in ([], tensors[-1:])
+    del c
+    assert [r for r in tensors if r() is not None] == []

@@ -5,7 +5,7 @@ import pytest
 
 from klab.actions import DSLambdaMetric
 from klab.chaincore import (ChainComplex, ChainHomotopy, ChainMap,
-                            dual_complex)
+                            dual_complex, flip_map, mu_map, tensor_complex)
 from klab.control import EquivariantMorphism
 from klab.errors import HypothesisViolation, InputError, SupportEscape
 from klab.fixtures import (domination_instance, path_chain_domination,
@@ -331,6 +331,15 @@ def test_integer_inverse_over_the_group_ring_is_an_input_error():
     tra = tr(alpha, z2_chain_fixture())
     with pytest.raises(InputError, match=r"over Z\[G\]"):
         tra.integer_inverse()
+
+
+def test_tensors_over_the_group_ring_are_an_input_error():
+    P = z2_nontrivial_chain_fixture(random.Random(5))
+    lift = GRComplex.constant(z2(), module_tensor(1, P.P))
+    for call in (lambda: tensor_complex(lift, lift), lambda: flip_map(lift, P.P),
+                 lambda: mu_map(P.P, lift)):
+        with pytest.raises(InputError, match=r"over Z\[G\]"):
+            call()
 
 
 def test_transfers_build_each_piece_once(monkeypatch):
