@@ -183,7 +183,7 @@ class DSLambdaMetric:
     ``(g, z, k) -> (g a^{-1} b, x', k + 1)`` cost 1, exist for ``k < n_max``
     and whenever some ``f in F_a``, ``f' in F_b`` satisfy ``f(z) = f'(x')``.
     Values found at total cost at most ``n_max + 1`` are exact; otherwise
-    the result is flagged as a truncated lower bound.
+    the result is truncated, bounded below by ``n_max + 1`` and above by a cost found.
 
     Costs are integers: every weight and the move cost 1 are multiplied by
     ``scale``, a common denominator of the ``Lambda * d_X`` values, and

@@ -24,7 +24,9 @@ Sign conventions (fixed once, tested everywhere):
 
 Complexes may carry positions (one label per basis vector and degree)
 and idempotents ``p`` with ``p^2 = p`` for objects of the idempotent
-completion; both are transported through every construction here.
+completion; both are transported through every construction here.  The
+identity of ``(C, p)`` is ``p``, so the tensor differential, built by the
+rule for tensors of maps, is ``d_C ox p_D + (-1)^p p_C ox d_D``.
 
 A block absent from ``diff`` or ``mats`` is zero, one absent from ``idem``
 the identity: the algebra and the checks never materialise it, and check
@@ -53,10 +55,6 @@ from .errors import InputError, NotAnEquivalence
 from .intmat import IntMatrix, sign
 
 Positions = Tuple[object, ...]
-
-
-def _pair_positions(pa: Positions, pb: Positions) -> Positions:
-    return tuple((a, b) for a in pa for b in pb)
 
 
 def _block(blocks: Dict[int, IntMatrix], n: int, rows: int, cols: int, what: str):
@@ -108,6 +106,7 @@ class ChainComplex:
         self.idem = dict(idem) if idem else None
         self.positions = dict(positions) if positions else None
         self._dual = None  # dual_complex(self), once built
+        self._one = None  # the blocks of ChainMap.identity(self), once built
         self._tensors = {}  # id(d) -> (weak d, TensorLayout, self ox d)
         if check:
             self.validate()
@@ -336,8 +335,7 @@ class ChainMap:
 
     @classmethod
     def identity(cls, c: ChainComplex) -> "ChainMap":
-        # identity of an idempotent-completed object is the idempotent itself
-        return cls(c, c, 0, {n: c.p(n) for n in c.ranks}, check=False)
+        return cls(c, c, 0, _one(c), check=False)
 
     @staticmethod
     def zero(source: ChainComplex, target: ChainComplex, degree: int = 0) -> "ChainMap":
@@ -392,46 +390,50 @@ class ChainHomotopy:
 # -- duals, tensors, flips, mu ------------------------------------------
 
 
+def _one(c: ChainComplex) -> Dict[int, IntMatrix]:
+    """``{n: p_n}``: the identity of an idempotent-completed object is its
+    idempotent.  Built once and held by ``c``; zero blocks are kept."""
+    if c._one is None:
+        c._one = {n: c.p(n) for n in c.ranks}
+    return c._one
+
+
+def _dual_blocks(mats, k: int, source: ChainComplex, target: ChainComplex,
+                 what: str = "chain map") -> Dict[int, IntMatrix]:
+    """``(f^-*)_n = (-1)^{nk} (f_{-n-k})^T`` for the blocks ``mats`` of a
+    degree-``k`` map ``source -> target``; each block must fit its ranks."""
+    out = {}
+    for m, mat in mats.items():
+        _block(mats, m, target.rank(m + k), source.rank(m), what)
+        t = mat.transpose()
+        out[-m - k] = t.scale(-1) if (m + k) * k % 2 else t
+    return out
+
+
 def dual_complex(c: ChainComplex) -> ChainComplex:
-    """``(C^-*)_n = (C_{-n})^*`` with differential ``(-1)^n (d_{-n+1})^T``.
+    """``(C^-*)_n = (C_{-n})^*``: the duals of ``d`` and of ``1 = p`` as maps.
 
     Shared: built once and held by ``c``.
     """
-    if c._dual is not None:
-        return c._dual
-    ranks = {-n: r for n, r in c.ranks.items()}
-    diff = {}
-    for n in ranks:
-        d = _block(c.diff, -n + 1, c.rank(-n), c.rank(-n + 1), "differential")
-        if d is not None:
-            diff[n] = d.transpose().scale(sign(n))
-    idem = None
-    if c.idem is not None:
-        idem = {-n: c.p(n).transpose() for n in c.ranks}
-    positions = None
-    if c.positions is not None:
-        positions = {-n: c.pos(n) for n in c.ranks}
-    out = ChainComplex(ranks, diff, idem, positions, check=False, ring=c.ring)
-    c._dual = out
-    return out
+    if c._dual is None:
+        idem = None if c.idem is None else _dual_blocks(_one(c), 0, c, c, "idempotent")
+        positions = None if c.positions is None else {-n: c.pos(n) for n in c.ranks}
+        c._dual = ChainComplex({-n: r for n, r in c.ranks.items()},
+                               _dual_blocks(c.diff, -1, c, c, "differential"), idem,
+                               positions, check=False, ring=c.ring)
+    return c._dual
 
 
 def dual_map(f: ChainMap) -> ChainMap:
     """``(f^-*)_n = (-1)^{nk} (f_{-n-k})^T`` from ``D^-*`` to ``C^-*``."""
-    k = f.degree
-    src = dual_complex(f.target)
-    tgt = dual_complex(f.source)
-    mats = {}
-    for m, mat in f.mats.items():
-        n = -m - k  # source degree in the dual
-        mats[n] = mat.transpose().scale(sign(n * k))
-    return ChainMap(src, tgt, k, mats, check=False)
+    return ChainMap(dual_complex(f.target), dual_complex(f.source), f.degree,
+                    _dual_blocks(f.mats, f.degree, f.source, f.target), check=False)
 
 
 def iota(c: ChainComplex) -> ChainMap:
     """Natural isomorphism ``C -> (C^-*)^-*`` given by ``(-1)^n id``."""
     dd = dual_complex(dual_complex(c))
-    return ChainMap(c, dd, 0, {n: c.p(n).scale(sign(n)) for n in c.ranks}, check=False)
+    return ChainMap(c, dd, 0, {n: p.scale(sign(n)) for n, p in _one(c).items()}, check=False)
 
 
 class TensorLayout:
@@ -447,9 +449,7 @@ class TensorLayout:
         self.blocks: Dict[int, List[Tuple[int, int]]] = {}
         for p in c.degrees():
             for q in d.degrees():
-                self.blocks.setdefault(p + q, []).append((p, q))
-        for n in self.blocks:
-            self.blocks[n].sort()
+                self.blocks.setdefault(p + q, []).append((p, q))  # sorted by p
         self.offsets: Dict[Tuple[int, int], int] = {}
         self.ranks: Dict[int, int] = {}
         for n, pairs in self.blocks.items():
@@ -463,8 +463,39 @@ class TensorLayout:
         return self.c_ranks.get(p, 0) * self.d_ranks.get(q, 0)
 
 
+def _tensor_blocks(src: TensorLayout, tgt: TensorLayout, terms,
+                   what: str = "chain map") -> Dict[int, IntMatrix]:
+    """The blocks of ``sum a ox b`` from ``src`` to ``tgt``, each term
+    ``(a, |a|, b, |b|)`` given by its blocks and placed by
+    ``(a ox b)|_{A_p ox B_q} = (-1)^{|b| p} a_p ox b_q``.  The terms share a
+    total degree and have distinct bidegrees, so no two write one entry;
+    every block read must fit the layouts' ranks.
+    """
+    k = terms[0][1] + terms[0][3]
+    out: Dict[int, IntMatrix] = {}
+    for n, pairs in src.blocks.items():
+        ent: Dict[Tuple[int, int], int] = {}
+        for a, ka, b, kb in terms:
+            for (p, q) in pairs:
+                x, y = a.get(p), b.get(q)
+                if x is None or y is None:
+                    continue
+                if ((x.rows, x.cols, y.rows, y.cols) != (tgt.c_ranks.get(p + ka, 0),
+                        src.c_ranks[p], tgt.d_ranks.get(q + kb, 0), src.d_ranks[q])):
+                    raise ValueError(f"{what} shape mismatch at degree {(p, q)}")
+                toff, soff = tgt.offsets.get((p + ka, q + kb)), src.offsets[(p, q)]
+                s, rows, cols, ys = sign(kb * p), y.rows, y.cols, y.entries.items()
+                for (i, j), u in x.entries.items():
+                    row, col, u = toff + i * rows, soff + j * cols, s * u
+                    for (t, v), w in ys:
+                        ent[(row + t, col + v)] = u * w
+        if ent:
+            out[n] = IntMatrix._trusted(tgt.ranks.get(n + k, 0), src.ranks[n], ent)
+    return out
+
+
 def tensor_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:
-    """``C ox D`` with ``d = d_C ox 1 + (-1)^p 1 ox d_D`` on ``C_p ox D_q``.
+    """``C ox D`` with ``d = d_C ox 1 + 1 ox d_D`` and ``p = 1 ox 1``.
 
     Shared: built once, held by ``c`` while ``d`` lives; over Z only.
     """
@@ -484,49 +515,17 @@ def _tensor(c: ChainComplex, d: ChainComplex) -> Tuple[TensorLayout, ChainComple
     if c.ring is not IntMatrix or d.ring is not IntMatrix:
         raise InputError("tensors need complexes over Z, not over Z[G]")
     layout = TensorLayout(c, d)
-    offsets = layout.offsets
-    diff: Dict[int, IntMatrix] = {}
-    for n, pairs in layout.blocks.items():
-        ent: Dict[Tuple[int, int], int] = {}
-        for (p, q) in pairs:
-            soff = offsets[(p, q)]
-            rc, rd = c.rank(p), d.rank(q)
-            # d_C ox 1: (e_j ox f_t) -> sum_i v e_i ox f_t, v = d_C[i, j]
-            toff = offsets.get((p - 1, q))
-            dc = _block(c.diff, p, c.rank(p - 1), rc, "differential")
-            if toff is not None and dc is not None:
-                for (i, j), v in dc.entries.items():
-                    for t in range(rd):
-                        ent[(toff + i * rd + t, soff + j * rd + t)] = v
-            # (-1)^p 1 ox d_D: (e_s ox f_j) -> sum_i (-1)^p v e_s ox f_i
-            toff = offsets.get((p, q - 1))
-            dd = _block(d.diff, q, d.rank(q - 1), rd, "differential")
-            if toff is not None and dd is not None:
-                rt = dd.rows
-                for (i, j), v in dd.entries.items():
-                    v = sign(p) * v
-                    for t in range(rc):
-                        ent[(toff + t * rt + i, soff + t * rd + j)] = v
-        if ent:
-            diff[n] = IntMatrix._trusted(layout.ranks.get(n - 1, 0), layout.ranks[n], ent)
+    one_c, one_d = _one(c), _one(d)
+    diff = _tensor_blocks(layout, layout, [(c.diff, -1, one_d, 0), (one_c, 0, d.diff, -1)],
+                          "differential")
     idem = None
     if c.idem is not None or d.idem is not None:
-        idem = {}
-        for n, pairs in layout.blocks.items():
-            ent = {}
-            for (p, q) in pairs:
-                off = offsets[(p, q)]
-                for (i, j), v in c.p(p).kron(d.p(q)).entries.items():
-                    ent[(off + i, off + j)] = v
-            idem[n] = IntMatrix._trusted(layout.ranks[n], layout.ranks[n], ent)
+        one = _tensor_blocks(layout, layout, [(one_c, 0, one_d, 0)], "idempotent")
+        idem = {n: one[n] if n in one else IntMatrix.zeros(r, r) for n, r in layout.ranks.items()}
     positions = None
     if c.positions is not None and d.positions is not None:
-        positions = {}
-        for n, pairs in layout.blocks.items():
-            ps: List[object] = []
-            for (p, q) in pairs:
-                ps.extend(_pair_positions(c.pos(p), d.pos(q)))
-            positions[n] = tuple(ps)
+        positions = {n: tuple((a, b) for (p, q) in pairs for a in c.pos(p) for b in d.pos(q))
+                     for n, pairs in layout.blocks.items()}
     out = ChainComplex(layout.ranks, diff, idem, positions, check=False)
     c._tensors = {key: e for key, e in c._tensors.items() if e[0]() is not None}
     c._tensors[id(d)] = (weakref.ref(d), layout, out)
@@ -537,22 +536,8 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     """``(f ox g)|_{A_p ox B_q} = (-1)^{|g| p} f_p ox g_q``."""
     src, src_cx = _tensor(f.source, g.source)
     tgt, tgt_cx = _tensor(f.target, g.target)
-    k = f.degree + g.degree
-    mats: Dict[int, IntMatrix] = {}
-    for n, pairs in src.blocks.items():
-        ent: Dict[Tuple[int, int], int] = {}
-        for (p, q) in pairs:
-            toff = tgt.offsets.get((p + f.degree, q + g.degree))
-            a, b = f.mats.get(p), g.mats.get(q)
-            if toff is None or a is None or b is None:
-                continue
-            soff = src.offsets[(p, q)]
-            s = sign(g.degree * p)
-            for (i, j), v in a.kron(b).entries.items():
-                ent[(toff + i, soff + j)] = s * v
-        if ent:
-            mats[n] = IntMatrix._trusted(tgt.ranks.get(n + k, 0), src.ranks[n], ent)
-    return ChainMap(src_cx, tgt_cx, k, mats, check=False)
+    mats = _tensor_blocks(src, tgt, [(f.mats, f.degree, g.mats, g.degree)])
+    return ChainMap(src_cx, tgt_cx, f.degree + g.degree, mats, check=False)
 
 
 def flip_map(c: ChainComplex, d: ChainComplex) -> ChainMap:

@@ -119,9 +119,11 @@ def cmd_dslambda(scenario: Scenario, args) -> Report:
     res = metric.distance(src, dst)
     rep.truncated = res.truncated
     value = "inf" if res.is_infinite() else fraction_str(res.value)
+    if res.truncated:  # a cost found within the horizon only bounds the value above
+        upper = "" if res.is_infinite() else f"; upper bound {value}"
+        value = f">= {fraction_str(res.lower_bound)} [lower bound, truncated{upper}]"
     rep.add(f"dslambda:{args.action}", True,
-            f"d({args.src},{args.dst}) = {value}"
-            + (" [lower bound, truncated]" if res.truncated else ""))
+            f"d({args.src},{args.dst}) " + (value if res.truncated else f"= {value}"))
     return rep
 
 
@@ -302,8 +304,8 @@ def _run_finobstr(rep: Report, name: str, c) -> None:
     rep.add(f"finobstr:{name}", True, f"reduced rank = {rank}")
 
 
-def _run_cover(rep: Report, name: str, family: str, cover, action) -> None:
-    fc = check_f_cover(cover, _family_from_name(family), action.backend, action)
+def _run_cover(rep: Report, name: str, family: FamilyPredicate, cover, action) -> None:
+    fc = check_f_cover(cover, family, action.backend, action)
     rep.add(f"cover:{name}:axioms", fc.ok(),
             "; ".join(fc.violations + fc.s_long_failures) or f"dim {fc.dimension}")
 
@@ -320,13 +322,14 @@ def _job(runner, *parts) -> Callable[[], Report]:
 
 
 def _suite_jobs(sc: Scenario, args) -> List[Tuple[str, Callable[[], Report]]]:
+    family = _family_from_name(args.family)  # an unknown family fails the command, not a case
     return ([("validate", lambda: cmd_validate(sc, args))]
             + [(f"form:{n}", _job(_run_signature, n, f)) for n, f in sorted(sc.forms.items())]
             + [(f"complex:{n}", _job(_run_finobstr, n, c))
                for n, c in sorted(sc.complexes.items())]
             + [(f"domination:{n}", _job(_run_replace, n, *d))
                for n, d in sorted(sc.dominations.items())]
-            + [(f"cover:{n}", _job(_run_cover, n, args.family, *c))
+            + [(f"cover:{n}", _job(_run_cover, n, family, *c))
                for n, c in sorted(sc.covers.items())]
             + [(f"pipeline:{n}", _job(RUNNERS[k], n, *p))
                for n, (k, p) in sorted(sc.pipelines.items())])

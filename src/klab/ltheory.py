@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .chaincore import ChainComplex, ChainHomotopy, ChainMap, _tensor, dual_complex
+from .chaincore import ChainComplex, ChainHomotopy, ChainMap, _dual_blocks, _tensor, dual_complex
 from .control import ControlSpace, check_control
 from .errors import DegenerateForm, IdentityFailure, InputError
 from .intmat import IntMatrix, sign, symmetric_diagonalize
@@ -98,12 +98,9 @@ def symmetrized_dual(psi: ChainMap) -> ChainMap:
     C = psi.target
     if psi.degree != 0:
         raise InputError("symmetrized dual needs a degree-0 map")
-    src = dual_complex(C)
-    mats = {}
-    for m, mat in psi.mats.items():
-        n = -m
-        mats[n] = mat.transpose().scale(sign(n))
-    return ChainMap(src, C, 0, mats, check=False)
+    dual = _dual_blocks(psi.mats, 0, psi.source, C)  # psi^-*, then iota^{-1} = (-1)^n
+    return ChainMap(dual_complex(C), C, 0, {n: m.scale(sign(n)) for n, m in dual.items()},
+                    check=False)
 
 
 class PoincareWitness:

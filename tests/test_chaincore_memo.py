@@ -64,6 +64,7 @@ def ref_iota(c):
 
 
 def ref_tensor(c, d):
+    """``d = d_C ox p_D + (-1)^p p_C ox d_D``: the identity of ``(C, p)`` is ``p``."""
     layout = RefLayout(c, d)
     offsets = layout.offsets
     diff = {}
@@ -71,18 +72,13 @@ def ref_tensor(c, d):
         ent = {}
         for (p, q) in pairs:
             soff = offsets[(p, q)]
-            rc, rd = c.rank(p), d.rank(q)
-            toff = offsets.get((p - 1, q))
-            if toff is not None:
-                for (i, j), v in c.d(p).entries.items():
-                    for t in range(rd):
-                        ent[(toff + i * rd + t, soff + j * rd + t)] = v
-            toff = offsets.get((p, q - 1))
-            if toff is not None:
-                dd = d.d(q)
-                for (i, j), v in dd.entries.items():
-                    for t in range(rc):
-                        ent[(toff + t * dd.rows + i, soff + t * rd + j)] = sign(p) * v
+            parts = [((p - 1, q), c.d(p).kron(d.p(q))),
+                     ((p, q - 1), c.p(p).kron(d.d(q)).scale(sign(p)))]
+            for target, blk in parts:
+                toff = offsets.get(target)
+                if toff is not None:
+                    for (i, j), v in blk.entries.items():
+                        ent[(toff + i, soff + j)] = v
         if ent:
             diff[n] = IntMatrix(layout.ranks.get(n - 1, 0), layout.ranks[n], ent)
     idem = None
@@ -337,3 +333,28 @@ def test_a_long_lived_complex_keeps_no_tensor_of_a_dead_factor():
     assert [r for r in tensors if r() is not None] in ([], tensors[-1:])
     del c
     assert [r for r in tensors if r() is not None] == []
+
+
+# -- one dual rule and one tensor rule, for complexes and maps ------------------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(*INPUTS)
+def test_complexes_are_built_by_the_map_rules(seed, lo_c, lo_d, positions, idempotents):
+    """The dual differential is the dual of ``d`` as a degree -1 map; the
+    tensor differential is ``d_C ox 1 + 1 ox d_D`` and its idempotent
+    ``1 ox 1``, with ``1`` the identity of the object, its idempotent."""
+    _, c, d = pair(seed, lo_c, lo_d, positions, idempotents)
+    dc, dd = ChainMap(c, c, -1, c.diff), ChainMap(d, d, -1, d.diff)
+    one_c, one_d = ChainMap.identity(c), ChainMap.identity(d)
+    assert dual_complex(c).diff == dual_map(dc).mats
+    t = tensor_complex(c, d)
+    assert t.diff == (tensor_map(dc, one_d) + tensor_map(one_c, dd)).mats
+    assert ChainMap.identity(t) == tensor_map(one_c, one_d)
+
+
+def test_tensors_of_idempotent_complexes_are_complexes():
+    for seed in range(40):
+        _, c, d = pair(seed, -1, 0, False, True)
+        tensor_complex(c, d).validate()
+        ref_tensor(c, d).validate()

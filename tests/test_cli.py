@@ -185,6 +185,15 @@ def test_suite_deterministic_and_workers_removed(tmp_path):
     assert run_cli("suite", Z2, "--workers", "4") == 2
 
 
+@pytest.mark.parametrize("scenario, cover", [(Z2, "slab"), (DIHEDRAL, "slabs")])
+def test_unknown_family_fails_the_suite_as_nerve_does(scenario, cover, capsys):
+    for command in (("nerve", scenario, "--cover", cover, "--lam", "1/2"), ("suite", scenario)):
+        assert run_cli(*command, "--family", "bogus") == 2
+        captured = capsys.readouterr()
+        assert "input error: unknown family kind 'bogus'" in captured.err
+        assert "FAIL" not in captured.out
+
+
 def test_reports_deterministic_given_seed(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
