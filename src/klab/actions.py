@@ -22,6 +22,8 @@ from .intmat import lattice_member
 from .simplicial import PointInComplex, SimplicialComplex
 
 PointMap = Tuple[object, ...]  # images listed in space point order
+# per move letter, the x' of each point index x: the move edges x -> x'
+MoveRelation = List[Tuple[object, Tuple[Tuple[int, ...], ...]]]
 
 DEFAULT_DSLAMBDA_HORIZON = 8
 DEFAULT_STATE_CAP = 200_000
@@ -48,7 +50,7 @@ class HomotopySAction:
         self.phi = {backend.canonical(g): tuple(m) for g, m in phi.items()}
         self.H = {(backend.canonical(g), backend.canonical(h)): tuple(tuple(m) for m in grid)
                   for (g, h), grid in homotopies.items()}
-        self._moves = None  # built on first use by move_table()
+        self._moves = None  # built on first use by move_relation()
         if check:
             self.validate()
 
@@ -113,36 +115,51 @@ class HomotopySAction:
         return sorted({m for r, s, rs in self.S.products if rs == g
                        for m in self.H.get((r, s), ())})
 
-    def move_table(self) -> Tuple[List[object], Dict[object, Tuple[Tuple[object, object], ...]]]:
-        """Move letters and move edges, built once per action.
+    def move_relation(self) -> Tuple[List[object], MoveRelation]:
+        """Move letters and the move relation on point indices, joined once
+        per action.
 
         The letters are every ``a^{-1} b`` over ``a, b in S``, sorted by
-        repr.  The edges map each point ``z`` to the moves
-        ``(a^{-1} b, x')`` with ``f(z) = f'(x')`` for some ``f in F_a``,
-        ``f' in F_b``: the images of ``z`` under ``F_a`` joined with the
-        preimages under ``F_b``, each set built once per letter.
+        repr.  The relation pairs each letter that has an edge with its
+        edges, one entry per point index ``z``: the ascending ``x'`` with
+        ``f(z) = f'(x')`` for some ``f in F_a``, ``f' in F_b`` and
+        ``a^{-1} b`` the letter.  It joins the images of ``z`` under ``F_a``
+        with the preimages under ``F_b``, each set built once per element
+        of ``S``.
         """
         if self._moves is None:
-            mul, inv, pts = self.backend.mul, self.backend.inv, self.space.points
+            mul, inv, index = self.backend.mul, self.backend.inv, self.index
+            n = len(self.space.points)
             images, preimages = {}, {}
             for a in self.S:
-                fa = self.f_set(a)
-                images[a] = [{m[i] for m in fa} for i in range(len(pts))]
-                pre = preimages[a] = {}
+                fa = [tuple(index[y] for y in m) for m in self.f_set(a)]
+                images[a] = [{m[z] for m in fa} for z in range(n)]
+                pre = preimages[a] = [set() for _ in range(n)]
                 for m in fa:
-                    for x, y in zip(pts, m):
-                        pre.setdefault(y, set()).add(x)
-            letters = set()
-            edges: Dict[object, Set[Tuple[object, object]]] = {z: set() for z in pts}
+                    for x, y in enumerate(m):
+                        pre[y].add(x)
+            relation: Dict[object, List[Set[int]]] = {}
             for a in self.S:
                 for b in self.S:
                     step, pre = mul(inv(a), b), preimages[b]
-                    letters.add(step)
-                    for z, ys in zip(pts, images[a]):
-                        edges[z].update((step, xp) for y in ys for xp in pre.get(y, ()))
-            self._moves = (sorted(letters, key=repr),
-                           {z: tuple(out) for z, out in edges.items()})
+                    out = relation.get(step)
+                    if out is None:
+                        out = relation[step] = [set() for _ in range(n)]
+                    for xs, ys in zip(out, images[a]):
+                        for y in ys:
+                            xs |= pre[y]
+            letters = sorted(relation, key=repr)
+            self._moves = (letters, [(step, tuple(tuple(sorted(xs)) for xs in relation[step]))
+                                     for step in letters if any(relation[step])])
         return self._moves
+
+    def move_table(self) -> Tuple[List[object], Dict[object, Tuple[Tuple[object, object], ...]]]:
+        """``move_relation`` on points, built on each call: the letters, and
+        each point ``z`` mapped to its moves ``(a^{-1} b, x')``."""
+        letters, moves = self.move_relation()
+        pts = self.space.points
+        return letters, {z: tuple((step, pts[xp]) for step, out in moves for xp in out[i])
+                         for i, z in enumerate(pts)}
 
     def s_orbit(self, n: int, gx: Tuple[object, object]) -> Set[Tuple[object, object]]:
         """Exact enumeration of ``S^n(g, x)`` by depth-``n`` search."""
@@ -153,14 +170,15 @@ class HomotopySAction:
         g, x = self.backend.canonical(gx[0]), gx[1]
         if x not in self.index:
             raise InputError(f"unknown point {x!r}")
-        _, edges = self.move_table()
-        mul = self.backend.mul
-        current: Set[Tuple[object, object]] = {(g, x)}
+        _, moves = self.move_relation()
+        mul, pts = self.backend.mul, self.space.points
+        current: Set[Tuple[object, int]] = {(g, self.index[x])}
         for _ in range(n):
-            current = {(mul(h, step), xp) for (h, y) in current for step, xp in edges[y]}
+            current = {(mul(h, step), xp) for (h, y) in current for step, out in moves
+                       for xp in out[y]}
             if len(current) > ORBIT_CAP:
                 raise HorizonExceeded("orbit enumeration exceeded cap")
-        return current
+        return {(h, pts[y]) for h, y in current}
 
 
 class DSLambdaResult:
@@ -194,8 +212,8 @@ class DSLambdaMetric:
       ``closure()``, which is built once per space.  It is the direct
       weight only under the triangle inequality, which spaces built with
       ``check=False`` never test.
-    - ``moves`` pairs each move letter with its edges ``x -> (x', ...)``
-      on point indices.
+    - ``moves`` is the action's ``move_relation``, read as it is: each
+      move letter with its edges ``x -> (x', ...)`` on point indices.
     - The layers are counted on the first search.  Every distance of a
       ``ControlSpace`` is defined, so the fiber graph is complete and a
       layer reaches every point of each group element it reaches: layer
@@ -205,8 +223,9 @@ class DSLambdaMetric:
       exceeds ``state_cap`` every search raises ``HorizonExceeded``.
 
     The search from ``x0`` is a DP over the layers ``k = 0..n_max``, with
-    one row per group element of least costs using at most ``k`` moves.
-    Layer 0 is ``{e: closure[x0]}``.  Each step moves the rows the last
+    one row per reached group element, keyed by the element's id from the
+    layer count, of least costs using at most ``k`` moves.  Layer 0 is
+    ``{e: closure[x0]}``.  Each step moves the rows the last
     step improved by every letter (``+ scale``) into candidate rows keyed
     by ``g * letter``, closes each candidate as
     ``row[z] = min_x cand[x] + closure[x][z]`` over its improved entries,
@@ -215,7 +234,8 @@ class DSLambdaMetric:
 
     By G-invariance a search depends only on its source point, so the
     metric keeps one search result per source point and every query
-    from that point reuses it.
+    from that point reuses it: it reads the entry of its target point in
+    the row of its displacement ``g^{-1} h``.
     """
 
     def __init__(self, action: HomotopySAction, lam: Fraction,
@@ -230,7 +250,7 @@ class DSLambdaMetric:
         self.n_max = n_max
         self.state_cap = state_cap
         self.backend = action.backend
-        self.letters, moves = action.move_table()
+        self.letters, self.moves = action.move_relation()
         space = action.space
         self.points, self.index = space.points, space.index
         scale, rows = space.scaled()
@@ -242,26 +262,23 @@ class DSLambdaMetric:
         num, self.closure = self.lam.numerator, space.closure()
         if num != 1:
             self.closure = [[num * v for v in row] for row in self.closure]
-        edges: Dict[object, Dict[int, List[int]]] = {}
-        for z, out in moves.items():
-            for step, xp in out:
-                edges.setdefault(step, {}).setdefault(self.index[z], []).append(self.index[xp])
-        self.moves = [(step, tuple((x, tuple(xps)) for x, xps in edges[step].items()))
-                      for step in self.letters if step in edges]
-        self._layers = None  # (elements, successors, capped), built by _reach()
-        self._searches: Dict[object, Dict[Tuple[object, object], int]] = {}
+        # exceeds every path cost: n_max moves and n_max + 1 fiber paths
+        self._blank = [(n_max + 1) * (self.scale + max(map(max, self.closure), default=0)) + 1
+                       ] * len(self.points)
+        self._layers = None  # (ids, successors, capped), built by _reach()
+        self._searches: Dict[object, Dict[int, Sequence[int]]] = {}
         self._reachable = None  # finite-table displacements the letters reach
 
-    def _search(self, x0) -> Dict[Tuple[object, object], int]:
+    def _search(self, x0) -> Dict[int, Sequence[int]]:
         """The search from ``(e, x0)``, run on the first query from ``x0``."""
-        best = self._searches.get(x0)
-        if best is None:
+        rows = self._searches.get(x0)
+        if rows is None:
             if x0 not in self.index:
                 raise InputError(f"unknown point {x0!r}")
-            best = self._searches[x0] = self._layered(x0)
-        return best
+            rows = self._searches[x0] = self._layered(x0)
+        return rows
 
-    def _reach(self) -> Tuple[List[object], Dict[int, List[int]]]:
+    def _reach(self) -> Tuple[Dict[object, int], Dict[int, List[int]]]:
         """Group elements by id (the identity is 0) and each one's
         successor ids, one per letter of ``moves``; raises once the reachable
         states outnumber ``state_cap``."""
@@ -289,46 +306,44 @@ class DSLambdaMetric:
                     reached.update(out)
                 layer = reached
                 states += n * len(layer)
-            self._layers = (elements, successors, states > self.state_cap)
-        elements, successors, capped = self._layers
+            self._layers = (ids, successors, states > self.state_cap)
+        ids, successors, capped = self._layers
         if capped:
             raise HorizonExceeded("d_{S,Lambda} state cap exceeded")
-        return elements, successors
+        return ids, successors
 
-    def _layered(self, x0) -> Dict[Tuple[object, object], int]:
+    def _layered(self, x0) -> Dict[int, Sequence[int]]:
         """Best scaled cost from ``(e, x0)`` to every ``(g, x)`` within the
-        move horizon (min over layers)."""
-        elements, successors = self._reach()
-        closure, moves, unit, points = self.closure, self.moves, self.scale, self.points
-        n = len(points)
-        # exceeds every path cost: n_max moves and n_max + 1 fiber paths
-        blank = [(self.n_max + 1) * (unit + max(map(max, closure))) + 1] * n
-        best = {0: closure[self.index[x0]]}
+        move horizon (min over layers): one row per reached element, keyed
+        by its ``_reach`` id and indexed by point."""
+        _, successors = self._reach()
+        closure, moves, unit, blank = self.closure, self.moves, self.scale, self._blank
+        rows = {0: closure[self.index[x0]]}
         frontier = [0]
         for _ in range(self.n_max):
             cand: Dict[int, List[int]] = {}
             for g in frontier:
-                row = best[g]
-                for h, (_, step_edges) in zip(successors[g], moves):
+                row = rows[g]
+                for h, (_, out) in zip(successors[g], moves):
                     c = cand.get(h)
                     if c is None:
-                        c = cand[h] = list(best.get(h, blank))
-                    for x, xps in step_edges:
-                        v = row[x] + unit
+                        c = cand[h] = list(rows.get(h, blank))
+                    for v, xps in zip(row, out):
+                        v += unit
                         for xp in xps:
                             if v < c[xp]:
                                 c[xp] = v
             frontier = []
             for h, c in cand.items():
-                old = best.get(h, blank)
+                old = rows.get(h, blank)
                 shifted = [map(add, closure[x], repeat(v))
                            for x, (v, o) in enumerate(zip(c, old)) if v < o]
                 if shifted:
-                    best[h] = list(map(min, old, *shifted))
+                    rows[h] = list(map(min, old, *shifted))
                     frontier.append(h)
             if not frontier:
                 break
-        return {(elements[g], points[i]): v for g, row in best.items() for i, v in enumerate(row)}
+        return rows
 
     def _certified_unreachable(self, displacement) -> bool:
         """True when no chain of move letters can realize the displacement."""
@@ -350,12 +365,16 @@ class DSLambdaMetric:
             return displacement != e
         return False
 
-    def _result(self, best: Dict[Tuple[object, object], int], disp, y) -> DSLambdaResult:
-        """Value of ``(e, x0) -> (disp, y)`` from the search ``best`` of ``x0``."""
-        found = best.get((disp, y))
-        if found is None:
+    def _result(self, rows: Dict[int, Sequence[int]], disp, y) -> DSLambdaResult:
+        """Value of ``(e, x0) -> (disp, y)`` from the search ``rows`` of ``x0``."""
+        i = self.index.get(y)
+        if i is None:
+            raise InputError(f"unknown point {y!r}")
+        g = self._layers[0].get(disp)  # the ids of the search that built rows
+        if g is None:
             return DSLambdaResult(None, not self._certified_unreachable(disp),
                                   Fraction(self.n_max + 1))
+        found = rows[g][i]
         value = Fraction(found, self.scale)
         if found <= (self.n_max + 1) * self.scale:
             return DSLambdaResult(value, False, value)
@@ -375,9 +394,9 @@ class DSLambdaMetric:
         canon = [(self.backend.canonical(g), x) for (g, x) in carrier]
         mul, inv = self.backend.mul, self.backend.inv
         for i, (g, x) in enumerate(canon):
-            best = self._search(x)
+            rows = self._search(x)
             for j, (h, y) in enumerate(canon):
-                res = self._result(best, mul(inv(g), h), y)
+                res = self._result(rows, mul(inv(g), h), y)
                 values[(i, j)] = res.value
                 truncated = truncated or res.truncated
         return MetricTable(tuple(canon), values, truncated)

@@ -10,6 +10,7 @@ JSON with cases sorted by id.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -369,7 +370,10 @@ def _nonnegative(what: str):
     return parse
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """klab's parser, built on the first call and shared by every later one
+    in the process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="klab",
         description="Exact checks for controlled chain algebra, homotopy-action "

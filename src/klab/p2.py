@@ -4,6 +4,7 @@ the comparison audits feeding the L-theory transfer."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .actions import DSLambdaMetric, HomotopySAction, PointMap
@@ -51,9 +52,11 @@ def p2_action(action: HomotopySAction) -> HomotopySAction:
     """Induced homotopy S-action on the pair space (componentwise maps,
     grid homotopies descend)."""
     pair_space = p2_metric(action.space)
-    phi = {g: p2_point_map(action.space, pair_space, m) for g, m in action.phi.items()}
-    homotopies = {key: tuple(p2_point_map(action.space, pair_space, m) for m in grid)
-                  for key, grid in action.H.items()}
+    # each distinct point map once: a genuine action's grids repeat its phi maps
+    maps = {*action.phi.values(), *chain.from_iterable(action.H.values())}
+    induced = {m: p2_point_map(action.space, pair_space, m) for m in maps}
+    phi = {g: induced[m] for g, m in action.phi.items()}
+    homotopies = {key: tuple(induced[m] for m in grid) for key, grid in action.H.items()}
     return HomotopySAction(action.backend, pair_space, action.S, phi, homotopies)
 
 

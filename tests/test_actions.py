@@ -18,6 +18,7 @@ from klab.fixtures import (dihedral_action, dihedral_cover, path_point_dominatio
                            z2_swap_action)
 from klab.groups import (FamilyPredicate, FiniteSubset, FiniteTableGroup, FreeAbelianGroup,
                          FreeGroup)
+from klab.p2 import omega_audit, p2_action, p2_point_map
 
 
 def trivial_action_on_path(n=4):
@@ -345,6 +346,14 @@ def unchecked_actions(draw):
     return act, lam, draw(st.integers(0, 3)), state_cap
 
 
+def layered_costs(metric, x0):
+    """``metric._layered(x0)``, whose rows are keyed by element id and
+    indexed by point, as ``{(g, x): cost}``."""
+    rows = metric._layered(x0)
+    elements = {i: g for g, i in metric._reach()[0].items()}
+    return {(elements[g], x): v for g, row in rows.items() for x, v in zip(metric.points, row)}
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(unchecked_actions())
 def test_layered_search_matches_heap_dijkstra(case):
@@ -358,7 +367,7 @@ def test_layered_search_matches_heap_dijkstra(case):
                 metric._layered(x0)
             continue
         assert metric.scale == scale
-        assert metric._layered(x0) == want
+        assert layered_costs(metric, x0) == want
     # the cap admits exactly the reachable states
     x0 = act.space.points[-1]
     _, _, states = heap_dijkstra(act, lam, n_max, DEFAULT_STATE_CAP, x0)
@@ -403,6 +412,34 @@ def test_move_table_matches_move_relation(case):
     assert letters == want_letters
     assert {z: set(out) for z, out in edges.items()} == want_edges
     assert all(len(out) == len(set(out)) for out in edges.values())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(unchecked_actions())
+def test_index_moves_and_pair_maps_match_references(case):
+    act, lam, n_max, state_cap = case
+    index = act.space.index
+    want_letters, want_edges = move_table_by_relation(act)
+    metric = DSLambdaMetric(act, lam, n_max=n_max, state_cap=state_cap)
+    assert metric.letters == want_letters
+    assert metric.moves is act.move_relation()[1]  # read as it is, not re-indexed
+    assert ({(step, x, xp) for step, out in metric.moves for x, xps in enumerate(out)
+             for xp in xps}
+            == {(step, index[z], index[xp]) for z, out in want_edges.items() for step, xp in out})
+    assert all(list(xps) == sorted(set(xps)) for _, out in metric.moves for xps in out)
+    try:
+        act.validate()
+    except InputError:
+        # a pair map determines its map on the diagonal, so the induced
+        # action fails its check exactly when the action does
+        with pytest.raises(InputError):
+            p2_action(act)
+        return
+    pair = p2_action(act)
+    induced = {m: p2_point_map(act.space, pair.space, m)
+               for m in [*act.phi.values(), *itertools.chain(*act.H.values())]}
+    assert pair.phi == {g: induced[m] for g, m in act.phi.items()}
+    assert pair.H == {key: tuple(induced[m] for m in grid) for key, grid in act.H.items()}
 
 
 def unchecked_swap_action():
@@ -459,7 +496,7 @@ def test_unchecked_space_distances_unchanged():
     for x0 in act.space.points:
         want, scale, _ = heap_dijkstra(act, Fraction(1), 2, DEFAULT_STATE_CAP, x0)
         assert metric.scale == scale == 2
-        assert metric._layered(x0) == want
+        assert layered_costs(metric, x0) == want
 
 
 def test_dslambda_rejects_negative_distance():
@@ -809,6 +846,21 @@ def test_check_f_cover_partial_name_action_is_a_violation():
                         FamilyPredicate("finite"), act.backend)
     assert any("not a permutation" in v for v in rep.violations)
     assert rep.isotropy == {"U": [], "V": []}
+
+
+def test_dslambda_rejects_unknown_target_point():
+    # an unknown target is an input error, as an unknown source is, not a
+    # truncated value that omega_audit would count as skipped
+    act = z2_swap_action()
+    metric = DSLambdaMetric(act, Fraction(1, 2), n_max=3)
+    for query in (lambda: metric.distance((0, "p"), (0, "nowhere")),
+                  lambda: metric.distance((0, "p"), (1, "nowhere")),
+                  lambda: metric.table([(0, "p"), (1, "nowhere")]),
+                  lambda: omega_audit(act, Fraction(1, 2),
+                                      [((0, ("p", "q")), (1, ("p", "nowhere")))], n_max=3)):
+        with pytest.raises(InputError, match="unknown point .*'nowhere'"):
+            query()
+    assert metric.distance((0, "p"), (1, "q")).value == 1
 
 
 def test_dslambda_rejects_negative_horizon():

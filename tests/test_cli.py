@@ -280,6 +280,28 @@ def test_console_entry_point():
     assert proc.returncode == 0
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # main parses with one parser per process; calls after the first give
+    # the exit codes and output of fresh processes
+    calls = [("nerve", Z2, "--cover", "longcover", "--lam", "1/2", "--horizon", "-3"),
+             ("dslambda", Z2, "--action", "swap", "--lam", "-1/2", "--src", "0:p", "--dst", "1:p"),
+             ("suite", Z2, "--golden", GOLDEN_Z2),
+             ("dslambda", Z2, "--action", "swap", "--lam", "1/2", "--src", "0:p", "--dst", "1:p")]
+    assert build_parser() is build_parser()
+    got = []
+    for argv in calls:
+        code = run_cli(*argv)
+        captured = capsys.readouterr()
+        got.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in got] == [2, 2, 0, 0]
+    assert "the move horizon must not be negative" in got[0][2]
+    assert "Lambda must be positive" in got[1][2]
+    for argv, (code, out, err) in zip(calls, got):
+        proc = subprocess.run([sys.executable, "-m", "klab.cli", *argv],
+                              capture_output=True, text=True)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+
+
 def test_parse_fraction_rejects_zero_denominator_and_junk():
     for text in ("1/0", "0/0", "abc", "1/", ""):
         with pytest.raises(InputError):

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import klab.p2
 from klab.actions import DSLambdaMetric
 from klab.control import ControlSpace
 from klab.fixtures import dihedral_action, z2_swap_action
@@ -9,6 +10,19 @@ from klab.groups import FamilyPredicate, FiniteTableGroup
 from klab.p2 import (lipschitz_transfer_audit, omega_audit, p2_action,
                      p2_metric, p2_point_map, p2_stabilizer_check,
                      unordered_pair)
+
+
+def test_p2_action_induces_each_distinct_map_once(monkeypatch):
+    act = dihedral_action(3)
+    maps = set(act.phi.values()) | {m for grid in act.H.values() for m in grid}
+    induce, induced = klab.p2.p2_point_map, []
+    monkeypatch.setattr(klab.p2, "p2_point_map",
+                        lambda space, pairs, m: induced.append(m) or induce(space, pairs, m))
+    pair = p2_action(act)
+    # a genuine action's grids repeat its phi maps
+    assert sorted(induced) == sorted(maps)
+    assert len(induced) < len(act.phi) + sum(map(len, act.H.values()))
+    assert pair.phi == {g: induce(act.space, pair.space, m) for g, m in act.phi.items()}
 
 
 def test_unordered_pair_canonical():
