@@ -644,6 +644,8 @@ def lebesgue_lambda_search(action: HomotopySAction, cover: CoverSpec,
     A truncated table raises ``HorizonExceeded``: its Lebesgue number is
     no certified bound, so the search cannot go on past it.
     """
+    if m <= 0:
+        raise InputError("the target m must be positive")
     results: Dict[Fraction, Optional[Fraction]] = {}
     for lam in sorted(Fraction(l) for l in lambda_grid):
         table = DSLambdaMetric(action, lam, n_max).table(list(cover.carrier))
@@ -678,7 +680,10 @@ def nerve_map(cover: CoverSpec, table: MetricTable
         coords: Dict[object, Fraction] = {}
         for name in cover.sets:
             d = distance_to_complement(cover, table, name, p)
-            if d is INF:
+            if d is INF:  # on a truncated table, unreached may still be finite
+                if table.truncated:
+                    raise HorizonExceeded(f"the complement of {name!r} is unreached from "
+                                          f"{p!r} in a truncated table")
                 raise InputError("nerve map needs a finite metric on the carrier")
             if d > 0:
                 coords[name] = d

@@ -1,11 +1,10 @@
-"""Labeled metric spaces, geometric modules and control certificates.
+"""Labeled metric spaces and control certificates.
 
 A controlled morphism is a positioned ``ChainMap`` (a degree-0 map
 between one-degree complexes for a single module map); the control
 walk reads its ``support_pairs``, whose first entry is the target
-position and the second the source.
-Group-equivariant morphisms over ``G x Z`` (free action on the group
-factor) are stored on a fundamental domain as letter-indexed blocks.
+position and the second the source.  A group-equivariant morphism
+over ``G x Z`` is a ``gring.GRMatrix``.
 """
 
 from __future__ import annotations
@@ -150,33 +149,6 @@ class ControlSpace:
         return f"ControlSpace({len(self.points)} points)"
 
 
-class GeometricModule:
-    """Finitely generated free module spread over positions.
-
-    ``positions[i]`` is the label of the i-th basis vector; a label may
-    be a space point or a ``(group element, point)`` pair.  Finite
-    support and local finiteness are automatic for finite data.
-    """
-
-    def __init__(self, positions: Tuple[object, ...]):
-        object.__setattr__(self, "positions", positions)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GeometricModule is frozen: cannot assign {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.positions == other.positions
-
-    def __hash__(self):
-        return hash((self.positions,))
-
-    @property
-    def rank(self) -> int:
-        return len(self.positions)
-
-
 def _split_position(pos) -> Tuple[Optional[object], object]:
     """Split a position into (group part or None, space part)."""
     if isinstance(pos, GPos):
@@ -214,39 +186,14 @@ def max_displacement(maps: Iterable[ChainMap], space: ControlSpace) -> Fraction:
 
 
 class EquivariantMorphism(GRMatrix):
-    """S-indexed convolution data for a ``G``-equivariant morphism.
+    """Deprecated constructor shim: ``EquivariantMorphism(backend, source_rank,
+    target_rank, letters)`` is ``GRMatrix(backend, target_rank, source_rank,
+    letters)``.  Only ``perfbench/workloads.py`` and ``perfbench/tracer.py``
+    use it; it goes with ``EquivariantChainMap.letters`` once the benchmark
+    builds its morphisms as ``GRMatrix``."""
 
-    A matrix over ``Z[G]`` that carries its fiber modules:
-    ``letters[a]`` is the block of the morphism from the source fiber at
-    coset ``g*a`` to the target fiber at ``g`` (independent of ``g``);
-    reconstruction of the full morphism at ``(g, g')`` depends only on
-    ``g^{-1} g'``.
-    """
+    def __init__(self, backend: GroupBackend, source: int, target: int,
+                 letters: Dict[object, IntMatrix]):
+        super().__init__(backend, target, source, letters)
 
-    def __init__(self, backend: GroupBackend, source: GeometricModule,
-                 target: GeometricModule, letters: Dict[object, IntMatrix]):
-        self.source = source  # fiber over the identity coset, Z-positions
-        self.target = target
-        super().__init__(backend, target.rank, source.rank, letters)
-
-    def _like(self, letters: Dict[object, IntMatrix]) -> "EquivariantMorphism":
-        return EquivariantMorphism(self.backend, self.source, self.target, letters)
-
-    block = GRMatrix.letter
-
-    def convolve(self, other: "EquivariantMorphism") -> "EquivariantMorphism":
-        """Composite ``self o other``: ``(psi' o psi)_c = sum over ab=c``."""
-        if other.target.positions != self.source.positions:
-            raise InputError("convolution endpoint mismatch")
-        return EquivariantMorphism(self.backend, other.source, self.target,
-                                   self._convolve(other))
-
-    def dual(self) -> "EquivariantMorphism":
-        """Letterwise dual: ``(f^-*)_a = (f_{a^{-1}})^-*``."""
-        return EquivariantMorphism(self.backend, self.target, self.source,
-                                   self.transpose().letters)
-
-    @staticmethod
-    def identity(backend: GroupBackend, module: GeometricModule) -> "EquivariantMorphism":
-        return EquivariantMorphism(backend, module, module,
-                                   {backend.identity(): IntMatrix.identity(module.rank)})
+    convolve = GRMatrix.__matmul__

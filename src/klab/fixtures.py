@@ -1,5 +1,5 @@
-"""Built-in desk-scale fixtures: worked examples, fixture generators for
-randomized suites, and the shipped scenario documents."""
+"""Built-in desk-scale fixtures: worked examples and fixture generators for
+randomized suites."""
 
 from __future__ import annotations
 
@@ -9,11 +9,12 @@ from typing import Dict, Optional, Tuple
 
 from .actions import DominationData, HomotopySAction
 from .chaincore import ChainComplex, ChainHomotopy, ChainMap, cone
-from .control import ControlSpace, EquivariantMorphism
+from .control import ControlSpace
+from .gring import GRMatrix
 from .groups import FiniteSubset, FiniteTableGroup
 from .intmat import IntMatrix
 from .simplicial import PointInComplex, SimplicialComplex
-from .transfer import (HomotopySChainComplex, PointEquivalence, group_module)
+from .transfer import HomotopySChainComplex, PointEquivalence
 
 
 def rand_matrix(rng: random.Random, rows: int, cols: int,
@@ -136,22 +137,19 @@ def z2_chain_fixture() -> HomotopySChainComplex:
                                  point_equivalence=PointEquivalence(aug, sec, "p"))
 
 
-def z2_unit_alpha() -> Tuple[EquivariantMorphism, EquivariantMorphism]:
+def z2_unit_alpha() -> Tuple[GRMatrix, GRMatrix]:
     """The unit ``-s`` of ``Z[C2]`` with its inverse."""
     z2 = FiniteTableGroup.cyclic(2)
-    alpha = EquivariantMorphism(z2, group_module(1), group_module(1),
-                                {1: IntMatrix.from_rows([[-1]])})
+    alpha = GRMatrix(z2, 1, 1, {1: IntMatrix.from_rows([[-1]])})
     return alpha, alpha
 
 
-def z2_quadratic_alpha() -> EquivariantMorphism:
+def z2_quadratic_alpha() -> GRMatrix:
     """Twisted quadratic form over ``Z[C2]`` whose symmetrization is the
     hyperbolic form concentrated at the identity letter."""
     z2 = FiniteTableGroup.cyclic(2)
-    return EquivariantMorphism(
-        z2, group_module(2), group_module(2),
-        {0: IntMatrix.from_rows([[0, 1], [0, 0]]),
-         1: IntMatrix.from_rows([[0, 1], [-1, 0]])})
+    return GRMatrix(z2, 2, 2, {0: IntMatrix.from_rows([[0, 1], [0, 0]]),
+                               1: IntMatrix.from_rows([[0, 1], [-1, 0]])})
 
 
 def z2_nontrivial_chain_fixture(rng: random.Random) -> HomotopySChainComplex:
@@ -225,17 +223,15 @@ def z3_rotation_fixture() -> HomotopySChainComplex:
                                  point_equivalence=PointEquivalence(aug, sec, "x0"))
 
 
-def z3_quadratic_alpha(rng: Optional[random.Random] = None) -> EquivariantMorphism:
+def z3_quadratic_alpha(rng: Optional[random.Random] = None) -> GRMatrix:
     """Quadratic form over Z[C3] with letters on t and t^2 arranged so the
     symmetrization is the hyperbolic form at the identity letter."""
     rng = rng or random.Random(0)
     z3 = FiniteTableGroup.cyclic(3)
     a_block = rand_matrix(rng, 2, 2, 0.7, -2, 2)
-    return EquivariantMorphism(
-        z3, group_module(2), group_module(2),
-        {0: IntMatrix.from_rows([[0, 1], [0, 0]]),
-         1: a_block,
-         2: -a_block.transpose()})
+    return GRMatrix(z3, 2, 2, {0: IntMatrix.from_rows([[0, 1], [0, 0]]),
+                               1: a_block,
+                               2: -a_block.transpose()})
 
 
 # -- dihedral cover fixture ------------------------------------------------------

@@ -82,7 +82,7 @@ class GRMatrix:
                 self.letters[backend.canonical(a)] = m
 
     def _like(self, letters: Dict[object, IntMatrix]) -> "GRMatrix":
-        """A matrix of the same shape (and subclass data) with other letters."""
+        """A matrix of the same shape with other letters."""
         return GRMatrix(self.backend, self.rows, self.cols, letters)
 
     @staticmethod

@@ -18,14 +18,15 @@ from typing import Any, Dict, Tuple
 
 from .actions import HomotopySAction, CoverSpec
 from .chaincore import ChainComplex, ChainHomotopy, ChainMap
-from .control import ControlSpace, EquivariantMorphism
+from .control import ControlSpace
 from .errors import InputError
+from .gring import GRMatrix
 from .groups import (FiniteSubset, FiniteTableGroup, FreeAbelianGroup,
                      FreeGroup, GroupBackend)
 from .intmat import IntMatrix
 from .ltheory import SymmetricForm
 from .simplicial import SimplicialComplex
-from .transfer import HomotopySChainComplex, PointEquivalence, group_module
+from .transfer import HomotopySChainComplex, PointEquivalence
 
 SCHEMA_VERSION = 1
 
@@ -159,7 +160,7 @@ class Scenario:
         self.complexes: Dict[str, ChainComplex] = {} if complexes is None else complexes
         self.forms: Dict[str, SymmetricForm] = {} if forms is None else forms
         self.covers: Dict[str, Tuple[CoverSpec, HomotopySAction]] = {} if covers is None else covers
-        self.morphisms: Dict[str, EquivariantMorphism] = {} if morphisms is None else morphisms
+        self.morphisms: Dict[str, GRMatrix] = {} if morphisms is None else morphisms
         self.chain_actions: Dict[str, HomotopySChainComplex] = (
             {} if chain_actions is None else chain_actions)
         self.dominations: Dict[str, Tuple[ChainComplex, ChainComplex, ChainMap, ChainMap,
@@ -288,14 +289,15 @@ def _parse_cover(sc: Scenario, spec: Dict[str, Any]) -> Tuple[CoverSpec, Homotop
     return CoverSpec(carrier, sets, name_action), action
 
 
-def _parse_morphism(sc: Scenario, spec: Dict[str, Any]) -> EquivariantMorphism:
+def _parse_morphism(sc: Scenario, spec: Dict[str, Any]) -> GRMatrix:
     backend = sc.get("groups", spec["group"])
     rank_s = _integer(spec.get("rank_source", spec.get("rank")))
     rank_t = _integer(spec.get("rank_target", spec.get("rank")))
+    if min(rank_s, rank_t) < 0:
+        raise InputError("morphism ranks must not be negative")
     letters = {_element_key(backend, k): parse_matrix(v)
                for k, v in spec["letters"].items()}
-    return EquivariantMorphism(backend, group_module(rank_s),
-                               group_module(rank_t), letters)
+    return GRMatrix(backend, rank_t, rank_s, letters)
 
 
 def _parse_chain_action(sc: Scenario, spec: Dict[str, Any]) -> HomotopySChainComplex:
@@ -346,14 +348,21 @@ def _torsion_parts(sc: Scenario, spec: Dict[str, Any]):
             _homotopy(spec["k"], f.compose(g), ChainMap.identity(D)))
 
 
+def _squares(sc: Scenario, spec: Dict[str, Any], *keys: str) -> Tuple[GRMatrix, ...]:
+    """The named morphisms, which must all be square of one rank."""
+    ms = tuple(sc.get("morphisms", spec[k]) for k in keys)
+    if len({n for m in ms for n in (m.rows, m.cols)}) != 1:
+        raise InputError(" and ".join(keys) + " must be square and of one rank")
+    return ms
+
+
 # pipeline kind -> its parts, in the order the runner takes them
 PIPELINES = {
     "transfer-k": lambda sc, spec: (sc.get("chain_actions", spec["chain_action"]),
-                                    sc.get("morphisms", spec["alpha"]),
-                                    sc.get("morphisms", spec["alpha_inv"]),
+                                    *_squares(sc, spec, "alpha", "alpha_inv"),
                                     parse_fraction(spec["lambda"])),
     "transfer-l": lambda sc, spec: (sc.get("chain_actions", spec["chain_action"]),
-                                    sc.get("morphisms", spec["alpha"]),
+                                    *_squares(sc, spec, "alpha"),
                                     parse_fraction(spec["lambda"])),
     "torsion": _torsion_parts,
     "replace": lambda sc, spec: sc.get("dominations", spec["domination"]),

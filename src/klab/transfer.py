@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from .actions import DSLambdaMetric, HomotopySAction
 from .chaincore import (ChainComplex, ChainHomotopy, ChainMap, dual_complex,
                         dual_map, self_torsion, tensor_complex, tensor_map)
-from .control import ControlSpace, EquivariantMorphism, GeometricModule, GPos, max_displacement
+from .control import ControlSpace, GPos, max_displacement
 from .errors import (HypothesisViolation, IdentityFailure, IdempotentFailure,
                      InputError, NotAnEquivalence, SupportEscape)
 from .gring import GRComplex, GRMatrix, place_letters
@@ -28,9 +28,11 @@ from .ltheory import (PoincareWitness, UltraQuadraticComplex,
 from .p2 import p2_action, p2_metric, unordered_pair
 
 
-def group_module(rank: int) -> GeometricModule:
-    """Module over the group factor only (a single dummy position)."""
-    return GeometricModule(("*",) * rank)
+def group_module(rank: int) -> int:
+    """Deprecated shim: the rank itself.  Only ``perfbench/workloads.py`` uses
+    it, to build the ``control.EquivariantMorphism`` shim that
+    ``perfbench/tracer.py`` patches; both go with ``EquivariantChainMap.letters``."""
+    return rank
 
 
 def module_tensor(rank: int, p: ChainComplex) -> ChainComplex:
@@ -210,25 +212,25 @@ def expand_complex(backend: GroupBackend, fiber: ChainComplex,
 # -- the transfer --------------------------------------------------------------
 
 
-def tr(psi: EquivariantMorphism, P: HomotopySChainComplex) -> EquivariantChainMap:
+def tr(psi: GRMatrix, P: HomotopySChainComplex) -> EquivariantChainMap:
     """``tr psi = sum over a of psi_a ox phi^P_a``.
 
     Source and target are module tensors ``M ox P`` read over ``Z[G]``;
     letters outside the S of the chain action raise support-escape.
     """
-    return _tr(psi, P, _lifts(P, psi.source.rank, psi.target.rank))
+    return _tr(psi, P, _lifts(P, psi.cols, psi.rows))
 
 
-def _tr(psi: EquivariantMorphism, P: HomotopySChainComplex,
+def _tr(psi: GRMatrix, P: HomotopySChainComplex,
         lifts: Dict[int, ChainComplex]) -> EquivariantChainMap:
     for a in psi.letters:
         if a not in P.S:
             raise SupportEscape(f"letter {a!r} is outside S")
-    return _module_map(lifts[psi.source.rank], lifts[psi.target.rank], 0,
+    return _module_map(lifts[psi.cols], lifts[psi.rows], 0,
                        ((a, block, P.phi[a]) for a, block in psi.letters.items()))
 
 
-def _letter_pair_witness(x: EquivariantMorphism, y: EquivariantMorphism,
+def _letter_pair_witness(x: GRMatrix, y: GRMatrix,
                          P: HomotopySChainComplex, src: ChainComplex, tgt: ChainComplex,
                          through=None) -> EquivariantChainMap:
     """``sum over a, b of (x_a @ y_b) ox H_{a,b}``, each homotopy first
@@ -245,23 +247,22 @@ def _letter_pair_witness(x: EquivariantMorphism, y: EquivariantMorphism,
     return _module_map(src, tgt, 1, terms())
 
 
-def functoriality_witness(psi2: EquivariantMorphism, psi: EquivariantMorphism,
+def functoriality_witness(psi2: GRMatrix, psi: GRMatrix,
                           P: HomotopySChainComplex) -> EquivariantChainMap:
     """Exact homotopy ``sum (psi2_a o psi_b) ox H_{a,b}`` from
     ``tr(psi2) o tr(psi)`` to ``tr(psi2 o psi)``."""
-    lifts = _lifts(P, psi.source.rank, psi.target.rank, psi2.target.rank)
+    lifts = _lifts(P, psi.cols, psi.rows, psi2.rows)
     return _functoriality_witness(psi2, psi, P, lifts, _tr(psi2, P, lifts), _tr(psi, P, lifts),
-                                  _tr(psi2.convolve(psi), P, lifts))
+                                  _tr(psi2 @ psi, P, lifts))
 
 
-def _functoriality_witness(psi2: EquivariantMorphism, psi: EquivariantMorphism,
+def _functoriality_witness(psi2: GRMatrix, psi: GRMatrix,
                            P: HomotopySChainComplex, lifts: Dict[int, ChainComplex],
                            tr_psi2: EquivariantChainMap, tr_psi: EquivariantChainMap,
                            rhs: ChainMap) -> EquivariantChainMap:
     """The witness for ``tr_psi2 = tr(psi2)``, ``tr_psi = tr(psi)`` and
     ``rhs = tr(psi2 o psi)``, which the caller already holds."""
-    witness = _letter_pair_witness(psi2, psi, P, lifts[psi.source.rank],
-                                   lifts[psi2.target.rank])
+    witness = _letter_pair_witness(psi2, psi, P, lifts[psi.cols], lifts[psi2.rows])
     if not ChainHomotopy(tr_psi2.compose(tr_psi), rhs, witness.mats).holds():
         raise IdentityFailure("functoriality homotopy identity fails "
                               "(convention mismatch)")
@@ -346,7 +347,7 @@ class KTransferResult:
         return self.certificate.within(self.target_bound)
 
 
-def k_transfer(alpha: EquivariantMorphism, alpha_inv: EquivariantMorphism,
+def k_transfer(alpha: GRMatrix, alpha_inv: GRMatrix,
                P: HomotopySChainComplex, lam: Fraction) -> KTransferResult:
     """Lift of a T-automorphism to an ``(S, 1 + Lambda*eps)``-controlled
     self-equivalence of ``M ox P``.
@@ -359,12 +360,11 @@ def k_transfer(alpha: EquivariantMorphism, alpha_inv: EquivariantMorphism,
     lam = Fraction(lam)
     if P.point_action is None:
         raise InputError("k_transfer needs the underlying point action")
-    ident = EquivariantMorphism.identity(alpha.backend, alpha.source)
-    if alpha_inv.convolve(alpha).letters != ident.letters \
-            or alpha.convolve(alpha_inv).letters != ident.letters:
+    ident = GRMatrix.constant(alpha.backend, IntMatrix.identity(alpha.cols))
+    if alpha_inv @ alpha != ident or alpha @ alpha_inv != ident:
         raise InputError("alpha_inv does not invert alpha")
     _check_square_inside(alpha.backend, list(alpha.letters) + list(alpha_inv.letters), P.S)
-    lifts = _lifts(P, alpha.source.rank, alpha.target.rank)
+    lifts = _lifts(P, alpha.cols, alpha.rows)
     tra = _tr(alpha, P, lifts)
     trinv = _tr(alpha_inv, P, lifts)
     # h: tr(inv) tr(a) ~ tr(id) = id, as phi_e = id; same for k with the roles swapped
@@ -723,14 +723,14 @@ class LTransferResult:
         return self.certificate.within(self.target_bound)
 
 
-def invert_equivariant(sigma: EquivariantMorphism) -> EquivariantMorphism:
+def invert_equivariant(sigma: GRMatrix) -> GRMatrix:
     """Inverse of an equivariant matrix over a finite-table group ring,
     via the regular representation."""
     backend = sigma.backend
     if backend.kind != "finite-table":
         raise InputError("equivariant inversion needs a finite-table backend")
     elements = backend.elements()
-    m = sigma.source.rank
+    m = sigma.cols
     inv = place_letters(backend, sigma.letters, elements, m, m).integer_inverse()
     if inv is None:
         raise InputError("equivariant matrix is not invertible over Z[G]")
@@ -739,10 +739,10 @@ def invert_equivariant(sigma: EquivariantMorphism) -> EquivariantMorphism:
     letters = {g: IntMatrix(m, m, {(i, j): inv.get(e_row * m + i, col * m + j)
                                    for i in range(m) for j in range(m)})
                for col, g in enumerate(elements)}
-    return EquivariantMorphism(backend, sigma.target, sigma.source, letters)
+    return GRMatrix(backend, m, m, letters)
 
 
-def l_transfer(alpha: EquivariantMorphism, P: HomotopySChainComplex,
+def l_transfer(alpha: GRMatrix, P: HomotopySChainComplex,
                lam: Fraction) -> LTransferResult:
     """Ultra-quadratic transfer of a quadratic form along the pair
     construction.
@@ -763,9 +763,9 @@ def l_transfer(alpha: EquivariantMorphism, P: HomotopySChainComplex,
     _check_square_inside(backend, alpha.letters, S)
     data = l_symmetric_complex(P)
     D = data.D
-    m_rank = alpha.source.rank
+    m_rank = alpha.cols
 
-    sigma_mod = alpha + alpha.dual()
+    sigma_mod = alpha + alpha.transpose()
     t_sym = set(sigma_mod.letters)
     if any(backend.inv(a) not in t_sym for a in t_sym):
         raise HypothesisViolation("T = T^{-1} fails for the symmetrization")
@@ -822,7 +822,7 @@ def l_transfer(alpha: EquivariantMorphism, P: HomotopySChainComplex,
 
 
 def l_transfer_recovers_form(result: LTransferResult,
-                             alpha: EquivariantMorphism) -> bool:
+                             alpha: GRMatrix) -> bool:
     """Exact recovery of the input form through the point equivalence.
 
     Each scalar ``e o phi^D_a o mu o e^-*`` must be the canonical

@@ -12,8 +12,7 @@ from klab.actions import (CoverSpec, DSLambdaMetric, HomotopySAction,
 from klab.chaincore import (ChainComplex, ChainHomotopy, ChainMap, cone,
                             dual_complex, dual_map, flip_map, iota, mu_map,
                             self_torsion, tensor_complex, tensor_map)
-from klab.control import (ControlSpace, EquivariantMorphism, GPos, check_control,
-                          max_displacement)
+from klab.control import ControlSpace, GPos, check_control, max_displacement
 from klab.fixtures import (dihedral_action, domination_instance,
                            junk_equivalence, path_chain_domination,
                            rand_complex, rand_matrix,
@@ -27,7 +26,7 @@ from klab.ltheory import (lemmaA_check, mult_hyperbolic_form, signature,
 from klab.p2 import omega_audit, p2_metric, p2_stabilizer_check
 from klab.simplicial import SimplicialComplex, p2_simplicial
 from klab.transfer import (expanded_ultraquadratic, finite_replacement,
-                           functoriality_witness, group_module, k_transfer,
+                           functoriality_witness, k_transfer,
                            l_transfer, l_transfer_recovers_form,
                            projected_torsion, replacement_control_growth,
                            tr)
@@ -289,18 +288,14 @@ def test_criterion_7_functoriality_and_l_identities():
     count = 100
     for _ in range(count):
         pcx = z2_nontrivial_chain_fixture(rng)
-        psi = EquivariantMorphism(z2, group_module(2), group_module(2),
-                                  {g: rand_matrix(rng, 2, 2) for g in [0, 1]})
-        psi2 = EquivariantMorphism(z2, group_module(2), group_module(2),
-                                   {g: rand_matrix(rng, 2, 2) for g in [0, 1]})
+        psi = GRMatrix(z2, 2, 2, {g: rand_matrix(rng, 2, 2) for g in [0, 1]})
+        psi2 = GRMatrix(z2, 2, 2, {g: rand_matrix(rng, 2, 2) for g in [0, 1]})
         functoriality_witness(psi2, psi, pcx)  # raises unless exact
     for trial in range(100):
         pcx = z2_nontrivial_chain_fixture(rng)
         c, d = rng.randint(-2, 2), rng.randint(-2, 2)
-        alpha = EquivariantMorphism(
-            z2, group_module(2), group_module(2),
-            {0: IntMatrix.from_rows([[0, 1 + c], [-c, 0]]),
-             1: IntMatrix.from_rows([[0, d], [-d, 0]])})
+        alpha = GRMatrix(z2, 2, 2, {0: IntMatrix.from_rows([[0, 1 + c], [-c, 0]]),
+                                    1: IntMatrix.from_rows([[0, d], [-d, 0]])})
         result = l_transfer(alpha, pcx, Fraction(1, 2))
         assert result.ok(), result.checks
     report(7, f"Lemma-level and transfer-level identities exact on {count} "

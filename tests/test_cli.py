@@ -226,8 +226,9 @@ def test_property_violation_exit_one(tmp_path, capsys):
     assert run_cli("suite", str(bad)) == 1
 
 
-def _walk(tmp_path):
-    """A scenario file: Z (free abelian, rank 1) walking on one point."""
+def _walk(tmp_path, **sections):
+    """A scenario file: Z (free abelian, rank 1) walking on one point, plus
+    the given sections."""
     doc = {
         "version": 1,
         "groups": {"Z": {"kind": "free-abelian", "rank": 1}},
@@ -235,6 +236,7 @@ def _walk(tmp_path):
         "actions": {"walk": {"group": "Z", "space": "X", "s": [[0], [1], [-1]],
                              "genuine": {"0": {"a": "a"}, "1": {"a": "a"},
                                          "-1": {"a": "a"}}}},
+        **sections,
     }
     path = tmp_path / "walk.json"
     path.write_text(canonical_dumps(doc))
@@ -250,6 +252,20 @@ def test_truncation_exit_three(tmp_path, capsys):
     assert "truncated" in out
 
 
+def test_nerve_on_a_truncated_table_exits_three(tmp_path, capsys):
+    # over the window -3..3, A holds g <= 0 and B holds g >= 0: at horizon 1
+    # the complement of A lies past the table from -3, which is a truncation
+    window = range(-3, 4)
+    cover = {"action": "walk", "group_window": [[g] for g in window],
+             "sets": {"A": [[[g], "a"] for g in window if g <= 0],
+                      "B": [[[g], "a"] for g in window if g >= 0]}}
+    path = _walk(tmp_path, covers={"c": cover})
+    argv = ("nerve", path, "--cover", "c", "--lam", "1", "--n", "1", "--horizon")
+    assert run_cli(*argv, "1") == 3
+    assert "horizon truncation: the complement of 'A'" in capsys.readouterr().err
+    assert run_cli(*argv, "6") == 0
+
+
 # scenario None is the walk scenario above
 @pytest.mark.parametrize("argv, code, message", [
     (("dslambda", Z2, "--action", "swap", "--lam", "-1/2", "--src", "0:p", "--dst", "1:p"),
@@ -257,6 +273,9 @@ def test_truncation_exit_three(tmp_path, capsys):
     (("lebesgue", Z2, "--cover", "slab", "--lambda-grid", "-1/2,1"), 2, "Lambda must be positive"),
     (("dslambda", None, "--action", "walk", "--lam", "1", "--src", "-1:a", "--dst", "1:a"),
      0, "d(-1:a,1:a) = 1"),
+    (("lebesgue", Z2, "--cover", "slab", "--lambda-grid", "1", "--m=0"), 2, "m must be positive"),
+    (("lebesgue", Z2, "--cover", "slab", "--lambda-grid", "1", "--m", "-1"), 2,
+     "m must be positive"),
 ])
 def test_option_values_may_start_with_a_dash(argv, code, message, tmp_path, capsys):
     command, scenario, *rest = argv

@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 from klab.chaincore import ChainComplex, ChainMap, dual_map
-from klab.control import (ControlSpace, EquivariantMorphism, GeometricModule, GPos,
-                          check_control, max_displacement)
+from klab.control import ControlSpace, GPos, check_control, max_displacement
 from klab.errors import InputError
 from klab.fixtures import rand_matrix
-from klab.gring import place_letters
+from klab.gring import GRMatrix, place_letters
 from klab.groups import FiniteSubset, FiniteTableGroup, FreeGroup
 from klab.intmat import IntMatrix
 from klab.transfer import expand_complex
@@ -30,11 +29,11 @@ def module_map(source, target, matrix):
     return ChainMap(module(source), module(target), 0, {0: matrix})
 
 
-def expanded(psi, cosets):
-    """``psi`` over explicit positions ``(g, z)`` for ``g`` in ``cosets``."""
-    src, tgt = (expand_complex(psi.backend, module(m.positions), cosets)
-                for m in (psi.source, psi.target))
-    return ChainMap(src, tgt, 0, {0: place_letters(psi.backend, psi.letters, cosets,
+def expanded(psi, fiber, cosets):
+    """``psi``, with source and target fibers both at the positions
+    ``fiber``, over explicit positions ``(g, z)`` for ``g`` in ``cosets``."""
+    cx = expand_complex(psi.backend, module(fiber), cosets)
+    return ChainMap(cx, cx, 0, {0: place_letters(psi.backend, psi.letters, cosets,
                                                    psi.rows, psi.cols)})
 
 
@@ -114,37 +113,33 @@ def test_control_additive_under_composition():
 def test_convolve_matches_expansion():
     rng = random.Random(12)
     z3 = FiniteTableGroup.cyclic(3)
-    fiber = GeometricModule(("a", "b"))
+    fiber = ("a", "b")
     for _ in range(40):
-        psi = EquivariantMorphism(z3, fiber, fiber,
-                                  {g: rand_matrix(rng, 2, 2, 0.6) for g in range(3)})
-        phi = EquivariantMorphism(z3, fiber, fiber,
-                                  {g: rand_matrix(rng, 2, 2, 0.6) for g in range(3)})
-        conv = phi.convolve(psi)
+        psi = GRMatrix(z3, 2, 2, {g: rand_matrix(rng, 2, 2, 0.6) for g in range(3)})
+        phi = GRMatrix(z3, 2, 2, {g: rand_matrix(rng, 2, 2, 0.6) for g in range(3)})
+        conv = phi @ psi
         ball = z3.elements()
-        lhs = expanded(conv, ball)
-        rhs = expanded(phi, ball).compose(expanded(psi, ball))
+        lhs = expanded(conv, fiber, ball)
+        rhs = expanded(phi, fiber, ball).compose(expanded(psi, fiber, ball))
         assert lhs.mats == rhs.mats
 
 
 def test_single_letter_convolution():
     z4 = FiniteTableGroup.cyclic(4)
-    fiber = GeometricModule(("a",))
-    psi_a = EquivariantMorphism(z4, fiber, fiber, {1: IntMatrix.from_rows([[2]])})
-    psi_b = EquivariantMorphism(z4, fiber, fiber, {2: IntMatrix.from_rows([[3]])})
-    conv = psi_a.convolve(psi_b)
+    psi_a = GRMatrix(z4, 1, 1, {1: IntMatrix.from_rows([[2]])})
+    psi_b = GRMatrix(z4, 1, 1, {2: IntMatrix.from_rows([[3]])})
+    conv = psi_a @ psi_b
     assert conv.letter_support() == [3]
-    assert conv.block(3) == IntMatrix.from_rows([[6]])
+    assert conv.letter(3) == IntMatrix.from_rows([[6]])
 
 
 def test_convolution_identity_and_horizon():
     f = FreeGroup(1)
-    fiber = GeometricModule(("a",))
-    ident = EquivariantMorphism.identity(f, fiber)
-    psi = EquivariantMorphism(f, fiber, fiber, {"a": IntMatrix.from_rows([[1]])})
-    assert psi.convolve(ident).letters == psi.letters
+    ident = GRMatrix.constant(f, IntMatrix.identity(1))
+    psi = GRMatrix(f, 1, 1, {"a": IntMatrix.from_rows([[1]])})
+    assert (psi @ ident).letters == psi.letters
     # the product letter leaves the ball of radius 1 and is kept
-    assert psi.convolve(psi).letters == {"aa": IntMatrix.from_rows([[1]])}
+    assert (psi @ psi).letters == {"aa": IntMatrix.from_rows([[1]])}
 
 
 def test_pushforward_functorial_and_direct_sum():
@@ -175,24 +170,21 @@ def test_dual_support_transpose():
 
 def test_equivariant_dual_letters():
     z4 = FiniteTableGroup.cyclic(4)
-    fiber = GeometricModule(("a", "b"))
-    psi = EquivariantMorphism(z4, fiber, fiber,
-                              {1: IntMatrix.from_rows([[1, 2], [0, 0]])})
-    dual = psi.dual()
+    psi = GRMatrix(z4, 2, 2, {1: IntMatrix.from_rows([[1, 2], [0, 0]])})
+    dual = psi.transpose()
     assert dual.letter_support() == [3]
-    assert dual.block(3) == IntMatrix.from_rows([[1, 0], [2, 0]])
+    assert dual.letter(3) == IntMatrix.from_rows([[1, 0], [2, 0]])
 
 
 def test_equivariant_dual_matches_expanded_dual():
     # letterwise (f^-*)_a = (f_{a^-1})^-* against the explicit-position dual
     rng = random.Random(13)
     z3 = FiniteTableGroup.cyclic(3)
-    fiber = GeometricModule(("a", "b"))
+    fiber = ("a", "b")
     for _ in range(25):
-        psi = EquivariantMorphism(z3, fiber, fiber,
-                                  {g: rand_matrix(rng, 2, 2, 0.6) for g in range(3)})
+        psi = GRMatrix(z3, 2, 2, {g: rand_matrix(rng, 2, 2, 0.6) for g in range(3)})
         ball = z3.elements()
-        lhs = expanded(psi.dual(), ball)
-        rhs = dual_map(expanded(psi, ball))
+        lhs = expanded(psi.transpose(), fiber, ball)
+        rhs = dual_map(expanded(psi, fiber, ball))
         assert lhs.mats == rhs.mats
         assert set(lhs.support_pairs()) == set(rhs.support_pairs())

@@ -20,7 +20,7 @@ import pytest
 from klab import transfer
 from klab.chaincore import (ChainComplex, ChainHomotopy, ChainMap, dual_complex,
                             self_torsion)
-from klab.control import EquivariantMorphism, GPos
+from klab.control import GPos
 from klab.errors import HorizonExceeded, IdentityFailure, InputError, SupportEscape
 from klab.gring import GRComplex, GRMatrix, place_letters
 from klab.groups import FiniteSubset, GroupBackend
@@ -158,8 +158,8 @@ def module_tensor_map(block, f, src, tgt) -> ChainMap:
 
 
 def ref_tr(psi, P) -> EquivariantChainMap:
-    src = module_tensor(psi.source.rank, P.P)
-    tgt = module_tensor(psi.target.rank, P.P)
+    src = module_tensor(psi.cols, P.P)
+    tgt = module_tensor(psi.rows, P.P)
     letters = {}
     for a, block in psi.letters.items():
         if a not in P.S:
@@ -184,10 +184,10 @@ def ref_letter_pair_witness(x, y, P, src, tgt, through=None) -> EquivariantChain
 
 
 def ref_functoriality_witness(psi2, psi, P) -> EquivariantChainMap:
-    witness = ref_letter_pair_witness(psi2, psi, P, module_tensor(psi.source.rank, P.P),
-                                      module_tensor(psi2.target.rank, P.P))
+    witness = ref_letter_pair_witness(psi2, psi, P, module_tensor(psi.cols, P.P),
+                                      module_tensor(psi2.rows, P.P))
     lhs = ref_tr(psi2, P).convolve(ref_tr(psi, P))
-    rhs = ref_tr(psi2.convolve(psi), P)
+    rhs = ref_tr(psi2 @ psi, P)
     if not witness.is_homotopy_from_to(lhs, rhs):
         raise IdentityFailure("functoriality homotopy identity fails")
     return witness
@@ -203,9 +203,9 @@ def ref_certify_dslambda(action, lam, pieces) -> DSLambdaCertificate:
 
 def ref_k_transfer(alpha, alpha_inv, P, lam) -> KTransferResult:
     lam = Fraction(lam)
-    ident = EquivariantMorphism.identity(alpha.backend, alpha.source)
-    if alpha_inv.convolve(alpha).letters != ident.letters \
-            or alpha.convolve(alpha_inv).letters != ident.letters:
+    ident = GRMatrix.constant(alpha.backend, IntMatrix.identity(alpha.cols))
+    if (alpha_inv @ alpha).letters != ident.letters \
+            or (alpha @ alpha_inv).letters != ident.letters:
         raise InputError("alpha_inv does not invert alpha")
     tra = ref_tr(alpha, P)
     trinv = ref_tr(alpha_inv, P)
@@ -255,8 +255,8 @@ def ref_l_transfer(alpha, P, lam) -> LTransferResult:
     checks = []
     data = l_symmetric_complex(P)
     D = data.D
-    m_rank = alpha.source.rank
-    sigma_mod = alpha + alpha.dual()
+    m_rank = alpha.cols
+    sigma_mod = alpha + alpha.transpose()
     sigma_inverse = invert_equivariant(sigma_mod)
     mdd = module_tensor(m_rank, D)
     mdd_dual = module_tensor(m_rank, dual_complex(D))

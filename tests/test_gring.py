@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -149,3 +151,25 @@ def test_shift_keeps_group_ring():
     assert s.ranks == {1: 1, 2: 1}
     assert s.d(2) == norm.scale(-1)
     assert s.d(1) == GRMatrix(z2, 0, 1)  # a filled-in zero is over Z[C2] too
+
+
+def test_library_names_morphism_shims_only_where_it_defines_them():
+    """Under ``src/klab`` a morphism over ``Z[G]`` is a ``GRMatrix``:
+    ``control.EquivariantMorphism`` and ``transfer.group_module`` are
+    named only by their own definitions, and ``GeometricModule`` not at
+    all.  ``test_equivariant_reference`` (which builds its inputs with
+    perfbench's ``Pipeline.make``) and ``test_tracer_targets`` keep the
+    two shims callable."""
+    shims = {"EquivariantMorphism", "GeometricModule", "group_module"}
+    found = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "klab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, (ast.alias, ast.ClassDef,
+                                                        ast.FunctionDef))
+                    else None)
+            if name in shims:
+                found.append((path.stem, type(node).__name__, name))
+    assert sorted(found) == [("control", "ClassDef", "EquivariantMorphism"),
+                             ("transfer", "FunctionDef", "group_module")]

@@ -2,7 +2,7 @@
 
 Importing klab loads neither ``dataclasses`` nor ``inspect``.  Defaults
 that were ``default_factory`` containers are fresh per instance, and the
-four frozen value types keep equality, hashing and read-only fields.
+three frozen value types keep equality, hashing and read-only fields.
 """
 
 import subprocess
@@ -14,7 +14,6 @@ import pytest
 from klab.actions import CoverSpec
 from klab.chaincore import ChainComplex, ChainHomotopy, ChainMap, K0Class
 from klab.cli import Report
-from klab.control import GeometricModule
 from klab.errors import InputError
 from klab.groups import FamilyPredicate, FiniteSubset, FiniteTableGroup, SubgroupDescription
 from klab.scenario import Scenario
@@ -67,9 +66,7 @@ Z3 = FiniteTableGroup.cyclic(3)
      SubgroupDescription.of(Z3, [2]), ("backend", "generators")),
     (FamilyPredicate("finite", True), FamilyPredicate(kind="finite", f2=True),
      FamilyPredicate("finite"), ("kind", "f2", "custom")),
-    (GeometricModule(("*",) * 2), GeometricModule(("*", "*")), GeometricModule(("*",)),
-     ("positions",)),
-], ids=["FiniteSubset", "SubgroupDescription", "FamilyPredicate", "GeometricModule"])
+], ids=["FiniteSubset", "SubgroupDescription", "FamilyPredicate"])
 def test_value_types_compare_and_hash_by_value(a, same, other, fields):
     assert a is not same and a == same and hash(a) == hash(same)
     assert a != other and len({a, same, other}) == 2

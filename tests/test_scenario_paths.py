@@ -3,10 +3,12 @@
 Covers an action given by explicit ``phi`` and ``homotopies``, the
 ``simplicial`` section, the ``free`` group kind and the ``dihedral``
 preset, ``d_{S,Lambda}`` on a free group, the bounds ``klab dslambda``
-prints for a truncated value, and a byte check of ``klab suite
---json-out`` against each shipped golden report.
+prints for a truncated value, pipeline morphisms of the wrong shape,
+and a byte check of ``klab suite --json-out`` against each shipped
+golden report.
 """
 
+import json
 import os
 import re
 from fractions import Fraction
@@ -137,6 +139,33 @@ def test_truncated_dslambda_prints_a_certified_lower_bound(tmp_path, capsys, sce
     lower, upper = printed_bounds(out)
     assert lower <= exact
     assert upper is None or upper >= exact
+
+
+ONE = {"1": {"rows": 1, "cols": 1, "entries": [[0, 0, -1]]}}
+TWO = {"1": {"rows": 2, "cols": 2, "entries": [[0, 0, -1], [1, 1, -1]]}}
+WIDE = {"1": {"rows": 2, "cols": 1, "entries": [[0, 0, -1]]}}
+
+
+@pytest.mark.parametrize("command, morphisms, pipeline, message", [
+    ("transfer-k", {"one": {"rank": 1, "letters": ONE}, "two": {"rank": 2, "letters": TWO}},
+     {"kind": "transfer-k", "alpha": "one", "alpha_inv": "two"},
+     "pipelines.bad: alpha and alpha_inv must be square and of one rank"),
+    ("transfer-l", {"wide": {"rank_source": 1, "rank_target": 2, "letters": WIDE}},
+     {"kind": "transfer-l", "alpha": "wide"},
+     "pipelines.bad: alpha must be square and of one rank"),
+    ("transfer-l", {"neg": {"rank": -1, "letters": {}}}, {"kind": "transfer-l", "alpha": "neg"},
+     "morphisms.neg: morphism ranks must not be negative"),
+])
+def test_pipeline_morphisms_of_the_wrong_shape_fail_to_load(tmp_path, capsys, command,
+                                                              morphisms, pipeline, message):
+    with open(os.path.join(SCENARIOS, "z2.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["morphisms"].update({k: {"group": "Z2", **v} for k, v in morphisms.items()})
+    doc["pipelines"]["bad"] = {"chain_action": "involution", "lambda": "1/2", **pipeline}
+    path = write(tmp_path, doc)
+    for argv in (("validate",), ("suite",), (command, "--pipeline", "bad")):
+        code, _, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == 2 and f"input error: {message}" in err
 
 
 @pytest.mark.parametrize("name", ["z2", "z3", "path", "dihedral"])

@@ -6,7 +6,6 @@ import pytest
 from klab.actions import DSLambdaMetric
 from klab.chaincore import (ChainComplex, ChainHomotopy, ChainMap,
                             dual_complex, flip_map, mu_map, tensor_complex)
-from klab.control import EquivariantMorphism
 from klab.errors import HypothesisViolation, InputError, SupportEscape
 from klab.fixtures import (domination_instance, path_chain_domination,
                            rand_matrix, z2_chain_fixture,
@@ -19,7 +18,7 @@ from klab.ltheory import verify_ultraquadratic
 from klab.transfer import (EquivariantChainMap, certify_dslambda,
                            expanded_ultraquadratic,
                            finite_replacement, functoriality_witness,
-                           group_module, induce_chain_action, k_transfer,
+                           induce_chain_action, k_transfer,
                            l_symmetric_complex, l_transfer,
                            l_transfer_recovers_form, module_tensor,
                            projected_torsion,
@@ -35,7 +34,7 @@ def z2():
 
 def test_tr_identity_is_identity():
     pcx = z2_chain_fixture()
-    ident = EquivariantMorphism.identity(z2(), group_module(2))
+    ident = GRMatrix.constant(z2(), IntMatrix.identity(2))
     out = tr(ident, pcx)
     src = module_tensor(2, pcx.P)
     for n in src.ranks:
@@ -54,29 +53,26 @@ def test_tr_trivial_complex_recovers_psi():
                                     {0: ident, 1: ident}, homs,
                                     point_action=act)
     rng = random.Random(71)
-    psi = EquivariantMorphism(z2(), group_module(2), group_module(2),
-                              {g: rand_matrix(rng, 2, 2) for g in [0, 1]})
+    psi = GRMatrix(z2(), 2, 2, {g: rand_matrix(rng, 2, 2) for g in [0, 1]})
     out = tr(psi, trivial)
     for g in [0, 1]:
-        assert out.letters[g].mat(0) == psi.block(g)
+        assert out.letters[g].mat(0) == psi.letter(g)
 
 
 def test_tr_blocks_match_hand_expansion():
     pcx = z2_chain_fixture()
     rng = random.Random(72)
-    psi = EquivariantMorphism(z2(), group_module(2), group_module(2),
-                              {g: rand_matrix(rng, 2, 2) for g in [0, 1]})
+    psi = GRMatrix(z2(), 2, 2, {g: rand_matrix(rng, 2, 2) for g in [0, 1]})
     out = tr(psi, pcx)
     for g in [0, 1]:
         for n in pcx.P.ranks:
-            assert out.letters[g].mat(n) == psi.block(g).kron(pcx.phi[g].mat(n))
+            assert out.letters[g].mat(n) == psi.letter(g).kron(pcx.phi[g].mat(n))
 
 
 def test_tr_support_escape():
     pcx = z2_chain_fixture()
     z4 = FiniteTableGroup.cyclic(4)
-    psi = EquivariantMorphism(z4, group_module(1), group_module(1),
-                              {2: IntMatrix.from_rows([[1]])})
+    psi = GRMatrix(z4, 1, 1, {2: IntMatrix.from_rows([[1]])})
     with pytest.raises((SupportEscape, Exception)):
         tr(psi, pcx)
 
@@ -87,33 +83,27 @@ def test_tr_support_escape():
 def test_functoriality_strict_for_genuine_actions():
     pcx = z2_chain_fixture()  # genuine chain action: all homotopies zero
     rng = random.Random(73)
-    psi = EquivariantMorphism(z2(), group_module(2), group_module(2),
-                              {g: rand_matrix(rng, 2, 2) for g in [0, 1]})
-    psi2 = EquivariantMorphism(z2(), group_module(2), group_module(2),
-                               {g: rand_matrix(rng, 2, 2) for g in [0, 1]})
+    psi = GRMatrix(z2(), 2, 2, {g: rand_matrix(rng, 2, 2) for g in [0, 1]})
+    psi2 = GRMatrix(z2(), 2, 2, {g: rand_matrix(rng, 2, 2) for g in [0, 1]})
     witness = functoriality_witness(psi2, psi, pcx)
     assert witness.is_zero()
-    assert tr(psi2, pcx).compose(tr(psi, pcx)) == tr(psi2.convolve(psi), pcx)
+    assert tr(psi2, pcx).compose(tr(psi, pcx)) == tr(psi2 @ psi, pcx)
 
 
 def test_functoriality_nontrivial_homotopy_exact():
     rng = random.Random(74)
     for trial in range(25):
         pcx = z2_nontrivial_chain_fixture(rng)
-        psi = EquivariantMorphism(z2(), group_module(2), group_module(2),
-                                  {g: rand_matrix(rng, 2, 2) for g in [0, 1]})
-        psi2 = EquivariantMorphism(z2(), group_module(2), group_module(2),
-                                   {g: rand_matrix(rng, 2, 2) for g in [0, 1]})
+        psi = GRMatrix(z2(), 2, 2, {g: rand_matrix(rng, 2, 2) for g in [0, 1]})
+        psi2 = GRMatrix(z2(), 2, 2, {g: rand_matrix(rng, 2, 2) for g in [0, 1]})
         functoriality_witness(psi2, psi, pcx)  # raises on any sign defect
 
 
 def test_functoriality_witness_supported_on_e_letters():
     pcx = z2_chain_fixture()
     rng = random.Random(75)
-    psi = EquivariantMorphism(z2(), group_module(1), group_module(1),
-                              {0: IntMatrix.from_rows([[3]])})
-    psi2 = EquivariantMorphism(z2(), group_module(1), group_module(1),
-                               {0: IntMatrix.from_rows([[2]])})
+    psi = GRMatrix(z2(), 1, 1, {0: IntMatrix.from_rows([[3]])})
+    psi2 = GRMatrix(z2(), 1, 1, {0: IntMatrix.from_rows([[2]])})
     witness = functoriality_witness(psi2, psi, pcx)
     assert witness.is_zero()
 
@@ -275,7 +265,7 @@ def test_k_transfer_certificate_and_projection():
 
 def test_k_transfer_identity_alpha():
     pcx = z2_chain_fixture()
-    ident = EquivariantMorphism.identity(z2(), group_module(2))
+    ident = GRMatrix.constant(z2(), IntMatrix.identity(2))
     result = k_transfer(ident, ident, pcx, Fraction(1))
     assert result.h.is_zero() and result.k.is_zero()
     rep = projected_torsion(result)
@@ -296,8 +286,7 @@ def test_k_transfer_nontrivial_homotopies():
 def test_k_transfer_rejects_non_inverse():
     pcx = z2_chain_fixture()
     alpha, _ = z2_unit_alpha()
-    two = EquivariantMorphism(z2(), group_module(1), group_module(1),
-                              {0: IntMatrix.from_rows([[2]])})
+    two = GRMatrix(z2(), 1, 1, {0: IntMatrix.from_rows([[2]])})
     with pytest.raises(InputError):
         k_transfer(alpha, two, pcx, Fraction(1))
 
@@ -460,15 +449,14 @@ def test_l_transfer_trivial_instance():
     pcx = HomotopySChainComplex(backend, space, s, P, {0: ident}, homs,
                                 point_action=act,
                                 point_equivalence=PointEquivalence(ident, ident, "z"))
-    alpha = EquivariantMorphism(backend, group_module(2), group_module(2),
-                                {0: IntMatrix.from_rows([[0, 1], [0, 0]])})
+    alpha = GRMatrix(backend, 2, 2, {0: IntMatrix.from_rows([[0, 1], [0, 0]])})
     result = l_transfer(alpha, pcx, Fraction(2))
     assert result.ok()
     # trivial fiber: the pair complex is trivial, mu is [1], and the
     # structure map is alpha itself
     assert result.data.D.ranks == {0: 1}
     assert result.data.mu.mat(0) == IntMatrix.from_rows([[1]])
-    assert result.psi.letters[0].mat(0) == alpha.block(0)
+    assert result.psi.letters[0].mat(0) == alpha.letter(0)
 
 
 def test_l_transfer_inverse_letters_outside_s():
@@ -489,8 +477,7 @@ def test_l_transfer_inverse_letters_outside_s():
                                 point_action=act,
                                 point_equivalence=PointEquivalence(ident, ident, "z"))
     up = IntMatrix.from_rows([[0, 1], [0, 0]])
-    alpha = EquivariantMorphism(c7, group_module(2), group_module(2),
-                                {0: IntMatrix.from_rows([[0, -1], [0, 0]]), 1: up, 6: up})
+    alpha = GRMatrix(c7, 2, 2, {0: IntMatrix.from_rows([[0, -1], [0, 0]]), 1: up, 6: up})
     with pytest.raises(SupportEscape):
         l_transfer(alpha, pcx, Fraction(1, 2))
 
@@ -506,10 +493,8 @@ def test_z3_transfers_exercise_noninvolutive_letters():
     assert data.ok(), data.checks
 
     # K side: alpha = the unit t (a non-involutive letter)
-    unit_t = EquivariantMorphism(z3, group_module(1), group_module(1),
-                                 {1: IntMatrix.identity(1)})
-    unit_t_inv = EquivariantMorphism(z3, group_module(1), group_module(1),
-                                     {2: IntMatrix.identity(1)})
+    unit_t = GRMatrix(z3, 1, 1, {1: IntMatrix.identity(1)})
+    unit_t_inv = GRMatrix(z3, 1, 1, {2: IntMatrix.identity(1)})
     kres = k_transfer(unit_t, unit_t_inv, pcx, Fraction(1, 2))
     assert kres.certified()
     rep = projected_torsion(kres)
