@@ -174,10 +174,11 @@ class HomotopySAction:
         mul, pts = self.backend.mul, self.space.points
         current: Set[Tuple[object, int]] = {(g, self.index[x])}
         for _ in range(n):
-            current = {(mul(h, step), xp) for (h, y) in current for step, out in moves
-                       for xp in out[y]}
-            if len(current) > ORBIT_CAP:
-                raise HorizonExceeded("orbit enumeration exceeded cap")
+            layer, current = current, set()
+            for h, y in layer:  # the cap is a budget, spent as each point's moves join
+                current.update([(mul(h, step), xp) for step, out in moves for xp in out[y]])
+                if len(current) > ORBIT_CAP:
+                    raise HorizonExceeded("orbit enumeration exceeded cap")
         return {(h, pts[y]) for h, y in current}
 
 
@@ -220,7 +221,9 @@ class DSLambdaMetric:
       0 is ``{e}`` and layer ``k + 1`` is every ``g * letter`` over ``g``
       in layer ``k``, whatever the source point.  There are ``n_points``
       reachable states per element of each layer; when their total
-      exceeds ``state_cap`` every search raises ``HorizonExceeded``.
+      exceeds ``state_cap`` every search raises ``HorizonExceeded``.  The
+      count stops as soon as it passes the cap, inside the layer that
+      passes it.
 
     The search from ``x0`` is a DP over the layers ``k = 0..n_max``, with
     one row per reached group element, keyed by the element's id from the
@@ -232,10 +235,16 @@ class DSLambdaMetric:
     and folds it into that element's row by elementwise ``min``.  A row
     the last step left alone has moved already at the same costs.
 
-    By G-invariance a search depends only on its source point, so the
-    metric keeps one search result per source point and every query
-    from that point reuses it: it reads the entry of its target point in
-    the row of its displacement ``g^{-1} h``.
+    A search stops at the layer that certifies its query.  After ``k``
+    steps every path with more moves costs at least ``(k + 1) * scale``,
+    so an entry ``v <= (k + 1) * scale`` is final; so is every entry once
+    ``k == n_max`` or no row improved.  By G-invariance a search depends
+    only on its source point, so the metric keeps one resumable search
+    per source point (its rows, its frontier of improved rows and ``k``):
+    a query reads the entry of its target point in the row of its
+    displacement ``g^{-1} h``, and steps that point's search on only until
+    the entry is final.  A later query from the same point resumes there.
+    A displacement outside the counted layers runs no step.
     """
 
     def __init__(self, action: HomotopySAction, lam: Fraction,
@@ -266,22 +275,29 @@ class DSLambdaMetric:
         self._blank = [(n_max + 1) * (self.scale + max(map(max, self.closure), default=0)) + 1
                        ] * len(self.points)
         self._layers = None  # (ids, successors, capped), built by _reach()
-        self._searches: Dict[object, Dict[int, Sequence[int]]] = {}
+        self._searches: Dict[object, _Search] = {}
         self._reachable = None  # finite-table displacements the letters reach
 
-    def _search(self, x0) -> Dict[int, Sequence[int]]:
-        """The search from ``(e, x0)``, run on the first query from ``x0``."""
-        rows = self._searches.get(x0)
-        if rows is None:
+    def _search(self, x0) -> "_Search":
+        """The search from ``(e, x0)``, started on the first query from ``x0``."""
+        search = self._searches.get(x0)
+        if search is None:
             if x0 not in self.index:
                 raise InputError(f"unknown point {x0!r}")
-            rows = self._searches[x0] = self._layered(x0)
-        return rows
+            search = self._searches[x0] = self._start(x0)
+        return search
+
+    def _start(self, x0) -> "_Search":
+        """A search from ``(e, x0)`` at layer 0; raises on a capped metric."""
+        self._reach()
+        return _Search(self.closure[self.index[x0]])
 
     def _reach(self) -> Tuple[Dict[object, int], Dict[int, List[int]]]:
         """Group elements by id (the identity is 0) and each one's
         successor ids, one per letter of ``moves``; raises once the reachable
-        states outnumber ``state_cap``."""
+        states outnumber ``state_cap``.  The count is a budget: it grows as
+        each element's successors join a layer, and the count stops there
+        once it passes the cap."""
         if self._layers is None:
             mul, n = self.backend.mul, len(self.points)
             elements = [self.backend.identity()]
@@ -291,6 +307,7 @@ class DSLambdaMetric:
             for _ in range(self.n_max):
                 if states > self.state_cap or not layer:
                     break
+                budget = (self.state_cap - states) // n  # elements this layer may hold
                 reached = set()
                 for g in layer:
                     out = successors.get(g)
@@ -304,6 +321,8 @@ class DSLambdaMetric:
                                 elements.append(h)
                             out.append(i)
                     reached.update(out)
+                    if len(reached) > budget:
+                        break
                 layer = reached
                 states += n * len(layer)
             self._layers = (ids, successors, states > self.state_cap)
@@ -312,38 +331,42 @@ class DSLambdaMetric:
             raise HorizonExceeded("d_{S,Lambda} state cap exceeded")
         return ids, successors
 
+    def _step(self, search: "_Search") -> None:
+        """One DP step of ``search``: from least costs using at most ``k``
+        moves to least costs using at most ``k + 1``."""
+        rows, successors = search.rows, self._layers[1]
+        closure, moves, unit, blank = self.closure, self.moves, self.scale, self._blank
+        cand: Dict[int, List[int]] = {}
+        for g in search.frontier:
+            row = rows[g]
+            for h, (_, out) in zip(successors[g], moves):
+                c = cand.get(h)
+                if c is None:
+                    c = cand[h] = list(rows.get(h, blank))
+                for v, xps in zip(row, out):
+                    v += unit
+                    for xp in xps:
+                        if v < c[xp]:
+                            c[xp] = v
+        frontier = []
+        for h, c in cand.items():
+            old = rows.get(h, blank)
+            shifted = [map(add, closure[x], repeat(v))
+                       for x, (v, o) in enumerate(zip(c, old)) if v < o]
+            if shifted:
+                rows[h] = list(map(min, old, *shifted))
+                frontier.append(h)
+        search.frontier = frontier
+        search.k += 1
+
     def _layered(self, x0) -> Dict[int, Sequence[int]]:
         """Best scaled cost from ``(e, x0)`` to every ``(g, x)`` within the
-        move horizon (min over layers): one row per reached element, keyed
-        by its ``_reach`` id and indexed by point."""
-        _, successors = self._reach()
-        closure, moves, unit, blank = self.closure, self.moves, self.scale, self._blank
-        rows = {0: closure[self.index[x0]]}
-        frontier = [0]
-        for _ in range(self.n_max):
-            cand: Dict[int, List[int]] = {}
-            for g in frontier:
-                row = rows[g]
-                for h, (_, out) in zip(successors[g], moves):
-                    c = cand.get(h)
-                    if c is None:
-                        c = cand[h] = list(rows.get(h, blank))
-                    for v, xps in zip(row, out):
-                        v += unit
-                        for xp in xps:
-                            if v < c[xp]:
-                                c[xp] = v
-            frontier = []
-            for h, c in cand.items():
-                old = rows.get(h, blank)
-                shifted = [map(add, closure[x], repeat(v))
-                           for x, (v, o) in enumerate(zip(c, old)) if v < o]
-                if shifted:
-                    rows[h] = list(map(min, old, *shifted))
-                    frontier.append(h)
-            if not frontier:
-                break
-        return rows
+        move horizon: a fresh search stepped to the end, its rows keyed by
+        ``_reach`` id and indexed by point."""
+        search = self._start(x0)
+        while search.k < self.n_max and search.frontier:
+            self._step(search)
+        return search.rows
 
     def _certified_unreachable(self, displacement) -> bool:
         """True when no chain of move letters can realize the displacement."""
@@ -365,18 +388,25 @@ class DSLambdaMetric:
             return displacement != e
         return False
 
-    def _result(self, rows: Dict[int, Sequence[int]], disp, y) -> DSLambdaResult:
-        """Value of ``(e, x0) -> (disp, y)`` from the search ``rows`` of ``x0``."""
+    def _result(self, search: "_Search", disp, y) -> DSLambdaResult:
+        """Value of ``(e, x0) -> (disp, y)``, stepping the search of ``x0``
+        on until that entry is final."""
         i = self.index.get(y)
         if i is None:
             raise InputError(f"unknown point {y!r}")
-        g = self._layers[0].get(disp)  # the ids of the search that built rows
+        g = self._layers[0].get(disp)  # ids of the elements the move layers reach
         if g is None:
             return DSLambdaResult(None, not self._certified_unreachable(disp),
                                   Fraction(self.n_max + 1))
-        found = rows[g][i]
-        value = Fraction(found, self.scale)
-        if found <= (self.n_max + 1) * self.scale:
+        rows, unit = search.rows, self.scale
+        row = rows.get(g)
+        while ((row is None or row[i] > (search.k + 1) * unit)
+               and search.k < self.n_max and search.frontier):
+            self._step(search)
+            row = rows.get(g)
+        found = row[i]
+        value = Fraction(found, unit)
+        if found <= (self.n_max + 1) * unit:
             return DSLambdaResult(value, False, value)
         return DSLambdaResult(value, True, Fraction(self.n_max + 1))
 
@@ -394,12 +424,25 @@ class DSLambdaMetric:
         canon = [(self.backend.canonical(g), x) for (g, x) in carrier]
         mul, inv = self.backend.mul, self.backend.inv
         for i, (g, x) in enumerate(canon):
-            rows = self._search(x)
+            search = self._search(x)
             for j, (h, y) in enumerate(canon):
-                res = self._result(rows, mul(inv(g), h), y)
+                res = self._result(search, mul(inv(g), h), y)
                 values[(i, j)] = res.value
                 truncated = truncated or res.truncated
         return MetricTable(tuple(canon), values, truncated)
+
+
+class _Search:
+    """A resumable search from one source point: ``rows`` of least costs
+    using at most ``k`` moves, keyed by element id, and the ``frontier``
+    of ids whose rows the last step improved."""
+
+    __slots__ = ("rows", "frontier", "k")
+
+    def __init__(self, row: Sequence[int]):
+        self.rows: Dict[int, Sequence[int]] = {0: row}
+        self.frontier: List[int] = [0]
+        self.k = 0
 
 
 class MetricTable:

@@ -71,6 +71,8 @@ class GRMatrix:
 
     def __init__(self, backend: GroupBackend, rows: int, cols: int,
                  letters: Optional[Dict[object, IntMatrix]] = None):
+        if rows < 0 or cols < 0:
+            raise InputError("morphism ranks must not be negative")
         self.backend = backend
         self.rows = rows
         self.cols = cols

@@ -293,8 +293,6 @@ def _parse_morphism(sc: Scenario, spec: Dict[str, Any]) -> GRMatrix:
     backend = sc.get("groups", spec["group"])
     rank_s = _integer(spec.get("rank_source", spec.get("rank")))
     rank_t = _integer(spec.get("rank_target", spec.get("rank")))
-    if min(rank_s, rank_t) < 0:
-        raise InputError("morphism ranks must not be negative")
     letters = {_element_key(backend, k): parse_matrix(v)
                for k, v in spec["letters"].items()}
     return GRMatrix(backend, rank_t, rank_s, letters)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from klab import actions
 from klab.actions import (DEFAULT_STATE_CAP, CoverSpec, DSLambdaMetric, DominationData,
                           HomotopySAction, audit_nerve_contraction,
                           check_f_cover, lebesgue_lambda_search,
@@ -70,6 +71,28 @@ def test_s_orbit_genuine_closed_form():
             products = {z4.mul(a, l) for a in products for l in s}
         expected = {(z4.inv(a), pts[(0 + a) % 4]) for a in products}
         assert act.s_orbit(n, (0, "x0")) == expected
+
+
+def free_orbit_action(n_points):
+    """F2 acting trivially on a path, with ``S = {e, a^{+-1}, b^{+-1}}``."""
+    f2, line = FreeGroup(2), ControlSpace.path(n_points)
+    s = FiniteSubset.of(f2, ["", "a", "A", "b", "B"])
+    return HomotopySAction.from_genuine(f2, line, s, {g: {p: p for p in line.points} for g in s})
+
+
+@pytest.mark.parametrize("build, depth", [(lambda: free_orbit_action(2), 3),
+                                          (lambda: dihedral_action(4), 4)],
+                         ids=["free", "dihedral4"])
+def test_s_orbit_cap_admits_exactly_the_largest_layer(build, depth, monkeypatch):
+    act = build()
+    start = (act.backend.identity(), act.space.points[0])
+    largest = max(len(act.s_orbit(k, start)) for k in range(depth + 1))
+    want = act.s_orbit(depth, start)
+    monkeypatch.setattr(actions, "ORBIT_CAP", largest)
+    assert act.s_orbit(depth, start) == want
+    monkeypatch.setattr(actions, "ORBIT_CAP", largest - 1)
+    with pytest.raises(HorizonExceeded):
+        act.s_orbit(depth, start)
 
 
 def test_s_orbit_nonconstant_homotopy():
@@ -236,8 +259,8 @@ def test_dslambda_one_search_per_source(monkeypatch):
     carrier = [(g, x) for g in act.backend.elements() for x in act.space.points]
     metric = DSLambdaMetric(act, Fraction(1, 2), n_max=3)
     searched = []
-    search = metric._layered
-    monkeypatch.setattr(metric, "_layered", lambda x0: searched.append(x0) or search(x0))
+    start = metric._start
+    monkeypatch.setattr(metric, "_start", lambda x0: searched.append(x0) or start(x0))
     # every query from a point x runs the one search from (e, x)
     values = {(p, q): metric.distance(p, q) for p in carrier if p[1] == "x0" for q in carrier}
     assert searched == ["x0"]
@@ -253,8 +276,8 @@ def test_dslambda_state_cap_reraises(monkeypatch):
     act = z2_swap_action()
     metric = DSLambdaMetric(act, Fraction(1, 2), n_max=4, state_cap=3)
     searched = []
-    search = metric._layered
-    monkeypatch.setattr(metric, "_layered", lambda x0: searched.append(x0) or search(x0))
+    start = metric._start
+    monkeypatch.setattr(metric, "_start", lambda x0: searched.append(x0) or start(x0))
     for _ in range(2):
         with pytest.raises(HorizonExceeded):
             metric.distance((0, "p"), (1, "q"))
@@ -374,6 +397,70 @@ def test_layered_search_matches_heap_dijkstra(case):
     assert DSLambdaMetric(act, lam, n_max=n_max, state_cap=states)._layered(x0)
     with pytest.raises(HorizonExceeded):
         DSLambdaMetric(act, lam, n_max=n_max, state_cap=states - 1)._layered(x0)
+
+
+def queries(act):
+    """Every ``(g, y)``: the whole group when it is finite, else the
+    window -7..7 of Z, which holds both reached and unreached elements."""
+    elements = act.backend.elements() or [(k,) for k in range(-7, 8)]
+    return [(g, y) for g in elements for y in act.space.points]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(unchecked_actions(), st.data())
+def test_resumed_searches_match_heap_dijkstra_and_fresh_metrics(case, data):
+    act, lam, n_max, state_cap = case
+    metric = DSLambdaMetric(act, lam, n_max=n_max, state_cap=state_cap)
+    steps = []
+    step = metric._step
+    metric._step = lambda search: steps.append(search) or step(search)
+    for x0 in act.space.points:
+        src = (act.backend.identity(), x0)
+        order = data.draw(st.permutations(queries(act)))
+        try:
+            want, scale, _ = heap_dijkstra(act, lam, n_max, state_cap, x0)
+        except HorizonExceeded:
+            for dst in order:  # a capped metric raises on every query
+                with pytest.raises(HorizonExceeded):
+                    metric.distance(src, dst)
+            continue
+        for dst in order:
+            before = len(steps)
+            got = metric.distance(src, dst)
+            cost = want.get(dst)
+            assert got.value == (None if cost is None else Fraction(cost, scale))
+            if cost is None:  # an unreached displacement runs no layer
+                assert len(steps) == before
+            fresh = DSLambdaMetric(act, lam, n_max=n_max, state_cap=state_cap).distance(src, dst)
+            assert ((got.value, got.truncated, got.lower_bound)
+                    == (fresh.value, fresh.truncated, fresh.lower_bound))
+
+
+def test_queries_stop_at_the_layer_that_certifies_them():
+    metric = DSLambdaMetric(z2_swap_action(), Fraction(1, 2), n_max=4)
+    src = (0, "p")
+    assert metric.distance(src, (0, "q")).value == Fraction(1, 2)  # at most 1 = (0 + 1) moves
+    search = metric._searches["p"]
+    assert search.k == 0
+    assert metric.distance(src, (1, "q")).value == 1
+    assert metric.distance(src, (1, "p")).value == Fraction(3, 2)  # resumed, final at k = 1
+    assert search.k == 1
+    assert metric._layered("p") == search.rows  # the horizon changes no entry here
+
+
+def test_state_cap_stops_inside_the_layer_that_passes_it(monkeypatch):
+    act = free_orbit_action(3)
+    letters = len(act.move_relation()[1])
+    layer1 = len({act.backend.mul("", step) for step, _ in act.move_relation()[1]})
+    muls = []
+    mul = act.backend.mul
+    monkeypatch.setattr(act.backend, "mul", lambda a, b: muls.append(a) or mul(a, b))
+    # layers 0 and 1 fit; the first element of layer 1 spends the rest, so
+    # at most one element of layer 1 gets its successors, not all of them
+    metric = DSLambdaMetric(act, Fraction(1, 2), n_max=2, state_cap=3 * (1 + layer1))
+    with pytest.raises(HorizonExceeded):
+        metric._reach()
+    assert letters <= len(muls) <= 2 * letters < letters * layer1
 
 
 def move_table_by_relation(act):

@@ -66,6 +66,13 @@ def test_sum_checks_shapes_with_a_letterless_operand():
     assert a + GRMatrix(z3, 2, 2) == a and GRMatrix(z3, 2, 2) - a == -a
 
 
+@pytest.mark.parametrize("shape", [(-1, -1), (1, -1)])
+def test_negative_shape_is_an_input_error(shape):
+    # with no letter block to check the shape against, as IntMatrix(-1, -1) raises
+    with pytest.raises(InputError, match="must not be negative"):
+        GRMatrix(FiniteTableGroup.cyclic(2), *shape)
+
+
 def test_gr_self_torsion_degree_zero_unit():
     z2 = FiniteTableGroup.cyclic(2)
     c = GRComplex(z2, {0: 1}, {})
