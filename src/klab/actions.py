@@ -528,9 +528,6 @@ class CoverSpec:
         self.sets = sets
         self.name_action = {} if name_action is None else name_action
 
-    def members(self, name: str) -> FrozenSet[Tuple[object, object]]:
-        return self.sets[name]
-
     def covering_violations(self) -> List[str]:
         out = []
         union = set()
@@ -632,50 +629,37 @@ def check_f_cover(cover: CoverSpec, family: FamilyPredicate,
     return CoverReport(violations, skipped, dim, isotropy, s_long_checked, s_long_failures)
 
 
-def distance_to_complement(cover: CoverSpec, table: MetricTable, name: str,
-                           p: Tuple[object, object]) -> Optional[Fraction]:
-    """min distance from ``p`` to carrier points outside the named set."""
-    members = cover.sets[name]
-    best: Optional[Fraction] = None
-    pi = table.position[p]
+def _complement_distances(cover: CoverSpec, table: MetricTable,
+                          p: Tuple[object, object]) -> Dict[str, Optional[Fraction]]:
+    """Each set's least distance from ``p`` to a reached carrier point
+    outside it, from one pass over ``p``'s row; INF when that complement
+    is empty or unreached (it bounds nothing)."""
+    best: Dict[str, Optional[Fraction]] = dict.fromkeys(cover.sets, INF)
+    row = table.position[p]
     for j, q in enumerate(table.carrier):
-        if q in members:
-            continue
-        d = table.d_by_index(pi, j)
+        d = table.d_by_index(row, j)
         if d is None:
             continue  # unreachable complement point imposes no constraint
-        if best is None or d < best:
-            best = d
-    # an empty or unreachable complement bounds nothing
-    return best if best is not None else INF
+        for name, members in cover.sets.items():
+            if q not in members and (best[name] is INF or d < best[name]):
+                best[name] = d
+    return best
 
 
 def lebesgue_number(cover: CoverSpec, table: MetricTable) -> Optional[Fraction]:
     """min over points of max over cover sets of distance-to-complement.
 
-    Returns the infinity marker (None) when some point lies in a set
-    with unreachable complement.
+    A point in some set with unreachable complement imposes no finite
+    constraint; returns the infinity marker (None) when no point does.
     """
     if not cover.sets:
         raise EmptyCover("cover has no sets")
-    overall: Optional[Fraction] = None
-    overall_inf = True
+    maxima = []
     for p in cover.carrier:
-        best: Optional[Fraction] = Fraction(0)
-        best_inf = False
-        for name in cover.sets:
-            d = distance_to_complement(cover, table, name, p)
-            if d is INF:
-                best_inf = True
-                break
-            if d > best:
-                best = d
-        if best_inf:
-            continue  # this point imposes no finite constraint
-        overall_inf = False
-        if overall is None or best < overall:
-            overall = best
-    return INF if overall_inf else overall
+        dists = _complement_distances(cover, table, p).values()
+        if INF not in dists:
+            maxima.append(max(dists))
+    return min(maxima) if maxima else INF
 
 
 def lebesgue_lambda_search(action: HomotopySAction, cover: CoverSpec,
@@ -721,8 +705,7 @@ def nerve_map(cover: CoverSpec, table: MetricTable
     out: Dict[Tuple[object, object], PointInComplex] = {}
     for p in cover.carrier:
         coords: Dict[object, Fraction] = {}
-        for name in cover.sets:
-            d = distance_to_complement(cover, table, name, p)
+        for name, d in _complement_distances(cover, table, p).items():
             if d is INF:  # on a truncated table, unreached may still be finite
                 if table.truncated:
                     raise HorizonExceeded(f"the complement of {name!r} is unreached from "

@@ -382,10 +382,6 @@ class ChainHomotopy:
         gn = _block(g.mats, n, D.rank(n + k), C.rank(n), "chain map")
         return _same(_plus(_plus(_mul(dd, h), _mul(below, dc, k)), fn), gn)
 
-    def validate(self) -> None:
-        if not self.holds():
-            raise ValueError("homotopy identity fails")
-
 
 # -- duals, tensors, flips, mu ------------------------------------------
 

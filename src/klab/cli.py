@@ -21,7 +21,7 @@ from .actions import (DSLambdaMetric, audit_nerve_contraction, check_f_cover,
                       lebesgue_number, lebesgue_lambda_search, nerve_map)
 from .chaincore import finiteness_obstruction, self_torsion
 from .errors import HorizonExceeded, InputError, KlabError
-from .groups import FamilyPredicate
+from .groups import FamilyPredicate, ball
 from .ltheory import signature
 from .p2 import omega_audit, p2_action, p2_metric
 from .scenario import (SECTIONS, Scenario, canonical_dumps, canonicalize_file,
@@ -37,27 +37,28 @@ EXIT_TRUNCATED = 3
 
 
 class Case:
-    def __init__(self, id: str, status: str, detail: str = ""):
+    def __init__(self, id: str, status: str, detail: str = "", truncated: bool = False):
         self.id = id
         self.status = status  # pass / fail / skip
         self.detail = detail
+        self.truncated = truncated  # read from a truncated result or table
 
 
 class Report:
-    def __init__(self, command: str, cases: Optional[List[Case]] = None, truncated: bool = False):
+    def __init__(self, command: str, cases: Optional[List[Case]] = None):
         self.command = command
         self.cases = [] if cases is None else cases
-        self.truncated = truncated
 
-    def add(self, case_id: str, ok: bool, detail: str = "") -> None:
-        self.cases.append(Case(case_id, "pass" if ok else "fail", detail))
+    @property
+    def truncated(self) -> bool:
+        """Derived, never assigned: whether any case is truncated."""
+        return any(c.truncated for c in self.cases)
 
-    def skip(self, case_id: str, detail: str = "") -> None:
-        self.cases.append(Case(case_id, "skip", detail))
+    def add(self, case_id: str, ok: bool, detail: str = "", truncated: bool = False) -> None:
+        self.cases.append(Case(case_id, "pass" if ok else "fail", detail, truncated))
 
-    def merge(self, other: "Report") -> None:
-        self.cases.extend(other.cases)
-        self.truncated = self.truncated or other.truncated
+    def skip(self, case_id: str, detail: str = "", truncated: bool = False) -> None:
+        self.cases.append(Case(case_id, "skip", detail, truncated))
 
     def exit_code(self) -> int:
         if any(c.status == "fail" for c in self.cases):
@@ -118,13 +119,13 @@ def cmd_dslambda(scenario: Scenario, args) -> Report:
     src = parse_point(action, args.src)
     dst = parse_point(action, args.dst)
     res = metric.distance(src, dst)
-    rep.truncated = res.truncated
     value = "inf" if res.is_infinite() else fraction_str(res.value)
     if res.truncated:  # a cost found within the horizon only bounds the value above
         upper = "" if res.is_infinite() else f"; upper bound {value}"
         value = f">= {fraction_str(res.lower_bound)} [lower bound, truncated{upper}]"
     rep.add(f"dslambda:{args.action}", True,
-            f"d({args.src},{args.dst}) " + (value if res.truncated else f"= {value}"))
+            f"d({args.src},{args.dst}) " + (value if res.truncated else f"= {value}"),
+            truncated=res.truncated)
     return rep
 
 
@@ -157,26 +158,24 @@ def cmd_lebesgue(scenario: Scenario, args) -> Report:
     else:
         lam = parse_fraction(args.lam)
         table = DSLambdaMetric(action, lam, args.horizon).table(list(cover.carrier))
-        rep.truncated = table.truncated
         number = lebesgue_number(cover, table)
         rep.add(f"lebesgue:{args.cover}", True,
-                "number = " + ("inf" if number is None else str(fraction_str(number))))
+                "number = " + ("inf" if number is None else str(fraction_str(number))),
+                truncated=table.truncated)
     return rep
 
 
 def cmd_nerve(scenario: Scenario, args) -> Report:
     rep = Report("nerve")
     cover, action = scenario.get("covers", args.cover)
-    family = _family_from_name(args.family)
-    fc = check_f_cover(cover, family, action.backend, action, N=args.n)
-    rep.add(f"nerve:{args.cover}:f-cover", fc.ok(),
-            "; ".join(fc.violations + fc.s_long_failures) or f"dim {fc.dimension}")
+    _run_cover(rep, f"nerve:{args.cover}:f-cover", _family_from_name(args.family),
+               cover, action, N=args.n)
     lam = parse_fraction(args.lam)
     table = DSLambdaMetric(action, lam, args.horizon).table(list(cover.carrier))
-    rep.truncated = table.truncated
     nerve, images = nerve_map(cover, table)
     rep.add(f"nerve:{args.cover}:map", True,
-            f"nerve dim {nerve.dimension()}, {len(images)} points placed")
+            f"nerve dim {nerve.dimension()}, {len(images)} points placed",
+            truncated=table.truncated)
     if args.audit_d:
         rng = random.Random(args.seed)
         pairs = [(rng.choice(cover.carrier), rng.choice(cover.carrier))
@@ -185,7 +184,7 @@ def cmd_nerve(scenario: Scenario, args) -> Report:
                                         parse_fraction(args.audit_d), pairs)
         rep.add(f"nerve:{args.cover}:contraction", audit.ok(),
                 f"checked {audit.checked}, shared {audit.shared_simplex}, "
-                f"disjoint {audit.disjoint_support}")
+                f"disjoint {audit.disjoint_support}", truncated=table.truncated)
     return rep
 
 
@@ -204,14 +203,17 @@ def cmd_p2(scenario: Scenario, args) -> Report:
                 f"induced action on {len(induced.space.points)} pairs validated")
         rng = random.Random(args.seed)
         pair_pts = induced.space.points
-        window = list(action.backend.elements() or [action.backend.identity()])
+        window, named = action.backend.elements(), ""
+        if window is None:  # an infinite group: products of at most two letters of S u S^-1
+            window = list(ball(action.backend, action.S, 1))
+            named = f"; window: radius-1 ball, {len(window)} elements"
         samples = [((rng.choice(window), rng.choice(pair_pts)),
                     (rng.choice(window), rng.choice(pair_pts)))
                    for _ in range(args.samples)]
         audit = omega_audit(action, parse_fraction(args.lam), samples,
                             n_max=args.horizon)
         rep.add(f"p2:{args.action}:omega", audit.ok(),
-                f"checked {audit.checked}, skipped {audit.skipped}")
+                f"checked {audit.checked}, skipped {audit.skipped}" + named)
     return rep
 
 
@@ -305,9 +307,10 @@ def _run_finobstr(rep: Report, name: str, c) -> None:
     rep.add(f"finobstr:{name}", True, f"reduced rank = {rank}")
 
 
-def _run_cover(rep: Report, name: str, family: FamilyPredicate, cover, action) -> None:
-    fc = check_f_cover(cover, family, action.backend, action)
-    rep.add(f"cover:{name}:axioms", fc.ok(),
+def _run_cover(rep: Report, case_id: str, family: FamilyPredicate, cover, action,
+               N: Optional[int] = None) -> None:
+    fc = check_f_cover(cover, family, action.backend, action, N=N)
+    rep.add(case_id, fc.ok(),
             "; ".join(fc.violations + fc.s_long_failures) or f"dim {fc.dimension}")
 
 
@@ -330,7 +333,7 @@ def _suite_jobs(sc: Scenario, args) -> List[Tuple[str, Callable[[], Report]]]:
                for n, c in sorted(sc.complexes.items())]
             + [(f"domination:{n}", _job(_run_replace, n, *d))
                for n, d in sorted(sc.dominations.items())]
-            + [(f"cover:{n}", _job(_run_cover, n, family, *c))
+            + [(f"cover:{n}", _job(_run_cover, f"cover:{n}:axioms", family, *c))
                for n, c in sorted(sc.covers.items())]
             + [(f"pipeline:{n}", _job(RUNNERS[k], n, *p))
                for n, (k, p) in sorted(sc.pipelines.items())])
@@ -342,10 +345,9 @@ def cmd_suite(scenario: Scenario, args) -> Report:
 
     for name, fn in jobs:
         try:
-            rep.merge(fn())
+            rep.cases.extend(fn().cases)
         except HorizonExceeded as exc:
-            rep.skip(f"{name}:truncated", f"{exc.code}: {exc}")
-            rep.truncated = True
+            rep.skip(f"{name}:truncated", f"{exc.code}: {exc}", truncated=True)
         except KlabError as exc:
             rep.add(f"{name}:error", False, f"{exc.code}: {exc}")
     if args.golden:

@@ -34,9 +34,6 @@ class GroupBackend:
         """All elements for finite backends, None otherwise."""
         return None
 
-    def generators(self) -> List[object]:
-        raise NotImplementedError
-
     def canonical(self, a):
         """Validate and canonicalize an element representation."""
         raise NotImplementedError
@@ -90,9 +87,6 @@ class FiniteTableGroup(GroupBackend):
     def elements(self) -> List[int]:
         return list(range(self.order))
 
-    def generators(self) -> List[int]:
-        return list(range(self.order))
-
     def canonical(self, a) -> int:
         i = int(a)
         if not 0 <= i < self.order:
@@ -141,14 +135,6 @@ class FreeAbelianGroup(GroupBackend):
     def inv(self, a):
         return tuple(-x for x in a)
 
-    def generators(self) -> List[Tuple[int, ...]]:
-        out = []
-        for i in range(self.rank):
-            v = [0] * self.rank
-            v[i] = 1
-            out.append(tuple(v))
-        return out
-
     def canonical(self, a) -> Tuple[int, ...]:
         t = tuple(int(x) for x in a)
         if len(t) != self.rank:
@@ -191,9 +177,6 @@ class FreeGroup(GroupBackend):
 
     def inv(self, a: str) -> str:
         return a[::-1].swapcase()
-
-    def generators(self) -> List[str]:
-        return list(_LETTERS[: self.rank])
 
     def canonical(self, a) -> str:
         w = str(a)
@@ -266,17 +249,17 @@ class FiniteSubset:
 
 
 def ball(backend: GroupBackend, S: FiniteSubset, n: int,
-         horizon: int = DEFAULT_BALL_HORIZON, cap: int = DEFAULT_BALL_CAP) -> FiniteSubset:
+         cap: int = DEFAULT_BALL_CAP) -> FiniteSubset:
     """All products of at most ``2n`` factors from ``S u S^-1``.
 
     Contains the identity (empty product); closed under inversion when
-    ``S`` is symmetric.  Raises ``HorizonExceeded`` past the configured
-    horizon or element cap.
+    ``S`` is symmetric.  Raises ``HorizonExceeded`` past a radius of
+    ``DEFAULT_BALL_HORIZON`` or the element cap.
     """
     if n < 0:
         raise InputError("negative radius")
-    if n > horizon:
-        raise HorizonExceeded(f"ball radius {n} exceeds horizon {horizon}")
+    if n > DEFAULT_BALL_HORIZON:
+        raise HorizonExceeded(f"ball radius {n} exceeds horizon {DEFAULT_BALL_HORIZON}")
     letters = set(S.elements) | {backend.inv(x) for x in S.elements}
     current: Set[object] = {backend.identity()}
     out: Set[object] = set(current)

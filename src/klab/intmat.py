@@ -165,9 +165,6 @@ class IntMatrix:
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self == self.transpose()
 
-    def support(self) -> List[Entry]:
-        return sorted(self.entries)
-
     def to_dense(self) -> List[List[int]]:
         out = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), v in self.entries.items():

@@ -112,9 +112,6 @@ class PointInComplex:
         self.complex = complex
         self.coords = clean
 
-    def support(self) -> Simplex:
-        return frozenset(self.coords)
-
     def l1_to(self, other: "PointInComplex") -> Fraction:
         if self.complex is not other.complex:
             raise DifferentComplex("points live in different complexes")

@@ -266,6 +266,16 @@ def test_nerve_on_a_truncated_table_exits_three(tmp_path, capsys):
     assert run_cli(*argv, "6") == 0
 
 
+def test_p2_on_an_infinite_group_samples_a_named_ball(tmp_path, monkeypatch, capsys):
+    audit, drawn = klab.cli.omega_audit, []
+    monkeypatch.setattr(klab.cli, "omega_audit",
+                        lambda action, lam, samples, **kw: drawn.extend(samples)
+                        or audit(action, lam, samples, **kw))
+    assert run_cli("p2", _walk(tmp_path), "--space", "X", "--action", "walk") == 0
+    assert any(g != h for (g, _), (h, _) in drawn)
+    assert "skipped 0; window: radius-1 ball, 5 elements)" in capsys.readouterr().out
+
+
 # scenario None is the walk scenario above
 @pytest.mark.parametrize("argv, code, message", [
     (("dslambda", Z2, "--action", "swap", "--lam", "-1/2", "--src", "0:p", "--dst", "1:p"),
@@ -634,6 +644,21 @@ def test_every_declared_option_is_read():
             unread[command] = sorted(missing)
     assert not unread
     assert slots == 62
+
+
+def test_truncation_is_derived_from_the_cases():
+    # an exit code of 3 comes from a case read off a truncated result or
+    # table, never from a hand-set flag that one command can forget
+    tree = ast.parse(open(klab.cli.__file__, encoding="utf-8").read())
+    classes = {c.name: c for c in tree.body if isinstance(c, ast.ClassDef)}
+    functions = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    functions += [(f"{c.name}.{fn.name}", fn) for c in classes.values()
+                  for fn in c.body if isinstance(fn, ast.FunctionDef)]
+    assert "Report.merge" not in dict(functions)
+    setters = [name for name, fn in functions for node in ast.walk(fn)
+               for target in getattr(node, "targets", [getattr(node, "target", None)])
+               if isinstance(target, ast.Attribute) and target.attr == "truncated"]
+    assert setters == ["Case.__init__"]
 
 
 def test_lebesgue_takes_lam_or_grid(capsys):

@@ -3,10 +3,10 @@ import random
 from fractions import Fraction
 
 import klab.p2
-from klab.actions import DSLambdaMetric
+from klab.actions import DSLambdaMetric, DSLambdaResult, HomotopySAction
 from klab.control import ControlSpace
 from klab.fixtures import dihedral_action, z2_swap_action
-from klab.groups import FamilyPredicate, FiniteTableGroup
+from klab.groups import FamilyPredicate, FiniteSubset, FiniteTableGroup
 from klab.p2 import (lipschitz_transfer_audit, omega_audit, p2_action,
                      p2_metric, p2_point_map, p2_stabilizer_check,
                      unordered_pair)
@@ -227,3 +227,61 @@ def test_omega_audit_diagonal_factor_two():
     leg = metric_x.distance((0, "p"), (1, "q"))
     assert rhs.value is not None and leg.value is not None
     assert 2 * leg.value <= 2 * rhs.value
+
+
+def _cli_samples(action, rng, count):
+    """Samples drawn as ``klab p2`` draws them over a finite group."""
+    pair_pts = p2_action(action).space.points
+    window = action.backend.elements()
+    return [((rng.choice(window), rng.choice(pair_pts)),
+             (rng.choice(window), rng.choice(pair_pts))) for _ in range(count)]
+
+
+def test_omega_audit_skips_a_sample_with_a_truncated_leg():
+    act, lam = z2_swap_action(), Fraction(3)
+    samples = _cli_samples(act, random.Random(1), 200)
+    metric_x = DSLambdaMetric(act, lam, 1)
+    metric_p2 = DSLambdaMetric(p2_action(act), lam, 1)
+    truncated_pair = truncated_leg = 0
+    for (g, (x, y)), (h, (xp, yp)) in samples:
+        pair = metric_p2.distance((g, unordered_pair(x, y)), (h, unordered_pair(xp, yp)))
+        leg = any(metric_x.distance((g, a), (h, b)).truncated
+                  for a in (x, y) for b in (xp, yp))
+        truncated_pair += pair.truncated
+        truncated_leg += leg and not pair.truncated
+    assert truncated_leg == 21
+    audit = omega_audit(act, lam, samples, n_max=1)
+    assert audit.skipped == truncated_pair + truncated_leg
+    assert audit.checked == len(samples) - audit.skipped and audit.ok()
+
+
+def test_omega_audit_counts_infinite_sides_as_checked():
+    # S = {e}: no move changes the group element, so the two cosets of C2
+    # are at distance infinity on both sides
+    c2 = FiniteTableGroup.cyclic(2)
+    space = ControlSpace.path(3)
+    act = HomotopySAction.from_genuine(c2, space, FiniteSubset.of(c2, [0]),
+                                       {0: {x: x for x in space.points}})
+    a, b = unordered_pair("p0", "p1"), unordered_pair("p2", "p2")
+    samples = [((0, a), (1, b)), ((1, b), (0, a)), ((1, a), (0, a))]
+    assert DSLambdaMetric(p2_action(act), Fraction(1), 6).distance(*samples[0]).is_infinite()
+    audit = omega_audit(act, Fraction(1), samples)
+    assert (audit.checked, audit.skipped, audit.counterexamples) == (3, 0, [])
+
+
+def test_omega_audit_reports_a_counterexample(monkeypatch):
+    act = z2_swap_action()
+
+    class HalvedPairs(DSLambdaMetric):
+        """Halves every distance on the pair space, so the factor 2 breaks."""
+        def distance(self, src, dst):
+            r = super().distance(src, dst)
+            if self.action is act or r.value is None:
+                return r
+            return DSLambdaResult(r.value / 2, r.truncated, r.lower_bound)
+
+    monkeypatch.setattr(klab.p2, "DSLambdaMetric", HalvedPairs)
+    samples = [((0, ("p", "p")), (1, ("p", "p")))]
+    audit = omega_audit(act, Fraction(1, 2), samples, n_max=4)
+    assert not audit.ok() and audit.checked == 1
+    assert audit.counterexamples[0].startswith("omega inequality fails at")
