@@ -51,6 +51,7 @@ class HomotopySAction:
         self.H = {(backend.canonical(g), backend.canonical(h)): tuple(tuple(m) for m in grid)
                   for (g, h), grid in homotopies.items()}
         self._moves = None  # built on first use by move_relation()
+        self._pairs = None  # the induced action p2.p2_action builds once
         if check:
             self.validate()
 
@@ -457,6 +458,7 @@ class MetricTable:
         self.position: Dict[Tuple[object, object], int] = {}
         for i, p in enumerate(carrier):
             self.position.setdefault(p, i)
+        self._nerve = None  # (cover, its nerve_map), built on first use
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -698,7 +700,11 @@ def nerve_complex(cover: CoverSpec) -> SimplicialComplex:
 
 def nerve_map(cover: CoverSpec, table: MetricTable
               ) -> Tuple[SimplicialComplex, Dict[Tuple[object, object], PointInComplex]]:
-    """Barycentric coordinates proportional to distance-to-complement."""
+    """Barycentric coordinates proportional to distance-to-complement,
+    built once per table and cover: the table keeps its last cover's map,
+    so ``audit_nerve_contraction`` reads the map its caller placed."""
+    if table._nerve is not None and table._nerve[0] is cover:
+        return table._nerve[1]
     if not cover.sets:
         raise EmptyCover("cover has no sets")
     nerve = nerve_complex(cover)
@@ -717,6 +723,7 @@ def nerve_map(cover: CoverSpec, table: MetricTable
         if total == 0:
             raise ZeroDenominator(f"point {p!r} has zero distance to every complement")
         out[p] = PointInComplex(nerve, {k: v / total for k, v in coords.items()})
+    table._nerve = (cover, (nerve, out))
     return nerve, out
 
 

@@ -38,7 +38,8 @@ class GPos(NamedTuple):
 class ControlSpace:
     """Finite metric space with exact rational distances.  Its exact integer
     view, ``scaled()`` and ``closure()``, is built once on first use and
-    shared by ``validate``, ``p2_metric`` and every ``DSLambdaMetric``."""
+    shared by ``validate``, ``p2_metric`` and every ``DSLambdaMetric``; so
+    is its pair space, which ``p2_metric`` keeps in ``_pairs``."""
 
     def __init__(self, points: Sequence[object], dist: Dict[Tuple[object, object], Fraction],
                  check: bool = True):
@@ -49,7 +50,7 @@ class ControlSpace:
         self.dist = {key: v if type(v) is Fraction else Fraction(v) for key, v in dist.items()}
         for p in self.points:
             self.dist.setdefault((p, p), Fraction(0))
-        self._scaled = self._closure = None  # built on first use
+        self._scaled = self._closure = self._pairs = None  # built on first use
         if check:
             self.validate()
 
@@ -113,15 +114,17 @@ class ControlSpace:
     @staticmethod
     def from_scaled(points: Sequence[object], scale: int,
                     rows: Sequence[Sequence[int]]) -> "ControlSpace":
-        """The checked space with ``d(p_i, p_j) = rows[i][j] / scale``, whose
-        ``scaled()`` is ``(scale, rows)``: ``scale`` must be the common
-        denominator of those values and the diagonal of ``rows`` zero."""
+        """The unchecked space with ``d(p_i, p_j) = rows[i][j] / scale``,
+        whose ``scaled()`` is ``(scale, rows)`` with the rows as tuples;
+        ``scale`` must be the common denominator of those values.  The
+        caller checks it: ``p2_metric`` certifies its rows from the base
+        space's, or else runs ``validate``, which also rejects a nonzero
+        diagonal."""
         pts, rows = tuple(points), tuple(map(tuple, rows))
         values = {v: Fraction(v, scale) for v in set().union(*rows)}  # one per value
         space = ControlSpace(pts, {}, check=False)  # the dict below is handed over, not copied
         space.dist = {(a, b): values[v] for a, row in zip(pts, rows) for b, v in zip(pts, row)}
         space._scaled = (scale, rows)
-        space.validate()
         return space
 
     @staticmethod

@@ -32,14 +32,39 @@ def p2_metric(space: ControlSpace) -> ControlSpace:
     """min of the two matchings: ``min{d(x,x')+d(y,y'), d(x,y')+d(y,x')}``,
     summed on the base space's ``scaled()`` integers.  The pair space has
     the base scale: ``d((x:x), (x:y)) = d(x, y)``, so its values include
-    every base value and share no factor with the scale."""
+    every base value and share no factor with the scale.
+
+    Lemma: when the base rows are a metric, so are the pair rows.  A sum
+    of two base values is symmetric when they are, and it is zero only
+    when both are, that is when the matching pairs each point with itself
+    and the two unordered pairs are equal: the diagonal is zero and every
+    other value positive.  For the triangle inequality, compose an optimal
+    matching of ``(x:y)`` with ``(x':y')`` and one of ``(x':y')`` with
+    ``(x'':y'')``: the composite matches ``(x:y)`` with ``(x'':y'')``, and
+    the base inequality, termwise, bounds its cost by the sum of the two.
+    So a base that passes ``validate`` certifies the pair space, whose
+    ``closure()`` is then its ``scaled()`` rows.  Only a base built
+    unchecked can fail it; the pair space then runs its own ``validate``,
+    which names the pair rows' first failure.
+
+    Built once per base space: every later call returns the same space."""
+    if space._pairs is not None:
+        return space._pairs
     pairs = p2_points(space)
     scale, ints = space.scaled()
     index = space.index
     ends = [(ints[index[x]], ints[index[y]], index[x], index[y]) for x, y in pairs]
     rows = [[min(dx[i] + dy[j], dx[j] + dy[i]) for (_, _, i, j) in ends]
             for (dx, dy, _, _) in ends]
-    return ControlSpace.from_scaled(pairs, scale, rows)
+    pair = ControlSpace.from_scaled(pairs, scale, rows)
+    try:
+        space.validate()
+    except InputError:
+        pair.validate()  # only a base built unchecked gets here
+    else:
+        pair._closure = pair.scaled()[1]  # by the lemma, no path is shorter
+    space._pairs = pair
+    return pair
 
 
 def p2_point_map(space: ControlSpace, pair_space: ControlSpace, m: PointMap) -> PointMap:
@@ -50,14 +75,17 @@ def p2_point_map(space: ControlSpace, pair_space: ControlSpace, m: PointMap) -> 
 
 def p2_action(action: HomotopySAction) -> HomotopySAction:
     """Induced homotopy S-action on the pair space (componentwise maps,
-    grid homotopies descend)."""
+    grid homotopies descend), built once per action."""
+    if action._pairs is not None:
+        return action._pairs
     pair_space = p2_metric(action.space)
     # each distinct point map once: a genuine action's grids repeat its phi maps
     maps = {*action.phi.values(), *chain.from_iterable(action.H.values())}
     induced = {m: p2_point_map(action.space, pair_space, m) for m in maps}
     phi = {g: induced[m] for g, m in action.phi.items()}
     homotopies = {key: tuple(induced[m] for m in grid) for key, grid in action.H.items()}
-    return HomotopySAction(action.backend, pair_space, action.S, phi, homotopies)
+    action._pairs = HomotopySAction(action.backend, pair_space, action.S, phi, homotopies)
+    return action._pairs
 
 
 class StabilizerReport:

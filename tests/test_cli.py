@@ -12,8 +12,11 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import klab.actions
 import klab.cli
+import klab.p2
 from klab.cli import COMMANDS, build_parser, main
+from klab.control import ControlSpace
 from klab.errors import InputError
 from klab.intmat import IntMatrix
 from klab.scenario import (canonical_dumps, canonicalize_file, parse_fraction,
@@ -209,6 +212,34 @@ def test_nerve_command(capsys):
                    "--family", "trivial", "--n", "1", "--audit-d", "1/2") == 0
     out = capsys.readouterr().out
     assert "nerve dim" in out and "contraction" in out
+
+
+def test_nerve_audit_places_the_nerve_map_once(monkeypatch, capsys):
+    # the map case and the contraction audit read one nerve map
+    complexes, rows = [], []
+    nerve_complex, distances = klab.actions.nerve_complex, klab.actions._complement_distances
+    monkeypatch.setattr(klab.actions, "nerve_complex",
+                        lambda cover: complexes.append(cover) or nerve_complex(cover))
+    monkeypatch.setattr(klab.actions, "_complement_distances",
+                        lambda cover, table, p: rows.append(p) or distances(cover, table, p))
+    assert run_cli("nerve", Z2, "--cover", "longcover", "--lam", "1/2", "--n", "1",
+                   "--audit-d", "4", "--samples", "50") == 0
+    assert "contraction" in capsys.readouterr().out
+    assert len(complexes) == 1
+    assert len(rows) == len(set(rows)) == len(complexes[0].carrier) == 4
+
+
+def test_p2_action_builds_the_pair_space_and_action_once(monkeypatch, capsys):
+    # the metric case, the induced-action case and omega_audit share them
+    spaces, induced = [], []
+    from_scaled, action = ControlSpace.from_scaled, klab.p2.HomotopySAction
+    monkeypatch.setattr(ControlSpace, "from_scaled",
+                        staticmethod(lambda *args: spaces.append(args) or from_scaled(*args)))
+    monkeypatch.setattr(klab.p2, "HomotopySAction",
+                        lambda *args: induced.append(args) or action(*args))
+    assert run_cli("p2", Z2, "--space", "X", "--action", "swap") == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert (len(spaces), len(induced)) == (1, 1)
 
 
 def test_torsion_pipeline(capsys):

@@ -8,7 +8,7 @@ from klab.control import ControlSpace
 from klab.fixtures import dihedral_action, z2_swap_action
 from klab.groups import FamilyPredicate, FiniteSubset, FiniteTableGroup
 from klab.p2 import (lipschitz_transfer_audit, omega_audit, p2_action,
-                     p2_metric, p2_point_map, p2_stabilizer_check,
+                     p2_metric, p2_point_map, p2_points, p2_stabilizer_check,
                      unordered_pair)
 
 
@@ -81,7 +81,11 @@ def test_p2_metric_axioms_random():
     dist = {(a, b): (Fraction(0) if a == b else raw[(a, b)])
             for a in pts for b in pts}
     space = ControlSpace(pts, dist)
-    p2_metric(space).validate()  # exhaustive triangle check on all pair triples
+    pair = p2_metric(space)
+    # a fresh space runs its own Floyd--Warshall: an exhaustive triangle
+    # check on all pair triples, which p2_metric certifies from the base
+    fresh = ControlSpace(pair.points, pair.dist)
+    assert fresh.closure() == pair.scaled()[1] == pair.closure()
 
 
 def test_projection_one_lipschitz():
@@ -122,23 +126,43 @@ def test_p2_action_descends():
             assert image[0] == image[1]
 
 
-def test_p2_action_nongenuine_homotopies_descend():
-    from klab.control import ControlSpace
+def _wandering_path5():
+    """C2 flipping ``ControlSpace.path(5)``, with a coherence homotopy that
+    wanders through a non-injective map."""
     z2 = FiniteTableGroup.cyclic(2)
     line = ControlSpace.path(5)
     pts = tuple(line.points)
     flip = tuple(f"p{4 - i}" for i in range(5))
     double = tuple(f"p{min(2 * i, 4)}" for i in range(5))
-    from klab.actions import HomotopySAction
-    from klab.groups import FiniteSubset
-    act = HomotopySAction(z2, line, FiniteSubset.of(z2, [0, 1]),
-                          {0: pts, 1: flip},
-                          {(0, 0): (pts,),
-                           (0, 1): (flip, double, flip),
-                           (1, 0): (flip,),
-                           (1, 1): (pts,)})
-    induced = p2_action(act)  # validates grid endpoints on the quotient
+    return HomotopySAction(z2, line, FiniteSubset.of(z2, [0, 1]),
+                           {0: pts, 1: flip},
+                           {(0, 0): (pts,),
+                            (0, 1): (flip, double, flip),
+                            (1, 0): (flip,),
+                            (1, 1): (pts,)})
+
+
+def test_p2_action_nongenuine_homotopies_descend():
+    induced = p2_action(_wandering_path5())  # validates grid endpoints on the quotient
     assert len(induced.H[(0, 1)]) == 3
+
+
+def test_omega_audit_runs_no_floyd_warshall_on_a_pair_space(monkeypatch):
+    act = _wandering_path5()
+    closed = []  # each space whose closure() ran Floyd--Warshall
+    closure = ControlSpace.closure
+    monkeypatch.setattr(ControlSpace, "closure",
+                        lambda self: (self._closure is None and closed.append(self))
+                        or closure(self))
+    rng, pair_pts = random.Random(4), p2_points(act.space)
+    samples = [((rng.choice([0, 1]), rng.choice(pair_pts)),
+                (rng.choice([0, 1]), rng.choice(pair_pts))) for _ in range(25)]
+    for lam in (Fraction(1, 2), Fraction(1)):
+        assert omega_audit(act, lam, samples, n_max=4).ok()
+    assert closed == [act.space]
+    pair = p2_action(act)
+    assert p2_action(act) is pair and p2_metric(act.space) is pair.space
+    assert pair.space.closure() is pair.space.scaled()[1]
 
 
 def test_stabilizer_trivial_action():
