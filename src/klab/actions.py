@@ -184,15 +184,42 @@ class HomotopySAction:
 
 
 class DSLambdaResult:
-    """Value of the quasi-metric with its truncation certificate."""
+    """Value of the quasi-metric with its truncation certificate, kept as
+    the exact scaled cost ``found / unit`` (``found`` None for infinity).
+    ``value`` and ``lower_bound`` are ``Fraction``s built when read; the
+    lower bound is the value unless ``_lower`` holds one, as the certified
+    ``n_max + 1`` of a truncated or infinite result does."""
+
+    __slots__ = ("found", "unit", "truncated", "_lower")
 
     def __init__(self, value: Optional[Fraction], truncated: bool, lower_bound: Fraction):
-        self.value = value  # None encodes the infinity marker
+        if value is None:
+            self.found, self.unit = None, 1
+        else:
+            value = Fraction(value)
+            self.found, self.unit = value.numerator, value.denominator
         self.truncated = truncated
-        self.lower_bound = lower_bound
+        self._lower = lower_bound
+
+    @classmethod
+    def scaled(cls, found: Optional[int], unit: int, truncated: bool,
+               lower: Optional[int] = None) -> "DSLambdaResult":
+        """The result ``found / unit`` with lower bound ``lower``, or the
+        value itself when ``lower`` is None."""
+        res = cls.__new__(cls)
+        res.found, res.unit, res.truncated, res._lower = found, unit, truncated, lower
+        return res
+
+    @property
+    def value(self) -> Optional[Fraction]:
+        return None if self.found is None else Fraction(self.found, self.unit)
+
+    @property
+    def lower_bound(self) -> Fraction:
+        return self.value if self._lower is None else Fraction(self._lower)
 
     def is_infinite(self) -> bool:
-        return self.value is None
+        return self.found is None
 
 
 class DSLambdaMetric:
@@ -206,8 +233,10 @@ class DSLambdaMetric:
     the result is truncated, bounded below by ``n_max + 1`` and above by a cost found.
 
     Costs are integers: every weight and the move cost 1 are multiplied by
-    ``scale``, a common denominator of the ``Lambda * d_X`` values, and
-    results are exact rationals again at the boundary.  Once per metric:
+    ``scale``, a common denominator of the ``Lambda * d_X`` values.  A
+    result keeps its cost over ``scale`` and is an exact rational only
+    when its ``value`` is read.  ``Lambda`` must be an ``int`` or a
+    ``Fraction``.  Once per metric:
 
     - ``closure[x][z]`` is the least scaled cost of a fiber path from
       point ``x`` to point ``z``: ``Lambda``'s numerator times the space's
@@ -251,6 +280,8 @@ class DSLambdaMetric:
     def __init__(self, action: HomotopySAction, lam: Fraction,
                  n_max: int = DEFAULT_DSLAMBDA_HORIZON,
                  state_cap: int = DEFAULT_STATE_CAP):
+        if isinstance(lam, bool) or not isinstance(lam, (int, Fraction)):
+            raise InputError(f"Lambda must be an int or a Fraction, not {type(lam).__name__}")
         if lam <= 0:
             raise InputError("Lambda must be positive")
         if n_max < 0:
@@ -397,8 +428,8 @@ class DSLambdaMetric:
             raise InputError(f"unknown point {y!r}")
         g = self._layers[0].get(disp)  # ids of the elements the move layers reach
         if g is None:
-            return DSLambdaResult(None, not self._certified_unreachable(disp),
-                                  Fraction(self.n_max + 1))
+            return DSLambdaResult.scaled(None, self.scale, not self._certified_unreachable(disp),
+                                         self.n_max + 1)
         rows, unit = search.rows, self.scale
         row = rows.get(g)
         while ((row is None or row[i] > (search.k + 1) * unit)
@@ -406,10 +437,9 @@ class DSLambdaMetric:
             self._step(search)
             row = rows.get(g)
         found = row[i]
-        value = Fraction(found, unit)
         if found <= (self.n_max + 1) * unit:
-            return DSLambdaResult(value, False, value)
-        return DSLambdaResult(value, True, Fraction(self.n_max + 1))
+            return DSLambdaResult.scaled(found, unit, False)
+        return DSLambdaResult.scaled(found, unit, True, self.n_max + 1)
 
     def distance(self, src: Tuple[object, object], dst: Tuple[object, object]) -> DSLambdaResult:
         g, x = self.backend.canonical(src[0]), src[1]

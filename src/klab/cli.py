@@ -212,8 +212,10 @@ def cmd_p2(scenario: Scenario, args) -> Report:
                    for _ in range(args.samples)]
         audit = omega_audit(action, parse_fraction(args.lam), samples,
                             n_max=args.horizon)
+        # the audit skips a sample only for a truncated distance
         rep.add(f"p2:{args.action}:omega", audit.ok(),
-                f"checked {audit.checked}, skipped {audit.skipped}" + named)
+                f"checked {audit.checked}, skipped {audit.skipped}" + named,
+                truncated=audit.skipped > 0)
     return rep
 
 

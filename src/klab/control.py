@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
@@ -39,20 +40,36 @@ class ControlSpace:
     """Finite metric space with exact rational distances.  Its exact integer
     view, ``scaled()`` and ``closure()``, is built once on first use and
     shared by ``validate``, ``p2_metric`` and every ``DSLambdaMetric``; so
-    is its pair space, which ``p2_metric`` keeps in ``_pairs``."""
+    is its pair space, which ``p2_metric`` keeps in ``_pairs``.  A space
+    built by ``from_scaled`` holds that integer view alone and builds its
+    ``Fraction`` view, ``dist``, when it is first read."""
 
     def __init__(self, points: Sequence[object], dist: Dict[Tuple[object, object], Fraction],
                  check: bool = True):
+        self._set_points(points)
+        self.dist = {key: v if type(v) is Fraction else Fraction(v) for key, v in dist.items()}
+        for p in self.points:
+            self.dist.setdefault((p, p), Fraction(0))
+        if check:
+            self.validate()
+
+    def _set_points(self, points: Sequence[object]) -> None:
         self.points = tuple(points)
         self.index = {p: i for i, p in enumerate(self.points)}  # point -> position
         if len(self.index) != len(self.points):
             raise InputError("duplicate points in control space")
-        self.dist = {key: v if type(v) is Fraction else Fraction(v) for key, v in dist.items()}
-        for p in self.points:
-            self.dist.setdefault((p, p), Fraction(0))
         self._scaled = self._closure = self._pairs = None  # built on first use
-        if check:
-            self.validate()
+
+    @cached_property
+    def dist(self) -> Dict[Tuple[object, object], Fraction]:
+        """Every ``d(a, b)`` keyed by ``(a, b)``.  ``__init__`` stores it; a
+        ``from_scaled`` space builds it here, on first read, from its
+        ``scaled()`` rows with one ``Fraction`` per distinct value.
+        Assigning ``dist`` replaces it either way."""
+        scale, rows = self._scaled
+        pts = self.points
+        values = {v: Fraction(v, scale) for v in set().union(*rows)}
+        return {(a, b): values[v] for a, row in zip(pts, rows) for b, v in zip(pts, row)}
 
     def d(self, a, b) -> Fraction:
         if a == b:
@@ -119,12 +136,10 @@ class ControlSpace:
         ``scale`` must be the common denominator of those values.  The
         caller checks it: ``p2_metric`` certifies its rows from the base
         space's, or else runs ``validate``, which also rejects a nonzero
-        diagonal."""
-        pts, rows = tuple(points), tuple(map(tuple, rows))
-        values = {v: Fraction(v, scale) for v in set().union(*rows)}  # one per value
-        space = ControlSpace(pts, {}, check=False)  # the dict below is handed over, not copied
-        space.dist = {(a, b): values[v] for a, row in zip(pts, rows) for b, v in zip(pts, row)}
-        space._scaled = (scale, rows)
+        diagonal.  Its ``dist`` is built when it is first read."""
+        space = ControlSpace.__new__(ControlSpace)
+        space._set_points(points)
+        space._scaled = (scale, tuple(map(tuple, rows)))
         return space
 
     @staticmethod

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .actions import DSLambdaMetric, HomotopySAction, PointMap
+from .actions import DSLambdaMetric, DSLambdaResult, HomotopySAction, PointMap
 from .control import ControlSpace
 from .errors import InputError
 from .groups import (FamilyPredicate, GroupBackend,
@@ -177,6 +177,14 @@ def lipschitz_transfer_audit(space_x: ControlSpace, space_y: ControlSpace,
     return AuditReport(checked, 0, bad)
 
 
+def _sum(a: DSLambdaResult, b: DSLambdaResult) -> Optional[Tuple[int, int]]:
+    """``a.value + b.value`` as ``(numerator, denominator)`` over the two
+    results' units; None when either is infinite."""
+    if a.found is None or b.found is None:
+        return None
+    return a.found * b.unit + b.found * a.unit, a.unit * b.unit
+
+
 def omega_audit(action: HomotopySAction, lam: Fraction,
                 samples: Sequence[Tuple[Tuple[object, object], Tuple[object, object]]],
                 n_max: int = 6) -> AuditReport:
@@ -185,7 +193,9 @@ def omega_audit(action: HomotopySAction, lam: Fraction,
     For sampled pairs ``z, z'`` in ``G x P2(X)`` checks
     ``d_{S,Lambda,P2(G x X)}(omega z, omega z') <= 2 d_{S,Lambda,G x P2(X)}(z, z')``
     whenever both sides are exact at the horizon; truncated values are
-    skipped and counted.
+    skipped and counted.  Sums and comparisons run on each result's
+    scaled cost, cross-multiplied over the units; a ``Fraction`` is built
+    only for a counterexample's message.
     """
     pair_action = p2_action(action)
     metric_x = DSLambdaMetric(action, lam, n_max)
@@ -202,32 +212,23 @@ def omega_audit(action: HomotopySAction, lam: Fraction,
             continue
         # omega images: unordered pair of (g,x) points measured in the
         # pair metric built from d_{S,Lambda} on G x X
-        legs = {}
-        exact = True
+        legs = []
         for (a, b) in [(pair[0], pairp[0]), (pair[1], pairp[1]),
                        (pair[0], pairp[1]), (pair[1], pairp[0])]:
             r = metric_x.distance((g, a), (h, b))
             if r.truncated:
-                exact = False
                 break
-            legs[(a, b)] = r.value
-        if not exact:
+            legs.append(r)
+        if len(legs) < 4:
             skipped += 1
             continue
-
-        def add(u, v):
-            if u is None or v is None:
-                return None
-            return u + v
-
-        m1 = add(legs[(pair[0], pairp[0])], legs[(pair[1], pairp[1])])
-        m2 = add(legs[(pair[0], pairp[1])], legs[(pair[1], pairp[0])])
-        finite = [m for m in (m1, m2) if m is not None]
-        lhs = min(finite) if finite else None
+        m1, m2 = _sum(legs[0], legs[1]), _sum(legs[2], legs[3])
+        # the lesser matching, the first on a tie; None when both are infinite
+        lhs = m1 if m2 is None or (m1 is not None and m1[0] * m2[1] <= m2[0] * m1[1]) else m2
         checked += 1
         if rhs.is_infinite():
             continue  # rhs infinite bounds nothing
-        if lhs is None or lhs > 2 * rhs.value:
+        if lhs is None or lhs[0] * rhs.unit > 2 * rhs.found * lhs[1]:
             bad.append(f"omega inequality fails at {z!r}, {zp!r}: "
-                       f"lhs={lhs}, rhs={rhs.value}")
+                       f"lhs={None if lhs is None else Fraction(*lhs)}, rhs={rhs.value}")
     return AuditReport(checked, skipped, bad)

@@ -19,7 +19,7 @@ from klab.fixtures import (dihedral_action, dihedral_cover, path_point_dominatio
                            z2_swap_action)
 from klab.groups import (FamilyPredicate, FiniteSubset, FiniteTableGroup, FreeAbelianGroup,
                          FreeGroup)
-from klab.p2 import omega_audit, p2_action, p2_point_map
+from klab.p2 import omega_audit, p2_action, p2_point_map, p2_points, unordered_pair
 
 
 def trivial_action_on_path(n=4):
@@ -529,6 +529,149 @@ def test_index_moves_and_pair_maps_match_references(case):
     assert pair.H == {key: tuple(induced[m] for m in grid) for key, grid in act.H.items()}
 
 
+class FractionResult:
+    """``DSLambdaResult`` as it was when it held ``Fraction``s, kept as the
+    reference: ``value`` None is the infinity marker."""
+
+    def __init__(self, value, truncated, lower_bound):
+        self.value = value
+        self.truncated = truncated
+        self.lower_bound = lower_bound
+
+    def is_infinite(self):
+        return self.value is None
+
+
+class ReferenceDistances:
+    """``d_{S,Lambda}`` results read off ``heap_dijkstra``'s costs, one
+    search per source point, as ``Fraction``s."""
+
+    def __init__(self, act, lam, n_max):
+        self.act, self.lam, self.n_max = act, lam, n_max
+        self.certifier = DSLambdaMetric(act, lam, n_max)  # for _certified_unreachable only
+        self.costs = {}
+
+    def distance(self, src, dst):
+        backend = self.act.backend
+        g, x = backend.canonical(src[0]), src[1]
+        h, y = backend.canonical(dst[0]), dst[1]
+        disp = backend.mul(backend.inv(g), h)
+        if x not in self.costs:
+            self.costs[x] = heap_dijkstra(self.act, self.lam, self.n_max, DEFAULT_STATE_CAP, x)[:2]
+        best, scale = self.costs[x]
+        cost, bound = best.get((disp, y)), Fraction(self.n_max + 1)
+        if cost is None:
+            return FractionResult(None, not self.certifier._certified_unreachable(disp), bound)
+        value = Fraction(cost, scale)
+        if value <= bound:
+            return FractionResult(value, False, value)
+        return FractionResult(value, True, bound)
+
+
+def reference_omega_audit(act, lam, samples, n_max):
+    """``omega_audit`` as it was when it summed and compared ``Fraction``s,
+    on ``ReferenceDistances``: ``(checked, skipped, counterexamples)``."""
+    metric_x = ReferenceDistances(act, lam, n_max)
+    metric_p2 = ReferenceDistances(p2_action(act), lam, n_max)
+    checked = skipped = 0
+    bad = []
+    for (z, zp) in samples:
+        (g, pair), (h, pairp) = z, zp
+        pair = unordered_pair(*pair)
+        pairp = unordered_pair(*pairp)
+        rhs = metric_p2.distance((g, pair), (h, pairp))
+        if rhs.truncated:
+            skipped += 1
+            continue
+        legs = {}
+        exact = True
+        for (a, b) in [(pair[0], pairp[0]), (pair[1], pairp[1]),
+                       (pair[0], pairp[1]), (pair[1], pairp[0])]:
+            r = metric_x.distance((g, a), (h, b))
+            if r.truncated:
+                exact = False
+                break
+            legs[(a, b)] = r.value
+        if not exact:
+            skipped += 1
+            continue
+
+        def add(u, v):
+            if u is None or v is None:
+                return None
+            return u + v
+
+        m1 = add(legs[(pair[0], pairp[0])], legs[(pair[1], pairp[1])])
+        m2 = add(legs[(pair[0], pairp[1])], legs[(pair[1], pairp[0])])
+        finite = [m for m in (m1, m2) if m is not None]
+        lhs = min(finite) if finite else None
+        checked += 1
+        if rhs.is_infinite():
+            continue
+        if lhs is None or lhs > 2 * rhs.value:
+            bad.append(f"omega inequality fails at {z!r}, {zp!r}: "
+                       f"lhs={lhs}, rhs={rhs.value}")
+    return checked, skipped, bad
+
+
+def preset_unchecked_pairs(act, shrink=1):
+    """Give ``act`` the pair space and pair action that ``p2_metric`` and
+    ``p2_action`` build, unchecked and with every pair distance divided by
+    ``shrink``: the audit then runs on actions and spaces that fail their
+    checks, on two metrics with different units, and, once the pair
+    distances shrink, where the factor 2 fails."""
+    space = act.space
+    pairs = p2_points(space)
+    scale, ints = space.scaled()
+    index = space.index
+    rows = [[min(ints[index[x]][index[xp]] + ints[index[y]][index[yp]],
+                 ints[index[x]][index[yp]] + ints[index[y]][index[xp]]) for xp, yp in pairs]
+            for x, y in pairs]
+    space._pairs = ControlSpace.from_scaled(pairs, scale * shrink, rows)
+    induced = {m: p2_point_map(space, space._pairs, m)
+               for m in [*act.phi.values(), *itertools.chain(*act.H.values())]}
+    act._pairs = HomotopySAction(act.backend, space._pairs, act.S,
+                                 {g: induced[m] for g, m in act.phi.items()},
+                                 {key: tuple(induced[m] for m in grid)
+                                  for key, grid in act.H.items()}, check=False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(unchecked_actions(), st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1),
+                                             Fraction(3, 2)]),
+       st.integers(0, 4), st.data())
+def test_omega_audit_matches_the_fraction_audit(case, lam, n_max, data):
+    act, shrink = case[0], data.draw(st.sampled_from([1, 1, 4, 16]))
+    if shrink > 1:
+        preset_unchecked_pairs(act, shrink)
+    else:
+        try:
+            p2_action(act)
+        except InputError:
+            preset_unchecked_pairs(act)
+    window = act.backend.elements() or [(k,) for k in range(-3, 4)]
+    point = st.tuples(st.sampled_from(window), st.sampled_from(p2_points(act.space)))
+    samples = data.draw(st.lists(st.tuples(point, point), min_size=1, max_size=8))
+    queried = []  # every result the audit read, with its query
+    distance = DSLambdaMetric.distance
+
+    def recorded(metric, src, dst):
+        got = distance(metric, src, dst)
+        queried.append((metric.action, src, dst, got))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DSLambdaMetric, "distance", recorded)
+        audit = omega_audit(act, lam, samples, n_max=n_max)
+    assert ((audit.checked, audit.skipped, audit.counterexamples)
+            == reference_omega_audit(act, lam, samples, n_max))
+    want = {a: ReferenceDistances(a, lam, n_max) for a in (act, p2_action(act))}
+    for a, src, dst, got in queried:
+        ref = want[a].distance(src, dst)
+        assert ((got.value, got.truncated, got.lower_bound)
+                == (ref.value, ref.truncated, ref.lower_bound))
+
+
 def unchecked_swap_action():
     """Z/2 swapping the ends of ``a, b, c``, on a space built unchecked that
     stores ``d(a,a) = 1`` and breaks the triangle inequality:
@@ -954,3 +1097,15 @@ def test_dslambda_rejects_negative_horizon():
     with pytest.raises(InputError, match="move horizon"):
         DSLambdaMetric(z2_swap_action(), Fraction(1), n_max=-1)
     DSLambdaMetric(z2_swap_action(), Fraction(1), n_max=0)  # zero moves is a horizon
+
+
+def test_dslambda_rejects_a_float_lambda():
+    # 0.1 would run at its binary value, 3602879701896397/2^55
+    with pytest.raises(InputError, match="Lambda must be an int or a Fraction, not float"):
+        DSLambdaMetric(z2_swap_action(), 0.1)
+
+
+def test_dslambda_rejects_a_string_lambda():
+    with pytest.raises(InputError, match="Lambda must be an int or a Fraction, not str"):
+        DSLambdaMetric(z2_swap_action(), "1/2")
+    assert DSLambdaMetric(z2_swap_action(), 2).lam == 2  # an int is a Lambda

@@ -101,6 +101,15 @@ def test_p2_command(capsys):
                    "--lam", "1/2", "--samples", "25") == 0
 
 
+def test_p2_exits_3_when_the_omega_audit_skips_truncated_samples(capsys):
+    argv = ("p2", Z2, "--space", "X", "--action", "swap", "--lam", "1/2", "--samples", "200")
+    assert run_cli(*argv, "--horizon", "0") == 3
+    out = capsys.readouterr().out
+    assert "PASS p2:swap:omega  (checked 94, skipped 106)" in out and "[truncated]" in out
+    assert run_cli(*argv, "--horizon", "1") == 0
+    assert "(checked 200, skipped 0)" in capsys.readouterr().out
+
+
 def test_transfer_pipelines(capsys):
     assert run_cli("transfer-k", Z2) == 0
     assert run_cli("transfer-l", Z2) == 0

@@ -165,6 +165,39 @@ def test_omega_audit_runs_no_floyd_warshall_on_a_pair_space(monkeypatch):
     assert pair.space.closure() is pair.space.scaled()[1]
 
 
+def test_pair_space_builds_its_fractions_when_read():
+    act = _wandering_path5()
+    rng, pair_pts = random.Random(6), p2_points(act.space)
+    samples = [((rng.choice([0, 1]), rng.choice(pair_pts)),
+                (rng.choice([0, 1]), rng.choice(pair_pts))) for _ in range(25)]
+    assert omega_audit(act, Fraction(1, 2), samples, n_max=4).ok()
+    pair = p2_metric(act.space)
+    assert "dist" not in vars(pair)  # the audit read only the integer view
+    a, b = pair_pts[0], pair_pts[-1]
+    scale, rows = pair.scaled()
+    assert pair.d(a, b) == Fraction(rows[0][-1], scale) and pair.d(a, a) == 0
+    assert len(pair.dist) == len(pair_pts) ** 2 and pair.dist is pair.dist  # built once
+    pair.dist = {**pair.dist, (a, b): Fraction(7)}  # assignment replaces it
+    assert pair.d(a, b) == 7
+
+
+def test_dslambda_result_keeps_the_scaled_cost():
+    metric = DSLambdaMetric(z2_swap_action(), Fraction(5, 2), 1)
+    exact, truncated = metric.distance((0, "p"), (1, "q")), metric.distance((0, "p"), (1, "p"))
+    assert (exact.found, exact.unit, exact.truncated) == (2, 2, False)  # the cost, unreduced
+    assert exact.value == exact.lower_bound == 1
+    assert (truncated.found, truncated.unit, truncated.truncated) == (7, 2, True)
+    assert (truncated.value, truncated.lower_bound) == (Fraction(7, 2), 2)
+    assert all(type(v) is Fraction for v in (exact.value, truncated.value,
+                                             exact.lower_bound, truncated.lower_bound))
+    unreached = DSLambdaMetric(z2_swap_action(), Fraction(5, 2), 0).distance((0, "p"), (1, "p"))
+    assert (unreached.found, unreached.truncated, unreached.lower_bound) == (None, True, 1)
+    given = DSLambdaResult(Fraction(6, 4), True, Fraction(2))
+    assert (given.found, given.unit, given.value, given.lower_bound) == (3, 2, Fraction(3, 2), 2)
+    infinite = DSLambdaResult(None, False, Fraction(3))
+    assert infinite.is_infinite() and infinite.value is None and infinite.lower_bound == 3
+
+
 def test_stabilizer_trivial_action():
     triv = FiniteTableGroup.cyclic(3)
     action = {g: {"a": "a", "b": "b"} for g in triv.elements()}

@@ -57,7 +57,8 @@ def reference_validate(space):
 
 
 def reference_p2_metric(space):
-    """The pair points, ``scaled()`` and ``closure()`` of the checked pair space."""
+    """The pair points, ``scaled()``, ``closure()`` and eagerly built
+    ``dist`` of the checked pair space."""
     pairs = p2_points(space)
     scale, ints = space.scaled()
     index = space.index
@@ -69,7 +70,7 @@ def reference_p2_metric(space):
     pair.dist = {(a, b): values[v] for a, row in zip(pairs, rows) for b, v in zip(pairs, row)}
     pair._scaled = (scale, rows)
     reference_validate(pair)
-    return tuple(pairs), (scale, rows), reference_closure(rows)
+    return tuple(pairs), (scale, rows), reference_closure(rows), pair.dist
 
 
 # -- bases -------------------------------------------------------------------------
@@ -114,7 +115,7 @@ def _outcome(build):
 
 def _pair_space(space):
     pair = p2_metric(space)
-    return pair.points, pair.scaled(), pair.closure()
+    return pair.points, pair.scaled(), pair.closure(), pair.dist  # dist built on this read
 
 
 def _swap_action(space, perm):
@@ -134,6 +135,10 @@ def test_p2_metric_matches_the_checked_pair_space(case, data):
     if got[0] != "value":
         assert not checked
         return
+    # the lazily built distances are the eager ones, diagonal included
+    points, lazy, eager = got[1][0], got[1][3], want[1][3]
+    assert set(lazy) == set(eager) == {(a, b) for a in points for b in points}
+    assert all(type(lazy[key]) is Fraction and lazy[key] == v for key, v in eager.items())
     # the distances on G x P2(X) read the preset closure as a fresh space's own
     n = len(space.points)
     order = data.draw(st.permutations(range(n)))
