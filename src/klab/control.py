@@ -23,6 +23,7 @@ from .groups import FiniteSubset, GroupBackend
 from .intmat import IntMatrix
 
 INF = None  # marker for unreachable / unbounded distances
+_ZERO = Fraction(0)  # every diagonal read shares it: a Fraction is immutable
 
 
 class GPos(NamedTuple):
@@ -73,7 +74,7 @@ class ControlSpace:
 
     def d(self, a, b) -> Fraction:
         if a == b:
-            return Fraction(0)
+            return _ZERO
         v = self.dist.get((a, b))
         if v is None:
             v = self.dist.get((b, a))
@@ -198,9 +199,19 @@ def check_control(f: ChainMap, eps: Optional[Fraction],
 
 def max_displacement(maps: Iterable[ChainMap], space: ControlSpace) -> Fraction:
     """Smallest eps such that every one of the positioned maps is
-    eps-controlled over the space."""
-    return max((space.d(_split_position(tp)[1], _split_position(sp)[1])
-                for f in maps for tp, sp in f.support_pairs()), default=Fraction(0))
+    eps-controlled over the space: the largest ``scaled()`` entry over
+    the support pairs, read as one ``Fraction``."""
+    scale, rows = space.scaled()
+    index, worst = space.index, 0
+    for f in maps:
+        for tp, sp in f.support_pairs():
+            a, b = _split_position(tp)[1], _split_position(sp)[1]
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                space.d(a, b)  # zero for a == b, else the undefined distance's InputError
+            elif rows[i][j] > worst:
+                worst = rows[i][j]
+    return Fraction(worst, scale)
 
 
 class EquivariantMorphism(GRMatrix):

@@ -12,14 +12,14 @@ objects carry exact control certificates in the ``d_{S,Lambda}`` sense
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .actions import DSLambdaMetric, HomotopySAction
-from .chaincore import (ChainComplex, ChainHomotopy, ChainMap, dual_complex,
-                        dual_map, self_torsion, tensor_complex, tensor_map)
+from .chaincore import (ChainComplex, ChainHomotopy, ChainMap, cone_torsion, dual_complex,
+                        dual_map, tensor_complex, tensor_map)
 from .control import ControlSpace, GPos, max_displacement
-from .errors import (HypothesisViolation, IdentityFailure, IdempotentFailure,
-                     InputError, NotAnEquivalence, SupportEscape)
+from .errors import (HorizonExceeded, HypothesisViolation, IdentityFailure,
+                     IdempotentFailure, InputError, NotAnEquivalence, SupportEscape)
 from .gring import GRComplex, GRMatrix, place_letters
 from .groups import FiniteSubset, GroupBackend
 from .intmat import IntMatrix, idempotent_splitting, sign
@@ -124,23 +124,31 @@ class HomotopySChainComplex:
         return max_displacement(_structure_maps(self.P), self.space)
 
     def achieved_phi_control(self) -> Fraction:
-        """max over ``g`` and support pairs of ``d(x, phi_g(y))``."""
+        """max over ``g`` and support pairs of ``d(x, phi_g(y))``, taken on
+        the space's ``scaled()`` rows and read as one ``Fraction``."""
         if self.point_action is None:
             raise InputError("certificates need the underlying point action")
-        act, d = self.point_action, self.space.d
-        return max((d(x, act.apply(act.phi[g], y))
-                    for g in self.S for x, y in self.phi[g].support_pairs()),
-                   default=Fraction(0))
+        act, (scale, rows), index = self.point_action, self.space.scaled(), self.space.index
+        worst = 0
+        for g in self.S:
+            fm = _point_indices(act.phi[g], index)
+            for x, y in _support_indices(self.phi[g], index):
+                worst = max(worst, rows[x][fm[y]])
+        return Fraction(worst, scale)
 
     def achieved_homotopy_control(self) -> Fraction:
         """max over pairs and support of min over grid times of
-        ``d(x, H_{g,h}(y, t))``."""
+        ``d(x, H_{g,h}(y, t))``, taken on the space's ``scaled()`` rows and
+        read as one ``Fraction``."""
         if self.point_action is None:
             raise InputError("certificates need the underlying point action")
-        act, d = self.point_action, self.space.d
-        return max((min(d(x, act.apply(m, y)) for m in act.H[gh])
-                    for gh, hom in self.H.items() for x, y in hom.as_map().support_pairs()),
-                   default=Fraction(0))
+        act, (scale, rows), index = self.point_action, self.space.scaled(), self.space.index
+        worst = 0
+        for gh, hom in self.H.items():
+            grid = [_point_indices(m, index) for m in act.H[gh]]
+            for x, y in _support_indices(hom.as_map(), index):
+                worst = max(worst, min(rows[x][m[y]] for m in grid))
+        return Fraction(worst, scale)
 
 
 # -- equivariant chain maps ----------------------------------------------------
@@ -285,20 +293,25 @@ class DSLambdaCertificate:
         return self.bound <= target
 
 
-def _letter_bound(action: HomotopySAction, lam: Fraction, letter,
-                  pairs: Set[Tuple[object, object]]) -> Fraction:
-    """Best exhibited ``d_{S,Lambda}`` bound for support pairs of one letter,
-    in integers on the ``scaled()`` rows over ``den = q * scale``, ``Lambda = p / q``."""
-    scale, rows = action.space.scaled()
-    index, p, den = action.index, lam.numerator, lam.denominator * scale
-    maps = [tuple(index[z] for z in fm) for fm in action.f_set(letter)]
-    e = action.backend.identity()
-    worst = 0
-    for (x, y) in pairs:
-        row, j = rows[index[x]], index[y]
-        options = [den + p * row[fm[j]] for fm in maps]  # den * (1 + Lambda * d(x, f(y)))
-        worst = max(worst, min(options + [p * row[j]] if letter == e else options))
-    return Fraction(worst, den)
+def _point_indices(points: Optional[Sequence[object]], index: Dict[object, int]) -> List[int]:
+    """The space index of each point: of one degree's positions, or of
+    the images of a point map."""
+    if points is None:
+        raise InputError("support pairs need positioned complexes")
+    try:
+        return [index[z] for z in points]
+    except KeyError as exc:
+        raise InputError(f"position {exc.args[0]!r} is not a point of the space") from None
+
+
+def _support_indices(f: ChainMap, index: Dict[object, int]):
+    """``(x, y)`` as space indices for each support pair ``(x, y)`` of a map
+    over Z, each degree's positions read once."""
+    for n, mat in f.mats.items():
+        tgt = _point_indices(f.target.pos(n + f.degree), index)
+        src = _point_indices(f.source.pos(n), index)
+        for (i, j) in mat.entries:
+            yield tgt[i], src[j]
 
 
 def certify_dslambda(action: HomotopySAction, lam: Fraction,
@@ -309,17 +322,42 @@ def certify_dslambda(action: HomotopySAction, lam: Fraction,
     ``((e, x), (c, y))``, as ``ChainMap.support_pairs`` yields it over
     ``Z[G]``; the exhibited chain through ``f in F_c`` bounds its
     ``d_{S,Lambda}`` distance by ``1 + Lambda * d(x, f(y))``.
+
+    One walk over each piece's blocks reads the bounds in integers on the
+    ``scaled()`` rows, over ``den = q * scale`` for ``Lambda = p / q``: each
+    ``(c, x, y)`` bound once across the pieces, from each ``F_c`` read on
+    point indices once, and one ``Fraction`` per piece.
     """
     lam = Fraction(lam)
+    scale, rows = action.space.scaled()
+    index, p, den = action.index, lam.numerator, lam.denominator * scale
+    e, size = action.backend.identity(), len(rows)
+    maps: Dict[object, List[List[int]]] = {}  # letter c -> F_c on point indices
+    bounds: Dict[object, Dict[int, int]] = {}  # letter c -> {x * size + y: den * bound}
     per_piece = {}
     for name, eq in pieces.items():
-        pairs: Dict[object, Set[Tuple[object, object]]] = {}
-        for (_, x), (a, y) in eq.support_pairs():
-            pairs.setdefault(a, set()).add((x, y))
-        per_piece[name] = max((_letter_bound(action, lam, a, ps) for a, ps in pairs.items()),
-                              default=Fraction(0))
-    bound = max(per_piece.values(), default=Fraction(0))
-    return DSLambdaCertificate(lam, bound, per_piece)
+        worst = 0
+        for n, mat in eq.mats.items():
+            tgt = _point_indices(eq.target.pos(n + eq.degree), index)
+            src = _point_indices(eq.source.pos(n), index)
+            for c, blk in mat.letters.items():
+                if c not in maps:
+                    maps[c] = [_point_indices(fm, index) for fm in action.f_set(c)]
+                    bounds[c] = {}
+                fc, known = maps[c], bounds[c]
+                for (i, j) in blk.entries:
+                    x, y = tgt[i], src[j]
+                    v = known.get(x * size + y)
+                    if v is None:
+                        row = rows[x]
+                        v = min(den + p * row[f[y]] for f in fc)  # den * (1 + Lambda * d(x, f(y)))
+                        if c == e:  # the chain with no move: Lambda * d(x, y)
+                            v = min(v, p * row[y])
+                        known[x * size + y] = v
+                    if v > worst:
+                        worst = v
+        per_piece[name] = Fraction(worst, den)
+    return DSLambdaCertificate(lam, max(per_piece.values(), default=Fraction(0)), per_piece)
 
 
 # -- K-theory transfer ----------------------------------------------------------
@@ -386,6 +424,9 @@ def projected_torsion(result: KTransferResult) -> GRMatrix:
     Idempotent-completed fibers are first conjugated onto free summands:
     the fiber idempotents are integer matrices, so their images split
     off unimodularly and all identities transport through ``x -> R x B``.
+    The homotopies ``g o f ~ id`` and ``f o g ~ id`` are built on one
+    composite each and checked here; the representative is
+    ``chaincore.cone_torsion`` of the witnesses.
     """
     f, g = result.map, result.inverse
     h, k = dict(result.h.mats), dict(result.k.mats)
@@ -412,8 +453,11 @@ def projected_torsion(result: KTransferResult) -> GRMatrix:
         k = conj(k, 1)
     if not f.is_chain_map() or not g.is_chain_map():
         raise NotAnEquivalence("torsion inputs must be chain maps")
-    return self_torsion(f, g, ChainHomotopy(g.compose(f), ChainMap.identity(f.source), h),
-                        ChainHomotopy(f.compose(g), ChainMap.identity(f.target), k)).matrix
+    h_hom = ChainHomotopy(g.compose(f), ChainMap.identity(f.source), h)
+    k_hom = ChainHomotopy(f.compose(g), ChainMap.identity(f.target), k)
+    if not h_hom.holds() or not k_hom.holds():
+        raise NotAnEquivalence("homotopy witnesses do not certify an equivalence")
+    return cone_torsion(f, g, h_hom.as_map(), k_hom.as_map())
 
 
 # -- finite replacement (the staircase construction) ---------------------------
@@ -448,7 +492,8 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
         raise InputError("C must be concentrated in non-negative degrees")
     if D.lo < 0:
         raise InputError("D must be concentrated in non-negative degrees")
-    if h.source_map != r.compose(i) or h.target_map != ChainMap.identity(C):
+    ri = r.compose(i)
+    if h.source_map != ri or h.target_map != ChainMap.identity(C):
         raise InputError("h must be a homotopy from r o i to id_C")
     if not h.holds():
         raise InputError("domination homotopy identity fails")
@@ -523,7 +568,7 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
     gprime = ChainMap(staircase, C, 0, gp_mats, check=False)
     checks.append(("f-prime-chain-map", fprime.is_chain_map()))
     checks.append(("g-prime-chain-map", gprime.is_chain_map()))
-    checks.append(("gf-equals-ri", gprime.compose(fprime) == r.compose(i)))
+    checks.append(("gf-equals-ri", gprime.compose(fprime) == ri))
 
     # k': f' o g' ~ id_{C'} via the inclusion C'_m -> C'_{m+1}
     kp_mats = {m: IntMatrix(ranks[m + 1], ranks[m], {(t, t): 1 for t in range(ranks[m])})
@@ -633,13 +678,15 @@ class LSymmetricData:
 
     def __init__(self, pair_space: ControlSpace, pair_action: HomotopySAction, D: ChainComplex,
                  phi: Dict[object, ChainMap], H: Dict[Tuple[object, object], ChainHomotopy],
-                 mu: ChainMap, chain: HomotopySChainComplex, checks: List[Tuple[str, bool]]):
+                 mu: ChainMap, phi_mu: Dict[object, ChainMap], chain: HomotopySChainComplex,
+                 checks: List[Tuple[str, bool]]):
         self.pair_space = pair_space
         self.pair_action = pair_action
         self.D = D    # fiber over the pair space
         self.phi = phi
         self.H = H
         self.mu = mu  # D^-* -> D, diagonal support
+        self.phi_mu = phi_mu  # {g: phi^D_g o mu} over S
         self.chain = chain
         self.checks = checks
 
@@ -652,7 +699,9 @@ def l_symmetric_complex(P: HomotopySChainComplex) -> LSymmetricData:
 
     Requires ``S = S^{-1}``; verifies the diagonal support and symmetry
     of ``mu``, its equivariance, the degree window, and that every
-    ``H^D_{g,h}`` is an exact homotopy.
+    ``H^D_{g,h}`` is an exact homotopy.  The composites ``phi^D_g o mu``
+    that the equivariance check compares are all built, and kept as
+    ``phi_mu`` for ``l_transfer``.
     """
     if not P.S.is_symmetric():
         raise HypothesisViolation("l_symmetric_complex needs S = S^{-1}")
@@ -680,8 +729,9 @@ def l_symmetric_complex(P: HomotopySChainComplex) -> LSymmetricData:
     mu = psi.retarget(dual_complex(D), D)
     checks.append(("mu-diagonal-support", all(x == y for x, y in mu.support_pairs())))
     checks.append(("mu-symmetric", symmetrized_dual(mu) == mu))
+    phi_mu = {g: phi[g].compose(mu) for g in P.S}
     checks.append(("mu-equivariance", all(mu.compose(dual_map(phi[backend.inv(g)]))
-                                          == phi[g].compose(mu) for g in P.S)))
+                                          == phi_mu[g] for g in P.S)))
     lo, hi = P.P.lo, P.P.hi
     checks.append(("degree-window", D.lo >= -hi and D.hi <= hi and lo >= 0))
 
@@ -697,7 +747,7 @@ def l_symmetric_complex(P: HomotopySChainComplex) -> LSymmetricData:
     chain = HomotopySChainComplex(backend, pair_space, P.S, D, phi, H,
                                   point_action=pair_action,
                                   point_equivalence=pe, check=False)
-    return LSymmetricData(pair_space, pair_action, D, phi, H, mu, chain, checks)
+    return LSymmetricData(pair_space, pair_action, D, phi, H, mu, phi_mu, chain, checks)
 
 
 class LTransferResult:
@@ -779,8 +829,7 @@ def l_transfer(alpha: GRMatrix, P: HomotopySChainComplex,
     mdd = module_tensor(m_rank, D)
     lift = GRComplex.constant(backend, mdd)
     lift_dual = dual_complex(lift)  # = M ox D^-* read over Z[G]
-    phi_mu = {a: data.phi[a].compose(data.mu)
-              for a in set(alpha.letters) | set(sigma_mod.letters)}
+    phi_mu = data.phi_mu  # the letters of alpha and sigma lie in S = S^{-1}
     psi = _module_map(lift_dual, lift, 0,
                       ((a, blk, phi_mu[a]) for a, blk in alpha.letters.items()))
 
@@ -833,8 +882,7 @@ def l_transfer_recovers_form(result: LTransferResult,
     if pe is None:
         raise InputError("recovery check needs a point equivalence on P")
     for a in alpha.letters:
-        q_a = pe.to_point.compose(result.data.phi[a]).compose(result.data.mu) \
-                         .compose(dual_map(pe.to_point))
+        q_a = pe.to_point.compose(result.data.phi_mu[a]).compose(dual_map(pe.to_point))
         if q_a.mat(0) != IntMatrix.identity(1):
             return False
     return True
@@ -849,7 +897,9 @@ def expanded_ultraquadratic(result: LTransferResult, lam: Fraction,
     functor induced by the diagonal), and returns the ultra-quadratic
     complex together with the ``d_{S,Lambda}`` control space on
     ``G x P2(X)`` so that ``ltheory.verify_ultraquadratic`` can replay
-    every identity and certificate independently.
+    every identity and certificate independently.  A table truncated at
+    ``n_max`` raises ``HorizonExceeded`` before any entry is read; an
+    unreached entry of an exact table is an input error.
     """
     backend = result.data.chain.backend
     if backend.kind != "finite-table":
@@ -860,6 +910,9 @@ def expanded_ultraquadratic(result: LTransferResult, lam: Fraction,
         raise InputError("expansion needs the pair-space action")
     carrier = [(g, z) for g in cosets for z in pair_action.space.points]
     table = DSLambdaMetric(pair_action, lam, n_max).table(carrier)
+    if table.truncated:  # its found costs bound the distances only from above
+        raise HorizonExceeded(f"the d_{{S,Lambda}} table on the carrier is truncated "
+                              f"at horizon n_max = {n_max}")
     dist = {}
     for i, p in enumerate(carrier):
         for j, q in enumerate(carrier):

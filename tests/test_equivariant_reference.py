@@ -28,8 +28,8 @@ from klab.intmat import IntMatrix, idempotent_splitting
 from klab.ltheory import (PoincareWitness, UltraQuadraticComplex, symmetrized_dual,
                           verify_ultraquadratic)
 from klab.transfer import (DSLambdaCertificate, KTransferResult, LTransferResult,
-                           _letter_bound, expand_complex, invert_equivariant,
-                           l_symmetric_complex, module_tensor)
+                           expand_complex, invert_equivariant, l_symmetric_complex,
+                           module_tensor)
 
 WORKLOADS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench",
                          "workloads.py")
@@ -193,12 +193,44 @@ def ref_functoriality_witness(psi2, psi, P) -> EquivariantChainMap:
     return witness
 
 
+def ref_letter_bound(action, lam, letter, pairs) -> Fraction:
+    """Best exhibited ``d_{S,Lambda}`` bound over the pairs of one letter, in
+    ``Fraction``s: ``min over f in F_letter of 1 + Lambda * d(x, f(y))``, and
+    ``Lambda * d(x, y)`` as well at the identity letter."""
+    d, e = action.space.d, action.backend.identity()
+    worst = Fraction(0)
+    for (x, y) in pairs:
+        options = [1 + lam * d(x, action.apply(fm, y)) for fm in action.f_set(letter)]
+        if letter == e:
+            options.append(lam * d(x, y))
+        worst = max(worst, min(options))
+    return worst
+
+
 def ref_certify_dslambda(action, lam, pieces) -> DSLambdaCertificate:
     lam = Fraction(lam)
-    per_piece = {name: max((_letter_bound(action, lam, a, set(cmap.support_pairs()))
+    per_piece = {name: max((ref_letter_bound(action, lam, a, set(cmap.support_pairs()))
                             for a, cmap in eq.letters.items()), default=Fraction(0))
                  for name, eq in pieces.items()}
     return DSLambdaCertificate(lam, max(per_piece.values(), default=Fraction(0)), per_piece)
+
+
+def ref_control(P) -> Fraction:
+    """The largest of the chain action's three achieved controls, in
+    ``Fraction``s: ``d(x, phi_g(y))`` over the support of each ``phi_g``,
+    the best grid time's ``d(x, H_{g,h}(y, t))`` over the support of each
+    ``H_{g,h}``, and ``d(x, y)`` over the support of ``d`` and ``p``."""
+    act, d = P.point_action, P.space.d
+    phi = max((d(x, act.apply(act.phi[g], y))
+               for g in P.S for x, y in P.phi[g].support_pairs()), default=Fraction(0))
+    homotopy = max((min(d(x, act.apply(m, y)) for m in act.H[gh])
+                    for gh, hom in P.H.items() for x, y in hom.as_map().support_pairs()),
+                   default=Fraction(0))
+    structure = [ChainMap(P.P, P.P, -1, P.P.diff, check=False),
+                 ChainMap(P.P, P.P, 0, P.P.idem, check=False)]
+    complex_ = max((d(x, y) for f in structure for x, y in f.support_pairs()),
+                   default=Fraction(0))
+    return max(phi, homotopy, complex_)
 
 
 def ref_k_transfer(alpha, alpha_inv, P, lam) -> KTransferResult:
@@ -213,9 +245,7 @@ def ref_k_transfer(alpha, alpha_inv, P, lam) -> KTransferResult:
     k = ref_functoriality_witness(alpha, alpha_inv, P)
     cert = ref_certify_dslambda(P.point_action, lam,
                                 {"map": tra, "inverse": trinv, "h": h, "k": k})
-    eps = max(P.achieved_phi_control(), P.achieved_homotopy_control(),
-              P.achieved_complex_control())
-    return KTransferResult(tra.source, tra, trinv, h, k, cert, 1 + lam * eps)
+    return KTransferResult(tra.source, tra, trinv, h, k, cert, 1 + lam * ref_control(P))
 
 
 def ref_projected_torsion(result: KTransferResult) -> GRMatrix:
@@ -290,10 +320,8 @@ def ref_l_transfer(alpha, P, lam) -> LTransferResult:
     cert = ref_certify_dslambda(data.pair_action, lam,
                                 {"psi": psi, "sigma": sigma_eq, "inverse": tau,
                                  "h": h_eq, "k": k_eq})
-    eps = max(data.chain.achieved_phi_control(), data.chain.achieved_homotopy_control(),
-              data.chain.achieved_complex_control())
     return LTransferResult(data, mdd, psi, sigma_eq, tau, h_eq, k_eq, cert,
-                           1 + lam * eps, checks)
+                           1 + lam * ref_control(data.chain), checks)
 
 
 def ref_expanded(result: LTransferResult):

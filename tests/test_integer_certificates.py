@@ -1,10 +1,11 @@
 """Certificates and reachability on the exact integer view of a space.
 
-``transfer._letter_bound`` works on ``space.index`` and the ``scaled()``
-rows and builds one ``Fraction`` per letter; the ``Fraction`` version it
-replaced is kept below as the reference.  ``DSLambdaMetric`` computes the
-finite-table closure of its move letters once, on first use, where it
-rebuilt it on every unanswered query.
+``transfer.certify_dslambda``, the ``achieved_*`` controls of a chain
+action and ``control.max_displacement`` read ``space.index`` and the
+``scaled()`` rows and build one ``Fraction`` per value; the ``Fraction``
+code they replaced is kept below as the reference.  ``DSLambdaMetric``
+computes the finite-table closure of its move letters once, on first
+use, where it rebuilt it on every unanswered query.
 """
 
 import importlib.util
@@ -15,13 +16,20 @@ import pytest
 
 from klab import actions, transfer
 from klab.actions import DSLambdaMetric, HomotopySAction, lebesgue_lambda_search
-from klab.control import ControlSpace
+from klab.chaincore import ChainMap
+from klab.control import ControlSpace, GPos
 from klab.errors import HorizonExceeded, InputError
 from klab.fixtures import dihedral_cover
+from klab.gring import GRComplex, GRMatrix
 from klab.groups import FiniteSubset, FiniteTableGroup, SubgroupDescription
+from klab.intmat import IntMatrix
+from klab.transfer import HomotopySChainComplex
 
 WORKLOADS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench",
                          "workloads.py")
+
+
+# -- the Fraction reference -------------------------------------------------------
 
 
 def ref_letter_bound(action, lam, letter, pairs):
@@ -40,6 +48,35 @@ def ref_letter_bound(action, lam, letter, pairs):
     return worst
 
 
+def ref_piece_bound(action, lam, eq):
+    """The best exhibited bound over the ``((e, x), (a, y))`` support pairs of a piece."""
+    pairs = {}
+    for (_, x), (a, y) in eq.support_pairs():
+        pairs.setdefault(a, set()).add((x, y))
+    return max((ref_letter_bound(action, lam, a, ps) for a, ps in pairs.items()),
+               default=Fraction(0))
+
+
+def ref_phi_control(P):
+    act, d = P.point_action, P.space.d
+    return max((d(x, act.apply(act.phi[g], y))
+                for g in P.S for x, y in P.phi[g].support_pairs()), default=Fraction(0))
+
+
+def ref_homotopy_control(P):
+    act, d = P.point_action, P.space.d
+    return max((min(d(x, act.apply(m, y)) for m in act.H[gh])
+                for gh, hom in P.H.items() for x, y in hom.as_map().support_pairs()),
+               default=Fraction(0))
+
+
+def ref_max_displacement(maps, space):
+    def z(pos):
+        return pos.z if isinstance(pos, GPos) else pos
+    return max((space.d(z(tp), z(sp)) for f in maps for tp, sp in f.support_pairs()),
+               default=Fraction(0))
+
+
 def load_workloads():
     # loaded from its path without registering it, so perfbench stays untouched
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
@@ -49,16 +86,41 @@ def load_workloads():
 
 
 def test_letter_bounds_match_fractions_on_pipeline_inputs(monkeypatch):
-    real, compared = transfer._letter_bound, []
+    """Every certificate piece and bound, every ``achieved_*`` control and
+    every ``max_displacement`` the two transfers compute equals the
+    ``Fraction`` reference's."""
+    compared = []
 
-    def checked(action, lam, letter, pairs):
-        value = real(action, lam, letter, pairs)
-        assert type(value) is Fraction
-        assert value == ref_letter_bound(action, lam, letter, pairs)
+    def check(value, ref):
+        assert type(value) is Fraction and value == ref
         compared.append(value)
         return value
 
-    monkeypatch.setattr(transfer, "_letter_bound", checked)
+    real_certify = transfer.certify_dslambda
+
+    def certify(action, lam, pieces):
+        cert = real_certify(action, lam, pieces)
+        refs = {name: ref_piece_bound(action, Fraction(lam), eq) for name, eq in pieces.items()}
+        assert set(cert.pieces) == set(refs)
+        for name, ref in refs.items():
+            check(cert.pieces[name], ref)
+        check(cert.bound, max(refs.values(), default=Fraction(0)))
+        return cert
+
+    real_displacement = transfer.max_displacement
+
+    def displacement(maps, space):
+        maps = list(maps)
+        return check(real_displacement(maps, space), ref_max_displacement(maps, space))
+
+    def controlled(name, ref):
+        real = getattr(HomotopySChainComplex, name)
+        monkeypatch.setattr(HomotopySChainComplex, name, lambda P: check(real(P), ref(P)))
+
+    monkeypatch.setattr(transfer, "certify_dslambda", certify)
+    monkeypatch.setattr(transfer, "max_displacement", displacement)
+    controlled("achieved_phi_control", ref_phi_control)
+    controlled("achieved_homotopy_control", ref_homotopy_control)
     pipeline, half = load_workloads().Pipeline(), Fraction(1, 2)
     for seed in (0, 1):
         for index in range(48):
@@ -67,7 +129,8 @@ def test_letter_bounds_match_fractions_on_pipeline_inputs(monkeypatch):
             kres = transfer.k_transfer(alpha, alpha_inv, pcx, half)
             assert lres.certificate.bound == max(lres.certificate.pieces.values())
             assert kres.certificate.bound == max(kres.certificate.pieces.values())
-    assert len(compared) > 200 and len(set(compared)) > 1
+    # 17 values a pass: 5 + 4 pieces, 2 bounds and 3 controls on each of two chain actions
+    assert len(compared) == 17 * 96 and len(set(compared)) > 1
 
 
 def swap_action(dist):
@@ -78,25 +141,39 @@ def swap_action(dist):
     return HomotopySAction.from_genuine(c2, space, FiniteSubset.of(c2, [0, 1]), swap)
 
 
+def letter_piece(action, letter, pairs):
+    """A map over Z[G] on the space's points whose letter block has one entry
+    per pair ``(x, y)``, at ``((e, x), (letter, y))``."""
+    pts, at, n = action.space.points, action.index, len(action.space.points)
+    cx = GRComplex(action.backend, {0: n}, {}, positions={0: pts})
+    block = IntMatrix(n, n, {(at[x], at[y]): 1 for x, y in pairs})
+    return ChainMap(cx, cx, 0, {0: GRMatrix(action.backend, n, n, {letter: block})},
+                    check=False)
+
+
+def certified(action, lam, letter, pairs):
+    return transfer.certify_dslambda(action, lam,
+                                     {"piece": letter_piece(action, letter, pairs)}).bound
+
+
 def test_letter_bounds_on_spaces_with_undefined_distances():
     lam = Fraction(2, 3)
     full = swap_action({("a", "b"): Fraction(1), ("b", "c"): Fraction(3, 2),
                         ("a", "c"): Fraction(5, 2)})
     for letter in (0, 1):
         for pairs in ({("a", "a")}, {("a", "c"), ("c", "b")}, {("b", "a"), ("c", "c")}):
-            assert (transfer._letter_bound(full, lam, letter, pairs)
-                    == ref_letter_bound(full, lam, letter, pairs))
+            assert certified(full, lam, letter, pairs) == ref_letter_bound(full, lam, letter, pairs)
     partial = swap_action({("a", "b"): Fraction(1), ("b", "c"): Fraction(3, 2)})
     # pairs that meet d(a, c): InputError before and after
     with pytest.raises(InputError):
         ref_letter_bound(partial, lam, 1, {("a", "c")})
     with pytest.raises(InputError):
-        transfer._letter_bound(partial, lam, 1, {("a", "c")})
+        certified(partial, lam, 1, {("a", "c")})
     # pairs that miss it: scaled() reads every pair, so the space is refused
     # as DSLambdaMetric refuses it, where the Fraction code found a value
     assert ref_letter_bound(partial, lam, 1, {("a", "a")}) == 1 + lam
     with pytest.raises(InputError):
-        transfer._letter_bound(partial, lam, 1, {("a", "a")})
+        certified(partial, lam, 1, {("a", "a")})
     with pytest.raises(InputError):
         DSLambdaMetric(partial, lam)
 

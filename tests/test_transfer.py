@@ -6,7 +6,7 @@ import pytest
 from klab.actions import DSLambdaMetric
 from klab.chaincore import (ChainComplex, ChainHomotopy, ChainMap,
                             dual_complex, flip_map, mu_map, tensor_complex)
-from klab.errors import HypothesisViolation, InputError, SupportEscape
+from klab.errors import HorizonExceeded, HypothesisViolation, InputError, SupportEscape
 from klab.fixtures import (domination_instance, path_chain_domination,
                            rand_matrix, z2_chain_fixture,
                            z2_nontrivial_chain_fixture, z2_quadratic_alpha,
@@ -433,6 +433,21 @@ def test_l_transfer_reaudit_through_verify_ultraquadratic():
     rep = verify_ultraquadratic(uq, eps=result.target_bound, S=pcx.S,
                                 backend=pcx.backend, space=space)
     assert rep.ok(), rep.failures()
+
+
+def test_expanded_ultraquadratic_refuses_a_truncated_table(monkeypatch):
+    """At ``n_max = 0`` the table on the carrier is truncated: a horizon
+    that names ``n_max``, raised before any entry is read as a distance."""
+    from klab.actions import MetricTable
+
+    def refuse(self, i, j):
+        raise AssertionError("a truncated table's entry was read")
+
+    result = l_transfer(z2_quadratic_alpha(), z2_nontrivial_chain_fixture(random.Random(3)),
+                        Fraction(1, 2))
+    monkeypatch.setattr(MetricTable, "d_by_index", refuse)
+    with pytest.raises(HorizonExceeded, match="n_max = 0"):
+        expanded_ultraquadratic(result, Fraction(1, 2), n_max=0)
 
 
 def test_l_transfer_trivial_instance():
