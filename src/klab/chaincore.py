@@ -325,8 +325,8 @@ class ChainMap:
             a, b = self.mats.get(n + k), other.mats.get(n)
             if a is not None and b is not None:
                 mats[n] = a @ b
-            elif ((self.source.ranks.get(n + k, 0) if a is None else a.cols)
-                  != (other.target.ranks.get(n + k, 0) if b is None else b.rows)):
+            elif ((self.source.rank(n + k) if a is None else a.cols)
+                  != (other.target.rank(n + k) if b is None else b.rows)):
                 raise ValueError(f"shape mismatch in composite at degree {n}")
         return ChainMap(other.source, self.target, self.degree + other.degree, mats, check=False)
 
@@ -374,15 +374,12 @@ class ChainHomotopy:
         """The identity in degree ``n``: ``d H_n + (-1)^k H_{n-1} d + f_n = g_n``."""
         f, g = self.source_map, self.target_map
         k, C, D, mats = f.degree, f.source, f.target, self.mats
-        c_ranks, d_ranks = C.ranks, D.ranks
-        c_n, c_below = c_ranks.get(n, 0), c_ranks.get(n - 1, 0)
-        d_up, d_n = d_ranks.get(n + k + 1, 0), d_ranks.get(n + k, 0)
-        h = _block(mats, n, d_up, c_n, "homotopy")
-        below = _block(mats, n - 1, d_n, c_below, "homotopy")
-        dd = _block(D.diff, n + k + 1, d_n, d_up, "differential")
-        dc = _block(C.diff, n, c_below, c_n, "differential")
-        fn = _block(f.mats, n, d_n, c_n, "chain map")
-        gn = _block(g.mats, n, d_n, c_n, "chain map")
+        h = _block(mats, n, D.rank(n + k + 1), C.rank(n), "homotopy")
+        below = _block(mats, n - 1, D.rank(n + k), C.rank(n - 1), "homotopy")
+        dd = _block(D.diff, n + k + 1, D.rank(n + k), D.rank(n + k + 1), "differential")
+        dc = _block(C.diff, n, C.rank(n - 1), C.rank(n), "differential")
+        fn = _block(f.mats, n, D.rank(n + k), C.rank(n), "chain map")
+        gn = _block(g.mats, n, D.rank(n + k), C.rank(n), "chain map")
         return _same(_plus(_plus(_mul(dd, h), _mul(below, dc, k)), fn), gn)
 
 
@@ -532,12 +529,10 @@ def _tensor(c: ChainComplex, d: ChainComplex) -> Tuple[TensorLayout, ChainComple
 
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
-    """``(f ox g)|_{A_p ox B_q} = (-1)^{|g| p} f_p ox g_q``; the zero map,
-    with no walk over the layout, when a factor has no blocks."""
+    """``(f ox g)|_{A_p ox B_q} = (-1)^{|g| p} f_p ox g_q``."""
     src, src_cx = _tensor(f.source, g.source)
     tgt, tgt_cx = _tensor(f.target, g.target)
-    mats = _tensor_blocks(src, tgt, [(f.mats, f.degree, g.mats, g.degree)]) \
-        if f.mats and g.mats else {}
+    mats = _tensor_blocks(src, tgt, [(f.mats, f.degree, g.mats, g.degree)])
     return ChainMap(src_cx, tgt_cx, f.degree + g.degree, mats, check=False)
 
 

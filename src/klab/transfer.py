@@ -131,9 +131,11 @@ class HomotopySChainComplex:
         act, (scale, rows), index = self.point_action, self.space.scaled(), self.space.index
         worst = 0
         for g in self.S:
-            fm = _point_indices(act.phi[g], index)
-            for x, y in _support_indices(self.phi[g], index):
-                worst = max(worst, rows[x][fm[y]])
+            fm = _point_indices(act.phi[g], index)  # in the point action's order
+            for x, y in _support_indices(self.phi[g], index, act.index):
+                v = rows[x][fm[y]]
+                if v > worst:
+                    worst = v
         return Fraction(worst, scale)
 
     def achieved_homotopy_control(self) -> Fraction:
@@ -145,9 +147,12 @@ class HomotopySChainComplex:
         act, (scale, rows), index = self.point_action, self.space.scaled(), self.space.index
         worst = 0
         for gh, hom in self.H.items():
-            grid = [_point_indices(m, index) for m in act.H[gh]]
-            for x, y in _support_indices(hom.as_map(), index):
-                worst = max(worst, min(rows[x][m[y]] for m in grid))
+            grid = [_point_indices(m, index) for m in act.H[gh]]  # in the point action's order
+            for x, y in _support_indices(hom.as_map(), index, act.index):
+                row = rows[x]
+                v = min(row[m[y]] for m in grid)
+                if v > worst:
+                    worst = v
         return Fraction(worst, scale)
 
 
@@ -304,14 +309,23 @@ def _point_indices(points: Optional[Sequence[object]], index: Dict[object, int])
         raise InputError(f"position {exc.args[0]!r} is not a point of the space") from None
 
 
-def _support_indices(f: ChainMap, index: Dict[object, int]):
-    """``(x, y)`` as space indices for each support pair ``(x, y)`` of a map
-    over Z, each degree's positions read once."""
+def _support_indices(f: ChainMap, tgt_index: Dict[object, int], src_index: Dict[object, int]):
+    """The support pairs of ``f`` on point indices, each degree's positions
+    read once: ``(x, y)`` for a nonzero entry of a map over Z, and
+    ``(c, x, y)`` for a nonzero entry of the letter-``c`` block over Z[G],
+    where ``ChainMap.support_pairs`` yields ``((e, x), (c, y))``; ``x`` is
+    read in ``tgt_index`` and ``y`` in ``src_index``."""
+    integral = f.source.ring is IntMatrix
     for n, mat in f.mats.items():
-        tgt = _point_indices(f.target.pos(n + f.degree), index)
-        src = _point_indices(f.source.pos(n), index)
-        for (i, j) in mat.entries:
-            yield tgt[i], src[j]
+        tgt = _point_indices(f.target.pos(n + f.degree), tgt_index)
+        src = _point_indices(f.source.pos(n), src_index)
+        if integral:
+            for (i, j) in mat.entries:
+                yield tgt[i], src[j]
+            continue
+        for c, blk in mat.letters.items():
+            for (i, j) in blk.entries:
+                yield c, tgt[i], src[j]
 
 
 def certify_dslambda(action: HomotopySAction, lam: Fraction,
@@ -323,39 +337,34 @@ def certify_dslambda(action: HomotopySAction, lam: Fraction,
     ``Z[G]``; the exhibited chain through ``f in F_c`` bounds its
     ``d_{S,Lambda}`` distance by ``1 + Lambda * d(x, f(y))``.
 
-    One walk over each piece's blocks reads the bounds in integers on the
-    ``scaled()`` rows, over ``den = q * scale`` for ``Lambda = p / q``: each
-    ``(c, x, y)`` bound once across the pieces, from each ``F_c`` read on
-    point indices once, and one ``Fraction`` per piece.
+    One walk over each piece's support reads the bounds in integers on
+    the ``scaled()`` rows, over ``den = q * scale`` for ``Lambda = p / q``:
+    each ``(c, x, y)`` bound once across the pieces, from each ``F_c``
+    read on point indices once, and one ``Fraction`` per piece.
     """
     lam = Fraction(lam)
     scale, rows = action.space.scaled()
     index, p, den = action.index, lam.numerator, lam.denominator * scale
-    e, size = action.backend.identity(), len(rows)
+    e = action.backend.identity()
     maps: Dict[object, List[List[int]]] = {}  # letter c -> F_c on point indices
-    bounds: Dict[object, Dict[int, int]] = {}  # letter c -> {x * size + y: den * bound}
+    bounds: Dict[Tuple[object, int, int], int] = {}  # (c, x, y) -> den * bound
     per_piece = {}
     for name, eq in pieces.items():
         worst = 0
-        for n, mat in eq.mats.items():
-            tgt = _point_indices(eq.target.pos(n + eq.degree), index)
-            src = _point_indices(eq.source.pos(n), index)
-            for c, blk in mat.letters.items():
-                if c not in maps:
-                    maps[c] = [_point_indices(fm, index) for fm in action.f_set(c)]
-                    bounds[c] = {}
-                fc, known = maps[c], bounds[c]
-                for (i, j) in blk.entries:
-                    x, y = tgt[i], src[j]
-                    v = known.get(x * size + y)
-                    if v is None:
-                        row = rows[x]
-                        v = min(den + p * row[f[y]] for f in fc)  # den * (1 + Lambda * d(x, f(y)))
-                        if c == e:  # the chain with no move: Lambda * d(x, y)
-                            v = min(v, p * row[y])
-                        known[x * size + y] = v
-                    if v > worst:
-                        worst = v
+        for pair in _support_indices(eq, index, index):
+            v = bounds.get(pair)
+            if v is None:
+                c, x, y = pair
+                fc = maps.get(c)
+                if fc is None:
+                    fc = maps[c] = [_point_indices(fm, index) for fm in action.f_set(c)]
+                row = rows[x]
+                v = min(den + p * row[f[y]] for f in fc)  # den * (1 + Lambda * d(x, f(y)))
+                if c == e:  # the chain with no move: Lambda * d(x, y)
+                    v = min(v, p * row[y])
+                bounds[pair] = v
+            if v > worst:
+                worst = v
         per_piece[name] = Fraction(worst, den)
     return DSLambdaCertificate(lam, max(per_piece.values(), default=Fraction(0)), per_piece)
 

@@ -16,7 +16,7 @@ import pytest
 
 from klab import actions, transfer
 from klab.actions import DSLambdaMetric, HomotopySAction, lebesgue_lambda_search
-from klab.chaincore import ChainMap
+from klab.chaincore import ChainComplex, ChainHomotopy, ChainMap
 from klab.control import ControlSpace, GPos
 from klab.errors import HorizonExceeded, InputError
 from klab.fixtures import dihedral_cover
@@ -176,6 +176,34 @@ def test_letter_bounds_on_spaces_with_undefined_distances():
         certified(partial, lam, 1, {("a", "a")})
     with pytest.raises(InputError):
         DSLambdaMetric(partial, lam)
+
+
+def test_achieved_controls_read_the_point_action_in_its_own_order():
+    """A chain action built unchecked over a point action whose space lists
+    the points in another order: ``phi_g`` and ``H_{g,h}`` are read in the
+    point action's order, the distances in the chain action's space."""
+    z2 = FiniteTableGroup.cyclic(2)
+    S = FiniteSubset.of(z2, [0, 1])
+    swap = {0: {"p": "p", "q": "q"}, 1: {"p": "q", "q": "p"}}
+    P = ChainComplex({0: 2, 1: 2}, {}, positions={0: ("p", "q"), 1: ("p", "q")})
+    flip = IntMatrix.from_rows([[0, 1], [1, 0]])
+    ident, phi_s = ChainMap.identity(P), ChainMap(P, P, 0, {0: flip, 1: flip})
+    homs = {(0, 0): ChainHomotopy(ident, ident, {}),
+            (0, 1): ChainHomotopy(phi_s, phi_s, {0: flip}),
+            (1, 0): ChainHomotopy(phi_s, phi_s, {}),
+            (1, 1): ChainHomotopy(phi_s.compose(phi_s), ident, {})}
+    space = ControlSpace.from_matrix(["p", "q"], [[0, 1], [1, 0]])
+    values = []
+    for act_space in (space, ControlSpace.from_matrix(["q", "p"], [[0, 1], [1, 0]])):
+        act = HomotopySAction.from_genuine(z2, act_space, S, swap)
+        # validate() asks for the chain action's own space, so only the first checks
+        cx = HomotopySChainComplex(z2, space, S, P, {0: ident, 1: phi_s}, homs,
+                                   point_action=act, check=act_space is space)
+        assert cx.achieved_phi_control() == ref_phi_control(cx)
+        assert cx.achieved_homotopy_control() == ref_homotopy_control(cx)
+        values.append((cx.achieved_phi_control(), cx.achieved_homotopy_control()))
+    # phi_s and H_{e,s} move each point onto the point the swap sends it to
+    assert values == [(0, 0), (0, 0)]
 
 
 class RefMetric(DSLambdaMetric):
