@@ -187,28 +187,16 @@ class DSLambdaResult:
     """Value of the quasi-metric with its truncation certificate, kept as
     the exact scaled cost ``found / unit`` (``found`` None for infinity).
     ``value`` and ``lower_bound`` are ``Fraction``s built when read; the
-    lower bound is the value unless ``_lower`` holds one, as the certified
-    ``n_max + 1`` of a truncated or infinite result does."""
+    lower bound is the value unless ``lower`` is given, as the certified
+    ``n_max + 1`` of a truncated or infinite result is."""
 
     __slots__ = ("found", "unit", "truncated", "_lower")
 
-    def __init__(self, value: Optional[Fraction], truncated: bool, lower_bound: Fraction):
-        if value is None:
-            self.found, self.unit = None, 1
-        else:
-            value = Fraction(value)
-            self.found, self.unit = value.numerator, value.denominator
-        self.truncated = truncated
-        self._lower = lower_bound
-
-    @classmethod
-    def scaled(cls, found: Optional[int], unit: int, truncated: bool,
-               lower: Optional[int] = None) -> "DSLambdaResult":
-        """The result ``found / unit`` with lower bound ``lower``, or the
-        value itself when ``lower`` is None."""
-        res = cls.__new__(cls)
-        res.found, res.unit, res.truncated, res._lower = found, unit, truncated, lower
-        return res
+    def __init__(self, found: Optional[int], unit: int, truncated: bool,
+                 lower: Optional[int] = None):
+        if not (found is None or type(found) is int) or type(unit) is not int or unit <= 0:
+            raise InputError("found must be an int or None, and unit a positive int")
+        self.found, self.unit, self.truncated, self._lower = found, unit, truncated, lower
 
     @property
     def value(self) -> Optional[Fraction]:
@@ -220,6 +208,16 @@ class DSLambdaResult:
 
     def is_infinite(self) -> bool:
         return self.found is None
+
+
+def check_lambda(lam) -> Fraction:
+    """``Lambda`` as a ``Fraction``; an ``InputError`` unless it is an
+    ``int`` or a ``Fraction`` (not a bool) and positive."""
+    if isinstance(lam, bool) or not isinstance(lam, (int, Fraction)):
+        raise InputError(f"Lambda must be an int or a Fraction, not {type(lam).__name__}")
+    if lam <= 0:
+        raise InputError("Lambda must be positive")
+    return Fraction(lam)
 
 
 class DSLambdaMetric:
@@ -280,14 +278,10 @@ class DSLambdaMetric:
     def __init__(self, action: HomotopySAction, lam: Fraction,
                  n_max: int = DEFAULT_DSLAMBDA_HORIZON,
                  state_cap: int = DEFAULT_STATE_CAP):
-        if isinstance(lam, bool) or not isinstance(lam, (int, Fraction)):
-            raise InputError(f"Lambda must be an int or a Fraction, not {type(lam).__name__}")
-        if lam <= 0:
-            raise InputError("Lambda must be positive")
         if n_max < 0:
             raise InputError("the move horizon must not be negative")
         self.action = action
-        self.lam = Fraction(lam)
+        self.lam = check_lambda(lam)
         self.n_max = n_max
         self.state_cap = state_cap
         self.backend = action.backend
@@ -428,8 +422,8 @@ class DSLambdaMetric:
             raise InputError(f"unknown point {y!r}")
         g = self._layers[0].get(disp)  # ids of the elements the move layers reach
         if g is None:
-            return DSLambdaResult.scaled(None, self.scale, not self._certified_unreachable(disp),
-                                         self.n_max + 1)
+            return DSLambdaResult(None, self.scale, not self._certified_unreachable(disp),
+                                  self.n_max + 1)
         rows, unit = search.rows, self.scale
         row = rows.get(g)
         while ((row is None or row[i] > (search.k + 1) * unit)
@@ -438,8 +432,8 @@ class DSLambdaMetric:
             row = rows.get(g)
         found = row[i]
         if found <= (self.n_max + 1) * unit:
-            return DSLambdaResult.scaled(found, unit, False)
-        return DSLambdaResult.scaled(found, unit, True, self.n_max + 1)
+            return DSLambdaResult(found, unit, False)
+        return DSLambdaResult(found, unit, True, self.n_max + 1)
 
     def distance(self, src: Tuple[object, object], dst: Tuple[object, object]) -> DSLambdaResult:
         g, x = self.backend.canonical(src[0]), src[1]

@@ -1,10 +1,11 @@
 """Labeled metric spaces and control certificates.
 
 A controlled morphism is a positioned ``ChainMap`` (a degree-0 map
-between one-degree complexes for a single module map); the control
-walk reads its ``support_pairs``, whose first entry is the target
-position and the second the source.  A group-equivariant morphism
-over ``G x Z`` is a ``gring.GRMatrix``.
+between one-degree complexes for a single module map); the one control
+walk, ``support_indices``, reads its support pairs on the space's point
+indices, the target position first and the source second, and every
+bound reads it: ``grid_control`` and ``transfer.certify_dslambda``.  A
+group-equivariant morphism over ``G x Z`` is a ``gring.GRMatrix``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import operator
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .chaincore import ChainMap
 from .errors import InputError
@@ -168,11 +169,56 @@ class ControlSpace:
         return f"ControlSpace({len(self.points)} points)"
 
 
-def _split_position(pos) -> Tuple[Optional[object], object]:
-    """Split a position into (group part or None, space part)."""
-    if isinstance(pos, GPos):
-        return pos.g, pos.z
-    return None, pos
+def point_indices(points: Optional[Sequence[object]], index: Dict[object, int]) -> List[int]:
+    """The space index of each point, a ``GPos`` read at its point: of one
+    degree's positions, or of the images of a point map."""
+    if points is None:
+        raise InputError("support pairs need positioned complexes")
+    try:
+        return [index[p.z if type(p) is GPos else p] for p in points]
+    except KeyError as exc:
+        raise InputError(f"position {exc.args[0]!r} is not a point of the space") from None
+
+
+def support_indices(f: ChainMap, tgt_index: Dict[object, int], src_index: Dict[object, int]):
+    """The support pairs of ``f`` on point indices, each degree's positions
+    read once: ``(x, y)`` for a nonzero entry of a map over Z, and
+    ``(c, x, y)`` for a nonzero entry of the letter-``c`` block over Z[G],
+    where ``ChainMap.support_pairs`` yields ``((e, x), (c, y))``; ``x`` is
+    read in ``tgt_index`` and ``y`` in ``src_index``."""
+    integral = f.source.ring is IntMatrix
+    for n, mat in f.mats.items():
+        tgt = point_indices(f.target.pos(n + f.degree), tgt_index)
+        src = point_indices(f.source.pos(n), src_index)
+        if integral:
+            for (i, j) in mat.entries:
+                yield tgt[i], src[j]
+            continue
+        for c, blk in mat.letters.items():
+            for (i, j) in blk.entries:
+                yield c, tgt[i], src[j]
+
+
+def grid_control(space: ControlSpace,
+                 pieces: Iterable[Tuple[ChainMap, Optional[Sequence[Sequence[object]]]]],
+                 src_index: Optional[Dict[object, int]] = None) -> Fraction:
+    """The max over each piece ``(f, grid)`` and support pair ``(x, y)`` of
+    the map ``f`` over Z of the min over the point maps ``m`` of ``grid``
+    of ``d(x, m(y))``, taken on the space's ``scaled()`` rows and read as
+    one ``Fraction``; a grid of None is the identity.  ``y`` and the
+    point maps are read in ``src_index``, the space's own by default."""
+    scale, rows = space.scaled()
+    index, worst = space.index, 0
+    for f, grid in pieces:
+        if f.source.ring is not IntMatrix:
+            raise InputError("control bounds read maps over Z")
+        ms = None if grid is None else [point_indices(m, index) for m in grid]
+        for x, y in support_indices(f, index, src_index or index):
+            row = rows[x]
+            v = row[y] if ms is None else min([row[m[y]] for m in ms])
+            if v > worst:
+                worst = v
+    return Fraction(worst, scale)
 
 
 def check_control(f: ChainMap, eps: Optional[Fraction],
@@ -184,34 +230,21 @@ def check_control(f: ChainMap, eps: Optional[Fraction],
     ``eps=None`` checks S-control only; ``S=None`` checks eps-control
     only (the (eps,G) degeneration).
     """
-    for (tp, sp) in f.support_pairs():
-        tg, tz = _split_position(tp)
-        sg, sz = _split_position(sp)
-        if eps is not None and space.d(tz, sz) > eps:
-            return False
-        if S is not None:
-            if tg is None or sg is None or backend is None:
+    if eps is not None and max_displacement([f], space) > eps:
+        return False
+    if S is not None:
+        for tp, sp in f.support_pairs():
+            if type(tp) is not GPos or type(sp) is not GPos or backend is None:
                 raise InputError("group control needs group-labeled positions and a backend")
-            if backend.mul(backend.inv(tg), sg) not in S:
+            if backend.mul(backend.inv(tp.g), sp.g) not in S:
                 return False
     return True
 
 
 def max_displacement(maps: Iterable[ChainMap], space: ControlSpace) -> Fraction:
     """Smallest eps such that every one of the positioned maps is
-    eps-controlled over the space: the largest ``scaled()`` entry over
-    the support pairs, read as one ``Fraction``."""
-    scale, rows = space.scaled()
-    index, worst = space.index, 0
-    for f in maps:
-        for tp, sp in f.support_pairs():
-            a, b = _split_position(tp)[1], _split_position(sp)[1]
-            i, j = index.get(a), index.get(b)
-            if i is None or j is None:
-                space.d(a, b)  # zero for a == b, else the undefined distance's InputError
-            elif rows[i][j] > worst:
-                worst = rows[i][j]
-    return Fraction(worst, scale)
+    eps-controlled over the space: ``grid_control`` on the identity."""
+    return grid_control(space, ((f, None) for f in maps))
 
 
 class EquivariantMorphism(GRMatrix):

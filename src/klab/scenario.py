@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 from typing import Any, Dict, Tuple
 
-from .actions import HomotopySAction, CoverSpec
+from .actions import HomotopySAction, CoverSpec, check_lambda
 from .chaincore import ChainComplex, ChainHomotopy, ChainMap
 from .control import ControlSpace
 from .errors import InputError
@@ -358,10 +358,10 @@ def _squares(sc: Scenario, spec: Dict[str, Any], *keys: str) -> Tuple[GRMatrix, 
 PIPELINES = {
     "transfer-k": lambda sc, spec: (sc.get("chain_actions", spec["chain_action"]),
                                     *_squares(sc, spec, "alpha", "alpha_inv"),
-                                    parse_fraction(spec["lambda"])),
+                                    check_lambda(parse_fraction(spec["lambda"]))),
     "transfer-l": lambda sc, spec: (sc.get("chain_actions", spec["chain_action"]),
                                     *_squares(sc, spec, "alpha"),
-                                    parse_fraction(spec["lambda"])),
+                                    check_lambda(parse_fraction(spec["lambda"]))),
     "torsion": _torsion_parts,
     "replace": lambda sc, spec: sc.get("dominations", spec["domination"]),
 }

@@ -14,10 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .actions import DSLambdaMetric, HomotopySAction
+from .actions import DSLambdaMetric, HomotopySAction, check_lambda
 from .chaincore import (ChainComplex, ChainHomotopy, ChainMap, cone_torsion, dual_complex,
                         dual_map, tensor_complex, tensor_map)
-from .control import ControlSpace, GPos, max_displacement
+from .control import (ControlSpace, GPos, grid_control, max_displacement, point_indices,
+                      support_indices)
 from .errors import (HorizonExceeded, HypothesisViolation, IdentityFailure,
                      IdempotentFailure, InputError, NotAnEquivalence, SupportEscape)
 from .gring import GRComplex, GRMatrix, place_letters
@@ -124,36 +125,22 @@ class HomotopySChainComplex:
         return max_displacement(_structure_maps(self.P), self.space)
 
     def achieved_phi_control(self) -> Fraction:
-        """max over ``g`` and support pairs of ``d(x, phi_g(y))``, taken on
-        the space's ``scaled()`` rows and read as one ``Fraction``."""
-        if self.point_action is None:
+        """max over ``g`` and support pairs of ``d(x, phi_g(y))``, with
+        ``y`` and ``phi_g`` read in the point action's order."""
+        act = self.point_action
+        if act is None:
             raise InputError("certificates need the underlying point action")
-        act, (scale, rows), index = self.point_action, self.space.scaled(), self.space.index
-        worst = 0
-        for g in self.S:
-            fm = _point_indices(act.phi[g], index)  # in the point action's order
-            for x, y in _support_indices(self.phi[g], index, act.index):
-                v = rows[x][fm[y]]
-                if v > worst:
-                    worst = v
-        return Fraction(worst, scale)
+        return grid_control(self.space, ((self.phi[g], (act.phi[g],)) for g in self.S), act.index)
 
     def achieved_homotopy_control(self) -> Fraction:
         """max over pairs and support of min over grid times of
-        ``d(x, H_{g,h}(y, t))``, taken on the space's ``scaled()`` rows and
-        read as one ``Fraction``."""
-        if self.point_action is None:
+        ``d(x, H_{g,h}(y, t))``, with ``y`` and the grid read in the point
+        action's order."""
+        act = self.point_action
+        if act is None:
             raise InputError("certificates need the underlying point action")
-        act, (scale, rows), index = self.point_action, self.space.scaled(), self.space.index
-        worst = 0
-        for gh, hom in self.H.items():
-            grid = [_point_indices(m, index) for m in act.H[gh]]  # in the point action's order
-            for x, y in _support_indices(hom.as_map(), index, act.index):
-                row = rows[x]
-                v = min(row[m[y]] for m in grid)
-                if v > worst:
-                    worst = v
-        return Fraction(worst, scale)
+        return grid_control(self.space, ((hom.as_map(), act.H[gh]) for gh, hom in self.H.items()),
+                            act.index)
 
 
 # -- equivariant chain maps ----------------------------------------------------
@@ -298,36 +285,6 @@ class DSLambdaCertificate:
         return self.bound <= target
 
 
-def _point_indices(points: Optional[Sequence[object]], index: Dict[object, int]) -> List[int]:
-    """The space index of each point: of one degree's positions, or of
-    the images of a point map."""
-    if points is None:
-        raise InputError("support pairs need positioned complexes")
-    try:
-        return [index[z] for z in points]
-    except KeyError as exc:
-        raise InputError(f"position {exc.args[0]!r} is not a point of the space") from None
-
-
-def _support_indices(f: ChainMap, tgt_index: Dict[object, int], src_index: Dict[object, int]):
-    """The support pairs of ``f`` on point indices, each degree's positions
-    read once: ``(x, y)`` for a nonzero entry of a map over Z, and
-    ``(c, x, y)`` for a nonzero entry of the letter-``c`` block over Z[G],
-    where ``ChainMap.support_pairs`` yields ``((e, x), (c, y))``; ``x`` is
-    read in ``tgt_index`` and ``y`` in ``src_index``."""
-    integral = f.source.ring is IntMatrix
-    for n, mat in f.mats.items():
-        tgt = _point_indices(f.target.pos(n + f.degree), tgt_index)
-        src = _point_indices(f.source.pos(n), src_index)
-        if integral:
-            for (i, j) in mat.entries:
-                yield tgt[i], src[j]
-            continue
-        for c, blk in mat.letters.items():
-            for (i, j) in blk.entries:
-                yield c, tgt[i], src[j]
-
-
 def certify_dslambda(action: HomotopySAction, lam: Fraction,
                      pieces: Dict[str, EquivariantChainMap]) -> DSLambdaCertificate:
     """Certificate for transferred data relabeled over ``G x X``.
@@ -342,7 +299,7 @@ def certify_dslambda(action: HomotopySAction, lam: Fraction,
     each ``(c, x, y)`` bound once across the pieces, from each ``F_c``
     read on point indices once, and one ``Fraction`` per piece.
     """
-    lam = Fraction(lam)
+    lam = check_lambda(lam)
     scale, rows = action.space.scaled()
     index, p, den = action.index, lam.numerator, lam.denominator * scale
     e = action.backend.identity()
@@ -351,13 +308,13 @@ def certify_dslambda(action: HomotopySAction, lam: Fraction,
     per_piece = {}
     for name, eq in pieces.items():
         worst = 0
-        for pair in _support_indices(eq, index, index):
+        for pair in support_indices(eq, index, index):
             v = bounds.get(pair)
             if v is None:
                 c, x, y = pair
                 fc = maps.get(c)
                 if fc is None:
-                    fc = maps[c] = [_point_indices(fm, index) for fm in action.f_set(c)]
+                    fc = maps[c] = [point_indices(fm, index) for fm in action.f_set(c)]
                 row = rows[x]
                 v = min(den + p * row[f[y]] for f in fc)  # den * (1 + Lambda * d(x, f(y)))
                 if c == e:  # the chain with no move: Lambda * d(x, y)
@@ -404,7 +361,7 @@ def k_transfer(alpha: GRMatrix, alpha_inv: GRMatrix,
     homotopy, and the certificate bounds the support of every output
     piece in the ``d_{S,Lambda}`` sense.
     """
-    lam = Fraction(lam)
+    lam = check_lambda(lam)
     if P.point_action is None:
         raise InputError("k_transfer needs the underlying point action")
     ident = GRMatrix.constant(alpha.backend, IntMatrix.identity(alpha.cols))
@@ -813,7 +770,7 @@ def l_transfer(alpha: GRMatrix, P: HomotopySChainComplex,
     functoriality homotopies, and the output is certified as an
     ``(S, 1 + Lambda*eps)``-controlled complex over ``G x P2(X)``.
     """
-    lam = Fraction(lam)
+    lam = check_lambda(lam)
     if P.point_action is None:
         raise InputError("l_transfer needs the underlying point action")
     backend = alpha.backend

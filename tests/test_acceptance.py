@@ -147,7 +147,7 @@ def test_criterion_3_dslambda_suite():
                         lam * act.space.d(x, y)
         instances += 1
     # the worked example against its enumeration oracle
-    from tests.test_actions import brute_dslambda
+    from test_actions import brute_dslambda
     act = z2_swap_action()
     lam = Fraction(1, 2)
     metric = DSLambdaMetric(act, lam, 2)

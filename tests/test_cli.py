@@ -450,6 +450,19 @@ def test_scenario_errors_name_section_and_entry(tmp_path, capsys):
     assert "actions.swap: missing 's'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lam", ["-1/2", 0])
+def test_a_pipeline_lambda_that_is_not_positive_exits_two(lam, tmp_path, capsys):
+    # before, "-1/2" read as a failed certificate (exit 1) and 0 certified (exit 0)
+    def set_lambda(doc):
+        for spec in doc["pipelines"].values():
+            if spec["kind"] in ("transfer-k", "transfer-l"):
+                spec["lambda"] = lam
+    path = _mutated(tmp_path, set_lambda)
+    for command in ("transfer-k", "transfer-l"):
+        assert run_cli(command, path) == 2
+        assert "Lambda must be positive" in capsys.readouterr().err
+
+
 def test_unknown_name_is_an_input_error(capsys):
     assert run_cli("dslambda", Z2, "--action", "nope", "--lam", "1",
                    "--src", "0:p", "--dst", "1:p") == 2

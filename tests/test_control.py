@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from klab.chaincore import ChainComplex, ChainMap, dual_map
+from klab.chaincore import ChainComplex, ChainHomotopy, ChainMap, dual_map
 from klab.control import ControlSpace, GPos, check_control, max_displacement
 from klab.errors import InputError
-from klab.fixtures import rand_matrix
-from klab.gring import GRMatrix, place_letters
+from klab.fixtures import rand_matrix, z2_swap_action
+from klab.gring import GRComplex, GRMatrix, place_letters
 from klab.groups import FiniteSubset, FiniteTableGroup, FreeGroup
 from klab.intmat import IntMatrix
-from klab.transfer import expand_complex
+from klab.transfer import HomotopySChainComplex, certify_dslambda, expand_complex
 
 
 def three_point_space():
@@ -89,15 +89,18 @@ def test_block_displacement_bounds():
     assert not check_control(phi, Fraction(3), FiniteSubset.of(z2, [0]), space, z2)
 
 
+def gpos_module(rng, pts):
+    """A positioned module of rank 3 at random positions ``GPos(g, z)`` over C4."""
+    return module(GPos(rng.randrange(4), rng.choice(pts)) for _ in range(3))
+
+
 def test_control_additive_under_composition():
     rng = random.Random(11)
     z4 = FiniteTableGroup.cyclic(4)
     space = three_point_space()
     pts = list(space.points)
     for _ in range(60):
-        mids = module(GPos(rng.randrange(4), rng.choice(pts)) for _ in range(3))
-        srcs = module(GPos(rng.randrange(4), rng.choice(pts)) for _ in range(3))
-        tgts = module(GPos(rng.randrange(4), rng.choice(pts)) for _ in range(3))
+        mids, srcs, tgts = gpos_module(rng, pts), gpos_module(rng, pts), gpos_module(rng, pts)
         f = ChainMap(srcs, mids, 0, {0: rand_matrix(rng, 3, 3, 0.6)})
         g = ChainMap(mids, tgts, 0, {0: rand_matrix(rng, 3, 3, 0.6)})
         eps_f = max_displacement([f], space)
@@ -108,6 +111,104 @@ def test_control_additive_under_composition():
         prod = FiniteSubset.of(z4, [z4.mul(a, b) for a in letters_g
                                     for b in letters_f] or [0])
         assert check_control(comp, eps_f + eps_g, prod, space, z4)
+
+
+# -- the per-pair Fraction reference of check_control and max_displacement -------
+
+
+def _split_position(pos):
+    """Split a position into (group part or None, space part)."""
+    if isinstance(pos, GPos):
+        return pos.g, pos.z
+    return None, pos
+
+
+def ref_check_control(f, eps, S, space, backend=None):
+    for (tp, sp) in f.support_pairs():
+        tg, tz = _split_position(tp)
+        sg, sz = _split_position(sp)
+        if eps is not None and space.d(tz, sz) > eps:
+            return False
+        if S is not None:
+            if tg is None or sg is None or backend is None:
+                raise InputError("group control needs group-labeled positions and a backend")
+            if backend.mul(backend.inv(tg), sg) not in S:
+                return False
+    return True
+
+
+def ref_max_displacement(maps, space):
+    return max((space.d(_split_position(tp)[1], _split_position(sp)[1])
+                for f in maps for tp, sp in f.support_pairs()), default=Fraction(0))
+
+
+def test_one_reader_matches_the_fraction_reference_on_gpos_maps():
+    rng = random.Random(29)
+    z4 = FiniteTableGroup.cyclic(4)
+    space = ControlSpace.from_matrix(["a", "b", "c"], [[0, Fraction(3, 2), 4],
+                                                       [Fraction(3, 2), 0, Fraction(5, 2)],
+                                                       [4, Fraction(5, 2), 0]])
+    pts, tick, bounds = list(space.points), Fraction(1, 1000), set()
+    for _ in range(60):
+        mids, srcs, tgts = gpos_module(rng, pts), gpos_module(rng, pts), gpos_module(rng, pts)
+        f = ChainMap(srcs, mids, 0, {0: rand_matrix(rng, 3, 3, 0.6)})
+        g = ChainMap(mids, tgts, 0, {0: rand_matrix(rng, 3, 3, 0.6)})
+        for h in (f, g, g.compose(f)):
+            bound = max_displacement([h], space)
+            assert type(bound) is Fraction and bound == ref_max_displacement([h], space)
+            bounds.add(bound)
+            letters = sorted({z4.mul(z4.inv(t.g), s.g) for t, s in h.support_pairs()})
+            subsets = [None, FiniteSubset.of(z4, letters or [0])]
+            if len(letters) > 1:
+                subsets.append(FiniteSubset.of(z4, letters[1:]))  # one letter short
+            for eps in (None, bound - tick, bound, bound + tick):
+                for S in subsets:
+                    if eps is not None and eps < 0:
+                        continue  # a map with no support: see the test below
+                    assert check_control(h, eps, S, space, z4) == \
+                        ref_check_control(h, eps, S, space, z4), (eps, S)
+        assert max_displacement([f, g], space) == ref_max_displacement([f, g], space)
+    assert len(bounds) > 3
+
+
+def test_a_map_with_no_support_is_controlled_from_eps_zero():
+    # the reader's max over no pairs is 0; the reference read every eps,
+    # even a negative one, as vacuously met
+    space = three_point_space()
+    zero = module_map((GPos(0, "a"),), (GPos(1, "b"),), IntMatrix.zeros(1, 1))
+    assert max_displacement([zero], space) == 0
+    assert check_control(zero, Fraction(0), None, space)
+    assert not check_control(zero, Fraction(-1), None, space)
+    assert ref_check_control(zero, Fraction(-1), None, space)
+
+
+OUTSIDE = r"position 'z' is not a point of the space"
+
+
+def test_a_position_outside_the_space_is_refused_by_every_reader():
+    space = three_point_space()
+    # a diagonal pair at a position outside the space, which the reference read as d(z, z) = 0
+    still = module_map((GPos(0, "z"),), (GPos(0, "z"),), IntMatrix.from_rows([[1]]))
+    assert ref_max_displacement([still], space) == 0
+    assert ref_check_control(still, Fraction(0), None, space)
+    with pytest.raises(InputError, match=OUTSIDE):
+        max_displacement([still], space)
+    with pytest.raises(InputError, match=OUTSIDE):
+        check_control(still, Fraction(0), None, space)
+    act = z2_swap_action()
+    cx = GRComplex(act.backend, {0: 2}, {}, positions={0: ("p", "z")})
+    with pytest.raises(InputError, match=OUTSIDE):
+        certify_dslambda(act, Fraction(1), {"id": ChainMap.identity(cx)})
+    P = ChainComplex({0: 2}, positions={0: ("p", "z")})
+    ident = ChainMap.identity(P)
+    chain = HomotopySChainComplex(act.backend, act.space, act.S, P, {0: ident, 1: ident},
+                                  {gh: ChainHomotopy(ident, ident, {}) for gh in act.H},
+                                  point_action=act)
+    with pytest.raises(InputError, match=OUTSIDE):
+        chain.achieved_phi_control()
+    # a map over Z[G] has no single space displacement per pair to read
+    with pytest.raises(InputError, match="control bounds read maps over Z"):
+        max_displacement([ChainMap.identity(cx)], space)
 
 
 def test_convolve_matches_expansion():

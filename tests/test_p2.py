@@ -2,9 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 import klab.p2
 from klab.actions import DSLambdaMetric, DSLambdaResult, HomotopySAction
 from klab.control import ControlSpace
+from klab.errors import InputError
 from klab.fixtures import dihedral_action, z2_swap_action
 from klab.groups import FamilyPredicate, FiniteSubset, FiniteTableGroup
 from klab.p2 import (lipschitz_transfer_audit, omega_audit, p2_action,
@@ -192,10 +195,25 @@ def test_dslambda_result_keeps_the_scaled_cost():
                                              exact.lower_bound, truncated.lower_bound))
     unreached = DSLambdaMetric(z2_swap_action(), Fraction(5, 2), 0).distance((0, "p"), (1, "p"))
     assert (unreached.found, unreached.truncated, unreached.lower_bound) == (None, True, 1)
-    given = DSLambdaResult(Fraction(6, 4), True, Fraction(2))
+    given = DSLambdaResult(3, 2, True, 2)
     assert (given.found, given.unit, given.value, given.lower_bound) == (3, 2, Fraction(3, 2), 2)
-    infinite = DSLambdaResult(None, False, Fraction(3))
+    infinite = DSLambdaResult(None, 1, False, 3)
     assert infinite.is_infinite() and infinite.value is None and infinite.lower_bound == 3
+
+
+@pytest.mark.parametrize("args", [
+    (Fraction(3, 2), True, Fraction(2)),  # the old (value, truncated, lower_bound) order
+    (Fraction(3), 1, False),
+    (1.5, 1, False),
+    (True, 1, False),
+    (3, True, False),
+    (3, 0, False),
+    (3, -2, False),
+    (3, Fraction(2), False),
+])
+def test_dslambda_result_takes_an_int_cost_over_a_positive_int_unit(args):
+    with pytest.raises(InputError, match="found must be an int or None, and unit a positive int"):
+        DSLambdaResult(*args)
 
 
 def test_stabilizer_trivial_action():
@@ -335,7 +353,7 @@ def test_omega_audit_reports_a_counterexample(monkeypatch):
             r = super().distance(src, dst)
             if self.action is act or r.value is None:
                 return r
-            return DSLambdaResult(r.value / 2, r.truncated, r.lower_bound)
+            return DSLambdaResult(r.found, 2 * r.unit, r.truncated, r._lower)
 
     monkeypatch.setattr(klab.p2, "DSLambdaMetric", HalvedPairs)
     samples = [((0, ("p", "p")), (1, ("p", "p")))]

@@ -315,6 +315,25 @@ def test_certificate_needs_positions():
         certify_dslambda(z2_swap_action(), Fraction(1), {"id": eq})
 
 
+@pytest.mark.parametrize("lam, message", [
+    (0.1, "Lambda must be an int or a Fraction, not float"),
+    (0, "Lambda must be positive"),
+    (-1, "Lambda must be positive"),
+])
+def test_transfers_refuse_a_lambda_the_metric_refuses(lam, message):
+    # before, 0.1 ran at its binary value, 0 certified and -1 failed its certificate
+    pcx = z2_chain_fixture()
+    alpha, alpha_inv = z2_unit_alpha()
+    eq = EquivariantChainMap.identity(GRComplex.constant(z2(), pcx.P))
+    calls = (lambda: certify_dslambda(pcx.point_action, lam, {"id": eq}),
+             lambda: k_transfer(alpha, alpha_inv, pcx, lam),
+             lambda: l_transfer(z2_quadratic_alpha(), pcx, lam),
+             lambda: DSLambdaMetric(pcx.point_action, lam))
+    for call in calls:
+        with pytest.raises(InputError, match=message):
+            call()
+
+
 def test_integer_inverse_over_the_group_ring_is_an_input_error():
     alpha, _ = z2_unit_alpha()
     tra = tr(alpha, z2_chain_fixture())
