@@ -163,7 +163,7 @@ def test_one_reader_matches_the_fraction_reference_on_gpos_maps():
                 subsets.append(FiniteSubset.of(z4, letters[1:]))  # one letter short
             for eps in (None, bound - tick, bound, bound + tick):
                 for S in subsets:
-                    if eps is not None and eps < 0:
+                    if not letters and eps is not None and eps < 0:
                         continue  # a map with no support: see the test below
                     assert check_control(h, eps, S, space, z4) == \
                         ref_check_control(h, eps, S, space, z4), (eps, S)
