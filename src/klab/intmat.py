@@ -57,7 +57,10 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, {(i, i): 1 for i in range(n)})
+        # a fresh dict per call: callers may write into the result
+        if n < 0:
+            raise ValueError(f"bad shape ({n},{n})")
+        return IntMatrix._trusted(n, n, {(i, i): 1 for i in range(n)})
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
@@ -202,27 +205,39 @@ class IntMatrix:
         return r
 
     def det(self) -> int:
-        """Determinant by fraction-free Bareiss elimination."""
+        """Determinant by fraction-free Bareiss elimination.
+
+        A zero pivot swaps in the first row below with a nonzero entry in
+        its column, flipping the sign.  A lower row with a zero in the
+        pivot column is only rescaled, and kept as it is when the pivot
+        equals the previous one.
+        """
         if self.rows != self.cols:
             raise ValueError("det of non-square matrix")
         n = self.rows
         if n == 0:
             return 1
-        a = [[v for v in row] for row in self.to_dense()]
+        a = self.to_dense()
         sign = 1
         prev = 1
         for k in range(n - 1):
-            if a[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            top = a[k]
+            if not top[k]:
+                swap = next((i for i in range(k + 1, n) if a[i][k]), None)
                 if swap is None:
                     return 0
-                a[k], a[swap] = a[swap], a[k]
+                top, a[swap] = a[swap], top
+                a[k] = top
                 sign = -sign
+            pv = top[k]
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
+                row = a[i]
+                f = row[k]
+                if f:
+                    a[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+                elif pv != prev:
+                    a[i] = [pv * x // prev for x in row]
+            prev = pv
         return sign * a[n - 1][n - 1]
 
     def integer_inverse(self) -> Optional["IntMatrix"]:
@@ -344,18 +359,23 @@ def symmetric_diagonalize(gram: IntMatrix) -> List[Fraction]:
     the two rows first (x -> x+y trick).  Returns the list of diagonal
     entries (zeros included for a degenerate form).
 
-    The form is kept as sparse symmetric rows over the indices not yet
-    pivoted; a pivot updates only the pairs of its row's nonzero columns
-    (the Schur complement), and the lowest eligible index is taken at
-    each step.
+    The form is kept as sparse symmetric integer rows over the indices
+    not yet pivoted, holding ``c`` times the form still to diagonalize
+    for an integer ``c > 0``; a positive scale changes no zero pattern,
+    so the pivots are those of the rational form.  A pivot ``pv`` leaves
+    as ``pv / c`` and updates only the pairs of its row's nonzero
+    columns (the Schur complement, times ``|pv|``).  The lowest index
+    with a nonzero diagonal entry is taken at each step.
     """
     if not gram.is_symmetric():
         raise ValueError("symmetric_diagonalize needs a symmetric matrix")
-    rows: Dict[int, Dict[int, Fraction]] = {i: {} for i in range(gram.rows)}
+    rows: Dict[int, Dict[int, int]] = {i: {} for i in range(gram.rows)}
     for (i, j), v in gram.entries.items():
-        rows[i][j] = Fraction(v)
+        rows[i][j] = v
+    live = {i for i, r in rows.items() if i in r}
+    c = 1
 
-    def put(i: int, j: int, v: Fraction) -> None:
+    def put(i: int, j: int, v: int) -> None:
         if v:
             rows[i][j] = v
         else:
@@ -363,8 +383,9 @@ def symmetric_diagonalize(gram: IntMatrix) -> List[Fraction]:
 
     diag: List[Fraction] = []
     while rows:
-        pivot = min((i for i, r in rows.items() if i in r), default=None)
-        if pivot is None:
+        if live:
+            pivot = min(live)
+        else:
             i = min((i for i, r in rows.items() if r), default=None)
             if i is None:
                 diag.extend(Fraction(0) for _ in rows)
@@ -379,13 +400,26 @@ def symmetric_diagonalize(gram: IntMatrix) -> List[Fraction]:
                     put(k, i, s)
             ri[i] = 2 * ri[j]
             pivot = i
+        live.discard(pivot)
         prow = rows.pop(pivot)
         pv = prow.pop(pivot)
-        diag.append(pv)
+        diag.append(Fraction(pv, c))
         for k in prow:
             del rows[k][pivot]
+        scale = abs(pv)
+        if scale > 1:
+            c *= scale
+            for r in rows.values():
+                for k in r:
+                    r[k] *= scale
+        s = 1 if pv > 0 else -1
         for j, ajp in prow.items():
-            f = ajp / pv
+            rj = rows[j]
+            f = s * ajp
             for k, apk in prow.items():
-                put(j, k, rows[j].get(k, 0) - f * apk)
+                put(j, k, rj.get(k, 0) - f * apk)
+            if j in rj:
+                live.add(j)
+            else:
+                live.discard(j)
     return diag

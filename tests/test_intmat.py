@@ -388,14 +388,66 @@ def test_rank_matches_fraction_reference(seed, rows, cols):
     assert m.rank() == fraction_rank(m)
 
 
-@PROPERTY
-@given(st.integers(0, 2 ** 32), st.integers(0, 7), st.booleans())
-def test_symmetric_diagonalize_matches_dense_lagrange(seed, n, hollow):
+def fraction_det(m):
+    """Gaussian elimination over Q, taking the first nonzero pivot below."""
+    n = m.rows
+    a = [[Fraction(v) for v in row] for row in m.to_dense()]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for i in range(col + 1, n):
+            factor = a[i][col] / a[col][col]
+            a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
+    assert det.denominator == 1
+    return int(det)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 12),
+       st.sampled_from(["random", "swap", "scale", "singular"]))
+def test_det_matches_fraction_reference(seed, n, kind):
     rng = random.Random(seed)
-    g = rand_matrix(rng, n, n, rng.random(), -2, 2)
+    m = rand_matrix(rng, n, n, 0.1 + 0.9 * rng.random(), -3, 3)
+    if kind == "swap" and n > 1:  # a zero leading entry with a nonzero one below it
+        m.entries.pop((0, 0), None)
+        m.entries[(rng.randrange(1, n), 0)] = rng.choice([-3, -2, -1, 1, 2, 3])
+    elif kind == "scale" and n > 1:  # a nonzero pivot and a zero below it in its column
+        m.entries[(0, 0)] = rng.choice([-3, -2, -1, 1, 2, 3])
+        m.entries.pop((rng.randrange(1, n), 0), None)
+    elif kind == "singular" and n > 1:  # force a dependent row
+        last, mult = n - 1, rng.randint(-2, 2)
+        for j in range(n):
+            m.entries.pop((last, j), None)
+            if mult * m.get(0, j) - m.get(1, j):
+                m.entries[(last, j)] = mult * m.get(0, j) - m.get(1, j)
+    assert m.det() == fraction_det(m)
+
+
+def check_against_dense_lagrange(seed, n, hollow, bound):
+    rng = random.Random(seed)
+    g = rand_matrix(rng, n, n, rng.random(), -bound, bound)
     gram = g + g.transpose()
     if hollow:  # zero diagonal: every pivot goes through the x -> x+y mix
         gram = IntMatrix(n, n, {(i, j): v for (i, j), v in gram.entries.items() if i != j})
     diag = symmetric_diagonalize(gram)
     assert diag == dense_lagrange(gram)
     assert all(type(v) is Fraction for v in diag)
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32), st.integers(0, 7), st.booleans())
+def test_symmetric_diagonalize_matches_dense_lagrange(seed, n, hollow):
+    check_against_dense_lagrange(seed, n, hollow, 2)
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32), st.integers(0, 10), st.booleans())
+def test_symmetric_diagonalize_matches_dense_lagrange_past_unit_pivots(seed, n, hollow):
+    # entries up to 10 in size: pivots other than +-1 rescale the integer rows
+    check_against_dense_lagrange(seed, n, hollow, 5)

@@ -1,24 +1,28 @@
-"""Work budgets for the transfer pipelines, counted in calls, not seconds.
+"""Work budgets for the benchmark workloads, counted in calls, not seconds.
 
 Host speed drifts between runs by more than a small change moves the
-pipelines, and call counts do not drift.  One fixed pass runs
-``l_transfer``, ``k_transfer``, ``projected_torsion`` and
-``finite_replacement`` on the first 16 ``pipeline`` inputs of seed 0 and
-counts three calls:
+workloads, and call counts do not drift.  Each budget runs one fixed
+pass of a workload on seed 0 and counts calls:
 
+* the ``pipeline`` pass runs ``l_transfer``, ``k_transfer``,
+  ``projected_torsion`` and ``finite_replacement`` on the first 16
+  inputs; the ``chain`` pass runs ``Chain.call`` on the first 20.
 * ``ChainMap.compose`` and ``IntMatrix.__matmul__`` have ceilings: each
   composite is built once.  A change that lowers the work may lower a
   ceiling; one that raises it names the ceiling and the reason in
   ``CHANGES.md``.
 * ``ChainHomotopy.holds_at`` has a floor, so no identity check silently
   disappears.
+* On ``chain``, the torsion and signature kernels ``IntMatrix.det`` and
+  ``symmetric_diagonalize`` run an exact number of times: two torsion
+  determinants and one Lemma A signature per check.
 """
 
 import importlib.util
 import os
 from fractions import Fraction
 
-from klab import transfer
+from klab import ltheory, transfer
 from klab.chaincore import ChainHomotopy, ChainMap
 from klab.intmat import IntMatrix
 
@@ -29,31 +33,43 @@ COMPOSE_CEILING = 576
 MATMUL_CEILING = 1854
 HOLDS_AT_FLOOR = 632
 
+CHAIN_COMPOSE_CEILING = 360
+CHAIN_MATMUL_CEILING = 690
+CHAIN_HOLDS_AT_FLOOR = 196
+CHAIN_DETS = 40
+CHAIN_SIGNATURES = 20
 
-def load_pipeline():
+
+def load_workloads():
     # loaded from its path without registering it, so perfbench stays untouched
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.Pipeline()
+    return module
 
 
-def test_transfer_pipelines_stay_within_their_work_budget(monkeypatch):
-    pipeline = load_pipeline()
-    inputs = [pipeline.make(0, index) for index in range(16)]  # built before counting
-    counts = {}
+def count_calls(monkeypatch, targets):
+    """Wrap each ``(owner, name)`` so that its calls are counted by name."""
+    counts = dict.fromkeys((name for _, name in targets), 0)
 
     def counted(owner, name):
         real = getattr(owner, name)
 
         def call(*args):
-            counts[name] = counts.get(name, 0) + 1
+            counts[name] += 1
             return real(*args)
         monkeypatch.setattr(owner, name, call)
 
-    counted(ChainMap, "compose")
-    counted(IntMatrix, "__matmul__")
-    counted(ChainHomotopy, "holds_at")
+    for owner, name in targets:
+        counted(owner, name)
+    return counts
+
+
+def test_transfer_pipelines_stay_within_their_work_budget(monkeypatch):
+    pipeline = load_workloads().Pipeline()
+    inputs = [pipeline.make(0, index) for index in range(16)]  # built before counting
+    counts = count_calls(monkeypatch, [(ChainMap, "compose"), (IntMatrix, "__matmul__"),
+                                       (ChainHomotopy, "holds_at")])
     half = Fraction(1, 2)
     for pcx, psi, psi2, quad, alpha, alpha_inv, domination, *_ in inputs:
         assert transfer.l_transfer(quad, pcx, half).ok()
@@ -63,3 +79,18 @@ def test_transfer_pipelines_stay_within_their_work_budget(monkeypatch):
     assert counts["compose"] <= COMPOSE_CEILING, counts
     assert counts["__matmul__"] <= MATMUL_CEILING, counts
     assert counts["holds_at"] >= HOLDS_AT_FLOOR, counts
+
+
+def test_chain_checks_stay_within_their_work_budget(monkeypatch):
+    chain = load_workloads().Chain()
+    inputs = [chain.make(0, index) for index in range(20)]  # built before counting
+    counts = count_calls(monkeypatch, [(ChainMap, "compose"), (IntMatrix, "__matmul__"),
+                                       (ChainHomotopy, "holds_at"), (IntMatrix, "det"),
+                                       (ltheory, "symmetric_diagonalize")])
+    for case in inputs:
+        assert chain.outputs(case, chain.call(case))[0]
+    assert counts["compose"] <= CHAIN_COMPOSE_CEILING, counts
+    assert counts["__matmul__"] <= CHAIN_MATMUL_CEILING, counts
+    assert counts["holds_at"] >= CHAIN_HOLDS_AT_FLOOR, counts
+    assert counts["det"] == CHAIN_DETS, counts
+    assert counts["symmetric_diagonalize"] == CHAIN_SIGNATURES, counts
