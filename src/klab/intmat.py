@@ -360,12 +360,16 @@ def symmetric_diagonalize(gram: IntMatrix) -> List[Fraction]:
     entries (zeros included for a degenerate form).
 
     The form is kept as sparse symmetric integer rows over the indices
-    not yet pivoted, holding ``c`` times the form still to diagonalize
-    for an integer ``c > 0``; a positive scale changes no zero pattern,
-    so the pivots are those of the rational form.  A pivot ``pv`` leaves
-    as ``pv / c`` and updates only the pairs of its row's nonzero
-    columns (the Schur complement, times ``|pv|``).  The lowest index
-    with a nonzero diagonal entry is taken at each step.
+    not yet pivoted, holding ``c`` times the form still to diagonalize,
+    where ``c > 0`` is the size of the last pivot (1 at the start); a
+    positive scale changes no zero pattern, so the pivots are those of
+    the rational form.  The lowest index with a nonzero diagonal entry
+    is taken at each step.  A pivot ``pv`` leaves as ``pv / c`` and
+    takes the Schur complement at scale ``|pv|``: fraction-free, as in
+    Bareiss, every entry is up to sign a minor of a congruent integer
+    form, so each division by ``c`` is exact and the entries stay
+    small.  Only the pairs of the pivot row's nonzero columns need more
+    than a rescale.
     """
     if not gram.is_symmetric():
         raise ValueError("symmetric_diagonalize needs a symmetric matrix")
@@ -407,19 +411,20 @@ def symmetric_diagonalize(gram: IntMatrix) -> List[Fraction]:
         for k in prow:
             del rows[k][pivot]
         scale = abs(pv)
-        if scale > 1:
-            c *= scale
-            for r in rows.values():
+        if scale != c:  # pairs the pivot row misses only change scale
+            for j, r in rows.items():
                 for k in r:
-                    r[k] *= scale
+                    if j not in prow or k not in prow:
+                        r[k] = r[k] * scale // c
         s = 1 if pv > 0 else -1
         for j, ajp in prow.items():
             rj = rows[j]
             f = s * ajp
             for k, apk in prow.items():
-                put(j, k, rj.get(k, 0) - f * apk)
+                put(j, k, (scale * rj.get(k, 0) - f * apk) // c)
             if j in rj:
                 live.add(j)
             else:
                 live.discard(j)
+        c = scale
     return diag

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from klab import intmat
 from klab.fixtures import rand_matrix
 from klab.intmat import (IntMatrix, column_lattice_basis, idempotent_splitting,
                          lattice_member, sign, symmetric_diagonalize)
@@ -451,3 +452,27 @@ def test_symmetric_diagonalize_matches_dense_lagrange(seed, n, hollow):
 def test_symmetric_diagonalize_matches_dense_lagrange_past_unit_pivots(seed, n, hollow):
     # entries up to 10 in size: pivots other than +-1 rescale the integer rows
     check_against_dense_lagrange(seed, n, hollow, 5)
+
+
+def test_symmetric_diagonalize_keeps_its_rows_at_minor_size(monkeypatch):
+    """On a positive definite form no x -> x+y mix happens, so each scaled
+    pivot is a leading principal minor: at most the product of the diagonal
+    (Hadamard).  Rows scaled by every pivot without the Bareiss division
+    double their entries' bit length per pivot instead."""
+    sizes = []
+
+    def recording(*args):
+        sizes.extend(abs(v) for v in args)
+        return Fraction(*args)
+    monkeypatch.setattr(intmat, "Fraction", recording)
+    rng = random.Random(207)
+    for n in range(1, 13):
+        b = rand_matrix(rng, n, n, 0.8, -3, 3)
+        gram = b.transpose() @ b + IntMatrix.identity(n)
+        hadamard = 1
+        for i in range(n):
+            hadamard *= gram.get(i, i)
+        sizes.clear()
+        diag = symmetric_diagonalize(gram)
+        assert diag == dense_lagrange(gram)
+        assert max(sizes) <= hadamard
