@@ -10,7 +10,7 @@ truncation flag instead of claiming completeness.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -48,8 +48,9 @@ class HomotopySAction:
         self.S = S
         self.index = space.index
         self.phi = {backend.canonical(g): tuple(m) for g, m in phi.items()}
-        self.H = {(backend.canonical(g), backend.canonical(h)): tuple(tuple(m) for m in grid)
+        self.H = {(backend.canonical(g), backend.canonical(h)): tuple(map(tuple, grid))
                   for (g, h), grid in homotopies.items()}
+        self._view = None  # phi and H on point indices, built by _index_view()
         self._moves = None  # built on first use by move_relation()
         self._pairs = None  # the induced action p2.p2_action builds once
         if check:
@@ -66,32 +67,47 @@ class HomotopySAction:
     def compose_maps(self, outer: PointMap, inner: PointMap) -> PointMap:
         return tuple(outer[self.index[inner[i]]] for i in range(len(inner)))
 
+    def _index_view(self) -> Tuple[Dict[object, Optional[Tuple[int, ...]]],
+                                   Dict[Tuple[object, object], Tuple[Optional[Tuple[int, ...]], ...]]]:
+        """``phi`` and ``H`` on point indices, built once per action: each
+        distinct map becomes one tuple of the indices of its images, or
+        None when it is not a total point map (a length other than the
+        space's, or an image that is not a point)."""
+        if self._view is None:
+            index, n, seen = self.index, len(self.space.points), {}
+            for m in chain(self.phi.values(), *self.H.values()):
+                if m not in seen:
+                    v = tuple(map(index.get, m))
+                    seen[m] = v if len(v) == n and None not in v else None
+            self._view = ({g: seen[m] for g, m in self.phi.items()},
+                          {key: tuple(map(seen.__getitem__, grid)) for key, grid in self.H.items()})
+        return self._view
+
     def validate(self) -> None:
         e = self.backend.identity()
         if e not in self.S:
             raise InputError("S must contain the identity")
+        phi, H = self._index_view()
         for g in self.S:
-            if g not in self.phi:
+            if g not in phi:
                 raise InputError(f"phi missing for {g!r}")
-            m = self.phi[g]
-            if len(m) != len(self.space.points) or any(y not in self.index for y in m):
+            if phi[g] is None:
                 raise InputError(f"phi[{g!r}] is not a total point map")
-        if self.phi[e] != self.identity_map():
+        ident = tuple(range(len(self.space.points)))
+        if phi[e] != ident:
             raise InputError("phi_e must be the identity")
         for g, h, gh in self.S.products:
-            grid = self.H.get((g, h))
+            grid = H.get((g, h))
             if not grid:
                 raise InputError(f"homotopy missing for pair ({g!r},{h!r})")
-            comp = self.compose_maps(self.phi[g], self.phi[h])
-            if grid[0] != comp:
+            outer = phi[g]
+            if grid[0] != tuple([outer[y] for y in phi[h]]):
                 raise InputError(f"H[{g!r},{h!r}] does not start at phi_g o phi_h")
-            if grid[-1] != self.phi[gh]:
+            if grid[-1] != phi[gh]:
                 raise InputError(f"H[{g!r},{h!r}] does not end at phi_gh")
-            for m in grid:
-                if len(m) != len(self.space.points) or any(y not in self.index for y in m):
-                    raise InputError(f"H[{g!r},{h!r}] has a non-total grid map")
-        ident = self.identity_map()
-        for m in self.H[(e, e)]:
+            if None in grid:
+                raise InputError(f"H[{g!r},{h!r}] has a non-total grid map")
+        for m in H[(e, e)]:
             if m != ident:
                 raise InputError("H[e,e] must be constantly the identity")
 
@@ -124,33 +140,40 @@ class HomotopySAction:
         repr.  The relation pairs each letter that has an edge with its
         edges, one entry per point index ``z``: the ascending ``x'`` with
         ``f(z) = f'(x')`` for some ``f in F_a``, ``f' in F_b`` and
-        ``a^{-1} b`` the letter.  It joins the images of ``z`` under ``F_a``
-        with the preimages under ``F_b``, each set built once per element
-        of ``S``.
+        ``a^{-1} b`` the letter.  It joins each map of ``F_a`` with the
+        preimage lists of ``F_b``; each ``F_c`` is a set of index tuples read
+        once from the grids of ``_index_view``, unsorted.  A grid map that
+        is not total is an ``InputError``.
         """
         if self._moves is None:
-            mul, inv, index = self.backend.mul, self.backend.inv, self.index
-            n = len(self.space.points)
-            images, preimages = {}, {}
-            for a in self.S:
-                fa = [tuple(index[y] for y in m) for m in self.f_set(a)]
-                images[a] = [{m[z] for m in fa} for z in range(n)]
-                pre = preimages[a] = [set() for _ in range(n)]
-                for m in fa:
+            mul, inv, n = self.backend.mul, self.backend.inv, len(self.space.points)
+            H = self._index_view()[1]
+            fsets: Dict[object, Set[Tuple[int, ...]]] = {a: set() for a in self.S}
+            for r, s, rs in self.S.products:
+                grid = H.get((r, s), ())
+                if None in grid:
+                    raise InputError(f"H[{r!r},{s!r}] has a non-total grid map")
+                fsets[rs].update(grid)
+            preimages = {}
+            for b, fb in fsets.items():
+                pre = preimages[b] = [[] for _ in range(n)]
+                for m in fb:
                     for x, y in enumerate(m):
-                        pre[y].add(x)
+                        pre[y].append(x)
             relation: Dict[object, List[Set[int]]] = {}
-            for a in self.S:
-                for b in self.S:
-                    step, pre = mul(inv(a), b), preimages[b]
+            for a, fa in fsets.items():
+                ia = inv(a)
+                for b, fb in fsets.items():
+                    step, pre = mul(ia, b), preimages[b]
                     out = relation.get(step)
                     if out is None:
                         out = relation[step] = [set() for _ in range(n)]
-                    for xs, ys in zip(out, images[a]):
-                        for y in ys:
-                            xs |= pre[y]
+                    if fb:
+                        for m in fa:
+                            for xs, y in zip(out, m):
+                                xs.update(pre[y])
             letters = sorted(relation, key=repr)
-            self._moves = (letters, [(step, tuple(tuple(sorted(xs)) for xs in relation[step]))
+            self._moves = (letters, [(step, tuple([tuple(sorted(xs)) for xs in relation[step]]))
                                      for step in letters if any(relation[step])])
         return self._moves
 

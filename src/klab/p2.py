@@ -75,17 +75,42 @@ def p2_point_map(space: ControlSpace, pair_space: ControlSpace, m: PointMap) -> 
 
 def p2_action(action: HomotopySAction) -> HomotopySAction:
     """Induced homotopy S-action on the pair space (componentwise maps,
-    grid homotopies descend), built once per action."""
+    grid homotopies descend), built once per action.
+
+    Each distinct map of the action's index view is induced once, as a
+    tuple of pair indices read from a table of ``p2_points``' order, and
+    those tuples seed the pair action's own index view before it runs
+    ``validate``.  A pair map determines its map on the diagonal, so the
+    pair action passes ``validate`` exactly when the action does.  A map
+    that is not total cannot be induced: ``validate`` names it when it
+    checks it, and otherwise it is an ``InputError`` of its own."""
     if action._pairs is not None:
         return action._pairs
+    phi, H = action._index_view()
+    if None in phi.values() or any(None in grid for grid in H.values()):
+        action.validate()
+        raise InputError("a point map outside the products of S is not total")
     pair_space = p2_metric(action.space)
-    # each distinct point map once: a genuine action's grids repeat its phi maps
-    maps = {*action.phi.values(), *chain.from_iterable(action.H.values())}
-    induced = {m: p2_point_map(action.space, pair_space, m) for m in maps}
-    phi = {g: induced[m] for g, m in action.phi.items()}
-    homotopies = {key: tuple(induced[m] for m in grid) for key, grid in action.H.items()}
-    action._pairs = HomotopySAction(action.backend, pair_space, action.S, phi, homotopies)
-    return action._pairs
+    n, index, pairs = len(action.space.points), action.space.index, pair_space.points
+    ends = [(index[x], index[y]) for x, y in pairs]
+    table = [[0] * n for _ in range(n)]  # the pair index of each two point indices
+    for k, (i, j) in enumerate(ends):
+        table[i][j] = table[j][i] = k
+    induced: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], PointMap]] = {}
+    for m in chain(phi.values(), *H.values()):
+        if m not in induced:
+            rows = [table[y] for y in m]
+            pm = tuple([rows[i][m[j]] for i, j in ends])
+            induced[m] = pm, tuple(map(pairs.__getitem__, pm))
+    pair = HomotopySAction(action.backend, pair_space, action.S,
+                           {g: induced[m][1] for g, m in phi.items()},
+                           {key: tuple(induced[m][1] for m in grid) for key, grid in H.items()},
+                           check=False)
+    pair._view = ({g: induced[m][0] for g, m in phi.items()},
+                  {key: tuple(induced[m][0] for m in grid) for key, grid in H.items()})
+    pair.validate()
+    action._pairs = pair
+    return pair
 
 
 class StabilizerReport:
@@ -200,13 +225,17 @@ def omega_audit(action: HomotopySAction, lam: Fraction,
     pair_action = p2_action(action)
     metric_x = DSLambdaMetric(action, lam, n_max)
     metric_p2 = DSLambdaMetric(pair_action, lam, n_max)
+    backend = action.backend
     checked = skipped = 0
     bad: List[str] = []
     for (z, zp) in samples:
         (g, pair), (h, pairp) = z, zp
         pair = unordered_pair(*pair)
         pairp = unordered_pair(*pairp)
-        rhs = metric_p2.distance((g, pair), (h, pairp))
+        # G-invariance: all five distances are read at one displacement,
+        # each from the search of its source point
+        disp = backend.mul(backend.inv(backend.canonical(g)), backend.canonical(h))
+        rhs = metric_p2._result(metric_p2._search(pair), disp, pairp)
         if rhs.truncated:
             skipped += 1
             continue
@@ -215,7 +244,7 @@ def omega_audit(action: HomotopySAction, lam: Fraction,
         legs = []
         for (a, b) in [(pair[0], pairp[0]), (pair[1], pairp[1]),
                        (pair[0], pairp[1]), (pair[1], pairp[0])]:
-            r = metric_x.distance((g, a), (h, b))
+            r = metric_x._result(metric_x._search(a), disp, b)
             if r.truncated:
                 break
             legs.append(r)

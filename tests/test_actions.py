@@ -529,6 +529,84 @@ def test_index_moves_and_pair_maps_match_references(case):
     assert pair.H == {key: tuple(induced[m] for m in grid) for key, grid in act.H.items()}
 
 
+def reference_move_relation(act):
+    """``move_relation`` as it was when it joined the sorted ``f_set`` maps,
+    re-indexed through the point dict, kept as the reference."""
+    mul, inv, index = act.backend.mul, act.backend.inv, act.index
+    n = len(act.space.points)
+    images, preimages = {}, {}
+    for a in act.S:
+        fa = [tuple(index[y] for y in m) for m in act.f_set(a)]
+        images[a] = [{m[z] for m in fa} for z in range(n)]
+        pre = preimages[a] = [set() for _ in range(n)]
+        for m in fa:
+            for x, y in enumerate(m):
+                pre[y].add(x)
+    relation = {}
+    for a in act.S:
+        for b in act.S:
+            step, pre = mul(inv(a), b), preimages[b]
+            out = relation.setdefault(step, [set() for _ in range(n)])
+            for xs, ys in zip(out, images[a]):
+                for y in ys:
+                    xs |= pre[y]
+    letters = sorted(relation, key=repr)
+    return letters, [(step, tuple(tuple(sorted(xs)) for xs in relation[step]))
+                     for step in letters if any(relation[step])]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(unchecked_actions())
+def test_move_relation_matches_the_f_set_join(case):
+    act = case[0]
+    assert act.move_relation() == reference_move_relation(act)
+    try:
+        pair = p2_action(act)
+    except InputError:
+        return
+    assert pair.move_relation() == reference_move_relation(pair)
+
+
+def short_and_stray_actions():
+    """Z/2 on the path of three points, built unchecked, each with one map
+    that is not total: short, long, or with an image that is not a point;
+    as the image of 1 in ``phi`` and its grid (``in_grid``) or in ``phi``
+    alone."""
+    z2, line = FiniteTableGroup.cyclic(2), ControlSpace.path(3)
+    pts = tuple(line.points)
+    flip = pts[::-1]
+    for bad in (pts[:2], pts + pts[:1], ("p0", "zz", "p2")):
+        for in_grid in (True, False):
+            homotopies = {(0, 0): (pts,), (0, 1): (bad if in_grid else flip,),
+                          (1, 0): (bad if in_grid else flip,), (1, 1): (pts,)}
+            yield in_grid, lambda: HomotopySAction(z2, line, FiniteSubset.of(z2, [0, 1]),
+                                                   {0: pts, 1: bad}, homotopies, check=False)
+
+
+def test_maps_that_are_not_total_are_input_errors():
+    for in_grid, build in short_and_stray_actions():
+        with pytest.raises(InputError, match="not a total point map"):
+            build().validate()
+        with pytest.raises(InputError, match="not a total point map"):
+            p2_action(build())  # exactly where validate fails, with its message
+        if in_grid:
+            with pytest.raises(InputError, match="non-total grid map"):
+                build().move_relation()
+        else:  # the join reads the grids only
+            assert build().move_relation() == reference_move_relation(build())
+
+
+def test_p2_action_refuses_a_stray_map_that_validate_does_not_read():
+    z2, line = FiniteTableGroup.cyclic(2), ControlSpace.path(3)
+    pts = tuple(line.points)
+    # H[(1, 1)] is no product of S = {0}, so validate and the join skip it
+    act = HomotopySAction(z2, line, FiniteSubset.of(z2, [0]), {0: pts},
+                          {(0, 0): (pts,), (1, 1): (pts[:2],)})
+    assert act.move_relation() == reference_move_relation(act)
+    with pytest.raises(InputError, match="outside the products of S"):
+        p2_action(act)
+
+
 class FractionResult:
     """``DSLambdaResult`` as it was when it held ``Fraction``s, kept as the
     reference: ``value`` None is the infinity marker."""
@@ -652,19 +730,29 @@ def test_omega_audit_matches_the_fraction_audit(case, lam, n_max, data):
     window = act.backend.elements() or [(k,) for k in range(-3, 4)]
     point = st.tuples(st.sampled_from(window), st.sampled_from(p2_points(act.space)))
     samples = data.draw(st.lists(st.tuples(point, point), min_size=1, max_size=8))
-    queried = []  # every result the audit read, with its query
-    distance = DSLambdaMetric.distance
+    # every result the audit read, with its query: the audit reads each
+    # one from the search of its source point, at the sample's displacement
+    queried, sources = [], {}
+    search, result = DSLambdaMetric._search, DSLambdaMetric._result
 
-    def recorded(metric, src, dst):
-        got = distance(metric, src, dst)
-        queried.append((metric.action, src, dst, got))
+    def recorded_search(metric, x0):
+        found = search(metric, x0)
+        sources[id(found)] = x0
+        return found
+
+    def recorded_result(metric, found, disp, y):
+        got = result(metric, found, disp, y)
+        queried.append((metric.action, (act.backend.identity(), sources[id(found)]), (disp, y),
+                        got))
         return got
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DSLambdaMetric, "distance", recorded)
+        mp.setattr(DSLambdaMetric, "_search", recorded_search)
+        mp.setattr(DSLambdaMetric, "_result", recorded_result)
         audit = omega_audit(act, lam, samples, n_max=n_max)
     assert ((audit.checked, audit.skipped, audit.counterexamples)
             == reference_omega_audit(act, lam, samples, n_max))
+    assert len(queried) >= len(samples)  # the pair distance of each sample at least
     want = {a: ReferenceDistances(a, lam, n_max) for a in (act, p2_action(act))}
     for a, src, dst, got in queried:
         ref = want[a].distance(src, dst)

@@ -245,7 +245,7 @@ def test_p2_action_builds_the_pair_space_and_action_once(monkeypatch, capsys):
     monkeypatch.setattr(ControlSpace, "from_scaled",
                         staticmethod(lambda *args: spaces.append(args) or from_scaled(*args)))
     monkeypatch.setattr(klab.p2, "HomotopySAction",
-                        lambda *args: induced.append(args) or action(*args))
+                        lambda *args, **kwargs: induced.append(args) or action(*args, **kwargs))
     assert run_cli("p2", Z2, "--space", "X", "--action", "swap") == 0
     assert "FAIL" not in capsys.readouterr().out
     assert (len(spaces), len(induced)) == (1, 1)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,17 +16,19 @@ from klab.p2 import (lipschitz_transfer_audit, omega_audit, p2_action,
                      unordered_pair)
 
 
-def test_p2_action_induces_each_distinct_map_once(monkeypatch):
+def test_p2_action_induces_each_distinct_map_once():
     act = dihedral_action(3)
     maps = set(act.phi.values()) | {m for grid in act.H.values() for m in grid}
-    induce, induced = klab.p2.p2_point_map, []
-    monkeypatch.setattr(klab.p2, "p2_point_map",
-                        lambda space, pairs, m: induced.append(m) or induce(space, pairs, m))
     pair = p2_action(act)
+    pair_maps = [*pair.phi.values(), *itertools.chain(*pair.H.values())]
+    phi, H = pair._index_view()
+    # one induced map, and one pair-index tuple, per distinct map of the action
+    assert len({id(m) for m in pair_maps}) == len(maps)
+    assert len({id(m) for m in [*phi.values(), *itertools.chain(*H.values())]}) == len(maps)
     # a genuine action's grids repeat its phi maps
-    assert sorted(induced) == sorted(maps)
-    assert len(induced) < len(act.phi) + sum(map(len, act.H.values()))
-    assert pair.phi == {g: induce(act.space, pair.space, m) for g, m in act.phi.items()}
+    assert len(maps) < len(act.phi) + sum(map(len, act.H.values()))
+    assert pair.phi == {g: p2_point_map(act.space, pair.space, m) for g, m in act.phi.items()}
+    assert phi == {g: tuple(map(pair.index.__getitem__, m)) for g, m in pair.phi.items()}
 
 
 def test_unordered_pair_canonical():
@@ -349,8 +352,8 @@ def test_omega_audit_reports_a_counterexample(monkeypatch):
 
     class HalvedPairs(DSLambdaMetric):
         """Halves every distance on the pair space, so the factor 2 breaks."""
-        def distance(self, src, dst):
-            r = super().distance(src, dst)
+        def _result(self, search, disp, y):  # the audit reads every result here
+            r = super()._result(search, disp, y)
             if self.action is act or r.value is None:
                 return r
             return DSLambdaResult(r.found, 2 * r.unit, r.truncated, r._lower)

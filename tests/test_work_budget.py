@@ -16,6 +16,10 @@ pass of a workload on seed 0 and counts calls:
 * On ``chain``, the torsion and signature kernels ``IntMatrix.det`` and
   ``symmetric_diagonalize`` run an exact number of times: two torsion
   determinants and one Lemma A signature per check.
+* The ``omega`` pass runs ``Omega.call`` on the first 28 inputs, one
+  cycle.  Each check joins the move relation exactly twice, once for the
+  action and once for its pair action, and reads all five of its samples
+  (checked or skipped); ``DSLambdaMetric._step`` has a ceiling.
 """
 
 import importlib.util
@@ -23,6 +27,7 @@ import os
 from fractions import Fraction
 
 from klab import ltheory, transfer
+from klab.actions import DSLambdaMetric, HomotopySAction
 from klab.chaincore import ChainHomotopy, ChainMap
 from klab.intmat import IntMatrix
 
@@ -38,6 +43,9 @@ CHAIN_MATMUL_CEILING = 690
 CHAIN_HOLDS_AT_FLOOR = 196
 CHAIN_DETS = 40
 CHAIN_SIGNATURES = 20
+
+OMEGA_JOINS_PER_CHECK = 2
+OMEGA_STEP_CEILING = 154
 
 
 def load_workloads():
@@ -94,3 +102,24 @@ def test_chain_checks_stay_within_their_work_budget(monkeypatch):
     assert counts["holds_at"] >= CHAIN_HOLDS_AT_FLOOR, counts
     assert counts["det"] == CHAIN_DETS, counts
     assert counts["symmetric_diagonalize"] == CHAIN_SIGNATURES, counts
+
+
+def test_omega_checks_stay_within_their_work_budget(monkeypatch):
+    omega = load_workloads().Omega()
+    inputs = [omega.make(0, index) for index in range(omega.cycle)]  # built before counting
+    counts = count_calls(monkeypatch, [(DSLambdaMetric, "_step")])
+    joins = []
+    move_relation = HomotopySAction.move_relation
+
+    def joined(action):
+        if action._moves is None:  # built here, not read from the action
+            joins.append(action)
+        return move_relation(action)
+    monkeypatch.setattr(HomotopySAction, "move_relation", joined)
+    for case in inputs:
+        before = len(joins)
+        audit = omega.call(case)
+        assert audit.ok(), audit.counterexamples
+        assert len(joins) - before == OMEGA_JOINS_PER_CHECK
+        assert audit.checked + audit.skipped == omega.batch
+    assert counts["_step"] <= OMEGA_STEP_CEILING, counts
