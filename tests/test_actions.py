@@ -19,7 +19,8 @@ from klab.fixtures import (dihedral_action, dihedral_cover, path_point_dominatio
                            z2_swap_action)
 from klab.groups import (FamilyPredicate, FiniteSubset, FiniteTableGroup, FreeAbelianGroup,
                          FreeGroup)
-from klab.p2 import omega_audit, p2_action, p2_point_map, p2_points, unordered_pair
+from klab.p2 import (omega_audit, p2_action, p2_metric, p2_point_map, p2_points,
+                     unordered_pair)
 
 
 def trivial_action_on_path(n=4):
@@ -555,15 +556,41 @@ def reference_move_relation(act):
                      for step in letters if any(relation[step])]
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(unchecked_actions())
+@st.composite
+def valid_actions(draw):
+    """``unchecked_actions`` with every grid rebuilt to run from
+    ``phi_g o phi_h`` through at most one arbitrary map to ``phi_gh``, and
+    ``H[e,e]`` constantly the identity, on a space whose distances lie in
+    ``[1, 2]`` and so form a metric: each one passes ``validate``."""
+    act, *rest = draw(unchecked_actions())
+    e, pts = act.backend.identity(), act.space.points
+    weight = st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)])
+    space = ControlSpace(pts, {(x, y): draw(weight) for i, x in enumerate(pts) for y in pts[i + 1:]})
+    point_map = st.lists(st.sampled_from(pts), min_size=len(pts), max_size=len(pts)).map(tuple)
+    homotopies = {}
+    for g, h, gh in act.S.products:
+        middle = [] if g == h == e else draw(st.lists(point_map, max_size=1))
+        homotopies[(g, h)] = (act.compose_maps(act.phi[g], act.phi[h]), *middle, act.phi[gh])
+    return (HomotopySAction(act.backend, space, act.S, act.phi, homotopies), *rest)
+
+
+@settings(max_examples=160, deadline=None, derandomize=True, database=None)
+@given(st.one_of(unchecked_actions(), valid_actions()))
 def test_move_relation_matches_the_f_set_join(case):
     act = case[0]
     assert act.move_relation() == reference_move_relation(act)
     try:
         pair = p2_action(act)
-    except InputError:
+    except InputError:  # the action fails its check, or the pair space over its base does
+        with pytest.raises(InputError):
+            act.validate()
+            p2_metric(act.space)
         return
+    act.validate()
+    induced = {m: p2_point_map(act.space, pair.space, m)
+               for m in [*act.phi.values(), *itertools.chain(*act.H.values())]}
+    assert pair.phi == {g: induced[m] for g, m in act.phi.items()}
+    assert pair.H == {key: tuple(induced[m] for m in grid) for key, grid in act.H.items()}
     assert pair.move_relation() == reference_move_relation(pair)
 
 
