@@ -83,16 +83,32 @@ class HomotopySAction:
                           {key: tuple(map(seen.__getitem__, grid)) for key, grid in self.H.items()})
         return self._view
 
-    def validate(self) -> None:
-        e = self.backend.identity()
-        if e not in self.S:
-            raise InputError("S must contain the identity")
-        phi, H = self._index_view()
+    def _s_phi(self) -> Dict[object, Tuple[int, ...]]:
+        """``phi`` on point indices, checked total over ``S``."""
+        phi = self._index_view()[0]
         for g in self.S:
             if g not in phi:
                 raise InputError(f"phi missing for {g!r}")
             if phi[g] is None:
                 raise InputError(f"phi[{g!r}] is not a total point map")
+        return phi
+
+    def _product_grids(self):
+        """Each ``rs`` of ``S.products`` with the grid of ``(r, s)`` on point
+        indices, empty when it is missing; a map of it that is not total
+        is an ``InputError``."""
+        H = self._index_view()[1]
+        for r, s, rs in self.S.products:
+            grid = H.get((r, s), ())
+            if None in grid:
+                raise InputError(f"H[{r!r},{s!r}] has a non-total grid map")
+            yield rs, grid
+
+    def validate(self) -> None:
+        e = self.backend.identity()
+        if e not in self.S:
+            raise InputError("S must contain the identity")
+        phi, H = self._s_phi(), self._index_view()[1]
         ident = tuple(range(len(self.space.points)))
         if phi[e] != ident:
             raise InputError("phi_e must be the identity")
@@ -147,12 +163,8 @@ class HomotopySAction:
         """
         if self._moves is None:
             mul, inv, n = self.backend.mul, self.backend.inv, len(self.space.points)
-            H = self._index_view()[1]
             fsets: Dict[object, Set[Tuple[int, ...]]] = {a: set() for a in self.S}
-            for r, s, rs in self.S.products:
-                grid = H.get((r, s), ())
-                if None in grid:
-                    raise InputError(f"H[{r!r},{s!r}] has a non-total grid map")
+            for rs, grid in self._product_grids():
                 fsets[rs].update(grid)
             preimages = {}
             for b, fb in fsets.items():
@@ -234,8 +246,13 @@ class DSLambdaResult:
 
 
 def check_lambda(lam) -> Fraction:
-    """``Lambda`` as a ``Fraction``; an ``InputError`` unless it is an
-    ``int`` or a ``Fraction`` (not a bool) and positive."""
+    """``Lambda`` as a ``Fraction``, a ``Fraction`` itself returned as it
+    is; an ``InputError`` unless it is an ``int`` or a ``Fraction`` (not a
+    bool) and positive."""
+    if type(lam) is Fraction:
+        if lam.numerator <= 0:
+            raise InputError("Lambda must be positive")
+        return lam
     if isinstance(lam, bool) or not isinstance(lam, (int, Fraction)):
         raise InputError(f"Lambda must be an int or a Fraction, not {type(lam).__name__}")
     if lam <= 0:
@@ -284,7 +301,10 @@ class DSLambdaMetric:
     by ``g * letter``, closes each candidate as
     ``row[z] = min_x cand[x] + closure[x][z]`` over its improved entries,
     and folds it into that element's row by elementwise ``min``.  A row
-    the last step left alone has moved already at the same costs.
+    the last step left alone has moved already at the same costs.  The
+    identity letter is not moved when it sends each point to itself: at
+    ``+ scale`` it lowers no entry of the row it lands on.  It still
+    counts as a letter of the layers and the state cap.
 
     A search stops at the layer that certifies its query.  After ``k``
     steps every path with more moves costs at least ``(k + 1) * scale``,
@@ -310,6 +330,14 @@ class DSLambdaMetric:
         self.backend = action.backend
         self.letters, self.moves = action.move_relation()
         space = action.space
+        # per letter of moves, what _step relaxes: None for the identity
+        # relation of the identity element, (True, targets) for a relation
+        # with one x' per point, and (False, edges) for any other
+        e, ident = self.backend.identity(), tuple((x,) for x in range(len(space.points)))
+        self._plan = [None if step == e and out == ident
+                      else (True, [xps[0] for xps in out]) if all(len(xps) == 1 for xps in out)
+                      else (False, out)
+                      for step, out in self.moves]
         self.points, self.index = space.points, space.index
         scale, rows = space.scaled()
         if min(map(min, rows), default=0) < 0:
@@ -384,14 +412,23 @@ class DSLambdaMetric:
         """One DP step of ``search``: from least costs using at most ``k``
         moves to least costs using at most ``k + 1``."""
         rows, successors = search.rows, self._layers[1]
-        closure, moves, unit, blank = self.closure, self.moves, self.scale, self._blank
+        closure, plan, unit, blank = self.closure, self._plan, self.scale, self._blank
         cand: Dict[int, List[int]] = {}
         for g in search.frontier:
             row = rows[g]
-            for h, (_, out) in zip(successors[g], moves):
+            for h, letter in zip(successors[g], plan):
+                if letter is None:
+                    continue
                 c = cand.get(h)
                 if c is None:
                     c = cand[h] = list(rows.get(h, blank))
+                single, out = letter
+                if single:
+                    for v, xp in zip(row, out):
+                        v += unit
+                        if v < c[xp]:
+                            c[xp] = v
+                    continue
                 for v, xps in zip(row, out):
                     v += unit
                     for xp in xps:
@@ -532,26 +569,31 @@ def moduli(action: HomotopySAction, eps_grid: Sequence[Fraction]
     """Displacement moduli ``beta`` and its partial inverse ``alpha``.
 
     ``beta(eps)`` is the maximal displacement of eps-close pairs under
-    all maps of the action (the ``phi_g`` and every grid homotopy map);
-    ``alpha(eps)`` is the largest grid value ``delta`` with
-    ``beta(delta) <= eps`` (or None when no grid value qualifies).
+    the maps ``validate`` checks (``phi_g`` over ``S`` and every map of
+    the grids of ``S.products``, read on point indices; one that is
+    missing or not total is an ``InputError``); ``alpha(eps)`` is the
+    largest grid value ``delta`` with ``beta(delta) <= eps`` (or None when
+    no grid value qualifies).  Distances are compared on the space's
+    ``scaled()`` integers.
     """
     grid = sorted(Fraction(e) for e in eps_grid)
-    maps: List[PointMap] = [action.phi[g] for g in action.S]
-    for gridmaps in action.H.values():
-        maps.extend(gridmaps)
-    pts = action.space.points
+    phi = action._s_phi()
+    maps = {phi[g] for g in action.S}
+    for _, gridmaps in action._product_grids():
+        maps.update(gridmaps)
+    scale, rows = action.space.scaled()
+    n = len(rows)
     beta: Dict[Fraction, Fraction] = {}
     for eps in grid:
-        worst = Fraction(0)
-        for x in pts:
-            for y in pts:
-                if action.space.d(x, y) <= eps:
+        bound, worst = eps * scale, 0
+        for i, row in enumerate(rows):
+            for j in range(n):
+                if row[j] <= bound:
                     for m in maps:
-                        disp = action.space.d(action.apply(m, x), action.apply(m, y))
+                        disp = rows[m[i]][m[j]]
                         if disp > worst:
                             worst = disp
-        beta[eps] = worst
+        beta[eps] = Fraction(worst, scale)
     alpha: Dict[Fraction, Optional[Fraction]] = {}
     for eps in grid:
         qualifying = [d for d in grid if beta[d] <= eps]

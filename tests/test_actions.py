@@ -370,6 +370,35 @@ def unchecked_actions(draw):
     return act, lam, draw(st.integers(0, 3)), state_cap
 
 
+@st.composite
+def valid_actions(draw):
+    """``unchecked_actions`` with every grid rebuilt to run from
+    ``phi_g o phi_h`` through at most one arbitrary map to ``phi_gh``, and
+    ``H[e,e]`` constantly the identity, on a space whose distances lie in
+    ``[1, 2]`` and so form a metric: each one passes ``validate``."""
+    act, *rest = draw(unchecked_actions())
+    e, pts = act.backend.identity(), act.space.points
+    weight = st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)])
+    space = ControlSpace(pts, {(x, y): draw(weight) for i, x in enumerate(pts) for y in pts[i + 1:]})
+    point_map = st.lists(st.sampled_from(pts), min_size=len(pts), max_size=len(pts)).map(tuple)
+    homotopies = {}
+    for g, h, gh in act.S.products:
+        middle = [] if g == h == e else draw(st.lists(point_map, max_size=1))
+        homotopies[(g, h)] = (act.compose_maps(act.phi[g], act.phi[h]), *middle, act.phi[gh])
+    return (HomotopySAction(act.backend, space, act.S, act.phi, homotopies), *rest)
+
+
+def pair_case(case):
+    """A case of ``valid_actions`` with its action replaced by its pair action."""
+    return (p2_action(case[0]), *case[1:])
+
+
+# unchecked actions rarely have a single-valued move relation, or an identity
+# letter that moves each point to itself; valid actions and their pair
+# actions often do, so the search tests draw all three
+search_actions = st.one_of(unchecked_actions(), valid_actions(), valid_actions().map(pair_case))
+
+
 def layered_costs(metric, x0):
     """``metric._layered(x0)``, whose rows are keyed by element id and
     indexed by point, as ``{(g, x): cost}``."""
@@ -378,8 +407,8 @@ def layered_costs(metric, x0):
     return {(elements[g], x): v for g, row in rows.items() for x, v in zip(metric.points, row)}
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(unchecked_actions())
+@settings(max_examples=160, deadline=None, derandomize=True, database=None)
+@given(search_actions)
 def test_layered_search_matches_heap_dijkstra(case):
     act, lam, n_max, state_cap = case
     metric = DSLambdaMetric(act, lam, n_max=n_max, state_cap=state_cap)
@@ -407,8 +436,8 @@ def queries(act):
     return [(g, y) for g in elements for y in act.space.points]
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(unchecked_actions(), st.data())
+@settings(max_examples=160, deadline=None, derandomize=True, database=None)
+@given(search_actions, st.data())
 def test_resumed_searches_match_heap_dijkstra_and_fresh_metrics(case, data):
     act, lam, n_max, state_cap = case
     metric = DSLambdaMetric(act, lam, n_max=n_max, state_cap=state_cap)
@@ -554,24 +583,6 @@ def reference_move_relation(act):
     letters = sorted(relation, key=repr)
     return letters, [(step, tuple(tuple(sorted(xs)) for xs in relation[step]))
                      for step in letters if any(relation[step])]
-
-
-@st.composite
-def valid_actions(draw):
-    """``unchecked_actions`` with every grid rebuilt to run from
-    ``phi_g o phi_h`` through at most one arbitrary map to ``phi_gh``, and
-    ``H[e,e]`` constantly the identity, on a space whose distances lie in
-    ``[1, 2]`` and so form a metric: each one passes ``validate``."""
-    act, *rest = draw(unchecked_actions())
-    e, pts = act.backend.identity(), act.space.points
-    weight = st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)])
-    space = ControlSpace(pts, {(x, y): draw(weight) for i, x in enumerate(pts) for y in pts[i + 1:]})
-    point_map = st.lists(st.sampled_from(pts), min_size=len(pts), max_size=len(pts)).map(tuple)
-    homotopies = {}
-    for g, h, gh in act.S.products:
-        middle = [] if g == h == e else draw(st.lists(point_map, max_size=1))
-        homotopies[(g, h)] = (act.compose_maps(act.phi[g], act.phi[h]), *middle, act.phi[gh])
-    return (HomotopySAction(act.backend, space, act.S, act.phi, homotopies), *rest)
 
 
 @settings(max_examples=160, deadline=None, derandomize=True, database=None)
@@ -1002,6 +1013,66 @@ def test_moduli_doubling_homotopy():
     assert beta[Fraction(1)] == worst1 == 2
     assert alpha[Fraction(2)] == Fraction(1)
     assert beta[Fraction(1)] <= beta[Fraction(2)]
+
+
+def reference_moduli(action, eps_grid):
+    """``moduli`` as it was when it read every grid of ``H`` through
+    ``apply`` and compared ``Fraction`` distances, kept as the reference."""
+    grid = sorted(Fraction(e) for e in eps_grid)
+    maps = [action.phi[g] for g in action.S]
+    for gridmaps in action.H.values():
+        maps.extend(gridmaps)
+    pts = action.space.points
+    beta = {}
+    for eps in grid:
+        worst = Fraction(0)
+        for x in pts:
+            for y in pts:
+                if action.space.d(x, y) <= eps:
+                    for m in maps:
+                        disp = action.space.d(action.apply(m, x), action.apply(m, y))
+                        if disp > worst:
+                            worst = disp
+        beta[eps] = worst
+    alpha = {}
+    for eps in grid:
+        qualifying = [d for d in grid if beta[d] <= eps]
+        alpha[eps] = max(qualifying) if qualifying else None
+    return alpha, beta
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.one_of(unchecked_actions(), valid_actions()),
+       st.lists(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2),
+                                 Fraction(3), 5]), min_size=1, max_size=4))
+def test_moduli_match_the_fraction_reference(case, eps_grid):
+    # every grid of these actions is one of S.products, so both read the same maps
+    act = case[0]
+    assert set(act.H) == {(g, h) for g, h, _ in act.S.products}
+    assert moduli(act, eps_grid) == reference_moduli(act, eps_grid)
+
+
+def test_moduli_read_only_the_maps_validate_checks():
+    z2, line = FiniteTableGroup.cyclic(2), ControlSpace.path(3)
+    pts = tuple(line.points)
+    # H[(1, 1)] is no product of S = {0}: validate skips it, and so does moduli
+    act = HomotopySAction(z2, line, FiniteSubset.of(z2, [0]), {0: pts},
+                          {(0, 0): (pts,), (1, 1): (pts[:2],)})
+    assert moduli(act, [Fraction(1)]) == ({Fraction(1): Fraction(1)}, {Fraction(1): Fraction(1)})
+    for in_grid, build in short_and_stray_actions():  # phi[1] is not total
+        with pytest.raises(InputError, match="not a total point map"):
+            moduli(build(), [Fraction(1)])
+    flip = pts[::-1]
+    for bad in (pts[:2], ("p0", "zz", "p2")):  # a grid map of a product of S
+        grid_only = HomotopySAction(z2, line, FiniteSubset.of(z2, [0, 1]), {0: pts, 1: flip},
+                                    {(0, 0): (pts,), (0, 1): (flip, bad, flip), (1, 0): (flip,),
+                                     (1, 1): (pts,)}, check=False)
+        with pytest.raises(InputError, match=r"H\[0,1\] has a non-total grid map"):
+            moduli(grid_only, [Fraction(1)])
+    missing = HomotopySAction(z2, line, FiniteSubset.of(z2, [0, 1]), {0: pts},
+                              {(0, 0): (pts,)}, check=False)
+    with pytest.raises(InputError, match="phi missing for 1"):
+        moduli(missing, [Fraction(1)])
 
 
 # -- covers, Lebesgue numbers, nerves -------------------------------------------

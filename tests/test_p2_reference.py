@@ -5,9 +5,10 @@ triangle check is a Floyd--Warshall pass over the pair points.  It now
 certifies the pair space by the base space's ``validate`` (the lemma in
 its docstring) and runs the pair check only when the base fails it.
 The old construction is kept below as the reference, and a derandomized
-differential test runs both over checked metric bases and over bases
-built unchecked that are asymmetric, non-positive, break the triangle
-inequality, store a nonzero self-distance or miss an entry.
+differential test runs both over metric bases, built checked or
+unchecked, and over bases built unchecked that are asymmetric,
+non-positive, break the triangle inequality, store a nonzero
+self-distance or miss an entry.
 """
 
 import operator
@@ -80,18 +81,22 @@ FAULTS = ["asymmetric", "non-positive", "triangle", "diagonal", "missing"]
 
 @st.composite
 def bases(draw):
-    """A base space and whether it was built checked.  Metric bases are
-    points of the plane with rational coordinates under the l1 metric; a
-    fault then breaks one entry of an unchecked copy."""
+    """A base space and whether it is known to be a metric.  Metric bases
+    are points of the plane with rational coordinates under the l1 metric,
+    built checked or unchecked, so that the base's ``validate`` and not
+    its constructor decides how ``p2_metric`` fills the pair rows; a fault
+    then breaks one entry of an unchecked copy."""
     n = draw(st.integers(1, 5))
     coords = draw(st.lists(st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * 2),
                            min_size=n, max_size=n, unique=True))
     pts = [f"x{i}" for i in range(n)]
     dist = {(a, b): abs(u[0] - v[0]) + abs(u[1] - v[1])
             for a, u in zip(pts, coords) for b, v in zip(pts, coords)}
-    fault = draw(st.sampled_from([None, None, *FAULTS]))
+    fault = draw(st.sampled_from([None, None, "unchecked", *FAULTS]))
     if fault is None:
         return ControlSpace(pts, dist), True
+    if fault == "unchecked":
+        return ControlSpace(pts, dist, check=False), True
     a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
     if fault == "asymmetric" and a != b:
         dist[(a, b)] += draw(st.sampled_from([Fraction(1, 3), Fraction(-1, 2), Fraction(1)]))
@@ -129,11 +134,11 @@ def _swap_action(space, perm):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(bases(), st.data())
 def test_p2_metric_matches_the_checked_pair_space(case, data):
-    space, checked = case
+    space, metric = case
     got, want = _outcome(lambda: _pair_space(space)), _outcome(lambda: reference_p2_metric(space))
     assert got == want
     if got[0] != "value":
-        assert not checked
+        assert not metric
         return
     # the lazily built distances are the eager ones, diagonal included
     points, lazy, eager = got[1][0], got[1][3], want[1][3]

@@ -319,6 +319,9 @@ def test_certificate_needs_positions():
     (0.1, "Lambda must be an int or a Fraction, not float"),
     (0, "Lambda must be positive"),
     (-1, "Lambda must be positive"),
+    (True, "Lambda must be an int or a Fraction, not bool"),
+    (Fraction(0), "Lambda must be positive"),
+    (Fraction(-1, 2), "Lambda must be positive"),
 ])
 def test_transfers_refuse_a_lambda_the_metric_refuses(lam, message):
     # before, 0.1 ran at its binary value, 0 certified and -1 failed its certificate
