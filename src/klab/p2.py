@@ -69,13 +69,14 @@ def p2_metric(space: ControlSpace) -> ControlSpace:
         pair = ControlSpace.from_scaled(pairs, scale, rows)
         pair.validate()
     else:
-        rows = []
+        m = len(ends)
+        rows = [[0] * m for _ in range(m)]  # the diagonal stays 0
         for p, (x, y) in enumerate(ends):
-            dx, dy = ints[x], ints[y]
-            # the columns before p mirror the rows already filled; the diagonal is 0
-            rows.append([row[p] for row in rows] + [0] + [
-                a if (a := dx[i] + dy[j]) <= (b := dx[j] + dy[i]) else b
-                for i, j in ends[p + 1:]])
+            dx, dy, row = ints[x], ints[y], rows[p]
+            for q in range(p + 1, m):
+                i, j = ends[q]
+                a, b = dx[i] + dy[j], dx[j] + dy[i]
+                row[q] = rows[q][p] = a if a <= b else b
         pair = ControlSpace.from_scaled(pairs, scale, rows)
         pair._closure = pair.scaled()[1]  # by the lemma, no path is shorter
     space._pairs = pair
