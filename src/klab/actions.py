@@ -249,15 +249,11 @@ def check_lambda(lam) -> Fraction:
     """``Lambda`` as a ``Fraction``, a ``Fraction`` itself returned as it
     is; an ``InputError`` unless it is an ``int`` or a ``Fraction`` (not a
     bool) and positive."""
-    if type(lam) is Fraction:
-        if lam.numerator <= 0:
-            raise InputError("Lambda must be positive")
-        return lam
     if isinstance(lam, bool) or not isinstance(lam, (int, Fraction)):
         raise InputError(f"Lambda must be an int or a Fraction, not {type(lam).__name__}")
     if lam <= 0:
         raise InputError("Lambda must be positive")
-    return Fraction(lam)
+    return lam if type(lam) is Fraction else Fraction(lam)
 
 
 class DSLambdaMetric:

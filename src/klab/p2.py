@@ -19,18 +19,19 @@ def unordered_pair(x, y) -> Tuple[object, object]:
     return (x, y) if repr(x) <= repr(y) else (y, x)
 
 
-def _pair_indices(space: ControlSpace) -> List[Tuple[int, int]]:
-    """The point indices ``(i, j)`` of each unordered pair in ``p2_points``'
-    order, each ordered as ``unordered_pair`` orders its points; one
-    ``repr`` per point."""
-    keys = [repr(p) for p in space.points]
+def _pair_ends(space: ControlSpace) -> Tuple[List[Tuple[int, int]], List[Tuple[object, object]]]:
+    """The point indices ``(i, j)`` of each unordered pair and the pair
+    itself, in ``p2_points``' order, each ordered as ``unordered_pair``
+    orders its points; one ``repr`` per point."""
+    pts = space.points
+    keys = [repr(p) for p in pts]
     n = len(keys)
-    return [(i, j) if keys[i] <= keys[j] else (j, i) for i in range(n) for j in range(i, n)]
+    ends = [(i, j) if keys[i] <= keys[j] else (j, i) for i in range(n) for j in range(i, n)]
+    return ends, [(pts[i], pts[j]) for i, j in ends]
 
 
 def p2_points(space: ControlSpace) -> List[Tuple[object, object]]:
-    pts = space.points
-    return [(pts[i], pts[j]) for i, j in _pair_indices(space)]
+    return _pair_ends(space)[1]
 
 
 def p2_metric(space: ControlSpace) -> ControlSpace:
@@ -48,36 +49,23 @@ def p2_metric(space: ControlSpace) -> ControlSpace:
     ``(x'':y'')``: the composite matches ``(x:y)`` with ``(x'':y'')``, and
     the base inequality, termwise, bounds its cost by the sum of the two.
     So a base that passes ``validate`` certifies the pair space, whose
-    ``closure()`` is then its ``scaled()`` rows, and whose rows are filled
-    once per unordered pair of pair points and mirrored.  Only a base
-    built unchecked can fail it; the pair rows are then filled in both
-    orientations, and the pair space runs its own ``validate``, which
-    names their first failure.
+    ``closure()`` is then its ``scaled()`` rows.  Only a base built
+    unchecked can fail it; the pair space then runs its own ``validate``,
+    which names the pair rows' first failure.
 
     Built once per base space: every later call returns the same space."""
     if space._pairs is not None:
         return space._pairs
-    ends = _pair_indices(space)
-    pts = space.points
-    pairs = [(pts[i], pts[j]) for i, j in ends]
+    ends, pairs = _pair_ends(space)
     scale, ints = space.scaled()
+    rows = [[a if (a := dx[i] + dy[j]) <= (b := dx[j] + dy[i]) else b for i, j in ends]
+            for dx, dy in [(ints[x], ints[y]) for x, y in ends]]
+    pair = ControlSpace.from_scaled(pairs, scale, rows)
     try:
         space.validate()
-    except InputError:  # only a base built unchecked gets here
-        rows = [[min(dx[i] + dy[j], dx[j] + dy[i]) for i, j in ends]
-                for dx, dy in [(ints[x], ints[y]) for x, y in ends]]
-        pair = ControlSpace.from_scaled(pairs, scale, rows)
-        pair.validate()
+    except InputError:
+        pair.validate()  # only a base built unchecked gets here
     else:
-        m = len(ends)
-        rows = [[0] * m for _ in range(m)]  # the diagonal stays 0
-        for p, (x, y) in enumerate(ends):
-            dx, dy, row = ints[x], ints[y], rows[p]
-            for q in range(p + 1, m):
-                i, j = ends[q]
-                a, b = dx[i] + dy[j], dx[j] + dy[i]
-                row[q] = rows[q][p] = a if a <= b else b
-        pair = ControlSpace.from_scaled(pairs, scale, rows)
         pair._closure = pair.scaled()[1]  # by the lemma, no path is shorter
     space._pairs = pair
     return pair
@@ -107,8 +95,8 @@ def p2_action(action: HomotopySAction) -> HomotopySAction:
         action.validate()
         raise InputError("a point map outside the products of S is not total")
     pair_space = p2_metric(action.space)
-    n, pairs = len(action.space.points), pair_space.points
-    ends = _pair_indices(action.space)
+    n, index, pairs = len(action.space.points), action.space.index, pair_space.points
+    ends = [(index[x], index[y]) for x, y in pairs]
     table = [[0] * n for _ in range(n)]  # the pair index of each two point indices
     for k, (i, j) in enumerate(ends):
         table[i][j] = table[j][i] = k
