@@ -326,14 +326,10 @@ class DSLambdaMetric:
         self.backend = action.backend
         self.letters, self.moves = action.move_relation()
         space = action.space
-        # per letter of moves, what _step relaxes: None for the identity
-        # relation of the identity element, (True, targets) for a relation
-        # with one x' per point, and (False, edges) for any other
+        # per letter of moves, the relation _step relaxes; None for the
+        # identity element when its relation is the identity
         e, ident = self.backend.identity(), tuple((x,) for x in range(len(space.points)))
-        self._plan = [None if step == e and out == ident
-                      else (True, [xps[0] for xps in out]) if all(len(xps) == 1 for xps in out)
-                      else (False, out)
-                      for step, out in self.moves]
+        self._plan = [None if step == e and out == ident else out for step, out in self.moves]
         self.points, self.index = space.points, space.index
         scale, rows = space.scaled()
         if min(map(min, rows), default=0) < 0:
@@ -412,19 +408,12 @@ class DSLambdaMetric:
         cand: Dict[int, List[int]] = {}
         for g in search.frontier:
             row = rows[g]
-            for h, letter in zip(successors[g], plan):
-                if letter is None:
+            for h, out in zip(successors[g], plan):
+                if out is None:
                     continue
                 c = cand.get(h)
                 if c is None:
                     c = cand[h] = list(rows.get(h, blank))
-                single, out = letter
-                if single:
-                    for v, xp in zip(row, out):
-                        v += unit
-                        if v < c[xp]:
-                            c[xp] = v
-                    continue
                 for v, xps in zip(row, out):
                     v += unit
                     for xp in xps:

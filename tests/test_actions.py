@@ -393,9 +393,9 @@ def pair_case(case):
     return (p2_action(case[0]), *case[1:])
 
 
-# unchecked actions rarely have a single-valued move relation, or an identity
-# letter that moves each point to itself; valid actions and their pair
-# actions often do, so the search tests draw all three
+# unchecked actions rarely have an identity letter that moves each point to
+# itself, which a search step skips; valid actions and their pair actions
+# often do, so the search tests draw all three
 search_actions = st.one_of(unchecked_actions(), valid_actions(), valid_actions().map(pair_case))
 
 
