@@ -251,7 +251,7 @@ def check_lambda(lam) -> Fraction:
     bool) and positive."""
     if isinstance(lam, bool) or not isinstance(lam, (int, Fraction)):
         raise InputError(f"Lambda must be an int or a Fraction, not {type(lam).__name__}")
-    if lam <= 0:
+    if lam.numerator <= 0:
         raise InputError("Lambda must be positive")
     return lam if type(lam) is Fraction else Fraction(lam)
 
