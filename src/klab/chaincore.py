@@ -22,33 +22,35 @@ Sign conventions (fixed once, tested everywhere):
   ``(p, q)`` of ``(D^-*)_n``, basis ``(i, t)``, goes to block ``(-q, -p)``
   of ``D_n``, basis ``(t, i)``, with sign ``(-1)^p``.
 
-Complexes may carry positions (one label per basis vector and degree)
-and idempotents ``p`` with ``p^2 = p`` for objects of the idempotent
+Complexes may carry positions (one label per basis vector) and
+idempotents ``p`` with ``p^2 = p`` for objects of the idempotent
 completion; both are transported through every construction here.  The
 identity of ``(C, p)`` is ``p``, so the tensor differential, built by the
 rule for tensors of maps, is ``d_C ox p_D + (-1)^p p_C ox d_D``.
 
-A block absent from ``diff`` or ``mats`` is zero, one absent from ``idem``
-the identity: the algebra and the checks never materialise it, and check
-each present block they read against its ranks.  ``mat()``, ``d()`` and
-``p()`` return explicit zero and identity matrices for outside callers.
+Everything lives on the total basis ``+_n C_n``, degrees increasing:
+a complex holds its differential and idempotent (None when free) as
+``d_total`` and ``p_total`` and its positions as ``pos_total``; a map or
+homotopy of degree ``k`` holds ``total``, with blocks ``C_n -> D_{n+k}``.
+Per-degree blocks given to a constructor are placed once, and one that
+does not fit its ranks is refused there.  ``mat()``, ``d()``, ``p()``,
+``pos()`` and the deprecated views ``mats``, ``diff``, ``idem`` and
+``positions`` (built on first read) serve per-degree readers.
 
-A complex is a value: its ranks, matrices, idempotents and positions
-are set by its constructor and never written afterwards.  That is what
-makes sharing safe: ``dual_complex(c)`` and ``tensor_complex(c, d)``
-are memoised on ``c`` and built once.  A derived complex lives as long
-as its first factor and holds no factor, so no reference cycle forms.
-
-A complex's coefficient ring is the class or object that makes its zero
-and identity matrices and assembles block matrices: ``IntMatrix`` for
-``Z`` (the default), ``gring.GroupRing`` for ``Z[G]``, whose transpose
-is the involution transpose.  Maps, homotopies, cones, ``cone_torsion``
-and duals work over either ring; a tensor over ``Z[G]`` is an input error.
+A complex is a value, never written after its constructor, so
+``dual_complex(c)`` and ``tensor_complex(c, d)`` are memoised on ``c``
+and shared.  A derived complex lives as long as its first factor and
+holds no factor, so no reference cycle forms.  The coefficient ring
+makes zero, identity and letterwise matrices: ``IntMatrix`` for ``Z``,
+``gring.GroupRing`` for ``Z[G]`` (``GRMatrix``es of total size, the
+transpose an involution transpose).  A tensor over ``Z[G]`` is an input
+error; everything else works over either ring.
 """
 
 from __future__ import annotations
 
 import weakref
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, NotAnEquivalence
@@ -57,61 +59,136 @@ from .intmat import IntMatrix, sign
 Positions = Tuple[object, ...]
 
 
-def _block(blocks: Dict[int, IntMatrix], n: int, rows: int, cols: int, what: str):
-    """The block at degree ``n``, or None when it is absent (zero, or an
-    implicit identity); a present block must be ``rows x cols``."""
-    m = blocks.get(n)
-    if m is not None and (m.rows != rows or m.cols != cols):
-        raise ValueError(f"{what} shape mismatch at degree {n}")
-    return m
+def _letters(m):
+    """The ``(letter, IntMatrix)`` pairs of a matrix (letter None over Z)."""
+    return ((None, m),) if type(m) is IntMatrix else m.letters.items()
 
 
-def _mul(a, b, k: int = 0):
-    """``(-1)^k a @ b``, or None when a factor is absent."""
-    return None if a is None or b is None else -(a @ b) if k % 2 else a @ b
+def _wrap(ring, rows: int, cols: int, acc):
+    """The matrix over ``ring`` with the entry dicts ``acc`` (letter -> entries)."""
+    if ring is IntMatrix:
+        return IntMatrix._trusted(rows, cols, acc.get(None) or {})
+    return ring.matrix(rows, cols, {a: IntMatrix._trusted(rows, cols, e)
+                                    for a, e in acc.items() if e})
 
 
-def _plus(a, b):
-    """``a + b`` with None as the zero term."""
-    return b if a is None else a if b is None else a + b
+def _each(ring, m, rows: int, cols: int, fn, letter=None):
+    """The matrix with entries ``fn(entries of m)``, letter ``a`` moved to ``letter(a)``."""
+    if ring is IntMatrix:
+        return IntMatrix._trusted(rows, cols, fn(m.entries))
+    return ring.matrix(rows, cols, {a if letter is None else letter(a):
+                                    IntMatrix._trusted(rows, cols, fn(blk.entries))
+                                    for a, blk in m.letters.items()})
 
 
-def _same(a, b) -> bool:
-    """``a == b`` for blocks of one shape, None reading as zero."""
-    if a is None:
-        return b is None or b.is_zero()
-    return a.is_zero() if b is None else a == b
+def _total(ring, m, S: "ChainComplex", T: "ChainComplex", k: int, what: str,
+           keep_zero: bool = False, idempotent: bool = False):
+    """A total matrix ``S -> T`` of degree ``k`` as given, or one from blocks
+    ``{n: S_n -> T_{n+k}}``, each read one fitting its ranks (zero blocks
+    read only if ``keep_zero``; an ``idempotent`` is 1 where none is given)."""
+    if m is not None and type(m) is not dict:
+        if (m.rows, m.cols) != (T.size, S.size):
+            raise ValueError(f"{what} shape mismatch on the total basis")
+        return m
+    acc: Dict[object, Dict[Tuple[int, int], int]] = {}
+    for n, blk in (m or {}).items():
+        if not keep_zero and blk.is_zero():
+            continue
+        rows, cols = T.rank(n + k), S.rank(n)
+        if blk.rows != rows or blk.cols != cols:
+            raise ValueError(f"{what} shape mismatch at degree {n}")
+        if rows and cols:
+            r0, c0 = T.offsets[n + k], S.offsets[n]
+            for a, x in _letters(blk):
+                acc.setdefault(a, {}).update({(r0 + i, c0 + j): v
+                                              for (i, j), v in x.entries.items()})
+    if idempotent:
+        out = acc.setdefault(None if ring is IntMatrix else ring.backend.identity(), {})
+        for n, off in S.offsets.items():
+            if n not in m:
+                out.update(((t, t), 1) for t in range(off, off + S.ranks[n]))
+    return _wrap(ring, T.size, S.size, acc)
+
+
+def _split(m, S: "ChainComplex", T: "ChainComplex", k: int) -> Dict[int, object]:
+    """The nonzero blocks ``{n: S_n -> T_{n+k}}`` of a total matrix."""
+    degs, slocs = S._basis()[:2]
+    tlocs = T._basis()[1]
+    acc: Dict[int, Dict[object, Dict[Tuple[int, int], int]]] = {}
+    for a, blk in _letters(m):
+        for (i, j), v in blk.entries.items():
+            per = acc.get(degs[j])
+            if per is None:
+                per = acc[degs[j]] = {}
+            if a not in per:
+                per[a] = {}
+            per[a][(tlocs[i], slocs[j])] = v
+    return {n: _wrap(T.ring, T.rank(n + k), S.rank(n), acc[n]) for n in sorted(acc)}
+
+
+def _first(m, c: "ChainComplex") -> int:
+    """The lowest degree of ``c`` with a column holding an entry of ``m``."""
+    degs = c._basis()[0]
+    return min(degs[j] for _, blk in _letters(m) for (_, j) in blk.entries)
+
+
+def _place(ring, rows: int, cols: int, parts):
+    """Entry ``(i, j)`` of each part ``(m, rmap, cmap, s)``, times ``s``, at
+    ``(rmap[i], cmap[j])`` unless either is None; parts write disjoint entries."""
+    acc: Dict[object, Dict[Tuple[int, int], int]] = {}
+    for m, rmap, cmap, s in parts:
+        for a, blk in _letters(m):
+            acc.setdefault(a, {}).update({
+                (rmap[i], cmap[j]): s * v for (i, j), v in blk.entries.items()
+                if rmap[i] is not None and cmap[j] is not None})
+    return _wrap(ring, rows, cols, acc)
 
 
 class ChainComplex:
-    """Finite complex of free (or idempotent-completed) modules over ``ring``.
+    """Finite complex of free (or idempotent-completed) modules over ``ring``;
+    ``diff`` (``diff[n]: C_n -> C_{n-1}``) and ``idem`` (1 where absent) are
+    blocks or total matrices, ``positions`` per-degree tuples or one tuple."""
 
-    ``diff[n]`` is the matrix of ``d_n: C_n -> C_{n-1}``; degrees outside
-    ``[lo, hi]`` are zero.  ``positions[n]``, when present, labels the
-    basis vectors of ``C_n`` with points of a control space.
-    """
-
-    def __init__(self, ranks: Dict[int, int],
-                 diff: Optional[Dict[int, IntMatrix]] = None,
-                 idem: Optional[Dict[int, IntMatrix]] = None,
-                 positions: Optional[Dict[int, Positions]] = None,
+    def __init__(self, ranks: Dict[int, int], diff=None, idem=None, positions=None,
                  check: bool = True, ring=IntMatrix):
         self.ring = ring
         self.ranks = {n: r for n, r in ranks.items() if r > 0}
-        self.diff = {}
-        if diff:
-            for n, m in diff.items():
-                if not m.is_zero():
-                    self.diff[n] = m
-        self.idem = dict(idem) if idem else None
-        self.positions = dict(positions) if positions else None
-        self._dual = None  # dual_complex(self), once built
-        self._one = None  # the blocks of ChainMap.identity(self), once built
-        self._tensors = {}  # id(d) -> (weak d, TensorLayout, self ox d)
+        self.offsets: Dict[int, int] = {}
+        size = 0
+        for n in sorted(self.ranks):
+            self.offsets[n] = size
+            size += self.ranks[n]
+        self.size = size
+        # built on first use: the _basis() lists, the dual, the identity, and
+        # the tensors {id(d): (weak d, TensorLayout, self ox d)}
+        self._lists = self._dual = self._one = self._tensors = None
+        self.d_total = (diff if type(diff) is IntMatrix and diff.rows == diff.cols == size
+                        else _total(ring, diff, self, self, -1, "differential"))
+        self.p_total = None if not idem else _total(ring, idem, self, self, 0, "idempotent",
+                                                    keep_zero=True, idempotent=True)
+        if positions and type(positions) is not tuple:  # per-degree tuples
+            for n, r in self.ranks.items():
+                if len(positions.get(n) or ()) != r:
+                    raise ValueError(f"positions missing at degree {n}")
+            positions = tuple(p for n in self.offsets for p in positions[n])
+        if positions and len(positions) != size:
+            raise ValueError("positions missing on the total basis")
+        self.pos_total = positions or None
         if check:
             self.validate()
 
-    # -- structure ------------------------------------------------------
+    def _basis(self):
+        """``(degree, index in its degree, index in the dual, place of its
+        degree among the degrees)`` of every basis vector, built once."""
+        if self._lists is None:
+            degs, locs, dual, places = self._lists = ([], [], [], [])
+            for t, (n, off) in enumerate(self.offsets.items()):
+                r = self.ranks[n]
+                degs += [n] * r
+                locs += range(r)
+                dual += range(self.size - off - r, self.size - off)
+                places += [t] * r
+        return self._lists
 
     @property
     def lo(self) -> int:
@@ -127,64 +204,66 @@ class ChainComplex:
     def rank(self, n: int) -> int:
         return self.ranks.get(n, 0)
 
-    def d(self, n: int) -> IntMatrix:
-        m = self.diff.get(n)
-        if m is None:
-            return self.ring.zeros(self.rank(n - 1), self.rank(n))
-        return m
+    @cached_property
+    def diff(self) -> Dict[int, object]:
+        """Deprecated per-degree view: the nonzero blocks of ``d_total``."""
+        return _split(self.d_total, self, self, -1)
 
-    def p(self, n: int) -> IntMatrix:
-        if self.idem is None or n not in self.idem:
-            return self.ring.identity(self.rank(n))
-        return self.idem[n]
+    @cached_property
+    def idem(self) -> Optional[Dict[int, object]]:
+        """Deprecated per-degree view: every block of ``p_total``, or None."""
+        blocks = {} if self.p_total is None else _split(self.p_total, self, self, 0)
+        return self.p_total and {n: blocks.get(n) or _wrap(self.ring, r, r, {})
+                                 for n, r in self.ranks.items()}
+
+    @cached_property
+    def positions(self) -> Optional[Dict[int, Positions]]:
+        """Deprecated per-degree view of ``pos_total``, or None."""
+        return self.pos_total and {n: self.pos_total[off:off + self.ranks[n]]
+                                   for n, off in self.offsets.items()}
+
+    def d(self, n: int):
+        m = self.diff.get(n)
+        return self.ring.zeros(self.rank(n - 1), self.rank(n)) if m is None else m
+
+    def p(self, n: int):
+        m = None if self.p_total is None else self.idem.get(n)
+        return self.ring.identity(self.rank(n)) if m is None else m
 
     def pos(self, n: int) -> Optional[Positions]:
-        if self.positions is None:
-            return None
-        return self.positions.get(n)
+        return None if self.pos_total is None else self.positions.get(n)
 
     def is_free(self) -> bool:
-        return self.idem is None or all(self.p(n) == self.ring.identity(self.rank(n))
-                                        for n in self.ranks)
+        return self.p_total is None or self.p_total == self.ring.identity(self.size)
 
     def relabel(self, f) -> "ChainComplex":
         """The same complex with every position ``p`` moved to ``f(p)``."""
-        if self.positions is None:
+        if self.pos_total is None:
             raise InputError("relabeling needs positions")
-        return ChainComplex(self.ranks, self.diff, self.idem,
-                            {n: tuple(f(p) for p in ps) for n, ps in self.positions.items()},
-                            check=False, ring=self.ring)
+        return ChainComplex(self.ranks, self.d_total, self.p_total,
+                            tuple(f(p) for p in self.pos_total), check=False, ring=self.ring)
 
     def euler_characteristic(self) -> int:
         return sum(sign(n) * r for n, r in self.ranks.items())
 
     def validate(self) -> None:
-        diff, idem, rank = self.diff, self.idem, self.rank
-        for n in self.ranks:
-            dn = _block(diff, n, rank(n - 1), rank(n), "differential")
-            up = diff.get(n + 1)  # d_n, present or zero, fixes the rows of d_{n+1}
-            if up is not None and up.rows != rank(n):
-                raise ValueError(f"differential shape mismatch at degree {n + 1}")
-            if dn is not None and up is not None and not (dn @ up).is_zero():
-                raise ValueError(f"d o d != 0 at degree {n + 1}")
-            if self.positions is not None:
-                ps = self.pos(n)
-                if ps is None or len(ps) != rank(n):
-                    raise ValueError(f"positions missing at degree {n}")
-            if idem is not None:
-                pn = _block(idem, n, rank(n), rank(n), "idempotent")
-                below = _block(idem, n - 1, rank(n - 1), rank(n - 1), "idempotent")
-                if pn is not None and pn @ pn != pn:
-                    raise ValueError(f"idempotent fails p^2 = p at degree {n}")
-                # d is a morphism (C_n,p_n) -> (C_{n-1},p_{n-1}) in Idem
-                x = dn if dn is None or below is None else below @ dn
-                if dn is not None and (x if pn is None else x @ pn) != dn:
-                    raise ValueError(f"differential not compatible with idempotents at {n}")
+        """``d d = 0`` and, with an idempotent, ``p p = p`` and ``p d p = d``
+        (``d`` is a morphism in Idem); a failure names its lowest degree."""
+        d, p = self.d_total, self.p_total
+        dd = d @ d
+        if not dd.is_zero():
+            raise ValueError(f"d o d != 0 at degree {_first(dd, self)}")
+        if p is not None:
+            pp, pdp = p @ p, p @ d @ p
+            if pp != p:
+                raise ValueError(f"idempotent fails p^2 = p at degree {_first(pp - p, self)}")
+            if pdp != d:
+                raise ValueError("differential not compatible with idempotents at "
+                                 f"{_first(pdp - d, self)}")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ChainComplex) and self.ranks == other.ranks
-                and {n: self.d(n) for n in self.ranks} == {n: other.d(n) for n in other.ranks}
-                and all(self.p(n) == other.p(n) for n in self.ranks))
+                and self.d_total == other.d_total and _one(self) == _one(other))
 
     def __repr__(self):  # pragma: no cover
         return f"ChainComplex(ranks={self.ranks})"
@@ -200,59 +279,68 @@ class ChainComplex:
         return ChainComplex({0: 1}, positions=positions)
 
 
+def _same_ranks(a: ChainComplex, b: ChainComplex) -> bool:
+    return a is b or a.ranks == b.ranks
+
+
 class ChainMap:
-    """Graded map of degree ``k``; ``mats[n]: C_n -> D_{n+k}``."""
+    """Graded map of degree ``k``; ``mats`` is the blocks ``C_n -> D_{n+k}``
+    or the total matrix, held as ``total``."""
 
     def __init__(self, source: ChainComplex, target: ChainComplex, degree: int = 0,
-                 mats: Optional[Dict[int, IntMatrix]] = None, check: bool = True):
+                 mats=None, check: bool = True):
         self.source = source
         self.target = target
         self.degree = degree
-        self.mats = {}
-        if mats:
-            for n, m in mats.items():
-                if not m.is_zero():
-                    self.mats[n] = m
+        self.total = (mats if type(mats) is IntMatrix and mats.rows == target.size
+                      and mats.cols == source.size
+                      else _total(target.ring, mats, source, target, degree, "chain map"))
         if check:
             self.validate()
 
-    def mat(self, n: int) -> IntMatrix:
-        m = self.mats.get(n)
-        if m is None:
-            return self.target.ring.zeros(self.target.rank(n + self.degree),
-                                          self.source.rank(n))
-        return m
+    @cached_property
+    def mats(self) -> Dict[int, object]:
+        """Deprecated per-degree view: the nonzero blocks of ``total``."""
+        return _split(self.total, self.source, self.target, self.degree)
+
+    def mat(self, n: int):
+        """The block ``C_n -> D_{n+k}``, zero or not."""
+        S, T, k = self.source, self.target, self.degree
+        if n not in S.offsets or n + k not in T.offsets:
+            return T.ring.zeros(T.rank(n + k), S.rank(n))
+        r0, c0, c1 = T.offsets[n + k], S.offsets[n], S.offsets[n] + S.ranks[n]
+        return _each(T.ring, self.total, T.ranks[n + k], S.ranks[n], lambda entries: {
+            (i - r0, j - c0): v for (i, j), v in entries.items() if c0 <= j < c1})
 
     def validate(self) -> None:
-        k, S, T, mats = self.degree, self.source, self.target, self.mats
-        s_idem, t_idem = S.idem or {}, T.idem or {}
-        for n in set(S.ranks) | {n - k for n in T.ranks}:
-            m = _block(mats, n, T.rank(n + k), S.rank(n), "chain map")
-            below = _block(mats, n - 1, T.rank(n + k - 1), S.rank(n - 1), "chain map")
-            dt = _block(T.diff, n + k, T.rank(n + k - 1), T.rank(n + k), "differential")
-            ds = _block(S.diff, n, S.rank(n - 1), S.rank(n), "differential")
-            if not _same(_mul(dt, m), _mul(below, ds, k)):
-                raise ValueError(f"not a chain map at degree {n}")
-            if s_idem or t_idem:
-                pt = _block(t_idem, n + k, T.rank(n + k), T.rank(n + k), "idempotent")
-                ps = _block(s_idem, n, S.rank(n), S.rank(n), "idempotent")
-                x = m if m is None or pt is None else pt @ m
-                if m is not None and (x if ps is None else x @ ps) != m:
-                    raise ValueError(f"map not compatible with idempotents at degree {n}")
+        """``d f = (-1)^k f d`` and, with idempotents, ``p f p = f``; a
+        failure names its lowest source degree."""
+        S, T, f = self.source, self.target, self.total
+        df, fd = T.d_total @ f, f @ S.d_total
+        if self.degree % 2:
+            fd = -fd
+        if df != fd:
+            raise ValueError(f"not a chain map at degree {_first(df - fd, S)}")
+        if S.p_total is not None or T.p_total is not None:
+            x = f if T.p_total is None else T.p_total @ f
+            x = x if S.p_total is None else x @ S.p_total
+            if x != f:
+                raise ValueError("map not compatible with idempotents at degree "
+                                 f"{_first(x - f, S)}")
 
     def is_chain_map(self) -> bool:
         try:
             self.validate()
+            return True
         except ValueError:
             return False
-        return True
 
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.mats.values())
+        return self.total.is_zero()
 
     def retarget(self, source: ChainComplex, target: ChainComplex) -> "ChainMap":
-        """The same matrices between other endpoints of the same ranks."""
-        return ChainMap(source, target, self.degree, self.mats, check=False)
+        """The same matrix between other endpoints of the same ranks."""
+        return ChainMap(source, target, self.degree, self.total, check=False)
 
     def support_pairs(self):
         """``(target position, source position)`` for every nonzero entry.
@@ -261,26 +349,24 @@ class ChainMap:
         the source fiber at coset ``a`` to the target fiber at ``e``, so
         it yields ``((e, x), (a, y))`` for the fiber positions ``x, y``.
         """
-        integral = self.source.ring is IntMatrix
-        e = None if integral else self.source.ring.backend.identity()
-        for n, mat in self.mats.items():
-            src = self.source.pos(n)
-            tgt = self.target.pos(n + self.degree)
-            if src is None or tgt is None:
-                raise InputError("support pairs need positioned complexes")
-            if integral:
-                for (i, j) in mat.entries:
-                    yield tgt[i], src[j]
-                continue
-            for a, blk in mat.letters.items():
-                for (i, j) in blk.entries:
-                    yield (e, tgt[i]), (a, src[j])
+        m, src, tgt = self.total, self.source.pos_total, self.target.pos_total
+        if not m.is_zero() and (src is None or tgt is None):
+            raise InputError("support pairs need positioned complexes")
+        if type(m) is IntMatrix:
+            yield from ((tgt[i], src[j]) for (i, j) in m.entries)
+            return
+        e = self.source.ring.backend.identity()
+        for a, blk in m.letters.items():
+            yield from (((e, tgt[i]), (a, src[j])) for (i, j) in blk.entries)
 
     def integer_inverse(self) -> Optional["ChainMap"]:
-        """Degreewise inverse over Z, or None when some degree is not unimodular."""
+        """Degreewise inverse over Z, or None when some degree is not
+        unimodular; a signed permutation is inverted by its transpose."""
         if self.source.ring is not IntMatrix:
             raise InputError("integer_inverse needs a map over Z, not over Z[G]")
         k = self.degree
+        if self.total.is_signed_permutation():  # so is every block
+            return ChainMap(self.target, self.source, -k, self.total.transpose(), check=False)
         mats = {}
         for n in set(self.source.ranks) | {n - k for n in self.target.ranks}:
             inv = self.mat(n).integer_inverse()
@@ -290,45 +376,35 @@ class ChainMap:
         return ChainMap(self.target, self.source, -k, mats, check=False)
 
     def __eq__(self, other: object) -> bool:
-        # present blocks are nonzero, so a block present on one side only differs
         return (isinstance(other, ChainMap) and self.degree == other.degree
-                and self.mats == other.mats)
+                and self.total == other.total and _same_ranks(self.source, other.source)
+                and _same_ranks(self.target, other.target))
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
         if self.degree != other.degree:
             raise ValueError("degree mismatch in sum")
-        mats = {}
-        for n in set(self.mats) | set(other.mats):
-            a, b = self.mats.get(n), other.mats.get(n)
-            if a is None or b is None:  # the present term must fit the absent zero block
-                z, present = (self, other) if a is None else (other, self)
-                _block(present.mats, n, z.target.rank(n + z.degree), z.source.rank(n), "sum")
-            mats[n] = _plus(a, b)
-        return ChainMap(self.source, self.target, self.degree, mats, check=False)
+        if not (_same_ranks(self.source, other.source) and _same_ranks(self.target, other.target)):
+            raise ValueError("shape mismatch in sum")
+        return ChainMap(self.source, self.target, self.degree, self.total + other.total,
+                        check=False)
 
     def __neg__(self) -> "ChainMap":
-        return ChainMap(self.source, self.target, self.degree,
-                        {n: -m for n, m in self.mats.items()}, check=False)
+        return ChainMap(self.source, self.target, self.degree, -self.total, check=False)
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
         return self + (-other)
 
     def scale(self, c: int) -> "ChainMap":
-        return ChainMap(self.source, self.target, self.degree,
-                        {n: m.scale(c) for n, m in self.mats.items()}, check=False)
+        return ChainMap(self.source, self.target, self.degree, self.total.scale(c), check=False)
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self o other (apply ``other`` first)."""
-        k = other.degree
-        mats = {}
-        for n in set(other.mats) | {n - k for n in self.mats}:
-            a, b = self.mats.get(n + k), other.mats.get(n)
-            if a is not None and b is not None:
-                mats[n] = a @ b
-            elif ((self.source.rank(n + k) if a is None else a.cols)
-                  != (other.target.rank(n + k) if b is None else b.rows)):
-                raise ValueError(f"shape mismatch in composite at degree {n}")
-        return ChainMap(other.source, self.target, self.degree + other.degree, mats, check=False)
+        mid, top = self.source, other.target
+        if not _same_ranks(mid, top):
+            n = min(n for n in set(mid.ranks) | set(top.ranks) if mid.rank(n) != top.rank(n))
+            raise ValueError(f"shape mismatch in composite at degree {n - other.degree}")
+        return ChainMap(other.source, self.target, self.degree + other.degree,
+                        self.total @ other.total, check=False)
 
     def __matmul__(self, other: "ChainMap") -> "ChainMap":
         return self.compose(other)
@@ -339,71 +415,103 @@ class ChainMap:
 
     @staticmethod
     def zero(source: ChainComplex, target: ChainComplex, degree: int = 0) -> "ChainMap":
-        return ChainMap(source, target, degree, {}, check=False)
+        return ChainMap(source, target, degree, None, check=False)
 
     def __repr__(self):  # pragma: no cover
         return f"ChainMap(degree={self.degree}, degs={sorted(self.mats)})"
 
 
 class ChainHomotopy:
-    """Witness ``H`` with ``d H + (-1)^k H d = target_map - source_map``."""
+    """Witness ``H`` with ``d H + (-1)^k H d = target_map - source_map``;
+    ``mats`` is the blocks (each one read, zero or not) or the total matrix."""
 
-    def __init__(self, source_map: ChainMap, target_map: ChainMap,
-                 mats: Optional[Dict[int, IntMatrix]] = None):
+    def __init__(self, source_map: ChainMap, target_map: ChainMap, mats=None):
         self.source_map = source_map
         self.target_map = target_map
-        self.mats = {} if mats is None else mats
+        f = source_map
+        self.total = (mats if type(mats) is IntMatrix and mats.rows == f.target.size
+                      and mats.cols == f.source.size
+                      else _total(f.target.ring, mats, f.source, f.target, f.degree + 1,
+                                  "homotopy", keep_zero=True))
 
-    def mat(self, n: int) -> IntMatrix:
-        m = self.mats.get(n)
-        if m is None:
-            f = self.source_map
-            return f.target.ring.zeros(f.target.rank(n + f.degree + 1), f.source.rank(n))
-        return m
+    @cached_property
+    def mats(self) -> Dict[int, object]:
+        """Deprecated per-degree view: the nonzero blocks of ``total``."""
+        f = self.source_map
+        return _split(self.total, f.source, f.target, f.degree + 1)
+
+    def mat(self, n: int):
+        return self.as_map().mat(n)
 
     def as_map(self) -> ChainMap:
-        return ChainMap(self.source_map.source, self.source_map.target,
-                        self.source_map.degree + 1, dict(self.mats), check=False)
+        f = self.source_map
+        return ChainMap(f.source, f.target, f.degree + 1, self.total, check=False)
+
+    def _sides(self, lo: int = 0, hi: Optional[int] = None):
+        """``(d H + (-1)^k H d + f, g)``, on the target rows ``lo <= i < hi``
+        when ``hi`` is given."""
+        f, g = self.source_map, self.target_map
+        C, D, h = f.source, f.target, self.total
+        if g.degree != f.degree or not (_same_ranks(C, g.source) and _same_ranks(D, g.target)):
+            raise ValueError("chain map shape mismatch between the homotopy's endpoints")
+        dd, hr, fm, gm = D.d_total, h, f.total, g.total
+        if hi is not None:
+            def rows(m):
+                return _each(D.ring, m, m.rows, m.cols, lambda entries: {
+                    key: v for key, v in entries.items() if lo <= key[0] < hi})
+            dd, hr, fm, gm = rows(dd), rows(h), rows(fm), rows(gm)
+        if h.is_zero():
+            return fm, gm
+        lhs, hd = dd @ h, hr @ C.d_total
+        return (lhs - hd if f.degree % 2 else lhs + hd) + fm, gm
 
     def holds(self) -> bool:
-        f = self.source_map
-        return all(map(self.holds_at, set(f.source.ranks) | set(self.mats)
-                       | {n - f.degree for n in f.target.ranks}))
+        lhs, rhs = self._sides()
+        return lhs == rhs
 
     def holds_at(self, n: int) -> bool:
-        """The identity in degree ``n``: ``d H_n + (-1)^k H_{n-1} d + f_n = g_n``."""
-        f, g = self.source_map, self.target_map
-        k, C, D, mats = f.degree, f.source, f.target, self.mats
-        h = _block(mats, n, D.rank(n + k + 1), C.rank(n), "homotopy")
-        below = _block(mats, n - 1, D.rank(n + k), C.rank(n - 1), "homotopy")
-        dd = _block(D.diff, n + k + 1, D.rank(n + k), D.rank(n + k + 1), "differential")
-        dc = _block(C.diff, n, C.rank(n - 1), C.rank(n), "differential")
-        fn = _block(f.mats, n, D.rank(n + k), C.rank(n), "chain map")
-        gn = _block(g.mats, n, D.rank(n + k), C.rank(n), "chain map")
-        return _same(_plus(_plus(_mul(dd, h), _mul(below, dc, k)), fn), gn)
+        """``d H_n + (-1)^k H_{n-1} d + f_n = g_n``: the rows of ``D_{n+k}``
+        of the total identity."""
+        D, k = self.source_map.target, self.source_map.degree
+        if n + k not in D.offsets:  # D_{n+k} = 0: every term is empty
+            return True
+        lhs, rhs = self._sides(D.offsets[n + k], D.offsets[n + k] + D.ranks[n + k])
+        return lhs == rhs
 
 
 # -- duals, tensors, flips, mu ------------------------------------------
 
 
-def _one(c: ChainComplex) -> Dict[int, IntMatrix]:
-    """``{n: p_n}``: the identity of an idempotent-completed object is its
-    idempotent.  Built once and held by ``c``; zero blocks are kept."""
+def _one(c: ChainComplex):
+    """The identity of an idempotent-completed object is its idempotent;
+    built once and held by ``c``."""
     if c._one is None:
-        c._one = {n: c.p(n) for n in c.ranks}
+        c._one = c.ring.identity(c.size) if c.p_total is None else c.p_total
     return c._one
 
 
-def _dual_blocks(mats, k: int, source: ChainComplex, target: ChainComplex,
-                 what: str = "chain map") -> Dict[int, IntMatrix]:
-    """``(f^-*)_n = (-1)^{nk} (f_{-n-k})^T`` for the blocks ``mats`` of a
-    degree-``k`` map ``source -> target``; each block must fit its ranks."""
-    out = {}
-    for m, mat in mats.items():
-        _block(mats, m, target.rank(m + k), source.rank(m), what)
-        t = mat.transpose()
-        out[-m - k] = t.scale(-1) if (m + k) * k % 2 else t
-    return out
+def _dual_total(m, k: int, source: ChainComplex, target: ChainComplex,
+                row_signs: bool = False):
+    """``(f^-*)_n = (-1)^{nk} (f_{-n-k})^T`` for the total matrix of a
+    degree-``k`` map ``source -> target``: entry ``(i, j)``, ``j`` in degree
+    ``n``, goes to the dual indices ``(j, i)`` with sign ``(-1)^{(n+k)k}``,
+    times ``(-1)^{|i|}`` with ``row_signs``; over ``Z[G]`` letter ``a``
+    goes to ``a^-1``."""
+    sdeg, _, sdual, _ = source._basis()
+    tdeg, _, tdual, _ = target._basis()
+    ring = source.ring
+    if k % 2 == 0 and not row_signs:
+        def fn(entries):
+            return {(sdual[j], tdual[i]): v for (i, j), v in entries.items()}
+    else:
+        flip = [(n + k) * k % 2 for n in sdeg]
+        rows = [n % 2 if row_signs else 0 for n in tdeg]
+
+        def fn(entries):
+            return {(sdual[j], tdual[i]): -v if flip[j] != rows[i] else v
+                    for (i, j), v in entries.items()}
+    return _each(ring, m, source.size, target.size, fn,
+                 None if ring is IntMatrix else ring.backend.inv)
 
 
 def dual_complex(c: ChainComplex) -> ChainComplex:
@@ -412,82 +520,87 @@ def dual_complex(c: ChainComplex) -> ChainComplex:
     Shared: built once and held by ``c``.
     """
     if c._dual is None:
-        idem = None if c.idem is None else _dual_blocks(_one(c), 0, c, c, "idempotent")
-        positions = None if c.positions is None else {-n: c.pos(n) for n in c.ranks}
+        p = None if c.p_total is None else _dual_total(c.p_total, 0, c, c)
+        pos = c.pos_total and tuple(x for n in reversed(c.offsets) for x in c.positions[n])
         c._dual = ChainComplex({-n: r for n, r in c.ranks.items()},
-                               _dual_blocks(c.diff, -1, c, c, "differential"), idem,
-                               positions, check=False, ring=c.ring)
+                               _dual_total(c.d_total, -1, c, c), p, pos, check=False, ring=c.ring)
     return c._dual
 
 
 def dual_map(f: ChainMap) -> ChainMap:
     """``(f^-*)_n = (-1)^{nk} (f_{-n-k})^T`` from ``D^-*`` to ``C^-*``."""
     return ChainMap(dual_complex(f.target), dual_complex(f.source), f.degree,
-                    _dual_blocks(f.mats, f.degree, f.source, f.target), check=False)
+                    _dual_total(f.total, f.degree, f.source, f.target), check=False)
 
 
 def iota(c: ChainComplex) -> ChainMap:
     """Natural isomorphism ``C -> (C^-*)^-*`` given by ``(-1)^n id``."""
-    dd = dual_complex(dual_complex(c))
-    return ChainMap(c, dd, 0, {n: p.scale(sign(n)) for n, p in _one(c).items()}, check=False)
+    degs = c._basis()[0]
+    return ChainMap(c, dual_complex(dual_complex(c)), 0, _each(
+        c.ring, _one(c), c.size, c.size,
+        lambda entries: {(i, j): -v if degs[j] % 2 else v for (i, j), v in entries.items()}),
+        check=False)
 
 
 class TensorLayout:
-    """Index bookkeeping for ``(C ox D)_n = sum over p+q=n of C_p ox D_q``.
-
-    Keeps the two rank dicts, not the complexes, so a layout held in a
-    complex's memo refers to no complex.
-    """
+    """Index bookkeeping for ``(C ox D)_n = sum over p+q=n of C_p ox D_q``:
+    degree by degree, the blocks ``(p, q)`` by ``p`` from ``base[(p, q)]``
+    on, each in Kronecker order.  Basis vectors ``i`` of ``C`` and ``j`` of
+    ``D`` sit at ``pbase[c_degrees[i]][dq[j]] + c_locs[i] * d_ranks_by_q[dq[j]]
+    + dl[j]``.  Holds rank dicts and index lists, not the complexes, so a
+    layout held in a complex's memo refers to no complex."""
 
     def __init__(self, c: ChainComplex, d: ChainComplex):
-        self.c_ranks = c.ranks
-        self.d_ranks = d.ranks
-        self.blocks: Dict[int, List[Tuple[int, int]]] = {}
+        self.c_ranks, self.d_ranks = c.ranks, d.ranks
+        blocks: Dict[int, List[Tuple[int, int]]] = {}
         for p in c.degrees():
             for q in d.degrees():
-                self.blocks.setdefault(p + q, []).append((p, q))  # sorted by p
-        self.offsets: Dict[Tuple[int, int], int] = {}
+                blocks.setdefault(p + q, []).append((p, q))  # sorted by p
         self.ranks: Dict[int, int] = {}
-        for n, pairs in self.blocks.items():
-            off = 0
-            for (p, q) in pairs:
-                self.offsets[(p, q)] = off
-                off += self.block_rank(p, q)
-            self.ranks[n] = off
+        self.base: Dict[Tuple[int, int], int] = {}
+        self.pbase: Dict[int, List[int]] = {p: [] for p in c.ranks}  # by q, increasing
+        self.size = 0
+        for n in sorted(blocks):
+            for (p, q) in blocks[n]:
+                self.base[(p, q)] = self.size
+                self.pbase[p].append(self.size)
+                self.size += c.ranks[p] * d.ranks[q]
+            self.ranks[n] = self.size - self.base[blocks[n][0]]
+        self.c_degrees, self.c_locs = c._basis()[:2]
+        _, self.dl, _, self.dq = d._basis()
+        self.d_ranks_by_q = [d.ranks[q] for q in d.degrees()]
 
     def block_rank(self, p: int, q: int) -> int:
         return self.c_ranks.get(p, 0) * self.d_ranks.get(q, 0)
 
 
-def _tensor_blocks(src: TensorLayout, tgt: TensorLayout, terms,
-                   what: str = "chain map") -> Dict[int, IntMatrix]:
-    """The blocks of ``sum a ox b`` from ``src`` to ``tgt``, each term
-    ``(a, |a|, b, |b|)`` given by its blocks and placed by
-    ``(a ox b)|_{A_p ox B_q} = (-1)^{|b| p} a_p ox b_q``.  The terms share a
-    total degree and have distinct bidegrees, so no two write one entry;
-    every block read must fit the layouts' ranks.
-    """
-    k = terms[0][1] + terms[0][3]
-    out: Dict[int, IntMatrix] = {}
-    for n, pairs in src.blocks.items():
-        ent: Dict[Tuple[int, int], int] = {}
-        for a, ka, b, kb in terms:
-            for (p, q) in pairs:
-                x, y = a.get(p), b.get(q)
-                if x is None or y is None:
-                    continue
-                if ((x.rows, x.cols, y.rows, y.cols) != (tgt.c_ranks.get(p + ka, 0),
-                        src.c_ranks[p], tgt.d_ranks.get(q + kb, 0), src.d_ranks[q])):
-                    raise ValueError(f"{what} shape mismatch at degree {(p, q)}")
-                toff, soff = tgt.offsets.get((p + ka, q + kb)), src.offsets[(p, q)]
-                s, rows, cols, ys = sign(kb * p), y.rows, y.cols, y.entries.items()
-                for (i, j), u in x.entries.items():
-                    row, col, u = toff + i * rows, soff + j * cols, s * u
-                    for (t, v), w in ys:
-                        ent[(row + t, col + v)] = u * w
-        if ent:
-            out[n] = IntMatrix._trusted(tgt.ranks.get(n + k, 0), src.ranks[n], ent)
-    return out
+def _tensor_total(src: TensorLayout, tgt: TensorLayout, terms) -> IntMatrix:
+    """The total matrix of ``sum a ox b`` from ``src`` to ``tgt``, each term
+    ``(a, b, |b|)`` given by its total matrices and placed by
+    ``(a ox b)|_{A_p ox B_q} = (-1)^{|b| p} a_p ox b_q``.  The terms have
+    distinct bidegrees, so no two write one entry."""
+    ent: Dict[Tuple[int, int], int] = {}
+    sdeg, sloc, spb, tdeg, tloc, tpb = (src.c_degrees, src.c_locs, src.pbase,
+                                        tgt.c_degrees, tgt.c_locs, tgt.pbase)
+    for a, b, kb in terms:
+        ys: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}  # b by its blocks
+        for (i, j), w in b.entries.items():
+            key = (tgt.dq[i], src.dq[j])
+            ws = ys.get(key)
+            if ws is None:
+                ys[key] = [(tgt.dl[i], src.dl[j], w)]
+            else:
+                ws.append((tgt.dl[i], src.dl[j], w))
+        blocks = [(tq, tgt.d_ranks_by_q[tq], sq, src.d_ranks_by_q[sq], ws)
+                  for (tq, sq), ws in ys.items()]
+        for (i, j), v in a.entries.items():
+            trow, ti, srow, sj = tpb[tdeg[i]], tloc[i], spb[sdeg[j]], sloc[j]
+            u = -v if kb % 2 and sdeg[j] % 2 else v
+            for tq, tr, sq, sr, ws in blocks:
+                r, c = trow[tq] + ti * tr, srow[sq] + sj * sr
+                for tl, sl, w in ws:
+                    ent[(r + tl, c + sl)] = u * w
+    return IntMatrix._trusted(tgt.size, src.size, ent)
 
 
 def tensor_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:
@@ -505,55 +618,49 @@ def _tensor(c: ChainComplex, d: ChainComplex) -> Tuple[TensorLayout, ChainComple
     live key from the id of a dead complex, and the next insert drops the
     entries of dead ``d``.  An input error for a complex over ``Z[G]``.
     """
-    entry = c._tensors.get(id(d))
-    if entry is not None and entry[0]() is d:
+    entry = c._tensors and c._tensors.get(id(d))
+    if entry and entry[0]() is d:
         return entry[1], entry[2]
     if c.ring is not IntMatrix or d.ring is not IntMatrix:
         raise InputError("tensors need complexes over Z, not over Z[G]")
     layout = TensorLayout(c, d)
     one_c, one_d = _one(c), _one(d)
-    diff = _tensor_blocks(layout, layout, [(c.diff, -1, one_d, 0), (one_c, 0, d.diff, -1)],
-                          "differential")
+    diff = _tensor_total(layout, layout, [(c.d_total, one_d, 0), (one_c, d.d_total, -1)])
     idem = None
-    if c.idem is not None or d.idem is not None:
-        one = _tensor_blocks(layout, layout, [(one_c, 0, one_d, 0)], "idempotent")
-        idem = {n: one[n] if n in one else IntMatrix.zeros(r, r) for n, r in layout.ranks.items()}
+    if c.p_total is not None or d.p_total is not None:
+        idem = _tensor_total(layout, layout, [(one_c, one_d, 0)])
     positions = None
-    if c.positions is not None and d.positions is not None:
-        positions = {n: tuple((a, b) for (p, q) in pairs for a in c.pos(p) for b in d.pos(q))
-                     for n, pairs in layout.blocks.items()}
-    out = ChainComplex(layout.ranks, diff, idem, positions, check=False)
-    c._tensors = {key: e for key, e in c._tensors.items() if e[0]() is not None}
-    c._tensors[id(d)] = (weakref.ref(d), layout, out)
-    return layout, out
+    if c.pos_total is not None and d.pos_total is not None:
+        out: List[object] = [None] * layout.size
+        for (p, q), start in layout.base.items():
+            xs, ys = c.positions[p], d.positions[q]
+            out[start:start + len(xs) * len(ys)] = [(x, y) for x in xs for y in ys]
+        positions = tuple(out)
+    cx = ChainComplex(layout.ranks, diff, idem, positions, check=False)
+    c._tensors = {key: e for key, e in (c._tensors or {}).items() if e[0]() is not None}
+    c._tensors[id(d)] = (weakref.ref(d), layout, cx)
+    return layout, cx
 
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     """``(f ox g)|_{A_p ox B_q} = (-1)^{|g| p} f_p ox g_q``."""
     src, src_cx = _tensor(f.source, g.source)
     tgt, tgt_cx = _tensor(f.target, g.target)
-    mats = _tensor_blocks(src, tgt, [(f.mats, f.degree, g.mats, g.degree)])
-    return ChainMap(src_cx, tgt_cx, f.degree + g.degree, mats, check=False)
+    return ChainMap(src_cx, tgt_cx, f.degree + g.degree,
+                    _tensor_total(src, tgt, [(f.total, g.total, g.degree)]), check=False)
 
 
 def flip_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
     """Chain isomorphism ``C ox D -> D ox C`` with ``(-1)^{pq}`` signs."""
     src, src_cx = _tensor(c, d)
     tgt, tgt_cx = _tensor(d, c)
-    mats: Dict[int, IntMatrix] = {}
-    for n, pairs in src.blocks.items():
-        ent: Dict[Tuple[int, int], int] = {}
-        for (p, q) in pairs:
-            soff = src.offsets[(p, q)]
-            toff = tgt.offsets[(q, p)]
-            rc, rd = c.rank(p), d.rank(q)
-            sgn = sign(p * q)
-            for i in range(rc):
-                for j in range(rd):
-                    # basis e_i ox f_j at index i*rd+j maps to f_j ox e_i
-                    ent[(toff + j * rc + i, soff + i * rd + j)] = sgn
-        mats[n] = IntMatrix._trusted(tgt.ranks.get(n, 0), src.ranks[n], ent)
-    return ChainMap(src_cx, tgt_cx, 0, mats, check=False)
+    ent: Dict[Tuple[int, int], int] = {}
+    for (p, q), start in src.base.items():
+        target, rc, rd, sgn = tgt.base[(q, p)], c.ranks[p], d.ranks[q], sign(p * q)
+        for i in range(rc):  # e_i ox f_j at i*rd+j goes to f_j ox e_i
+            for j in range(rd):
+                ent[(target + j * rc + i, start + i * rd + j)] = sgn
+    return ChainMap(src_cx, tgt_cx, 0, IntMatrix._trusted(tgt.size, src.size, ent), check=False)
 
 
 def mu_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
@@ -564,61 +671,54 @@ def mu_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
     isomorphism for finite complexes.
     """
     src, src_cx = _tensor(dual_complex(c), dual_complex(d))
-    tgt, cd_cx = _tensor(c, d)  # blocks of (C ox D)_{-n} index the dual basis
-    tgt_cx = dual_complex(cd_cx)
-    mats: Dict[int, IntMatrix] = {}
-    for n, pairs in src.blocks.items():
-        ent: Dict[Tuple[int, int], int] = {}
-        for (p, q) in pairs:
-            soff = src.offsets[(p, q)]
-            toff = tgt.offsets.get((-p, -q))
-            if toff is None:
-                continue
-            sgn = sign(p * q)
-            for t in range(src.block_rank(p, q)):
-                ent[(toff + t, soff + t)] = sgn
-        mats[n] = IntMatrix._trusted(tgt_cx.rank(n), src.ranks[n], ent)
-    return ChainMap(src_cx, tgt_cx, 0, mats, check=False)
+    tgt, cd_cx = _tensor(c, d)
+    tdual = cd_cx._basis()[2]
+    ent: Dict[Tuple[int, int], int] = {}
+    for (p, q), start in src.base.items():
+        # the dual basis keeps each block of (C ox D)_{-p-q} in one piece
+        sgn, shift = sign(p * q), tdual[tgt.base[(-p, -q)]] - start
+        for t in range(start, start + src.block_rank(p, q)):
+            ent[(t + shift, t)] = sgn
+    return ChainMap(src_cx, dual_complex(cd_cx), 0, IntMatrix._trusted(tgt.size, src.size, ent),
+                    check=False)
+
+
+def _cone(f: ChainMap):
+    """The mapping cone ``E_n = C_{n-1} + D_n`` of a degree-0 chain map, and
+    where the basis vectors of ``C`` and of ``D`` sit in ``E``."""
+    if f.degree != 0:
+        raise ValueError("cone needs a degree-0 chain map")
+    C, D = f.source, f.target
+    ranks = {n: C.rank(n - 1) + D.rank(n) for n in {n + 1 for n in C.ranks} | set(D.ranks)}
+    off, size = {}, 0
+    for n in sorted(ranks):
+        off[n], size = size, size + ranks[n]
+    cmap = [off[n + 1] + loc for n, loc in zip(*C._basis()[:2])]
+    dmap = [off[n] + C.rank(n - 1) + loc for n, loc in zip(*D._basis()[:2])]
+    # d(c, d) = (-d c, f c + d d)
+    d = _place(C.ring, size, size, [(C.d_total, cmap, cmap, -1), (f.total, dmap, cmap, 1),
+                                    (D.d_total, dmap, dmap, 1)])
+    p = None
+    if C.p_total is not None or D.p_total is not None:
+        p = _place(C.ring, size, size, [(_one(C), cmap, cmap, 1), (_one(D), dmap, dmap, 1)])
+    pos = None
+    if C.pos_total is not None and D.pos_total is not None:
+        out: List[object] = [None] * size
+        for t, x in zip(cmap + dmap, C.pos_total + D.pos_total):
+            out[t] = x
+        pos = tuple(out)
+    return ChainComplex(ranks, d, p, pos, check=False, ring=C.ring), cmap, dmap
 
 
 def cone(f: ChainMap) -> ChainComplex:
     """Mapping cone of a degree-0 chain map: ``E_n = C_{n-1} + D_n``."""
-    if f.degree != 0:
-        raise ValueError("cone needs a degree-0 chain map")
-    C, D = f.source, f.target
-    ranks: Dict[int, int] = {}
-    degs = set()
-    for n in C.ranks:
-        degs.add(n + 1)
-    degs.update(D.ranks)
-    for n in degs:
-        ranks[n] = C.rank(n - 1) + D.rank(n)
-    diff: Dict[int, IntMatrix] = {}
-    for n in degs:
-        # d(c, d) = (-d c, f c + d d); from_blocks checks each present block
-        dc, fc, dd = C.diff.get(n - 1), f.mats.get(n - 1), D.diff.get(n)
-        if dc is not None or fc is not None or dd is not None:
-            diff[n] = C.ring.from_blocks(
-                [[None if dc is None else -dc, None], [fc, dd]],
-                [C.rank(n - 2), D.rank(n - 1)], [C.rank(n - 1), D.rank(n)])
-    idem = None
-    if C.idem is not None or D.idem is not None:
-        idem = {n: C.ring.from_blocks([[C.p(n - 1), None], [None, D.p(n)]],
-                                      [C.rank(n - 1), D.rank(n)], [C.rank(n - 1), D.rank(n)])
-                for n in degs}
-    positions = None
-    if C.positions is not None and D.positions is not None:
-        positions = {n: tuple(C.pos(n - 1) or ()) + tuple(D.pos(n) or ()) for n in degs}
-    return ChainComplex(ranks, diff, idem, positions, check=False, ring=C.ring)
+    return _cone(f)[0]
 
 
 def shift(c: ChainComplex, k: int) -> ChainComplex:
-    """``C[k]_n = C_{n-k}`` with differential ``(-1)^k d``."""
-    ranks = {n + k: r for n, r in c.ranks.items()}
-    diff = {n + k: m.scale(sign(k)) for n, m in c.diff.items()}
-    idem = {n + k: m for n, m in c.idem.items()} if c.idem is not None else None
-    positions = ({n + k: c.pos(n) for n in c.ranks} if c.positions is not None else None)
-    return ChainComplex(ranks, diff, idem, positions, check=False, ring=c.ring)
+    """``C[k]_n = C_{n-k}`` with differential ``(-1)^k d``, on the same total basis."""
+    return ChainComplex({n + k: r for n, r in c.ranks.items()}, c.d_total.scale(sign(k)),
+                        c.p_total, c.pos_total, check=False, ring=c.ring)
 
 
 # -- K-theory classes -----------------------------------------------------
@@ -674,31 +774,28 @@ def cone_torsion(f: ChainMap, g: ChainMap, hm: ChainMap, km: ChainMap):
     ``(c, d) -> (-h c + g d + g theta c, k d + k theta c)`` satisfies
     ``d Gamma + Gamma d = id`` on the cone (the naive candidate misses the
     identity by the square-zero error ``(c,d) -> (0, theta c)``, which the
-    ``g theta`` / ``k theta`` terms cancel).  Blocks are assembled over
-    the coefficient ring of ``C``.
+    ``g theta`` / ``k theta`` terms cancel).  The representative takes the
+    rows of the even degrees of the cone and the columns of the odd ones,
+    each in the order of the total basis, over the coefficient ring of ``C``.
     """
-    C, D = f.source, f.target
-    ring = C.ring
-    e = cone(f)
     theta = f.compose(hm) - km.compose(f)
     top_left = g.compose(theta) - hm
     bottom_left = km.compose(theta)
-    blocks = {}
-    for n in e.ranks:
-        if n - 1 in e.ranks:
-            blocks[(n - 1, n)] = e.diff.get(n)
-        grid = [[top_left.mats.get(n - 1), g.mats.get(n)],
-                [bottom_left.mats.get(n - 1), km.mats.get(n)]]
-        if n + 1 in e.ranks and any(b is not None for row in grid for b in row):
-            blocks[(n + 1, n)] = ring.from_blocks(
-                grid, [C.rank(n), D.rank(n + 1)], [C.rank(n - 1), D.rank(n)])
-    odd = [n for n in sorted(e.ranks) if n % 2]
-    even = [n for n in sorted(e.ranks) if not n % 2]
-    rep = ring.from_blocks([[blocks.get((t, s)) for s in odd] for t in even],
-                           [e.rank(t) for t in even], [e.rank(s) for s in odd])
-    if rep.rows != rep.cols:
+    e, cmap, dmap = _cone(f)
+    rows = [t for t, n in enumerate(e._basis()[0]) if n % 2 == 0]
+    cols = [t for t, n in enumerate(e._basis()[0]) if n % 2]
+    if len(rows) != len(cols):
         raise NotAnEquivalence("cone has unequal odd/even ranks")
-    return rep
+    even, odd = [None] * e.size, [None] * e.size  # cone index -> row, column
+    for r, t in enumerate(rows):
+        even[t] = r
+    for c, t in enumerate(cols):
+        odd[t] = c
+    ec, ed = [even[t] for t in cmap], [even[t] for t in dmap]
+    oc, od = [odd[t] for t in cmap], [odd[t] for t in dmap]
+    return _place(e.ring, len(rows), len(cols), [
+        (e.d_total, even, odd, 1), (top_left.total, ec, oc, 1), (g.total, ec, od, 1),
+        (bottom_left.total, ed, oc, 1), (km.total, ed, od, 1)])
 
 
 def self_torsion(f: ChainMap, g: ChainMap, h: ChainHomotopy, k: ChainHomotopy) -> K1Class:

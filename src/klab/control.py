@@ -186,17 +186,18 @@ def support_indices(f: ChainMap, tgt_index: Dict[object, int], src_index: Dict[o
     ``(c, x, y)`` for a nonzero entry of the letter-``c`` block over Z[G],
     where ``ChainMap.support_pairs`` yields ``((e, x), (c, y))``; ``x`` is
     read in ``tgt_index`` and ``y`` in ``src_index``."""
-    integral = f.source.ring is IntMatrix
-    for n, mat in f.mats.items():
-        tgt = point_indices(f.target.pos(n + f.degree), tgt_index)
-        src = point_indices(f.source.pos(n), src_index)
-        if integral:
-            for (i, j) in mat.entries:
-                yield tgt[i], src[j]
-            continue
-        for c, blk in mat.letters.items():
-            for (i, j) in blk.entries:
-                yield c, tgt[i], src[j]
+    m = f.total
+    if m.is_zero():
+        return
+    tgt = point_indices(f.target.pos_total, tgt_index)
+    src = point_indices(f.source.pos_total, src_index)
+    if f.source.ring is IntMatrix:
+        for (i, j) in m.entries:
+            yield tgt[i], src[j]
+        return
+    for c, blk in m.letters.items():
+        for (i, j) in blk.entries:
+            yield c, tgt[i], src[j]
 
 
 def grid_control(space: ControlSpace,

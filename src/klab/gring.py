@@ -201,8 +201,8 @@ def _dot_row(backend: GroupBackend, row: List[GRElem], vec: List[GRElem]) -> GRE
 
 
 class GroupRing:
-    """``Z[G]`` as a coefficient ring: the ``zeros``, ``identity`` and
-    ``from_blocks`` that ``IntMatrix`` supplies for ``Z``."""
+    """``Z[G]`` as a coefficient ring: the ``zeros`` and ``identity`` that
+    ``IntMatrix`` supplies for ``Z``, and ``matrix`` from letters."""
 
     def __init__(self, backend: GroupBackend):
         self.backend = backend
@@ -213,31 +213,21 @@ class GroupRing:
     def identity(self, n: int) -> GRMatrix:
         return GRMatrix.constant(self.backend, IntMatrix.identity(n))
 
-    def from_blocks(self, grid: List[List[Optional[GRMatrix]]],
-                    row_sizes: List[int], col_sizes: List[int]) -> GRMatrix:
-        """Assemble a block matrix letter by letter; ``None`` blocks are zero."""
-        letters = {a for row in grid for blk in row if blk is not None for a in blk.letters}
-        return GRMatrix(self.backend, sum(row_sizes), sum(col_sizes), {
-            a: IntMatrix.from_blocks(
-                [[None if blk is None else blk.letters.get(a) for blk in row]
-                 for row in grid], row_sizes, col_sizes)
-            for a in letters})
+    def matrix(self, rows: int, cols: int, letters: Dict[object, IntMatrix]) -> GRMatrix:
+        return GRMatrix(self.backend, rows, cols, letters)
 
 
 class GRComplex(ChainComplex):
     """Finite complex of free (or idempotent-completed) ``Z[G]``-modules;
-    ``diff[n]``: rank n -> n-1."""
+    ``diff[n]``: rank n -> n-1, or the total differential."""
 
-    def __init__(self, backend: GroupBackend, ranks: Dict[int, int], diff: Dict[int, GRMatrix],
-                 idem: Optional[Dict[int, GRMatrix]] = None,
-                 positions: Optional[Dict[int, tuple]] = None):
+    def __init__(self, backend: GroupBackend, ranks: Dict[int, int], diff,
+                 idem=None, positions=None):
         super().__init__(ranks, diff, idem, positions, check=False, ring=GroupRing(backend))
 
     @staticmethod
     def constant(backend: GroupBackend, cx: ChainComplex) -> "GRComplex":
-        """An integral complex read over ``Z[G]``: every block, differential
-        and idempotent, at letter e; the positions are the fiber's."""
-        def lift(blocks):
-            return {n: GRMatrix.constant(backend, m) for n, m in blocks.items()}
-        return GRComplex(backend, cx.ranks, lift(cx.diff),
-                         None if cx.idem is None else lift(cx.idem), cx.positions)
+        """An integral complex read over ``Z[G]``: its differential and
+        idempotent at letter e, on its total basis; the positions are the fiber's."""
+        p = None if cx.p_total is None else GRMatrix.constant(backend, cx.p_total)
+        return GRComplex(backend, cx.ranks, GRMatrix.constant(backend, cx.d_total), p, cx.pos_total)

@@ -240,6 +240,12 @@ class IntMatrix:
             prev = pv
         return sign * a[n - 1][n - 1]
 
+    def is_signed_permutation(self) -> bool:
+        """Square, with one entry +-1 in each row and each column."""
+        n, ents = self.rows, self.entries
+        return (self.cols == n and len(ents) == n and len({i for i, _ in ents}) == n
+                and len({j for _, j in ents}) == n and all(v == 1 or v == -1 for v in ents.values()))
+
     def integer_inverse(self) -> Optional["IntMatrix"]:
         """Inverse if it exists over Z (determinant a unit), else None.
 
@@ -251,9 +257,7 @@ class IntMatrix:
         n = self.rows
         if self.cols != n:
             return None
-        ents = self.entries
-        if (len(ents) == n and len({i for i, _ in ents}) == n and len({j for _, j in ents}) == n
-                and all(v == 1 or v == -1 for v in ents.values())):
+        if self.is_signed_permutation():
             return self.transpose()
         if self.det() not in (1, -1):
             return None

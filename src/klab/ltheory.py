@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .chaincore import ChainComplex, ChainHomotopy, ChainMap, _dual_blocks, _tensor, dual_complex
+from .chaincore import (ChainComplex, ChainHomotopy, ChainMap, _dual_total, _tensor,
+                        dual_complex)
 from .control import ControlSpace, check_control
 from .errors import DegenerateForm, IdentityFailure, InputError
 from .intmat import IntMatrix, sign, symmetric_diagonalize
@@ -98,8 +99,8 @@ def symmetrized_dual(psi: ChainMap) -> ChainMap:
     C = psi.target
     if psi.degree != 0:
         raise InputError("symmetrized dual needs a degree-0 map")
-    dual = _dual_blocks(psi.mats, 0, psi.source, C)  # psi^-*, then iota^{-1} = (-1)^n
-    return ChainMap(dual_complex(C), C, 0, {n: m.scale(sign(n)) for n, m in dual.items()},
+    # psi^-*, then iota^{-1} = (-1)^n on C^-*_n, the dual of C_{-n}
+    return ChainMap(dual_complex(C), C, 0, _dual_total(psi.total, 0, psi.source, C, True),
                     check=False)
 
 
@@ -141,19 +142,15 @@ def mult_hyperbolic_complex(c: ChainComplex) -> Tuple[ChainComplex, ChainMap]:
     if not c.is_free():
         raise IdentityFailure("mu_C is not invertible over Z")
     layout, D = _tensor(dual_complex(c), c)
-    offsets, rank = layout.offsets, c.rank
-    mats = {}
-    for n in layout.blocks:
-        ent = {}
-        for (p, q) in layout.blocks[-n]:  # (D^-*)_n has the blocks of D_{-n}
-            soff, toff = offsets[(p, q)], offsets[(-q, -p)]
-            ri, rt = rank(-p), rank(q)
-            sgn = sign(p)
-            for i in range(ri):
-                for t in range(rt):
-                    ent[(toff + t * ri + i, soff + i * rt + t)] = sgn
-        mats[n] = IntMatrix._trusted(layout.ranks[n], layout.ranks[-n], ent)
-    psi = ChainMap(dual_complex(D), D, 0, mats, check=False)
+    d_dual = D._basis()[2]
+    ent = {}
+    for (p, q), start in layout.base.items():
+        # block (p, q) of D_{-n}, read in (D^-*)_n, keeps its order there
+        source, target = d_dual[start], layout.base[(-q, -p)]
+        ri, rt, sgn = c.rank(-p), c.rank(q), sign(p)
+        ent.update({(target + t * ri + i, source + i * rt + t): sgn
+                    for i in range(ri) for t in range(rt)})
+    psi = ChainMap(dual_complex(D), D, 0, IntMatrix._trusted(D.size, D.size, ent), check=False)
     psi.validate()
     return D, psi
 

@@ -36,20 +36,34 @@ def group_module(rank: int) -> int:
     return rank
 
 
+def _module_index(rank: int, p: ChainComplex) -> Tuple[List[int], List[int]]:
+    """``(base, stride)``: basis vector ``i`` of ``P`` in copy ``a`` of
+    ``Z^rank ox P`` is ``base[i] + a * stride[i]`` on its total basis,
+    degree by degree, each degree in kron order (module, fiber)."""
+    degs, locs = p._basis()[:2]
+    return [rank * p.offsets[n] + loc for n, loc in zip(degs, locs)], [p.ranks[n] for n in degs]
+
+
 def module_tensor(rank: int, p: ChainComplex) -> ChainComplex:
-    """``Z^rank ox P`` with kron index order (module, fiber)."""
-    ident = IntMatrix.identity(rank)
-    return ChainComplex(
-        {n: rank * r for n, r in p.ranks.items()}, {n: ident.kron(m) for n, m in p.diff.items()},
-        None if p.idem is None else {n: ident.kron(p.p(n)) for n in p.ranks},
-        None if p.positions is None else {n: tuple(p.pos(n)) * rank for n in p.ranks},
-        check=False)
+    """``Z^rank ox P`` with kron index order (module, fiber) in each degree."""
+    base, stride = _module_index(rank, p)
+
+    def lift(m: IntMatrix) -> IntMatrix:
+        return IntMatrix._trusted(rank * p.size, rank * p.size, {
+            (base[i] + a * stride[i], base[j] + a * stride[j]): v
+            for (i, j), v in m.entries.items() for a in range(rank)})
+    positions = None
+    if p.pos_total is not None:
+        positions = tuple(x for n, off in p.offsets.items()
+                          for x in p.pos_total[off:off + p.ranks[n]] * rank)
+    return ChainComplex({n: rank * r for n, r in p.ranks.items()}, lift(p.d_total),
+                        None if p.p_total is None else lift(p.p_total), positions, check=False)
 
 
 def _structure_maps(cx: ChainComplex) -> List[ChainMap]:
     """The differential and the idempotents as degree -1 and degree 0 maps."""
-    return [ChainMap(cx, cx, -1, cx.diff, check=False),
-            ChainMap(cx, cx, 0, cx.idem, check=False)]
+    return [ChainMap(cx, cx, -1, cx.d_total, check=False),
+            ChainMap(cx, cx, 0, cx.p_total, check=False)]
 
 
 # -- chain homotopy S-actions -------------------------------------------------
@@ -105,7 +119,7 @@ class HomotopySChainComplex:
                 raise InputError(f"H[{g!r},{h!r}] endpoints are wrong")
             if not hom.holds():
                 raise InputError(f"H[{g!r},{h!r}] homotopy identity fails")
-        if any(not m.is_zero() for m in self.H[(e, e)].mats.values()):
+        if not self.H[(e, e)].total.is_zero():
             raise InputError("H[e,e] must be zero")
         act = self.point_action
         if act is not None:
@@ -148,47 +162,58 @@ class HomotopySChainComplex:
 
 class EquivariantChainMap(ChainMap):
     """Chain map between constant complexes over ``Z[G]`` (``GRComplex.constant``
-    fibers): the letter-``a`` block of ``mats[n]`` maps the source fiber at
+    fibers): the letter-``a`` matrix of ``total`` maps the source fiber at
     coset ``g a`` to the target fiber at ``g``."""
 
     @property
     def letters(self) -> Dict[object, ChainMap]:
-        """``{a: the letter-a blocks}`` as maps between the integral fibers;
-        a letter with no block in any degree is absent.  A view for outside
-        readers, rebuilt on every read: the library reads the blocks (and
+        """``{a: the letter-a matrix}`` as maps between the integral fibers;
+        a letter with no entry is absent.  A view for outside readers,
+        rebuilt on every read: the library reads ``total`` (and
         ``support_pairs``) directly."""
-        per: Dict[object, Dict[int, IntMatrix]] = {}
-        for n, m in self.mats.items():
-            for a, blk in m.letters.items():
-                per.setdefault(a, {})[n] = blk
         src, tgt = _fiber(self.source), _fiber(self.target)
-        return {a: ChainMap(src, tgt, self.degree, mats, check=False) for a, mats in per.items()}
+        return {a: ChainMap(src, tgt, self.degree, m, check=False)
+                for a, m in self.total.letters.items()}
 
 
 def _fiber(cx: ChainComplex) -> ChainComplex:
     """The integral complex that a constant complex over ``Z[G]`` holds at letter e."""
     e = cx.ring.backend.identity()
-
-    def at_e(blocks):
-        return {n: m.letter(e) for n, m in blocks.items()}
-    return ChainComplex(cx.ranks, at_e(cx.diff), None if cx.idem is None else at_e(cx.idem),
-                        cx.positions, check=False)
+    return ChainComplex(cx.ranks, cx.d_total.letter(e),
+                        None if cx.p_total is None else cx.p_total.letter(e),
+                        cx.pos_total, check=False)
 
 
 def _module_map(source: ChainComplex, target: ChainComplex, degree: int,
                 terms: Iterable[Tuple[object, IntMatrix, ChainMap]]) -> EquivariantChainMap:
     """The sum of ``block ox f`` at letter ``a`` over the terms ``(a, block, f)``,
-    between module tensors ``Z^m ox P`` read over ``Z[G]``."""
-    acc: Dict[int, Dict[object, IntMatrix]] = {}
+    between module tensors ``Z^m ox P`` read over ``Z[G]``, placed on
+    their total bases."""
+    acc: Dict[object, Dict[Tuple[int, int], int]] = {}
+    index: Dict[Tuple[int, int], Tuple[List[int], List[int]]] = {}
+
+    def module_index(rank: int, fiber: ChainComplex):
+        key = (rank, id(fiber))  # the terms share their fibers
+        if key not in index:
+            index[key] = _module_index(rank, fiber)
+        return index[key]
+
     for a, block, f in terms:
-        for n, m in f.mats.items():
-            at = acc.setdefault(n, {})
-            piece = block.kron(m)
-            at[a] = at[a] + piece if a in at else piece
-    backend = source.ring.backend
-    return EquivariantChainMap(source, target, degree, {
-        n: GRMatrix(backend, target.rank(n + degree), source.rank(n), letters)
-        for n, letters in acc.items()}, check=False)
+        (tb, ts), (sb, ss) = module_index(block.rows, f.target), module_index(block.cols, f.source)
+        out = acc.setdefault(a, {})
+        entries = f.total.entries.items()
+        for (s, t), u in block.entries.items():
+            for (i, j), v in entries:
+                key = (tb[i] + s * ts[i], sb[j] + t * ss[j])
+                x = out.get(key, 0) + u * v
+                if x:
+                    out[key] = x
+                else:
+                    del out[key]
+    return EquivariantChainMap(source, target, degree, GRMatrix(
+        source.ring.backend, target.size, source.size,
+        {a: IntMatrix._trusted(target.size, source.size, e) for a, e in acc.items()}),
+        check=False)
 
 
 def _lifts(P: HomotopySChainComplex, *ranks: int) -> Dict[int, ChainComplex]:
@@ -202,10 +227,11 @@ def expand_complex(backend: GroupBackend, fiber: ChainComplex,
     """Direct sum of translated fibers over an explicit coset list."""
     gs = [backend.canonical(g) for g in cosets]
     cx = module_tensor(len(gs), fiber)
-    if fiber.positions is None:
+    if fiber.pos_total is None:
         return cx
-    return ChainComplex(cx.ranks, cx.diff, cx.idem,
-                        {n: tuple(GPos(g, z) for g in gs for z in fiber.pos(n)) for n in fiber.ranks},
+    return ChainComplex(cx.ranks, cx.d_total, cx.p_total,
+                        tuple(GPos(g, z) for n, off in fiber.offsets.items() for g in gs
+                              for z in fiber.pos_total[off:off + fiber.ranks[n]]),
                         check=False)
 
 
@@ -263,7 +289,7 @@ def _functoriality_witness(psi2: GRMatrix, psi: GRMatrix,
     """The witness for ``tr_psi2 = tr(psi2)``, ``tr_psi = tr(psi)`` and
     ``rhs = tr(psi2 o psi)``, which the caller already holds."""
     witness = _letter_pair_witness(psi2, psi, P, lifts[psi.cols], lifts[psi2.rows])
-    if not ChainHomotopy(tr_psi2.compose(tr_psi), rhs, witness.mats).holds():
+    if not ChainHomotopy(tr_psi2.compose(tr_psi), rhs, witness.total).holds():
         raise IdentityFailure("functoriality homotopy identity fails "
                               "(convention mismatch)")
     return witness
@@ -395,28 +421,26 @@ def projected_torsion(result: KTransferResult) -> GRMatrix:
     ``chaincore.cone_torsion`` of the witnesses.
     """
     f, g = result.map, result.inverse
-    h, k = dict(result.h.mats), dict(result.k.mats)
+    h, k = result.h.total, result.k.total
     cx = result.complex
-    if cx.idem is not None and not cx.is_free():
+    if not cx.is_free():
         backend = f.source.ring.backend
         bases = {n: idempotent_splitting(cx.p(n)) for n in cx.ranks}
+        free = ChainComplex({n: b.cols for n, (b, _) in bases.items()})
+        # x -> R x B degree by degree, as one product on the total bases
+        b = GRMatrix.constant(backend, ChainMap(free, cx, 0, {n: b for n, (b, _) in bases.items()},
+                                                check=False).total)
+        r = GRMatrix.constant(backend, ChainMap(cx, free, 0, {n: r for n, (_, r) in bases.items()},
+                                                check=False).total)
 
-        def conj(mats: Dict[int, GRMatrix], degree: int) -> Dict[int, GRMatrix]:
-            out = {}
-            for n, m in mats.items():
-                if n not in bases or n + degree not in bases:
-                    continue
-                b = GRMatrix.constant(backend, bases[n][0])
-                r = GRMatrix.constant(backend, bases[n + degree][1])
-                out[n] = r @ m @ b
-            return out
+        def conj(m: GRMatrix) -> GRMatrix:
+            return r @ m @ b
 
-        ranks = {n: bases[n][0].cols for n in cx.ranks}
-        free_src = GRComplex(backend, ranks, conj(f.source.diff, -1))
-        f = ChainMap(free_src, free_src, 0, conj(f.mats, 0), check=False)
-        g = ChainMap(free_src, free_src, 0, conj(g.mats, 0), check=False)
-        h = conj(h, 1)
-        k = conj(k, 1)
+        free_src = GRComplex(backend, free.ranks, conj(f.source.d_total))
+        f = ChainMap(free_src, free_src, 0, conj(f.total), check=False)
+        g = ChainMap(free_src, free_src, 0, conj(g.total), check=False)
+        h = conj(h)
+        k = conj(k)
     if not f.is_chain_map() or not g.is_chain_map():
         raise NotAnEquivalence("torsion inputs must be chain maps")
     h_hom = ChainHomotopy(g.compose(f), ChainMap.identity(f.source), h)
@@ -576,14 +600,12 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
 
     f = v.compose(fprime)
     g = gprime.compose(u)
-    # from present blocks only: v has no degree N + 1, so k_N is zero
-    k_mats = {m: v.mats[m + 1] @ kprime.mats[m] @ u.mats[m] for m in range(N + 1)
-              if m + 1 in v.mats and m in kprime.mats and m in u.mats}
-    k = ChainHomotopy(f.compose(g), ChainMap.identity(P), k_mats)
+    # v has no degree N + 1, so k_N is zero
+    k = ChainHomotopy(f.compose(g), ChainMap.identity(P), v.total @ kprime.total @ u.total)
     checks.append(("k-homotopy", k.holds()))
     lpm = ChainMap(staircase, staircase, 1, lp_mats, check=False)
     l_map = hm - gprime.compose(lpm).compose(fprime)
-    l = ChainHomotopy(g.compose(f), ChainMap.identity(C), dict(l_map.mats))
+    l = ChainHomotopy(g.compose(f), ChainMap.identity(C), l_map.total)
     checks.append(("l-homotopy", l.holds()))
     return FiniteReplacementResult(P, f, g, k, l, staircase, checks)
 
@@ -625,13 +647,12 @@ def induce_chain_action(repl: FiniteReplacementResult, backend: GroupBackend,
         # f phi_a (dl + ld = id - g f) phi_b g  collapses the middle
         defect = f.compose(phi_c[a]).compose(lm).compose(phi_c[b]).compose(g_map)
         inner = f.compose(H_c[(a, b)].as_map()).compose(g_map)
-        total = defect + inner
+        witness = defect + inner
         if ab == e:
             # the conjugated chain ends at f o g, not at phi_e = id;
             # k closes the gap exactly
-            total = total + repl.k.as_map()
-        homotopies[(a, b)] = ChainHomotopy(phi[a].compose(phi[b]), phi[ab],
-                                           dict(total.mats))
+            witness = witness + repl.k.as_map()
+        homotopies[(a, b)] = ChainHomotopy(phi[a].compose(phi[b]), phi[ab], witness.total)
     return HomotopySChainComplex(backend, space, S, P, phi, homotopies,
                                  point_action=point_action)
 
@@ -688,7 +709,7 @@ def l_symmetric_complex(P: HomotopySChainComplex) -> LSymmetricData:
         first = tensor_map(dual_map(P.H[(backend.inv(h), backend.inv(g))].as_map()),
                            P.phi[g].compose(P.phi[h])).scale(-1)
         second = tensor_map(phi_dual[backend.inv(gh)], P.H[(g, h)].as_map())
-        H[(g, h)] = ChainHomotopy(phi[g].compose(phi[h]), phi[gh], dict((first + second).mats))
+        H[(g, h)] = ChainHomotopy(phi[g].compose(phi[h]), phi[gh], (first + second).total)
     checks.append(("H-D-homotopies", all(hom.holds() for hom in H.values())))
 
     _, psi = mult_hyperbolic_complex(P.P)
@@ -801,7 +822,7 @@ def l_transfer(alpha: GRMatrix, P: HomotopySChainComplex,
 
     # exact symmetrization identity (the displayed five-line computation)
     sigma_eq = EquivariantChainMap(lift_dual, lift, 0,
-                                   (psi + symmetrized_dual(psi)).mats, check=False)
+                                   (psi + symmetrized_dual(psi)).total, check=False)
     expected = _module_map(lift_dual, lift, 0,
                            ((a, blk, phi_mu[a]) for a, blk in sigma_mod.letters.items()))
     checks.append(("symmetrization-identity", sigma_eq == expected))
@@ -816,15 +837,15 @@ def l_transfer(alpha: GRMatrix, P: HomotopySChainComplex,
     # k: sigma_eq o tau ~ id_{M ox D}  via sum (sigma_a sigma^{-1}_b) ox H^D_{a,b}
     k_eq = _letter_pair_witness(sigma_mod, sigma_inverse, data.chain, lift, lift)
     checks.append(("witness-k", ChainHomotopy(sigma_eq.compose(tau), ChainMap.identity(lift),
-                                              k_eq.mats).holds()))
+                                              k_eq.total).holds()))
     # h: tau o sigma_eq ~ id of the dual, conjugated through mu
     h_eq = _letter_pair_witness(sigma_inverse, sigma_mod, data.chain, lift_dual, lift_dual,
                                 lambda hom: mu_inv.compose(hom).compose(data.mu))
     checks.append(("witness-h", ChainHomotopy(tau.compose(sigma_eq),
-                                              ChainMap.identity(lift_dual), h_eq.mats).holds()))
+                                              ChainMap.identity(lift_dual), h_eq.total).holds()))
     for name, eq in (("psi-letters", psi), ("inverse-letters", tau),
                      ("h-letters", h_eq), ("k-letters", k_eq)):
-        checks.append((name + "-in-S", all(a in S for m in eq.mats.values() for a in m.letters)))
+        checks.append((name + "-in-S", all(a in S for a in eq.total.letters)))
 
     cert = certify_dslambda(data.pair_action, lam,
                             {"psi": psi, "sigma": sigma_eq, "inverse": tau,
@@ -902,9 +923,9 @@ def expanded_ultraquadratic(result: LTransferResult, lam: Fraction,
     inverse = explicit(result.inverse, c_exp, cd_exp)
     sigma_full = explicit(result.sigma, cd_exp, c_exp)
     h = ChainHomotopy(inverse.compose(sigma_full), ChainMap.identity(cd_exp),
-                      explicit(result.h, cd_exp, cd_exp).mats)
+                      explicit(result.h, cd_exp, cd_exp).total)
     k = ChainHomotopy(sigma_full.compose(inverse), ChainMap.identity(c_exp),
-                      explicit(result.k, c_exp, c_exp).mats)
+                      explicit(result.k, c_exp, c_exp).total)
     uq = UltraQuadraticComplex(c_exp, psi, PoincareWitness(inverse, h, k))
     return uq, space
 

@@ -83,17 +83,25 @@ def test_tensor_squared_boundary():
 
 def kron_tensor_differentials(c, d):
     """``d ox 1 + (-1)^p 1 ox d`` assembled from Kronecker blocks."""
-    layout = TensorLayout(c, d)
-    out = {}
-    for n, pairs in layout.blocks.items():
-        m = IntMatrix.zeros(layout.ranks.get(n - 1, 0), layout.ranks[n])
+    blocks, offsets, ranks = {}, {}, {}
+    for p in c.degrees():
+        for q in d.degrees():
+            blocks.setdefault(p + q, []).append((p, q))
+    for n, pairs in blocks.items():
+        ranks[n] = 0
         for (p, q) in pairs:
-            soff = layout.offsets[(p, q)]
+            offsets[(p, q)] = ranks[n]
+            ranks[n] += c.rank(p) * d.rank(q)
+    out = {}
+    for n, pairs in blocks.items():
+        m = IntMatrix.zeros(ranks.get(n - 1, 0), ranks[n])
+        for (p, q) in pairs:
+            soff = offsets[(p, q)]
             parts = [((p - 1, q), c.d(p).kron(IntMatrix.identity(d.rank(q)))),
                      ((p, q - 1), IntMatrix.identity(c.rank(p)).kron(d.d(q)).scale(sign(p)))]
             for target, blk in parts:
-                if target in layout.offsets:
-                    toff = layout.offsets[target]
+                if target in offsets:
+                    toff = offsets[target]
                     for (i, j), v in blk.entries.items():
                         key = (toff + i, soff + j)
                         m.entries[key] = m.entries.get(key, 0) + v

@@ -854,3 +854,31 @@ def test_mutated_scenarios_never_raise(tmp_path, name, pick, junk, command):
     target.write_text(json.dumps(doc))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert run_cli(command, str(target)) in (0, 1, 2, 3)
+
+
+def _block(rows, cols):
+    return {"rows": rows, "cols": cols, "entries": [[0, 0, 1]]}
+
+
+@pytest.mark.parametrize("where, degree, block, message", [
+    ("homotopies", "0", _block(5, 5), "homotopy shape mismatch at degree 0"),
+    ("phi", "0", _block(3, 2), "chain map shape mismatch at degree 0"),
+    ("phi", "7", _block(2, 2), "shape mismatch at degree 7"),
+    ("homotopies", "9", _block(1, 1), "homotopy shape mismatch at degree 9"),
+])
+def test_a_malformed_chain_action_block_names_its_degree(tmp_path, capsys, where, degree,
+                                                         block, message):
+    """A mis-shaped block of a chain action, inside its degrees or outside
+    them, exits 2 and names the degree.  A ``phi`` block at degree 7 is
+    refused where it is read, as a chain map block; it was refused as
+    ``shape mismatch in composite at degree 7`` when the per-degree
+    algebra first composed it."""
+    doc = copy.deepcopy(_SHIPPED["z2"])
+    action = doc["chain_actions"]["involution"]
+    (action["homotopies"]["0;1"] if where == "homotopies" else action["phi"]["1"])[
+        "mats"][degree] = block
+    target = tmp_path / "malformed.json"
+    target.write_text(json.dumps(doc))
+    assert run_cli("validate", str(target)) == 2
+    err = capsys.readouterr().err
+    assert f"input error: chain_actions.involution: " in err and message in err, err

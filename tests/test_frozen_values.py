@@ -16,7 +16,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "klab"
 DICT_WRITES = {"pop", "update", "setdefault", "clear", "popitem"}
-HELD = {"diff", "mats", "idem", "positions", "ranks", "letters"}
+HELD = {"diff", "mats", "idem", "positions", "ranks", "letters", "d_total", "p_total",
+        "pos_total", "total", "offsets", "size", "_lists"}
 
 
 def _targets(node):
@@ -100,6 +101,13 @@ def test_guard_flags_every_kind_of_write():
         "m.letters[a] = x",
         "m.letters.pop(a)",
         "m.letters = {}",
+        "cx.d_total = m",
+        "cx.p_total = None",
+        "cx.pos_total = ()",
+        "f.total = m",
+        "cx.offsets[0] = 1",
+        "cx.size = 0",
+        "cx._lists = ()",
     ]
     for src in writes:
         assert list(value_writes(ast.parse(src))) == [1], src
