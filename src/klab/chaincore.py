@@ -28,7 +28,8 @@ completion; both are transported through every construction here.  The
 identity of ``(C, p)`` is ``p``, so the tensor differential, built by the
 rule for tensors of maps, is ``d_C ox p_D + (-1)^p p_C ox d_D``.
 
-Everything lives on the total basis ``+_n C_n``, degrees increasing:
+Everything lives on the total basis ``+_n C_n``, degrees in the order of
+``ranks`` (a dual keeps the order of its complex, so a dual is a transpose):
 a complex holds its differential and idempotent (None when free) as
 ``d_total`` and ``p_total`` and its positions as ``pos_total``; a map or
 homotopy of degree ``k`` holds ``total``, with blocks ``C_n -> D_{n+k}``.
@@ -112,7 +113,7 @@ def _total(ring, m, S: "ChainComplex", T: "ChainComplex", k: int, what: str,
 
 def _split(m, S: "ChainComplex", T: "ChainComplex", k: int) -> Dict[int, object]:
     """The nonzero blocks ``{n: S_n -> T_{n+k}}`` of a total matrix."""
-    degs, slocs = S._basis()[:2]
+    degs, slocs = S._basis()
     tlocs = T._basis()[1]
     acc: Dict[int, Dict[object, Dict[Tuple[int, int], int]]] = {}
     for a, blk in _letters(m):
@@ -153,13 +154,13 @@ class ChainComplex:
                  check: bool = True, ring=IntMatrix):
         self.ring = ring
         self.ranks = {n: r for n, r in ranks.items() if r > 0}
-        self.offsets: Dict[int, int] = {}
+        self.offsets: Dict[int, int] = {}  # in the order of ranks
         size = 0
-        for n in sorted(self.ranks):
+        for n, r in self.ranks.items():
             self.offsets[n] = size
-            size += self.ranks[n]
+            size += r
         self.size = size
-        # built on first use: the _basis() lists, the dual, the identity, and
+        # built on first use: the basis lists, the dual, the identity, and
         # the tensors {id(d): (weak d, TensorLayout, self ox d)}
         self._lists = self._dual = self._one = self._tensors = None
         self.d_total = (diff if type(diff) is IntMatrix and diff.rows == diff.cols == size
@@ -178,16 +179,12 @@ class ChainComplex:
             self.validate()
 
     def _basis(self):
-        """``(degree, index in its degree, index in the dual, place of its
-        degree among the degrees)`` of every basis vector, built once."""
+        """``(degree, index in its degree)`` of every basis vector, built once."""
         if self._lists is None:
-            degs, locs, dual, places = self._lists = ([], [], [], [])
-            for t, (n, off) in enumerate(self.offsets.items()):
-                r = self.ranks[n]
-                degs += [n] * r
-                locs += range(r)
-                dual += range(self.size - off - r, self.size - off)
-                places += [t] * r
+            degs, locs = self._lists = ([], [])
+            for n in self.offsets:
+                degs += [n] * self.ranks[n]
+                locs += range(self.ranks[n])
         return self._lists
 
     @property
@@ -262,8 +259,11 @@ class ChainComplex:
                                  f"{_first(pdp - d, self)}")
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ChainComplex) and self.ranks == other.ranks
-                and self.d_total == other.d_total and _one(self) == _one(other))
+        if not isinstance(other, ChainComplex) or self.ranks != other.ranks:
+            return False
+        if self.offsets != other.offsets:  # the same degrees in another order
+            return self.diff == other.diff and all(self.p(n) == other.p(n) for n in self.ranks)
+        return self.d_total == other.d_total and _one(self) == _one(other)
 
     def __repr__(self):  # pragma: no cover
         return f"ChainComplex(ranks={self.ranks})"
@@ -280,7 +280,8 @@ class ChainComplex:
 
 
 def _same_ranks(a: ChainComplex, b: ChainComplex) -> bool:
-    return a is b or a.ranks == b.ranks
+    """The same ranks in the same order on the total basis."""
+    return a is b or a.offsets == b.offsets
 
 
 class ChainMap:
@@ -297,6 +298,13 @@ class ChainMap:
                       else _total(target.ring, mats, source, target, degree, "chain map"))
         if check:
             self.validate()
+
+    @classmethod
+    def _of(cls, source: ChainComplex, target: ChainComplex, degree: int, total) -> "ChainMap":
+        """The map with a total matrix that fits its endpoints, unchecked."""
+        self = object.__new__(cls)
+        self.source, self.target, self.degree, self.total = source, target, degree, total
+        return self
 
     @cached_property
     def mats(self) -> Dict[int, object]:
@@ -340,7 +348,7 @@ class ChainMap:
 
     def retarget(self, source: ChainComplex, target: ChainComplex) -> "ChainMap":
         """The same matrix between other endpoints of the same ranks."""
-        return ChainMap(source, target, self.degree, self.total, check=False)
+        return ChainMap._of(source, target, self.degree, self.total)
 
     def support_pairs(self):
         """``(target position, source position)`` for every nonzero entry.
@@ -366,7 +374,7 @@ class ChainMap:
             raise InputError("integer_inverse needs a map over Z, not over Z[G]")
         k = self.degree
         if self.total.is_signed_permutation():  # so is every block
-            return ChainMap(self.target, self.source, -k, self.total.transpose(), check=False)
+            return ChainMap._of(self.target, self.source, -k, self.total.transpose())
         mats = {}
         for n in set(self.source.ranks) | {n - k for n in self.target.ranks}:
             inv = self.mat(n).integer_inverse()
@@ -385,17 +393,16 @@ class ChainMap:
             raise ValueError("degree mismatch in sum")
         if not (_same_ranks(self.source, other.source) and _same_ranks(self.target, other.target)):
             raise ValueError("shape mismatch in sum")
-        return ChainMap(self.source, self.target, self.degree, self.total + other.total,
-                        check=False)
+        return ChainMap._of(self.source, self.target, self.degree, self.total + other.total)
 
     def __neg__(self) -> "ChainMap":
-        return ChainMap(self.source, self.target, self.degree, -self.total, check=False)
+        return ChainMap._of(self.source, self.target, self.degree, -self.total)
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
         return self + (-other)
 
     def scale(self, c: int) -> "ChainMap":
-        return ChainMap(self.source, self.target, self.degree, self.total.scale(c), check=False)
+        return ChainMap._of(self.source, self.target, self.degree, self.total.scale(c))
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self o other (apply ``other`` first)."""
@@ -403,8 +410,8 @@ class ChainMap:
         if not _same_ranks(mid, top):
             n = min(n for n in set(mid.ranks) | set(top.ranks) if mid.rank(n) != top.rank(n))
             raise ValueError(f"shape mismatch in composite at degree {n - other.degree}")
-        return ChainMap(other.source, self.target, self.degree + other.degree,
-                        self.total @ other.total, check=False)
+        return ChainMap._of(other.source, self.target, self.degree + other.degree,
+                        self.total @ other.total)
 
     def __matmul__(self, other: "ChainMap") -> "ChainMap":
         return self.compose(other)
@@ -445,7 +452,7 @@ class ChainHomotopy:
 
     def as_map(self) -> ChainMap:
         f = self.source_map
-        return ChainMap(f.source, f.target, f.degree + 1, self.total, check=False)
+        return ChainMap._of(f.source, f.target, f.degree + 1, self.total)
 
     def _sides(self, lo: int = 0, hi: Optional[int] = None):
         """``(d H + (-1)^k H d + f, g)``, on the target rows ``lo <= i < hi``
@@ -493,25 +500,22 @@ def _one(c: ChainComplex):
 def _dual_total(m, k: int, source: ChainComplex, target: ChainComplex,
                 row_signs: bool = False):
     """``(f^-*)_n = (-1)^{nk} (f_{-n-k})^T`` for the total matrix of a
-    degree-``k`` map ``source -> target``: entry ``(i, j)``, ``j`` in degree
-    ``n``, goes to the dual indices ``(j, i)`` with sign ``(-1)^{(n+k)k}``,
-    times ``(-1)^{|i|}`` with ``row_signs``; over ``Z[G]`` letter ``a``
-    goes to ``a^-1``."""
-    sdeg, _, sdual, _ = source._basis()
-    tdeg, _, tdual, _ = target._basis()
-    ring = source.ring
-    if k % 2 == 0 and not row_signs:
+    degree-``k`` map ``source -> target``: the transpose, as a dual keeps
+    the index order, with sign ``(-1)^{(n+k)k}`` on a column of degree
+    ``n``, times ``(-1)^{|i|}`` on row ``i`` with ``row_signs`` (for even
+    ``k``); over ``Z[G]`` letter ``a`` goes to ``a^-1``."""
+    sdeg, tdeg = source._basis()[0], target._basis()[0]
+    if k % 2:  # the sign is -1 on the columns of even degree
         def fn(entries):
-            return {(sdual[j], tdual[i]): v for (i, j), v in entries.items()}
+            return {(j, i): v if sdeg[j] % 2 else -v for (i, j), v in entries.items()}
+    elif row_signs:
+        def fn(entries):
+            return {(j, i): -v if tdeg[i] % 2 else v for (i, j), v in entries.items()}
     else:
-        flip = [(n + k) * k % 2 for n in sdeg]
-        rows = [n % 2 if row_signs else 0 for n in tdeg]
-
         def fn(entries):
-            return {(sdual[j], tdual[i]): -v if flip[j] != rows[i] else v
-                    for (i, j), v in entries.items()}
-    return _each(ring, m, source.size, target.size, fn,
-                 None if ring is IntMatrix else ring.backend.inv)
+            return {(j, i): v for (i, j), v in entries.items()}
+    ring = source.ring
+    return _each(ring, m, m.cols, m.rows, fn, None if ring is IntMatrix else ring.backend.inv)
 
 
 def dual_complex(c: ChainComplex) -> ChainComplex:
@@ -521,25 +525,24 @@ def dual_complex(c: ChainComplex) -> ChainComplex:
     """
     if c._dual is None:
         p = None if c.p_total is None else _dual_total(c.p_total, 0, c, c)
-        pos = c.pos_total and tuple(x for n in reversed(c.offsets) for x in c.positions[n])
         c._dual = ChainComplex({-n: r for n, r in c.ranks.items()},
-                               _dual_total(c.d_total, -1, c, c), p, pos, check=False, ring=c.ring)
+                               _dual_total(c.d_total, -1, c, c), p, c.pos_total, check=False,
+                               ring=c.ring)
     return c._dual
 
 
 def dual_map(f: ChainMap) -> ChainMap:
     """``(f^-*)_n = (-1)^{nk} (f_{-n-k})^T`` from ``D^-*`` to ``C^-*``."""
-    return ChainMap(dual_complex(f.target), dual_complex(f.source), f.degree,
-                    _dual_total(f.total, f.degree, f.source, f.target), check=False)
+    return ChainMap._of(dual_complex(f.target), dual_complex(f.source), f.degree,
+                    _dual_total(f.total, f.degree, f.source, f.target))
 
 
 def iota(c: ChainComplex) -> ChainMap:
     """Natural isomorphism ``C -> (C^-*)^-*`` given by ``(-1)^n id``."""
     degs = c._basis()[0]
-    return ChainMap(c, dual_complex(dual_complex(c)), 0, _each(
+    return ChainMap._of(c, dual_complex(dual_complex(c)), 0, _each(
         c.ring, _one(c), c.size, c.size,
-        lambda entries: {(i, j): -v if degs[j] % 2 else v for (i, j), v in entries.items()}),
-        check=False)
+        lambda entries: {(i, j): -v if degs[j] % 2 else v for (i, j), v in entries.items()}))
 
 
 class TensorLayout:
@@ -559,15 +562,18 @@ class TensorLayout:
         self.ranks: Dict[int, int] = {}
         self.base: Dict[Tuple[int, int], int] = {}
         self.pbase: Dict[int, List[int]] = {p: [] for p in c.ranks}  # by q, increasing
-        self.size = 0
+        size = 0
         for n in sorted(blocks):
             for (p, q) in blocks[n]:
-                self.base[(p, q)] = self.size
-                self.pbase[p].append(self.size)
-                self.size += c.ranks[p] * d.ranks[q]
-            self.ranks[n] = self.size - self.base[blocks[n][0]]
-        self.c_degrees, self.c_locs = c._basis()[:2]
-        _, self.dl, _, self.dq = d._basis()
+                self.base[(p, q)] = size
+                self.pbase[p].append(size)
+                size += c.ranks[p] * d.ranks[q]
+            self.ranks[n] = size - self.base[blocks[n][0]]
+        self.size = size
+        self.c_degrees, self.c_locs = c._basis()
+        ddeg, self.dl = d._basis()
+        qpos = {q: t for t, q in enumerate(d.degrees())}
+        self.dq = [qpos[q] for q in ddeg]
         self.d_ranks_by_q = [d.ranks[q] for q in d.degrees()]
 
     def block_rank(self, p: int, q: int) -> int:
@@ -646,8 +652,8 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     """``(f ox g)|_{A_p ox B_q} = (-1)^{|g| p} f_p ox g_q``."""
     src, src_cx = _tensor(f.source, g.source)
     tgt, tgt_cx = _tensor(f.target, g.target)
-    return ChainMap(src_cx, tgt_cx, f.degree + g.degree,
-                    _tensor_total(src, tgt, [(f.total, g.total, g.degree)]), check=False)
+    return ChainMap._of(src_cx, tgt_cx, f.degree + g.degree,
+                    _tensor_total(src, tgt, [(f.total, g.total, g.degree)]))
 
 
 def flip_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
@@ -660,7 +666,7 @@ def flip_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
         for i in range(rc):  # e_i ox f_j at i*rd+j goes to f_j ox e_i
             for j in range(rd):
                 ent[(target + j * rc + i, start + i * rd + j)] = sgn
-    return ChainMap(src_cx, tgt_cx, 0, IntMatrix._trusted(tgt.size, src.size, ent), check=False)
+    return ChainMap._of(src_cx, tgt_cx, 0, IntMatrix._trusted(tgt.size, src.size, ent))
 
 
 def mu_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
@@ -671,16 +677,14 @@ def mu_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
     isomorphism for finite complexes.
     """
     src, src_cx = _tensor(dual_complex(c), dual_complex(d))
-    tgt, cd_cx = _tensor(c, d)
-    tdual = cd_cx._basis()[2]
+    tgt, cd_cx = _tensor(c, d)  # the dual of C ox D keeps its index order
     ent: Dict[Tuple[int, int], int] = {}
     for (p, q), start in src.base.items():
-        # the dual basis keeps each block of (C ox D)_{-p-q} in one piece
-        sgn, shift = sign(p * q), tdual[tgt.base[(-p, -q)]] - start
+        sgn, shift = sign(p * q), tgt.base[(-p, -q)] - start
         for t in range(start, start + src.block_rank(p, q)):
             ent[(t + shift, t)] = sgn
-    return ChainMap(src_cx, dual_complex(cd_cx), 0, IntMatrix._trusted(tgt.size, src.size, ent),
-                    check=False)
+    return ChainMap._of(src_cx, dual_complex(cd_cx), 0,
+                        IntMatrix._trusted(tgt.size, src.size, ent))
 
 
 def _cone(f: ChainMap):
@@ -689,12 +693,13 @@ def _cone(f: ChainMap):
     if f.degree != 0:
         raise ValueError("cone needs a degree-0 chain map")
     C, D = f.source, f.target
-    ranks = {n: C.rank(n - 1) + D.rank(n) for n in {n + 1 for n in C.ranks} | set(D.ranks)}
+    degrees = sorted({n + 1 for n in C.ranks} | set(D.ranks))
+    ranks = {n: C.rank(n - 1) + D.rank(n) for n in degrees}
     off, size = {}, 0
-    for n in sorted(ranks):
-        off[n], size = size, size + ranks[n]
-    cmap = [off[n + 1] + loc for n, loc in zip(*C._basis()[:2])]
-    dmap = [off[n] + C.rank(n - 1) + loc for n, loc in zip(*D._basis()[:2])]
+    for n, r in ranks.items():
+        off[n], size = size, size + r
+    cmap = [off[n + 1] + loc for n, loc in zip(*C._basis())]
+    dmap = [off[n] + C.rank(n - 1) + loc for n, loc in zip(*D._basis())]
     # d(c, d) = (-d c, f c + d d)
     d = _place(C.ring, size, size, [(C.d_total, cmap, cmap, -1), (f.total, dmap, cmap, 1),
                                     (D.d_total, dmap, dmap, 1)])
@@ -782,8 +787,9 @@ def cone_torsion(f: ChainMap, g: ChainMap, hm: ChainMap, km: ChainMap):
     top_left = g.compose(theta) - hm
     bottom_left = km.compose(theta)
     e, cmap, dmap = _cone(f)
-    rows = [t for t, n in enumerate(e._basis()[0]) if n % 2 == 0]
-    cols = [t for t, n in enumerate(e._basis()[0]) if n % 2]
+    degs = e._basis()[0]
+    rows = [t for t in range(e.size) if degs[t] % 2 == 0]
+    cols = [t for t in range(e.size) if degs[t] % 2]
     if len(rows) != len(cols):
         raise NotAnEquivalence("cone has unequal odd/even ranks")
     even, odd = [None] * e.size, [None] * e.size  # cone index -> row, column

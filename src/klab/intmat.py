@@ -244,7 +244,8 @@ class IntMatrix:
         """Square, with one entry +-1 in each row and each column."""
         n, ents = self.rows, self.entries
         return (self.cols == n and len(ents) == n and len({i for i, _ in ents}) == n
-                and len({j for _, j in ents}) == n and all(v == 1 or v == -1 for v in ents.values()))
+                and len({j for _, j in ents}) == n
+                and all(v == 1 or v == -1 for v in ents.values()))
 
     def integer_inverse(self) -> Optional["IntMatrix"]:
         """Inverse if it exists over Z (determinant a unit), else None.

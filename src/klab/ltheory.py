@@ -142,12 +142,9 @@ def mult_hyperbolic_complex(c: ChainComplex) -> Tuple[ChainComplex, ChainMap]:
     if not c.is_free():
         raise IdentityFailure("mu_C is not invertible over Z")
     layout, D = _tensor(dual_complex(c), c)
-    d_dual = D._basis()[2]
     ent = {}
-    for (p, q), start in layout.base.items():
-        # block (p, q) of D_{-n}, read in (D^-*)_n, keeps its order there
-        source, target = d_dual[start], layout.base[(-q, -p)]
-        ri, rt, sgn = c.rank(-p), c.rank(q), sign(p)
+    for (p, q), source in layout.base.items():  # D^-* keeps the index order of D
+        target, ri, rt, sgn = layout.base[(-q, -p)], c.rank(-p), c.rank(q), sign(p)
         ent.update({(target + t * ri + i, source + i * rt + t): sgn
                     for i in range(ri) for t in range(rt)})
     psi = ChainMap(dual_complex(D), D, 0, IntMatrix._trusted(D.size, D.size, ent), check=False)

@@ -40,7 +40,7 @@ def _module_index(rank: int, p: ChainComplex) -> Tuple[List[int], List[int]]:
     """``(base, stride)``: basis vector ``i`` of ``P`` in copy ``a`` of
     ``Z^rank ox P`` is ``base[i] + a * stride[i]`` on its total basis,
     degree by degree, each degree in kron order (module, fiber)."""
-    degs, locs = p._basis()[:2]
+    degs, locs = p._basis()
     return [rank * p.offsets[n] + loc for n, loc in zip(degs, locs)], [p.ranks[n] for n in degs]
 
 
