@@ -29,29 +29,25 @@ identity of ``(C, p)`` is ``p``, so the tensor differential, built by the
 rule for tensors of maps, is ``d_C ox p_D + (-1)^p p_C ox d_D``.
 
 Everything lives on the total basis ``+_n C_n``, degrees in the order of
-``ranks`` (a dual keeps the order of its complex, so a dual is a transpose):
-a complex holds its differential and idempotent (None when free) as
-``d_total`` and ``p_total`` and its positions as ``pos_total``; a map or
-homotopy of degree ``k`` holds ``total``, with blocks ``C_n -> D_{n+k}``.
-Per-degree blocks given to a constructor are placed once, and one that
-does not fit its ranks is refused there.  ``mat()``, ``d()``, ``p()``,
-``pos()`` and the deprecated views ``mats``, ``diff``, ``idem`` and
-``positions`` (built on first read) serve per-degree readers.
+``ranks`` (a dual keeps its complex's order, so it is a transpose): a
+complex holds ``d_total``, ``p_total`` (None when free) and ``pos_total``,
+a degree-``k`` map or homotopy one matrix ``total`` of blocks ``C_n ->
+D_{n+k}``.  Blocks given to a constructor are placed once and checked
+there.  ``mat()``, ``d()``, ``p()`` and ``pos()`` serve per-degree readers.
 
 A complex is a value, never written after its constructor, so
-``dual_complex(c)`` and ``tensor_complex(c, d)`` are memoised on ``c``
-and shared.  A derived complex lives as long as its first factor and
-holds no factor, so no reference cycle forms.  The coefficient ring
-makes zero, identity and letterwise matrices: ``IntMatrix`` for ``Z``,
-``gring.GroupRing`` for ``Z[G]`` (``GRMatrix``es of total size, the
-transpose an involution transpose).  A tensor over ``Z[G]`` is an input
-error; everything else works over either ring.
+``dual_complex(c)`` and ``tensor_complex(c, d)`` are memoised on ``c``;
+a derived complex holds no factor, so no reference cycle forms.  The
+coefficient ring is ``IntMatrix`` for ``Z`` or ``gring.GroupRing`` for
+``Z[G]`` (total-size ``GRMatrix``es, the transpose an involution
+transpose); a tensor over ``Z[G]`` is an input error.
 """
 
 from __future__ import annotations
 
 import weakref
 from functools import cached_property
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, NotAnEquivalence
@@ -77,8 +73,7 @@ def _each(ring, m, rows: int, cols: int, fn, letter=None):
     """The matrix with entries ``fn(entries of m)``, letter ``a`` moved to ``letter(a)``."""
     if ring is IntMatrix:
         return IntMatrix._trusted(rows, cols, fn(m.entries))
-    return ring.matrix(rows, cols, {a if letter is None else letter(a):
-                                    IntMatrix._trusted(rows, cols, fn(blk.entries))
+    return _wrap(ring, rows, cols, {a if letter is None else letter(a): fn(blk.entries)
                                     for a, blk in m.letters.items()})
 
 
@@ -91,23 +86,17 @@ def _total(ring, m, S: "ChainComplex", T: "ChainComplex", k: int, what: str,
         if (m.rows, m.cols) != (T.size, S.size):
             raise ValueError(f"{what} shape mismatch on the total basis")
         return m
-    acc: Dict[object, Dict[Tuple[int, int], int]] = {}
-    for n, blk in (m or {}).items():
-        if not keep_zero and blk.is_zero():
-            continue
-        rows, cols = T.rank(n + k), S.rank(n)
-        if blk.rows != rows or blk.cols != cols:
+    m, acc = m or {}, {}
+    for n, blk in m.items():
+        if (blk.rows, blk.cols) != (T.rank(n + k), S.rank(n)) and (keep_zero or not blk.is_zero()):
             raise ValueError(f"{what} shape mismatch at degree {n}")
-        if rows and cols:
-            r0, c0 = T.offsets[n + k], S.offsets[n]
-            for a, x in _letters(blk):
-                acc.setdefault(a, {}).update({(r0 + i, c0 + j): v
-                                              for (i, j), v in x.entries.items()})
+        r0, c0 = T.offsets.get(n + k, 0), S.offsets.get(n, 0)
+        for a, x in _letters(blk):
+            acc.setdefault(a, {}).update({(r0 + i, c0 + j): v for (i, j), v in x.entries.items()})
     if idempotent:
-        out = acc.setdefault(None if ring is IntMatrix else ring.backend.identity(), {})
-        for n, off in S.offsets.items():
-            if n not in m:
-                out.update(((t, t), 1) for t in range(off, off + S.ranks[n]))
+        acc.setdefault(None if ring is IntMatrix else ring.backend.identity(), {}).update(
+            ((t, t), 1) for n, off in S.offsets.items() if n not in m
+            for t in range(off, off + S.ranks[n]))
     return _wrap(ring, T.size, S.size, acc)
 
 
@@ -118,19 +107,13 @@ def _split(m, S: "ChainComplex", T: "ChainComplex", k: int) -> Dict[int, object]
     acc: Dict[int, Dict[object, Dict[Tuple[int, int], int]]] = {}
     for a, blk in _letters(m):
         for (i, j), v in blk.entries.items():
-            per = acc.get(degs[j])
-            if per is None:
-                per = acc[degs[j]] = {}
-            if a not in per:
-                per[a] = {}
-            per[a][(tlocs[i], slocs[j])] = v
+            acc.setdefault(degs[j], {}).setdefault(a, {})[(tlocs[i], slocs[j])] = v
     return {n: _wrap(T.ring, T.rank(n + k), S.rank(n), acc[n]) for n in sorted(acc)}
 
 
 def _first(m, c: "ChainComplex") -> int:
     """The lowest degree of ``c`` with a column holding an entry of ``m``."""
-    degs = c._basis()[0]
-    return min(degs[j] for _, blk in _letters(m) for (_, j) in blk.entries)
+    return min(c._basis()[0][j] for _, blk in _letters(m) for (_, j) in blk.entries)
 
 
 def _place(ring, rows: int, cols: int, parts):
@@ -154,17 +137,12 @@ class ChainComplex:
                  check: bool = True, ring=IntMatrix):
         self.ring = ring
         self.ranks = {n: r for n, r in ranks.items() if r > 0}
-        self.offsets: Dict[int, int] = {}  # in the order of ranks
-        size = 0
-        for n, r in self.ranks.items():
-            self.offsets[n] = size
-            size += r
-        self.size = size
+        self.offsets = dict(zip(self.ranks, accumulate(self.ranks.values(), initial=0)))
+        self.size = size = sum(self.ranks.values())  # offsets in the order of ranks
         # built on first use: the basis lists, the dual, the identity, and
         # the tensors {id(d): (weak d, TensorLayout, self ox d)}
         self._lists = self._dual = self._one = self._tensors = None
-        self.d_total = (diff if type(diff) is IntMatrix and diff.rows == diff.cols == size
-                        else _total(ring, diff, self, self, -1, "differential"))
+        self.d_total = _total(ring, diff, self, self, -1, "differential")
         self.p_total = None if not idem else _total(ring, idem, self, self, 0, "idempotent",
                                                     keep_zero=True, idempotent=True)
         if positions and type(positions) is not tuple:  # per-degree tuples
@@ -275,13 +253,7 @@ class ChainComplex:
     @staticmethod
     def point(position: Optional[object] = None) -> "ChainComplex":
         """Z concentrated in degree 0 (the trivial complex T)."""
-        positions = {0: (position,)} if position is not None else None
-        return ChainComplex({0: 1}, positions=positions)
-
-
-def _same_ranks(a: ChainComplex, b: ChainComplex) -> bool:
-    """The same ranks in the same order on the total basis."""
-    return a is b or a.offsets == b.offsets
+        return ChainComplex({0: 1}, positions=None if position is None else (position,))
 
 
 class ChainMap:
@@ -290,12 +262,8 @@ class ChainMap:
 
     def __init__(self, source: ChainComplex, target: ChainComplex, degree: int = 0,
                  mats=None, check: bool = True):
-        self.source = source
-        self.target = target
-        self.degree = degree
-        self.total = (mats if type(mats) is IntMatrix and mats.rows == target.size
-                      and mats.cols == source.size
-                      else _total(target.ring, mats, source, target, degree, "chain map"))
+        self.source, self.target, self.degree = source, target, degree
+        self.total = _total(target.ring, mats, source, target, degree, "chain map")
         if check:
             self.validate()
 
@@ -313,12 +281,9 @@ class ChainMap:
 
     def mat(self, n: int):
         """The block ``C_n -> D_{n+k}``, zero or not."""
-        S, T, k = self.source, self.target, self.degree
-        if n not in S.offsets or n + k not in T.offsets:
-            return T.ring.zeros(T.rank(n + k), S.rank(n))
-        r0, c0, c1 = T.offsets[n + k], S.offsets[n], S.offsets[n] + S.ranks[n]
-        return _each(T.ring, self.total, T.ranks[n + k], S.ranks[n], lambda entries: {
-            (i - r0, j - c0): v for (i, j), v in entries.items() if c0 <= j < c1})
+        m = self.mats.get(n)
+        return self.target.ring.zeros(self.target.rank(n + self.degree),
+                                      self.source.rank(n)) if m is None else m
 
     def validate(self) -> None:
         """``d f = (-1)^k f d`` and, with idempotents, ``p f p = f``; a
@@ -362,10 +327,10 @@ class ChainMap:
             raise InputError("support pairs need positioned complexes")
         if type(m) is IntMatrix:
             yield from ((tgt[i], src[j]) for (i, j) in m.entries)
-            return
-        e = self.source.ring.backend.identity()
-        for a, blk in m.letters.items():
-            yield from (((e, tgt[i]), (a, src[j])) for (i, j) in blk.entries)
+        else:
+            e = self.source.ring.backend.identity()
+            yield from (((e, tgt[i]), (a, src[j])) for a, blk in m.letters.items()
+                        for (i, j) in blk.entries)
 
     def integer_inverse(self) -> Optional["ChainMap"]:
         """Degreewise inverse over Z, or None when some degree is not
@@ -383,15 +348,18 @@ class ChainMap:
             mats[n + k] = inv
         return ChainMap(self.target, self.source, -k, mats, check=False)
 
+    def _ends(self):
+        """The offsets of source and target: the same ranks in the same order."""
+        return self.source.offsets, self.target.offsets
+
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ChainMap) and self.degree == other.degree
-                and self.total == other.total and _same_ranks(self.source, other.source)
-                and _same_ranks(self.target, other.target))
+                and self.total == other.total and self._ends() == other._ends())
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
         if self.degree != other.degree:
             raise ValueError("degree mismatch in sum")
-        if not (_same_ranks(self.source, other.source) and _same_ranks(self.target, other.target)):
+        if self._ends() != other._ends():
             raise ValueError("shape mismatch in sum")
         return ChainMap._of(self.source, self.target, self.degree, self.total + other.total)
 
@@ -407,7 +375,7 @@ class ChainMap:
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self o other (apply ``other`` first)."""
         mid, top = self.source, other.target
-        if not _same_ranks(mid, top):
+        if mid is not top and mid.offsets != top.offsets:
             n = min(n for n in set(mid.ranks) | set(top.ranks) if mid.rank(n) != top.rank(n))
             raise ValueError(f"shape mismatch in composite at degree {n - other.degree}")
         return ChainMap._of(other.source, self.target, self.degree + other.degree,
@@ -433,19 +401,15 @@ class ChainHomotopy:
     ``mats`` is the blocks (each one read, zero or not) or the total matrix."""
 
     def __init__(self, source_map: ChainMap, target_map: ChainMap, mats=None):
-        self.source_map = source_map
-        self.target_map = target_map
+        self.source_map, self.target_map = source_map, target_map
         f = source_map
-        self.total = (mats if type(mats) is IntMatrix and mats.rows == f.target.size
-                      and mats.cols == f.source.size
-                      else _total(f.target.ring, mats, f.source, f.target, f.degree + 1,
-                                  "homotopy", keep_zero=True))
+        self.total = _total(f.target.ring, mats, f.source, f.target, f.degree + 1, "homotopy",
+                            keep_zero=True)
 
     @cached_property
     def mats(self) -> Dict[int, object]:
         """Deprecated per-degree view: the nonzero blocks of ``total``."""
-        f = self.source_map
-        return _split(self.total, f.source, f.target, f.degree + 1)
+        return self.as_map().mats
 
     def mat(self, n: int):
         return self.as_map().mat(n)
@@ -454,36 +418,30 @@ class ChainHomotopy:
         f = self.source_map
         return ChainMap._of(f.source, f.target, f.degree + 1, self.total)
 
-    def _sides(self, lo: int = 0, hi: Optional[int] = None):
-        """``(d H + (-1)^k H d + f, g)``, on the target rows ``lo <= i < hi``
-        when ``hi`` is given."""
+    def holds(self) -> bool:
+        return self._holds(None)
+
+    def _holds(self, rows: Optional[range]) -> bool:
+        """``d H + (-1)^k H d + f == g``, on the target ``rows`` when given."""
         f, g = self.source_map, self.target_map
         C, D, h = f.source, f.target, self.total
-        if g.degree != f.degree or not (_same_ranks(C, g.source) and _same_ranks(D, g.target)):
+        if g.degree != f.degree or f._ends() != g._ends():
             raise ValueError("chain map shape mismatch between the homotopy's endpoints")
         dd, hr, fm, gm = D.d_total, h, f.total, g.total
-        if hi is not None:
-            def rows(m):
-                return _each(D.ring, m, m.rows, m.cols, lambda entries: {
-                    key: v for key, v in entries.items() if lo <= key[0] < hi})
-            dd, hr, fm, gm = rows(dd), rows(h), rows(fm), rows(gm)
-        if h.is_zero():
-            return fm, gm
-        lhs, hd = dd @ h, hr @ C.d_total
-        return (lhs - hd if f.degree % 2 else lhs + hd) + fm, gm
-
-    def holds(self) -> bool:
-        lhs, rhs = self._sides()
-        return lhs == rhs
+        if rows is not None:
+            dd, hr, fm, gm = (_each(D.ring, m, m.rows, m.cols, lambda entries: {
+                key: v for key, v in entries.items() if key[0] in rows}) for m in (dd, h, fm, gm))
+        if not h.is_zero():
+            lhs, hd = dd @ h, hr @ C.d_total
+            fm = (lhs - hd if f.degree % 2 else lhs + hd) + fm
+        return fm == gm
 
     def holds_at(self, n: int) -> bool:
         """``d H_n + (-1)^k H_{n-1} d + f_n = g_n``: the rows of ``D_{n+k}``
-        of the total identity."""
+        of the total identity (none when ``D_{n+k} = 0``)."""
         D, k = self.source_map.target, self.source_map.degree
-        if n + k not in D.offsets:  # D_{n+k} = 0: every term is empty
-            return True
-        lhs, rhs = self._sides(D.offsets[n + k], D.offsets[n + k] + D.ranks[n + k])
-        return lhs == rhs
+        start = D.offsets.get(n + k)
+        return start is None or self._holds(range(start, start + D.ranks[n + k]))
 
 
 # -- duals, tensors, flips, mu ------------------------------------------
@@ -504,25 +462,22 @@ def _dual_total(m, k: int, source: ChainComplex, target: ChainComplex,
     the index order, with sign ``(-1)^{(n+k)k}`` on a column of degree
     ``n``, times ``(-1)^{|i|}`` on row ``i`` with ``row_signs`` (for even
     ``k``); over ``Z[G]`` letter ``a`` goes to ``a^-1``."""
+    if not (k % 2 or row_signs):
+        return m.transpose()  # over Z[G] the involution transpose
     sdeg, tdeg = source._basis()[0], target._basis()[0]
     if k % 2:  # the sign is -1 on the columns of even degree
         def fn(entries):
             return {(j, i): v if sdeg[j] % 2 else -v for (i, j), v in entries.items()}
-    elif row_signs:
-        def fn(entries):
-            return {(j, i): -v if tdeg[i] % 2 else v for (i, j), v in entries.items()}
     else:
         def fn(entries):
-            return {(j, i): v for (i, j), v in entries.items()}
+            return {(j, i): -v if tdeg[i] % 2 else v for (i, j), v in entries.items()}
     ring = source.ring
     return _each(ring, m, m.cols, m.rows, fn, None if ring is IntMatrix else ring.backend.inv)
 
 
 def dual_complex(c: ChainComplex) -> ChainComplex:
-    """``(C^-*)_n = (C_{-n})^*``: the duals of ``d`` and of ``1 = p`` as maps.
-
-    Shared: built once and held by ``c``.
-    """
+    """``(C^-*)_n = (C_{-n})^*``: the duals of ``d`` and of ``1 = p`` as
+    maps, built once and held by ``c``."""
     if c._dual is None:
         p = None if c.p_total is None else _dual_total(c.p_total, 0, c, c)
         c._dual = ChainComplex({-n: r for n, r in c.ranks.items()},
@@ -547,37 +502,22 @@ def iota(c: ChainComplex) -> ChainMap:
 
 class TensorLayout:
     """Index bookkeeping for ``(C ox D)_n = sum over p+q=n of C_p ox D_q``:
-    degree by degree, the blocks ``(p, q)`` by ``p`` from ``base[(p, q)]``
-    on, each in Kronecker order.  Basis vectors ``i`` of ``C`` and ``j`` of
-    ``D`` sit at ``pbase[c_degrees[i]][dq[j]] + c_locs[i] * d_ranks_by_q[dq[j]]
-    + dl[j]``.  Holds rank dicts and index lists, not the complexes, so a
-    layout held in a complex's memo refers to no complex."""
+    degree by degree, the blocks ``(p, q)`` by ``p``, each in Kronecker
+    order; ``index[i * |D| + j]`` is where ``e_i ox f_j`` sits.  Holds ranks
+    and index lists, not the complexes, so a layout held in a complex's
+    memo refers to no complex."""
 
     def __init__(self, c: ChainComplex, d: ChainComplex):
-        self.c_ranks, self.d_ranks = c.ranks, d.ranks
-        blocks: Dict[int, List[Tuple[int, int]]] = {}
-        for p in c.degrees():
-            for q in d.degrees():
-                blocks.setdefault(p + q, []).append((p, q))  # sorted by p
+        base: Dict[Tuple[int, int], int] = {}
         self.ranks: Dict[int, int] = {}
-        self.base: Dict[Tuple[int, int], int] = {}
-        self.pbase: Dict[int, List[int]] = {p: [] for p in c.ranks}  # by q, increasing
-        size = 0
-        for n in sorted(blocks):
-            for (p, q) in blocks[n]:
-                self.base[(p, q)] = size
-                self.pbase[p].append(size)
-                size += c.ranks[p] * d.ranks[q]
-            self.ranks[n] = size - self.base[blocks[n][0]]
-        self.size = size
-        self.c_degrees, self.c_locs = c._basis()
-        ddeg, self.dl = d._basis()
-        qpos = {q: t for t, q in enumerate(d.degrees())}
-        self.dq = [qpos[q] for q in ddeg]
-        self.d_ranks_by_q = [d.ranks[q] for q in d.degrees()]
-
-    def block_rank(self, p: int, q: int) -> int:
-        return self.c_ranks.get(p, 0) * self.d_ranks.get(q, 0)
+        self.size = 0
+        for p, q in sorted(((p, q) for p in c.ranks for q in d.ranks), key=lambda b: (sum(b), b)):
+            r = c.ranks[p] * d.ranks[q]
+            base[(p, q)], self.size = self.size, self.size + r
+            self.ranks[p + q] = self.ranks.get(p + q, 0) + r
+        self.c_degrees = c._basis()[0]
+        self.index = [base[(p, q)] + i * d.ranks[q] + j
+                      for p, i in zip(*c._basis()) for q, j in zip(*d._basis())]
 
 
 def _tensor_total(src: TensorLayout, tgt: TensorLayout, terms) -> IntMatrix:
@@ -586,34 +526,19 @@ def _tensor_total(src: TensorLayout, tgt: TensorLayout, terms) -> IntMatrix:
     ``(a ox b)|_{A_p ox B_q} = (-1)^{|b| p} a_p ox b_q``.  The terms have
     distinct bidegrees, so no two write one entry."""
     ent: Dict[Tuple[int, int], int] = {}
-    sdeg, sloc, spb, tdeg, tloc, tpb = (src.c_degrees, src.c_locs, src.pbase,
-                                        tgt.c_degrees, tgt.c_locs, tgt.pbase)
+    sdeg, sx, tx = src.c_degrees, src.index, tgt.index
     for a, b, kb in terms:
-        ys: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}  # b by its blocks
-        for (i, j), w in b.entries.items():
-            key = (tgt.dq[i], src.dq[j])
-            ws = ys.get(key)
-            if ws is None:
-                ys[key] = [(tgt.dl[i], src.dl[j], w)]
-            else:
-                ws.append((tgt.dl[i], src.dl[j], w))
-        blocks = [(tq, tgt.d_ranks_by_q[tq], sq, src.d_ranks_by_q[sq], ws)
-                  for (tq, sq), ws in ys.items()]
+        rows, cols, ws = b.rows, b.cols, list(b.entries.items())
         for (i, j), v in a.entries.items():
-            trow, ti, srow, sj = tpb[tdeg[i]], tloc[i], spb[sdeg[j]], sloc[j]
-            u = -v if kb % 2 and sdeg[j] % 2 else v
-            for tq, tr, sq, sr, ws in blocks:
-                r, c = trow[tq] + ti * tr, srow[sq] + sj * sr
-                for tl, sl, w in ws:
-                    ent[(r + tl, c + sl)] = u * w
+            u, i, j = -v if kb % 2 and sdeg[j] % 2 else v, i * rows, j * cols
+            for (k, l), w in ws:
+                ent[(tx[i + k], sx[j + l])] = u * w
     return IntMatrix._trusted(tgt.size, src.size, ent)
 
 
 def tensor_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:
-    """``C ox D`` with ``d = d_C ox 1 + 1 ox d_D`` and ``p = 1 ox 1``.
-
-    Shared: built once, held by ``c`` while ``d`` lives; over Z only.
-    """
+    """``C ox D`` with ``d = d_C ox 1 + 1 ox d_D`` and ``p = 1 ox 1``; over Z
+    only, built once and held by ``c`` while ``d`` lives."""
     return _tensor(c, d)[1]
 
 
@@ -636,12 +561,9 @@ def _tensor(c: ChainComplex, d: ChainComplex) -> Tuple[TensorLayout, ChainComple
     if c.p_total is not None or d.p_total is not None:
         idem = _tensor_total(layout, layout, [(one_c, one_d, 0)])
     positions = None
-    if c.pos_total is not None and d.pos_total is not None:
-        out: List[object] = [None] * layout.size
-        for (p, q), start in layout.base.items():
-            xs, ys = c.positions[p], d.positions[q]
-            out[start:start + len(xs) * len(ys)] = [(x, y) for x in xs for y in ys]
-        positions = tuple(out)
+    if c.pos_total is not None and d.pos_total is not None:  # indices are distinct: sort by them
+        positions = tuple(xy for _, xy in sorted(zip(layout.index, (
+            (x, y) for x in c.pos_total for y in d.pos_total))))
     cx = ChainComplex(layout.ranks, diff, idem, positions, check=False)
     c._tensors = {key: e for key, e in (c._tensors or {}).items() if e[0]() is not None}
     c._tensors[id(d)] = (weakref.ref(d), layout, cx)
@@ -653,20 +575,17 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     src, src_cx = _tensor(f.source, g.source)
     tgt, tgt_cx = _tensor(f.target, g.target)
     return ChainMap._of(src_cx, tgt_cx, f.degree + g.degree,
-                    _tensor_total(src, tgt, [(f.total, g.total, g.degree)]))
+                        _tensor_total(src, tgt, [(f.total, g.total, g.degree)]))
 
 
 def flip_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
     """Chain isomorphism ``C ox D -> D ox C`` with ``(-1)^{pq}`` signs."""
     src, src_cx = _tensor(c, d)
     tgt, tgt_cx = _tensor(d, c)
-    ent: Dict[Tuple[int, int], int] = {}
-    for (p, q), start in src.base.items():
-        target, rc, rd, sgn = tgt.base[(q, p)], c.ranks[p], d.ranks[q], sign(p * q)
-        for i in range(rc):  # e_i ox f_j at i*rd+j goes to f_j ox e_i
-            for j in range(rd):
-                ent[(target + j * rc + i, start + i * rd + j)] = sgn
-    return ChainMap._of(src_cx, tgt_cx, 0, IntMatrix._trusted(tgt.size, src.size, ent))
+    cdeg, ddeg, m, n = c._basis()[0], d._basis()[0], c.size, d.size
+    return ChainMap._of(src_cx, tgt_cx, 0, IntMatrix._trusted(tgt.size, src.size, {
+        (tgt.index[j * m + i], src.index[i * n + j]): sign(cdeg[i] * ddeg[j])
+        for i in range(m) for j in range(n)}))
 
 
 def mu_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
@@ -674,17 +593,13 @@ def mu_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
 
     Under dual bases this is a signed identity on each block
     ``(C_{-p})^* ox (D_{-q})^* = (C_{-p} ox D_{-q})^*``; it is a chain
-    isomorphism for finite complexes.
+    isomorphism for finite complexes; a dual keeps its complex's index order.
     """
     src, src_cx = _tensor(dual_complex(c), dual_complex(d))
-    tgt, cd_cx = _tensor(c, d)  # the dual of C ox D keeps its index order
-    ent: Dict[Tuple[int, int], int] = {}
-    for (p, q), start in src.base.items():
-        sgn, shift = sign(p * q), tgt.base[(-p, -q)] - start
-        for t in range(start, start + src.block_rank(p, q)):
-            ent[(t + shift, t)] = sgn
-    return ChainMap._of(src_cx, dual_complex(cd_cx), 0,
-                        IntMatrix._trusted(tgt.size, src.size, ent))
+    tgt, cd_cx = _tensor(c, d)
+    signs = [sign(p * q) for p in c._basis()[0] for q in d._basis()[0]]
+    return ChainMap._of(src_cx, dual_complex(cd_cx), 0, IntMatrix._trusted(tgt.size, src.size, {
+        (t, s): v for t, s, v in zip(tgt.index, src.index, signs)}))
 
 
 def _cone(f: ChainMap):
@@ -693,11 +608,8 @@ def _cone(f: ChainMap):
     if f.degree != 0:
         raise ValueError("cone needs a degree-0 chain map")
     C, D = f.source, f.target
-    degrees = sorted({n + 1 for n in C.ranks} | set(D.ranks))
-    ranks = {n: C.rank(n - 1) + D.rank(n) for n in degrees}
-    off, size = {}, 0
-    for n, r in ranks.items():
-        off[n], size = size, size + r
+    ranks = {n: C.rank(n - 1) + D.rank(n) for n in sorted({n + 1 for n in C.ranks} | set(D.ranks))}
+    off, size = dict(zip(ranks, accumulate(ranks.values(), initial=0))), sum(ranks.values())
     cmap = [off[n + 1] + loc for n, loc in zip(*C._basis())]
     dmap = [off[n] + C.rank(n - 1) + loc for n, loc in zip(*D._basis())]
     # d(c, d) = (-d c, f c + d d)
@@ -707,11 +619,8 @@ def _cone(f: ChainMap):
     if C.p_total is not None or D.p_total is not None:
         p = _place(C.ring, size, size, [(_one(C), cmap, cmap, 1), (_one(D), dmap, dmap, 1)])
     pos = None
-    if C.pos_total is not None and D.pos_total is not None:
-        out: List[object] = [None] * size
-        for t, x in zip(cmap + dmap, C.pos_total + D.pos_total):
-            out[t] = x
-        pos = tuple(out)
+    if C.pos_total is not None and D.pos_total is not None:  # indices are distinct: sort by them
+        pos = tuple(x for _, x in sorted(zip(cmap + dmap, C.pos_total + D.pos_total)))
     return ChainComplex(ranks, d, p, pos, check=False, ring=C.ring), cmap, dmap
 
 
@@ -764,10 +673,7 @@ class K1Class:
 
 def finiteness_obstruction(c: ChainComplex) -> K0Class:
     """Alternating sum of the degreewise classes of a finite projective complex."""
-    out = K0Class()
-    for n in sorted(c.ranks):
-        out.add(sign(n), c.p(n))
-    return out
+    return K0Class([(sign(n), c.p(n)) for n in sorted(c.ranks)])
 
 
 def cone_torsion(f: ChainMap, g: ChainMap, hm: ChainMap, km: ChainMap):
@@ -787,19 +693,16 @@ def cone_torsion(f: ChainMap, g: ChainMap, hm: ChainMap, km: ChainMap):
     top_left = g.compose(theta) - hm
     bottom_left = km.compose(theta)
     e, cmap, dmap = _cone(f)
-    degs = e._basis()[0]
-    rows = [t for t in range(e.size) if degs[t] % 2 == 0]
-    cols = [t for t in range(e.size) if degs[t] % 2]
-    if len(rows) != len(cols):
+    count, even, odd = [0, 0], [], []  # cone index -> its row (even degree), column (odd)
+    for n in e._basis()[0]:
+        even.append(None if n % 2 else count[0])
+        odd.append(count[1] if n % 2 else None)
+        count[n % 2] += 1
+    if count[0] != count[1]:
         raise NotAnEquivalence("cone has unequal odd/even ranks")
-    even, odd = [None] * e.size, [None] * e.size  # cone index -> row, column
-    for r, t in enumerate(rows):
-        even[t] = r
-    for c, t in enumerate(cols):
-        odd[t] = c
     ec, ed = [even[t] for t in cmap], [even[t] for t in dmap]
     oc, od = [odd[t] for t in cmap], [odd[t] for t in dmap]
-    return _place(e.ring, len(rows), len(cols), [
+    return _place(e.ring, count[0], count[1], [
         (e.d_total, even, odd, 1), (top_left.total, ec, oc, 1), (g.total, ec, od, 1),
         (bottom_left.total, ed, oc, 1), (km.total, ed, od, 1)])
 

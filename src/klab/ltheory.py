@@ -142,12 +142,11 @@ def mult_hyperbolic_complex(c: ChainComplex) -> Tuple[ChainComplex, ChainMap]:
     if not c.is_free():
         raise IdentityFailure("mu_C is not invertible over Z")
     layout, D = _tensor(dual_complex(c), c)
-    ent = {}
-    for (p, q), source in layout.base.items():  # D^-* keeps the index order of D
-        target, ri, rt, sgn = layout.base[(-q, -p)], c.rank(-p), c.rank(q), sign(p)
-        ent.update({(target + t * ri + i, source + i * rt + t): sgn
-                    for i in range(ri) for t in range(rt)})
-    psi = ChainMap(dual_complex(D), D, 0, IntMatrix._trusted(D.size, D.size, ent), check=False)
+    n, at, degs = c.size, layout.index, c._basis()[0]
+    # D^-* keeps the index order of D: e_i ox f_t goes to e_t ox f_i, sign (-1)^{|e_i|}
+    psi = ChainMap(dual_complex(D), D, 0, IntMatrix._trusted(D.size, D.size, {
+        (at[t * n + i], at[i * n + t]): -1 if degs[i] % 2 else 1
+        for i in range(n) for t in range(n)}), check=False)
     psi.validate()
     return D, psi
 

@@ -863,16 +863,16 @@ def _block(rows, cols):
 @pytest.mark.parametrize("where, degree, block, message", [
     ("homotopies", "0", _block(5, 5), "homotopy shape mismatch at degree 0"),
     ("phi", "0", _block(3, 2), "chain map shape mismatch at degree 0"),
-    ("phi", "7", _block(2, 2), "shape mismatch at degree 7"),
+    ("phi", "7", _block(2, 2), "chain map shape mismatch at degree 7"),
     ("homotopies", "9", _block(1, 1), "homotopy shape mismatch at degree 9"),
 ])
 def test_a_malformed_chain_action_block_names_its_degree(tmp_path, capsys, where, degree,
                                                          block, message):
     """A mis-shaped block of a chain action, inside its degrees or outside
     them, exits 2 and names the degree.  A ``phi`` block at degree 7 is
-    refused where it is read, as a chain map block; it was refused as
-    ``shape mismatch in composite at degree 7`` when the per-degree
-    algebra first composed it."""
+    refused when the chain map is built; the per-degree algebra refused it
+    as ``shape mismatch in composite at degree 7`` when it first composed
+    the map."""
     doc = copy.deepcopy(_SHIPPED["z2"])
     action = doc["chain_actions"]["involution"]
     (action["homotopies"]["0;1"] if where == "homotopies" else action["phi"]["1"])[
@@ -881,4 +881,4 @@ def test_a_malformed_chain_action_block_names_its_degree(tmp_path, capsys, where
     target.write_text(json.dumps(doc))
     assert run_cli("validate", str(target)) == 2
     err = capsys.readouterr().err
-    assert f"input error: chain_actions.involution: " in err and message in err, err
+    assert f"input error: chain_actions.involution: {message}" in err, err

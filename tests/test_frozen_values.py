@@ -17,7 +17,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "klab"
 DICT_WRITES = {"pop", "update", "setdefault", "clear", "popitem"}
 HELD = {"diff", "mats", "idem", "positions", "ranks", "letters", "d_total", "p_total",
-        "pos_total", "total", "offsets", "size", "_lists", "_dual_lists"}
+        "pos_total", "total", "offsets", "size", "_lists", "index", "c_degrees"}
 
 
 def _targets(node):
@@ -108,7 +108,8 @@ def test_guard_flags_every_kind_of_write():
         "cx.offsets[0] = 1",
         "cx.size = 0",
         "cx._lists = ()",
-        "cx._dual_lists = ()",
+        "layout.index[t] = 0",
+        "layout.c_degrees = []",
     ]
     for src in writes:
         assert list(value_writes(ast.parse(src))) == [1], src
