@@ -137,8 +137,11 @@ class ChainComplex:
                  check: bool = True, ring=IntMatrix):
         self.ring = ring
         self.ranks = {n: r for n, r in ranks.items() if r > 0}
-        self.offsets = dict(zip(self.ranks, accumulate(self.ranks.values(), initial=0)))
-        self.size = size = sum(self.ranks.values())  # offsets in the order of ranks
+        self.offsets: Dict[int, int] = {}  # in the order of ranks
+        size = 0
+        for n, r in self.ranks.items():
+            self.offsets[n], size = size, size + r
+        self.size = size
         # built on first use: the basis lists, the dual, the identity, and
         # the tensors {id(d): (weak d, TensorLayout, self ox d)}
         self._lists = self._dual = self._one = self._tensors = None
@@ -281,17 +284,18 @@ class ChainMap:
 
     def mat(self, n: int):
         """The block ``C_n -> D_{n+k}``, zero or not."""
-        m = self.mats.get(n)
-        return self.target.ring.zeros(self.target.rank(n + self.degree),
-                                      self.source.rank(n)) if m is None else m
+        S, T, k = self.source, self.target, self.degree
+        if n not in S.offsets or n + k not in T.offsets:
+            return T.ring.zeros(T.rank(n + k), S.rank(n))
+        r0, c0, c1 = T.offsets[n + k], S.offsets[n], S.offsets[n] + S.ranks[n]
+        return _each(T.ring, self.total, T.ranks[n + k], S.ranks[n], lambda entries: {
+            (i - r0, j - c0): v for (i, j), v in entries.items() if c0 <= j < c1})
 
     def validate(self) -> None:
         """``d f = (-1)^k f d`` and, with idempotents, ``p f p = f``; a
         failure names its lowest source degree."""
         S, T, f = self.source, self.target, self.total
-        df, fd = T.d_total @ f, f @ S.d_total
-        if self.degree % 2:
-            fd = -fd
+        df, fd = T.d_total @ f, (-f if self.degree % 2 else f) @ S.d_total
         if df != fd:
             raise ValueError(f"not a chain map at degree {_first(df - fd, S)}")
         if S.p_total is not None or T.p_total is not None:
@@ -340,13 +344,10 @@ class ChainMap:
         k = self.degree
         if self.total.is_signed_permutation():  # so is every block
             return ChainMap._of(self.target, self.source, -k, self.total.transpose())
-        mats = {}
-        for n in set(self.source.ranks) | {n - k for n in self.target.ranks}:
-            inv = self.mat(n).integer_inverse()
-            if inv is None:
-                return None
-            mats[n + k] = inv
-        return ChainMap(self.target, self.source, -k, mats, check=False)
+        mats = {n + k: self.mat(n).integer_inverse()
+                for n in set(self.source.ranks) | {n - k for n in self.target.ranks}}
+        return None if None in mats.values() else ChainMap(self.target, self.source, -k, mats,
+                                                            check=False)
 
     def _ends(self):
         """The offsets of source and target: the same ranks in the same order."""
@@ -376,8 +377,9 @@ class ChainMap:
         """self o other (apply ``other`` first)."""
         mid, top = self.source, other.target
         if mid is not top and mid.offsets != top.offsets:
-            n = min(n for n in set(mid.ranks) | set(top.ranks) if mid.rank(n) != top.rank(n))
-            raise ValueError(f"shape mismatch in composite at degree {n - other.degree}")
+            bad = [n for n in set(mid.ranks) | set(top.ranks) if mid.rank(n) != top.rank(n)]
+            raise ValueError(f"shape mismatch in composite at degree {min(bad) - other.degree}"
+                             if bad else "shape mismatch in composite: degrees in another order")
         return ChainMap._of(other.source, self.target, self.degree + other.degree,
                         self.total @ other.total)
 
@@ -511,7 +513,7 @@ class TensorLayout:
         base: Dict[Tuple[int, int], int] = {}
         self.ranks: Dict[int, int] = {}
         self.size = 0
-        for p, q in sorted(((p, q) for p in c.ranks for q in d.ranks), key=lambda b: (sum(b), b)):
+        for _, p, q in sorted([(p + q, p, q) for p in c.ranks for q in d.ranks]):
             r = c.ranks[p] * d.ranks[q]
             base[(p, q)], self.size = self.size, self.size + r
             self.ranks[p + q] = self.ranks.get(p + q, 0) + r
@@ -584,7 +586,7 @@ def flip_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
     tgt, tgt_cx = _tensor(d, c)
     cdeg, ddeg, m, n = c._basis()[0], d._basis()[0], c.size, d.size
     return ChainMap._of(src_cx, tgt_cx, 0, IntMatrix._trusted(tgt.size, src.size, {
-        (tgt.index[j * m + i], src.index[i * n + j]): sign(cdeg[i] * ddeg[j])
+        (tgt.index[j * m + i], src.index[i * n + j]): -1 if cdeg[i] * ddeg[j] % 2 else 1
         for i in range(m) for j in range(n)}))
 
 
@@ -597,7 +599,7 @@ def mu_map(c: ChainComplex, d: ChainComplex) -> ChainMap:
     """
     src, src_cx = _tensor(dual_complex(c), dual_complex(d))
     tgt, cd_cx = _tensor(c, d)
-    signs = [sign(p * q) for p in c._basis()[0] for q in d._basis()[0]]
+    signs = [-1 if p * q % 2 else 1 for p in c._basis()[0] for q in d._basis()[0]]
     return ChainMap._of(src_cx, dual_complex(cd_cx), 0, IntMatrix._trusted(tgt.size, src.size, {
         (t, s): v for t, s, v in zip(tgt.index, src.index, signs)}))
 
@@ -654,12 +656,9 @@ class K0Class:
 
 
 class K1Class:
-    """Invertible-matrix representative plus reduced invariants.
-
-    Over ``Z`` the determinant sign is the full invariant; over a
-    commutative group ring only the determinant is computed (by the
-    caller); no normal form is attempted otherwise.
-    """
+    """Invertible-matrix representative: over ``Z`` the determinant sign is
+    the full invariant; over a commutative group ring the caller computes
+    only the determinant, and no normal form is attempted."""
 
     def __init__(self, matrix: IntMatrix):
         self.matrix = matrix
@@ -693,16 +692,19 @@ def cone_torsion(f: ChainMap, g: ChainMap, hm: ChainMap, km: ChainMap):
     top_left = g.compose(theta) - hm
     bottom_left = km.compose(theta)
     e, cmap, dmap = _cone(f)
-    count, even, odd = [0, 0], [], []  # cone index -> its row (even degree), column (odd)
-    for n in e._basis()[0]:
-        even.append(None if n % 2 else count[0])
-        odd.append(count[1] if n % 2 else None)
-        count[n % 2] += 1
-    if count[0] != count[1]:
+    degs = e._basis()[0]
+    rows = [t for t in range(e.size) if degs[t] % 2 == 0]
+    cols = [t for t in range(e.size) if degs[t] % 2]
+    if len(rows) != len(cols):
         raise NotAnEquivalence("cone has unequal odd/even ranks")
+    even, odd = [None] * e.size, [None] * e.size  # cone index -> row, column
+    for r, t in enumerate(rows):
+        even[t] = r
+    for c, t in enumerate(cols):
+        odd[t] = c
     ec, ed = [even[t] for t in cmap], [even[t] for t in dmap]
     oc, od = [odd[t] for t in cmap], [odd[t] for t in dmap]
-    return _place(e.ring, count[0], count[1], [
+    return _place(e.ring, len(rows), len(cols), [
         (e.d_total, even, odd, 1), (top_left.total, ec, oc, 1), (g.total, ec, od, 1),
         (bottom_left.total, ed, oc, 1), (km.total, ed, od, 1)])
 

@@ -300,3 +300,23 @@ def test_finiteness_obstruction_projective():
     p = IntMatrix.from_rows([[1, 0], [0, 0]])
     c = ChainComplex({0: 2}, {}, idem={0: p})
     assert finiteness_obstruction(c).reduced_rank() == 1
+
+
+# -- the order of degrees on the total basis ---------------------------------
+
+
+def test_maps_between_complexes_in_another_degree_order_are_refused():
+    """Two complexes with the same degrees in another order of ``ranks``
+    compare equal, but a sum, composite or homotopy of maps between them
+    is a shape mismatch that says so, and such maps never compare equal."""
+    d = {1: IntMatrix.from_rows([[1]])}
+    c, c2 = ChainComplex({0: 1, 1: 1}, d), ChainComplex({1: 1, 0: 1}, d)
+    assert c == c2
+    one, one2 = ChainMap.identity(c), ChainMap.identity(c2)
+    assert one != one2
+    with pytest.raises(ValueError, match="shape mismatch in sum"):
+        one + one2
+    with pytest.raises(ValueError, match="composite: degrees in another order"):
+        one.compose(one2)
+    with pytest.raises(ValueError, match="shape mismatch between the homotopy's endpoints"):
+        ChainHomotopy(one, one2).holds()
