@@ -33,7 +33,7 @@ Everything lives on the total basis ``+_n C_n``, degrees in the order of
 complex holds ``d_total``, ``p_total`` (None when free) and ``pos_total``,
 a degree-``k`` map or homotopy one matrix ``total`` of blocks ``C_n ->
 D_{n+k}``.  Blocks given to a constructor are placed once and checked
-there.  ``mat()``, ``d()``, ``p()`` and ``pos()`` serve per-degree readers.
+there.  ``mat()``, ``d()``, ``p()`` and ``pos()`` slice one degree out of them.
 
 A complex is a value, never written after its constructor, so
 ``dual_complex(c)`` and ``tensor_complex(c, d)`` are memoised on ``c``;
@@ -111,6 +111,15 @@ def _split(m, S: "ChainComplex", T: "ChainComplex", k: int) -> Dict[int, object]
     return {n: _wrap(T.ring, T.rank(n + k), S.rank(n), acc[n]) for n in sorted(acc)}
 
 
+def _slice(m, S: "ChainComplex", T: "ChainComplex", k: int, n: int):
+    """The block ``S_n -> T_{n+k}`` of a total matrix of degree ``k``, zero or not."""
+    if n not in S.offsets or n + k not in T.offsets:
+        return T.ring.zeros(T.rank(n + k), S.rank(n))
+    r0, c0, c1 = T.offsets[n + k], S.offsets[n], S.offsets[n] + S.ranks[n]
+    return _each(T.ring, m, T.ranks[n + k], S.ranks[n], lambda entries: {
+        (i - r0, j - c0): v for (i, j), v in entries.items() if c0 <= j < c1})
+
+
 def _first(m, c: "ChainComplex") -> int:
     """The lowest degree of ``c`` with a column holding an entry of ``m``."""
     return min(c._basis()[0][j] for _, blk in _letters(m) for (_, j) in blk.entries)
@@ -182,34 +191,18 @@ class ChainComplex:
     def rank(self, n: int) -> int:
         return self.ranks.get(n, 0)
 
-    @cached_property
-    def diff(self) -> Dict[int, object]:
-        """Deprecated per-degree view: the nonzero blocks of ``d_total``."""
-        return _split(self.d_total, self, self, -1)
-
-    @cached_property
-    def idem(self) -> Optional[Dict[int, object]]:
-        """Deprecated per-degree view: every block of ``p_total``, or None."""
-        blocks = {} if self.p_total is None else _split(self.p_total, self, self, 0)
-        return self.p_total and {n: blocks.get(n) or _wrap(self.ring, r, r, {})
-                                 for n, r in self.ranks.items()}
-
-    @cached_property
-    def positions(self) -> Optional[Dict[int, Positions]]:
-        """Deprecated per-degree view of ``pos_total``, or None."""
-        return self.pos_total and {n: self.pos_total[off:off + self.ranks[n]]
-                                   for n, off in self.offsets.items()}
-
     def d(self, n: int):
-        m = self.diff.get(n)
-        return self.ring.zeros(self.rank(n - 1), self.rank(n)) if m is None else m
+        return _slice(self.d_total, self, self, -1, n)
 
     def p(self, n: int):
-        m = None if self.p_total is None else self.idem.get(n)
-        return self.ring.identity(self.rank(n)) if m is None else m
+        if self.p_total is None:
+            return self.ring.identity(self.rank(n))
+        return _slice(self.p_total, self, self, 0, n)
 
     def pos(self, n: int) -> Optional[Positions]:
-        return None if self.pos_total is None else self.positions.get(n)
+        if self.pos_total is None or n not in self.offsets:
+            return None
+        return self.pos_total[self.offsets[n]:self.offsets[n] + self.ranks[n]]
 
     def is_free(self) -> bool:
         return self.p_total is None or self.p_total == self.ring.identity(self.size)
@@ -240,11 +233,10 @@ class ChainComplex:
                                  f"{_first(pdp - d, self)}")
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChainComplex) or self.ranks != other.ranks:
-            return False
-        if self.offsets != other.offsets:  # the same degrees in another order
-            return self.diff == other.diff and all(self.p(n) == other.p(n) for n in self.ranks)
-        return self.d_total == other.d_total and _one(self) == _one(other)
+        """Equal totals on the same degrees in the same order."""
+        return (isinstance(other, ChainComplex) and self.ranks == other.ranks
+                and self.offsets == other.offsets and self.d_total == other.d_total
+                and _one(self) == _one(other))
 
     def __repr__(self):  # pragma: no cover
         return f"ChainComplex(ranks={self.ranks})"
@@ -284,12 +276,7 @@ class ChainMap:
 
     def mat(self, n: int):
         """The block ``C_n -> D_{n+k}``, zero or not."""
-        S, T, k = self.source, self.target, self.degree
-        if n not in S.offsets or n + k not in T.offsets:
-            return T.ring.zeros(T.rank(n + k), S.rank(n))
-        r0, c0, c1 = T.offsets[n + k], S.offsets[n], S.offsets[n] + S.ranks[n]
-        return _each(T.ring, self.total, T.ranks[n + k], S.ranks[n], lambda entries: {
-            (i - r0, j - c0): v for (i, j), v in entries.items() if c0 <= j < c1})
+        return _slice(self.total, self.source, self.target, self.degree, n)
 
     def validate(self) -> None:
         """``d f = (-1)^k f d`` and, with idempotents, ``p f p = f``; a
@@ -395,7 +382,7 @@ class ChainMap:
         return ChainMap(source, target, degree, None, check=False)
 
     def __repr__(self):  # pragma: no cover
-        return f"ChainMap(degree={self.degree}, degs={sorted(self.mats)})"
+        return f"ChainMap(degree={self.degree}, shape={self.total.rows}x{self.total.cols})"
 
 
 class ChainHomotopy:
@@ -411,7 +398,8 @@ class ChainHomotopy:
     @cached_property
     def mats(self) -> Dict[int, object]:
         """Deprecated per-degree view: the nonzero blocks of ``total``."""
-        return self.as_map().mats
+        f = self.source_map
+        return _split(self.total, f.source, f.target, f.degree + 1)
 
     def mat(self, n: int):
         return self.as_map().mat(n)

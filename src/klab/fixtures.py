@@ -97,9 +97,7 @@ def domination_instance(rng: random.Random, nmax: int = 2):
                           for n in C.ranks}, check=False)
         i = i + d_eta
         r_eta = r.compose(eta)
-        h = ChainHomotopy(r.compose(i), ChainMap.identity(C),
-                          {n: h.mat(n) - r_eta.mat(n)
-                           for n in set(h.mats) | set(r_eta.mats)})
+        h = ChainHomotopy(r.compose(i), ChainMap.identity(C), h.total - r_eta.total)
     return C, D, i, r, h
 
 
@@ -170,7 +168,7 @@ def z2_nontrivial_chain_fixture(rng: random.Random) -> HomotopySChainComplex:
     middle = swap.compose(B) + B.compose(swap)
     tail = B.compose(n_map)
     K = (middle + tail).scale(-1)
-    hom_ss = ChainHomotopy(phi_s.compose(phi_s), ident, dict(K.mats))
+    hom_ss = ChainHomotopy(phi_s.compose(phi_s), ident, K.total)
     if not hom_ss.holds():
         raise AssertionError("generator correction homotopy failed")
     homs = {(0, 0): ChainHomotopy(ident, ident, {}),

@@ -302,8 +302,7 @@ def _parse_chain_action(sc: Scenario, spec: Dict[str, Any]) -> HomotopySChainCom
     backend = sc.get("groups", spec["group"])
     space = sc.get("spaces", spec["space"])
     P = sc.get("complexes", spec["complex"])
-    if P.positions is not None and not {p for ps in P.positions.values()
-                                        for p in ps} <= space.index.keys():
+    if P.pos_total is not None and not set(P.pos_total) <= space.index.keys():
         raise InputError("complex positions must be points of the space")
     S = _subset(backend, spec["s"])
     phi = {_element_key(backend, k): _chain_map(v, P, P) for k, v in spec["phi"].items()}

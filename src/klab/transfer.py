@@ -12,11 +12,12 @@ objects carry exact control certificates in the ``d_{S,Lambda}`` sense
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .actions import DSLambdaMetric, HomotopySAction, check_lambda
-from .chaincore import (ChainComplex, ChainHomotopy, ChainMap, cone_torsion, dual_complex,
-                        dual_map, tensor_complex, tensor_map)
+from .chaincore import (ChainComplex, ChainHomotopy, ChainMap, _place, cone_torsion,
+                        dual_complex, dual_map, tensor_complex, tensor_map)
 from .control import (ControlSpace, GPos, grid_control, max_displacement, point_indices,
                       support_indices)
 from .errors import (HorizonExceeded, HypothesisViolation, IdentityFailure,
@@ -477,6 +478,18 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
     with its idempotent, ``u, v`` with ``v o u = id``, and the final
     homotopies ``k = v o k' o u`` and ``l = h - g' o l' o f'``.  Every
     identity family is verified exactly and reported.
+
+    All of it is one closed form on the degree-sorted total basis of
+    ``D``.  With ``G = sum_{l>=0} h^l r``, ``A = i G - d_D``, ``E = (-1)^j``
+    on ``D_j`` and ``Q_m`` the projection onto the ``D_j`` with
+    ``j = m - 1 (mod 2)``, the differential out of ``C'_m`` is
+    ``c_{m mod 2} = (-1)^m E A + Q_m`` restricted to ``C'_m -> C'_{m-1}``.
+    The degree entering the signs and the parity is the target degree
+    ``m - 1``; with the source degree instead, the inclusion-shaped maps
+    ``f'`` and ``k'`` fail their identities on any instance with
+    ``d circ i != 0`` (verified exhaustively).  Past ``N = D.hi`` the
+    differential is ``c_0`` or ``c_1`` on all of ``D`` and ``c_0 + c_1 = 1``,
+    so the top idempotent is ``1 - c_{N+1}`` and ``l'_m = -c_{m+1}``.
     """
     if C.lo < 0:
         raise InputError("C must be concentrated in non-negative degrees")
@@ -491,111 +504,82 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
     cap = N + 3
     checks: List[Tuple[str, bool]] = []
 
-    hm = h.as_map()
-    ir = {j: i.mats[j] @ r.mats[j] for j in range(N + 1) if j in i.mats and j in r.mats}
+    # G: column x of D_j, row of C_m holds h_{m-1} ... h_j r_j
+    G = term = r.total
+    while not term.is_zero():
+        term = h.total @ term
+        G = G + term
+    degs, locs = D._basis()
+    A = i.total @ G - D.d_total
+    EA = IntMatrix._trusted(D.size, D.size, {
+        (a, b): -v if degs[a] % 2 else v for (a, b), v in A.entries.items()})
+    # c_m = (-1)^m E A + Q_m, with Q_m the identity on the D_j of parity other than m
+    c = [IntMatrix._trusted(D.size, D.size, {(x, x): 1 for x in range(D.size)
+                                             if degs[x] % 2 != m}) + EA.scale(sign(m))
+         for m in (0, 1)]
 
-    def h_chain(j: int, m: int) -> Optional[IntMatrix]:
-        """``h_{m-1} ... h_j r_j``, or None when a factor is absent (zero)."""
-        comp = r.mats.get(j)
-        for t in range(j, m):
-            if comp is None or t not in hm.mats:
-                return None
-            comp = hm.mats[t] @ comp
-        return comp
-
-    def djk(m: int, j: int, k_: int) -> Optional[IntMatrix]:
-        """Block ``D_j -> D_k`` of the staircase differential out of degree m.
-
-        The degree entering the signs and the diagonal parity is the
-        target degree ``m - 1``; with the source degree instead, the
-        inclusion-shaped maps ``f'`` and ``k'`` fail their identities on
-        any instance with ``d circ i != 0`` (verified exhaustively).
-        """
-        mm = m - 1
-        if j >= k_ + 2:
-            return None
-        if j == k_ + 1:
-            dj = D.diff.get(j)
-            return None if dj is None else dj.scale(sign(mm + k_))
-        if j == k_:
-            if (j - mm) % 2:
-                return ir.get(j)
-            ident = IntMatrix.identity(D.rank(j))
-            return ident - ir[j] if j in ir else ident
-        # j <= k_ - 1: i_k h_{k-1} ... h_j r_j with the alternating sign
-        comp, ik = h_chain(j, k_), i.mats.get(k_)
-        return None if comp is None or ik is None else (ik @ comp).scale(sign(mm + k_ + 1))
-
+    # at[m][x]: where basis vector x of D sits in C'_m on the total basis, or None
     ranks = {m: sum(D.rank(j) for j in range(min(m, N) + 1)) for m in range(cap + 1)}
-    diff: Dict[int, IntMatrix] = {}
-    for m in range(1, cap + 1):
-        js = list(range(0, min(m, N) + 1))
-        ks = list(range(0, min(m - 1, N) + 1))
-        diff[m] = IntMatrix.from_blocks(
-            [[djk(m, j, k_) for j in js] for k_ in ks],
-            [D.rank(k_) for k_ in ks], [D.rank(j) for j in js])
-    positions = None if D.positions is None else {
-        m: tuple(p for j in range(min(m, N) + 1) for p in D.pos(j)) for m in range(cap + 1)}
+    off = dict(zip(ranks, accumulate(ranks.values(), initial=0)))
+    start = dict(zip(D.degrees(), accumulate((D.ranks[n] for n in D.degrees()), initial=0)))
+    at = [[off[m] + start[n] + loc if n <= m else None for n, loc in zip(degs, locs)]
+          for m in range(cap + 1)]
+    size, psize = off[cap] + ranks[cap], off[N] + ranks[N]
+    steps = [(c[m % 2], at[m - 1], at[m], 1) for m in range(1, cap + 1)]
+    positions = None
+    if D.pos_total is not None:  # indices are distinct: sort by them
+        positions = tuple(p for _, p in sorted((t, p) for row in at
+                                               for t, p in zip(row, D.pos_total) if t is not None))
+    staircase = ChainComplex(ranks, _place(IntMatrix, size, size, steps), positions=positions,
+                             check=False)
     try:
-        staircase = ChainComplex(ranks, diff, positions=positions)
+        staircase.validate()
         checks.append(("staircase-d-squared", True))
     except ValueError:
-        staircase = ChainComplex(ranks, diff, positions=positions, check=False)
         checks.append(("staircase-d-squared", False))
 
-    # f'_m = (0, ..., 0, i_m); g'_m = sum_j h_{m-1} ... h_j r_j
-    fp_mats: Dict[int, IntMatrix] = {}
-    gp_mats: Dict[int, IntMatrix] = {}
-    for m in range(cap + 1):
-        js = list(range(0, min(m, N) + 1))
-        cols = [D.rank(j) for j in js]
-        # f'_m = (0, ..., 0, i_m) stacked into the direct sum
-        fp_mats[m] = IntMatrix.from_blocks(
-            [[(i.mats.get(m) if (j == m and m <= N) else None)] for j in js],
-            cols, [C.rank(m)])
-        gp_mats[m] = IntMatrix.from_blocks([[h_chain(j, m) for j in js]], [C.rank(m)], cols)
-    fprime = ChainMap(C, staircase, 0, fp_mats, check=False)
-    gprime = ChainMap(staircase, C, 0, gp_mats, check=False)
+    # f' is i into the copy of D_m in C'_m; g' reads the rows of G of C-degree m from C'_m
+    cdeg = C._basis()[0]
+    fprime = ChainMap(C, staircase, 0, _place(IntMatrix, size, C.size, [
+        (i.total, [at[n][x] for x, n in enumerate(degs)], range(C.size), 1)]), check=False)
+    gprime = ChainMap(staircase, C, 0, _place(IntMatrix, C.size, size, [
+        (G, [t if n == m else None for t, n in enumerate(cdeg)], at[m], 1)
+        for m in range(cap + 1)]), check=False)
     checks.append(("f-prime-chain-map", fprime.is_chain_map()))
     checks.append(("g-prime-chain-map", gprime.is_chain_map()))
     checks.append(("gf-equals-ri", gprime.compose(fprime) == ri))
 
     # k': f' o g' ~ id_{C'} via the inclusion C'_m -> C'_{m+1}
-    kp_mats = {m: IntMatrix(ranks[m + 1], ranks[m], {(t, t): 1 for t in range(ranks[m])})
-               for m in range(cap)}
-    kprime = ChainHomotopy(fprime.compose(gprime), ChainMap.identity(staircase), kp_mats)
+    ident = IntMatrix.identity(D.size)
+    kprime = ChainHomotopy(fprime.compose(gprime), ChainMap.identity(staircase), _place(
+        IntMatrix, size, size, [(ident, at[m + 1], at[m], 1) for m in range(cap)]))
     checks.append(("k-prime-homotopy", all(map(kprime.holds_at, range(cap)))))
 
-    # tail: c'_m idempotent for m >= N+1 and c'_{m+1} = id - c'_m
-    ident_n = IntMatrix.identity(ranks[N])
-    tail_ok = (all(diff[m] @ diff[m] == diff[m] for m in range(N + 1, cap + 1))
-               and all(diff[m + 1] == ident_n - diff[m] for m in range(N + 1, cap)))
+    # tail: c_{N+1} idempotent; c_{N+2} = 1 - c_{N+1} holds by construction
+    c_top = c[(N + 1) % 2]
+    tail_ok = c_top @ c_top == c_top
     checks.append(("tail-idempotency", tail_ok))
     if not tail_ok:
         raise IdempotentFailure("stabilized tail is not idempotent")
-    c_top = diff[N + 1]
-    pN = ident_n - c_top
 
-    # P = D': degrees 0..N with the idempotent at the top
+    # P = D': degrees 0..N of C', the idempotent 1 - c_{N+1} = c_N at the top;
+    # d_N p_N = d_N as c_N is idempotent, so P's differential is that of C'
     p_ranks = {m: ranks[m] for m in range(N + 1)}
-    p_diff = {m: diff[m] for m in range(1, N)} if N >= 2 else {}
-    if N >= 1:
-        p_diff[N] = diff[N] @ pN
-    p_idem = {m: (pN if m == N else IntMatrix.identity(ranks[m])) for m in range(N + 1)}
-    p_positions = {m: positions[m] for m in range(N + 1)} if positions else None
-    P = ChainComplex(p_ranks, p_diff, p_idem, p_positions)
+    idem = [(ident, at[m], at[m], 1) for m in range(N)] + [(ident - c_top, at[N], at[N], 1)]
+    P = ChainComplex(p_ranks, _place(IntMatrix, psize, psize, steps[:N]),
+                     _place(IntMatrix, psize, psize, idem), positions and positions[:psize])
 
-    # u: P -> C' and v: C' -> P, both the idempotents of P
-    u = ChainMap(P, staircase, 0, p_idem, check=False)
-    v = ChainMap(staircase, P, 0, p_idem, check=False)
+    # u: P -> C' and v: C' -> P, both the idempotent of P
+    u = ChainMap(P, staircase, 0, _place(IntMatrix, size, psize, idem), check=False)
+    v = ChainMap(staircase, P, 0, _place(IntMatrix, psize, size, idem), check=False)
     checks.append(("u-chain-map", u.is_chain_map()))
     checks.append(("v-chain-map", v.is_chain_map()))
     checks.append(("vu-identity", v.compose(u) == ChainMap.identity(P)))
 
     # l': id_{C'} ~ u o v; the alternating tail enters negated under the
     # homotopy convention dH + Hd = target - source
-    lp_mats = {m: c_top - ident_n if (m - N) % 2 else -c_top for m in range(N, cap)}
-    lprime = ChainHomotopy(ChainMap.identity(staircase), u.compose(v), lp_mats)
+    lprime = ChainHomotopy(ChainMap.identity(staircase), u.compose(v), _place(
+        IntMatrix, size, size, [(c[(m + 1) % 2], at[m + 1], at[m], -1) for m in range(N, cap)]))
     checks.append(("l-prime-homotopy", all(map(lprime.holds_at, range(cap)))))
 
     f = v.compose(fprime)
@@ -603,8 +587,7 @@ def finite_replacement(C: ChainComplex, D: ChainComplex, i: ChainMap,
     # v has no degree N + 1, so k_N is zero
     k = ChainHomotopy(f.compose(g), ChainMap.identity(P), v.total @ kprime.total @ u.total)
     checks.append(("k-homotopy", k.holds()))
-    lpm = ChainMap(staircase, staircase, 1, lp_mats, check=False)
-    l_map = hm - gprime.compose(lpm).compose(fprime)
+    l_map = h.as_map() - gprime.compose(lprime.as_map()).compose(fprime)
     l = ChainHomotopy(g.compose(f), ChainMap.identity(C), l_map.total)
     checks.append(("l-homotopy", l.holds()))
     return FiniteReplacementResult(P, f, g, k, l, staircase, checks)
@@ -913,11 +896,21 @@ def expanded_ultraquadratic(result: LTransferResult, lam: Fraction,
         lambda p: GPos(p.g, (p.g, p.z)))
     cd_exp = dual_complex(c_exp)
 
+    index = {g: t for t, g in enumerate(cosets)}
+
     def explicit(f: ChainMap, source: ChainComplex, target: ChainComplex) -> ChainMap:
-        """``f`` over positions ``(g, z)``: its letters placed per degree."""
-        return ChainMap(source, target, f.degree, {
-            n: place_letters(backend, m.letters, cosets, m.rows, m.cols)
-            for n, m in f.mats.items()}, check=False)
+        """``f`` over positions ``(g, z)``: letter ``a`` at the cosets ``(g, g a)``
+        of ``Z^|G| ox`` its fibers, placed on the totals."""
+        (tb, ts), (sb, ss) = (_module_index(len(cosets), f.target),
+                              _module_index(len(cosets), f.source))
+        ent: Dict[Tuple[int, int], int] = {}
+        for a, m in f.total.letters.items():
+            pairs = [(t, index[ga]) for t, g in enumerate(cosets)
+                     if (ga := backend.mul(g, a)) in index]
+            for (i, j), v in m.entries.items():
+                ent.update(((tb[i] + t * ts[i], sb[j] + u * ss[j]), v) for t, u in pairs)
+        return ChainMap._of(source, target, f.degree,
+                            IntMatrix._trusted(target.size, source.size, ent))
 
     psi = explicit(result.psi, cd_exp, c_exp)
     inverse = explicit(result.inverse, c_exp, cd_exp)

@@ -270,12 +270,10 @@ def test_criterion_6_finite_replacement():
     res = finite_replacement(C, D, i, r, h)
     assert res.ok()
     eps = Fraction(0)
-    for mats, src, tgt, deg in ((i.mats, C, D, 0), (r.mats, D, C, 0),
-                                (h.mats, C, C, 1), (C.diff, C, C, -1),
-                                (D.diff, D, D, -1)):
-        for n, mat in mats.items():
-            for (a, b) in mat.entries:
-                eps = max(eps, space.d(tgt.pos(n + deg)[a], src.pos(n)[b]))
+    for m, src, tgt in ((i.total, C, D), (r.total, D, C), (h.total, C, C),
+                        (C.d_total, C, C), (D.d_total, D, D)):
+        for (a, b) in m.entries:
+            eps = max(eps, space.d(tgt.pos_total[a], src.pos_total[b]))
     growth = replacement_control_growth(res, space)
     assert growth <= (D.hi + 2) * eps
     report(6, f"all identity families on {count} dominations; control growth "

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,11 +309,11 @@ def test_finiteness_obstruction_projective():
 
 def test_maps_between_complexes_in_another_degree_order_are_refused():
     """Two complexes with the same degrees in another order of ``ranks``
-    compare equal, but a sum, composite or homotopy of maps between them
-    is a shape mismatch that says so, and such maps never compare equal."""
+    compare unequal, as maps between them do, and a sum, composite or
+    homotopy of such maps is a shape mismatch that says so."""
     d = {1: IntMatrix.from_rows([[1]])}
     c, c2 = ChainComplex({0: 1, 1: 1}, d), ChainComplex({1: 1, 0: 1}, d)
-    assert c == c2
+    assert c != c2
     one, one2 = ChainMap.identity(c), ChainMap.identity(c2)
     assert one != one2
     with pytest.raises(ValueError, match="shape mismatch in sum"):
@@ -320,3 +322,23 @@ def test_maps_between_complexes_in_another_degree_order_are_refused():
         one.compose(one2)
     with pytest.raises(ValueError, match="shape mismatch between the homotopy's endpoints"):
         ChainHomotopy(one, one2).holds()
+
+
+def test_library_reads_no_per_degree_view():
+    """Under ``src/klab`` nothing reads ``.diff``, ``.idem``, ``.positions``
+    or ``.mats``: the library works on the totals, and ``d()``, ``p()``,
+    ``pos()`` and ``mat()`` slice them.  ``mats`` is only defined, on
+    ``ChainMap`` and ``ChainHomotopy``, for outside readers; a complex has
+    none of the three views."""
+    views = {"diff", "idem", "positions", "mats"}
+    found, defined = [], []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "klab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in views:
+                found.append((path.stem, node.lineno, node.attr))
+            elif isinstance(node, ast.FunctionDef) and node.name in views:
+                defined.append((path.stem, node.name))
+    assert found == []
+    assert defined == [("chaincore", "mats"), ("chaincore", "mats")]
+    c = ChainComplex({0: 1, 1: 1}, {1: IntMatrix.from_rows([[1]])}, positions=("x", "y"))
+    assert not [name for name in ("diff", "idem", "positions") if hasattr(c, name)]

@@ -139,7 +139,7 @@ class GRGradedMap(ChainMap):
 def constant_complex(backend, cx: ChainComplex) -> GRComplex:
     """An integral complex read over ``Z[G]``, its idempotents and positions dropped."""
     return GRComplex(backend, dict(cx.ranks),
-                     {n: GRMatrix.constant(backend, m) for n, m in cx.diff.items()})
+                     {n: GRMatrix.constant(backend, cx.d(n)) for n in cx.ranks})
 
 
 def project_to_point(eq: EquivariantChainMap) -> GRGradedMap:
@@ -226,8 +226,8 @@ def ref_control(P) -> Fraction:
     homotopy = max((min(d(x, act.apply(m, y)) for m in act.H[gh])
                     for gh, hom in P.H.items() for x, y in hom.as_map().support_pairs()),
                    default=Fraction(0))
-    structure = [ChainMap(P.P, P.P, -1, P.P.diff, check=False),
-                 ChainMap(P.P, P.P, 0, P.P.idem, check=False)]
+    structure = [ChainMap(P.P, P.P, -1, P.P.d_total, check=False),
+                 ChainMap(P.P, P.P, 0, P.P.p_total, check=False)]
     complex_ = max((d(x, y) for f in structure for x, y in f.support_pairs()),
                    default=Fraction(0))
     return max(phi, homotopy, complex_)
@@ -254,7 +254,7 @@ def ref_projected_torsion(result: KTransferResult) -> GRMatrix:
     h = dict(project_to_point(result.h).mats)
     k = dict(project_to_point(result.k).mats)
     cx = result.complex
-    if cx.idem is not None and not cx.is_free():
+    if cx.p_total is not None and not cx.is_free():
         backend = result.map.backend
         bases = {n: idempotent_splitting(cx.p(n)) for n in cx.ranks}
 
@@ -269,7 +269,7 @@ def ref_projected_torsion(result: KTransferResult) -> GRMatrix:
             return out
 
         ranks = {n: bases[n][0].cols for n in cx.ranks}
-        free_src = GRComplex(backend, ranks, conj(f.source.diff, -1))
+        free_src = GRComplex(backend, ranks, conj({n: f.source.d(n) for n in cx.ranks}, -1))
         f = GRGradedMap(free_src, free_src, 0, conj(f.mats, 0))
         g = GRGradedMap(free_src, free_src, 0, conj(g.mats, 0))
         h = conj(h, 1)

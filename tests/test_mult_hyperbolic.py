@@ -42,18 +42,18 @@ def reference_mult_hyperbolic(c):
 def twin(c):
     """An equal complex with memos of its own, so that the two sides share
     no dual or tensor complex."""
-    return ChainComplex(c.ranks, c.diff, c.idem, c.positions, check=False)
+    return ChainComplex(c.ranks, c.d_total, c.p_total, c.pos_total, check=False)
 
 
 def with_positions(c, tag):
-    return ChainComplex(c.ranks, c.diff, positions={n: tuple((tag, n, i) for i in range(r))
-                                                    for n, r in c.ranks.items()})
+    return ChainComplex(c.ranks, c.d_total, positions={n: tuple((tag, n, i) for i in range(r))
+                                                       for n, r in c.ranks.items()})
 
 
 def with_identity_idempotents(rng, c):
     """Explicit identity idempotents at some degrees (the rest implicit)."""
     kept = [n for n in c.ranks if rng.random() < 0.7]
-    return ChainComplex(c.ranks, c.diff, {n: IntMatrix.identity(c.rank(n)) for n in kept})
+    return ChainComplex(c.ranks, c.d_total, {n: IntMatrix.identity(c.rank(n)) for n in kept})
 
 
 def cases():
@@ -74,7 +74,7 @@ def cases():
 
 
 def complex_key(cx):
-    return cx.ranks, cx.diff, cx.idem, cx.positions
+    return list(cx.ranks.items()), cx.d_total, cx.p_total, cx.pos_total
 
 
 def outcome(fn, c):

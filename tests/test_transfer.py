@@ -140,18 +140,9 @@ def test_finite_replacement_path_fixture_control():
     assert res.ok()
     # control growth <= (N + 2) * eps on the certified fixture
     eps = Fraction(0)
-    for mats, src, tgt, deg in ((i.mats, C, D, 0), (r.mats, D, C, 0),
-                                (h.mats, C, C, 1)):
-        for n, mat in mats.items():
-            for (a, b) in mat.entries:
-                tp = tgt.pos(n + deg) if deg == 0 else src.pos(n + 1)
-                d = space.d(tp[a], src.pos(n)[b])
-                if d > eps:
-                    eps = d
-    for n, mat in C.diff.items():
-        for (a, b) in mat.entries:
-            d = space.d(C.pos(n - 1)[a], C.pos(n)[b])
-            eps = max(eps, d)
+    for m, src, tgt in ((i.total, C, D), (r.total, D, C), (h.total, C, C), (C.d_total, C, C)):
+        for (a, b) in m.entries:
+            eps = max(eps, space.d(tgt.pos_total[a], src.pos_total[b]))
     growth = replacement_control_growth(res, space)
     N = D.hi
     assert growth <= (N + 2) * eps, (growth, eps)
