@@ -325,20 +325,15 @@ class ChainMap:
 
     def integer_inverse(self) -> Optional["ChainMap"]:
         """Degreewise inverse over Z, or None when some degree is not
-        unimodular; a signed permutation is inverted by its transpose."""
+        unimodular: the inverse of the total holds the blocks' inverses."""
         if self.source.ring is not IntMatrix:
             raise InputError("integer_inverse needs a map over Z, not over Z[G]")
-        k = self.degree
-        if self.total.is_signed_permutation():  # so is every block
-            return ChainMap._of(self.target, self.source, -k, self.total.transpose())
-        mats = {n + k: self.mat(n).integer_inverse()
-                for n in set(self.source.ranks) | {n - k for n in self.target.ranks}}
-        return None if None in mats.values() else ChainMap(self.target, self.source, -k, mats,
-                                                            check=False)
+        inv = self.total.integer_inverse()
+        return None if inv is None else ChainMap._of(self.target, self.source, -self.degree, inv)
 
     def _ends(self):
-        """The offsets of source and target: the same ranks in the same order."""
-        return self.source.offsets, self.target.offsets
+        """The ranks and offsets of source and target: the same ranks in the same order."""
+        return (self.source.ranks, self.source.offsets, self.target.ranks, self.target.offsets)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ChainMap) and self.degree == other.degree
@@ -363,7 +358,7 @@ class ChainMap:
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self o other (apply ``other`` first)."""
         mid, top = self.source, other.target
-        if mid is not top and mid.offsets != top.offsets:
+        if mid is not top and (mid.ranks, mid.offsets) != (top.ranks, top.offsets):
             bad = [n for n in set(mid.ranks) | set(top.ranks) if mid.rank(n) != top.rank(n)]
             raise ValueError(f"shape mismatch in composite at degree {min(bad) - other.degree}"
                              if bad else "shape mismatch in composite: degrees in another order")

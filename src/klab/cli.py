@@ -45,9 +45,9 @@ class Case:
 
 
 class Report:
-    def __init__(self, command: str, cases: Optional[List[Case]] = None):
+    def __init__(self, command: str):
         self.command = command
-        self.cases = [] if cases is None else cases
+        self.cases: List[Case] = []
 
     @property
     def truncated(self) -> bool:

@@ -12,7 +12,7 @@ ring.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .chaincore import ChainComplex
 from .errors import InputError
@@ -48,20 +48,6 @@ def gr_mul(backend: GroupBackend, a: GRElem, b: GRElem) -> GRElem:
             else:
                 out.pop(k, None)
     return out
-
-
-def place_letters(backend: GroupBackend, letters: Dict[object, IntMatrix],
-                  cosets: Sequence[object], rows: int, cols: int) -> IntMatrix:
-    """Explicit matrix over ``cosets`` with block ``letters[a]`` at
-    ``(g, g a)``; products ``g a`` outside the coset list are dropped."""
-    index = {g: i for i, g in enumerate(cosets)}
-    grid: List[List[Optional[IntMatrix]]] = [[None] * len(cosets) for _ in cosets]
-    for g, grid_row in zip(cosets, grid):
-        for a, blk in letters.items():
-            si = index.get(backend.mul(g, a))
-            if si is not None:
-                grid_row[si] = blk
-    return IntMatrix.from_blocks(grid, [rows] * len(cosets), [cols] * len(cosets))
 
 
 class GRMatrix:

@@ -188,23 +188,30 @@ class FreeGroup(GroupBackend):
         return w
 
 
-class FiniteSubset:
-    """Deduplicated finite subset of a group; ``S`` sets carry the identity."""
+class _Value:
+    """A value: ``__init__`` sets its fields once, through ``_freeze``; no
+    assignment follows, and ``==`` and ``hash`` read the fields in order."""
 
-    def __init__(self, backend: GroupBackend, elements: Tuple[object, ...]):
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "elements", elements)
+    def _freeze(self, **fields):
+        self.__dict__.update(fields, _key=tuple(fields.values()))
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"FiniteSubset is frozen: cannot assign {name!r}")
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.backend, self.elements) == (other.backend, other.elements)
+        return self._key == other._key
 
     def __hash__(self):
-        return hash((self.backend, self.elements))
+        return hash(self._key)
+
+
+class FiniteSubset(_Value):
+    """Deduplicated finite subset of a group; ``S`` sets carry the identity."""
+
+    def __init__(self, backend: GroupBackend, elements: Tuple[object, ...]):
+        self._freeze(backend=backend, elements=elements)
 
     @staticmethod
     def of(backend: GroupBackend, elements: Iterable[object],
@@ -271,23 +278,11 @@ def ball(backend: GroupBackend, S: FiniteSubset, n: int,
     return FiniteSubset.of(backend, out)
 
 
-class SubgroupDescription:
+class SubgroupDescription(_Value):
     """Subgroup given by generators over a backend."""
 
     def __init__(self, backend: GroupBackend, generators: Tuple[object, ...]):
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "generators", generators)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SubgroupDescription is frozen: cannot assign {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.backend, self.generators) == (other.backend, other.generators)
-
-    def __hash__(self):
-        return hash((self.backend, self.generators))
+        self._freeze(backend=backend, generators=generators)
 
     @staticmethod
     def of(backend: GroupBackend, generators: Iterable[object]) -> "SubgroupDescription":
@@ -328,7 +323,7 @@ class SubgroupDescription:
         return all(g == e for g in self.generators)
 
 
-class FamilyPredicate:
+class FamilyPredicate(_Value):
     """Family of subgroups: trivial, finite, virtually-cyclic or custom-list.
 
     ``f2`` turns the family F into F_2: a subgroup belongs when it
@@ -340,20 +335,7 @@ class FamilyPredicate:
     def __init__(self, kind: str, f2: bool = False, custom: Tuple[FrozenSet[object], ...] = ()):
         if kind not in ("trivial", "finite", "virtually-cyclic", "custom-list"):
             raise InputError(f"unknown family kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "f2", f2)
-        object.__setattr__(self, "custom", custom)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FamilyPredicate is frozen: cannot assign {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.f2, self.custom) == (other.kind, other.f2, other.custom)
-
-    def __hash__(self):
-        return hash((self.kind, self.f2, self.custom))
+        self._freeze(kind=kind, f2=f2, custom=custom)
 
 
 def _index2_subgroups(backend: FiniteTableGroup, elements: FrozenSet[int]) -> List[FrozenSet[int]]:

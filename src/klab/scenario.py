@@ -151,23 +151,19 @@ def parse_point(action: HomotopySAction, text: str):
 class Scenario:
     """One dict of resolved entries per section; see ``SECTIONS``."""
 
-    def __init__(self, groups=None, spaces=None, actions=None, complexes=None, forms=None,
-                 covers=None, morphisms=None, chain_actions=None, dominations=None,
-                 simplicial=None, pipelines=None):
-        self.groups: Dict[str, GroupBackend] = {} if groups is None else groups
-        self.spaces: Dict[str, ControlSpace] = {} if spaces is None else spaces
-        self.actions: Dict[str, HomotopySAction] = {} if actions is None else actions
-        self.complexes: Dict[str, ChainComplex] = {} if complexes is None else complexes
-        self.forms: Dict[str, SymmetricForm] = {} if forms is None else forms
-        self.covers: Dict[str, Tuple[CoverSpec, HomotopySAction]] = {} if covers is None else covers
-        self.morphisms: Dict[str, GRMatrix] = {} if morphisms is None else morphisms
-        self.chain_actions: Dict[str, HomotopySChainComplex] = (
-            {} if chain_actions is None else chain_actions)
+    def __init__(self):
+        self.groups: Dict[str, GroupBackend] = {}
+        self.spaces: Dict[str, ControlSpace] = {}
+        self.actions: Dict[str, HomotopySAction] = {}
+        self.complexes: Dict[str, ChainComplex] = {}
+        self.forms: Dict[str, SymmetricForm] = {}
+        self.covers: Dict[str, Tuple[CoverSpec, HomotopySAction]] = {}
+        self.morphisms: Dict[str, GRMatrix] = {}
+        self.chain_actions: Dict[str, HomotopySChainComplex] = {}
         self.dominations: Dict[str, Tuple[ChainComplex, ChainComplex, ChainMap, ChainMap,
-                                          ChainHomotopy]] = (
-            {} if dominations is None else dominations)
-        self.simplicial: Dict[str, SimplicialComplex] = {} if simplicial is None else simplicial
-        self.pipelines: Dict[str, Tuple[str, tuple]] = {} if pipelines is None else pipelines
+                                          ChainHomotopy]] = {}
+        self.simplicial: Dict[str, SimplicialComplex] = {}
+        self.pipelines: Dict[str, Tuple[str, tuple]] = {}
 
     def get(self, section: str, name: str):
         """The named entry of a section; an unknown name is an input error."""

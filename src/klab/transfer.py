@@ -22,7 +22,7 @@ from .control import (ControlSpace, GPos, grid_control, max_displacement, point_
                       support_indices)
 from .errors import (HorizonExceeded, HypothesisViolation, IdentityFailure,
                      IdempotentFailure, InputError, NotAnEquivalence, SupportEscape)
-from .gring import GRComplex, GRMatrix, place_letters
+from .gring import GRComplex, GRMatrix
 from .groups import FiniteSubset, GroupBackend
 from .intmat import IntMatrix, idempotent_splitting, sign
 from .ltheory import (PoincareWitness, UltraQuadraticComplex,
@@ -234,6 +234,22 @@ def expand_complex(backend: GroupBackend, fiber: ChainComplex,
                         tuple(GPos(g, z) for n, off in fiber.offsets.items() for g in gs
                               for z in fiber.pos_total[off:off + fiber.ranks[n]]),
                         check=False)
+
+
+def expand_letters(m: GRMatrix, cosets: Sequence[object], target: ChainComplex,
+                   source: ChainComplex) -> IntMatrix:
+    """``m`` on the totals of ``Z^|cosets| ox target <- Z^|cosets| ox source``
+    (the layout of ``expand_complex``): letter ``a`` at the cosets ``(g, g a)``;
+    products ``g a`` outside the coset list are dropped."""
+    mul, index = m.backend.mul, {g: t for t, g in enumerate(cosets)}
+    (tb, ts), (sb, ss) = (_module_index(len(cosets), target),
+                          _module_index(len(cosets), source))
+    ent: Dict[Tuple[int, int], int] = {}
+    for a, blk in m.letters.items():
+        pairs = [(t, index[ga]) for t, g in enumerate(cosets) if (ga := mul(g, a)) in index]
+        for (i, j), v in blk.entries.items():
+            ent.update(((tb[i] + t * ts[i], sb[j] + u * ss[j]), v) for t, u in pairs)
+    return IntMatrix._trusted(len(cosets) * target.size, len(cosets) * source.size, ent)
 
 
 # -- the transfer --------------------------------------------------------------
@@ -751,7 +767,8 @@ def invert_equivariant(sigma: GRMatrix) -> GRMatrix:
         raise InputError("equivariant inversion needs a finite-table backend")
     elements = backend.elements()
     m = sigma.cols
-    inv = place_letters(backend, sigma.letters, elements, m, m).integer_inverse()
+    fiber = ChainComplex({0: m}, check=False)
+    inv = expand_letters(sigma, elements, fiber, fiber).integer_inverse()
     if inv is None:
         raise InputError("equivariant matrix is not invertible over Z[G]")
     # the row block of the identity coset holds letter g in column block g
@@ -896,21 +913,10 @@ def expanded_ultraquadratic(result: LTransferResult, lam: Fraction,
         lambda p: GPos(p.g, (p.g, p.z)))
     cd_exp = dual_complex(c_exp)
 
-    index = {g: t for t, g in enumerate(cosets)}
-
     def explicit(f: ChainMap, source: ChainComplex, target: ChainComplex) -> ChainMap:
-        """``f`` over positions ``(g, z)``: letter ``a`` at the cosets ``(g, g a)``
-        of ``Z^|G| ox`` its fibers, placed on the totals."""
-        (tb, ts), (sb, ss) = (_module_index(len(cosets), f.target),
-                              _module_index(len(cosets), f.source))
-        ent: Dict[Tuple[int, int], int] = {}
-        for a, m in f.total.letters.items():
-            pairs = [(t, index[ga]) for t, g in enumerate(cosets)
-                     if (ga := backend.mul(g, a)) in index]
-            for (i, j), v in m.entries.items():
-                ent.update(((tb[i] + t * ts[i], sb[j] + u * ss[j]), v) for t, u in pairs)
+        """``f`` over positions ``(g, z)``."""
         return ChainMap._of(source, target, f.degree,
-                            IntMatrix._trusted(target.size, source.size, ent))
+                            expand_letters(f.total, cosets, f.target, f.source))
 
     psi = explicit(result.psi, cd_exp, c_exp)
     inverse = explicit(result.inverse, c_exp, cd_exp)

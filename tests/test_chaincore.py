@@ -324,6 +324,22 @@ def test_maps_between_complexes_in_another_degree_order_are_refused():
         ChainHomotopy(one, one2).holds()
 
 
+@pytest.mark.parametrize("ranks, ranks2, degree", [({0: 1}, {0: 2}, 0),
+                                                   ({0: 1, 1: 2}, {0: 1, 1: 1}, 1)],
+                         ids=["one-degree", "last-degree"])
+def test_maps_between_complexes_of_other_ranks_are_refused(ranks, ranks2, degree):
+    """Endpoints with the same offsets but another rank in their last
+    degree are a chain-level shape mismatch, not one inside the matrices."""
+    one, one2 = ChainMap.identity(ChainComplex(ranks)), ChainMap.identity(ChainComplex(ranks2))
+    assert one != one2
+    with pytest.raises(ValueError, match="shape mismatch in sum"):
+        one + one2
+    with pytest.raises(ValueError, match=f"shape mismatch in composite at degree {degree}"):
+        one.compose(one2)
+    with pytest.raises(ValueError, match="shape mismatch between the homotopy's endpoints"):
+        ChainHomotopy(one, one2).holds()
+
+
 def test_library_reads_no_per_degree_view():
     """Under ``src/klab`` nothing reads ``.diff``, ``.idem``, ``.positions``
     or ``.mats``: the library works on the totals, and ``d()``, ``p()``,

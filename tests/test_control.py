@@ -7,10 +7,25 @@ from klab.chaincore import ChainComplex, ChainHomotopy, ChainMap, dual_map
 from klab.control import ControlSpace, GPos, check_control, max_displacement
 from klab.errors import InputError
 from klab.fixtures import rand_matrix, z2_swap_action
-from klab.gring import GRComplex, GRMatrix, place_letters
+from klab.gring import GRComplex, GRMatrix
 from klab.groups import FiniteSubset, FiniteTableGroup, FreeGroup
 from klab.intmat import IntMatrix
-from klab.transfer import HomotopySChainComplex, certify_dslambda, expand_complex
+from klab.transfer import (HomotopySChainComplex, certify_dslambda, expand_complex,
+                           expand_letters)
+
+
+def place_letters(backend, letters, cosets, rows, cols):
+    """Reference copy of the removed ``gring.place_letters``: the explicit
+    matrix over ``cosets`` with block ``letters[a]`` at ``(g, g a)``;
+    products ``g a`` outside the coset list are dropped."""
+    index = {g: i for i, g in enumerate(cosets)}
+    grid = [[None] * len(cosets) for _ in cosets]
+    for g, grid_row in zip(cosets, grid):
+        for a, blk in letters.items():
+            si = index.get(backend.mul(g, a))
+            if si is not None:
+                grid_row[si] = blk
+    return IntMatrix.from_blocks(grid, [rows] * len(cosets), [cols] * len(cosets))
 
 
 def three_point_space():
@@ -223,6 +238,20 @@ def test_convolve_matches_expansion():
         lhs = expanded(conv, fiber, ball)
         rhs = expanded(phi, fiber, ball).compose(expanded(psi, fiber, ball))
         assert lhs.mats == rhs.mats
+
+
+def test_expand_letters_matches_the_block_placement():
+    """The coset expansion on one-degree fibers against ``place_letters``,
+    over full and partial coset lists in any order."""
+    rng = random.Random(33)
+    d3 = FiniteTableGroup.dihedral(3)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        m = GRMatrix(d3, rows, cols, {g: rand_matrix(rng, rows, cols, 0.6)
+                                      for g in rng.sample(d3.elements(), 3)})
+        cosets = rng.sample(d3.elements(), rng.randint(1, 6))
+        got = expand_letters(m, cosets, ChainComplex({0: rows}), ChainComplex({0: cols}))
+        assert got == place_letters(d3, m.letters, cosets, rows, cols)
 
 
 def test_single_letter_convolution():

@@ -22,7 +22,7 @@ from klab.chaincore import (ChainComplex, ChainHomotopy, ChainMap, dual_complex,
                             self_torsion)
 from klab.control import GPos
 from klab.errors import HorizonExceeded, IdentityFailure, InputError, SupportEscape
-from klab.gring import GRComplex, GRMatrix, place_letters
+from klab.gring import GRComplex, GRMatrix
 from klab.groups import FiniteSubset, GroupBackend
 from klab.intmat import IntMatrix, idempotent_splitting
 from klab.ltheory import (PoincareWitness, UltraQuadraticComplex, symmetrized_dual,
@@ -36,6 +36,20 @@ WORKLOADS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perf
 
 
 # -- the reference: letter -> ChainMap over Z -----------------------------------
+
+
+def place_letters(backend, letters, cosets, rows, cols):
+    """Reference copy of the removed ``gring.place_letters``: the explicit
+    matrix over ``cosets`` with block ``letters[a]`` at ``(g, g a)``;
+    products ``g a`` outside the coset list are dropped."""
+    index = {g: i for i, g in enumerate(cosets)}
+    grid = [[None] * len(cosets) for _ in cosets]
+    for g, grid_row in zip(cosets, grid):
+        for a, blk in letters.items():
+            si = index.get(backend.mul(g, a))
+            if si is not None:
+                grid_row[si] = blk
+    return IntMatrix.from_blocks(grid, [rows] * len(cosets), [cols] * len(cosets))
 
 
 class LetterMap:
