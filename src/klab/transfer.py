@@ -768,7 +768,8 @@ def invert_equivariant(sigma: GRMatrix) -> GRMatrix:
     elements = backend.elements()
     m = sigma.cols
     fiber = ChainComplex({0: m}, check=False)
-    inv = expand_letters(sigma, elements, fiber, fiber).integer_inverse()
+    inv = (expand_letters(sigma, elements, fiber, fiber).integer_inverse()
+           if sigma.rows == m else None)
     if inv is None:
         raise InputError("equivariant matrix is not invertible over Z[G]")
     # the row block of the identity coset holds letter g in column block g

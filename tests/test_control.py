@@ -12,20 +12,7 @@ from klab.groups import FiniteSubset, FiniteTableGroup, FreeGroup
 from klab.intmat import IntMatrix
 from klab.transfer import (HomotopySChainComplex, certify_dslambda, expand_complex,
                            expand_letters)
-
-
-def place_letters(backend, letters, cosets, rows, cols):
-    """Reference copy of the removed ``gring.place_letters``: the explicit
-    matrix over ``cosets`` with block ``letters[a]`` at ``(g, g a)``;
-    products ``g a`` outside the coset list are dropped."""
-    index = {g: i for i, g in enumerate(cosets)}
-    grid = [[None] * len(cosets) for _ in cosets]
-    for g, grid_row in zip(cosets, grid):
-        for a, blk in letters.items():
-            si = index.get(backend.mul(g, a))
-            if si is not None:
-                grid_row[si] = blk
-    return IntMatrix.from_blocks(grid, [rows] * len(cosets), [cols] * len(cosets))
+from test_equivariant_reference import place_letters
 
 
 def three_point_space():

@@ -18,7 +18,7 @@ from klab.ltheory import verify_ultraquadratic
 from klab.transfer import (EquivariantChainMap, certify_dslambda,
                            expanded_ultraquadratic,
                            finite_replacement, functoriality_witness,
-                           induce_chain_action, k_transfer,
+                           induce_chain_action, invert_equivariant, k_transfer,
                            l_symmetric_complex, l_transfer,
                            l_transfer_recovers_form, module_tensor,
                            projected_torsion,
@@ -508,6 +508,22 @@ def test_l_transfer_inverse_letters_outside_s():
     alpha = GRMatrix(c7, 2, 2, {0: IntMatrix.from_rows([[0, -1], [0, 0]]), 1: up, 6: up})
     with pytest.raises(SupportEscape):
         l_transfer(alpha, pcx, Fraction(1, 2))
+
+
+def test_invert_equivariant_inverts_units_and_refuses_the_rest():
+    # over C7 the unit u = t + t^-1 - 1 has an inverse with letters {0, 1, 3, 4, 6};
+    # 1 + t has augmentation 2, and a non-square matrix has no inverse
+    c7 = FiniteTableGroup.cyclic(7)
+    one = IntMatrix.identity(1)
+    u = GRMatrix(c7, 1, 1, {0: one.scale(-1), 1: one, 6: one})
+    inv = invert_equivariant(u)
+    assert sorted(inv.letters) == [0, 1, 3, 4, 6]
+    assert u @ inv == inv @ u == GRMatrix.constant(c7, one)
+    for sigma in (GRMatrix(c7, 1, 1, {0: one, 1: one}),
+                  GRMatrix(c7, 2, 1, {0: IntMatrix.from_rows([[1], [0]])}),
+                  GRMatrix(c7, 1, 2, {0: IntMatrix.from_rows([[1, 0]])})):
+        with pytest.raises(InputError, match="not invertible over Z"):
+            invert_equivariant(sigma)
 
 
 def test_z3_transfers_exercise_noninvolutive_letters():
