@@ -78,17 +78,17 @@ def _each(ring, m, rows: int, cols: int, fn, letter=None):
 
 
 def _total(ring, m, S: "ChainComplex", T: "ChainComplex", k: int, what: str,
-           keep_zero: bool = False, idempotent: bool = False):
+           idempotent: bool = False):
     """A total matrix ``S -> T`` of degree ``k`` as given, or one from blocks
-    ``{n: S_n -> T_{n+k}}``, each read one fitting its ranks (zero blocks
-    read only if ``keep_zero``; an ``idempotent`` is 1 where none is given)."""
+    ``{n: S_n -> T_{n+k}}``, each one fitting its ranks, zero or not (an
+    ``idempotent`` is 1 where none is given)."""
     if m is not None and type(m) is not dict:
         if (m.rows, m.cols) != (T.size, S.size):
             raise ValueError(f"{what} shape mismatch on the total basis")
         return m
     m, acc = m or {}, {}
     for n, blk in m.items():
-        if (blk.rows, blk.cols) != (T.rank(n + k), S.rank(n)) and (keep_zero or not blk.is_zero()):
+        if (blk.rows, blk.cols) != (T.rank(n + k), S.rank(n)):
             raise ValueError(f"{what} shape mismatch at degree {n}")
         r0, c0 = T.offsets.get(n + k, 0), S.offsets.get(n, 0)
         for a, x in _letters(blk):
@@ -156,7 +156,7 @@ class ChainComplex:
         self._lists = self._dual = self._one = self._tensors = None
         self.d_total = _total(ring, diff, self, self, -1, "differential")
         self.p_total = None if not idem else _total(ring, idem, self, self, 0, "idempotent",
-                                                    keep_zero=True, idempotent=True)
+                                                    idempotent=True)
         if positions and type(positions) is not tuple:  # per-degree tuples
             for n, r in self.ranks.items():
                 if len(positions.get(n) or ()) != r:
@@ -381,14 +381,16 @@ class ChainMap:
 
 
 class ChainHomotopy:
-    """Witness ``H`` with ``d H + (-1)^k H d = target_map - source_map``;
-    ``mats`` is the blocks (each one read, zero or not) or the total matrix."""
+    """Witness ``H`` with ``d H + (-1)^k H d = target_map - source_map``
+    between maps of one degree and the same ends; ``mats`` is the blocks or
+    the total matrix."""
 
     def __init__(self, source_map: ChainMap, target_map: ChainMap, mats=None):
-        self.source_map, self.target_map = source_map, target_map
         f = source_map
-        self.total = _total(f.target.ring, mats, f.source, f.target, f.degree + 1, "homotopy",
-                            keep_zero=True)
+        if target_map.degree != f.degree or f._ends() != target_map._ends():
+            raise ValueError("chain map shape mismatch between the homotopy's endpoints")
+        self.source_map, self.target_map = f, target_map
+        self.total = _total(f.target.ring, mats, f.source, f.target, f.degree + 1, "homotopy")
 
     @cached_property
     def mats(self) -> Dict[int, object]:
@@ -410,8 +412,6 @@ class ChainHomotopy:
         """``d H + (-1)^k H d + f == g``, on the target ``rows`` when given."""
         f, g = self.source_map, self.target_map
         C, D, h = f.source, f.target, self.total
-        if g.degree != f.degree or f._ends() != g._ends():
-            raise ValueError("chain map shape mismatch between the homotopy's endpoints")
         dd, hr, fm, gm = D.d_total, h, f.total, g.total
         if rows is not None:
             dd, hr, fm, gm = (_each(D.ring, m, m.rows, m.cols, lambda entries: {

@@ -170,8 +170,7 @@ class ControlSpace:
 
 
 def point_indices(points: Optional[Sequence[object]], index: Dict[object, int]) -> List[int]:
-    """The space index of each point, a ``GPos`` read at its point: of one
-    degree's positions, or of the images of a point map."""
+    """The space index of each position, a ``GPos`` read at its point."""
     if points is None:
         raise InputError("support pairs need positioned complexes")
     try:
@@ -180,17 +179,16 @@ def point_indices(points: Optional[Sequence[object]], index: Dict[object, int]) 
         raise InputError(f"position {exc.args[0]!r} is not a point of the space") from None
 
 
-def support_indices(f: ChainMap, tgt_index: Dict[object, int], src_index: Dict[object, int]):
-    """The support pairs of ``f`` on point indices, each degree's positions
-    read once: ``(x, y)`` for a nonzero entry of a map over Z, and
-    ``(c, x, y)`` for a nonzero entry of the letter-``c`` block over Z[G],
-    where ``ChainMap.support_pairs`` yields ``((e, x), (c, y))``; ``x`` is
-    read in ``tgt_index`` and ``y`` in ``src_index``."""
+def support_indices(f: ChainMap, index: Dict[object, int]):
+    """The support pairs of ``f`` on the point indices ``index``, the
+    positions read once: ``(x, y)`` for a nonzero entry of a map over Z,
+    and ``(c, x, y)`` for a nonzero entry of the letter-``c`` block over
+    Z[G], where ``ChainMap.support_pairs`` yields ``((e, x), (c, y))``."""
     m = f.total
     if m.is_zero():
         return
-    tgt = point_indices(f.target.pos_total, tgt_index)
-    src = point_indices(f.source.pos_total, src_index)
+    tgt = point_indices(f.target.pos_total, index)
+    src = point_indices(f.source.pos_total, index)
     if f.source.ring is IntMatrix:
         for (i, j) in m.entries:
             yield tgt[i], src[j]
@@ -201,22 +199,23 @@ def support_indices(f: ChainMap, tgt_index: Dict[object, int], src_index: Dict[o
 
 
 def grid_control(space: ControlSpace,
-                 pieces: Iterable[Tuple[ChainMap, Optional[Sequence[Sequence[object]]]]],
-                 src_index: Optional[Dict[object, int]] = None) -> Fraction:
+                 pieces: Iterable[Tuple[ChainMap, Optional[Sequence[Sequence[int]]]]]) -> Fraction:
     """The max over each piece ``(f, grid)`` and support pair ``(x, y)`` of
     the map ``f`` over Z of the min over the point maps ``m`` of ``grid``
     of ``d(x, m(y))``, taken on the space's ``scaled()`` rows and read as
-    one ``Fraction``; a grid of None is the identity.  ``y`` and the
-    point maps are read in ``src_index``, the space's own by default."""
+    one ``Fraction``.  The point maps are on the space's point indices,
+    as ``HomotopySAction._index_view`` holds them (None, a map that is not
+    total, is an input error); a grid of None is the identity."""
     scale, rows = space.scaled()
     index, worst = space.index, 0
     for f, grid in pieces:
         if f.source.ring is not IntMatrix:
             raise InputError("control bounds read maps over Z")
-        ms = None if grid is None else [point_indices(m, index) for m in grid]
-        for x, y in support_indices(f, index, src_index or index):
+        if grid is not None and None in grid:
+            raise InputError("a point map of the grid is not total")
+        for x, y in support_indices(f, index):
             row = rows[x]
-            v = row[y] if ms is None else min([row[m[y]] for m in ms])
+            v = row[y] if grid is None else min([row[m[y]] for m in grid])
             if v > worst:
                 worst = v
     return Fraction(worst, scale)

@@ -67,13 +67,12 @@ class FiniteTableGroup(GroupBackend):
             if j is None or self.table[j][i] != e:
                 raise InputError(f"element {i} has no two-sided inverse")
             self._inv[i] = j
-        # spot-check associativity on all triples at desk scale
-        if n <= 64:
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                            raise InputError("multiplication table is not associative")
+        # (ab)c = a(bc) for every c: the row of ab is the row of a read along the row of b
+        table = self.table
+        for row_a in table:
+            for ab, row_b in zip(row_a, table):
+                if table[ab] != [row_a[x] for x in row_b]:
+                    raise InputError("multiplication table is not associative")
 
     def identity(self) -> int:
         return self._e
@@ -339,39 +338,23 @@ class FamilyPredicate(_Value):
 
 
 def _index2_subgroups(backend: FiniteTableGroup, elements: FrozenSet[int]) -> List[FrozenSet[int]]:
-    """All subgroups of index exactly 2 of a finite subgroup.
+    """All subgroups of index exactly 2 of a finite subgroup ``H``.
 
-    The subgroup generated by squares contains the commutator subgroup,
-    so index-2 subgroups are preimages of hyperplanes in the F_2-vector
-    space H / <squares>.
+    The subgroup ``Q`` generated by squares contains the commutator
+    subgroup, so ``H / Q`` is an F_2-vector space and the index-2 subgroups
+    are the kernels of its nonzero functionals.  Each element's coordinates
+    are read in a greedy basis: an element outside the span so far joins
+    the basis, and its products with the span get its bit.
     """
-    closure = SubgroupDescription.of(backend, [backend.mul(h, h) for h in elements]).closure()
-    # cosets of the square subgroup inside H form an F_2 vector space
-    cosets: List[FrozenSet[int]] = []
-    remaining = set(elements)
-    while remaining:
-        x = next(iter(remaining))
-        coset = frozenset(backend.mul(x, q) for q in closure)
-        cosets.append(coset)
-        remaining -= coset
-    out = []
-    identity_coset = next(c for c in cosets if backend.identity() in c)
-    others = [c for c in cosets if c is not identity_coset]
-    # a subgroup of index 2 is a union of half the cosets, containing the
-    # identity coset and closed under multiplication; enumerate via masks
-    m = len(cosets)
-    if m % 2:
-        return []
-    reps = [next(iter(c)) for c in cosets]
-    for mask in range(1 << len(others)):
-        chosen = [identity_coset] + [c for i, c in enumerate(others) if mask >> i & 1]
-        if len(chosen) != m // 2:
-            continue
-        union = frozenset().union(*chosen)
-        if all(backend.mul(a, b) in union for a in reps if a in union
-               for b in reps if b in union):
-            out.append(union)
-    return out
+    square = SubgroupDescription.of(backend, [backend.mul(h, h) for h in elements]).closure()
+    coords = dict.fromkeys(square, 0)  # element -> its coordinates as a bit mask
+    bit = 1
+    for x in sorted(elements):
+        if x not in coords:
+            coords.update([(backend.mul(x, q), c | bit) for q, c in coords.items()])
+            bit <<= 1
+    return [frozenset(h for h, c in coords.items() if not (c & f).bit_count() % 2)
+            for f in range(1, bit)]
 
 
 def _member_plain(F: FamilyPredicate, H: SubgroupDescription) -> bool:

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .actions import DSLambdaMetric, HomotopySAction, check_lambda
 from .chaincore import (ChainComplex, ChainHomotopy, ChainMap, _place, cone_torsion,
                         dual_complex, dual_map, tensor_complex, tensor_map)
-from .control import (ControlSpace, GPos, grid_control, max_displacement, point_indices,
-                      support_indices)
+from .control import ControlSpace, GPos, grid_control, max_displacement, support_indices
 from .errors import (HorizonExceeded, HypothesisViolation, IdentityFailure,
                      IdempotentFailure, InputError, NotAnEquivalence, SupportEscape)
 from .gring import GRComplex, GRMatrix
@@ -141,21 +140,22 @@ class HomotopySChainComplex:
 
     def achieved_phi_control(self) -> Fraction:
         """max over ``g`` and support pairs of ``d(x, phi_g(y))``, with
-        ``y`` and ``phi_g`` read in the point action's order."""
+        ``phi_g`` the point action's on point indices."""
         act = self.point_action
         if act is None:
             raise InputError("certificates need the underlying point action")
-        return grid_control(self.space, ((self.phi[g], (act.phi[g],)) for g in self.S), act.index)
+        phi = act._s_phi()
+        return grid_control(self.space, ((self.phi[g], (phi[g],)) for g in self.S))
 
     def achieved_homotopy_control(self) -> Fraction:
         """max over pairs and support of min over grid times of
-        ``d(x, H_{g,h}(y, t))``, with ``y`` and the grid read in the point
-        action's order."""
+        ``d(x, H_{g,h}(y, t))``, with the point action's grids on point
+        indices."""
         act = self.point_action
         if act is None:
             raise InputError("certificates need the underlying point action")
-        return grid_control(self.space, ((hom.as_map(), act.H[gh]) for gh, hom in self.H.items()),
-                            act.index)
+        H = act._index_view()[1]
+        return grid_control(self.space, ((hom.as_map(), H[gh]) for gh, hom in self.H.items()))
 
 
 # -- equivariant chain maps ----------------------------------------------------
@@ -240,7 +240,11 @@ def expand_letters(m: GRMatrix, cosets: Sequence[object], target: ChainComplex,
                    source: ChainComplex) -> IntMatrix:
     """``m`` on the totals of ``Z^|cosets| ox target <- Z^|cosets| ox source``
     (the layout of ``expand_complex``): letter ``a`` at the cosets ``(g, g a)``;
-    products ``g a`` outside the coset list are dropped."""
+    products ``g a`` outside the coset list are dropped.  ``m`` must be
+    ``target.size x source.size``."""
+    if (m.rows, m.cols) != (target.size, source.size):
+        raise InputError(f"a {m.rows}x{m.cols} matrix does not fit fibers of sizes "
+                         f"{target.size} and {source.size}")
     mul, index = m.backend.mul, {g: t for t, g in enumerate(cosets)}
     (tb, ts), (sb, ss) = (_module_index(len(cosets), target),
                           _module_index(len(cosets), source))
@@ -339,25 +343,28 @@ def certify_dslambda(action: HomotopySAction, lam: Fraction,
 
     One walk over each piece's support reads the bounds in integers on
     the ``scaled()`` rows, over ``den = q * scale`` for ``Lambda = p / q``:
-    each ``(c, x, y)`` bound once across the pieces, from each ``F_c``
-    read on point indices once, and one ``Fraction`` per piece.
+    each ``(c, x, y)`` bound once across the pieces, each ``F_c`` read
+    from the point action's grids on point indices, and one ``Fraction``
+    per piece.
     """
     lam = check_lambda(lam)
     scale, rows = action.space.scaled()
     index, p, den = action.index, lam.numerator, lam.denominator * scale
     e = action.backend.identity()
-    maps: Dict[object, List[List[int]]] = {}  # letter c -> F_c on point indices
+    maps: Dict[object, Set[Tuple[int, ...]]] = {}  # letter c -> F_c on point indices
+    for rs, grid in action._product_grids():
+        maps.setdefault(rs, set()).update(grid)
     bounds: Dict[Tuple[object, int, int], int] = {}  # (c, x, y) -> den * bound
     per_piece = {}
     for name, eq in pieces.items():
         worst = 0
-        for pair in support_indices(eq, index, index):
+        for pair in support_indices(eq, index):
             v = bounds.get(pair)
             if v is None:
                 c, x, y = pair
                 fc = maps.get(c)
                 if fc is None:
-                    fc = maps[c] = [point_indices(fm, index) for fm in action.f_set(c)]
+                    raise InputError(f"{c!r} is not in S")
                 row = rows[x]
                 v = min(den + p * row[f[y]] for f in fc)  # den * (1 + Lambda * d(x, f(y)))
                 if c == e:  # the chain with no move: Lambda * d(x, y)

@@ -562,6 +562,69 @@ def test_wrong_json_types_exit_two(tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+def _set(*keys, value):
+    """An edit that sets ``doc[keys[0]]...[keys[-1]]`` to ``value``."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+def _both(*edits):
+    def edit(doc):
+        for one in edits:
+            one(doc)
+    return edit
+
+
+@pytest.mark.parametrize("source, edit, command, message", [
+    (Z2, _set("pipelines", "negation", "f", value={"degree": 1, "mats": {}}), ("torsion",),
+     "pipelines.negation: chain map shape mismatch between the homotopy's endpoints"),
+    (PATH, _both(_set("dominations", "coarsen", "into", value={"degree": 1, "mats": {}}),
+                 _set("dominations", "coarsen", "homotopy", value={"mats": {}})),
+     ("replace", "--domination", "coarsen"),
+     "dominations.coarsen: chain map shape mismatch between the homotopy's endpoints"),
+    (Z2, _set("complexes", "euler", "differentials", "1",
+              value={"rows": 5, "cols": 7, "entries": []}), ("finobstr",),
+     "complexes.euler: differential shape mismatch at degree 1"),
+    (Z2, _set("complexes", "euler", "differentials", "9",
+              value={"rows": 4, "cols": 4, "entries": []}), ("finobstr",),
+     "complexes.euler: differential shape mismatch at degree 9"),
+], ids=["homotopy-endpoints-of-two-degrees", "domination-into-of-degree-one",
+        "zero-differential-of-another-shape", "zero-differential-at-an-absent-degree"])
+def test_misshaped_graded_data_fails_to_load(tmp_path, capsys, source, edit, command, message):
+    # before, the first two ended in a ValueError traceback when the homotopy
+    # was first checked, and the zero blocks of the wrong shape loaded
+    path = _mutated(tmp_path, edit, source)
+    for argv in ((command[0], path, *command[1:]), ("suite", path)):
+        assert run_cli(*argv) == 2
+        assert f"input error: {message}" in capsys.readouterr().err
+
+
+def test_the_f2_closure_of_a_large_elementary_abelian_isotropy_is_quick(tmp_path):
+    # Z/2^5 fixing the one set of a one-point cover: its isotropy, the whole
+    # group, has 31 subgroups of index 2, none trivial.  Walking the subsets
+    # of the 32 cosets of its (trivial) square subgroup takes about 1.5 h.
+    n = 32
+    doc = {
+        "version": 1,
+        "groups": {"E": {"kind": "finite-table",
+                         "table": [[a ^ b for b in range(n)] for a in range(n)]}},
+        "spaces": {"X": {"points": ["p"], "distance": [[0]]}},
+        "actions": {"fix": {"group": "E", "space": "X", "s": [0], "genuine": {"0": {"p": "p"}}}},
+        "covers": {"all": {"action": "fix", "group_window": list(range(n)),
+                           "sets": {"U": [[g, "p"] for g in range(n)]},
+                           "name_action": {str(g): {"U": "U"} for g in range(n)}}},
+    }
+    path = tmp_path / "e32.json"
+    path.write_text(canonical_dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "klab.cli", "suite", str(path),
+                           "--family", "trivial-2"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "FAIL cover:all:axioms  (isotropy of U is not in the family)" in proc.stdout
+
+
 # where z2.json keys an entry by an integer, and the key it uses there
 INTEGER_KEYS = {
     "ranks": (("complexes", "P", "ranks"), "0"),

@@ -12,6 +12,7 @@ from klab.groups import FiniteSubset, FiniteTableGroup, FreeGroup
 from klab.intmat import IntMatrix
 from klab.transfer import (HomotopySChainComplex, certify_dslambda, expand_complex,
                            expand_letters)
+from test_actions import short_and_stray_actions
 from test_equivariant_reference import place_letters
 
 
@@ -213,6 +214,32 @@ def test_a_position_outside_the_space_is_refused_by_every_reader():
         max_displacement([ChainMap.identity(cx)], space)
 
 
+def test_point_maps_that_are_not_total_are_refused_by_every_certificate():
+    # phi[1] of the point action is short, long or has an image off the
+    # space; with in_grid, so is a grid map of H[0,1] and H[1,0].  Before,
+    # a short map ended in an IndexError and a long one was read as total.
+    for in_grid, build in short_and_stray_actions():
+        act = build()
+        pts = act.space.points
+        P = ChainComplex({0: len(pts)}, positions={0: pts})
+        ident = ChainMap.identity(P)
+        chain = HomotopySChainComplex(act.backend, act.space, act.S, P, {0: ident, 1: ident},
+                                      {gh: ChainHomotopy(ident, ident, {}) for gh in act.H},
+                                      point_action=act)
+        with pytest.raises(InputError, match=r"phi\[1\] is not a total point map"):
+            chain.achieved_phi_control()
+        cx = GRComplex(act.backend, {0: len(pts)}, {}, positions={0: pts})
+        pieces = {"id": ChainMap.identity(cx)}
+        if in_grid:
+            with pytest.raises(InputError, match="a point map of the grid is not total"):
+                chain.achieved_homotopy_control()
+            with pytest.raises(InputError, match=r"H\[0,1\] has a non-total grid map"):
+                certify_dslambda(act, Fraction(1), pieces)
+        else:
+            assert chain.achieved_homotopy_control() == 0
+            assert certify_dslambda(act, Fraction(1), pieces).bound == 0
+
+
 def test_convolve_matches_expansion():
     rng = random.Random(12)
     z3 = FiniteTableGroup.cyclic(3)
@@ -239,6 +266,19 @@ def test_expand_letters_matches_the_block_placement():
         cosets = rng.sample(d3.elements(), rng.randint(1, 6))
         got = expand_letters(m, cosets, ChainComplex({0: rows}), ChainComplex({0: cols}))
         assert got == place_letters(d3, m.letters, cosets, rows, cols)
+
+
+def test_expand_letters_refuses_a_matrix_that_does_not_fit_the_fibers():
+    # before, the entries were placed unchecked: a 2x1 matrix over C2 on
+    # fibers of rank 1 gave a 2x2 matrix holding an entry in row 2
+    c2 = FiniteTableGroup.cyclic(2)
+    one, two = ChainComplex({0: 1}), ChainComplex({0: 2})
+    tall = GRMatrix(c2, 2, 1, {0: IntMatrix.from_rows([[1], [1]])})
+    for target, source in ((one, one), (two, two), (one, two)):
+        with pytest.raises(InputError, match="a 2x1 matrix does not fit fibers"):
+            expand_letters(tall, [0, 1], target, source)
+    assert expand_letters(tall, [0, 1], two, one) == IntMatrix.from_rows(
+        [[1, 0], [1, 0], [0, 1], [0, 1]])
 
 
 def test_single_letter_convolution():

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from klab.errors import HorizonExceeded, UndecidableBackend
+from klab.errors import HorizonExceeded, InputError, UndecidableBackend
 from klab.groups import (FamilyPredicate, FiniteSubset, FiniteTableGroup,
                          FreeAbelianGroup, FreeGroup, SubgroupDescription,
-                         ball, family_member, validate_family_closure)
+                         _index2_subgroups, ball, family_member, validate_family_closure)
 
 
 def test_ball_free_abelian_rank1():
@@ -158,3 +158,80 @@ def test_finite_subset_products_match_the_double_loop(backend, items):
     assert list(s.products) == expected
     assert all(gh in s for _, _, gh in s.products)
     assert s.products is s.products  # built once per subset
+
+
+def test_associativity_is_checked_at_every_size():
+    # C65 with 3 * 3 = 7: (1 * 2) * 3 = 7 but 1 * (2 * 3) = 6; identity and
+    # inverses survive the edit, and tables past 64 elements went unchecked
+    n = 65
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    table[3][3] = 7
+    with pytest.raises(InputError, match="not associative"):
+        FiniteTableGroup(table)
+    assert FiniteTableGroup.cyclic(n).order == n
+
+
+def mask_index2_subgroups(backend, elements):
+    """The index-2 subgroups as they were found before: every union of half
+    the cosets of the square subgroup that holds the identity coset and is
+    closed under multiplication, over all subsets of the other cosets."""
+    closure = SubgroupDescription.of(backend, [backend.mul(h, h) for h in elements]).closure()
+    cosets = []
+    remaining = set(elements)
+    while remaining:
+        x = next(iter(remaining))
+        coset = frozenset(backend.mul(x, q) for q in closure)
+        cosets.append(coset)
+        remaining -= coset
+    identity_coset = next(c for c in cosets if backend.identity() in c)
+    others = [c for c in cosets if c is not identity_coset]
+    m = len(cosets)
+    if m % 2:
+        return []
+    reps = [next(iter(c)) for c in cosets]
+    out = []
+    for mask in range(1 << len(others)):
+        chosen = [identity_coset] + [c for i, c in enumerate(others) if mask >> i & 1]
+        if len(chosen) != m // 2:
+            continue
+        union = frozenset().union(*chosen)
+        if all(backend.mul(a, b) in union for a in reps if a in union
+               for b in reps if b in union):
+            out.append(union)
+    return out
+
+
+def all_subgroups(backend):
+    """Every subgroup, grown from the trivial one by adjoining elements."""
+    found = {frozenset([backend.identity()])}
+    frontier = list(found)
+    while frontier:
+        sub = frontier.pop()
+        for g in backend.elements():
+            if g not in sub:
+                bigger = SubgroupDescription.of(backend, sorted(sub) + [g]).closure()
+                if bigger not in found:
+                    found.add(bigger)
+                    frontier.append(bigger)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def elementary_abelian(r):
+    n = 1 << r
+    return FiniteTableGroup([[a ^ b for b in range(n)] for a in range(n)], name=f"Z2^{r}")
+
+
+def test_index2_subgroups_match_the_coset_masks():
+    z2z4 = FiniteTableGroup([[4 * ((a // 4 + b // 4) % 2) + (a + b) % 4 for b in range(8)]
+                             for a in range(8)], name="Z2xZ4")
+    groups = [FiniteTableGroup.cyclic(8), FiniteTableGroup.dihedral(4),
+              FiniteTableGroup.dihedral(6), z2z4] + [elementary_abelian(r) for r in range(1, 5)]
+    cases = kernels = 0
+    for backend in groups:
+        for sub in all_subgroups(backend):
+            got = _index2_subgroups(backend, sub)
+            assert len(set(got)) == len(got)
+            assert set(got) == set(mask_index2_subgroups(backend, sub)), (backend.name, sorted(sub))
+            cases, kernels = cases + 1, kernels + len(got)
+    assert cases == 4 + 10 + 16 + 8 + 2 + 5 + 16 + 67
+    assert kernels > cases
