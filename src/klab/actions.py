@@ -488,17 +488,24 @@ class DSLambdaMetric:
         return self._result(self._search(x), disp, y)
 
     def table(self, carrier: Sequence[Tuple[object, object]]) -> "MetricTable":
-        """Pairwise values on a finite carrier (one search per source point)."""
+        """Pairwise values on a finite carrier (one search per source point).
+        By G-invariance a value depends only on ``(x, g^{-1} h, y)``, so each
+        such triple is read once and its value shared by every pair on it."""
         values: Dict[Tuple[int, int], Optional[Fraction]] = {}
+        read: Dict[Tuple[object, object, object], Optional[Fraction]] = {}
         truncated = False
         canon = [(self.backend.canonical(g), x) for (g, x) in carrier]
         mul, inv = self.backend.mul, self.backend.inv
         for i, (g, x) in enumerate(canon):
-            search = self._search(x)
+            search, g_inv = self._search(x), inv(g)
             for j, (h, y) in enumerate(canon):
-                res = self._result(search, mul(inv(g), h), y)
-                values[(i, j)] = res.value
-                truncated = truncated or res.truncated
+                key = (x, mul(g_inv, h), y)
+                if key in read:
+                    values[(i, j)] = read[key]
+                else:
+                    res = self._result(search, key[1], y)
+                    values[(i, j)] = read[key] = res.value
+                    truncated = truncated or res.truncated
         return MetricTable(tuple(canon), values, truncated)
 
 
@@ -744,13 +751,17 @@ def lebesgue_lambda_search(action: HomotopySAction, cover: CoverSpec,
                            ) -> Tuple[Optional[Fraction], Dict[Fraction, Optional[Fraction]]]:
     """Least grid Lambda whose Lebesgue number reaches ``m/2``.
 
-    A truncated table raises ``HorizonExceeded``: its Lebesgue number is
-    no certified bound, so the search cannot go on past it.
+    ``m`` is a positive ``int`` or ``Fraction``, and each grid value is
+    read through ``check_lambda``, so a float is an ``InputError``.  A
+    truncated table raises ``HorizonExceeded``: its Lebesgue number is no
+    certified bound, so the search cannot go on past it.
     """
+    if isinstance(m, bool) or not isinstance(m, (int, Fraction)):
+        raise InputError(f"the target m must be an int or a Fraction, not {type(m).__name__}")
     if m <= 0:
         raise InputError("the target m must be positive")
     results: Dict[Fraction, Optional[Fraction]] = {}
-    for lam in sorted(Fraction(l) for l in lambda_grid):
+    for lam in sorted(map(check_lambda, lambda_grid)):
         table = DSLambdaMetric(action, lam, n_max).table(list(cover.carrier))
         if table.truncated:
             raise HorizonExceeded(f"the Lambda = {lam} table is truncated at horizon {n_max}")

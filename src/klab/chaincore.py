@@ -37,8 +37,10 @@ there.  ``mat()``, ``d()``, ``p()`` and ``pos()`` slice one degree out of them.
 
 A complex is a value, never written after its constructor, so
 ``dual_complex(c)`` and ``tensor_complex(c, d)`` are memoised on ``c``;
-a derived complex holds no factor, so no reference cycle forms.  The
-coefficient ring is ``IntMatrix`` for ``Z`` or ``gring.GroupRing`` for
+a derived complex holds no factor, so no reference cycle forms.  A
+homotopy is a value too: it compares ``d H + (-1)^k H d + f`` with
+``g`` once, and ``holds`` and ``holds_at`` read the degrees where the
+two differ.  The coefficient ring is ``IntMatrix`` for ``Z`` or ``gring.GroupRing`` for
 ``Z[G]`` (total-size ``GRMatrix``es, the transpose an involution
 transpose); a tensor over ``Z[G]`` is an input error.
 """
@@ -125,6 +127,12 @@ def _first(m, c: "ChainComplex") -> int:
     return min(c._basis()[0][j] for _, blk in _letters(m) for (_, j) in blk.entries)
 
 
+def _row_degrees(m, c: "ChainComplex"):
+    """The degrees of ``c`` with a row holding an entry of ``m``."""
+    degs = c._basis()[0]
+    return {degs[i] for _, blk in _letters(m) for (i, _) in blk.entries}
+
+
 def _place(ring, rows: int, cols: int, parts):
     """Entry ``(i, j)`` of each part ``(m, rmap, cmap, s)``, times ``s``, at
     ``(rmap[i], cmap[j])`` unless either is None; parts write disjoint entries."""
@@ -141,6 +149,10 @@ class ChainComplex:
     """Finite complex of free (or idempotent-completed) modules over ``ring``;
     ``diff`` (``diff[n]: C_n -> C_{n-1}``) and ``idem`` (1 where absent) are
     blocks or total matrices, ``positions`` per-degree tuples or one tuple."""
+
+    # (space index, point index of each position), set by the control walk
+    # when it first reads this complex's positions against that index
+    _points = None
 
     def __init__(self, ranks: Dict[int, int], diff=None, idem=None, positions=None,
                  check: bool = True, ring=IntMatrix):
@@ -385,6 +397,8 @@ class ChainHomotopy:
     between maps of one degree and the same ends; ``mats`` is the blocks or
     the total matrix."""
 
+    _fails = None  # set by _failing() on the first holds or holds_at
+
     def __init__(self, source_map: ChainMap, target_map: ChainMap, mats=None):
         f = source_map
         if target_map.degree != f.degree or f._ends() != target_map._ends():
@@ -406,27 +420,25 @@ class ChainHomotopy:
         return ChainMap._of(f.source, f.target, f.degree + 1, self.total)
 
     def holds(self) -> bool:
-        return self._holds(None)
-
-    def _holds(self, rows: Optional[range]) -> bool:
-        """``d H + (-1)^k H d + f == g``, on the target ``rows`` when given."""
-        f, g = self.source_map, self.target_map
-        C, D, h = f.source, f.target, self.total
-        dd, hr, fm, gm = D.d_total, h, f.total, g.total
-        if rows is not None:
-            dd, hr, fm, gm = (_each(D.ring, m, m.rows, m.cols, lambda entries: {
-                key: v for key, v in entries.items() if key[0] in rows}) for m in (dd, h, fm, gm))
-        if not h.is_zero():
-            lhs, hd = dd @ h, hr @ C.d_total
-            fm = (lhs - hd if f.degree % 2 else lhs + hd) + fm
-        return fm == gm
+        return not self._failing()
 
     def holds_at(self, n: int) -> bool:
         """``d H_n + (-1)^k H_{n-1} d + f_n = g_n``: the rows of ``D_{n+k}``
         of the total identity (none when ``D_{n+k} = 0``)."""
-        D, k = self.source_map.target, self.source_map.degree
-        start = D.offsets.get(n + k)
-        return start is None or self._holds(range(start, start + D.ranks[n + k]))
+        return n + self.source_map.degree not in self._failing()
+
+    def _failing(self):
+        """The degrees of ``D`` whose rows of ``d H + (-1)^k H d + f``
+        differ from ``g``'s (empty when the identity holds), built once: a
+        homotopy is a value."""
+        if self._fails is None:
+            f, h = self.source_map, self.total
+            r, g = f.total, self.target_map.total
+            if not h.is_zero():
+                dh, hd = f.target.d_total @ h, h @ f.source.d_total
+                r = (dh - hd if f.degree % 2 else dh + hd) + r
+            self._fails = () if r == g else _row_degrees(r - g, f.target)
+        return self._fails
 
 
 # -- duals, tensors, flips, mu ------------------------------------------

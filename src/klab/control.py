@@ -4,8 +4,10 @@ A controlled morphism is a positioned ``ChainMap`` (a degree-0 map
 between one-degree complexes for a single module map); the one control
 walk, ``support_indices``, reads its support pairs on the space's point
 indices, the target position first and the source second, and every
-bound reads it: ``grid_control`` and ``transfer.certify_dslambda``.  A
-group-equivariant morphism over ``G x Z`` is a ``gring.GRMatrix``.
+bound reads it: ``grid_control`` and ``transfer.certify_dslambda``.  Each
+complex holds its positions' point indices for the last space index
+they were read against (a complex is a value).  A group-equivariant
+morphism over ``G x Z`` is a ``gring.GRMatrix``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .chaincore import ChainMap
+from .chaincore import ChainComplex, ChainMap
 from .errors import InputError
 from .gring import GRMatrix
 from .groups import FiniteSubset, GroupBackend
@@ -179,16 +181,25 @@ def point_indices(points: Optional[Sequence[object]], index: Dict[object, int]) 
         raise InputError(f"position {exc.args[0]!r} is not a point of the space") from None
 
 
+def _held_indices(c: ChainComplex, index: Dict[object, int]) -> List[int]:
+    """``point_indices`` of the positions of ``c``, held by ``c`` for the
+    last ``index`` read (a complex is a value); a failure is not held."""
+    held = c._points
+    if held is None or held[0] is not index:
+        held = c._points = (index, point_indices(c.pos_total, index))
+    return held[1]
+
+
 def support_indices(f: ChainMap, index: Dict[object, int]):
     """The support pairs of ``f`` on the point indices ``index``, the
-    positions read once: ``(x, y)`` for a nonzero entry of a map over Z,
-    and ``(c, x, y)`` for a nonzero entry of the letter-``c`` block over
-    Z[G], where ``ChainMap.support_pairs`` yields ``((e, x), (c, y))``."""
+    positions read once per complex and index: ``(x, y)`` for a nonzero
+    entry of a map over Z, and ``(c, x, y)`` for a nonzero entry of the
+    letter-``c`` block over Z[G], where ``ChainMap.support_pairs`` yields
+    ``((e, x), (c, y))``."""
     m = f.total
     if m.is_zero():
         return
-    tgt = point_indices(f.target.pos_total, index)
-    src = point_indices(f.source.pos_total, index)
+    tgt, src = _held_indices(f.target, index), _held_indices(f.source, index)
     if f.source.ring is IntMatrix:
         for (i, j) in m.entries:
             yield tgt[i], src[j]

@@ -365,6 +365,8 @@ def certify_dslambda(action: HomotopySAction, lam: Fraction,
                 fc = maps.get(c)
                 if fc is None:
                     raise InputError(f"{c!r} is not in S")
+                if not fc:
+                    raise InputError(f"F_{c!r} is empty: no grid of S.products ends at {c!r}")
                 row = rows[x]
                 v = min(den + p * row[f[y]] for f in fc)  # den * (1 + Lambda * d(x, f(y)))
                 if c == e:  # the chain with no move: Lambda * d(x, y)

@@ -436,6 +436,54 @@ def queries(act):
     return [(g, y) for g in elements for y in act.space.points]
 
 
+def test_table_reads_each_triple_once_and_matches_per_pair_distances():
+    """``table`` reads one value per ``(x, g^-1 h, y)``; on carriers that
+    repeat points and displacements (a drawn carrier and a translate of
+    it, over abelian groups) its values are the per-pair ``distance``
+    values of a fresh metric and its flag the OR of theirs, and a capped
+    metric raises for both.  Capped, truncated and infinite entries occur."""
+    seen = dict.fromkeys(("capped", "truncated", "infinite", "shared"), 0)
+
+    @settings(max_examples=160, deadline=None, derandomize=True, database=None)
+    @given(unchecked_actions(), st.data())
+    def check(case, data):
+        act, lam, n_max, state_cap = case
+        backend, pts = act.backend, act.space.points
+        pool = backend.elements() or [(k,) for k in range(-2, 3)]
+        base = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pts)),
+                                  min_size=1, max_size=5))
+        t = data.draw(st.sampled_from(pool))
+        carrier = base + [(backend.mul(g, t), x) for g, x in base]
+        metric = DSLambdaMetric(act, lam, n_max=n_max, state_cap=state_cap)
+        fresh = DSLambdaMetric(act, lam, n_max=n_max, state_cap=state_cap)
+        reads = []
+        result = metric._result
+
+        def counted(search, disp, y):
+            reads.append((disp, y))
+            return result(search, disp, y)
+        metric._result = counted
+        try:
+            table = metric.table(carrier)
+        except HorizonExceeded:
+            seen["capped"] += 1
+            with pytest.raises(HorizonExceeded):
+                fresh.distance(carrier[0], carrier[0])
+            return
+        want = {(i, j): fresh.distance(p, q) for i, p in enumerate(carrier)
+                for j, q in enumerate(carrier)}
+        assert table.values == {key: res.value for key, res in want.items()}
+        assert table.truncated == any(res.truncated for res in want.values())
+        triples = {(x, backend.mul(backend.inv(g), h), y) for g, x in carrier for h, y in carrier}
+        assert len(reads) == len(triples) < len(want)
+        seen["truncated"] += table.truncated
+        seen["infinite"] += None in table.values.values()
+        seen["shared"] += 1
+
+    check()
+    assert all(seen.values()), seen
+
+
 @settings(max_examples=160, deadline=None, derandomize=True, database=None)
 @given(search_actions, st.data())
 def test_resumed_searches_match_heap_dijkstra_and_fresh_metrics(case, data):
@@ -1117,6 +1165,20 @@ def test_lebesgue_lambda_search_on_z2():
     lam, results = lebesgue_lambda_search(act, cover, Fraction(2),
                                           [Fraction(1, 2), Fraction(1)], 3)
     assert lam == Fraction(1, 2)  # infinite Lebesgue number at once
+
+
+def test_lebesgue_lambda_search_refuses_floats():
+    act = z2_swap_action()
+    carrier = tuple((g, x) for g in [0, 1] for x in act.space.points)
+    cover = CoverSpec(carrier, {"U": frozenset(carrier)},
+                      {0: {"U": "U"}, 1: {"U": "U"}})
+    for grid in ([0.1], [Fraction(1, 2), 0.5], [True]):
+        with pytest.raises(InputError, match="Lambda must be an int or a Fraction"):
+            lebesgue_lambda_search(act, cover, Fraction(2), grid, 3)
+    for m in (0.5, 2.0, True):
+        with pytest.raises(InputError, match="the target m must be an int or a Fraction"):
+            lebesgue_lambda_search(act, cover, m, [Fraction(1, 2)], 3)
+    assert lebesgue_lambda_search(act, cover, 2, [1], 3)[0] == 1
 
 
 def test_check_f_cover_passes_and_flags():

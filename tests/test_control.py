@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from klab import control
+from klab.actions import HomotopySAction
 from klab.chaincore import ChainComplex, ChainHomotopy, ChainMap, dual_map
 from klab.control import ControlSpace, GPos, check_control, max_displacement
 from klab.errors import InputError
@@ -238,6 +240,53 @@ def test_point_maps_that_are_not_total_are_refused_by_every_certificate():
         else:
             assert chain.achieved_homotopy_control() == 0
             assert certify_dslambda(act, Fraction(1), pieces).bound == 0
+
+
+def test_an_empty_letter_set_is_refused_by_its_certificate():
+    # Z/2 on the path, unchecked, with grids for (0, 0) and (1, 1) only:
+    # F_1 is empty, so a letter-1 support pair has no chain to bound it.
+    # Before, its bound was a min over nothing, a bare ValueError.
+    z2, line = FiniteTableGroup.cyclic(2), ControlSpace.path(3)
+    pts = tuple(line.points)
+    act = HomotopySAction(z2, line, FiniteSubset.of(z2, [0, 1]), {0: pts, 1: pts[::-1]},
+                          {(0, 0): (pts,), (1, 1): (pts,)}, check=False)
+    fiber = GRComplex.constant(z2, ChainComplex.point("p0"))
+    one = ChainMap(fiber, fiber, 0, GRMatrix(z2, 1, 1, {1: IntMatrix.identity(1)}))
+    with pytest.raises(InputError, match="F_1 is empty"):
+        certify_dslambda(act, Fraction(1), {"one": one})
+    e = ChainMap(fiber, fiber, 0, GRMatrix(z2, 1, 1, {0: IntMatrix.identity(1)}))
+    assert certify_dslambda(act, Fraction(1), {"e": e}).bound == 0
+
+
+def test_point_indices_are_held_per_complex_and_space(monkeypatch):
+    """Each complex reads its positions' point indices once per space index;
+    another space gets its own, and a position off the space is refused on
+    every read."""
+    built = []
+    real = control.point_indices
+    monkeypatch.setattr(control, "point_indices",
+                        lambda points, index: built.append(points) or real(points, index))
+    P = ChainComplex({0: 3}, positions={0: ("p0", "p1", "p2")})
+    Q = ChainComplex({0: 2}, positions={0: ("p2", "p0")})
+    f = ChainMap(P, Q, 0, IntMatrix.from_rows([[1, 0, 1], [0, 1, 0]]))
+    line = ControlSpace.path(3)
+    shuffled = ControlSpace.from_matrix(["q", "p2", "p1", "p0"], [[0, 1, 1, 1], [1, 0, 1, 2],
+                                                                 [1, 1, 0, 1], [1, 2, 1, 0]])
+
+    def want(space):
+        return sorted((space.index[t], space.index[s]) for t, s in f.support_pairs())
+
+    for space in (line, shuffled, line, shuffled, shuffled):
+        assert sorted(control.support_indices(f, space.index)) == want(space)
+    assert len(built) == 8  # both complexes on the first read and at each change of space
+    assert max_displacement([f], line) == 2 and max_displacement([f], shuffled) == 2
+    stray = ChainComplex({0: 1}, positions={0: ("zz",)})
+    g = ChainMap.identity(stray)
+    for _ in range(2):
+        with pytest.raises(InputError, match="'zz' is not a point of the space"):
+            list(control.support_indices(g, line.index))
+    edge = ControlSpace.from_matrix(["zz"], [[0]])
+    assert list(control.support_indices(g, edge.index)) == [(0, 0)]
 
 
 def test_convolve_matches_expansion():

@@ -37,7 +37,7 @@ WORKLOADS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perf
                          "workloads.py")
 
 COMPOSE_CEILING = 576
-MATMUL_CEILING = 1373
+MATMUL_CEILING = 1213
 IDENTITIES_FLOOR = 320
 
 CHAIN_COMPOSE_CEILING = 360

@@ -666,6 +666,35 @@ def test_holds_at_is_the_per_degree_identity(k):
         assert hom.holds() == all(hom.holds_at(n) for n in degs) == ref_holds(ref)
 
 
+def test_held_identity_answers_holds_and_holds_at_in_either_order(monkeypatch):
+    """A homotopy checks ``d H + (-1)^k H d + f = g`` once: ``holds`` and
+    ``holds_at``, called in either order and again, match the per-degree
+    reference, and no call after the first multiplies."""
+    products = []
+    matmul = IntMatrix.__matmul__
+    monkeypatch.setattr(IntMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    outcomes = set()
+    for seed in range(24):
+        for fault in ("homotopy", "none"):
+            args = (seed, seed % 2 == 0, seed % 3 - 1, seed % 4 // 2, seed % 3 == 0, False, fault)
+            ref = case(*args).get("hom", False)
+            degs = sorted(ref_degrees(ref) | {min(ref_degrees(ref)) - 1, max(ref_degrees(ref)) + 1})
+            want = (ref_holds(ref), [ref_holds_at(ref, n) for n in degs])
+            for holds_first in (True, False):
+                hom = case(*args).get("hom", True)
+                for turn in range(3):
+                    before = len(products)
+                    if holds_first:
+                        got = (hom.holds(), [hom.holds_at(n) for n in degs])
+                    else:
+                        at = [hom.holds_at(n) for n in degs]
+                        got = (hom.holds(), at)
+                    assert got == want, (seed, fault, holds_first, turn)
+                    assert turn == 0 or len(products) == before
+            outcomes.add(want[0])
+    assert outcomes == {True, False}
+
+
 def test_mis_shaped_differential_is_refused_by_dual_and_tensor():
     def bad():
         return ChainComplex({0: 1, 1: 1}, {1: IntMatrix.from_rows([[1], [1]])}, check=False)
