@@ -56,17 +56,6 @@ class HomotopySAction:
         if check:
             self.validate()
 
-    # -- point map helpers ---------------------------------------------
-
-    def apply(self, point_map: PointMap, x) -> object:
-        return point_map[self.index[x]]
-
-    def identity_map(self) -> PointMap:
-        return tuple(self.space.points)
-
-    def compose_maps(self, outer: PointMap, inner: PointMap) -> PointMap:
-        return tuple(outer[self.index[inner[i]]] for i in range(len(inner)))
-
     def _index_view(self) -> Tuple[Dict[object, Optional[Tuple[int, ...]]],
                                    Dict[Tuple[object, object], Tuple[Optional[Tuple[int, ...]], ...]]]:
         """``phi`` and ``H`` on point indices, built once per action: each
@@ -188,14 +177,6 @@ class HomotopySAction:
             self._moves = (letters, [(step, tuple([tuple(sorted(xs)) for xs in relation[step]]))
                                      for step in letters if any(relation[step])])
         return self._moves
-
-    def move_table(self) -> Tuple[List[object], Dict[object, Tuple[Tuple[object, object], ...]]]:
-        """``move_relation`` on points, built on each call: the letters, and
-        each point ``z`` mapped to its moves ``(a^{-1} b, x')``."""
-        letters, moves = self.move_relation()
-        pts = self.space.points
-        return letters, {z: tuple((step, pts[xp]) for step, out in moves for xp in out[i])
-                         for i, z in enumerate(pts)}
 
     def s_orbit(self, n: int, gx: Tuple[object, object]) -> Set[Tuple[object, object]]:
         """Exact enumeration of ``S^n(g, x)`` by depth-``n`` search."""

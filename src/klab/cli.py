@@ -281,12 +281,17 @@ def cmd_pipeline(scenario: Scenario, args) -> Report:
     return rep
 
 
-def cmd_signature(scenario: Scenario, args) -> Report:
-    rep = Report("signature")
-    names = [args.form] if args.form else sorted(scenario.forms)
-    for name in names:
-        _run_signature(rep, name, scenario.get("forms", name))
+def _cmd_entries(scenario: Scenario, command: str, section: str, name: Optional[str],
+                 runner) -> Report:
+    """``runner`` on the named entry of ``section``, or on each in name order."""
+    rep = Report(command)
+    for n in [name] if name else sorted(getattr(scenario, section)):
+        runner(rep, n, scenario.get(section, n))
     return rep
+
+
+def cmd_signature(scenario: Scenario, args) -> Report:
+    return _cmd_entries(scenario, "signature", "forms", args.form, _run_signature)
 
 
 def _run_signature(rep: Report, name: str, form) -> None:
@@ -297,11 +302,7 @@ def _run_signature(rep: Report, name: str, form) -> None:
 
 
 def cmd_finobstr(scenario: Scenario, args) -> Report:
-    rep = Report("finobstr")
-    names = [args.complex] if args.complex else sorted(scenario.complexes)
-    for name in names:
-        _run_finobstr(rep, name, scenario.get("complexes", name))
-    return rep
+    return _cmd_entries(scenario, "finobstr", "complexes", args.complex, _run_finobstr)
 
 
 def _run_finobstr(rep: Report, name: str, c) -> None:

@@ -81,9 +81,6 @@ class GRMatrix:
         m = self.letters.get(self.backend.canonical(a))
         return IntMatrix.zeros(self.rows, self.cols) if m is None else m
 
-    def letter_support(self) -> List[object]:
-        return sorted(self.letters, key=repr)
-
     def is_zero(self) -> bool:
         return not self.letters
 

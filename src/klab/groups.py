@@ -240,10 +240,6 @@ class FiniteSubset(_Value):
     def is_symmetric(self) -> bool:
         return all(self.backend.inv(x) in self.members for x in self.elements)
 
-    def symmetrized(self) -> "FiniteSubset":
-        inv = [self.backend.inv(x) for x in self.elements]
-        return FiniteSubset.of(self.backend, list(self.elements) + inv)
-
     def __contains__(self, x) -> bool:
         return x in self.members
 

@@ -94,9 +94,6 @@ class IntMatrix:
 
     # -- basic algebra -------------------------------------------------
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, dict(self.entries))
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)

@@ -151,7 +151,7 @@ def mult_hyperbolic_complex(c: ChainComplex) -> Tuple[ChainComplex, ChainMap]:
     return D, psi
 
 
-def degree_zero_form(D: ChainComplex, psi: ChainMap) -> SymmetricForm:
+def degree_zero_form(psi: ChainMap) -> SymmetricForm:
     """Gram matrix of the degree-0 component of a symmetric structure."""
     mat = psi.mat(0)
     if mat.rows != mat.cols:
@@ -182,11 +182,11 @@ def lemmaA_check(c: ChainComplex) -> LemmaAReport:
     """
     if not c.is_free():
         raise InputError("endpoint check needs a free complex")
-    D, psi = mult_hyperbolic_complex(c)
+    psi = mult_hyperbolic_complex(c)[1]
     sym = symmetrized_dual(psi)
     psi_symmetric = sym == psi
     invertible = psi.integer_inverse() is not None
-    form = degree_zero_form(D, psi)
+    form = degree_zero_form(psi)
     sig = signature(form)
     return LemmaAReport(sig, c.euler_characteristic(), psi_symmetric, invertible)
 

@@ -89,8 +89,12 @@ def parse_matrix(obj) -> IntMatrix:
             raise InputError("a dense matrix is a list of rows")
         return IntMatrix.from_rows([[_integer(v) for v in row] for row in obj])
     if isinstance(obj, dict):
-        entries = {(_integer(i), _integer(j)): _integer(v)
-                   for i, j, v in obj.get("entries", [])}
+        entries = {}
+        for i, j, v in obj.get("entries", []):
+            key = (_integer(i), _integer(j))
+            if key in entries:
+                raise InputError(f"sparse matrix: entry {list(key)} is given twice")
+            entries[key] = _integer(v)
         try:
             # the constructor drops explicit zeros and rejects out-of-range entries
             return IntMatrix(_integer(obj["rows"]), _integer(obj["cols"]), entries)
@@ -180,8 +184,9 @@ def load_scenario(path: str) -> Scenario:
 def parse_scenario(raw: Dict[str, Any]) -> Scenario:
     if not isinstance(raw, dict):
         raise InputError("a scenario must be a JSON object")
-    if raw.get("version") != SCHEMA_VERSION:
-        raise InputError(f"unsupported scenario version {raw.get('version')!r}")
+    version = raw.get("version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise InputError(f"unsupported scenario version {version!r}")
     sc = Scenario()
     for section, parse in SECTIONS.items():
         specs = raw.get(section, {})
@@ -208,6 +213,8 @@ def _parse_group(sc: Scenario, spec: Dict[str, Any]) -> GroupBackend:
             return FiniteTableGroup.dihedral(_integer(spec["n"]))
         if preset == "trivial":
             return FiniteTableGroup.cyclic(1)
+        if preset is not None:
+            raise InputError(f"unknown preset {preset!r}")
         table = [[_integer(v) for v in _typed(row, list)] for row in _typed(spec["table"], list)]
         return FiniteTableGroup(table, name=spec.get("name", "G"))
     if kind == "free-abelian":

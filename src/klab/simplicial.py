@@ -125,11 +125,6 @@ class PointInComplex:
         return PointInComplex(complex, {v: Fraction(1)})
 
 
-def l1_distance(p: PointInComplex, q: PointInComplex) -> Fraction:
-    """Ambient l^1 distance; exact when the supports share a simplex."""
-    return p.l1_to(q)
-
-
 # -- subdivision, products, unordered pairs ---------------------------------
 
 

@@ -328,9 +328,6 @@ class DSLambdaCertificate:
         self.bound = bound
         self.pieces = pieces
 
-    def within(self, target: Fraction) -> bool:
-        return self.bound <= target
-
 
 def certify_dslambda(action: HomotopySAction, lam: Fraction,
                      pieces: Dict[str, EquivariantChainMap]) -> DSLambdaCertificate:
@@ -400,7 +397,7 @@ class KTransferResult:
         self.target_bound = target_bound
 
     def certified(self) -> bool:
-        return self.certificate.within(self.target_bound)
+        return self.certificate.bound <= self.target_bound
 
 
 def k_transfer(alpha: GRMatrix, alpha_inv: GRMatrix,
@@ -765,7 +762,7 @@ class LTransferResult:
         return all(okay for _, okay in self.checks)
 
     def certified(self) -> bool:
-        return self.certificate.within(self.target_bound)
+        return self.certificate.bound <= self.target_bound
 
 
 def invert_equivariant(sigma: GRMatrix) -> GRMatrix:

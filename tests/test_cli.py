@@ -64,6 +64,13 @@ def test_malformed_scenario_exit_two(tmp_path, capsys):
     assert run_cli("validate", str(bad)) == 2
 
 
+@pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+def test_the_version_must_be_the_json_integer_one(version, tmp_path, capsys):
+    # both used to validate with exit 0, since True == 1.0 == 1
+    assert run_cli("validate", _mutated(tmp_path, _set("version", value=version))) == 2
+    assert f"unsupported scenario version {version!r}" in capsys.readouterr().err
+
+
 def test_dslambda_values(capsys):
     assert run_cli("dslambda", Z2, "--action", "swap", "--lam", "1/2",
                    "--src", "0:p", "--dst", "1:p") == 0
@@ -449,6 +456,11 @@ def test_scenario_errors_name_section_and_entry(tmp_path, capsys):
     assert run_cli("validate", _mutated(tmp_path, missing)) == 2
     assert "actions.swap: missing 's'" in capsys.readouterr().err
 
+    def misspelt(doc):  # used to report "missing 'table'"
+        doc["groups"]["Z2"]["preset"] = "cyclc"
+    assert run_cli("validate", _mutated(tmp_path, misspelt)) == 2
+    assert "groups.Z2: unknown preset 'cyclc'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("lam", ["-1/2", 0])
 def test_a_pipeline_lambda_that_is_not_positive_exits_two(lam, tmp_path, capsys):
@@ -591,11 +603,15 @@ def _both(*edits):
     (Z2, _set("complexes", "euler", "differentials", "9",
               value={"rows": 4, "cols": 4, "entries": []}), ("finobstr",),
      "complexes.euler: differential shape mismatch at degree 9"),
+    (Z2, _set("forms", "unit", "gram", "entries", value=[[0, 0, 7], [0, 0, 1]]),
+     ("signature", "--form", "unit"), "forms.unit: sparse matrix: entry [0, 0] is given twice"),
 ], ids=["homotopy-endpoints-of-two-degrees", "domination-into-of-degree-one",
-        "zero-differential-of-another-shape", "zero-differential-at-an-absent-degree"])
+        "zero-differential-of-another-shape", "zero-differential-at-an-absent-degree",
+        "sparse-entry-given-twice"])
 def test_misshaped_graded_data_fails_to_load(tmp_path, capsys, source, edit, command, message):
     # before, the first two ended in a ValueError traceback when the homotopy
-    # was first checked, and the zero blocks of the wrong shape loaded
+    # was first checked, the zero blocks of the wrong shape loaded, and the
+    # last of two entries at one position was kept (signature 1, exit 0)
     path = _mutated(tmp_path, edit, source)
     for argv in ((command[0], path, *command[1:]), ("suite", path)):
         assert run_cli(*argv) == 2

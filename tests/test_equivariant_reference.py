@@ -214,7 +214,7 @@ def ref_letter_bound(action, lam, letter, pairs) -> Fraction:
     d, e = action.space.d, action.backend.identity()
     worst = Fraction(0)
     for (x, y) in pairs:
-        options = [1 + lam * d(x, action.apply(fm, y)) for fm in action.f_set(letter)]
+        options = [1 + lam * d(x, fm[action.index[y]]) for fm in action.f_set(letter)]
         if letter == e:
             options.append(lam * d(x, y))
         worst = max(worst, min(options))
@@ -235,9 +235,9 @@ def ref_control(P) -> Fraction:
     the best grid time's ``d(x, H_{g,h}(y, t))`` over the support of each
     ``H_{g,h}``, and ``d(x, y)`` over the support of ``d`` and ``p``."""
     act, d = P.point_action, P.space.d
-    phi = max((d(x, act.apply(act.phi[g], y))
+    phi = max((d(x, act.phi[g][act.index[y]])
                for g in P.S for x, y in P.phi[g].support_pairs()), default=Fraction(0))
-    homotopy = max((min(d(x, act.apply(m, y)) for m in act.H[gh])
+    homotopy = max((min(d(x, m[act.index[y]]) for m in act.H[gh])
                     for gh, hom in P.H.items() for x, y in hom.as_map().support_pairs()),
                    default=Fraction(0))
     structure = [ChainMap(P.P, P.P, -1, P.P.d_total, check=False),

@@ -57,7 +57,7 @@ def test_ball_monotone_and_symmetric():
         b = set(ball(f, s, n).elements)
         assert previous <= b
         previous = b
-    sym = s.symmetrized()
+    sym = FiniteSubset.of(f, [*s, *(f.inv(x) for x in s)])
     b = ball(f, sym, 2)
     for x in b:
         assert f.inv(x) in b

@@ -41,7 +41,7 @@ def ref_letter_bound(action, lam, letter, pairs):
         if letter == e:
             options.append(lam * action.space.d(x, y))
         for fm in fset:
-            options.append(1 + lam * action.space.d(x, action.apply(fm, y)))
+            options.append(1 + lam * action.space.d(x, fm[action.index[y]]))
         best = min(options)
         if best > worst:
             worst = best
@@ -59,13 +59,13 @@ def ref_piece_bound(action, lam, eq):
 
 def ref_phi_control(P):
     act, d = P.point_action, P.space.d
-    return max((d(x, act.apply(act.phi[g], y))
+    return max((d(x, act.phi[g][act.index[y]])
                 for g in P.S for x, y in P.phi[g].support_pairs()), default=Fraction(0))
 
 
 def ref_homotopy_control(P):
     act, d = P.point_action, P.space.d
-    return max((min(d(x, act.apply(m, y)) for m in act.H[gh])
+    return max((min(d(x, m[act.index[y]]) for m in act.H[gh])
                 for gh, hom in P.H.items() for x, y in hom.as_map().support_pairs()),
                default=Fraction(0))
 

@@ -75,8 +75,7 @@ def test_degree_zero_form_decomposition():
     rng = random.Random(51)
     for _ in range(30):
         c = rand_complex(rng, min_deg=rng.randint(-1, 0), max_len=3, max_rank=3)
-        D, psi = mult_hyperbolic_complex(c)
-        form = degree_zero_form(D, psi)
+        form = degree_zero_form(mult_hyperbolic_complex(c)[1])
         blocks = None
         for i in sorted(c.ranks, reverse=True):
             blk = mult_hyperbolic_form(c.rank(i)).gram.scale(-1 if i % 2 else 1)

@@ -7,9 +7,9 @@ from klab.errors import DifferentComplex, InputError, SampleBudgetExceeded
 from klab.simplicial import (PointInComplex, SimplicialComplex,
                              barycentric_control_space, chain_complex_of,
                              delta_search, induced_p2_automorphism,
-                             l1_distance, p2_point, p2_simplicial,
-                             product_structure, random_point,
-                             staircase_coords, subdivide, subdivision_coords)
+                             p2_point, p2_simplicial, product_structure,
+                             random_point, staircase_coords, subdivide,
+                             subdivision_coords)
 
 
 def test_face_closure_enforced():
@@ -24,15 +24,15 @@ def test_l1_distance_examples():
     edge = SimplicialComplex.standard_simplex(1)
     p = PointInComplex.vertex(edge, "v0")
     q = PointInComplex.vertex(edge, "v1")
-    assert l1_distance(p, p) == 0
-    assert l1_distance(p, q) == 2
+    assert p.l1_to(p) == 0
+    assert p.l1_to(q) == 2
     tri = SimplicialComplex.standard_simplex(2)
     mid = PointInComplex(tri, {"v0": Fraction(1, 3), "v1": Fraction(1, 3),
                                "v2": Fraction(1, 3)})
     v = PointInComplex.vertex(tri, "v0")
-    assert l1_distance(mid, v) == Fraction(2, 3) + Fraction(2, 3)
+    assert mid.l1_to(v) == Fraction(2, 3) + Fraction(2, 3)
     with pytest.raises(DifferentComplex):
-        l1_distance(p, v)
+        p.l1_to(v)
 
 
 def test_l1_metric_axioms_in_simplex():

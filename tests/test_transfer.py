@@ -150,7 +150,7 @@ def test_finite_replacement_path_fixture_control():
 
 def test_finite_replacement_rejects_bad_input():
     space, C, D, i, r, h = path_chain_domination(9, 4)
-    spoiled = {n: m.copy() for n, m in h.mats.items()}
+    spoiled = {n: IntMatrix(m.rows, m.cols, dict(m.entries)) for n, m in h.mats.items()}
     block = spoiled[0]
     block.entries[(0, 0)] = block.get(0, 0) + 1
     bad = ChainHomotopy(r.compose(i), ChainMap.identity(C), spoiled)
