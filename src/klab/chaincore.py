@@ -412,9 +412,6 @@ class ChainHomotopy:
         f = self.source_map
         return _split(self.total, f.source, f.target, f.degree + 1)
 
-    def mat(self, n: int):
-        return self.as_map().mat(n)
-
     def as_map(self) -> ChainMap:
         f = self.source_map
         return ChainMap._of(f.source, f.target, f.degree + 1, self.total)
@@ -640,10 +637,6 @@ class K0Class:
 
     def __init__(self, terms: Optional[List[Tuple[int, IntMatrix]]] = None):
         self.terms = [] if terms is None else terms
-
-    def add(self, coeff: int, idempotent: IntMatrix) -> None:
-        if coeff:
-            self.terms.append((coeff, idempotent))
 
     def reduced_rank(self) -> int:
         """Image in K_0(Z) = Z by rank of each idempotent."""

@@ -147,20 +147,20 @@ class ControlSpace:
         return space
 
     @staticmethod
-    def from_matrix(points: Sequence[object], rows: Sequence[Sequence[Fraction]],
-                    check: bool = True) -> "ControlSpace":
+    def from_matrix(points: Sequence[object],
+                    rows: Sequence[Sequence[Fraction]]) -> "ControlSpace":
         dist = {}
         pts = list(points)
         for i, p in enumerate(pts):
             for j, q in enumerate(pts):
                 dist[(p, q)] = Fraction(rows[i][j])
-        return ControlSpace(pts, dist, check=check)
+        return ControlSpace(pts, dist)
 
     @staticmethod
-    def path(n: int, step: Fraction = Fraction(1)) -> "ControlSpace":
-        """n points on a line at the given spacing, ids ``p0..p{n-1}``."""
+    def path(n: int) -> "ControlSpace":
+        """n points on a line at unit spacing, ids ``p0..p{n-1}``."""
         pts = [f"p{i}" for i in range(n)]
-        dist = {(pts[i], pts[j]): Fraction(step) * abs(i - j)
+        dist = {(pts[i], pts[j]): Fraction(abs(i - j))
                 for i in range(n) for j in range(n)}
         return ControlSpace(pts, dist, check=False)
 

@@ -283,7 +283,7 @@ class SubgroupDescription(_Value):
     def of(backend: GroupBackend, generators: Iterable[object]) -> "SubgroupDescription":
         return SubgroupDescription(backend, tuple(backend.canonical(g) for g in generators))
 
-    def closure(self, cap: int = DEFAULT_BALL_CAP) -> FrozenSet[object]:
+    def closure(self) -> FrozenSet[object]:
         """Element set; only computable for finite-table backends."""
         if self.backend.kind != "finite-table":
             raise UndecidableBackend("closure needs a finite-table backend")
@@ -298,7 +298,7 @@ class SubgroupDescription(_Value):
                 if y not in out:
                     out.add(y)
                     frontier.append(y)
-                    if len(out) > cap:
+                    if len(out) > DEFAULT_BALL_CAP:
                         raise HorizonExceeded("subgroup closure exceeded cap")
         return frozenset(out)
 

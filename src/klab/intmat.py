@@ -247,18 +247,18 @@ class IntMatrix:
     def integer_inverse(self) -> Optional["IntMatrix"]:
         """Inverse if it exists over Z (determinant a unit), else None.
 
-        A signed permutation is inverted by its transpose.  Otherwise the
-        Bareiss determinant must be +-1, and Gauss-Jordan with integer
-        row operations (Euclid on each pivot column) reduces ``[A | I]``
-        to ``[I | A^-1]``; every pivot is then +-1.
+        A signed permutation is inverted by its transpose.  Otherwise
+        Gauss-Jordan with integer row operations (Euclid on each pivot
+        column) reduces ``[A | I]`` to ``[I | A^-1]``.  Each pivot is the
+        gcd of its column from the diagonal down, and the pivots multiply
+        to +-det, so ``A`` is invertible over Z exactly when every pivot
+        is +-1.
         """
         n = self.rows
         if self.cols != n:
             return None
         if self.is_signed_permutation():
             return self.transpose()
-        if self.det() not in (1, -1):
-            return None
         a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.to_dense())]
         for k in range(n):
             # Euclid: the entry of least size moves up and reduces the rest
@@ -270,6 +270,8 @@ class IntMatrix:
                     if q:
                         a[i] = [x - q * y for x, y in zip(a[i], a[k])]
             top = a[k]
+            if top[k] not in (1, -1):
+                return None
             if top[k] < 0:
                 a[k] = top = [-x for x in top]
             for i in range(n):

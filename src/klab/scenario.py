@@ -153,21 +153,11 @@ def parse_point(action: HomotopySAction, text: str):
 
 
 class Scenario:
-    """One dict of resolved entries per section; see ``SECTIONS``."""
+    """One dict of resolved entries per section, an attribute named as in ``SECTIONS``."""
 
     def __init__(self):
-        self.groups: Dict[str, GroupBackend] = {}
-        self.spaces: Dict[str, ControlSpace] = {}
-        self.actions: Dict[str, HomotopySAction] = {}
-        self.complexes: Dict[str, ChainComplex] = {}
-        self.forms: Dict[str, SymmetricForm] = {}
-        self.covers: Dict[str, Tuple[CoverSpec, HomotopySAction]] = {}
-        self.morphisms: Dict[str, GRMatrix] = {}
-        self.chain_actions: Dict[str, HomotopySChainComplex] = {}
-        self.dominations: Dict[str, Tuple[ChainComplex, ChainComplex, ChainMap, ChainMap,
-                                          ChainHomotopy]] = {}
-        self.simplicial: Dict[str, SimplicialComplex] = {}
-        self.pipelines: Dict[str, Tuple[str, tuple]] = {}
+        for section in SECTIONS:
+            setattr(self, section, {})
 
     def get(self, section: str, name: str):
         """The named entry of a section; an unknown name is an input error."""

@@ -668,18 +668,11 @@ def induce_chain_action(repl: FiniteReplacementResult, backend: GroupBackend,
 class LSymmetricData:
     """The multiplicative hyperbolic chain action on unordered pairs."""
 
-    def __init__(self, pair_space: ControlSpace, pair_action: HomotopySAction, D: ChainComplex,
-                 phi: Dict[object, ChainMap], H: Dict[Tuple[object, object], ChainHomotopy],
-                 mu: ChainMap, phi_mu: Dict[object, ChainMap], chain: HomotopySChainComplex,
-                 checks: List[Tuple[str, bool]]):
-        self.pair_space = pair_space
-        self.pair_action = pair_action
-        self.D = D    # fiber over the pair space
-        self.phi = phi
-        self.H = H
+    def __init__(self, chain: HomotopySChainComplex, mu: ChainMap,
+                 phi_mu: Dict[object, ChainMap], checks: List[Tuple[str, bool]]):
+        self.chain = chain  # D over the pair space, with phi^D and H^D
         self.mu = mu  # D^-* -> D, diagonal support
         self.phi_mu = phi_mu  # {g: phi^D_g o mu} over S
-        self.chain = chain
         self.checks = checks
 
     def ok(self) -> bool:
@@ -739,7 +732,7 @@ def l_symmetric_complex(P: HomotopySChainComplex) -> LSymmetricData:
     chain = HomotopySChainComplex(backend, pair_space, P.S, D, phi, H,
                                   point_action=pair_action,
                                   point_equivalence=pe, check=False)
-    return LSymmetricData(pair_space, pair_action, D, phi, H, mu, phi_mu, chain, checks)
+    return LSymmetricData(chain, mu, phi_mu, checks)
 
 
 class LTransferResult:
@@ -806,7 +799,7 @@ def l_transfer(alpha: GRMatrix, P: HomotopySChainComplex,
     checks: List[Tuple[str, bool]] = []
     _check_square_inside(backend, alpha.letters, S)
     data = l_symmetric_complex(P)
-    D = data.D
+    chain = data.chain
     m_rank = alpha.cols
 
     sigma_mod = alpha + alpha.transpose()
@@ -820,7 +813,7 @@ def l_transfer(alpha: GRMatrix, P: HomotopySChainComplex,
         raise SupportEscape(f"letters {sorted(outside, key=repr)!r} of the form "
                             "or its inverse are outside S")
 
-    mdd = module_tensor(m_rank, D)
+    mdd = module_tensor(m_rank, chain.P)
     lift = GRComplex.constant(backend, mdd)
     lift_dual = dual_complex(lift)  # = M ox D^-* read over Z[G]
     phi_mu = data.phi_mu  # the letters of alpha and sigma lie in S = S^{-1}
@@ -838,15 +831,15 @@ def l_transfer(alpha: GRMatrix, P: HomotopySChainComplex,
     mu_inv = data.mu.integer_inverse()
     if mu_inv is None:
         raise IdentityFailure("mu is not invertible")
-    tau = _module_map(lift, lift_dual, 0, ((b, blk, mu_inv.compose(data.phi[b]))
+    tau = _module_map(lift, lift_dual, 0, ((b, blk, mu_inv.compose(chain.phi[b]))
                                            for b, blk in sigma_inverse.letters.items()))
 
     # k: sigma_eq o tau ~ id_{M ox D}  via sum (sigma_a sigma^{-1}_b) ox H^D_{a,b}
-    k_eq = _letter_pair_witness(sigma_mod, sigma_inverse, data.chain, lift, lift)
+    k_eq = _letter_pair_witness(sigma_mod, sigma_inverse, chain, lift, lift)
     checks.append(("witness-k", ChainHomotopy(sigma_eq.compose(tau), ChainMap.identity(lift),
                                               k_eq.total).holds()))
     # h: tau o sigma_eq ~ id of the dual, conjugated through mu
-    h_eq = _letter_pair_witness(sigma_inverse, sigma_mod, data.chain, lift_dual, lift_dual,
+    h_eq = _letter_pair_witness(sigma_inverse, sigma_mod, chain, lift_dual, lift_dual,
                                 lambda hom: mu_inv.compose(hom).compose(data.mu))
     checks.append(("witness-h", ChainHomotopy(tau.compose(sigma_eq),
                                               ChainMap.identity(lift_dual), h_eq.total).holds()))
@@ -854,12 +847,12 @@ def l_transfer(alpha: GRMatrix, P: HomotopySChainComplex,
                      ("h-letters", h_eq), ("k-letters", k_eq)):
         checks.append((name + "-in-S", all(a in S for a in eq.total.letters)))
 
-    cert = certify_dslambda(data.pair_action, lam,
+    cert = certify_dslambda(chain.point_action, lam,
                             {"psi": psi, "sigma": sigma_eq, "inverse": tau,
                              "h": h_eq, "k": k_eq})
-    eps = max(data.chain.achieved_phi_control(),
-              data.chain.achieved_homotopy_control(),
-              data.chain.achieved_complex_control())
+    eps = max(chain.achieved_phi_control(),
+              chain.achieved_homotopy_control(),
+              chain.achieved_complex_control())
     return LTransferResult(data, mdd, psi, sigma_eq, tau, h_eq, k_eq,
                            cert, 1 + lam * eps, checks)
 
@@ -899,7 +892,7 @@ def expanded_ultraquadratic(result: LTransferResult, lam: Fraction,
     if backend.kind != "finite-table":
         raise InputError("expansion needs a finite-table backend")
     cosets = backend.elements()
-    pair_action = result.data.pair_action
+    pair_action = result.data.chain.point_action
     if pair_action is None:
         raise InputError("expansion needs the pair-space action")
     carrier = [(g, z) for g in cosets for z in pair_action.space.points]

@@ -298,13 +298,13 @@ def ref_l_transfer(alpha, P, lam) -> LTransferResult:
     S = P.S
     checks = []
     data = l_symmetric_complex(P)
-    D = data.D
+    D = data.chain.P
     m_rank = alpha.cols
     sigma_mod = alpha + alpha.transpose()
     sigma_inverse = invert_equivariant(sigma_mod)
     mdd = module_tensor(m_rank, D)
     mdd_dual = module_tensor(m_rank, dual_complex(D))
-    phi_mu = {a: data.phi[a].compose(data.mu)
+    phi_mu = {a: data.chain.phi[a].compose(data.mu)
               for a in set(alpha.letters) | set(sigma_mod.letters)}
     psi = EquivariantChainMap(backend, mdd_dual, mdd, 0,
                               {a: module_tensor_map(blk, phi_mu[a], mdd_dual, mdd)
@@ -316,7 +316,7 @@ def ref_l_transfer(alpha, P, lam) -> LTransferResult:
     checks.append(("symmetrization-identity", sigma_eq == expected))
     mu_inv = data.mu.integer_inverse()
     tau = EquivariantChainMap(backend, mdd, mdd_dual, 0,
-                              {b: module_tensor_map(blk, mu_inv.compose(data.phi[b]),
+                              {b: module_tensor_map(blk, mu_inv.compose(data.chain.phi[b]),
                                                     mdd, mdd_dual)
                                for b, blk in sigma_inverse.letters.items()})
     k_eq = ref_letter_pair_witness(sigma_mod, sigma_inverse, data.chain, mdd, mdd)
@@ -331,7 +331,7 @@ def ref_l_transfer(alpha, P, lam) -> LTransferResult:
     for name, eq in (("psi-letters", psi), ("inverse-letters", tau),
                      ("h-letters", h_eq), ("k-letters", k_eq)):
         checks.append((name + "-in-S", all(a in S for a in eq.letters)))
-    cert = ref_certify_dslambda(data.pair_action, lam,
+    cert = ref_certify_dslambda(data.chain.point_action, lam,
                                 {"psi": psi, "sigma": sigma_eq, "inverse": tau,
                                  "h": h_eq, "k": k_eq})
     return LTransferResult(data, mdd, psi, sigma_eq, tau, h_eq, k_eq, cert,

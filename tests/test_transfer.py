@@ -482,7 +482,7 @@ def test_l_transfer_trivial_instance():
     assert result.ok()
     # trivial fiber: the pair complex is trivial, mu is [1], and the
     # structure map is alpha itself
-    assert result.data.D.ranks == {0: 1}
+    assert result.data.chain.P.ranks == {0: 1}
     assert result.data.mu.mat(0) == IntMatrix.from_rows([[1]])
     assert result.psi.letters[0].mat(0) == alpha.letter(0)
 
