@@ -65,7 +65,7 @@ _JSON_TYPES = {int: "integers", str: "a string", list: "a list", dict: "an objec
 def _typed(v, kind: type):
     """``v`` itself when its JSON type is ``kind``; nothing is coerced, and
     a bool is not an integer."""
-    if type(v) is not kind:
+    if isinstance(v, bool) or not isinstance(v, kind):
         raise InputError(f"expected {_JSON_TYPES[kind]}, not {v!r}")
     return v
 
@@ -152,6 +152,42 @@ def parse_point(action: HomotopySAction, text: str):
     return (g, x)
 
 
+class _Read(dict):
+    """A JSON object that records the keys the reader looks up."""
+
+    def __init__(self, obj: dict):
+        super().__init__((k, _recorded(v)) for k, v in obj.items())
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return dict.__getitem__(self, key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return dict.get(self, key, default)
+
+
+def _recorded(v):
+    """``v`` with each JSON object in it a ``_Read``."""
+    if isinstance(v, dict):
+        return _Read(v)
+    return [_recorded(x) for x in v] if isinstance(v, list) else v
+
+
+def _unread(v, path: tuple = ()):
+    """The path to a key the reader did not look up, in an object of ``v``
+    where it looked keys up.  An object read only by iterating holds data
+    keys (degrees, elements), and one never opened is not read at all."""
+    if isinstance(v, list):
+        v = dict(enumerate(v))
+    elif not isinstance(v, _Read):
+        return None
+    elif v.read and v.keys() - v.read:
+        return path + (next(key for key in v.keys() if key not in v.read),)
+    return next(filter(None, (_unread(x, path + (k,)) for k, x in v.items())), None)
+
+
 class Scenario:
     """One dict of resolved entries per section, an attribute named as in ``SECTIONS``."""
 
@@ -174,6 +210,7 @@ def load_scenario(path: str) -> Scenario:
 def parse_scenario(raw: Dict[str, Any]) -> Scenario:
     if not isinstance(raw, dict):
         raise InputError("a scenario must be a JSON object")
+    raw = _Read(raw)
     version = raw.get("version")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise InputError(f"unsupported scenario version {version!r}")
@@ -186,10 +223,16 @@ def parse_scenario(raw: Dict[str, Any]) -> Scenario:
         for name, spec in specs.items():
             try:
                 entries[name] = parse(sc, spec)
+                path = _unread(spec)
+                if path:
+                    raise InputError(f"unknown key {'.'.join(map(str, path))!r}")
             except (InputError, TypeError, ValueError, KeyError, AttributeError,
                     IndexError) as exc:  # what malformed data in an entry raises
                 what = f"missing {exc}" if isinstance(exc, KeyError) else exc
                 raise InputError(f"{section}.{name}: {what}") from None
+    unknown = [key for key in raw if key not in raw.read]
+    if unknown:
+        raise InputError(f"unknown section {unknown[0]!r}")
     return sc
 
 
@@ -274,7 +317,7 @@ def _parse_cover(sc: Scenario, spec: Dict[str, Any]) -> Tuple[CoverSpec, Homotop
         sets[name] = frozenset((_element_from_json(backend, g), x) for g, x in pairs)
     if any(x not in action.space for members in sets.values() for _, x in members):
         raise InputError("cover members must be points of the action's space")
-    name_action = {_element_key(backend, k): _typed(perm, dict)
+    name_action = {_element_key(backend, k): dict(_typed(perm, dict))
                    for k, perm in spec.get("name_action", {}).items()}
     if any(not set(perm) | set(perm.values()) <= set(sets)
            for perm in name_action.values()):

@@ -2,6 +2,7 @@ import heapq
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,40 @@ def trivial_action_on_path(n=4):
 
 
 # -- F-sets and orbits --------------------------------------------------------
+
+
+def _swap_parts():
+    """The arguments of ``z2_swap_action``'s ``HomotopySAction``, to spoil one at a time."""
+    act = z2_swap_action()
+    return dict(backend=act.backend, space=act.space, S=act.S, phi=dict(act.phi),
+                homotopies=dict(act.H))
+
+
+def _drop(key, name):
+    return lambda parts: parts[key].pop(name)
+
+
+def _put(key, name, value):
+    return lambda parts: parts[key].__setitem__(name, value)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda parts: parts.update(S=FiniteSubset.of(parts["backend"], [1])),
+     "S must contain the identity"),
+    (_put("phi", 0, ("q", "p")), "phi_e must be the identity"),
+    (_drop("homotopies", (1, 1)), "homotopy missing for pair (1,1)"),
+    (_put("homotopies", (1, 1), (("p", "q"), ("p",), ("p", "q"))),
+     "H[1,1] has a non-total grid map"),
+    (_put("homotopies", (0, 0), (("p", "q"), ("q", "p"), ("p", "q"))),
+     "H[e,e] must be constantly the identity"),
+], ids=["no-identity-in-S", "phi-e-moves", "homotopy-missing", "non-total-grid-map",
+        "H-e-e-moves"])
+def test_homotopy_s_action_refuses_each_broken_axiom(spoil, message):
+    parts = _swap_parts()
+    HomotopySAction(**parts)  # the unspoilt action is valid
+    spoil(parts)
+    with pytest.raises(InputError, match=re.escape(message)):
+        HomotopySAction(**parts)
 
 
 def test_f_set_genuine_action():

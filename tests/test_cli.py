@@ -618,6 +618,32 @@ def test_misshaped_graded_data_fails_to_load(tmp_path, capsys, source, edit, com
         assert f"input error: {message}" in capsys.readouterr().err
 
 
+def _rename(*keys, to):
+    """An edit that renames the key ``keys[-1]`` of ``doc[keys[0]]...`` to ``to``."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[to] = doc.pop(keys[-1])
+    return edit
+
+
+@pytest.mark.parametrize("edit, commands, message", [
+    (_rename("complexes", "euler", "differentials", to="differential"),
+     ("validate", "finobstr"), "complexes.euler: unknown key 'differential'"),
+    (_set("coverz", value={}), ("validate",), "unknown section 'coverz'"),
+    (_rename("pipelines", "negation", "f", "mats", to="mat"), ("torsion",),
+     "pipelines.negation: unknown key 'f.mat'"),
+], ids=["misspelt-entry-key", "misspelt-section", "misspelt-chain-map-key"])
+def test_keys_the_reader_does_not_read_are_input_errors(tmp_path, capsys, edit, commands,
+                                                        message):
+    # before, the first two loaded and exited 0 (euler with no differentials),
+    # and the third loaded a zero map, so torsion exited 1 (not-an-equivalence)
+    path = _mutated(tmp_path, edit)
+    for command in commands:
+        assert run_cli(command, path) == 2
+        assert f"input error: {message}" in capsys.readouterr().err
+
+
 def test_the_f2_closure_of_a_large_elementary_abelian_isotropy_is_quick(tmp_path):
     # Z/2^5 fixing the one set of a one-point cover: its isotropy, the whole
     # group, has 31 subgroups of index 2, none trivial.  Walking the subsets

@@ -376,6 +376,50 @@ def test_integer_inverse_matches_fraction_reference(m):
     assert m.integer_inverse() == fraction_integer_inverse(m)
 
 
+def _elementary_product(draw, n):
+    """The rows of a product of elementary unimodular operations on ``I_n``:
+    adding a multiple of one row to another, swapping two rows, negating one."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 10)) if n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(["add", "swap", "negate"]))
+        if op == "add" and i != j:
+            c = draw(st.integers(-3, 3))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        elif op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "negate":
+            rows[i] = [-a for a in rows[i]]
+    return IntMatrix.from_rows(rows)
+
+
+@st.composite
+def inverse_cases(draw):
+    """Squares with n <= 6: ``U D V`` with ``U``, ``V`` products of
+    elementary operations and ``D`` the identity with one diagonal entry
+    of +-1 (unimodular), +-2 (det +-2) or 0 (singular); and squares of
+    small random entries."""
+    n = draw(st.integers(0, 6))
+    c = draw(st.sampled_from([1, -1, 2, -2, 0, None]))
+    if n == 0 or c is None:
+        return IntMatrix.from_rows([[draw(st.integers(-2, 2)) for _ in range(n)]
+                                    for _ in range(n)])
+    k = draw(st.integers(0, n - 1))
+    d = IntMatrix(n, n, {(i, i): c if i == k else 1 for i in range(n)})  # drops a 0
+    return _elementary_product(draw, n) @ d @ _elementary_product(draw, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(inverse_cases())
+def test_integer_inverse_exists_exactly_for_a_unit_determinant(m):
+    inv = m.integer_inverse()
+    if m.det() not in (1, -1):
+        assert inv is None
+    else:
+        ident = IntMatrix.identity(m.rows)
+        assert inv is not None and m @ inv == ident and inv @ m == ident
+
+
 @PROPERTY
 @given(st.integers(0, 2 ** 32), st.integers(0, 5), st.integers(0, 5))
 def test_rank_matches_fraction_reference(seed, rows, cols):

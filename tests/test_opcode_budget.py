@@ -29,7 +29,7 @@ WORKLOADS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perf
 KLAB = os.path.dirname(os.path.abspath(klab.__file__)) + os.sep
 
 CHECKS = 6
-CEILINGS = {"omega": 121_284, "chain": 351_489, "pipeline": 674_075}
+CEILINGS = {"omega": 121_284, "chain": 351_489, "pipeline": 673_931}
 
 
 def load_workloads():

@@ -1,11 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from klab.actions import DSLambdaMetric
 from klab.chaincore import (ChainComplex, ChainHomotopy, ChainMap,
-                            dual_complex, flip_map, mu_map, tensor_complex)
+                            dual_complex, flip_map, mu_map, shift, tensor_complex)
 from klab.errors import HorizonExceeded, HypothesisViolation, InputError, SupportEscape
 from klab.fixtures import (domination_instance, path_chain_domination,
                            rand_matrix, z2_chain_fixture,
@@ -15,7 +16,7 @@ from klab.gring import GRComplex, GRMatrix
 from klab.groups import FiniteSubset, FiniteTableGroup
 from klab.intmat import IntMatrix
 from klab.ltheory import verify_ultraquadratic
-from klab.transfer import (EquivariantChainMap, certify_dslambda,
+from klab.transfer import (EquivariantChainMap, HomotopySChainComplex, certify_dslambda,
                            expanded_ultraquadratic,
                            finite_replacement, functoriality_witness,
                            induce_chain_action, invert_equivariant, k_transfer,
@@ -157,6 +158,22 @@ def test_finite_replacement_rejects_bad_input():
     assert not bad.holds()
     with pytest.raises(InputError):
         finite_replacement(C, D, i, r, bad)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda C, D, i, r, h: (shift(C, -1), D, i, r, h),
+     "C must be concentrated in non-negative degrees"),
+    (lambda C, D, i, r, h: (C, shift(D, -1), i, r, h),
+     "D must be concentrated in non-negative degrees"),
+    (lambda C, D, i, r, h: (C, D, i, r, ChainHomotopy(ChainMap.identity(C),
+                                                      ChainMap.identity(C), {})),
+     "h must be a homotopy from r o i to id_C"),
+], ids=["C-in-degree-minus-one", "D-in-degree-minus-one", "h-from-the-identity"])
+def test_finite_replacement_refuses_each_input_it_does_not_take(spoil, message):
+    _, *parts = path_chain_domination(5, 2)
+    assert finite_replacement(*parts).ok()
+    with pytest.raises(InputError, match=message):
+        finite_replacement(*spoil(*parts))
 
 
 def _path_flip_action_data():
@@ -403,6 +420,49 @@ def test_l_symmetric_requires_symmetric_s():
     pcx = HomotopySChainComplex(z4, space, s, P, {0: ident, 1: ident}, homs)
     with pytest.raises(HypothesisViolation):
         l_symmetric_complex(pcx)
+
+
+def _chain_action_parts():
+    """The arguments of ``z2_chain_fixture``'s chain action, to spoil one at a time."""
+    base = z2_chain_fixture()
+    return dict(backend=base.backend, space=base.space, S=base.S, P=base.P,
+                phi=dict(base.phi), homotopies=dict(base.H))
+
+
+def _nonzero_e_e_homotopy(parts):
+    # over a complex with zero differential every degree-1 map is a
+    # self-homotopy of the identity
+    P = ChainComplex({0: 1, 1: 1})
+    ident = ChainMap.identity(P)
+    parts.update(S=FiniteSubset.of(parts["backend"], [0]), P=P, phi={0: ident},
+                 homotopies={(0, 0): ChainHomotopy(ident, ident,
+                                                   {0: IntMatrix.from_rows([[1]])})})
+
+
+def _wrong_identity(parts):
+    phi_s, ident = parts["phi"][1], parts["phi"][0]
+    parts["homotopies"][(1, 1)] = ChainHomotopy(phi_s.compose(phi_s), ident,
+                                                {0: IntMatrix.from_rows([[1, 0]])})
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda parts: parts.update(S=FiniteSubset.of(parts["backend"], [1])),
+     "S must contain the identity"),
+    (lambda parts: parts["phi"].pop(1), "phi missing for 1"),
+    (lambda parts: parts["phi"].__setitem__(0, parts["phi"][1]), "phi_e must be the identity"),
+    (lambda parts: parts["homotopies"].__setitem__(
+        (0, 1), ChainHomotopy(parts["phi"][0], parts["phi"][0], {})),
+     "H[0,1] endpoints are wrong"),
+    (_wrong_identity, "H[1,1] homotopy identity fails"),
+    (_nonzero_e_e_homotopy, "H[e,e] must be zero"),
+], ids=["no-identity-in-S", "phi-missing", "phi-e-moves", "wrong-endpoints",
+        "identity-fails", "H-e-e-nonzero"])
+def test_homotopy_s_chain_complex_refuses_each_broken_axiom(spoil, message):
+    parts = _chain_action_parts()
+    HomotopySChainComplex(**parts)  # the unspoilt chain action is valid
+    spoil(parts)
+    with pytest.raises(InputError, match=re.escape(message)):
+        HomotopySChainComplex(**parts)
 
 
 def test_l_symmetric_control_certificates_inherit():
